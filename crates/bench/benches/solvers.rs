@@ -5,12 +5,13 @@
 use std::hint::black_box;
 
 use rcs_bench::Harness;
+use rcs_cooling::ImmersionBath;
 use rcs_core::ImmersionModel;
 use rcs_fluids::Coolant;
-use rcs_hydraulics::{layout, SolverEngine};
+use rcs_hydraulics::{layout, Element, HydraulicNetwork, Pipe, SolverEngine};
 use rcs_numeric::Matrix;
 use rcs_thermal::ThermalNetwork;
-use rcs_units::{Celsius, Power, Seconds, ThermalResistance};
+use rcs_units::{Celsius, Length, Power, Seconds, ThermalResistance};
 
 /// Dense elimination at the sizes our networks actually reach.
 fn bench_matrix_solve(h: &mut Harness) {
@@ -86,6 +87,48 @@ fn bench_hydraulic_manifold(h: &mut Harness) {
     }
 }
 
+/// Warm ladder solves of the SKAT+ bath circulation network (the bath +
+/// exchanger loss path against two immersed pumps) through one context
+/// while the oil temperature drifts — the inner solve of every immersion
+/// fixed-point iteration and drill relinearization. One sample is a
+/// 32-step drift.
+fn bench_hydraulic_warm_circulation(h: &mut Harness) {
+    let bath = ImmersionBath::skat_plus_default();
+    let mut net = HydraulicNetwork::new();
+    let inlet = net.add_junction("bath inlet");
+    let outlet = net.add_junction("bath outlet");
+    let d50 = Length::millimeters(50.0);
+    let path = [2.0, 4.0, 2.0, 6.0]
+        .into_iter()
+        .map(|k| Element::MinorLoss { k, diameter: d50 })
+        .chain([Element::Pipe(Pipe::smooth(Length::from_meters(1.5), d50))])
+        .collect();
+    net.add_branch("bath + exchanger path", inlet, outlet, path)
+        .unwrap();
+    for i in 0..bath.pump_count {
+        net.add_branch(
+            format!("pump {i}"),
+            outlet,
+            inlet,
+            vec![Element::Pump(bath.pump)],
+        )
+        .unwrap();
+    }
+    let oil: Vec<_> = (0..32)
+        .map(|i| {
+            bath.coolant
+                .state(Celsius::new(28.0 + 0.125 * f64::from(i)))
+        })
+        .collect();
+    let mut ctx = net.solver_context();
+    net.solve_robust_in(&oil[0], &mut ctx).unwrap();
+    h.bench("hydraulic_warm_circulation", || {
+        for fluid in &oil {
+            black_box(net.solve_robust_in(black_box(fluid), &mut ctx).unwrap());
+        }
+    });
+}
+
 /// The full coupled SKAT solve: hydraulics + convection + exchanger +
 /// leakage fixed point.
 fn bench_coupled_immersion(h: &mut Harness) {
@@ -156,6 +199,7 @@ fn main() {
     bench_hydraulic_manifold(&mut h);
     bench_sparse_vs_dense_manifold(&mut h);
     bench_hydraulic_sweep(&mut h);
+    bench_hydraulic_warm_circulation(&mut h);
     bench_coupled_immersion(&mut h);
     h.finish();
 }

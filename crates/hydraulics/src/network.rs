@@ -1,5 +1,7 @@
 //! Hydraulic network construction.
 
+use std::sync::Arc;
+
 use rcs_fluids::FluidState;
 use rcs_units::{Pressure, VolumeFlow};
 
@@ -53,6 +55,11 @@ impl BranchData {
 /// reference (defaults to the first created). The network is solved with
 /// [`HydraulicNetwork::solve`].
 ///
+/// The junction and branch lists are shared copy-on-write: cloning a
+/// network (as every [`HydraulicSolution`](crate::HydraulicSolution)
+/// does to record what it solved) is a reference-count bump, and a
+/// mutator copies the list only while another clone still holds it.
+///
 /// # Examples
 ///
 /// A pump driving flow around a single loop:
@@ -77,8 +84,8 @@ impl BranchData {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct HydraulicNetwork {
-    pub(crate) junctions: Vec<JunctionData>,
-    pub(crate) branches: Vec<BranchData>,
+    pub(crate) junctions: Arc<Vec<JunctionData>>,
+    pub(crate) branches: Arc<Vec<BranchData>>,
     pub(crate) reference: Option<JunctionId>,
 }
 
@@ -91,7 +98,7 @@ impl HydraulicNetwork {
 
     /// Adds a named junction.
     pub fn add_junction(&mut self, name: impl Into<String>) -> JunctionId {
-        self.junctions.push(JunctionData { name: name.into() });
+        Arc::make_mut(&mut self.junctions).push(JunctionData { name: name.into() });
         let id = JunctionId(self.junctions.len() - 1);
         if self.reference.is_none() {
             self.reference = Some(id);
@@ -120,7 +127,7 @@ impl HydraulicNetwork {
         if elements.is_empty() {
             return Err(HydraulicError::EmptyBranch);
         }
-        self.branches.push(BranchData {
+        Arc::make_mut(&mut self.branches).push(BranchData {
             name: name.into(),
             from,
             to,
@@ -137,10 +144,7 @@ impl HydraulicNetwork {
     ///
     /// Returns [`HydraulicError::UnknownBranch`] for a foreign id.
     pub fn set_branch_open(&mut self, branch: BranchId, open: bool) -> Result<(), HydraulicError> {
-        let b = self
-            .branches
-            .get_mut(branch.0)
-            .ok_or(HydraulicError::UnknownBranch { index: branch.0 })?;
+        let b = self.branch_mut(branch)?;
         b.open = open;
         Ok(())
     }
@@ -174,10 +178,7 @@ impl HydraulicNetwork {
                 parameter: "valve opening",
             });
         }
-        let b = self
-            .branches
-            .get_mut(branch.0)
-            .ok_or(HydraulicError::UnknownBranch { index: branch.0 })?;
+        let b = self.branch_mut(branch)?;
         for e in &mut b.elements {
             if let Element::Valve(v) = e {
                 v.opening = opening;
@@ -237,6 +238,16 @@ impl HydraulicNetwork {
     pub fn branch_endpoints(&self, b: BranchId) -> (JunctionId, JunctionId) {
         let data = &self.branches[b.0];
         (data.from, data.to)
+    }
+
+    /// Copy-on-write access to one branch: the list is copied only while
+    /// another clone (typically a solution) still shares it, and never
+    /// for a foreign id.
+    fn branch_mut(&mut self, branch: BranchId) -> Result<&mut BranchData, HydraulicError> {
+        if branch.0 >= self.branches.len() {
+            return Err(HydraulicError::UnknownBranch { index: branch.0 });
+        }
+        Ok(&mut Arc::make_mut(&mut self.branches)[branch.0])
     }
 
     fn check_junction(&self, j: JunctionId) -> Result<(), HydraulicError> {

@@ -140,9 +140,10 @@ struct BranchScatter {
 ///
 /// Holds the symbolic factorization (analyzed once, replayed every
 /// Newton iteration and ladder rung), the per-branch assembly plan, the
-/// numeric workspaces, and the **warm-start seed**: after a successful
-/// solve the converged flows are kept and the next solve through this
-/// context starts from them instead of from the cold uniform guess.
+/// numeric and Newton workspaces (so an iteration never touches the
+/// heap), and the **warm-start seed**: after a successful solve the
+/// converged flows are kept and the next solve through this context
+/// starts from them instead of from the cold uniform guess.
 ///
 /// The context revalidates itself against the network on every solve:
 /// if the topology changed (junctions, branches, openness, reference)
@@ -190,9 +191,20 @@ pub struct SolverContext {
     touched: Vec<bool>,
     scatter: Vec<BranchScatter>,
     symbolic: Option<SparseSymbolic>,
-    // -- numeric workspaces (sparse engine) --
+    // -- numeric workspaces (sparse engine; `rhs` returns the pressures
+    //    of the unknown junctions for both engines) --
     values: Vec<f64>,
     rhs: Vec<f64>,
+    // -- Newton workspaces --
+    /// Per-branch pressure drop `h` at the current flows, Pa. The first
+    /// iteration of every attempt evaluates it; later iterations reuse
+    /// the drops the previous head-closure check evaluated at the same
+    /// flows.
+    drops: Vec<f64>,
+    /// Per-branch linearized conductance `d = 1 / h'`, m³/s per Pa.
+    conductance: Vec<f64>,
+    /// Per-junction continuity residual, m³/s.
+    residual: Vec<f64>,
     // -- warm state --
     warm_flows: Option<Vec<f64>>,
 }
@@ -256,6 +268,7 @@ impl SolverContext {
 
         let nnz = symbolic.as_ref().map_or(0, SparseSymbolic::nnz);
         let n = unknowns.len();
+        let n_branches = net.branches.len();
         Self {
             engine,
             n_junctions,
@@ -267,6 +280,9 @@ impl SolverContext {
             symbolic,
             values: vec![0.0; nnz],
             rhs: vec![0.0; n],
+            drops: vec![0.0; n_branches],
+            conductance: vec![0.0; n_branches],
+            residual: vec![0.0; n_junctions],
             warm_flows: warm,
         }
     }
@@ -279,7 +295,7 @@ impl SolverContext {
             && self
                 .openness
                 .iter()
-                .zip(&net.branches)
+                .zip(net.branches.iter())
                 .all(|(o, b)| *o == b.open)
     }
 
@@ -875,7 +891,7 @@ impl HydraulicNetwork {
         let warm_started = seed.is_some();
         let mut flows: Vec<f64> = match seed {
             Some(mut w) => {
-                for (q, b) in w.iter_mut().zip(&self.branches) {
+                for (q, b) in w.iter_mut().zip(self.branches.iter()) {
                     if !b.open {
                         *q = 0.0;
                     }
@@ -899,31 +915,35 @@ impl HydraulicNetwork {
         let mut worst_junction = 0usize;
         let mut worst_branch = 0usize;
         for iter in 0..opts.max_iter {
-            // Linearize each open branch: dp(Q) ~ h + h' (Qnew - Q).
-            let mut h = vec![0.0; self.branches.len()];
-            let mut d = vec![0.0; self.branches.len()];
+            // Linearize each open branch: dp(Q) ~ h + h' (Qnew - Q). From
+            // the second iteration on, `drops` already holds h at these
+            // exact flows (the head-closure check below evaluated it), so
+            // only the derivative is new. Iteration 0 evaluates h afresh:
+            // drops left by an earlier solve or rung belong to other flows.
             for (k, b) in self.branches.iter().enumerate() {
                 if !b.open {
+                    ctx.drops[k] = 0.0;
+                    ctx.conductance[k] = 0.0;
                     continue;
                 }
                 let q = VolumeFlow::from_cubic_meters_per_second(flows[k]);
-                h[k] = b.pressure_drop(q, fluid).pascals();
-                d[k] = 1.0 / b.drop_derivative(q, fluid).max(1e-9);
+                if iter == 0 {
+                    ctx.drops[k] = b.pressure_drop(q, fluid).pascals();
+                }
+                ctx.conductance[k] = 1.0 / b.drop_derivative(q, fluid).max(1e-9);
             }
 
             // Assemble and solve the nodal system A p = rhs over the
-            // unknown junctions with the context's engine.
+            // unknown junctions with the context's engine; the pressures
+            // come back in `ctx.rhs`.
             if n > 0 {
-                let p = match ctx.engine {
-                    SolverEngine::Sparse => self
-                        .solve_nodal_sparse(ctx, &flows, &h, &d)
-                        .map_err(|e| InnerError::Other(e.into()))?,
-                    SolverEngine::Dense => self
-                        .solve_nodal_dense(ctx, &flows, &h, &d)
-                        .map_err(|e| InnerError::Other(e.into()))?,
-                };
+                match ctx.engine {
+                    SolverEngine::Sparse => self.solve_nodal_sparse(ctx, &flows),
+                    SolverEngine::Dense => self.solve_nodal_dense(ctx, &flows),
+                }
+                .map_err(|e| InnerError::Other(e.into()))?;
                 for (c, &j) in ctx.unknowns.iter().enumerate() {
-                    pressures[j] = p[c];
+                    pressures[j] = ctx.rhs[c];
                 }
                 pressures[reference] = 0.0;
             }
@@ -935,12 +955,13 @@ impl HydraulicNetwork {
                     continue;
                 }
                 let dp = pressures[b.from.0] - pressures[b.to.0];
-                let q_new = flows[k] + d[k] * (dp - h[k]);
+                let q_new = flows[k] + ctx.conductance[k] * (dp - ctx.drops[k]);
                 flows[k] = opts.relax * q_new + (1.0 - opts.relax) * flows[k];
             }
 
             // Continuity check at every junction...
-            let mut residual = vec![0.0; n_junctions];
+            let residual = &mut ctx.residual;
+            residual.fill(0.0);
             for (k, b) in self.branches.iter().enumerate() {
                 residual[b.from.0] -= flows[k];
                 residual[b.to.0] += flows[k];
@@ -958,6 +979,7 @@ impl HydraulicNetwork {
             // ...plus head closure on every open branch. Continuity alone is
             // trivially satisfied on a pure loop (any circulating flow
             // conserves mass), so the energy equation must be checked too.
+            // Each drop is kept for the next iteration's linearization.
             let mut worst_head = 0.0f64;
             let mut head_scale = 1.0f64;
             for (k, b) in self.branches.iter().enumerate() {
@@ -966,6 +988,7 @@ impl HydraulicNetwork {
                 }
                 let q = VolumeFlow::from_cubic_meters_per_second(flows[k]);
                 let drop = b.pressure_drop(q, fluid).pascals();
+                ctx.drops[k] = drop;
                 let dp = pressures[b.from.0] - pressures[b.to.0];
                 if (drop - dp).abs() > worst_head {
                     worst_head = (drop - dp).abs();
@@ -1001,18 +1024,16 @@ impl HydraulicNetwork {
         }))
     }
 
-    /// One nodal solve on the sparse engine: scatter the linearized
-    /// conductances into the context's value workspace (same branch
-    /// order as the dense assembly, so the accumulated sums are
+    /// One nodal solve on the sparse engine, in place: scatter the
+    /// linearized conductances into the context's value workspace (same
+    /// branch order as the dense assembly, so the accumulated sums are
     /// bit-identical), pin isolated rows, and replay the precomputed
-    /// elimination schedule.
+    /// elimination schedule. The pressures are left in `ctx.rhs`.
     fn solve_nodal_sparse(
         &self,
         ctx: &mut SolverContext,
         flows: &[f64],
-        h: &[f64],
-        d: &[f64],
-    ) -> Result<Vec<f64>, rcs_numeric::NumericError> {
+    ) -> Result<(), rcs_numeric::NumericError> {
         let sym = ctx.symbolic.as_ref().expect("sparse context has a plan");
         ctx.values.fill(0.0);
         ctx.rhs.fill(0.0);
@@ -1021,20 +1042,21 @@ impl HydraulicNetwork {
                 continue;
             }
             let sc = ctx.scatter[k];
+            let d = ctx.conductance[k];
             // Linearized: Qnew = Q + D*(p_i - p_j - h)
-            let q_lin = flows[k] - d[k] * h[k];
+            let q_lin = flows[k] - d * ctx.drops[k];
             if let Some(ci) = sc.ci {
-                ctx.values[sc.ii] += d[k];
+                ctx.values[sc.ii] += d;
                 ctx.rhs[ci] -= q_lin;
                 if sc.cj.is_some() {
-                    ctx.values[sc.ij] -= d[k];
+                    ctx.values[sc.ij] -= d;
                 }
             }
             if let Some(cj) = sc.cj {
-                ctx.values[sc.jj] += d[k];
+                ctx.values[sc.jj] += d;
                 ctx.rhs[cj] += q_lin;
                 if sc.ci.is_some() {
-                    ctx.values[sc.ji] -= d[k];
+                    ctx.values[sc.ji] -= d;
                 }
             }
         }
@@ -1047,51 +1069,51 @@ impl HydraulicNetwork {
                 ctx.rhs[row] = 0.0;
             }
         }
-        sym.factor_solve(&mut ctx.values, &mut ctx.rhs)?;
-        Ok(ctx.rhs.clone())
+        sym.factor_solve(&mut ctx.values, &mut ctx.rhs)
     }
 
     /// One nodal solve on the dense reference engine — the historical
     /// assembly, kept as the cross-check the sparse schedule is
-    /// validated against.
+    /// validated against. The pressures are left in `ctx.rhs`.
     fn solve_nodal_dense(
         &self,
-        ctx: &SolverContext,
+        ctx: &mut SolverContext,
         flows: &[f64],
-        h: &[f64],
-        d: &[f64],
-    ) -> Result<Vec<f64>, rcs_numeric::NumericError> {
+    ) -> Result<(), rcs_numeric::NumericError> {
         let n = ctx.unknowns.len();
-        let mut a = Matrix::zeros(n.max(1), n.max(1));
-        let mut rhs = vec![0.0; n.max(1)];
+        let mut a = Matrix::zeros(n, n);
+        ctx.rhs.fill(0.0);
         for (k, b) in self.branches.iter().enumerate() {
             if !b.open {
                 continue;
             }
             let sc = ctx.scatter[k];
-            let q_lin = flows[k] - d[k] * h[k];
+            let d = ctx.conductance[k];
+            let q_lin = flows[k] - d * ctx.drops[k];
             if let Some(ci) = sc.ci {
-                a[(ci, ci)] += d[k];
-                rhs[ci] -= q_lin;
+                a[(ci, ci)] += d;
+                ctx.rhs[ci] -= q_lin;
                 if let Some(cj) = sc.cj {
-                    a[(ci, cj)] -= d[k];
+                    a[(ci, cj)] -= d;
                 }
             }
             if let Some(cj) = sc.cj {
-                a[(cj, cj)] += d[k];
-                rhs[cj] += q_lin;
+                a[(cj, cj)] += d;
+                ctx.rhs[cj] += q_lin;
                 if let Some(ci) = sc.ci {
-                    a[(cj, ci)] -= d[k];
+                    a[(cj, ci)] -= d;
                 }
             }
         }
         for (row, &j) in ctx.unknowns.iter().enumerate() {
             if !ctx.touched[j] {
                 a[(row, row)] = 1.0;
-                rhs[row] = 0.0;
+                ctx.rhs[row] = 0.0;
             }
         }
-        a.solve(&rhs)
+        let p = a.solve(&ctx.rhs)?;
+        ctx.rhs.copy_from_slice(&p);
+        Ok(())
     }
 }
 
@@ -1642,6 +1664,134 @@ mod tests {
                 a.flow(id).cubic_meters_per_second(),
                 b.flow(id).cubic_meters_per_second()
             );
+        }
+    }
+
+    /// Asserts two solutions carry the same bits: iterations, residual,
+    /// every flow and every pressure.
+    fn assert_bitwise_eq(a: &HydraulicSolution, b: &HydraulicSolution) {
+        assert_eq!(a.iterations(), b.iterations());
+        assert_eq!(a.flows().len(), b.flows().len());
+        assert_eq!(
+            a.worst_residual_m3s().to_bits(),
+            b.worst_residual_m3s().to_bits()
+        );
+        for (qa, qb) in a.flows().iter().zip(b.flows()) {
+            assert_eq!(
+                qa.cubic_meters_per_second().to_bits(),
+                qb.cubic_meters_per_second().to_bits()
+            );
+        }
+        for j in a.network().junction_ids() {
+            assert_eq!(
+                a.pressure(j).pascals().to_bits(),
+                b.pressure(j).pascals().to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn rescued_ladder_through_a_used_context_matches_a_fresh_one_bitwise() {
+        // The reused context carries a seed and Newton workspaces from a
+        // solve at another temperature; rung 0 starts from that seed and
+        // stalls on its one-iteration budget, rung 1 restarts cold. No
+        // drop, conductance or residual left by the earlier solve or by
+        // the stalled rung may reach rung 1's arithmetic.
+        let (net, _) = branched_net();
+        let warm_water = Coolant::water().state(Celsius::new(45.0));
+        let rungs = [SolveOptions::damped(0.7, 1), SolveOptions::default()];
+        let mut used = net.solver_context();
+        net.solve_in(&warm_water, &mut used).unwrap();
+        assert!(used.is_warm());
+        let reused = net
+            .solve_with_ladder_traced_in(
+                &water(),
+                &rungs,
+                &mut used,
+                Registry::disabled(),
+                TraceRecorder::disabled(),
+            )
+            .unwrap();
+        let fresh = net.solve_with_ladder(&water(), &rungs).unwrap();
+        assert_bitwise_eq(&reused, &fresh);
+    }
+
+    #[test]
+    fn context_reused_across_topology_changes_matches_a_fresh_one_bitwise() {
+        let (mut net, ids) = branched_net();
+        let mut ctx = net.solver_context();
+        net.solve_in(&water(), &mut ctx).unwrap();
+
+        // An openness flip rebuilds the plan but keeps the seed; with the
+        // seed dropped the solve must equal a fresh context's.
+        net.set_branch_open(ids[2], false).unwrap();
+        ctx.clear_seed();
+        let reused = net.solve_in(&water(), &mut ctx).unwrap();
+        let fresh = net.solve_in(&water(), &mut net.solver_context()).unwrap();
+        assert_bitwise_eq(&reused, &fresh);
+
+        // ...and flipping back, warm from the closed-branch solution,
+        // equals a fresh context given the same history.
+        net.set_branch_open(ids[2], true).unwrap();
+        let reused_warm = net.solve_in(&water(), &mut ctx).unwrap();
+        let mut replay = net.solver_context();
+        let mut closed = net.clone();
+        closed.set_branch_open(ids[2], false).unwrap();
+        closed.solve_in(&water(), &mut replay).unwrap();
+        let fresh_warm = net.solve_in(&water(), &mut replay).unwrap();
+        assert_bitwise_eq(&reused_warm, &fresh_warm);
+
+        // A different branch count resizes every workspace and drops
+        // the seed: the next solve is cold and equals a fresh context's.
+        let (a, c) = net.branch_endpoints(ids[1]);
+        net.add_branch("bypass", a, c, vec![pipe(30.0)]).unwrap();
+        let grown = net.solve_in(&water(), &mut ctx).unwrap();
+        let fresh_grown = net.solve_in(&water(), &mut net.solver_context()).unwrap();
+        assert_bitwise_eq(&grown, &fresh_grown);
+        assert_eq!(grown.flows().len(), 5);
+    }
+
+    #[test]
+    fn solution_keeps_the_topology_it_solved_after_the_network_mutates() {
+        // The network is shared copy-on-write with its solutions, so a
+        // later trim or failure must not reach an earlier solution.
+        let (mut net, ids) = branched_net();
+        let sol = net.solve(&water()).unwrap();
+        let pump_power = sol.total_pump_power().watts();
+        net.set_valve_opening(ids[1], 0.2).unwrap();
+        net.set_branch_open(ids[2], false).unwrap();
+        assert!(!net.branch_is_open(ids[2]).unwrap());
+        assert!(sol.network().branch_is_open(ids[2]).unwrap());
+        assert_eq!(
+            sol.total_pump_power().watts().to_bits(),
+            pump_power.to_bits()
+        );
+        // re-solving the recorded network reproduces the solution, so
+        // the valve opening it holds is the pre-trim one as well
+        let again = sol.network().solve(&water()).unwrap();
+        assert_bitwise_eq(&sol, &again);
+        let after = net.solve(&water()).unwrap();
+        assert!(after.total_pump_power().watts() != pump_power);
+    }
+
+    #[test]
+    fn sparse_and_dense_engines_agree_bitwise_on_warm_chains() {
+        // Both engines through their own long-lived context over a chain
+        // of temperatures, trims and a failure: warm starts, carried
+        // drops and plan rebuilds must keep them bit-identical.
+        let (mut net, ids) = branched_net();
+        let mut sparse = net.solver_context_with(SolverEngine::Sparse);
+        let mut dense = net.solver_context_with(SolverEngine::Dense);
+        for step in 0..8u32 {
+            let fluid = Coolant::water().state(Celsius::new(20.0 + 3.0 * f64::from(step)));
+            net.set_valve_opening(ids[1], 1.0 - 0.1 * f64::from(step))
+                .unwrap();
+            if step == 5 {
+                net.set_branch_open(ids[2], false).unwrap();
+            }
+            let s = net.solve_robust_in(&fluid, &mut sparse).unwrap();
+            let d = net.solve_robust_in(&fluid, &mut dense).unwrap();
+            assert_bitwise_eq(&s, &d);
         }
     }
 

@@ -81,17 +81,26 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`parse_json`] accepts. The parser
+/// recurses once per level, so a bound keeps hostile input such as
+/// `[[[[…` from overflowing the stack; real documents nest a handful of
+/// levels.
+const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document from `text` (trailing whitespace allowed).
+///
+/// The document is UTF-8 by construction (`&str`), so strings are
+/// sliced out of it directly and the whole parse is linear in its size.
 ///
 /// # Errors
 ///
-/// Returns a human-readable message on malformed input.
+/// Returns a human-readable message on malformed input, including
+/// nesting deeper than 128 levels.
 pub fn parse_json(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let value = parse_value(text, &mut pos, 0)?;
+    skip_ws(text.as_bytes(), &mut pos);
+    if pos != text.len() {
         return Err(format!("trailing bytes at offset {pos}"));
     }
     Ok(value)
@@ -103,8 +112,17 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `*pos`, which sits inside `depth` open arrays
+/// and objects.
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
+    let opens = matches!(bytes.get(*pos), Some(b'{' | b'['));
+    if opens && depth >= MAX_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at offset {pos}"
+        ));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_owned()),
         Some(b'{') => {
@@ -117,7 +135,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let Json::Str(key) = parse_value(bytes, pos)? else {
+                let Json::Str(key) = parse_value(text, pos, depth + 1)? else {
                     return Err(format!("expected object key at offset {pos}"));
                 };
                 skip_ws(bytes, pos);
@@ -125,7 +143,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                     return Err(format!("expected ':' at offset {pos}"));
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(text, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -147,7 +165,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(text, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -159,11 +177,11 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 }
             }
         }
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
+        Some(b'"') => parse_string(text, pos).map(Json::Str),
         Some(b't') => parse_literal(bytes, pos, "true").map(|()| Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false").map(|()| Json::Bool(false)),
         Some(b'n') => parse_literal(bytes, pos, "null").map(|()| Json::Null),
-        Some(_) => parse_number(bytes, pos),
+        Some(_) => parse_number(text, pos),
     }
 }
 
@@ -176,24 +194,26 @@ fn parse_literal(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), String>
     }
 }
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_number(text: &str, pos: &mut usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     let start = *pos;
     while *pos < bytes.len()
         && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
     {
         *pos += 1;
     }
-    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
+    // only ASCII bytes were consumed, so both ends are char boundaries
+    let text = &text[start..*pos];
     text.parse::<f64>()
         .map(Json::Num)
         .map_err(|_| format!("invalid number {text:?} at offset {start}"))
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    debug_assert_eq!(bytes[*pos], b'"');
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    debug_assert_eq!(text.as_bytes()[*pos], b'"');
     *pos += 1;
     let mut out = String::new();
-    let text = std::str::from_utf8(bytes).map_err(|e| e.to_string())?;
+    // `*pos` follows an ASCII quote, so it is a char boundary
     let mut chars = text[*pos..].char_indices();
     while let Some((i, c)) = chars.next() {
         match c {
@@ -1233,6 +1253,35 @@ mod tests {
         assert!(parse_json("{} junk").is_err());
         let escaped = parse_json("\"a\\\"b\\u0041\"").unwrap();
         assert_eq!(escaped.as_str(), Some("a\"bA"));
+    }
+
+    #[test]
+    fn json_parser_rejects_hostile_nesting_without_overflowing() {
+        let deep = "[".repeat(100_000);
+        let err = parse_json(&deep).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        let objects = "{\"a\":".repeat(100_000);
+        assert!(parse_json(&objects).is_err());
+        // the limit itself is accepted, one past it is not
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse_json(&at_limit).is_ok());
+        let past = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse_json(&past).is_err());
+    }
+
+    #[test]
+    fn json_parser_is_linear_in_many_short_strings() {
+        // A multi-MiB document of short strings (the shape of a Chrome
+        // trace's names and categories), non-ASCII text included: one
+        // UTF-8 validation per document, not one per string.
+        let items: Vec<String> = (0..300_000).map(|i| format!("\"t{i}°C\"")).collect();
+        let doc = format!("[{}]", items.join(","));
+        assert!(doc.len() > 3 << 20, "{} bytes", doc.len());
+        let Json::Arr(parsed) = parse_json(&doc).unwrap() else {
+            panic!("expected array")
+        };
+        assert_eq!(parsed.len(), 300_000);
+        assert_eq!(parsed[299_999].as_str(), Some("t299999°C"));
     }
 
     fn demo_ndjson() -> String {
