@@ -7,6 +7,7 @@ use std::hint::black_box;
 
 use rcs_bench::Harness;
 use rcs_core::experiments as exp;
+use rcs_obs::Sinks;
 
 fn main() {
     let mut h = Harness::from_args_for("experiments");
@@ -18,14 +19,14 @@ fn main() {
         black_box(exp::e04_liquid_vs_air::run())
     });
     h.bench("e05_skat_thermal_f02_warmup", || {
-        black_box(exp::e05_skat_thermal::run())
+        black_box(exp::e05_skat_thermal::run(Sinks::disabled()))
     });
     h.bench("e06_generation_gains", || {
         black_box(exp::e06_generation_gains::run())
     });
     h.bench("e07_rack_pflops", || black_box(exp::e07_rack_pflops::run()));
     h.bench("e08_hydraulic_balance_f05", || {
-        black_box(exp::e08_hydraulic_balance::run())
+        black_box(exp::e08_hydraulic_balance::run(Sinks::disabled()))
     });
     h.bench("e09_skat_plus_f03_f04", || {
         black_box(exp::e09_skat_plus::run())
@@ -35,7 +36,7 @@ fn main() {
         black_box(exp::e11_heatsink_design::run())
     });
     h.bench("e12_reliability_mc", || {
-        black_box(exp::e12_reliability_mc::run())
+        black_box(exp::e12_reliability_mc::run(Sinks::disabled()))
     });
     h.bench("e13_ablations", || black_box(exp::e13_ablations::run()));
     h.bench("e14_energy", || black_box(exp::e14_energy::run()));

@@ -18,6 +18,7 @@ use std::time::Duration;
 use rcs_bench::Harness;
 use rcs_cooling::{availability, risk, ColdPlateLoop, CoolingArchitecture};
 use rcs_core::{FleetConfig, FleetSimulation};
+use rcs_obs::Sinks;
 
 /// Deduplicated ascending ladder of worker counts to sweep: serial,
 /// dual, and whatever the host (or `RCS_THREADS`) offers.
@@ -61,7 +62,12 @@ fn main() {
             &format!("availability_mc/{trials}x5y/threads={threads}"),
             || {
                 black_box(availability::monte_carlo_with_threads(
-                    &classes, 5.0, trials, 42, threads,
+                    &classes,
+                    5.0,
+                    trials,
+                    42,
+                    threads,
+                    Sinks::disabled(),
                 ))
             },
         );

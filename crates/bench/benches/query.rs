@@ -15,7 +15,7 @@ use std::hint::black_box;
 use std::time::Duration;
 
 use rcs_bench::Harness;
-use rcs_obs::Registry;
+use rcs_obs::Sinks;
 use rcs_query::{DesignQuery, QueryEngine};
 
 /// Deduplicated ascending ladder of worker counts to sweep.
@@ -57,7 +57,7 @@ fn main() {
     for threads in thread_ladder() {
         let median = h.bench_median(&format!("query_batch/{n}q/cold/threads={threads}"), || {
             let mut engine = QueryEngine::new(2 * n);
-            black_box(engine.run_batch(&queries, threads, Registry::disabled()))
+            black_box(engine.run_batch(&queries, threads, Sinks::disabled()))
         });
         if let Some(median) = median {
             cold_rows.push((threads, median));
@@ -76,11 +76,11 @@ fn main() {
         warmed.run_batch(
             &queries[..resident],
             rcs_parallel::thread_count(),
-            Registry::disabled(),
+            Sinks::disabled(),
         );
         let median = h.bench_median(&format!("query_batch/{n}q/hit_ratio={label}"), || {
             let mut engine = warmed.clone();
-            black_box(engine.run_batch(&queries, 1, Registry::disabled()))
+            black_box(engine.run_batch(&queries, 1, Sinks::disabled()))
         });
         if label == "warm" {
             warm_median = median;

@@ -8,8 +8,10 @@ use rcs_bench::Harness;
 use rcs_cooling::ImmersionBath;
 use rcs_core::ImmersionModel;
 use rcs_fluids::Coolant;
+use rcs_hydraulics::SolveOptions;
 use rcs_hydraulics::{layout, Element, HydraulicNetwork, Pipe, SolverEngine};
 use rcs_numeric::Matrix;
+use rcs_obs::Sinks;
 use rcs_thermal::ThermalNetwork;
 use rcs_units::{Celsius, Length, Power, Seconds, ThermalResistance};
 
@@ -121,10 +123,24 @@ fn bench_hydraulic_warm_circulation(h: &mut Harness) {
         })
         .collect();
     let mut ctx = net.solver_context();
-    net.solve_robust_in(&oil[0], &mut ctx).unwrap();
+    net.solve_with_ladder(
+        &oil[0],
+        &SolveOptions::ladder(),
+        &mut ctx,
+        Sinks::disabled(),
+    )
+    .unwrap();
     h.bench("hydraulic_warm_circulation", || {
         for fluid in &oil {
-            black_box(net.solve_robust_in(black_box(fluid), &mut ctx).unwrap());
+            black_box(
+                net.solve_with_ladder(
+                    black_box(fluid),
+                    &SolveOptions::ladder(),
+                    &mut ctx,
+                    Sinks::disabled(),
+                )
+                .unwrap(),
+            );
         }
     });
 }
@@ -153,7 +169,16 @@ fn bench_sparse_vs_dense_manifold(h: &mut Harness) {
             h.bench(&format!("hydraulic_manifold_{tag}/{loops}"), || {
                 // cold every time: isolate the per-solve elimination cost
                 ctx.clear_seed();
-                black_box(plan.network.solve_in(black_box(&water), &mut ctx).unwrap())
+                black_box(
+                    plan.network
+                        .solve_with(
+                            black_box(&water),
+                            &SolveOptions::default(),
+                            &mut ctx,
+                            Sinks::disabled(),
+                        )
+                        .unwrap(),
+                )
             });
         }
     }
@@ -180,7 +205,7 @@ fn bench_hydraulic_sweep(h: &mut Harness) {
             || {
                 let mut net = plan.network.clone();
                 black_box(
-                    net.solve_sweep(openings.len(), warm, |net, i| {
+                    net.solve_sweep(openings.len(), warm, Sinks::disabled(), |net, i| {
                         net.set_valve_opening(valve, openings[i]).unwrap();
                         water
                     })

@@ -7,7 +7,7 @@
 
 use rcs_chaos::e19_chaos_drill;
 use rcs_obs::span::SpanSink;
-use rcs_obs::Registry;
+use rcs_obs::{Registry, Sinks};
 
 fn main() {
     // The drill injects worker panics on purpose; keep their hook
@@ -15,12 +15,16 @@ fn main() {
     rcs_chaos::silence_expected_panics();
     let obs = Registry::new();
     let spans = SpanSink::from_env();
-    let tables = e19_chaos_drill::run_spanned(&obs, &spans);
+    let tables = e19_chaos_drill::run(Sinks {
+        obs: &obs,
+        spans: &spans,
+        ..Sinks::disabled()
+    });
     rcs_core::experiments::finish_run(
         "e19_chaos_drill",
         Some(e19_chaos_drill::SEED),
         &tables,
-        &obs,
+        Sinks::counters(&obs),
     );
     rcs_obs::span::emit(&spans.snapshot());
 }

@@ -15,7 +15,7 @@
 //! `RCS_THREADS`.
 
 use rcs_core::experiments::Table;
-use rcs_obs::Registry;
+use rcs_obs::Sinks;
 use rcs_query::{
     e18_query_service, DesignQuery, QueryEngine, QueryError, QueryOutcome, ResiliencePolicy,
 };
@@ -133,43 +133,23 @@ fn error_kind(e: &QueryError) -> &'static str {
 
 /// Runs the matrix at the ambient [`rcs_parallel::thread_count`].
 #[must_use]
-pub fn run(obs: &Registry) -> Vec<Table> {
-    run_with_threads(rcs_parallel::thread_count(), obs)
+pub fn run(sinks: Sinks<'_>) -> Vec<Table> {
+    run_with_threads(rcs_parallel::thread_count(), sinks)
 }
 
 /// Runs the matrix at an explicit thread count (the determinism suite
 /// compares 1/2/4 directly). Returns the per-cell outcome table and the
-/// degraded-provenance table.
+/// degraded-provenance table. On `sinks.spans` each matrix cell runs
+/// inside a `<load>.<scenario>` span whose three `query.batch` children
+/// carry the per-request `req.<hash>` spans.
 ///
 /// # Panics
 ///
 /// Panics if any cell loses a request — the containment contract is an
 /// invariant of the drill, not a statistic.
 #[must_use]
-pub fn run_with_threads(threads: usize, obs: &Registry) -> Vec<Table> {
-    run_with_threads_spanned(threads, obs, rcs_obs::span::SpanSink::disabled())
-}
-
-/// [`run`] plus span attribution at the ambient thread count.
-#[must_use]
-pub fn run_spanned(obs: &Registry, spans: &rcs_obs::span::SpanSink) -> Vec<Table> {
-    run_with_threads_spanned(rcs_parallel::thread_count(), obs, spans)
-}
-
-/// [`run_with_threads`] plus span attribution: each matrix cell runs
-/// inside a `<load>.<scenario>` span whose three `query.batch` children
-/// carry the per-request `req.<hash>` spans. Telemetry on `obs` is
-/// byte-identical to [`run_with_threads`].
-///
-/// # Panics
-///
-/// Same contract as [`run_with_threads`].
-#[must_use]
-pub fn run_with_threads_spanned(
-    threads: usize,
-    obs: &Registry,
-    spans: &rcs_obs::span::SpanSink,
-) -> Vec<Table> {
+pub fn run_with_threads(threads: usize, sinks: Sinks<'_>) -> Vec<Table> {
+    let Sinks { obs, spans, .. } = sinks;
     let queries = batch();
     let mut cell_rows = Vec::new();
     let mut provenance_rows = Vec::new();
@@ -183,8 +163,7 @@ pub fn run_with_threads_spanned(
             let before = obs.snapshot();
             let (mut ok_n, mut degraded_n, mut failed_n) = (0u64, 0u64, 0u64);
             for round in 1..=ROUNDS {
-                let outcomes =
-                    engine.run_batch_with_spanned(&queries, threads, obs, &injector, spans);
+                let outcomes = engine.run_batch_with(&queries, threads, sinks, &injector);
                 assert_eq!(
                     outcomes.len(),
                     queries.len(),

@@ -4,7 +4,7 @@
 //! eviction order included.
 
 use rcs_chaos::{e19_chaos_drill, ChaosConfig, ChaosInjector};
-use rcs_obs::Registry;
+use rcs_obs::{Registry, Sinks};
 use rcs_query::{DesignQuery, QueryEngine, QueryOutcome, ResiliencePolicy};
 
 /// The golden counter names the determinism property compares.
@@ -34,7 +34,7 @@ const RESILIENCE_COUNTERS: &[&str] = &[
 fn e19_counters_are_pinned() {
     std::panic::set_hook(Box::new(|_| {})); // injected panics are expected
     let obs = Registry::new();
-    let tables = e19_chaos_drill::run(&obs);
+    let tables = e19_chaos_drill::run(Sinks::counters(&obs));
     assert_eq!(tables.len(), 2);
     let snap = obs.snapshot();
 
@@ -75,7 +75,7 @@ fn e19_is_bit_identical_across_thread_counts() {
     std::panic::set_hook(Box::new(|_| {}));
     let run = |threads: usize| {
         let obs = Registry::new();
-        let tables = e19_chaos_drill::run_with_threads(threads, &obs);
+        let tables = e19_chaos_drill::run_with_threads(threads, Sinks::counters(&obs));
         (tables, obs.snapshot())
     };
     let (ref_tables, ref_snap) = run(1);
@@ -132,7 +132,8 @@ fn mixed_batches_are_thread_invariant_under_chaos() {
         let run = |threads: usize| {
             let obs = Registry::new();
             let mut engine = QueryEngine::new(capacity).with_policy(policy);
-            let outcomes = engine.run_batch_with(&queries, threads, &obs, &injector);
+            let outcomes =
+                engine.run_batch_with(&queries, threads, Sinks::counters(&obs), &injector);
             (
                 outcomes,
                 engine.cache().keys_in_eviction_order(),

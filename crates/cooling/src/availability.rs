@@ -18,7 +18,8 @@
 use rcs_kernel::{Clock, SinkState, SnapReader, SnapWriter, SnapshotError};
 use rcs_numeric::rng::Rng;
 use rcs_numeric::stats::percentile;
-use rcs_obs::Registry;
+use rcs_obs::span::SpanSink;
+use rcs_obs::{Registry, Sinks};
 use rcs_units::HOURS_PER_YEAR;
 
 use crate::risk::FailureClass;
@@ -121,13 +122,24 @@ pub fn monte_carlo(
         trials,
         seed,
         rcs_parallel::thread_count(),
+        Sinks::disabled(),
     )
 }
 
-/// [`monte_carlo`] with an explicit worker count.
+/// [`monte_carlo`] with an explicit worker count and telemetry. The
+/// report — and every golden channel — is bit-identical for every
+/// `threads` value; the determinism tests assert this across 1/2/4/7
+/// workers.
 ///
-/// The report is bit-identical for every `threads` value; the
-/// determinism tests assert this across 1/2/4/7 workers.
+/// - counters on `sinks.obs`: `mc.runs`, `mc.trials`, `mc.chunks`
+///   (workload shape — a function of `trials` alone), `mc.events` and
+///   `mc.hardware_losses` (the integer numerators behind the report's
+///   `mean_events_per_year` and `mean_hardware_losses`, recorded per
+///   chunk and merged in chunk order), plus the `parallel.*` map
+///   counters;
+/// - trace on `sinks.trace`: every trial pushes its availability into
+///   the `mc.availability` channel with the global trial index as the
+///   time axis, merged in chunk order.
 ///
 /// # Panics
 ///
@@ -139,28 +151,15 @@ pub fn monte_carlo_with_threads(
     trials: usize,
     seed: u64,
     threads: usize,
+    sinks: Sinks<'_>,
 ) -> AvailabilityReport {
-    monte_carlo_observed(
-        classes,
-        horizon_years,
-        trials,
-        seed,
-        threads,
-        Registry::disabled(),
-    )
+    let mut session = McSession::new(horizon_years, trials, seed, threads, sinks);
+    while session.advance(classes, sinks, u64::MAX) > 0 {}
+    session.finish()
 }
 
-/// [`monte_carlo_with_threads`] with telemetry recorded into `obs` —
-/// all golden-channel integers, bit-identical at any `threads`:
-///
-/// - `mc.runs`, `mc.trials`, `mc.chunks` — workload shape (a function
-///   of `trials` alone, never of the thread count);
-/// - `mc.events`, `mc.hardware_losses` — total failure events and
-///   hardware losses drawn across all trials, recorded per chunk into
-///   per-chunk shards and merged in chunk order (these are the integer
-///   numerators behind the report's `mean_events_per_year` and
-///   `mean_hardware_losses`);
-/// - plus the `parallel.*` map counters from the pool.
+/// [`monte_carlo_with_threads`] recording counters into `obs`. Kept
+/// for `perfbench/src/sinks.rs`, its only caller.
 ///
 /// # Panics
 ///
@@ -174,40 +173,14 @@ pub fn monte_carlo_observed(
     threads: usize,
     obs: &Registry,
 ) -> AvailabilityReport {
-    monte_carlo_traced(
+    monte_carlo_with_threads(
         classes,
         horizon_years,
         trials,
         seed,
         threads,
-        obs,
-        rcs_obs::trace::TraceRecorder::disabled(),
+        Sinks::counters(obs),
     )
-}
-
-/// [`monte_carlo_observed`] plus trace recording: every trial pushes its
-/// availability into the `mc.availability` channel of `trace` with the
-/// global trial index as the time axis. Per-chunk shard recorders are
-/// merged in chunk order, so the retained (deterministically decimated)
-/// series is bit-identical at every `threads` value.
-///
-/// # Panics
-///
-/// Panics if `horizon_years` is not positive or `trials` is zero.
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn monte_carlo_traced(
-    classes: &[FailureClass],
-    horizon_years: f64,
-    trials: usize,
-    seed: u64,
-    threads: usize,
-    obs: &Registry,
-    trace: &rcs_obs::trace::TraceRecorder,
-) -> AvailabilityReport {
-    let mut session = McSession::new(horizon_years, trials, seed, threads, obs);
-    while session.advance(classes, obs, trace, u64::MAX) > 0 {}
-    session.finish()
 }
 
 /// Snapshot kind tag of [`McSession::checkpoint`] bytes.
@@ -255,8 +228,9 @@ impl McSession {
         trials: usize,
         seed: u64,
         threads: usize,
-        obs: &Registry,
+        sinks: Sinks<'_>,
     ) -> Self {
+        let obs = sinks.obs;
         assert!(horizon_years > 0.0, "horizon must be positive");
         assert!(trials > 0, "at least one trial required");
         let chunk_count = rcs_parallel::fixed_chunks(trials, TRIALS_PER_CHUNK).len();
@@ -281,15 +255,10 @@ impl McSession {
 
     /// Runs up to `max_chunks` of the remaining chunks as one pool
     /// batch, reducing shard telemetry and results in chunk order.
-    /// Returns how many chunks ran (0 when the study is complete).
+    /// Returns how many chunks ran (0 when the study is complete). The
+    /// chunks record counters and trace samples but no spans.
     #[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation)]
-    pub fn advance(
-        &mut self,
-        classes: &[FailureClass],
-        obs: &Registry,
-        trace: &rcs_obs::trace::TraceRecorder,
-        max_chunks: u64,
-    ) -> u64 {
+    pub fn advance(&mut self, classes: &[FailureClass], sinks: Sinks<'_>, max_chunks: u64) -> u64 {
         let mut indices = Vec::new();
         while (indices.len() as u64) < max_chunks {
             let Some(tick) = self.clock.tick() else { break };
@@ -317,13 +286,20 @@ impl McSession {
         let partials = rcs_parallel::par_map_shards(
             batch,
             self.threads,
-            obs,
-            trace,
+            Sinks {
+                spans: SpanSink::disabled(),
+                ..sinks
+            },
             // unprefixed: every chunk appends to the shared channels,
             // merged in chunk order
             |_| String::new(),
-            |_, (range, mut rng), shard, shard_trace| {
+            |_, (range, mut rng), shard| {
                 let outcome = run_chunk(classes, horizon_years, hours_total, range.len(), &mut rng);
+                let Sinks {
+                    obs: shard,
+                    trace: shard_trace,
+                    ..
+                } = shard;
                 shard.add("mc.events", outcome.events);
                 shard.add("mc.hardware_losses", outcome.losses);
                 // work accounting: one unit per simulated trial, plus one
@@ -398,23 +374,10 @@ impl McSession {
     }
 
     /// Seals the study state — parameters, chunk clock, accumulated
-    /// trials and tallies — plus the contents of `obs` and `trace` into
-    /// versioned snapshot bytes.
+    /// trials and tallies — plus the contents of `sinks` (the span
+    /// sink's open stack included) into versioned snapshot bytes.
     #[must_use]
-    pub fn checkpoint(&self, obs: &Registry, trace: &rcs_obs::trace::TraceRecorder) -> Vec<u8> {
-        self.checkpoint_spanned(obs, trace, rcs_obs::span::SpanSink::disabled())
-    }
-
-    /// [`McSession::checkpoint`] that additionally seals the span
-    /// sink's state — open stack included — so a span bracketing this
-    /// study survives the checkpoint.
-    #[must_use]
-    pub fn checkpoint_spanned(
-        &self,
-        obs: &Registry,
-        trace: &rcs_obs::trace::TraceRecorder,
-        spans: &rcs_obs::span::SpanSink,
-    ) -> Vec<u8> {
+    pub fn checkpoint(&self, sinks: Sinks<'_>) -> Vec<u8> {
         let mut w = SnapWriter::new();
         w.f64(self.horizon_years);
         w.u64(self.trials as u64);
@@ -424,47 +387,20 @@ impl McSession {
         w.f64_slice(&self.availabilities);
         w.u64(self.total_events);
         w.u64(self.total_losses);
-        SinkState::capture_spanned(obs, trace, spans).write_into(&mut w);
+        SinkState::capture(sinks).write_into(&mut w);
         rcs_kernel::seal(MC_SNAPSHOT_KIND, &w.into_bytes())
     }
 
     /// Reconstructs a session from [`McSession::checkpoint`] bytes,
-    /// restoring the captured telemetry into the (fresh) `obs` and
-    /// `trace` sinks. The thread count is *not* restored — pass the
-    /// current one; the study is bit-identical at any value.
+    /// restoring the captured telemetry into the (fresh) `sinks`. The
+    /// thread count is *not* restored — pass the current one; the study
+    /// is bit-identical at any value.
     ///
     /// # Errors
     ///
     /// [`SnapshotError`] on corrupted or truncated bytes or a snapshot
     /// of a different kind.
-    pub fn resume(
-        bytes: &[u8],
-        threads: usize,
-        obs: &Registry,
-        trace: &rcs_obs::trace::TraceRecorder,
-    ) -> Result<Self, SnapshotError> {
-        Self::resume_spanned(
-            bytes,
-            threads,
-            obs,
-            trace,
-            rcs_obs::span::SpanSink::disabled(),
-        )
-    }
-
-    /// [`McSession::resume`] that additionally restores the sealed
-    /// span tree — open stack included — into `spans`.
-    ///
-    /// # Errors
-    ///
-    /// See [`McSession::resume`].
-    pub fn resume_spanned(
-        bytes: &[u8],
-        threads: usize,
-        obs: &Registry,
-        trace: &rcs_obs::trace::TraceRecorder,
-        spans: &rcs_obs::span::SpanSink,
-    ) -> Result<Self, SnapshotError> {
+    pub fn resume(bytes: &[u8], threads: usize, sinks: Sinks<'_>) -> Result<Self, SnapshotError> {
         let payload = rcs_kernel::open(MC_SNAPSHOT_KIND, bytes)?;
         let mut r = SnapReader::new(payload);
         let horizon_years = r.f64()?;
@@ -478,7 +414,7 @@ impl McSession {
         let availabilities = r.f64_vec()?;
         let total_events = r.u64()?;
         let total_losses = r.u64()?;
-        let sinks = SinkState::read_from(&mut r)?;
+        let captured = SinkState::read_from(&mut r)?;
         if !r.is_exhausted() {
             return Err(SnapshotError::Malformed(
                 "trailing bytes after mc session state".to_owned(),
@@ -489,7 +425,7 @@ impl McSession {
                 "invalid study parameters: {trials} trials over {horizon_years} years"
             )));
         }
-        sinks.restore_spanned(obs, trace, spans)?;
+        captured.restore(sinks)?;
         Ok(Self {
             horizon_years,
             trials,
@@ -526,9 +462,10 @@ mod tests {
         let classes = risk::failure_classes(&CoolingArchitecture::ColdPlate(
             ColdPlateLoop::per_chip_plates(96),
         ));
-        let serial = monte_carlo_with_threads(&classes, 5.0, 700, 42, 1);
+        let serial = monte_carlo_with_threads(&classes, 5.0, 700, 42, 1, Sinks::disabled());
         for threads in [2, 4, 7] {
-            let parallel = monte_carlo_with_threads(&classes, 5.0, 700, 42, threads);
+            let parallel =
+                monte_carlo_with_threads(&classes, 5.0, 700, 42, threads, Sinks::disabled());
             assert_eq!(serial, parallel, "threads = {threads}");
         }
     }
@@ -591,7 +528,7 @@ mod tests {
             ColdPlateLoop::per_chip_plates(96),
         ));
         let obs = Registry::new();
-        let report = monte_carlo_observed(&classes, 5.0, 700, 42, 4, &obs);
+        let report = monte_carlo_with_threads(&classes, 5.0, 700, 42, 4, Sinks::counters(&obs));
         let snap = obs.snapshot();
         assert_eq!(snap.counter("mc.runs"), 1);
         assert_eq!(snap.counter("mc.trials"), 700);
@@ -612,7 +549,8 @@ mod tests {
         ));
         let run = |threads: usize| {
             let obs = Registry::new();
-            let report = monte_carlo_observed(&classes, 5.0, 500, 42, threads, &obs);
+            let report =
+                monte_carlo_with_threads(&classes, 5.0, 500, 42, threads, Sinks::counters(&obs));
             (report, obs.snapshot())
         };
         let (ref_report, ref_snap) = run(1);
@@ -628,8 +566,9 @@ mod tests {
         let classes = risk::failure_classes(&CoolingArchitecture::ColdPlate(
             ColdPlateLoop::per_chip_plates(96),
         ));
-        let plain = monte_carlo_with_threads(&classes, 5.0, 300, 9, 2);
-        let observed = monte_carlo_observed(&classes, 5.0, 300, 9, 2, &Registry::new());
+        let plain = monte_carlo_with_threads(&classes, 5.0, 300, 9, 2, Sinks::disabled());
+        let observed =
+            monte_carlo_with_threads(&classes, 5.0, 300, 9, 2, Sinks::counters(&Registry::new()));
         assert_eq!(plain, observed);
     }
 
@@ -652,22 +591,36 @@ mod tests {
         // 700 trials = 11 chunks (10 full + one 60-trial tail).
         let obs_ref = Registry::new();
         let trace_ref = TraceRecorder::new();
-        let reference = monte_carlo_traced(&classes, 5.0, 700, 42, 4, &obs_ref, &trace_ref);
+        let sinks_ref = Sinks {
+            obs: &obs_ref,
+            trace: &trace_ref,
+            ..Sinks::disabled()
+        };
+        let reference = monte_carlo_with_threads(&classes, 5.0, 700, 42, 4, sinks_ref);
 
         for split in [0u64, 1, 5, 10, 11] {
             let obs_a = Registry::new();
             let trace_a = TraceRecorder::new();
-            let mut session = McSession::new(5.0, 700, 42, 2, &obs_a);
-            session.advance(&classes, &obs_a, &trace_a, split);
-            let bytes = session.checkpoint(&obs_a, &trace_a);
+            let sinks_a = Sinks {
+                obs: &obs_a,
+                trace: &trace_a,
+                ..Sinks::disabled()
+            };
+            let mut session = McSession::new(5.0, 700, 42, 2, Sinks::counters(&obs_a));
+            session.advance(&classes, sinks_a, split);
+            let bytes = session.checkpoint(sinks_a);
 
             // Resume on a *different* worker count: the chunk → stream
             // mapping is thread-free, so the split must stay invisible.
             let obs_b = Registry::new();
             let trace_b = TraceRecorder::new();
-            let mut resumed =
-                McSession::resume(&bytes, 7, &obs_b, &trace_b).expect("snapshot opens");
-            while resumed.advance(&classes, &obs_b, &trace_b, 3) > 0 {}
+            let sinks_b = Sinks {
+                obs: &obs_b,
+                trace: &trace_b,
+                ..Sinks::disabled()
+            };
+            let mut resumed = McSession::resume(&bytes, 7, sinks_b).expect("snapshot opens");
+            while resumed.advance(&classes, sinks_b, 3) > 0 {}
             assert!(resumed.is_finished());
             let report = resumed.finish();
 
@@ -687,30 +640,20 @@ mod tests {
 
     #[test]
     fn corrupt_mc_snapshot_is_a_structured_error() {
-        use rcs_obs::trace::TraceRecorder;
-
         let classes = risk::failure_classes(&CoolingArchitecture::ColdPlate(
             ColdPlateLoop::per_chip_plates(96),
         ));
         let obs = Registry::new();
-        let mut session = McSession::new(5.0, 200, 9, 2, &obs);
-        session.advance(&classes, &obs, TraceRecorder::disabled(), 2);
-        let bytes = session.checkpoint(&obs, TraceRecorder::disabled());
+        let mut session = McSession::new(5.0, 200, 9, 2, Sinks::counters(&obs));
+        session.advance(&classes, Sinks::counters(&obs), 2);
+        let bytes = session.checkpoint(Sinks::counters(&obs));
 
         let mut flipped = bytes.clone();
         flipped[bytes.len() / 2] ^= 0x01;
-        assert!(
-            McSession::resume(&flipped, 2, &Registry::new(), TraceRecorder::disabled()).is_err()
-        );
+        assert!(McSession::resume(&flipped, 2, Sinks::counters(&Registry::new())).is_err());
         for cut in [0, 7, bytes.len() - 3] {
             assert!(
-                McSession::resume(
-                    &bytes[..cut],
-                    2,
-                    &Registry::new(),
-                    TraceRecorder::disabled()
-                )
-                .is_err(),
+                McSession::resume(&bytes[..cut], 2, Sinks::counters(&Registry::new())).is_err(),
                 "truncated at {cut}"
             );
         }

@@ -8,15 +8,20 @@
 //! `RCS_THREADS` setting — the CI `obs_report diff` and
 //! `span-attribution` jobs hold us to that.
 
-use rcs_core::experiments::{self, run_all_spanned};
+use rcs_core::experiments::{self, run_all};
 use rcs_obs::span::SpanSink;
 use rcs_obs::trace::TraceRecorder;
-use rcs_obs::Registry;
+use rcs_obs::{Registry, Sinks};
 
 fn main() {
     let obs = Registry::new();
     let trace = TraceRecorder::from_env();
     let spans = SpanSink::from_env();
-    let tables = run_all_spanned(&obs, &trace, &spans);
-    experiments::finish_run_spanned("exp_all", None, &tables, &obs, &trace, &spans);
+    let sinks = Sinks {
+        obs: &obs,
+        trace: &trace,
+        spans: &spans,
+    };
+    let tables = run_all(sinks);
+    experiments::finish_run("exp_all", None, &tables, sinks);
 }

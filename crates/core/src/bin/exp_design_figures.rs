@@ -2,10 +2,10 @@
 //! manifest (`RCS_OBS_MANIFEST` file, else stderr).
 
 use rcs_core::experiments::{self, f01_design_figures};
-use rcs_obs::Registry;
+use rcs_obs::{Registry, Sinks};
 
 fn main() {
     let obs = Registry::new();
     let tables = f01_design_figures::run();
-    experiments::finish_run("f01_design_figures", None, &tables, &obs);
+    experiments::finish_run("f01_design_figures", None, &tables, Sinks::counters(&obs));
 }

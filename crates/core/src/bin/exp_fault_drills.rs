@@ -7,19 +7,22 @@
 use rcs_core::experiments::{self, e17_fault_drills};
 use rcs_obs::span::SpanSink;
 use rcs_obs::trace::TraceRecorder;
-use rcs_obs::Registry;
+use rcs_obs::{Registry, Sinks};
 
 fn main() {
     let obs = Registry::new();
     let trace = TraceRecorder::from_env();
     let spans = SpanSink::from_env();
-    let tables = e17_fault_drills::run_spanned(&obs, &trace, &spans);
-    experiments::finish_run_spanned(
+    let sinks = Sinks {
+        obs: &obs,
+        trace: &trace,
+        spans: &spans,
+    };
+    let tables = e17_fault_drills::run(sinks);
+    experiments::finish_run(
         "e17_fault_drills",
         Some(e17_fault_drills::SEED),
         &tables,
-        &obs,
-        &trace,
-        &spans,
+        sinks,
     );
 }

@@ -2,10 +2,10 @@
 //! manifest (`RCS_OBS_MANIFEST` file, else stderr).
 
 use rcs_core::experiments::{self, e11_heatsink_design};
-use rcs_obs::Registry;
+use rcs_obs::{Registry, Sinks};
 
 fn main() {
     let obs = Registry::new();
     let tables = e11_heatsink_design::run();
-    experiments::finish_run("e11_heatsink_design", None, &tables, &obs);
+    experiments::finish_run("e11_heatsink_design", None, &tables, Sinks::counters(&obs));
 }

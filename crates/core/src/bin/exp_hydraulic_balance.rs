@@ -5,11 +5,16 @@
 
 use rcs_core::experiments::{self, e08_hydraulic_balance};
 use rcs_obs::trace::TraceRecorder;
-use rcs_obs::Registry;
+use rcs_obs::{Registry, Sinks};
 
 fn main() {
     let obs = Registry::new();
     let trace = TraceRecorder::from_env();
-    let tables = e08_hydraulic_balance::run_traced(&obs, &trace);
-    experiments::finish_run_traced("e08_hydraulic_balance", None, &tables, &obs, &trace);
+    let sinks = Sinks {
+        obs: &obs,
+        trace: &trace,
+        ..Sinks::disabled()
+    };
+    let tables = e08_hydraulic_balance::run(sinks);
+    experiments::finish_run("e08_hydraulic_balance", None, &tables, sinks);
 }

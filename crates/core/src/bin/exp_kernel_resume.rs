@@ -25,7 +25,7 @@ use rcs_core::{DrillSession, FaultDrill, ImmersionModel, WarmupSession};
 use rcs_numeric::rng::Rng;
 use rcs_obs::span::SpanSink;
 use rcs_obs::trace::TraceRecorder;
-use rcs_obs::Registry;
+use rcs_obs::{Registry, Sinks};
 use rcs_thermal::{ThermalNetwork, TransientSession};
 use rcs_units::{Celsius, Power, Seconds, ThermalResistance};
 
@@ -36,13 +36,13 @@ const SEED: u64 = 20260808;
 /// them wholesale for fresh ones — restoring must then reproduce
 /// everything recorded so far, by *any* loop (including the open span
 /// stack), or the final manifest diff fails.
-struct Sinks {
+struct RunSinks {
     obs: Registry,
     trace: TraceRecorder,
     spans: SpanSink,
 }
 
-impl Sinks {
+impl RunSinks {
     fn fresh() -> Self {
         Self {
             obs: Registry::new(),
@@ -50,10 +50,18 @@ impl Sinks {
             spans: SpanSink::from_env(),
         }
     }
+
+    fn bundle(&self) -> Sinks<'_> {
+        Sinks {
+            obs: &self.obs,
+            trace: &self.trace,
+            spans: &self.spans,
+        }
+    }
 }
 
-fn run(split: bool) -> (Vec<Table>, Sinks) {
-    let mut sinks = Sinks::fresh();
+fn run(split: bool) -> (Vec<Table>, RunSinks) {
+    let mut sinks = RunSinks::fresh();
     let mut rows: Vec<Vec<String>> = Vec::new();
 
     // --- 1. thermal transient: a two-node RC chain ------------------
@@ -74,14 +82,13 @@ fn run(split: bool) -> (Vec<Table>, Sinks) {
     sinks.spans.enter("thermal.transient", &sinks.obs);
     if split {
         session.run(&net, 240);
-        let bytes = session.checkpoint_spanned(&sinks.obs, &sinks.trace, &sinks.spans);
-        sinks = Sinks::fresh();
-        session =
-            TransientSession::resume_spanned(&net, &bytes, &sinks.obs, &sinks.trace, &sinks.spans)
-                .expect("transient snapshot reopens");
+        let bytes = session.checkpoint(sinks.bundle());
+        sinks = RunSinks::fresh();
+        session = TransientSession::resume(&net, &bytes, sinks.bundle())
+            .expect("transient snapshot reopens");
     }
     session.run(&net, u64::MAX);
-    let transient = session.finish_observed(&net, &sinks.obs);
+    let transient = session.finish(&net, sinks.bundle());
     sinks.spans.exit(&sinks.obs);
     rows.push(vec![
         "transient chip °C".to_owned(),
@@ -94,20 +101,19 @@ fn run(split: bool) -> (Vec<Table>, Sinks) {
         &model,
         Seconds::minutes(10.0),
         Seconds::new(2.0),
-        &sinks.obs,
+        sinks.bundle(),
     )
     .expect("SKAT warms up");
     sinks.spans.enter("immersion.warmup", &sinks.obs);
     if split {
         warmup.run(150);
-        let bytes = warmup.checkpoint_spanned(&sinks.obs, &sinks.trace, &sinks.spans);
-        sinks = Sinks::fresh();
+        let bytes = warmup.checkpoint(sinks.bundle());
+        sinks = RunSinks::fresh();
         warmup =
-            WarmupSession::resume_spanned(&model, &bytes, &sinks.obs, &sinks.trace, &sinks.spans)
-                .expect("warmup snapshot reopens");
+            WarmupSession::resume(&model, &bytes, sinks.bundle()).expect("warmup snapshot reopens");
     }
     warmup.run(u64::MAX);
-    let warm = warmup.finish(&sinks.obs, &sinks.trace);
+    let warm = warmup.finish(sinks.bundle());
     sinks.spans.exit(&sinks.obs);
     rows.push(vec![
         "warmup chip °C".to_owned(),
@@ -119,27 +125,20 @@ fn run(split: bool) -> (Vec<Table>, Sinks) {
         FaultTimeline::new().with_event(Seconds::minutes(2.0), FaultKind::PumpSeizure { pump: 0 });
     let drill = FaultDrill::skat("kernel_resume", timeline, Seconds::minutes(20.0));
     sinks.spans.enter("drill.session", &sinks.obs);
-    let mut drill_session = DrillSession::new_spanned(
-        &drill,
-        Rng::seed_from_u64(SEED),
-        true,
-        &sinks.obs,
-        &sinks.trace,
-        &sinks.spans,
-    )
-    .expect("baseline solves");
+    let mut drill_session =
+        DrillSession::new(&drill, Rng::seed_from_u64(SEED), true, sinks.bundle())
+            .expect("baseline solves");
     if split {
         // Scan 90 is one minute after the seizure: filters, alarm votes
         // and the partial outcome are all live in the snapshot.
-        drill_session.run(&drill, &sinks.obs, &sinks.trace, 90);
-        let bytes = drill_session.checkpoint_spanned(&sinks.obs, &sinks.trace, &sinks.spans);
-        sinks = Sinks::fresh();
+        drill_session.run(&drill, sinks.bundle(), 90);
+        let bytes = drill_session.checkpoint(sinks.bundle());
+        sinks = RunSinks::fresh();
         drill_session =
-            DrillSession::resume_spanned(&drill, &bytes, &sinks.obs, &sinks.trace, &sinks.spans)
-                .expect("drill snapshot reopens");
+            DrillSession::resume(&drill, &bytes, sinks.bundle()).expect("drill snapshot reopens");
     }
-    drill_session.run(&drill, &sinks.obs, &sinks.trace, u64::MAX);
-    let (outcome, _rng) = drill_session.finish(&sinks.obs);
+    drill_session.run(&drill, sinks.bundle(), u64::MAX);
+    let (outcome, _rng) = drill_session.finish(sinks.bundle());
     sinks.spans.exit(&sinks.obs);
     rows.push(vec![
         "drill peak junction °C".to_owned(),
@@ -155,16 +154,15 @@ fn run(split: bool) -> (Vec<Table>, Sinks) {
         ImmersionBath::skat_default(),
     ));
     let threads = rcs_parallel::thread_count();
-    let mut mc = McSession::new(3.0, 512, SEED, threads, &sinks.obs);
+    let mut mc = McSession::new(3.0, 512, SEED, threads, sinks.bundle());
     sinks.spans.enter("mc.availability", &sinks.obs);
     if split {
-        mc.advance(&classes, &sinks.obs, &sinks.trace, 4);
-        let bytes = mc.checkpoint_spanned(&sinks.obs, &sinks.trace, &sinks.spans);
-        sinks = Sinks::fresh();
-        mc = McSession::resume_spanned(&bytes, threads, &sinks.obs, &sinks.trace, &sinks.spans)
-            .expect("mc snapshot reopens");
+        mc.advance(&classes, sinks.bundle(), 4);
+        let bytes = mc.checkpoint(sinks.bundle());
+        sinks = RunSinks::fresh();
+        mc = McSession::resume(&bytes, threads, sinks.bundle()).expect("mc snapshot reopens");
     }
-    while mc.advance(&classes, &sinks.obs, &sinks.trace, u64::MAX) > 0 {}
+    while mc.advance(&classes, sinks.bundle(), u64::MAX) > 0 {}
     let report = mc.finish();
     sinks.spans.exit(&sinks.obs);
     rows.push(vec![
@@ -185,12 +183,5 @@ fn run(split: bool) -> (Vec<Table>, Sinks) {
 fn main() {
     let split = std::env::args().any(|a| a == "--split");
     let (tables, sinks) = run(split);
-    experiments::finish_run_spanned(
-        "kernel_resume",
-        Some(SEED),
-        &tables,
-        &sinks.obs,
-        &sinks.trace,
-        &sinks.spans,
-    );
+    experiments::finish_run("kernel_resume", Some(SEED), &tables, sinks.bundle());
 }

@@ -2,10 +2,10 @@
 //! manifest (`RCS_OBS_MANIFEST` file, else stderr).
 
 use rcs_core::experiments::{self, e04_liquid_vs_air};
-use rcs_obs::Registry;
+use rcs_obs::{Registry, Sinks};
 
 fn main() {
     let obs = Registry::new();
     let tables = e04_liquid_vs_air::run();
-    experiments::finish_run("e04_liquid_vs_air", None, &tables, &obs);
+    experiments::finish_run("e04_liquid_vs_air", None, &tables, Sinks::counters(&obs));
 }

@@ -2,10 +2,10 @@
 //! manifest (`RCS_OBS_MANIFEST` file, else stderr).
 
 use rcs_core::experiments::{self, e07_rack_pflops};
-use rcs_obs::Registry;
+use rcs_obs::{Registry, Sinks};
 
 fn main() {
     let obs = Registry::new();
     let tables = e07_rack_pflops::run();
-    experiments::finish_run("e07_rack_pflops", None, &tables, &obs);
+    experiments::finish_run("e07_rack_pflops", None, &tables, Sinks::counters(&obs));
 }

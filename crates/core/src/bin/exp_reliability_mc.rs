@@ -5,17 +5,21 @@
 
 use rcs_core::experiments::{self, e12_reliability_mc};
 use rcs_obs::trace::TraceRecorder;
-use rcs_obs::Registry;
+use rcs_obs::{Registry, Sinks};
 
 fn main() {
     let obs = Registry::new();
     let trace = TraceRecorder::from_env();
-    let tables = e12_reliability_mc::run_traced(&obs, &trace);
-    experiments::finish_run_traced(
+    let sinks = Sinks {
+        obs: &obs,
+        trace: &trace,
+        ..Sinks::disabled()
+    };
+    let tables = e12_reliability_mc::run(sinks);
+    experiments::finish_run(
         "e12_reliability_mc",
         Some(e12_reliability_mc::SEED),
         &tables,
-        &obs,
-        &trace,
+        sinks,
     );
 }

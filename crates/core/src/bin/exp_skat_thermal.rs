@@ -7,12 +7,17 @@
 use rcs_core::experiments::{self, e05_skat_thermal};
 use rcs_obs::span::SpanSink;
 use rcs_obs::trace::TraceRecorder;
-use rcs_obs::Registry;
+use rcs_obs::{Registry, Sinks};
 
 fn main() {
     let obs = Registry::new();
     let trace = TraceRecorder::from_env();
     let spans = SpanSink::from_env();
-    let tables = e05_skat_thermal::run_spanned(&obs, &trace, &spans);
-    experiments::finish_run_spanned("e05_skat_thermal", None, &tables, &obs, &trace, &spans);
+    let sinks = Sinks {
+        obs: &obs,
+        trace: &trace,
+        spans: &spans,
+    };
+    let tables = e05_skat_thermal::run(sinks);
+    experiments::finish_run("e05_skat_thermal", None, &tables, sinks);
 }

@@ -30,7 +30,7 @@ use rcs_kernel::{Clock, SinkState, SnapReader, SnapWriter, SnapshotError};
 use rcs_numeric::rng::Rng;
 use rcs_obs::span::SpanSink;
 use rcs_obs::trace::TraceRecorder;
-use rcs_obs::Registry;
+use rcs_obs::{Registry, Sinks};
 use rcs_platform::ComputeModule;
 use rcs_units::{Celsius, Power, Seconds, VolumeFlow};
 
@@ -348,125 +348,59 @@ impl FaultDrill {
     /// Runs the drill under the hardened supervisor.
     ///
     /// The RNG drives only small per-scan sensor measurement noise, so
-    /// two runs with equal-state RNGs are bit-identical.
-    #[must_use]
-    pub fn run(&self, rng: &mut Rng) -> DrillOutcome {
-        self.simulate(
-            rng,
-            true,
-            Registry::disabled(),
-            rcs_obs::trace::TraceRecorder::disabled(),
-        )
-    }
-
-    /// [`FaultDrill::run`] with telemetry recorded into `obs` — all
-    /// golden-channel integers (the drill's RNG noise is part of the
-    /// seeded trajectory, so every counter is a pure function of the
-    /// RNG state):
+    /// two runs with equal-state RNGs are bit-identical — and so is
+    /// every telemetry channel, a pure function of the RNG state:
     ///
-    /// - `drill.runs`, `drill.steps`, `drill.relinearizations`,
-    ///   `drill.solver_failures` — engine shape;
-    /// - `drill.alarm_transitions` (silent → alarming scans),
+    /// - counters on `sinks.obs`: `drill.runs`, `drill.steps`,
+    ///   `drill.relinearizations`, `drill.solver_failures` (engine
+    ///   shape); `drill.alarm_transitions` (silent → alarming scans),
     ///   `drill.throttle_actions`, `drill.shutdowns`,
-    ///   `drill.violation_steps` — supervision outcomes;
-    /// - `drill.plausibility.rejections` / `.dropouts` and
-    ///   `drill.median_vote.degraded` / `.fallbacks` — sensor-defense
-    ///   activity;
-    /// - plus the `immersion.*` / `hydraulics.*` counters of every
-    ///   baseline solve and relinearization.
+    ///   `drill.violation_steps` (supervision outcomes);
+    ///   `drill.plausibility.rejections` / `.dropouts` and
+    ///   `drill.median_vote.degraded` / `.fallbacks` (sensor-defense
+    ///   activity); plus the `immersion.*` / `hydraulics.*` counters of
+    ///   the baseline solve and every relinearization;
+    /// - trace on `sinks.trace`: the true per-scan trajectory in bounded
+    ///   channels — `drill.t_chip` / `drill.t_bath` (°C),
+    ///   `drill.flow_lpm`, `drill.utilization`, `drill.alarms` and
+    ///   `drill.action` (see [`Action::severity_rank`]) — plus the
+    ///   `immersion.ladder.*` channels of the baseline solve and every
+    ///   relinearization;
+    /// - spans on `sinks.spans`: the baseline solve's `immersion.ladder`
+    ///   / `rung` spans (callers typically bracket the whole drill in a
+    ///   cell span).
     #[must_use]
-    pub fn run_observed(&self, rng: &mut Rng, obs: &Registry) -> DrillOutcome {
-        self.simulate(rng, true, obs, rcs_obs::trace::TraceRecorder::disabled())
+    pub fn run(&self, rng: &mut Rng, sinks: Sinks<'_>) -> DrillOutcome {
+        self.simulate(rng, true, sinks)
     }
 
-    /// [`FaultDrill::run_observed`] plus trace recording — the true
-    /// per-scan trajectory of the drill, pushed into bounded channels of
-    /// `trace` (long drills are decimated deterministically):
-    ///
-    /// - `drill.t_chip` / `drill.t_bath` — true temperatures (°C);
-    /// - `drill.flow_lpm` — linearized circulation flow (L/min);
-    /// - `drill.utilization` — the utilization the supervisor allowed;
-    /// - `drill.alarms` — alarms raised on the scan;
-    /// - `drill.action` — severity rank of the recommended action
-    ///   (see [`Action::severity_rank`]);
-    ///
-    /// plus the `immersion.ladder.*` channels of the baseline solve and
-    /// every relinearization.
-    #[must_use]
-    pub fn run_traced(
-        &self,
-        rng: &mut Rng,
-        obs: &Registry,
-        trace: &rcs_obs::trace::TraceRecorder,
-    ) -> DrillOutcome {
-        self.simulate(rng, true, obs, trace)
-    }
-
-    /// [`FaultDrill::run_traced`] plus span attribution: the baseline
-    /// solve's `immersion.ladder` / `rung` spans land on `spans`
-    /// (callers typically bracket the whole drill in a cell span).
-    /// Telemetry on `obs` and `trace` is byte-identical to the traced
-    /// variant.
+    /// [`FaultDrill::run`] on separate sinks. Kept for
+    /// `perfbench/src/sinks.rs`, its only caller.
     #[must_use]
     pub fn run_spanned(
         &self,
         rng: &mut Rng,
         obs: &Registry,
-        trace: &rcs_obs::trace::TraceRecorder,
-        spans: &rcs_obs::span::SpanSink,
+        trace: &TraceRecorder,
+        spans: &SpanSink,
     ) -> DrillOutcome {
-        self.simulate_spanned(rng, true, obs, trace, spans)
+        self.run(rng, Sinks { obs, trace, spans })
     }
 
     /// Runs the same physics with the supervisor disconnected (no
     /// throttling, no shutdown) — the ground-truth trajectory used to
     /// check that supervised shutdowns land before hardware violations.
+    /// Telemetry as for [`FaultDrill::run`].
     #[must_use]
-    pub fn run_open_loop(&self, rng: &mut Rng) -> DrillOutcome {
-        self.simulate(
-            rng,
-            false,
-            Registry::disabled(),
-            rcs_obs::trace::TraceRecorder::disabled(),
-        )
+    pub fn run_open_loop(&self, rng: &mut Rng, sinks: Sinks<'_>) -> DrillOutcome {
+        self.simulate(rng, false, sinks)
     }
 
-    /// [`FaultDrill::run_open_loop`] with telemetry recorded into `obs`
-    /// (see [`FaultDrill::run_observed`] for the counters).
-    #[must_use]
-    pub fn run_open_loop_observed(&self, rng: &mut Rng, obs: &Registry) -> DrillOutcome {
-        self.simulate(rng, false, obs, rcs_obs::trace::TraceRecorder::disabled())
-    }
-
-    fn simulate(
-        &self,
-        rng: &mut Rng,
-        supervised: bool,
-        obs: &Registry,
-        trace: &TraceRecorder,
-    ) -> DrillOutcome {
-        self.simulate_spanned(rng, supervised, obs, trace, SpanSink::disabled())
-    }
-
-    fn simulate_spanned(
-        &self,
-        rng: &mut Rng,
-        supervised: bool,
-        obs: &Registry,
-        trace: &TraceRecorder,
-        spans: &SpanSink,
-    ) -> DrillOutcome {
-        match DrillSession::new_spanned(
-            self,
-            Rng::from_state(rng.state()),
-            supervised,
-            obs,
-            trace,
-            spans,
-        ) {
+    fn simulate(&self, rng: &mut Rng, supervised: bool, sinks: Sinks<'_>) -> DrillOutcome {
+        match DrillSession::new(self, Rng::from_state(rng.state()), supervised, sinks) {
             Ok(mut session) => {
-                while session.step(self, obs, trace) {}
-                let (outcome, final_rng) = session.finish(obs);
+                while session.step(self, sinks) {}
+                let (outcome, final_rng) = session.finish(sinks);
                 // Hand the advanced stream back so callers chaining
                 // drills off one RNG see the exact legacy sequence.
                 *rng = final_rng;
@@ -489,8 +423,7 @@ impl FaultDrill {
         utilization: f64,
         r_chip_baseline: f64,
         chips: f64,
-        obs: &Registry,
-        trace: &rcs_obs::trace::TraceRecorder,
+        sinks: Sinks<'_>,
     ) -> Result<Linearization, CoreError> {
         let degraded_bath = state.apply_to(&self.bath);
         let curves = state.pump_curves(&self.bath);
@@ -515,7 +448,7 @@ impl FaultDrill {
         if state.valve_opening < 1.0 {
             model = model.with_circulation_valve(state.valve_opening);
         }
-        let steady = model.solve_robust_traced(obs, trace)?;
+        let steady = model.solve_robust(sinks)?;
 
         let bulk =
             Celsius::new(0.5 * (steady.coolant_hot.degrees() + steady.coolant_cold.degrees()));
@@ -637,9 +570,9 @@ fn read_filter(r: &mut SnapReader<'_>) -> Result<FilterState, SnapshotError> {
 }
 
 impl DrillSession {
-    /// Solves the healthy baseline (recording its telemetry into the
-    /// caller's sinks, exactly as the uninterrupted drill does) and
-    /// prepares the scan loop.
+    /// Solves the healthy baseline (recording its telemetry — spans of
+    /// the baseline ladder included — into the caller's sinks, exactly
+    /// as the uninterrupted drill does) and prepares the scan loop.
     ///
     /// # Errors
     ///
@@ -651,29 +584,9 @@ impl DrillSession {
         drill: &FaultDrill,
         rng: Rng,
         supervised: bool,
-        obs: &Registry,
-        trace: &TraceRecorder,
+        sinks: Sinks<'_>,
     ) -> Result<Self, Box<DrillOutcome>> {
-        Self::new_spanned(drill, rng, supervised, obs, trace, SpanSink::disabled())
-    }
-
-    /// [`DrillSession::new`] plus span attribution: the baseline
-    /// steady solve runs through the spanned immersion ladder, so its
-    /// `immersion.ladder` / `rung` spans land on `spans`. Telemetry on
-    /// `obs` and `trace` is byte-identical to [`DrillSession::new`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`DrillSession::new`].
-    #[allow(clippy::result_large_err)]
-    pub fn new_spanned(
-        drill: &FaultDrill,
-        rng: Rng,
-        supervised: bool,
-        obs: &Registry,
-        trace: &TraceRecorder,
-        spans: &SpanSink,
-    ) -> Result<Self, Box<DrillOutcome>> {
+        let Sinks { obs, trace, .. } = sinks;
         use rcs_obs::trace::ChannelKind;
         obs.inc("drill.runs");
         // Open the per-scan channels before the baseline solve so the
@@ -704,7 +617,7 @@ impl DrillSession {
         // reference resistance.
         let baseline = match ImmersionModel::new(drill.module.clone(), drill.bath.clone())
             .with_operating_point(OperatingPoint::at_utilization(drill.demand_utilization))
-            .solve_robust_spanned(obs, trace, spans)
+            .solve_robust(sinks)
         {
             Ok(r) => r,
             Err(e) => {
@@ -745,9 +658,11 @@ impl DrillSession {
 
     /// Runs one sensor scan + integration step. Returns `false` once
     /// the drill horizon is reached or a mid-run solver failure ended
-    /// the drill early (the call is then a no-op).
-    pub fn step(&mut self, drill: &FaultDrill, obs: &Registry, trace: &TraceRecorder) -> bool {
+    /// the drill early (the call is then a no-op). Relinearizations
+    /// record counters and trace samples but no spans.
+    pub fn step(&mut self, drill: &FaultDrill, sinks: Sinks<'_>) -> bool {
         use rcs_obs::trace::ChannelKind;
+        let Sinks { obs, trace, .. } = sinks;
         let Some(tick) = self.clock.tick() else {
             return false;
         };
@@ -776,8 +691,10 @@ impl DrillSession {
                     self.utilization,
                     self.r_chip_baseline,
                     self.chips,
-                    obs,
-                    trace,
+                    Sinks {
+                        spans: SpanSink::disabled(),
+                        ..sinks
+                    },
                 ) {
                     Ok(l) => {
                         self.lin = Some(l);
@@ -899,15 +816,9 @@ impl DrillSession {
     }
 
     /// Advances at most `max_steps` scans; returns how many ran.
-    pub fn run(
-        &mut self,
-        drill: &FaultDrill,
-        obs: &Registry,
-        trace: &TraceRecorder,
-        max_steps: u64,
-    ) -> u64 {
+    pub fn run(&mut self, drill: &FaultDrill, sinks: Sinks<'_>, max_steps: u64) -> u64 {
         let mut taken = 0;
-        while taken < max_steps && self.step(drill, obs, trace) {
+        while taken < max_steps && self.step(drill, sinks) {
             taken += 1;
         }
         taken
@@ -920,10 +831,11 @@ impl DrillSession {
         self.clock.is_finished()
     }
 
-    /// Records the end-of-run telemetry and yields the outcome plus the
-    /// advanced RNG stream.
+    /// Records the end-of-run counters into `sinks.obs` and yields the
+    /// outcome plus the advanced RNG stream.
     #[must_use]
-    pub fn finish(mut self, obs: &Registry) -> (DrillOutcome, Rng) {
+    pub fn finish(mut self, sinks: Sinks<'_>) -> (DrillOutcome, Rng) {
+        let obs = sinks.obs;
         self.outcome.channel_health = self.supervisor.channel_health();
         obs.add("drill.steps", self.outcome.steps as u64);
         obs.add("drill.violation_steps", self.outcome.violation_steps as u64);
@@ -949,23 +861,11 @@ impl DrillSession {
 
     /// Seals the full drill state — clock, plant state, supervisor
     /// filter histories, cached linearization, RNG stream position,
-    /// partial outcome — plus the contents of `obs` and `trace` into
-    /// versioned snapshot bytes.
+    /// partial outcome — plus the contents of `sinks` (the span sink's
+    /// open stack included, so a span bracketing this drill survives the
+    /// checkpoint) into versioned snapshot bytes.
     #[must_use]
-    pub fn checkpoint(&self, obs: &Registry, trace: &TraceRecorder) -> Vec<u8> {
-        self.checkpoint_spanned(obs, trace, SpanSink::disabled())
-    }
-
-    /// [`DrillSession::checkpoint`] that additionally seals the span
-    /// sink's state — open stack included — so a span bracketing this
-    /// drill survives the checkpoint.
-    #[must_use]
-    pub fn checkpoint_spanned(
-        &self,
-        obs: &Registry,
-        trace: &TraceRecorder,
-        spans: &SpanSink,
-    ) -> Vec<u8> {
+    pub fn checkpoint(&self, sinks: Sinks<'_>) -> Vec<u8> {
         let mut w = SnapWriter::new();
         self.clock.write_into(&mut w);
         w.u64_slice(&self.rng.state());
@@ -1038,14 +938,14 @@ impl DrillSession {
             None => w.bool(false),
         }
         w.u64(self.outcome.steps as u64);
-        SinkState::capture_spanned(obs, trace, spans).write_into(&mut w);
+        SinkState::capture(sinks).write_into(&mut w);
         rcs_kernel::seal(DRILL_SNAPSHOT_KIND, &w.into_bytes())
     }
 
     /// Reconstructs a session from [`DrillSession::checkpoint`] bytes,
-    /// restoring the captured telemetry into the (fresh) `obs` and
-    /// `trace` sinks. The resumed session finishes bitwise identically
-    /// to the uninterrupted one — including every remaining RNG draw.
+    /// restoring the captured telemetry into the (fresh) `sinks`. The
+    /// resumed session finishes bitwise identically to the
+    /// uninterrupted one — including every remaining RNG draw.
     ///
     /// # Errors
     ///
@@ -1056,24 +956,7 @@ impl DrillSession {
     pub fn resume(
         drill: &FaultDrill,
         bytes: &[u8],
-        obs: &Registry,
-        trace: &TraceRecorder,
-    ) -> Result<Self, SnapshotError> {
-        Self::resume_spanned(drill, bytes, obs, trace, SpanSink::disabled())
-    }
-
-    /// [`DrillSession::resume`] that additionally restores the sealed
-    /// span tree — open stack included — into `spans`.
-    ///
-    /// # Errors
-    ///
-    /// See [`DrillSession::resume`].
-    pub fn resume_spanned(
-        drill: &FaultDrill,
-        bytes: &[u8],
-        obs: &Registry,
-        trace: &TraceRecorder,
-        spans: &SpanSink,
+        sinks: Sinks<'_>,
     ) -> Result<Self, SnapshotError> {
         let payload = rcs_kernel::open(DRILL_SNAPSHOT_KIND, bytes)?;
         let mut r = SnapReader::new(payload);
@@ -1155,13 +1038,13 @@ impl DrillSession {
         let min_utilization = r.f64()?;
         let solver_failure = if r.bool()? { Some(r.str()?) } else { None };
         let steps = r.u64()?;
-        let sinks = SinkState::read_from(&mut r)?;
+        let captured = SinkState::read_from(&mut r)?;
         if !r.is_exhausted() {
             return Err(SnapshotError::Malformed(
                 "trailing bytes after drill session state".to_owned(),
             ));
         }
-        sinks.restore_spanned(obs, trace, spans)?;
+        captured.restore(sinks)?;
         let to_usize = |v: u64, what: &str| {
             usize::try_from(v)
                 .map_err(|_| SnapshotError::Malformed(format!("{what} {v} overflows usize")))
@@ -1299,7 +1182,7 @@ mod tests {
 
     #[test]
     fn nominal_drill_raises_nothing() {
-        let outcome = nominal_drill().run(&mut rng());
+        let outcome = nominal_drill().run(&mut rng(), Sinks::disabled());
         assert!(outcome.time_to_alarm.is_none(), "{outcome:?}");
         assert!(!outcome.shut_down);
         assert!(outcome.clean());
@@ -1310,7 +1193,7 @@ mod tests {
     #[test]
     fn nominal_skat_plus_drill_raises_nothing() {
         let drill = FaultDrill::skat_plus("nominal", FaultTimeline::new(), Seconds::minutes(10.0));
-        let outcome = drill.run(&mut rng());
+        let outcome = drill.run(&mut rng(), Sinks::disabled());
         assert!(outcome.time_to_alarm.is_none(), "{outcome:?}");
         assert!(!outcome.shut_down);
         assert!(outcome.clean());
@@ -1322,13 +1205,13 @@ mod tests {
             .with_event(Seconds::minutes(2.0), FaultKind::PumpSeizure { pump: 0 });
         let drill = FaultDrill::skat("pump seizure", timeline, Seconds::minutes(20.0));
 
-        let open = drill.run_open_loop(&mut rng());
+        let open = drill.run_open_loop(&mut rng(), Sinks::disabled());
         assert!(
             open.violation_steps > 0,
             "ground truth must cross the ceiling: {open:?}"
         );
 
-        let supervised = drill.run(&mut rng());
+        let supervised = drill.run(&mut rng(), Sinks::disabled());
         assert!(supervised.shut_down);
         assert_eq!(supervised.violation_steps, 0, "{supervised:?}");
         assert!(supervised.peak_junction.degrees() < 67.5);
@@ -1339,7 +1222,7 @@ mod tests {
         // re-run open loop and find the first violation time by peak
         // accounting: violations accumulate per scan, so the first
         // violating scan index is steps - violation_steps
-        let open = drill.run_open_loop(&mut rng());
+        let open = drill.run_open_loop(&mut rng(), Sinks::disabled());
         Seconds::new((open.steps - open.violation_steps) as f64 * SCAN_DT.seconds())
     }
 
@@ -1360,9 +1243,9 @@ mod tests {
             )
         };
         let frac = FaultDrill::skat("drift 301 s", timeline(), Seconds::new(301.0))
-            .run_open_loop(&mut rng());
+            .run_open_loop(&mut rng(), Sinks::disabled());
         let full = FaultDrill::skat("drift 302 s", timeline(), Seconds::new(302.0))
-            .run_open_loop(&mut rng());
+            .run_open_loop(&mut rng(), Sinks::disabled());
 
         // same scan count (the scan grid is unchanged)…
         assert_eq!(frac.steps, 151);
@@ -1378,7 +1261,7 @@ mod tests {
         // clamped 302 s run retraces the old fixed-step trajectory, so
         // no committed golden (all exact-multiple horizons) moves
         let refull = FaultDrill::skat("drift 302 s", timeline(), Seconds::new(302.0))
-            .run_open_loop(&mut rng());
+            .run_open_loop(&mut rng(), Sinks::disabled());
         assert_eq!(full, refull);
     }
 
@@ -1407,7 +1290,7 @@ mod tests {
                 },
             );
         let drill = FaultDrill::skat("sensor storm", timeline, Seconds::minutes(12.0));
-        let outcome = drill.run(&mut rng());
+        let outcome = drill.run(&mut rng(), Sinks::disabled());
         assert!(outcome.time_to_alarm.is_none(), "{outcome:?}");
         assert!(!outcome.shut_down);
         // but the broken channels are reported for maintenance
@@ -1420,7 +1303,7 @@ mod tests {
         let timeline = FaultTimeline::new()
             .with_event(Seconds::minutes(2.0), FaultKind::PumpSeizure { pump: 0 });
         let drill = FaultDrill::skat_plus("single seizure", timeline, Seconds::minutes(15.0));
-        let outcome = drill.run(&mut rng());
+        let outcome = drill.run(&mut rng(), Sinks::disabled());
         assert!(!outcome.shut_down, "{outcome:?}");
         assert!(outcome.clean());
     }
@@ -1434,7 +1317,7 @@ mod tests {
             },
         );
         let drill = FaultDrill::skat("leak", timeline, Seconds::minutes(20.0));
-        let outcome = drill.run(&mut rng());
+        let outcome = drill.run(&mut rng(), Sinks::disabled());
         // warning (top-up) first, shutdown at the critical level
         assert!(outcome.time_to_alarm.is_some());
         assert!(outcome.shut_down);
@@ -1445,7 +1328,7 @@ mod tests {
     #[test]
     fn nominal_drill_telemetry_is_quiet_and_exact() {
         let obs = Registry::new();
-        let outcome = nominal_drill().run_observed(&mut rng(), &obs);
+        let outcome = nominal_drill().run(&mut rng(), Sinks::counters(&obs));
         let snap = obs.snapshot();
         assert_eq!(snap.counter("drill.runs"), 1);
         assert_eq!(snap.counter("drill.steps"), outcome.steps as u64);
@@ -1483,7 +1366,7 @@ mod tests {
             );
         let drill = FaultDrill::skat("sensor storm", timeline, Seconds::minutes(12.0));
         let obs = Registry::new();
-        let outcome = drill.run_observed(&mut rng(), &obs);
+        let outcome = drill.run(&mut rng(), Sinks::counters(&obs));
         let snap = obs.snapshot();
         // the stuck agent channel is rejected scan after scan, and the
         // flow dropout is a dropout per scan from minute 5 onward
@@ -1502,7 +1385,7 @@ mod tests {
             .with_event(Seconds::minutes(2.0), FaultKind::PumpSeizure { pump: 0 });
         let drill = FaultDrill::skat("pump seizure", timeline, Seconds::minutes(20.0));
         let obs = Registry::new();
-        let outcome = drill.run_observed(&mut rng(), &obs);
+        let outcome = drill.run(&mut rng(), Sinks::counters(&obs));
         assert!(outcome.shut_down);
         let snap = obs.snapshot();
         assert_eq!(snap.counter("drill.shutdowns"), 1);
@@ -1515,8 +1398,11 @@ mod tests {
         let timeline = FaultTimeline::new()
             .with_event(Seconds::minutes(2.0), FaultKind::PumpSeizure { pump: 0 });
         let drill = FaultDrill::skat("parity", timeline, Seconds::minutes(8.0));
-        let plain = drill.run(&mut Rng::seed_from_u64(123));
-        let observed = drill.run_observed(&mut Rng::seed_from_u64(123), &Registry::new());
+        let plain = drill.run(&mut Rng::seed_from_u64(123), Sinks::disabled());
+        let observed = drill.run(
+            &mut Rng::seed_from_u64(123),
+            Sinks::counters(&Registry::new()),
+        );
         assert_eq!(plain, observed);
     }
 
@@ -1525,8 +1411,8 @@ mod tests {
         let timeline = FaultTimeline::new()
             .with_event(Seconds::minutes(2.0), FaultKind::PumpSeizure { pump: 0 });
         let drill = FaultDrill::skat("determinism", timeline, Seconds::minutes(8.0));
-        let a = drill.run(&mut Rng::seed_from_u64(123));
-        let b = drill.run(&mut Rng::seed_from_u64(123));
+        let a = drill.run(&mut Rng::seed_from_u64(123), Sinks::disabled());
+        let b = drill.run(&mut Rng::seed_from_u64(123), Sinks::disabled());
         assert_eq!(a, b);
     }
 
@@ -1546,8 +1432,13 @@ mod tests {
 
         let obs_ref = Registry::new();
         let trace_ref = TraceRecorder::new();
+        let sinks_ref = Sinks {
+            obs: &obs_ref,
+            trace: &trace_ref,
+            ..Sinks::disabled()
+        };
         let mut rng_ref = rng();
-        let reference = drill.run_traced(&mut rng_ref, &obs_ref, &trace_ref);
+        let reference = drill.run(&mut rng_ref, sinks_ref);
         assert_eq!(reference.steps, 600, "20 min at 2 s scans");
 
         // Splits straddle the seizure (scan 60), the shutdown region and
@@ -1556,19 +1447,28 @@ mod tests {
         for k in [0u64, 1, 59, 60, 61, 137, 599, 600] {
             let obs_a = Registry::new();
             let trace_a = TraceRecorder::new();
-            let mut session =
-                DrillSession::new(&drill, Rng::seed_from_u64(7), true, &obs_a, &trace_a)
-                    .expect("baseline solves");
-            session.run(&drill, &obs_a, &trace_a, k);
-            let bytes = session.checkpoint(&obs_a, &trace_a);
+            let sinks_a = Sinks {
+                obs: &obs_a,
+                trace: &trace_a,
+                ..Sinks::disabled()
+            };
+            let mut session = DrillSession::new(&drill, Rng::seed_from_u64(7), true, sinks_a)
+                .expect("baseline solves");
+            session.run(&drill, sinks_a, k);
+            let bytes = session.checkpoint(sinks_a);
 
             let obs_b = Registry::new();
             let trace_b = TraceRecorder::new();
+            let sinks_b = Sinks {
+                obs: &obs_b,
+                trace: &trace_b,
+                ..Sinks::disabled()
+            };
             let mut resumed =
-                DrillSession::resume(&drill, &bytes, &obs_b, &trace_b).expect("snapshot opens");
-            while resumed.step(&drill, &obs_b, &trace_b) {}
+                DrillSession::resume(&drill, &bytes, sinks_b).expect("snapshot opens");
+            while resumed.step(&drill, sinks_b) {}
             assert!(resumed.is_finished());
-            let (outcome, final_rng) = resumed.finish(&obs_b);
+            let (outcome, final_rng) = resumed.finish(Sinks::counters(&obs_b));
 
             assert_eq!(outcome, reference, "outcome diverged at split {k}");
             assert_eq!(
@@ -1596,15 +1496,28 @@ mod tests {
         let drill = nominal_drill();
         let obs = Registry::new();
         let trace = TraceRecorder::new();
-        let mut session = DrillSession::new(&drill, rng(), true, &obs, &trace).unwrap();
-        session.run(&drill, &obs, &trace, 50);
-        let bytes = session.checkpoint(&obs, &trace);
+        let sinks = Sinks {
+            obs: &obs,
+            trace: &trace,
+            ..Sinks::disabled()
+        };
+        let mut session = DrillSession::new(&drill, rng(), true, sinks).unwrap();
+        session.run(&drill, sinks, 50);
+        let bytes = session.checkpoint(sinks);
 
         // Bit flip anywhere in the payload: caught by the CRC.
         let mut flipped = bytes.clone();
         flipped[bytes.len() / 2] ^= 0x10;
         assert!(matches!(
-            DrillSession::resume(&drill, &flipped, &Registry::new(), &TraceRecorder::new()),
+            DrillSession::resume(
+                &drill,
+                &flipped,
+                Sinks {
+                    obs: &Registry::new(),
+                    trace: &TraceRecorder::new(),
+                    ..Sinks::disabled()
+                }
+            ),
             Err(SnapshotError::BadCrc { .. })
         ));
 
@@ -1614,8 +1527,11 @@ mod tests {
                 DrillSession::resume(
                     &drill,
                     &bytes[..cut],
-                    &Registry::new(),
-                    &TraceRecorder::new()
+                    Sinks {
+                        obs: &Registry::new(),
+                        trace: &TraceRecorder::new(),
+                        ..Sinks::disabled()
+                    }
                 )
                 .is_err(),
                 "truncated at {cut}"
@@ -1625,7 +1541,15 @@ mod tests {
         // A valid snapshot of a *different* kind is refused by name.
         let foreign = rcs_kernel::seal("some.other.session", b"payload");
         assert!(matches!(
-            DrillSession::resume(&drill, &foreign, &Registry::new(), &TraceRecorder::new()),
+            DrillSession::resume(
+                &drill,
+                &foreign,
+                Sinks {
+                    obs: &Registry::new(),
+                    trace: &TraceRecorder::new(),
+                    ..Sinks::disabled()
+                }
+            ),
             Err(SnapshotError::BadKind { .. })
         ));
     }
@@ -1642,11 +1566,11 @@ mod tests {
         let base = n * SCAN_DT.seconds();
 
         let below = FaultDrill::skat("seam below", FaultTimeline::new(), Seconds::new(base - eps))
-            .run_open_loop(&mut rng());
+            .run_open_loop(&mut rng(), Sinks::disabled());
         let exact = FaultDrill::skat("seam exact", FaultTimeline::new(), Seconds::new(base))
-            .run_open_loop(&mut rng());
+            .run_open_loop(&mut rng(), Sinks::disabled());
         let above = FaultDrill::skat("seam above", FaultTimeline::new(), Seconds::new(base + eps))
-            .run_open_loop(&mut rng());
+            .run_open_loop(&mut rng(), Sinks::disabled());
 
         assert_eq!(below.steps, 150, "clamped final scan, not a dropped one");
         assert_eq!(exact.steps, 150);

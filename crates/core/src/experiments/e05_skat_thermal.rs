@@ -5,7 +5,7 @@
 //! 91 W (8736 W for the whole CM) … the maximum FPGA temperature during
 //! heat experiments did not exceed 55 °C."
 
-use rcs_obs::Registry;
+use rcs_obs::Sinks;
 use rcs_units::Seconds;
 
 use super::Table;
@@ -13,41 +13,20 @@ use crate::rules;
 use crate::ImmersionModel;
 
 /// Renders the steady-state comparison plus the Fig. 2 warm-up series.
+///
+/// The steady solve and the warm-up integration both record into
+/// `sinks`, so the manifest shows exactly how hard the prototype
+/// reproduction worked (`immersion.solve.*`, `hydraulics.ladder.*`,
+/// `thermal.transient.*`), the warm-up pushes its chip-field and bath
+/// series into the `immersion.warmup.*` trace channels, and the steady
+/// solve and the warm-up run inside `immersion.solve` and
+/// `immersion.warmup` spans.
 #[must_use]
-pub fn run() -> Vec<Table> {
-    run_observed(Registry::disabled())
-}
-
-/// [`run`] with solver telemetry recorded into `obs`: the steady solve
-/// and the warm-up integration both thread the registry down, so the
-/// manifest shows exactly how hard the prototype reproduction worked
-/// (`immersion.solve.*`, `hydraulics.ladder.*`, `thermal.transient.*`).
-#[must_use]
-pub fn run_observed(obs: &Registry) -> Vec<Table> {
-    run_traced(obs, rcs_obs::trace::TraceRecorder::disabled())
-}
-
-/// [`run_observed`] plus trace recording: the Fig. 2 warm-up pushes its
-/// chip-field and bath series into the `immersion.warmup.*` channels of
-/// `trace` (decimated deterministically to the recorder capacity).
-#[must_use]
-pub fn run_traced(obs: &Registry, trace: &rcs_obs::trace::TraceRecorder) -> Vec<Table> {
-    run_spanned(obs, trace, rcs_obs::span::SpanSink::disabled())
-}
-
-/// [`run_traced`] plus span attribution: the steady solve runs inside
-/// an `immersion.solve` span and the Fig. 2 warm-up inside an
-/// `immersion.warmup` span. Telemetry on `obs` and `trace` is
-/// byte-identical to [`run_traced`].
-#[must_use]
-pub fn run_spanned(
-    obs: &Registry,
-    trace: &rcs_obs::trace::TraceRecorder,
-    spans: &rcs_obs::span::SpanSink,
-) -> Vec<Table> {
+pub fn run(sinks: Sinks<'_>) -> Vec<Table> {
+    let Sinks { obs, spans, .. } = sinks;
     let model = ImmersionModel::skat();
     spans.enter("immersion.solve", obs);
-    let report = model.solve_observed(obs).expect("SKAT converges");
+    let report = model.solve_counted(sinks).expect("SKAT converges");
     spans.exit(obs);
 
     let steady = Table::new(
@@ -105,7 +84,7 @@ pub fn run_spanned(
 
     spans.enter("immersion.warmup", obs);
     let warmup = model
-        .warmup_traced(Seconds::hours(2.0), Seconds::new(2.0), obs, trace)
+        .warmup(Seconds::hours(2.0), Seconds::new(2.0), sinks)
         .expect("warm-up integrates");
     spans.exit(obs);
     let chip = warmup.chip_series();
@@ -144,10 +123,11 @@ fn yes(ok: bool) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rcs_obs::Registry;
 
     #[test]
     fn all_skat_checks_pass() {
-        let tables = run();
+        let tables = run(Sinks::disabled());
         // the steady table's "ok" column contains no "NO"
         for row in &tables[0].rows {
             assert_ne!(row[3], "NO", "{row:?}");
@@ -160,7 +140,7 @@ mod tests {
     #[test]
     fn e5_converges_without_fallback_rung_escalations() {
         let obs = Registry::new();
-        let tables = run_observed(&obs);
+        let tables = run(Sinks::counters(&obs));
         assert_eq!(tables.len(), 3);
         let snap = obs.snapshot();
         // the prototype reproduction converges on the default solver
@@ -183,7 +163,7 @@ mod tests {
 
     #[test]
     fn warmup_trace_is_monotone_up() {
-        let tables = run();
+        let tables = run(Sinks::disabled());
         let trace = &tables[2];
         let temps: Vec<f64> = trace
             .rows

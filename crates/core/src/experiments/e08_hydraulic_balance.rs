@@ -8,8 +8,8 @@
 //! heat-transfer agent flow is evenly changed in the rest of modules."
 
 use rcs_fluids::Coolant;
-use rcs_hydraulics::{balance, layout};
-use rcs_obs::Registry;
+use rcs_hydraulics::{balance, layout, SolveOptions};
+use rcs_obs::Sinks;
 use rcs_units::Celsius;
 
 use super::Table;
@@ -34,10 +34,11 @@ fn water() -> rcs_fluids::FluidState {
     Coolant::water().state(Celsius::new(20.0))
 }
 
-fn measure(plan: &layout::ManifoldPlan, label: &str, obs: &Registry) -> LayoutRow {
+fn measure(plan: &layout::ManifoldPlan, label: &str, sinks: Sinks<'_>) -> LayoutRow {
+    let mut ctx = plan.network.solver_context();
     let sol = plan
         .network
-        .solve_observed(&water(), obs)
+        .solve_with(&water(), &SolveOptions::default(), &mut ctx, sinks)
         .expect("manifold converges");
     let flows = plan.loop_flows(&sol);
     LayoutRow {
@@ -49,18 +50,13 @@ fn measure(plan: &layout::ManifoldPlan, label: &str, obs: &Registry) -> LayoutRo
 }
 
 /// Computes the three layout rows: direct return, direct return with
-/// auto-trimmed balancing valves, and reverse return.
+/// auto-trimmed balancing valves, and reverse return. The three
+/// measurement solves record `hydraulics.solve.*` counters into `sinks`
+/// (the auto-trim iteration is deliberately unobserved — its solve
+/// count is an implementation detail of the valve-trimming search, not
+/// of the reported layouts).
 #[must_use]
-pub fn rows() -> Vec<LayoutRow> {
-    rows_observed(Registry::disabled())
-}
-
-/// [`rows`] with solver telemetry: the three measurement solves record
-/// `hydraulics.solve.*` counters into `obs` (the auto-trim iteration is
-/// deliberately unobserved — its solve count is an implementation detail
-/// of the valve-trimming search, not of the reported layouts).
-#[must_use]
-pub fn rows_observed(obs: &Registry) -> Vec<LayoutRow> {
+pub fn rows(sinks: Sinks<'_>) -> Vec<LayoutRow> {
     let direct = layout::rack_manifold(LOOPS, layout::ReturnStyle::Direct);
     let reverse = layout::rack_manifold(LOOPS, layout::ReturnStyle::Reverse);
     let params = layout::ManifoldParams {
@@ -71,22 +67,17 @@ pub fn rows_observed(obs: &Registry) -> Vec<LayoutRow> {
     balance::auto_trim(&mut trimmed, &water(), 1.02, 60).expect("trim converges");
 
     vec![
-        measure(&direct, "direct return (no valves)", obs),
-        measure(&trimmed, "direct return + trimmed balancing valves", obs),
-        measure(&reverse, "reverse return (Fig. 5, no valves)", obs),
+        measure(&direct, "direct return (no valves)", sinks),
+        measure(&trimmed, "direct return + trimmed balancing valves", sinks),
+        measure(&reverse, "reverse return (Fig. 5, no valves)", sinks),
     ]
 }
 
 /// The failure-injection series: per-loop flows of the reverse-return
-/// layout before and after loop `failed` closes.
+/// layout before and after loop `failed` closes, both solves recorded
+/// into `sinks`.
 #[must_use]
-pub fn failure_series(failed: usize) -> (Vec<f64>, Vec<f64>) {
-    failure_series_observed(failed, Registry::disabled())
-}
-
-/// [`failure_series`] with the two solves recorded into `obs`.
-#[must_use]
-pub fn failure_series_observed(failed: usize, obs: &Registry) -> (Vec<f64>, Vec<f64>) {
+pub fn failure_series(failed: usize, sinks: Sinks<'_>) -> (Vec<f64>, Vec<f64>) {
     let mut plan = layout::rack_manifold(LOOPS, layout::ReturnStyle::Reverse);
     // One context across both solves: the loop failure flips branch
     // openness, which rebuilds the sparse schedule but keeps the healthy
@@ -96,7 +87,7 @@ pub fn failure_series_observed(failed: usize, obs: &Registry) -> (Vec<f64>, Vec<
         .loop_flows(
             &plan
                 .network
-                .solve_observed_in(&water(), &mut ctx, obs)
+                .solve_with(&water(), &SolveOptions::default(), &mut ctx, sinks)
                 .expect("converges"),
         )
         .iter()
@@ -107,7 +98,7 @@ pub fn failure_series_observed(failed: usize, obs: &Registry) -> (Vec<f64>, Vec<
         .loop_flows(
             &plan
                 .network
-                .solve_observed_in(&water(), &mut ctx, obs)
+                .solve_with(&water(), &SolveOptions::default(), &mut ctx, sinks)
                 .expect("converges"),
         )
         .iter()
@@ -116,27 +107,19 @@ pub fn failure_series_observed(failed: usize, obs: &Registry) -> (Vec<f64>, Vec<
     (before, after)
 }
 
-/// Renders the experiment tables.
-#[must_use]
-pub fn run() -> Vec<Table> {
-    run_observed(Registry::disabled())
-}
-
-/// [`run`] with every measurement solve recorded into `obs`.
-#[must_use]
-pub fn run_observed(obs: &Registry) -> Vec<Table> {
-    run_traced(obs, rcs_obs::trace::TraceRecorder::disabled())
-}
-
-/// [`run_observed`] plus trace recording: each layout's per-loop flow
-/// distribution lands in a `e08.flow/<layout>` channel (loop index as
-/// the time axis), and the failure injection records its before/after
-/// series in `e08.failure.before` / `e08.failure.after`.
+/// Renders the experiment tables. Every measurement solve records into
+/// `sinks.obs`; each layout's per-loop flow distribution lands in an
+/// `e08.flow/<layout>` trace channel (loop index as the time axis), the
+/// failure injection records its before/after series in
+/// `e08.failure.before` / `e08.failure.after`, and the whole
+/// measurement pass runs inside a single `hydraulics.balance` span.
 #[must_use]
 #[allow(clippy::cast_precision_loss)]
-pub fn run_traced(obs: &Registry, trace: &rcs_obs::trace::TraceRecorder) -> Vec<Table> {
+pub fn run(sinks: Sinks<'_>) -> Vec<Table> {
+    let Sinks { obs, trace, spans } = sinks;
+    spans.enter("hydraulics.balance", obs);
     use rcs_obs::trace::ChannelKind;
-    let data = rows_observed(obs);
+    let data = rows(sinks);
     if trace.is_enabled() {
         for row in &data {
             let ch = trace.channel(&format!("e08.flow/{}", row.layout), ChannelKind::Flow);
@@ -165,7 +148,7 @@ pub fn run_traced(obs: &Registry, trace: &rcs_obs::trace::TraceRecorder) -> Vec<
             .collect(),
     );
 
-    let (before, after) = failure_series_observed(2, obs);
+    let (before, after) = failure_series(2, sinks);
     if trace.is_enabled() {
         let ch_before = trace.channel("e08.failure.before", ChannelKind::Flow);
         let ch_after = trace.channel("e08.failure.after", ChannelKind::Flow);
@@ -214,32 +197,18 @@ pub fn run_traced(obs: &Registry, trace: &rcs_obs::trace::TraceRecorder) -> Vec<
         rows_fail,
     );
 
-    vec![distribution, failure]
-}
-
-/// [`run_traced`] plus span attribution: the full measurement pass
-/// (three layout solves plus the failure injection) runs inside a
-/// single `hydraulics.balance` span. Telemetry on `obs` and `trace` is
-/// byte-identical to [`run_traced`].
-#[must_use]
-pub fn run_spanned(
-    obs: &Registry,
-    trace: &rcs_obs::trace::TraceRecorder,
-    spans: &rcs_obs::span::SpanSink,
-) -> Vec<Table> {
-    spans.enter("hydraulics.balance", obs);
-    let tables = run_traced(obs, trace);
     spans.exit(obs);
-    tables
+    vec![distribution, failure]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rcs_obs::Registry;
 
     #[test]
     fn reverse_return_beats_untrimmed_direct() {
-        let data = rows();
+        let data = rows(Sinks::disabled());
         let direct = &data[0];
         let reverse = &data[2];
         assert!(reverse.spread < direct.spread);
@@ -249,7 +218,7 @@ mod tests {
 
     #[test]
     fn trimming_matches_reverse_but_needs_valves() {
-        let data = rows();
+        let data = rows(Sinks::disabled());
         let trimmed = &data[1];
         assert!(trimmed.spread < 1.05, "spread = {}", trimmed.spread);
     }
@@ -257,7 +226,7 @@ mod tests {
     #[test]
     fn e8_measurement_solves_all_converge_first_try() {
         let obs = Registry::new();
-        let tables = run_observed(&obs);
+        let tables = run(Sinks::counters(&obs));
         assert_eq!(tables.len(), 2);
         let snap = obs.snapshot();
         // three layout measurements + the before/after failure solves,
@@ -273,7 +242,7 @@ mod tests {
 
     #[test]
     fn failure_gains_are_even() {
-        let (_, after) = failure_series(2);
+        let (_, after) = failure_series(2, Sinks::disabled());
         let survivors: Vec<f64> = after
             .iter()
             .enumerate()

@@ -8,7 +8,8 @@
 use rcs_cooling::{
     availability, risk, AirCooling, ColdPlateLoop, CoolingArchitecture, ImmersionBath,
 };
-use rcs_obs::Registry;
+use rcs_obs::span::SpanSink;
+use rcs_obs::Sinks;
 
 use super::Table;
 
@@ -61,60 +62,34 @@ fn label(arch: &CoolingArchitecture) -> String {
 ///
 /// The four architectures are independent seeded studies, so they run as
 /// parallel work items (each of which chunks its own trials in turn);
-/// row order and every value are identical to the serial sweep.
+/// row order and every value are identical to the serial sweep. Every
+/// study records its `mc.*` counters — runs, trials, chunks, failure
+/// events, hardware losses — and its per-trial availability series (a
+/// `<architecture>/mc.availability` trace channel) into a per-item
+/// shard of `sinks`, merged in architecture order, so the telemetry is
+/// bit-identical at any `RCS_THREADS`. The studies record no spans.
 #[must_use]
-pub fn rows() -> Vec<ReliabilityRow> {
-    rcs_parallel::par_map(architectures(), |_, arch| {
-        let classes = risk::failure_classes(&arch);
-        let mc = availability::monte_carlo(&classes, HORIZON_YEARS, TRIALS, SEED);
-        ReliabilityRow {
-            architecture: label(&arch),
-            connections: arch.pressure_tight_connections(),
-            events_per_year: classes.iter().map(|c| c.rate_per_year).sum(),
-            downtime_hours_per_year: risk::expected_annual_downtime_hours(&classes),
-            availability: mc.mean_availability,
-            p05_availability: mc.p05_availability,
-            hardware_losses: mc.mean_hardware_losses,
-        }
-    })
-}
-
-/// [`rows`] with Monte-Carlo telemetry: every architecture's study runs
-/// in a per-item shard registry (via [`rcs_parallel::par_map_observed`])
-/// and records the `mc.*` counters — runs, trials, chunks, failure
-/// events, hardware losses — merged into `obs` in architecture order,
-/// so the snapshot is bit-identical at any `RCS_THREADS`.
-#[must_use]
-pub fn rows_observed(obs: &Registry) -> Vec<ReliabilityRow> {
-    rows_traced(obs, rcs_obs::trace::TraceRecorder::disabled())
-}
-
-/// [`rows_observed`] plus trace recording: every architecture's study
-/// pushes its per-trial availability series into a
-/// `<architecture>/mc.availability` channel (global trial index as the
-/// time axis, deterministically decimated), merged in architecture
-/// order.
-#[must_use]
-pub fn rows_traced(obs: &Registry, trace: &rcs_obs::trace::TraceRecorder) -> Vec<ReliabilityRow> {
+pub fn rows(sinks: Sinks<'_>) -> Vec<ReliabilityRow> {
     let threads = rcs_parallel::thread_count();
     let archs = architectures();
     let labels: Vec<String> = archs.iter().map(label).collect();
-    rcs_parallel::par_map_traced(
+    rcs_parallel::par_map(
         archs,
         threads,
-        obs,
-        trace,
+        Sinks {
+            spans: SpanSink::disabled(),
+            ..sinks
+        },
         |i| labels[i].clone(),
-        |_, arch, shard, shard_trace| {
+        |_, arch, shard| {
             let classes = risk::failure_classes(&arch);
-            let mc = availability::monte_carlo_traced(
+            let mc = availability::monte_carlo_with_threads(
                 &classes,
                 HORIZON_YEARS,
                 TRIALS,
                 SEED,
                 threads,
                 shard,
-                shard_trace,
             );
             ReliabilityRow {
                 architecture: label(&arch),
@@ -129,23 +104,12 @@ pub fn rows_traced(obs: &Registry, trace: &rcs_obs::trace::TraceRecorder) -> Vec
     )
 }
 
-/// Renders the experiment tables.
+/// Renders the experiment table; the architecture sweep records into
+/// `sinks` (see [`rows`]) inside a single `reliability.sweep` span.
 #[must_use]
-pub fn run() -> Vec<Table> {
-    run_observed(Registry::disabled())
-}
-
-/// [`run`] with the `mc.*` telemetry of every architecture recorded
-/// into `obs`.
-#[must_use]
-pub fn run_observed(obs: &Registry) -> Vec<Table> {
-    run_traced(obs, rcs_obs::trace::TraceRecorder::disabled())
-}
-
-/// [`run_observed`] plus trace recording (see [`rows_traced`]).
-#[must_use]
-pub fn run_traced(obs: &Registry, trace: &rcs_obs::trace::TraceRecorder) -> Vec<Table> {
-    let data = rows_traced(obs, trace);
+pub fn run(sinks: Sinks<'_>) -> Vec<Table> {
+    sinks.spans.enter("reliability.sweep", sinks.obs);
+    let data = rows(sinks);
     let table = Table::new(
         format!(
             "E12 — {HORIZON_YEARS:.0}-year Monte-Carlo availability ({TRIALS} trials, seed {SEED})"
@@ -173,31 +137,18 @@ pub fn run_traced(obs: &Registry, trace: &rcs_obs::trace::TraceRecorder) -> Vec<
             })
             .collect(),
     );
+    sinks.spans.exit(sinks.obs);
     vec![table]
-}
-
-/// [`run_traced`] plus span attribution: the architecture sweep runs
-/// inside a single `reliability.sweep` span. Telemetry on `obs` and
-/// `trace` is byte-identical to [`run_traced`].
-#[must_use]
-pub fn run_spanned(
-    obs: &Registry,
-    trace: &rcs_obs::trace::TraceRecorder,
-    spans: &rcs_obs::span::SpanSink,
-) -> Vec<Table> {
-    spans.enter("reliability.sweep", obs);
-    let tables = run_traced(obs, trace);
-    spans.exit(obs);
-    tables
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rcs_obs::Registry;
 
     #[test]
     fn immersion_beats_cold_plates_on_every_axis() {
-        let data = rows();
+        let data = rows(Sinks::disabled());
         let plates = &data[1];
         let immersion = &data[2];
         assert!(immersion.connections < plates.connections / 10);
@@ -209,21 +160,21 @@ mod tests {
 
     #[test]
     fn skat_plus_improves_on_skat() {
-        let data = rows();
+        let data = rows(Sinks::disabled());
         assert!(data[3].downtime_hours_per_year <= data[2].downtime_hours_per_year);
         assert!(data[3].connections < data[2].connections);
     }
 
     #[test]
     fn experiment_is_deterministic() {
-        assert_eq!(rows(), rows());
+        assert_eq!(rows(Sinks::disabled()), rows(Sinks::disabled()));
     }
 
     #[test]
     fn observed_rows_match_plain_and_count_every_trial() {
         let obs = Registry::new();
-        let observed = rows_observed(&obs);
-        assert_eq!(observed, rows());
+        let observed = rows(Sinks::counters(&obs));
+        assert_eq!(observed, rows(Sinks::disabled()));
         let snap = obs.snapshot();
         let n = architectures().len() as u64;
         assert_eq!(snap.counter("mc.runs"), n);

@@ -46,7 +46,7 @@ pub fn coolant_rows() -> Vec<CoolantAblationRow> {
         Coolant::water(), // counterfactual: perfect coolant, fatal chemistry
         Coolant::glycol30(),
     ];
-    rcs_parallel::par_map(candidates, |_, coolant| {
+    rcs_parallel::par_map_indexed(candidates, rcs_parallel::thread_count(), |_, coolant| {
         let mut bath = ImmersionBath::skat_default();
         let name = coolant.name().to_owned();
         let grade = coolant.is_immersion_grade();
@@ -69,8 +69,9 @@ pub fn coolant_rows() -> Vec<CoolantAblationRow> {
 /// supply-water temperature (the warm-water-cooling trade).
 #[must_use]
 pub fn setpoint_rows() -> Vec<(f64, f64, f64, f64)> {
-    rcs_parallel::par_map(
+    rcs_parallel::par_map_indexed(
         vec![10.0, 14.0, 18.0, 20.0, 24.0, 28.0, 32.0],
+        rcs_parallel::thread_count(),
         |_, setpoint| {
             let mut bath = ImmersionBath::skat_default();
             // COP improves as the lift shrinks: ~0.25/K around 4.5 at 20 °C
@@ -93,22 +94,26 @@ pub fn setpoint_rows() -> Vec<(f64, f64, f64, f64)> {
 /// shutoff head (flow follows the curve intersection).
 #[must_use]
 pub fn pump_rows() -> Vec<(f64, f64, f64, f64)> {
-    rcs_parallel::par_map(vec![30.0, 50.0, 80.0, 120.0, 160.0], |_, shutoff_kpa| {
-        let mut bath = ImmersionBath::skat_default();
-        bath.pump = PumpCurve::new(
-            Pressure::kilopascals(shutoff_kpa),
-            VolumeFlow::liters_per_minute(900.0),
-        );
-        let report = ImmersionModel::new(presets::skat(), bath)
-            .solve()
-            .expect("converges");
-        (
-            shutoff_kpa,
-            report.coolant_flow.as_liters_per_minute(),
-            report.junction.degrees(),
-            report.circulation_power.watts(),
-        )
-    })
+    rcs_parallel::par_map_indexed(
+        vec![30.0, 50.0, 80.0, 120.0, 160.0],
+        rcs_parallel::thread_count(),
+        |_, shutoff_kpa| {
+            let mut bath = ImmersionBath::skat_default();
+            bath.pump = PumpCurve::new(
+                Pressure::kilopascals(shutoff_kpa),
+                VolumeFlow::liters_per_minute(900.0),
+            );
+            let report = ImmersionModel::new(presets::skat(), bath)
+                .solve()
+                .expect("converges");
+            (
+                shutoff_kpa,
+                report.coolant_flow.as_liters_per_minute(),
+                report.junction.degrees(),
+                report.circulation_power.watts(),
+            )
+        },
+    )
 }
 
 /// Renders the ablation tables.

@@ -15,7 +15,7 @@
 
 use rcs_cooling::faults::{FaultKind, FaultTimeline, SensorChannel, SensorFault};
 use rcs_numeric::rng::Rng;
-use rcs_obs::Registry;
+use rcs_obs::Sinks;
 use rcs_units::Seconds;
 
 use super::Table;
@@ -137,77 +137,26 @@ fn cells() -> Vec<FaultDrill> {
 
 /// Runs the full matrix with the ambient `RCS_THREADS` worker count.
 #[must_use]
-pub fn rows() -> Vec<DrillOutcome> {
-    rows_with_threads(rcs_parallel::thread_count())
+pub fn rows(sinks: Sinks<'_>) -> Vec<DrillOutcome> {
+    rows_with_threads(rcs_parallel::thread_count(), sinks)
 }
 
 /// [`rows`] with an explicit worker count. Each cell owns a jumped RNG
-/// stream, so the outcome vector is bit-identical at every count.
-#[must_use]
-pub fn rows_with_threads(threads: usize) -> Vec<DrillOutcome> {
-    let drills = cells();
-    let streams = Rng::seed_from_u64(SEED).split_streams(drills.len());
-    let work: Vec<(FaultDrill, Rng)> = drills.into_iter().zip(streams).collect();
-    rcs_parallel::par_map_indexed(work, threads, |_, (drill, mut rng)| drill.run(&mut rng))
-}
-
-/// [`rows_with_threads`] with full drill telemetry: every matrix cell
-/// runs in a per-cell shard registry and its `drill.*` / `immersion.*` /
-/// `hydraulics.*` counters are merged into `obs` in matrix order. The
-/// merged snapshot is therefore exactly as thread-invariant as the
-/// outcome vector itself — the `telemetry_determinism` integration test
-/// pins that down.
-#[must_use]
-pub fn rows_with_threads_observed(threads: usize, obs: &Registry) -> Vec<DrillOutcome> {
-    rows_with_threads_traced(threads, obs, rcs_obs::trace::TraceRecorder::disabled())
-}
-
-/// [`rows_with_threads_observed`] plus trace recording: every matrix
-/// cell records its drill trajectory (`drill.t_chip`, `drill.t_bath`,
-/// `drill.flow_lpm`, `drill.utilization`, `drill.alarms`,
-/// `drill.action`) into a per-cell shard recorder whose channels are
-/// merged under a `<design>/<drill>/` prefix in matrix order — so the
-/// trace snapshot is exactly as thread-invariant as the outcome vector.
-#[must_use]
-pub fn rows_with_threads_traced(
-    threads: usize,
-    obs: &Registry,
-    trace: &rcs_obs::trace::TraceRecorder,
-) -> Vec<DrillOutcome> {
-    let drills = cells();
-    let labels: Vec<String> = drills
-        .iter()
-        .map(|d| format!("{}/{}", d.module.name(), d.name))
-        .collect();
-    let streams = Rng::seed_from_u64(SEED).split_streams(drills.len());
-    let work: Vec<(FaultDrill, Rng)> = drills.into_iter().zip(streams).collect();
-    rcs_parallel::par_map_traced(
-        work,
-        threads,
-        obs,
-        trace,
-        |i| labels[i].clone(),
-        |_, (drill, mut rng), shard, shard_trace| drill.run_traced(&mut rng, shard, shard_trace),
-    )
-}
-
-/// [`rows_with_threads_traced`] plus span attribution: every matrix
-/// cell runs inside a `<design>/<drill>` span absorbed into `spans` in
-/// matrix order, so the span tree is exactly as thread-invariant as the
-/// outcome vector. Telemetry on `obs` and `trace` is byte-identical to
-/// [`rows_with_threads_traced`].
+/// stream, so the outcome vector is bit-identical at every count — and
+/// so is the telemetry: every matrix cell runs on a per-cell shard of
+/// `sinks` inside a `<design>/<drill>` span, records its `drill.*` /
+/// `immersion.*` / `hydraulics.*` counters and its drill trajectory
+/// (`drill.t_chip`, `drill.t_bath`, `drill.flow_lpm`,
+/// `drill.utilization`, `drill.alarms`, `drill.action`, merged under a
+/// `<design>/<drill>/` trace prefix), and the shards merge in matrix
+/// order.
 ///
 /// # Panics
 ///
 /// Panics if a drill cell panics — drills are deterministic physics,
 /// never expected to unwind.
 #[must_use]
-pub fn rows_with_threads_spanned(
-    threads: usize,
-    obs: &Registry,
-    trace: &rcs_obs::trace::TraceRecorder,
-    spans: &rcs_obs::span::SpanSink,
-) -> Vec<DrillOutcome> {
+pub fn rows_with_threads(threads: usize, sinks: Sinks<'_>) -> Vec<DrillOutcome> {
     let drills = cells();
     let labels: Vec<String> = drills
         .iter()
@@ -215,16 +164,12 @@ pub fn rows_with_threads_spanned(
         .collect();
     let streams = Rng::seed_from_u64(SEED).split_streams(drills.len());
     let work: Vec<(FaultDrill, Rng)> = drills.into_iter().zip(streams).collect();
-    rcs_parallel::par_map_spanned(
+    rcs_parallel::par_map_isolated(
         work,
         threads,
-        obs,
-        trace,
-        spans,
+        sinks,
         |i| labels[i].clone(),
-        |_, (drill, mut rng), shard, shard_trace, shard_spans| {
-            drill.run_spanned(&mut rng, shard, shard_trace, shard_spans)
-        },
+        |_, (drill, mut rng), shard| drill.run(&mut rng, shard),
     )
     .into_iter()
     .enumerate()
@@ -239,46 +184,10 @@ fn fmt_time(t: Option<Seconds>) -> String {
     t.map_or_else(|| "—".to_owned(), |s| format!("{:.0} s", s.seconds()))
 }
 
-/// Renders the experiment table.
+/// Renders the experiment table (telemetry as for [`rows`]).
 #[must_use]
-pub fn run() -> Vec<Table> {
-    render(&rows())
-}
-
-/// [`run`] with the matrix telemetry recorded into `obs`.
-#[must_use]
-pub fn run_observed(obs: &Registry) -> Vec<Table> {
-    render(&rows_with_threads_observed(
-        rcs_parallel::thread_count(),
-        obs,
-    ))
-}
-
-/// [`run_observed`] plus trace recording (see
-/// [`rows_with_threads_traced`]).
-#[must_use]
-pub fn run_traced(obs: &Registry, trace: &rcs_obs::trace::TraceRecorder) -> Vec<Table> {
-    render(&rows_with_threads_traced(
-        rcs_parallel::thread_count(),
-        obs,
-        trace,
-    ))
-}
-
-/// [`run_traced`] plus span attribution (see
-/// [`rows_with_threads_spanned`]).
-#[must_use]
-pub fn run_spanned(
-    obs: &Registry,
-    trace: &rcs_obs::trace::TraceRecorder,
-    spans: &rcs_obs::span::SpanSink,
-) -> Vec<Table> {
-    render(&rows_with_threads_spanned(
-        rcs_parallel::thread_count(),
-        obs,
-        trace,
-        spans,
-    ))
+pub fn run(sinks: Sinks<'_>) -> Vec<Table> {
+    render(&rows(sinks))
 }
 
 fn render(data: &[DrillOutcome]) -> Vec<Table> {
@@ -324,10 +233,11 @@ fn render(data: &[DrillOutcome]) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rcs_obs::Registry;
 
     #[test]
     fn matrix_covers_both_designs_and_every_script() {
-        let data = rows_with_threads(1);
+        let data = rows_with_threads(1, Sinks::disabled());
         let scripts = drill_scripts().len();
         assert_eq!(data.len(), 2 * scripts);
         assert!(data.iter().take(scripts).all(|r| r.design == "SKAT"));
@@ -336,7 +246,7 @@ mod tests {
 
     #[test]
     fn no_physical_drill_returns_a_solver_error() {
-        for outcome in rows_with_threads(1) {
+        for outcome in rows_with_threads(1, Sinks::disabled()) {
             assert!(
                 outcome.solver_failure.is_none(),
                 "{} / {}: {:?}",
@@ -349,7 +259,7 @@ mod tests {
 
     #[test]
     fn supervised_drills_never_violate_the_hardware_limit() {
-        for outcome in rows_with_threads(1) {
+        for outcome in rows_with_threads(1, Sinks::disabled()) {
             assert_eq!(
                 outcome.violation_steps, 0,
                 "{} / {}: {:?}",
@@ -360,7 +270,7 @@ mod tests {
 
     #[test]
     fn nominal_and_sensor_storm_rows_stay_silent() {
-        for outcome in rows_with_threads(1) {
+        for outcome in rows_with_threads(1, Sinks::disabled()) {
             if outcome.name == "nominal" || outcome.name.starts_with("sensor storm") {
                 assert!(
                     outcome.time_to_alarm.is_none(),
@@ -377,8 +287,8 @@ mod tests {
     #[test]
     fn observed_matrix_matches_plain_and_counts_every_cell() {
         let obs = Registry::new();
-        let observed = rows_with_threads_observed(1, &obs);
-        assert_eq!(observed, rows_with_threads(1));
+        let observed = rows_with_threads(1, Sinks::counters(&obs));
+        assert_eq!(observed, rows_with_threads(1, Sinks::disabled()));
         let snap = obs.snapshot();
         let cells = 2 * drill_scripts().len() as u64;
         assert_eq!(snap.counter("drill.runs"), cells);
@@ -392,9 +302,13 @@ mod tests {
 
     #[test]
     fn matrix_is_identical_at_every_thread_count() {
-        let serial = rows_with_threads(1);
+        let serial = rows_with_threads(1, Sinks::disabled());
         for threads in [2, 4, 7] {
-            assert_eq!(serial, rows_with_threads(threads), "threads = {threads}");
+            assert_eq!(
+                serial,
+                rows_with_threads(threads, Sinks::disabled()),
+                "threads = {threads}"
+            );
         }
     }
 }

@@ -24,6 +24,8 @@ pub mod e16_fleet;
 pub mod e17_fault_drills;
 pub mod f01_design_figures;
 
+use rcs_obs::Sinks;
+
 /// A printable experiment result table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
@@ -90,68 +92,39 @@ impl core::fmt::Display for Table {
     }
 }
 
-/// Runs every experiment and returns all tables in order.
+/// Runs every experiment and returns all tables in order. The
+/// instrumented experiments (E5, E8, E12, E17) record their solver,
+/// Monte-Carlo and drill telemetry into `sinks`, each inside an
+/// `exp.<id>` root span whose children break the run down (solver
+/// ladders, drill cells, warm-up sessions); the rest run exactly as
+/// before. The merged counters are the `exp_all` manifest body.
 #[must_use]
-pub fn run_all() -> Vec<Table> {
-    run_all_observed(rcs_obs::Registry::disabled())
-}
-
-/// [`run_all`] with telemetry: the instrumented experiments (E5, E8,
-/// E12, E17) record their solver, Monte-Carlo and drill counters into
-/// `obs`; the rest run exactly as before. The merged snapshot is the
-/// `exp_all` manifest body.
-#[must_use]
-pub fn run_all_observed(obs: &rcs_obs::Registry) -> Vec<Table> {
-    run_all_traced(obs, rcs_obs::trace::TraceRecorder::disabled())
-}
-
-/// [`run_all_observed`] plus trace recording: the instrumented
-/// experiments also push their deterministic sample series (warm-up
-/// temperatures, manifold flows, MC availabilities, drill trajectories)
-/// into `trace`.
-#[must_use]
-pub fn run_all_traced(
-    obs: &rcs_obs::Registry,
-    trace: &rcs_obs::trace::TraceRecorder,
-) -> Vec<Table> {
-    run_all_spanned(obs, trace, rcs_obs::span::SpanSink::disabled())
-}
-
-/// [`run_all_traced`] plus span attribution: each instrumented
-/// experiment runs inside an `exp.<id>` root span whose children break
-/// the run down (solver ladders, drill cells, warm-up sessions).
-/// Telemetry on `obs` and `trace` is byte-identical to
-/// [`run_all_traced`].
-#[must_use]
-pub fn run_all_spanned(
-    obs: &rcs_obs::Registry,
-    trace: &rcs_obs::trace::TraceRecorder,
-    spans: &rcs_obs::span::SpanSink,
-) -> Vec<Table> {
+pub fn run_all(sinks: Sinks<'_>) -> Vec<Table> {
+    let Sinks { obs, spans, .. } = sinks;
     let mut tables = Vec::new();
     tables.extend(e01_air_anchors::run());
     tables.extend(e03_family_scaling::run());
     tables.extend(e04_liquid_vs_air::run());
     spans.enter("exp.e05_skat_thermal", obs);
-    tables.extend(e05_skat_thermal::run_spanned(obs, trace, spans));
+    tables.extend(e05_skat_thermal::run(sinks));
     spans.exit(obs);
     tables.extend(e06_generation_gains::run());
     tables.extend(e07_rack_pflops::run());
     spans.enter("exp.e08_hydraulic_balance", obs);
-    tables.extend(e08_hydraulic_balance::run_spanned(obs, trace, spans));
+    tables.extend(e08_hydraulic_balance::run(sinks));
     spans.exit(obs);
     tables.extend(e09_skat_plus::run());
     tables.extend(e10_tim_washout::run());
     tables.extend(e11_heatsink_design::run());
     spans.enter("exp.e12_reliability_mc", obs);
-    tables.extend(e12_reliability_mc::run_spanned(obs, trace, spans));
+    tables.extend(e12_reliability_mc::run(sinks));
     spans.exit(obs);
     tables.extend(e13_ablations::run());
     tables.extend(e14_energy::run());
     tables.extend(e15_maintenance::run());
     tables.extend(e16_fleet::run());
     spans.enter("exp.e17_fault_drills", obs);
-    tables.extend(e17_fault_drills::run_spanned(obs, trace, spans));
+    tables.extend(e17_fault_drills::run(sinks));
     spans.exit(obs);
     tables.extend(f01_design_figures::run());
     tables
@@ -161,48 +134,26 @@ pub fn run_all_spanned(
 /// (byte-identical to the historical format — the determinism CI jobs
 /// diff it), counts them into `experiments.tables`, then emits the
 /// NDJSON run manifest via [`rcs_obs::manifest::emit`] (to the file
-/// named by `RCS_OBS_MANIFEST`, else stderr — never stdout).
-pub fn finish_run(experiment: &str, seed: Option<u64>, tables: &[Table], obs: &rcs_obs::Registry) {
+/// named by `RCS_OBS_MANIFEST`, else stderr — never stdout). An enabled
+/// trace recorder is appended to the file named by `RCS_OBS_TRACE`
+/// ([`rcs_obs::trace::emit`]) and an enabled span sink to the file
+/// named by `RCS_OBS_SPANS` ([`rcs_obs::span::emit`]). Pointing
+/// `RCS_OBS_MANIFEST` and `RCS_OBS_TRACE` at the same file yields one
+/// NDJSON stream carrying the counters and the traces of the run, which
+/// is exactly what `obs_report` ingests.
+pub fn finish_run(experiment: &str, seed: Option<u64>, tables: &[Table], sinks: Sinks<'_>) {
     for table in tables {
         print!("{table}");
     }
-    obs.add("experiments.tables", tables.len() as u64);
+    sinks.obs.add("experiments.tables", tables.len() as u64);
     let meta = rcs_obs::manifest::RunMeta::new(experiment, seed, rcs_parallel::thread_count());
-    rcs_obs::manifest::emit(&meta, obs);
-}
-
-/// [`finish_run`] plus trace export: after the manifest, the trace
-/// snapshot is appended to the file named by `RCS_OBS_TRACE` (NDJSON, or
-/// CSV for a `.csv` path — see [`rcs_obs::trace::emit`]). Pointing
-/// `RCS_OBS_MANIFEST` and `RCS_OBS_TRACE` at the same file yields one
-/// NDJSON stream carrying the counters and the traces of the run, which
-/// is exactly what `obs_report` ingests. Stdout stays byte-identical.
-pub fn finish_run_traced(
-    experiment: &str,
-    seed: Option<u64>,
-    tables: &[Table],
-    obs: &rcs_obs::Registry,
-    trace: &rcs_obs::trace::TraceRecorder,
-) {
-    finish_run(experiment, seed, tables, obs);
-    rcs_obs::trace::emit(&trace.snapshot());
-}
-
-/// [`finish_run_traced`] plus span export: after the manifest and the
-/// trace, the span tree is appended to the file named by
-/// `RCS_OBS_SPANS` (NDJSON, or a Chrome trace-event document for a
-/// `.json` path — see [`rcs_obs::span::emit`]). Stdout stays
-/// byte-identical.
-pub fn finish_run_spanned(
-    experiment: &str,
-    seed: Option<u64>,
-    tables: &[Table],
-    obs: &rcs_obs::Registry,
-    trace: &rcs_obs::trace::TraceRecorder,
-    spans: &rcs_obs::span::SpanSink,
-) {
-    finish_run_traced(experiment, seed, tables, obs, trace);
-    rcs_obs::span::emit(&spans.snapshot());
+    rcs_obs::manifest::emit(&meta, sinks.obs);
+    if sinks.trace.is_enabled() {
+        rcs_obs::trace::emit(&sinks.trace.snapshot());
+    }
+    if sinks.spans.is_enabled() {
+        rcs_obs::span::emit(&sinks.spans.snapshot());
+    }
 }
 
 #[cfg(test)]

@@ -2,7 +2,9 @@
 
 use rcs_cooling::ImmersionBath;
 use rcs_devices::{OperatingPoint, PowerModel};
-use rcs_hydraulics::{BranchId, Element, HydraulicNetwork, Pipe, PumpCurve, SolverContext, Valve};
+use rcs_hydraulics::{
+    BranchId, Element, HydraulicNetwork, Pipe, PumpCurve, SolveOptions, SolverContext, Valve,
+};
 use rcs_platform::{presets, ComputeModule};
 use rcs_thermal::{
     ChipStack, HeatSink, NodeId, ThermalInterface, ThermalNetwork, TimAging, TimMaterial,
@@ -12,7 +14,9 @@ use rcs_units::{
     Celsius, Length, Power, Seconds, TempDelta, ThermalCapacityRate, Velocity, VolumeFlow,
 };
 
-use rcs_obs::Registry;
+use rcs_obs::span::SpanSink;
+use rcs_obs::trace::TraceRecorder;
+use rcs_obs::{Registry, Sinks};
 
 use crate::error::CoreError;
 use crate::report::SteadyReport;
@@ -164,26 +168,19 @@ impl ImmersionModel {
 
     /// Solves the circulation operating point at the given bulk oil
     /// temperature: the pump curve against bath + exchanger losses.
+    /// Records `immersion.circulation.calls` / `.stagnant` counters plus
+    /// the `hydraulics.ladder.*` counters of the inner network solve
+    /// into `sinks.obs`.
     ///
     /// # Errors
     ///
     /// Propagates hydraulic solver failures.
-    pub fn circulation(&self, oil_bulk: Celsius) -> Result<(VolumeFlow, Power), CoreError> {
-        self.circulation_observed(oil_bulk, Registry::disabled())
-    }
-
-    /// [`ImmersionModel::circulation`] with telemetry recorded into
-    /// `obs`: `immersion.circulation.calls` / `.stagnant` counters plus
-    /// the `hydraulics.ladder.*` counters of the inner network solve.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`ImmersionModel::circulation`].
-    pub fn circulation_observed(
+    pub fn circulation(
         &self,
         oil_bulk: Celsius,
-        obs: &Registry,
+        sinks: Sinks<'_>,
     ) -> Result<(VolumeFlow, Power), CoreError> {
+        let obs = sinks.obs;
         match self.circulation_network()? {
             None => {
                 // every pump seized: no driving head, the bath stagnates
@@ -268,7 +265,7 @@ impl ImmersionModel {
         // networks, but deeply derated pump curves get the damped rungs
         // and, failing those, diagnostics naming the offending branch
         let solution = net
-            .solve_robust_observed_in(&oil, ctx, obs)
+            .solve_with_ladder(&oil, &SolveOptions::ladder(), ctx, Sinks::counters(obs))
             .map_err(CoreError::from)?;
         let flow = solution.flow(bath_branch);
         let electrical =
@@ -276,7 +273,7 @@ impl ImmersionModel {
         Ok((flow, electrical))
     }
 
-    /// Solves the full coupled steady state.
+    /// Solves the full coupled steady state with the default damping.
     ///
     /// # Errors
     ///
@@ -284,11 +281,11 @@ impl ImmersionModel {
     /// (it converges in a handful of iterations for every physical
     /// configuration) and propagates substrate failures.
     pub fn solve(&self) -> Result<SteadyReport, CoreError> {
-        self.solve_observed(Registry::disabled())
+        self.solve_counted(Sinks::disabled())
     }
 
-    /// [`ImmersionModel::solve`] with telemetry recorded into `obs` —
-    /// all golden-channel integers:
+    /// [`ImmersionModel::solve`] with telemetry recorded into
+    /// `sinks.obs` — all golden-channel integers:
     ///
     /// - `immersion.solve.calls` / `.converged` / `.no_convergence` /
     ///   `.error` counters;
@@ -296,13 +293,11 @@ impl ImmersionModel {
     ///   point on success;
     /// - the `immersion.circulation.*` and `hydraulics.ladder.*`
     ///   counters of every inner circulation solve.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`ImmersionModel::solve`].
-    pub fn solve_observed(&self, obs: &Registry) -> Result<SteadyReport, CoreError> {
+    pub(crate) fn solve_counted(&self, sinks: Sinks<'_>) -> Result<SteadyReport, CoreError> {
+        let obs = sinks.obs;
         obs.inc("immersion.solve.calls");
-        match self.solve_damped(0.5, 120, obs) {
+        let result = self.solve_with_damping(0.5, 120, sinks);
+        match &result {
             Ok(report) => {
                 obs.inc("immersion.solve.converged");
                 obs.record_histogram(
@@ -310,19 +305,11 @@ impl ImmersionModel {
                     &ITER_BOUNDS,
                     report.iterations as u64,
                 );
-                obs.work("immersion.fixed_point_iterations", report.iterations as u64);
-                Ok(report)
             }
-            Err(e @ CoreError::NoConvergence { iterations, .. }) => {
-                obs.inc("immersion.solve.no_convergence");
-                obs.work("immersion.fixed_point_iterations", iterations as u64);
-                Err(e)
-            }
-            Err(e) => {
-                obs.inc("immersion.solve.error");
-                Err(e)
-            }
+            Err(CoreError::NoConvergence { .. }) => obs.inc("immersion.solve.no_convergence"),
+            Err(_) => obs.inc("immersion.solve.error"),
         }
+        result
     }
 
     /// Solves through the coupled retry ladder: the default damping
@@ -332,74 +319,31 @@ impl ImmersionModel {
     /// [`CoreError::NoConvergence`] (with its recorded residual) is
     /// returned if all fail.
     ///
+    /// Telemetry, all golden:
+    ///
+    /// - counters on `sinks.obs`: `immersion.ladder.calls` /
+    ///   `.converged` / `.no_convergence` / `.error`,
+    ///   `immersion.ladder.escalations` (damping rungs abandoned before
+    ///   convergence — the fallback count), the `immersion.ladder.rung`
+    ///   histogram of the converged rung and `immersion.ladder.iterations`
+    ///   of its outer fixed point, plus the `immersion.circulation.*` and
+    ///   `hydraulics.ladder.*` counters of every inner circulation solve
+    ///   (abandoned rungs included);
+    /// - trace on `sinks.trace`: every rung attempted pushes one sample
+    ///   into `immersion.ladder.iterations` and, where a residual exists,
+    ///   into `immersion.ladder.residual` (rung index as the time axis);
+    /// - spans on `sinks.spans`: one `immersion.ladder` span with one
+    ///   `rung` child per damping rung attempted.
+    ///
     /// # Errors
     ///
     /// As [`ImmersionModel::solve`]; substrate failures propagate
     /// immediately without retries.
-    pub fn solve_robust(&self) -> Result<SteadyReport, CoreError> {
-        self.solve_robust_observed(Registry::disabled())
-    }
-
-    /// [`ImmersionModel::solve_robust`] with telemetry recorded into
-    /// `obs` — all golden-channel integers:
-    ///
-    /// - `immersion.ladder.calls` / `.converged` / `.no_convergence` /
-    ///   `.error` counters;
-    /// - `immersion.ladder.escalations` — damping rungs abandoned
-    ///   before convergence (0 for healthy configurations), i.e. the
-    ///   fallback count;
-    /// - `immersion.ladder.rung` histogram of the rung that converged
-    ///   and `immersion.ladder.iterations` of its outer fixed point;
-    /// - the `immersion.circulation.*` and `hydraulics.ladder.*`
-    ///   counters of every inner circulation solve (including the
-    ///   abandoned rungs — the residual trajectory of the whole
-    ///   attempt, not just the survivor).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`ImmersionModel::solve_robust`].
-    pub fn solve_robust_observed(&self, obs: &Registry) -> Result<SteadyReport, CoreError> {
-        self.solve_robust_traced(obs, rcs_obs::trace::TraceRecorder::disabled())
-    }
-
-    /// [`ImmersionModel::solve_robust_observed`] plus trace recording:
-    /// every rung attempted (converged or abandoned) pushes one sample
-    /// into `immersion.ladder.iterations` (outer fixed-point iterations
-    /// spent on that rung) and, where a residual exists, into
-    /// `immersion.ladder.residual` — the convergence trajectory of the
-    /// whole ladder, with the rung index as the time axis.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`ImmersionModel::solve_robust`].
     #[allow(clippy::cast_precision_loss)]
-    pub fn solve_robust_traced(
-        &self,
-        obs: &Registry,
-        trace: &rcs_obs::trace::TraceRecorder,
-    ) -> Result<SteadyReport, CoreError> {
-        self.solve_robust_spanned(obs, trace, rcs_obs::span::SpanSink::disabled())
-    }
-
-    /// [`ImmersionModel::solve_robust_traced`] plus span attribution:
-    /// the whole ladder runs inside one `immersion.ladder` span with
-    /// one `rung` child per damping rung attempted, so span rollups
-    /// show exactly which rung burned the fixed-point iterations.
-    /// Telemetry on `obs` and `trace` is byte-identical to the traced
-    /// variant — spans are a strict addition.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`ImmersionModel::solve_robust`].
-    #[allow(clippy::cast_precision_loss)]
-    pub fn solve_robust_spanned(
-        &self,
-        obs: &Registry,
-        trace: &rcs_obs::trace::TraceRecorder,
-        spans: &rcs_obs::span::SpanSink,
-    ) -> Result<SteadyReport, CoreError> {
+    pub fn solve_robust(&self, sinks: Sinks<'_>) -> Result<SteadyReport, CoreError> {
         use rcs_obs::trace::ChannelKind;
         const LADDER: [(f64, usize); 3] = [(0.5, 120), (0.25, 400), (0.1, 1200)];
+        let Sinks { obs, trace, spans } = sinks;
         obs.inc("immersion.ladder.calls");
         spans.enter("immersion.ladder", obs);
         let mut last = None;
@@ -465,14 +409,29 @@ impl ImmersionModel {
         Err(last.expect("ladder has at least one rung"))
     }
 
+    /// [`ImmersionModel::solve_robust`] on separate sinks. Kept for
+    /// `perfbench/src/sinks.rs`, its only caller.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`ImmersionModel::solve_robust`].
+    pub fn solve_robust_spanned(
+        &self,
+        obs: &Registry,
+        trace: &TraceRecorder,
+        spans: &SpanSink,
+    ) -> Result<SteadyReport, CoreError> {
+        self.solve_robust(Sinks { obs, trace, spans })
+    }
+
     /// Solves with one explicit damping rung outside the standard
     /// ladder — the hook the query layer's deterministic retry ladder
     /// uses to push past [`ImmersionModel::solve_robust`] with
     /// progressively heavier damping (`damping` is the blend factor
     /// toward the new iterate; smaller is heavier). Work done by the
     /// fixed point lands on `profile.immersion.fixed_point_iterations`
-    /// whether or not the rung converges, so work-unit budgets see every
-    /// retry attempt.
+    /// in `sinks.obs` whether or not the rung converges, so work-unit
+    /// budgets see every retry attempt.
     ///
     /// # Errors
     ///
@@ -486,10 +445,11 @@ impl ImmersionModel {
         &self,
         damping: f64,
         max_iter: usize,
-        obs: &Registry,
+        sinks: Sinks<'_>,
     ) -> Result<SteadyReport, CoreError> {
         assert!(damping > 0.0 && damping <= 1.0, "damping must be in (0, 1]");
         assert!(max_iter > 0, "max_iter must be positive");
+        let obs = sinks.obs;
         let result = self.solve_damped(damping, max_iter, obs);
         match &result {
             Ok(report) => {
@@ -670,44 +630,38 @@ impl ImmersionModel {
 
     /// Simulates the module warm-up from a cold start (Fig. 2's heat
     /// test): lumped chip-field and bath nodes against the chilled-water
-    /// boundary.
+    /// boundary. Records an `immersion.warmup.calls` counter plus the
+    /// counters of the embedded steady solve (`immersion.solve.*`) and
+    /// transient integration (`thermal.transient.*`) into `sinks.obs`,
+    /// and the chip-field and bath temperature series into the
+    /// `immersion.warmup.chip` / `immersion.warmup.bath` channels of
+    /// `sinks.trace` (bounded — long warm-ups are decimated
+    /// deterministically).
     ///
     /// # Errors
     ///
     /// Propagates substrate failures.
-    pub fn warmup(&self, duration: Seconds, step: Seconds) -> Result<WarmupTrace, CoreError> {
-        self.warmup_observed(duration, step, Registry::disabled())
-    }
-
-    /// [`ImmersionModel::warmup`] with telemetry recorded into `obs`:
-    /// an `immersion.warmup.calls` counter plus the counters of the
-    /// embedded steady solve (`immersion.solve.*`) and transient
-    /// integration (`thermal.transient.*`).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`ImmersionModel::warmup`].
-    pub fn warmup_observed(
+    pub fn warmup(
         &self,
         duration: Seconds,
         step: Seconds,
-        obs: &Registry,
+        sinks: Sinks<'_>,
     ) -> Result<WarmupTrace, CoreError> {
-        let mut session = WarmupSession::new(self, duration, step, obs)?;
+        let mut session = WarmupSession::new(self, duration, step, sinks)?;
         while session.step() {}
-        Ok(session.finish(obs, rcs_obs::trace::TraceRecorder::disabled()))
+        Ok(session.finish(sinks))
     }
 
     /// Builds the two-node warm-up network (chip field + oil bath
     /// against the chilled-water boundary) around the solved steady
-    /// state, recording the steady solve's telemetry into `obs`.
+    /// state, recording the steady solve's telemetry into `sinks`.
     fn warmup_network(
         &self,
-        obs: &Registry,
+        sinks: Sinks<'_>,
     ) -> Result<(ThermalNetwork, NodeId, NodeId), CoreError> {
         // Freeze the convection operating point at the solved steady state
         // so the transient uses consistent resistances.
-        let steady = self.solve_observed(obs)?;
+        let steady = self.solve_counted(sinks)?;
         let oil_state = self.bath.coolant.state(Celsius::new(
             0.5 * (steady.coolant_hot.degrees() + steady.coolant_cold.degrees()),
         ));
@@ -747,27 +701,6 @@ impl ImmersionModel {
         )?;
         Ok((net, chip_node, bath_node))
     }
-
-    /// [`ImmersionModel::warmup_observed`] plus trace recording: the
-    /// chip-field and bath temperature series are pushed into the
-    /// `immersion.warmup.chip` / `immersion.warmup.bath` channels of
-    /// `trace` (bounded — long warm-ups are decimated
-    /// deterministically).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`ImmersionModel::warmup`].
-    pub fn warmup_traced(
-        &self,
-        duration: Seconds,
-        step: Seconds,
-        obs: &Registry,
-        trace: &rcs_obs::trace::TraceRecorder,
-    ) -> Result<WarmupTrace, CoreError> {
-        let mut session = WarmupSession::new(self, duration, step, obs)?;
-        while session.step() {}
-        Ok(session.finish(obs, trace))
-    }
 }
 
 /// A resumable warm-up: [`ImmersionModel::warmup`] hoisted onto the
@@ -802,10 +735,11 @@ impl WarmupSession {
         model: &ImmersionModel,
         duration: Seconds,
         step: Seconds,
-        obs: &Registry,
+        sinks: Sinks<'_>,
     ) -> Result<Self, CoreError> {
+        let obs = sinks.obs;
         obs.inc("immersion.warmup.calls");
-        let (net, chip_node, bath_node) = model.warmup_network(obs)?;
+        let (net, chip_node, bath_node) = model.warmup_network(sinks)?;
         obs.inc("thermal.transient.calls");
         let initial = net.uniform_initial(model.bath.chiller.setpoint());
         match rcs_thermal::TransientSession::new(&net, &initial, duration, step) {
@@ -840,16 +774,17 @@ impl WarmupSession {
     }
 
     /// Records the end-of-run telemetry (transient step counters into
-    /// `obs`, the `immersion.warmup.chip` / `immersion.warmup.bath`
-    /// series into `trace`) and yields the warm-up trace.
+    /// `sinks.obs`, the `immersion.warmup.chip` / `immersion.warmup.bath`
+    /// series into `sinks.trace`) and yields the warm-up trace.
     #[must_use]
-    pub fn finish(self, obs: &Registry, trace: &rcs_obs::trace::TraceRecorder) -> WarmupTrace {
+    pub fn finish(self, sinks: Sinks<'_>) -> WarmupTrace {
         use rcs_obs::trace::ChannelKind;
         let warmup = WarmupTrace {
-            trace: self.inner.finish_observed(&self.net, obs),
+            trace: self.inner.finish(&self.net, sinks),
             chip_node: self.chip_node,
             bath_node: self.bath_node,
         };
+        let trace = sinks.trace;
         if trace.is_enabled() {
             let chip = trace.channel("immersion.warmup.chip", ChannelKind::Temperature);
             let bath = trace.channel("immersion.warmup.bath", ChannelKind::Temperature);
@@ -864,34 +799,19 @@ impl WarmupSession {
     }
 
     /// Seals the warm-up state — the embedded transient session plus
-    /// the contents of `obs` and `trace` — into versioned snapshot
-    /// bytes. The network itself is not captured; it is a pure function
-    /// of the model and is rebuilt on [`WarmupSession::resume`].
+    /// the contents of `sinks`, the span sink's open stack included —
+    /// into versioned snapshot bytes. The network itself is not
+    /// captured; it is a pure function of the model and is rebuilt on
+    /// [`WarmupSession::resume`].
     #[must_use]
-    pub fn checkpoint(&self, obs: &Registry, trace: &rcs_obs::trace::TraceRecorder) -> Vec<u8> {
-        self.checkpoint_spanned(obs, trace, rcs_obs::span::SpanSink::disabled())
-    }
-
-    /// [`WarmupSession::checkpoint`] that additionally seals the span
-    /// sink's state — open stack included — so a span bracketing the
-    /// warm-up survives the checkpoint.
-    #[must_use]
-    pub fn checkpoint_spanned(
-        &self,
-        obs: &Registry,
-        trace: &rcs_obs::trace::TraceRecorder,
-        spans: &rcs_obs::span::SpanSink,
-    ) -> Vec<u8> {
-        rcs_kernel::seal(
-            WARMUP_SNAPSHOT_KIND,
-            &self.inner.checkpoint_spanned(obs, trace, spans),
-        )
+    pub fn checkpoint(&self, sinks: Sinks<'_>) -> Vec<u8> {
+        rcs_kernel::seal(WARMUP_SNAPSHOT_KIND, &self.inner.checkpoint(sinks))
     }
 
     /// Reconstructs a session from [`WarmupSession::checkpoint`] bytes,
     /// rebuilding the warm-up network from `model` (silently — its
     /// construction telemetry is already inside the snapshot) and
-    /// restoring the captured sinks into `obs` and `trace`.
+    /// restoring the captured sinks into `sinks`.
     ///
     /// # Errors
     ///
@@ -901,41 +821,16 @@ impl WarmupSession {
     pub fn resume(
         model: &ImmersionModel,
         bytes: &[u8],
-        obs: &Registry,
-        trace: &rcs_obs::trace::TraceRecorder,
-    ) -> Result<Self, rcs_kernel::SnapshotError> {
-        Self::resume_spanned(
-            model,
-            bytes,
-            obs,
-            trace,
-            rcs_obs::span::SpanSink::disabled(),
-        )
-    }
-
-    /// [`WarmupSession::resume`] that additionally restores the sealed
-    /// span tree — open stack included — into `spans`.
-    ///
-    /// # Errors
-    ///
-    /// See [`WarmupSession::resume`].
-    pub fn resume_spanned(
-        model: &ImmersionModel,
-        bytes: &[u8],
-        obs: &Registry,
-        trace: &rcs_obs::trace::TraceRecorder,
-        spans: &rcs_obs::span::SpanSink,
+        sinks: Sinks<'_>,
     ) -> Result<Self, rcs_kernel::SnapshotError> {
         let inner_bytes = rcs_kernel::open(WARMUP_SNAPSHOT_KIND, bytes)?;
         // The network is derived state: rebuild it under disabled sinks
         // (the original construction's telemetry is part of the captured
         // sink state, so re-recording it would double-count).
-        let (net, chip_node, bath_node) =
-            model.warmup_network(Registry::disabled()).map_err(|e| {
-                rcs_kernel::SnapshotError::Malformed(format!("model rejected on resume: {e}"))
-            })?;
-        let inner =
-            rcs_thermal::TransientSession::resume_spanned(&net, inner_bytes, obs, trace, spans)?;
+        let (net, chip_node, bath_node) = model.warmup_network(Sinks::disabled()).map_err(|e| {
+            rcs_kernel::SnapshotError::Malformed(format!("model rejected on resume: {e}"))
+        })?;
+        let inner = rcs_thermal::TransientSession::resume(&net, inner_bytes, sinks)?;
         Ok(Self {
             net,
             chip_node,
@@ -1033,7 +928,9 @@ mod tests {
     #[test]
     fn circulation_operating_point_is_sane() {
         let m = ImmersionModel::skat();
-        let (flow, electrical) = m.circulation(Celsius::new(28.0)).unwrap();
+        let (flow, electrical) = m
+            .circulation(Celsius::new(28.0), Sinks::disabled())
+            .unwrap();
         let lpm = flow.as_liters_per_minute();
         assert!(lpm > 150.0 && lpm < 900.0, "flow = {lpm} L/min");
         assert!(electrical.watts() > 50.0 && electrical.watts() < 3000.0);
@@ -1042,8 +939,12 @@ mod tests {
     #[test]
     fn warm_oil_circulates_faster() {
         let m = ImmersionModel::skat();
-        let (cold, _) = m.circulation(Celsius::new(10.0)).unwrap();
-        let (warm, _) = m.circulation(Celsius::new(40.0)).unwrap();
+        let (cold, _) = m
+            .circulation(Celsius::new(10.0), Sinks::disabled())
+            .unwrap();
+        let (warm, _) = m
+            .circulation(Celsius::new(40.0), Sinks::disabled())
+            .unwrap();
         assert!(warm > cold);
     }
 
@@ -1083,7 +984,9 @@ mod tests {
     fn warmup_settles_to_the_steady_state() {
         let m = ImmersionModel::skat();
         let steady = m.solve().unwrap();
-        let trace = m.warmup(Seconds::hours(4.0), Seconds::new(2.0)).unwrap();
+        let trace = m
+            .warmup(Seconds::hours(4.0), Seconds::new(2.0), Sinks::disabled())
+            .unwrap();
         // the lumped 2-node warm-up should land near the coupled solve
         let chip_final = trace.final_chip_temperature();
         assert!(
@@ -1121,7 +1024,9 @@ mod tests {
     #[test]
     fn healthy_skat_solve_records_rung_zero_telemetry() {
         let obs = Registry::new();
-        let report = ImmersionModel::skat().solve_robust_observed(&obs).unwrap();
+        let report = ImmersionModel::skat()
+            .solve_robust(Sinks::counters(&obs))
+            .unwrap();
         let snap = obs.snapshot();
         assert_eq!(snap.counter("immersion.ladder.calls"), 1);
         assert_eq!(snap.counter("immersion.ladder.converged"), 1);
@@ -1143,9 +1048,11 @@ mod tests {
 
     #[test]
     fn observed_and_plain_solves_agree_exactly() {
-        let plain = ImmersionModel::skat().solve_robust().unwrap();
+        let plain = ImmersionModel::skat()
+            .solve_robust(Sinks::disabled())
+            .unwrap();
         let observed = ImmersionModel::skat()
-            .solve_robust_observed(&Registry::new())
+            .solve_robust(Sinks::counters(&Registry::new()))
             .unwrap();
         assert_eq!(plain, observed);
     }
@@ -1155,7 +1062,7 @@ mod tests {
         let obs = Registry::new();
         let model = ImmersionModel::skat().with_pump_curves(Vec::new());
         let (flow, power) = model
-            .circulation_observed(Celsius::new(30.0), &obs)
+            .circulation(Celsius::new(30.0), Sinks::counters(&obs))
             .unwrap();
         assert_eq!(flow, VolumeFlow::ZERO);
         assert_eq!(power, Power::ZERO);
@@ -1168,7 +1075,11 @@ mod tests {
     fn warmup_telemetry_spans_the_solver_and_the_transient() {
         let obs = Registry::new();
         let trace = ImmersionModel::skat()
-            .warmup_observed(Seconds::hours(1.0), Seconds::new(2.0), &obs)
+            .warmup(
+                Seconds::hours(1.0),
+                Seconds::new(2.0),
+                Sinks::counters(&obs),
+            )
             .unwrap();
         let snap = obs.snapshot();
         assert_eq!(snap.counter("immersion.warmup.calls"), 1);
@@ -1199,24 +1110,38 @@ mod tests {
 
         let obs_ref = Registry::new();
         let trace_ref = TraceRecorder::new();
-        let reference = model
-            .warmup_traced(duration, step, &obs_ref, &trace_ref)
-            .unwrap();
+        let sinks_ref = Sinks {
+            obs: &obs_ref,
+            trace: &trace_ref,
+            ..Sinks::disabled()
+        };
+        let reference = model.warmup(duration, step, sinks_ref).unwrap();
 
         for k in [0u64, 1, 179, 359, 360] {
             let obs_a = Registry::new();
             let trace_a = TraceRecorder::new();
-            let mut session = WarmupSession::new(&model, duration, step, &obs_a).unwrap();
+            let sinks_a = Sinks {
+                obs: &obs_a,
+                trace: &trace_a,
+                ..Sinks::disabled()
+            };
+            let mut session =
+                WarmupSession::new(&model, duration, step, Sinks::counters(&obs_a)).unwrap();
             session.run(k);
-            let bytes = session.checkpoint(&obs_a, &trace_a);
+            let bytes = session.checkpoint(sinks_a);
 
             let obs_b = Registry::new();
             let trace_b = TraceRecorder::new();
+            let sinks_b = Sinks {
+                obs: &obs_b,
+                trace: &trace_b,
+                ..Sinks::disabled()
+            };
             let mut resumed =
-                WarmupSession::resume(&model, &bytes, &obs_b, &trace_b).expect("snapshot opens");
+                WarmupSession::resume(&model, &bytes, sinks_b).expect("snapshot opens");
             while resumed.step() {}
             assert!(resumed.is_finished());
-            let warmup = resumed.finish(&obs_b, &trace_b);
+            let warmup = resumed.finish(sinks_b);
 
             assert_eq!(
                 warmup.chip_series(),
@@ -1248,29 +1173,27 @@ mod tests {
 
     #[test]
     fn corrupt_warmup_snapshot_is_a_structured_error() {
-        use rcs_obs::trace::TraceRecorder;
-
         let model = ImmersionModel::skat();
         let obs = Registry::new();
-        let mut session =
-            WarmupSession::new(&model, Seconds::minutes(10.0), Seconds::new(5.0), &obs).unwrap();
+        let mut session = WarmupSession::new(
+            &model,
+            Seconds::minutes(10.0),
+            Seconds::new(5.0),
+            Sinks::counters(&obs),
+        )
+        .unwrap();
         session.run(17);
-        let bytes = session.checkpoint(&obs, TraceRecorder::disabled());
+        let bytes = session.checkpoint(Sinks::counters(&obs));
 
         let mut flipped = bytes.clone();
         flipped[bytes.len() / 3] ^= 0x40;
-        assert!(WarmupSession::resume(
-            &model,
-            &flipped,
-            &Registry::new(),
-            TraceRecorder::disabled()
-        )
-        .is_err());
+        assert!(
+            WarmupSession::resume(&model, &flipped, Sinks::counters(&Registry::new())).is_err()
+        );
         assert!(WarmupSession::resume(
             &model,
             &bytes[..bytes.len() - 5],
-            &Registry::new(),
-            TraceRecorder::disabled()
+            Sinks::counters(&Registry::new())
         )
         .is_err());
     }

@@ -8,10 +8,12 @@
 //! layout eliminates.
 
 use rcs_fluids::FluidState;
+use rcs_obs::Sinks;
 use rcs_units::VolumeFlow;
 
 use crate::error::HydraulicError;
 use crate::layout::ManifoldPlan;
+use crate::SolveOptions;
 
 /// Ratio of the largest to the smallest loop flow (`>= 1`, 1 is perfectly
 /// balanced); `None` for an empty slice — there is no meaningful spread
@@ -82,7 +84,8 @@ pub fn auto_trim(
     // one solver context: the sparse schedule is analyzed once and each
     // round warm-starts from the previous round's flows.
     let mut ctx = plan.network.solver_context();
-    let initial = plan.network.solve_in(fluid, &mut ctx)?;
+    let (opts, off) = (SolveOptions::default(), Sinks::disabled());
+    let initial = plan.network.solve_with(fluid, &opts, &mut ctx, off)?;
     // a plan with no loops is trivially balanced
     let spread_before = spread(&plan.loop_flows(&initial)).unwrap_or(1.0);
 
@@ -90,7 +93,7 @@ pub fn auto_trim(
     let mut rounds = 0;
     for round in 0..max_rounds {
         rounds = round + 1;
-        let sol = plan.network.solve_in(fluid, &mut ctx)?;
+        let sol = plan.network.solve_with(fluid, &opts, &mut ctx, off)?;
         let flows = plan.loop_flows(&sol);
         let s = spread(&flows).unwrap_or(1.0);
         best = best.min(s);
@@ -114,7 +117,7 @@ pub fn auto_trim(
                 .set_valve_opening(plan.loop_branches[i], openings[i])?;
         }
     }
-    let sol = plan.network.solve_in(fluid, &mut ctx)?;
+    let sol = plan.network.solve_with(fluid, &opts, &mut ctx, off)?;
     let spread_after = spread(&plan.loop_flows(&sol)).unwrap_or(1.0);
     Ok(TrimReport {
         spread_before,

@@ -2,10 +2,10 @@
 
 use rcs_numeric::NumericError;
 
-/// One rung of the [`solve_robust`] retry ladder that failed to
+/// One rung of the [`solve_with_ladder`] retry ladder that failed to
 /// converge, recorded for the post-mortem.
 ///
-/// [`solve_robust`]: crate::HydraulicNetwork::solve_robust
+/// [`solve_with_ladder`]: crate::HydraulicNetwork::solve_with_ladder
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolveAttempt {
     /// Under-relaxation factor used by this attempt.

@@ -13,7 +13,7 @@
 //!   pressures with mass-conservation residuals. Repeated solves of the
 //!   same topology reuse a [`SolverContext`] — a cached sparse
 //!   elimination schedule plus a warm-start seed from the neighboring
-//!   solution ([`HydraulicNetwork::solve_in`],
+//!   solution ([`HydraulicNetwork::solve_with`],
 //!   [`HydraulicNetwork::solve_sweep`]).
 //! - [`layout`] — builders for the two manifold topologies the paper
 //!   compares: conventional **direct-return** and the suggested

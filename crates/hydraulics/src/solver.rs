@@ -23,7 +23,7 @@
 //!
 //! Faulted networks (deeply derated pumps, nearly shut valves) can sit
 //! on much stiffer loss curves than healthy ones, so the solver also
-//! exposes a retry ladder ([`HydraulicNetwork::solve_robust`]): the
+//! exposes a retry ladder ([`HydraulicNetwork::solve_with_ladder`]): the
 //! default settings first, then progressively heavier damping with a
 //! larger iteration budget, and finally a structured
 //! [`ConvergenceDiagnostics`] naming the worst junction and branch if
@@ -33,9 +33,8 @@
 
 use rcs_fluids::FluidState;
 use rcs_numeric::{Matrix, SparseSymbolic};
-use rcs_obs::span::SpanSink;
-use rcs_obs::trace::{ChannelKind, TraceRecorder};
-use rcs_obs::{residual_decade, Registry};
+use rcs_obs::trace::ChannelKind;
+use rcs_obs::{residual_decade, Registry, Sinks};
 use rcs_units::VolumeFlow;
 
 use crate::error::{ConvergenceDiagnostics, HydraulicError, SolveAttempt};
@@ -86,9 +85,10 @@ impl SolveOptions {
         Self { relax, max_iter }
     }
 
-    /// The retry ladder used by [`HydraulicNetwork::solve_robust`]:
-    /// default first (bit-identical to [`HydraulicNetwork::solve`] when
-    /// it converges), then two progressively damped re-solves.
+    /// The standard retry ladder for
+    /// [`HydraulicNetwork::solve_with_ladder`]: default first
+    /// (bit-identical to [`HydraulicNetwork::solve`] when it converges),
+    /// then two progressively damped re-solves.
     #[must_use]
     pub fn ladder() -> [Self; 3] {
         [
@@ -161,7 +161,8 @@ struct BranchScatter {
 ///
 /// ```
 /// use rcs_fluids::Coolant;
-/// use rcs_hydraulics::{Element, HydraulicNetwork, Pipe, PumpCurve};
+/// use rcs_hydraulics::{Element, HydraulicNetwork, Pipe, PumpCurve, SolveOptions};
+/// use rcs_obs::Sinks;
 /// use rcs_units::{Celsius, Length, Pressure, VolumeFlow};
 ///
 /// let mut net = HydraulicNetwork::new();
@@ -173,9 +174,10 @@ struct BranchScatter {
 ///     Pressure::kilopascals(60.0), VolumeFlow::liters_per_minute(150.0)))])?;
 /// let water = Coolant::water().state(Celsius::new(20.0));
 ///
+/// let (opts, off) = (SolveOptions::default(), Sinks::disabled());
 /// let mut ctx = net.solver_context();
-/// let cold = net.solve_in(&water, &mut ctx)?;
-/// let warm = net.solve_in(&water, &mut ctx)?; // starts from `cold`'s flows
+/// let cold = net.solve_with(&water, &opts, &mut ctx, off)?;
+/// let warm = net.solve_with(&water, &opts, &mut ctx, off)?; // starts from `cold`'s flows
 /// assert!(warm.iterations() < cold.iterations());
 /// # Ok::<(), rcs_hydraulics::HydraulicError>(())
 /// ```
@@ -389,7 +391,8 @@ impl HydraulicNetwork {
         SolverContext::build(self, engine, None)
     }
 
-    /// Solves the steady flow distribution for the given fluid state.
+    /// Solves the steady flow distribution for the given fluid state:
+    /// one cold attempt with the default options and no telemetry.
     ///
     /// # Errors
     ///
@@ -397,26 +400,13 @@ impl HydraulicNetwork {
     /// does not fall below tolerance, and propagates singular-matrix
     /// failures from degenerate networks.
     pub fn solve(&self, fluid: &FluidState) -> Result<HydraulicSolution, HydraulicError> {
-        self.solve_with(fluid, &SolveOptions::default())
+        let opts = SolveOptions::default();
+        self.solve_with(fluid, &opts, &mut self.solver_context(), Sinks::disabled())
     }
 
-    /// [`HydraulicNetwork::solve`] through a reusable context: the
-    /// symbolic factorization is shared and, when `ctx` holds a seed
-    /// from a previous success, the solve starts warm.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`HydraulicNetwork::solve`].
-    pub fn solve_in(
-        &self,
-        fluid: &FluidState,
-        ctx: &mut SolverContext,
-    ) -> Result<HydraulicSolution, HydraulicError> {
-        self.solve_with_observed_in(fluid, &SolveOptions::default(), ctx, Registry::disabled())
-    }
-
-    /// [`HydraulicNetwork::solve`] with telemetry recorded into `obs`
-    /// (see [`HydraulicNetwork::solve_with_observed`] for the counters).
+    /// [`HydraulicNetwork::solve`] with counters recorded into `obs`.
+    /// Kept for `perfbench/src/sinks.rs`, its only caller; everything
+    /// else calls [`HydraulicNetwork::solve_with`].
     ///
     /// # Errors
     ///
@@ -426,24 +416,26 @@ impl HydraulicNetwork {
         fluid: &FluidState,
         obs: &Registry,
     ) -> Result<HydraulicSolution, HydraulicError> {
-        self.solve_with_observed(fluid, &SolveOptions::default(), obs)
+        self.solve_with(
+            fluid,
+            &SolveOptions::default(),
+            &mut self.solver_context(),
+            Sinks::counters(obs),
+        )
     }
 
-    /// [`HydraulicNetwork::solve_observed`] through a reusable context.
+    /// One solve attempt with explicit damping/budget options through a
+    /// reusable context: the symbolic factorization is shared and, when
+    /// `ctx` holds a seed from a previous success, the attempt starts
+    /// warm. Telemetry lands on `sinks.obs` — all golden-channel
+    /// integers:
     ///
-    /// # Errors
-    ///
-    /// Same contract as [`HydraulicNetwork::solve`].
-    pub fn solve_observed_in(
-        &self,
-        fluid: &FluidState,
-        ctx: &mut SolverContext,
-        obs: &Registry,
-    ) -> Result<HydraulicSolution, HydraulicError> {
-        self.solve_with_observed_in(fluid, &SolveOptions::default(), ctx, obs)
-    }
-
-    /// Solves with explicit damping/budget options.
+    /// - `hydraulics.solve.calls` / `.converged` / `.stalled` counters;
+    /// - `hydraulics.solve.iterations` histogram on success;
+    /// - `hydraulics.solve.residual_decade` histogram of the converged
+    ///   residual's decade;
+    /// - a `hydraulics.warm_starts` work counter when the attempt
+    ///   converged from a warm seed.
     ///
     /// # Errors
     ///
@@ -452,45 +444,10 @@ impl HydraulicNetwork {
         &self,
         fluid: &FluidState,
         opts: &SolveOptions,
-    ) -> Result<HydraulicSolution, HydraulicError> {
-        self.solve_with_observed(fluid, opts, Registry::disabled())
-    }
-
-    /// [`HydraulicNetwork::solve_with`] with telemetry recorded into
-    /// `obs` — all golden-channel integers:
-    ///
-    /// - `hydraulics.solve.calls` / `.converged` / `.stalled` counters;
-    /// - `hydraulics.solve.iterations` histogram on success;
-    /// - `hydraulics.solve.residual_decade` histogram of the converged
-    ///   residual's decade.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`HydraulicNetwork::solve`].
-    pub fn solve_with_observed(
-        &self,
-        fluid: &FluidState,
-        opts: &SolveOptions,
-        obs: &Registry,
-    ) -> Result<HydraulicSolution, HydraulicError> {
-        let mut ctx = self.solver_context();
-        self.solve_with_observed_in(fluid, opts, &mut ctx, obs)
-    }
-
-    /// [`HydraulicNetwork::solve_with_observed`] through a reusable
-    /// context: same telemetry, plus a `hydraulics.warm_starts` work
-    /// counter when the attempt converged from a warm seed.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`HydraulicNetwork::solve`].
-    pub fn solve_with_observed_in(
-        &self,
-        fluid: &FluidState,
-        opts: &SolveOptions,
         ctx: &mut SolverContext,
-        obs: &Registry,
+        sinks: Sinks<'_>,
     ) -> Result<HydraulicSolution, HydraulicError> {
+        let obs = sinks.obs;
         obs.inc("hydraulics.solve.calls");
         match self.solve_inner(fluid, opts, ctx) {
             Ok(outcome) => {
@@ -546,190 +503,49 @@ impl HydraulicNetwork {
         obs.work("hydraulics.iter_unknowns", iterations * unknowns);
     }
 
-    /// Solves through the retry ladder: default options first, then two
-    /// progressively damped re-solves; a network that defeats all three
-    /// returns [`HydraulicError::Unsolvable`] with structured
-    /// diagnostics naming the worst junction and branch.
+    /// Solves through a retry ladder — [`SolveOptions::ladder`] is the
+    /// standard one: default options first (bit-identical to
+    /// [`HydraulicNetwork::solve`] when it converges, so healthy
+    /// networks pay nothing), then two progressively damped re-solves.
+    /// A network that defeats every rung returns
+    /// [`HydraulicError::Unsolvable`] with structured diagnostics naming
+    /// the worst junction and branch.
     ///
-    /// When the first rung converges the result is bit-identical to
-    /// [`HydraulicNetwork::solve`], so healthy networks pay nothing.
+    /// The symbolic factorization in `ctx` is shared by every rung; the
+    /// warm seed (if any) feeds the first rung only — a seed that failed
+    /// to converge is discarded, so damped rungs restart cold — and a
+    /// converged rung leaves its flows as the next solve's seed.
     ///
-    /// # Errors
+    /// Telemetry, all golden:
     ///
-    /// [`HydraulicError::Unsolvable`] after the whole ladder stalls;
-    /// singular-matrix and builder failures propagate immediately.
-    pub fn solve_robust(&self, fluid: &FluidState) -> Result<HydraulicSolution, HydraulicError> {
-        self.solve_with_ladder(fluid, &SolveOptions::ladder())
-    }
-
-    /// [`HydraulicNetwork::solve_robust`] through a reusable context.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`HydraulicNetwork::solve_robust`].
-    pub fn solve_robust_in(
-        &self,
-        fluid: &FluidState,
-        ctx: &mut SolverContext,
-    ) -> Result<HydraulicSolution, HydraulicError> {
-        self.solve_robust_observed_in(fluid, ctx, Registry::disabled())
-    }
-
-    /// [`HydraulicNetwork::solve_robust`] with telemetry recorded into
-    /// `obs` (see [`HydraulicNetwork::solve_with_ladder_observed`]).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`HydraulicNetwork::solve_robust`].
-    pub fn solve_robust_observed(
-        &self,
-        fluid: &FluidState,
-        obs: &Registry,
-    ) -> Result<HydraulicSolution, HydraulicError> {
-        self.solve_with_ladder_observed(fluid, &SolveOptions::ladder(), obs)
-    }
-
-    /// [`HydraulicNetwork::solve_robust_observed`] through a reusable
-    /// context: the warm seed (if any) feeds the first rung; later
-    /// rungs restart cold, exactly like the stateless ladder.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`HydraulicNetwork::solve_robust`].
-    pub fn solve_robust_observed_in(
-        &self,
-        fluid: &FluidState,
-        ctx: &mut SolverContext,
-        obs: &Registry,
-    ) -> Result<HydraulicSolution, HydraulicError> {
-        self.solve_with_ladder_traced_in(
-            fluid,
-            &SolveOptions::ladder(),
-            ctx,
-            obs,
-            TraceRecorder::disabled(),
-        )
-    }
-
-    /// Solves through an explicit retry ladder (see
-    /// [`HydraulicNetwork::solve_robust`] for the default rungs).
+    /// - counters on `sinks.obs`: `hydraulics.ladder.calls` /
+    ///   `.converged` / `.unsolvable`, `hydraulics.ladder.escalations`
+    ///   (rungs abandoned before convergence — the fallback count), the
+    ///   `hydraulics.ladder.rung` histogram of the converged rung and
+    ///   the `hydraulics.ladder.iterations` /
+    ///   `hydraulics.ladder.residual_decade` histograms of its attempt;
+    /// - trace on `sinks.trace`: every rung appends its final continuity
+    ///   residual to `hydraulics.ladder.residual` (t = rung index) and
+    ///   the converged rung its iteration count to
+    ///   `hydraulics.ladder.iterations`;
+    /// - spans on `sinks.spans`: one `hydraulics.ladder` span with one
+    ///   `rung` child per attempt, so rollups show which rung burned the
+    ///   solver work.
     ///
     /// # Errors
     ///
     /// [`HydraulicError::Unsolvable`] after every rung stalls (or for an
     /// empty ladder); singular-matrix and builder failures propagate
     /// immediately.
+    #[allow(clippy::cast_precision_loss)]
     pub fn solve_with_ladder(
         &self,
         fluid: &FluidState,
         rungs: &[SolveOptions],
-    ) -> Result<HydraulicSolution, HydraulicError> {
-        self.solve_with_ladder_observed(fluid, rungs, Registry::disabled())
-    }
-
-    /// [`HydraulicNetwork::solve_with_ladder`] with telemetry recorded
-    /// into `obs` — all golden-channel integers:
-    ///
-    /// - `hydraulics.ladder.calls` / `.converged` / `.unsolvable`
-    ///   counters;
-    /// - `hydraulics.ladder.escalations` — how many rungs had to be
-    ///   abandoned before convergence (0 on a healthy network), i.e.
-    ///   the fallback count;
-    /// - `hydraulics.ladder.rung` histogram of the rung that converged;
-    /// - `hydraulics.ladder.iterations` and
-    ///   `hydraulics.ladder.residual_decade` histograms of the
-    ///   successful attempt.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`HydraulicNetwork::solve_with_ladder`].
-    pub fn solve_with_ladder_observed(
-        &self,
-        fluid: &FluidState,
-        rungs: &[SolveOptions],
-        obs: &Registry,
-    ) -> Result<HydraulicSolution, HydraulicError> {
-        self.solve_with_ladder_traced(fluid, rungs, obs, TraceRecorder::disabled())
-    }
-
-    /// [`HydraulicNetwork::solve_robust_observed`] with trace recording:
-    /// see [`HydraulicNetwork::solve_with_ladder_traced`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`HydraulicNetwork::solve_robust`].
-    pub fn solve_robust_traced(
-        &self,
-        fluid: &FluidState,
-        obs: &Registry,
-        trace: &TraceRecorder,
-    ) -> Result<HydraulicSolution, HydraulicError> {
-        self.solve_with_ladder_traced(fluid, &SolveOptions::ladder(), obs, trace)
-    }
-
-    /// [`HydraulicNetwork::solve_with_ladder_observed`] plus trace
-    /// recording: every rung attempt appends to the
-    /// `hydraulics.ladder.residual` channel (t = rung index, value =
-    /// that rung's final continuity residual), and the converged rung
-    /// appends its iteration count to `hydraulics.ladder.iterations` —
-    /// the trajectory a decimated counter can't show.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`HydraulicNetwork::solve_with_ladder`].
-    pub fn solve_with_ladder_traced(
-        &self,
-        fluid: &FluidState,
-        rungs: &[SolveOptions],
-        obs: &Registry,
-        trace: &TraceRecorder,
-    ) -> Result<HydraulicSolution, HydraulicError> {
-        let mut ctx = self.solver_context();
-        self.solve_with_ladder_traced_in(fluid, rungs, &mut ctx, obs, trace)
-    }
-
-    /// [`HydraulicNetwork::solve_with_ladder_traced`] through a
-    /// reusable context: the symbolic factorization is shared by every
-    /// rung, the warm seed (if any) feeds the first rung only — a seed
-    /// that failed to converge is discarded, so damped rungs restart
-    /// cold exactly like the stateless ladder — and a converged rung
-    /// leaves its flows as the next solve's seed.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`HydraulicNetwork::solve_with_ladder`].
-    #[allow(clippy::cast_precision_loss)]
-    pub fn solve_with_ladder_traced_in(
-        &self,
-        fluid: &FluidState,
-        rungs: &[SolveOptions],
         ctx: &mut SolverContext,
-        obs: &Registry,
-        trace: &TraceRecorder,
+        sinks: Sinks<'_>,
     ) -> Result<HydraulicSolution, HydraulicError> {
-        self.solve_with_ladder_spanned_in(fluid, rungs, ctx, obs, trace, SpanSink::disabled())
-    }
-
-    /// [`HydraulicNetwork::solve_with_ladder_traced_in`] plus span
-    /// attribution: the ladder runs inside one `hydraulics.ladder` span
-    /// with one `rung` child per attempt, each bracketing that rung's
-    /// Hardy-Cross iterations — span rollups show which rung of the
-    /// retry ladder burned the solver work. Telemetry on `obs` and
-    /// `trace` is byte-identical to the traced variant.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`HydraulicNetwork::solve_with_ladder`].
-    #[allow(clippy::cast_precision_loss)]
-    pub fn solve_with_ladder_spanned_in(
-        &self,
-        fluid: &FluidState,
-        rungs: &[SolveOptions],
-        ctx: &mut SolverContext,
-        obs: &Registry,
-        trace: &TraceRecorder,
-        spans: &SpanSink,
-    ) -> Result<HydraulicSolution, HydraulicError> {
+        let Sinks { obs, trace, spans } = sinks;
         obs.inc("hydraulics.ladder.calls");
         if rungs.is_empty() {
             return Err(HydraulicError::NonPositiveParameter {
@@ -824,11 +640,12 @@ impl HydraulicNetwork {
 
     /// Solves a parameter sweep: `configure` mutates the network for
     /// step `i` (valve trims, branch failures, a new fluid state) and
-    /// each step is solved through the robust ladder with a shared
-    /// context. With `warm = true` every step starts from the previous
-    /// step's solution — the neighboring solve is the cheapest possible
-    /// starting point — while `warm = false` solves every step cold
-    /// (the cross-check the warm path is validated against).
+    /// each step is solved through the standard ladder with a shared
+    /// context, recording into `sinks`. With `warm = true` every step
+    /// starts from the previous step's solution — the neighboring solve
+    /// is the cheapest possible starting point — while `warm = false`
+    /// solves every step cold (the cross-check the warm path is
+    /// validated against).
     ///
     /// # Errors
     ///
@@ -837,25 +654,7 @@ impl HydraulicNetwork {
         &mut self,
         steps: usize,
         warm: bool,
-        configure: F,
-    ) -> Result<Vec<HydraulicSolution>, HydraulicError>
-    where
-        F: FnMut(&mut Self, usize) -> FluidState,
-    {
-        self.solve_sweep_observed(steps, warm, Registry::disabled(), configure)
-    }
-
-    /// [`HydraulicNetwork::solve_sweep`] with every step's ladder
-    /// telemetry recorded into `obs`.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`HydraulicNetwork::solve_sweep`].
-    pub fn solve_sweep_observed<F>(
-        &mut self,
-        steps: usize,
-        warm: bool,
-        obs: &Registry,
+        sinks: Sinks<'_>,
         mut configure: F,
     ) -> Result<Vec<HydraulicSolution>, HydraulicError>
     where
@@ -868,7 +667,7 @@ impl HydraulicNetwork {
             if !warm {
                 ctx.clear_seed();
             }
-            out.push(self.solve_robust_observed_in(&fluid, &mut ctx, obs)?);
+            out.push(self.solve_with_ladder(&fluid, &SolveOptions::ladder(), &mut ctx, sinks)?);
         }
         Ok(out)
     }
@@ -1124,6 +923,28 @@ mod tests {
     use rcs_fluids::Coolant;
     use rcs_units::{Celsius, Length, Pressure};
 
+    /// One default attempt through `ctx`, no telemetry.
+    fn attempt(
+        net: &HydraulicNetwork,
+        ctx: &mut SolverContext,
+    ) -> Result<HydraulicSolution, HydraulicError> {
+        net.solve_with(&water(), &SolveOptions::default(), ctx, Sinks::disabled())
+    }
+
+    /// A ladder solve on a fresh context with counters into `obs`.
+    fn ladder(
+        net: &HydraulicNetwork,
+        rungs: &[SolveOptions],
+        obs: &Registry,
+    ) -> Result<HydraulicSolution, HydraulicError> {
+        net.solve_with_ladder(
+            &water(),
+            rungs,
+            &mut net.solver_context(),
+            Sinks::counters(obs),
+        )
+    }
+
     fn water() -> FluidState {
         Coolant::water().state(Celsius::new(20.0))
     }
@@ -1294,7 +1115,7 @@ mod tests {
         let b2 = net.add_branch("long", s, r, vec![pipe(40.0)]).unwrap();
         net.add_branch("pump", r, s, vec![pump()]).unwrap();
         let plain = net.solve(&water()).unwrap();
-        let robust = net.solve_robust(&water()).unwrap();
+        let robust = ladder(&net, &SolveOptions::ladder(), Registry::disabled()).unwrap();
         for b in [b1, b2] {
             assert_eq!(
                 plain.flow(b).cubic_meters_per_second(),
@@ -1313,12 +1134,22 @@ mod tests {
         // One-iteration budget cannot converge...
         let starved = SolveOptions::damped(0.7, 1);
         assert!(matches!(
-            net.solve_with(&water(), &starved),
+            net.solve_with(
+                &water(),
+                &starved,
+                &mut net.solver_context(),
+                Sinks::disabled()
+            ),
             Err(HydraulicError::NoConvergence { iterations: 1, .. })
         ));
         // ...but a ladder whose later rung has a real budget succeeds.
         let sol = net
-            .solve_with_ladder(&water(), &[starved, SolveOptions::default()])
+            .solve_with_ladder(
+                &water(),
+                &[starved, SolveOptions::default()],
+                &mut net.solver_context(),
+                Sinks::disabled(),
+            )
             .unwrap();
         assert!(sol.flows()[0].as_liters_per_minute() > 50.0);
     }
@@ -1331,7 +1162,7 @@ mod tests {
         net.add_branch("loop pipe", a, b, vec![pipe(20.0)]).unwrap();
         net.add_branch("bath pump", b, a, vec![pump()]).unwrap();
         let rungs = [SolveOptions::damped(0.7, 1), SolveOptions::damped(0.3, 2)];
-        let err = net.solve_with_ladder(&water(), &rungs).unwrap_err();
+        let err = ladder(&net, &rungs, Registry::disabled()).unwrap_err();
         let HydraulicError::Unsolvable { diagnostics } = err else {
             panic!("expected Unsolvable, got {err:?}");
         };
@@ -1352,7 +1183,7 @@ mod tests {
         net.add_branch("loop", a, b, vec![pipe(20.0)]).unwrap();
         net.add_branch("pump", b, a, vec![pump()]).unwrap();
         assert!(matches!(
-            net.solve_with_ladder(&water(), &[]),
+            ladder(&net, &[], Registry::disabled()),
             Err(HydraulicError::NonPositiveParameter { .. })
         ));
     }
@@ -1365,7 +1196,7 @@ mod tests {
         net.add_branch("loop", a, b, vec![pipe(20.0)]).unwrap();
         net.add_branch("pump", b, a, vec![pump()]).unwrap();
         let obs = Registry::new();
-        let sol = net.solve_robust_observed(&water(), &obs).unwrap();
+        let sol = ladder(&net, &SolveOptions::ladder(), &obs).unwrap();
         let snap = obs.snapshot();
         assert_eq!(snap.counter("hydraulics.ladder.calls"), 1);
         assert_eq!(snap.counter("hydraulics.ladder.converged"), 1);
@@ -1388,8 +1219,7 @@ mod tests {
         net.add_branch("pump", b, a, vec![pump()]).unwrap();
         let obs = Registry::new();
         let rungs = [SolveOptions::damped(0.7, 1), SolveOptions::default()];
-        net.solve_with_ladder_observed(&water(), &rungs, &obs)
-            .unwrap();
+        ladder(&net, &rungs, &obs).unwrap();
         let snap = obs.snapshot();
         assert_eq!(snap.counter("hydraulics.ladder.escalations"), 1);
         let rung = snap.histogram("hydraulics.ladder.rung").unwrap();
@@ -1406,7 +1236,12 @@ mod tests {
         let obs = Registry::new();
         let rungs = [SolveOptions::damped(0.7, 1), SolveOptions::damped(0.3, 2)];
         let _ = net
-            .solve_with_ladder_observed(&water(), &rungs, &obs)
+            .solve_with_ladder(
+                &water(),
+                &rungs,
+                &mut net.solver_context(),
+                Sinks::counters(&obs),
+            )
             .unwrap_err();
         let snap = obs.snapshot();
         assert_eq!(snap.counter("hydraulics.ladder.converged"), 0);
@@ -1423,9 +1258,21 @@ mod tests {
         net.add_branch("loop", a, b, vec![pipe(20.0)]).unwrap();
         net.add_branch("pump", b, a, vec![pump()]).unwrap();
         let obs = Registry::new();
-        net.solve_observed(&water(), &obs).unwrap();
+        let mut ctx = net.solver_context();
+        net.solve_with(
+            &water(),
+            &SolveOptions::default(),
+            &mut ctx,
+            Sinks::counters(&obs),
+        )
+        .unwrap();
         let _ = net
-            .solve_with_observed(&water(), &SolveOptions::damped(0.7, 1), &obs)
+            .solve_with(
+                &water(),
+                &SolveOptions::damped(0.7, 1),
+                &mut net.solver_context(),
+                Sinks::counters(&obs),
+            )
             .unwrap_err();
         let snap = obs.snapshot();
         assert_eq!(snap.counter("hydraulics.solve.calls"), 2);
@@ -1448,8 +1295,8 @@ mod tests {
         let b2 = net.add_branch("long", s, r, vec![pipe(40.0)]).unwrap();
         net.add_branch("pump", r, s, vec![pump()]).unwrap();
         let obs = Registry::new();
-        let plain = net.solve_robust(&water()).unwrap();
-        let observed = net.solve_robust_observed(&water(), &obs).unwrap();
+        let plain = ladder(&net, &SolveOptions::ladder(), Registry::disabled()).unwrap();
+        let observed = ladder(&net, &SolveOptions::ladder(), &obs).unwrap();
         for b in [b1, b2] {
             assert_eq!(
                 plain.flow(b).cubic_meters_per_second(),
@@ -1501,8 +1348,8 @@ mod tests {
         let (net, ids) = branched_net();
         let mut sparse = net.solver_context_with(SolverEngine::Sparse);
         let mut dense = net.solver_context_with(SolverEngine::Dense);
-        let s = net.solve_in(&water(), &mut sparse).unwrap();
-        let d = net.solve_in(&water(), &mut dense).unwrap();
+        let s = attempt(&net, &mut sparse).unwrap();
+        let d = attempt(&net, &mut dense).unwrap();
         assert_eq!(s.iterations(), d.iterations());
         for &b in &ids {
             assert_eq!(
@@ -1521,7 +1368,7 @@ mod tests {
         let (net, ids) = branched_net();
         let stateless = net.solve(&water()).unwrap();
         let mut ctx = net.solver_context();
-        let via_ctx = net.solve_in(&water(), &mut ctx).unwrap();
+        let via_ctx = attempt(&net, &mut ctx).unwrap();
         assert_eq!(stateless.iterations(), via_ctx.iterations());
         for &b in &ids {
             assert_eq!(
@@ -1535,9 +1382,9 @@ mod tests {
     fn warm_start_converges_faster_to_the_same_solution() {
         let (net, ids) = branched_net();
         let mut ctx = net.solver_context();
-        let cold = net.solve_in(&water(), &mut ctx).unwrap();
+        let cold = attempt(&net, &mut ctx).unwrap();
         assert!(ctx.is_warm());
-        let warm = net.solve_in(&water(), &mut ctx).unwrap();
+        let warm = attempt(&net, &mut ctx).unwrap();
         assert!(
             warm.iterations() < cold.iterations(),
             "warm {} vs cold {}",
@@ -1558,15 +1405,15 @@ mod tests {
     fn context_survives_valve_retrims_and_rebuilds_on_openness_change() {
         let (mut net, ids) = branched_net();
         let mut ctx = net.solver_context();
-        net.solve_in(&water(), &mut ctx).unwrap();
+        attempt(&net, &mut ctx).unwrap();
         // a valve trim keeps the topology: the context stays warm
         net.set_valve_opening(ids[1], 0.4).unwrap();
-        let trimmed = net.solve_in(&water(), &mut ctx).unwrap();
+        let trimmed = attempt(&net, &mut ctx).unwrap();
         // closing a branch changes the incidence: the plan is rebuilt
         // (keeping the neighboring seed) and the result matches a
         // from-scratch solve of the same network within tolerance
         net.set_branch_open(ids[1], false).unwrap();
-        let failed_warm = net.solve_in(&water(), &mut ctx).unwrap();
+        let failed_warm = attempt(&net, &mut ctx).unwrap();
         let failed_cold = net.solve(&water()).unwrap();
         assert_eq!(failed_warm.flow(ids[1]).cubic_meters_per_second(), 0.0);
         for &b in &ids {
@@ -1581,16 +1428,16 @@ mod tests {
     fn failed_attempt_discards_the_seed() {
         let (net, _) = branched_net();
         let mut ctx = net.solver_context();
-        net.solve_in(&water(), &mut ctx).unwrap();
+        attempt(&net, &mut ctx).unwrap();
         assert!(ctx.is_warm());
         // a starved warm attempt fails and must not leave a stale seed
         let starved = SolveOptions::damped(0.7, 1);
         let _ = net
-            .solve_with_observed_in(&water(), &starved, &mut ctx, Registry::disabled())
+            .solve_with(&water(), &starved, &mut ctx, Sinks::disabled())
             .unwrap_err();
         assert!(!ctx.is_warm(), "failed attempts must clear the seed");
         // the next solve is cold and matches the stateless path bitwise
-        let recovered = net.solve_in(&water(), &mut ctx).unwrap();
+        let recovered = attempt(&net, &mut ctx).unwrap();
         let stateless = net.solve(&water()).unwrap();
         assert_eq!(recovered.iterations(), stateless.iterations());
     }
@@ -1600,10 +1447,11 @@ mod tests {
         let (net, _) = branched_net();
         let mut ctx = net.solver_context();
         let obs = Registry::new();
-        net.solve_robust_observed_in(&water(), &mut ctx, &obs)
-            .unwrap();
-        net.solve_robust_observed_in(&water(), &mut ctx, &obs)
-            .unwrap();
+        let sinks = Sinks::counters(&obs);
+        for _ in 0..2 {
+            net.solve_with_ladder(&water(), &SolveOptions::ladder(), &mut ctx, sinks)
+                .unwrap();
+        }
         let snap = obs.snapshot();
         assert_eq!(snap.counter("hydraulics.ladder.converged"), 2);
         assert_eq!(
@@ -1620,7 +1468,7 @@ mod tests {
         let sweep = |warm: bool| {
             let mut n = net.clone();
             let valve = ids[1];
-            n.solve_sweep(openings.len(), warm, |net, i| {
+            n.solve_sweep(openings.len(), warm, Sinks::disabled(), |net, i| {
                 net.set_valve_opening(valve, openings[i]).unwrap();
                 water()
             })
@@ -1653,8 +1501,8 @@ mod tests {
         let (net, ids) = branched_net();
         let chain = || {
             let mut ctx = net.solver_context();
-            let _ = net.solve_in(&water(), &mut ctx).unwrap();
-            net.solve_in(&water(), &mut ctx).unwrap()
+            let _ = attempt(&net, &mut ctx).unwrap();
+            attempt(&net, &mut ctx).unwrap()
         };
         let a = chain();
         let b = chain();
@@ -1701,18 +1549,18 @@ mod tests {
         let warm_water = Coolant::water().state(Celsius::new(45.0));
         let rungs = [SolveOptions::damped(0.7, 1), SolveOptions::default()];
         let mut used = net.solver_context();
-        net.solve_in(&warm_water, &mut used).unwrap();
+        net.solve_with(
+            &warm_water,
+            &SolveOptions::default(),
+            &mut used,
+            Sinks::disabled(),
+        )
+        .unwrap();
         assert!(used.is_warm());
         let reused = net
-            .solve_with_ladder_traced_in(
-                &water(),
-                &rungs,
-                &mut used,
-                Registry::disabled(),
-                TraceRecorder::disabled(),
-            )
+            .solve_with_ladder(&water(), &rungs, &mut used, Sinks::disabled())
             .unwrap();
-        let fresh = net.solve_with_ladder(&water(), &rungs).unwrap();
+        let fresh = ladder(&net, &rungs, Registry::disabled()).unwrap();
         assert_bitwise_eq(&reused, &fresh);
     }
 
@@ -1720,33 +1568,33 @@ mod tests {
     fn context_reused_across_topology_changes_matches_a_fresh_one_bitwise() {
         let (mut net, ids) = branched_net();
         let mut ctx = net.solver_context();
-        net.solve_in(&water(), &mut ctx).unwrap();
+        attempt(&net, &mut ctx).unwrap();
 
         // An openness flip rebuilds the plan but keeps the seed; with the
         // seed dropped the solve must equal a fresh context's.
         net.set_branch_open(ids[2], false).unwrap();
         ctx.clear_seed();
-        let reused = net.solve_in(&water(), &mut ctx).unwrap();
-        let fresh = net.solve_in(&water(), &mut net.solver_context()).unwrap();
+        let reused = attempt(&net, &mut ctx).unwrap();
+        let fresh = net.solve(&water()).unwrap();
         assert_bitwise_eq(&reused, &fresh);
 
         // ...and flipping back, warm from the closed-branch solution,
         // equals a fresh context given the same history.
         net.set_branch_open(ids[2], true).unwrap();
-        let reused_warm = net.solve_in(&water(), &mut ctx).unwrap();
+        let reused_warm = attempt(&net, &mut ctx).unwrap();
         let mut replay = net.solver_context();
         let mut closed = net.clone();
         closed.set_branch_open(ids[2], false).unwrap();
-        closed.solve_in(&water(), &mut replay).unwrap();
-        let fresh_warm = net.solve_in(&water(), &mut replay).unwrap();
+        attempt(&closed, &mut replay).unwrap();
+        let fresh_warm = attempt(&net, &mut replay).unwrap();
         assert_bitwise_eq(&reused_warm, &fresh_warm);
 
         // A different branch count resizes every workspace and drops
         // the seed: the next solve is cold and equals a fresh context's.
         let (a, c) = net.branch_endpoints(ids[1]);
         net.add_branch("bypass", a, c, vec![pipe(30.0)]).unwrap();
-        let grown = net.solve_in(&water(), &mut ctx).unwrap();
-        let fresh_grown = net.solve_in(&water(), &mut net.solver_context()).unwrap();
+        let grown = attempt(&net, &mut ctx).unwrap();
+        let fresh_grown = net.solve(&water()).unwrap();
         assert_bitwise_eq(&grown, &fresh_grown);
         assert_eq!(grown.flows().len(), 5);
     }
@@ -1789,8 +1637,22 @@ mod tests {
             if step == 5 {
                 net.set_branch_open(ids[2], false).unwrap();
             }
-            let s = net.solve_robust_in(&fluid, &mut sparse).unwrap();
-            let d = net.solve_robust_in(&fluid, &mut dense).unwrap();
+            let s = net
+                .solve_with_ladder(
+                    &fluid,
+                    &SolveOptions::ladder(),
+                    &mut sparse,
+                    Sinks::disabled(),
+                )
+                .unwrap();
+            let d = net
+                .solve_with_ladder(
+                    &fluid,
+                    &SolveOptions::ladder(),
+                    &mut dense,
+                    Sinks::disabled(),
+                )
+                .unwrap();
             assert_bitwise_eq(&s, &d);
         }
     }
@@ -1810,8 +1672,8 @@ mod tests {
         net.set_branch_open(spur, false).unwrap();
         let mut sparse = net.solver_context_with(SolverEngine::Sparse);
         let mut dense = net.solver_context_with(SolverEngine::Dense);
-        let s = net.solve_in(&water(), &mut sparse).unwrap();
-        let d = net.solve_in(&water(), &mut dense).unwrap();
+        let s = attempt(&net, &mut sparse).unwrap();
+        let d = attempt(&net, &mut dense).unwrap();
         for j in [stranded, spur_end] {
             assert_eq!(s.pressure(j).pascals(), 0.0);
             assert_eq!(d.pressure(j).pascals(), 0.0);

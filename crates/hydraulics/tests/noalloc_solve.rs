@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use rcs_fluids::{Coolant, FluidState};
 use rcs_hydraulics::{Element, HydraulicNetwork, Pipe, PumpCurve, SolveOptions, SolverContext};
-use rcs_obs::Registry;
+use rcs_obs::Sinks;
 use rcs_units::{Celsius, Length, Pressure, VolumeFlow};
 
 /// Forwards to the system allocator, counting every `alloc`/`realloc`.
@@ -90,12 +90,12 @@ fn oil(t: f64) -> FluidState {
 #[test]
 fn warm_solves_allocate_a_constant_independent_of_newton_iterations() {
     let net = bath_circulation();
-    let obs = Registry::disabled();
+    let off = Sinks::disabled();
     let mut ctx: SolverContext = net.solver_context();
     // cold start and first warm solve size every workspace
-    net.solve_robust_observed_in(&oil(30.0), &mut ctx, obs)
+    net.solve_with_ladder(&oil(30.0), &SolveOptions::ladder(), &mut ctx, off)
         .unwrap();
-    net.solve_robust_observed_in(&oil(30.5), &mut ctx, obs)
+    net.solve_with_ladder(&oil(30.5), &SolveOptions::ladder(), &mut ctx, off)
         .unwrap();
 
     // Warm ladder solves over a drifting oil temperature — the shape of
@@ -103,8 +103,10 @@ fn warm_solves_allocate_a_constant_independent_of_newton_iterations() {
     let mut default_iterations = 0;
     for step in 0..20u32 {
         let fluid = oil(31.0 + 0.25 * f64::from(step));
-        let (sol, count) =
-            allocations_in(|| net.solve_robust_observed_in(&fluid, &mut ctx, obs).unwrap());
+        let (sol, count) = allocations_in(|| {
+            net.solve_with_ladder(&fluid, &SolveOptions::ladder(), &mut ctx, off)
+                .unwrap()
+        });
         assert_eq!(
             count,
             WARM_SOLVE_ALLOCATIONS,
@@ -119,10 +121,8 @@ fn warm_solves_allocate_a_constant_independent_of_newton_iterations() {
     let crawl = SolveOptions::damped(0.05, 1500);
     for step in 0..5u32 {
         let fluid = oil(36.0 + 0.5 * f64::from(step));
-        let (sol, count) = allocations_in(|| {
-            net.solve_with_observed_in(&fluid, &crawl, &mut ctx, obs)
-                .unwrap()
-        });
+        let (sol, count) =
+            allocations_in(|| net.solve_with(&fluid, &crawl, &mut ctx, off).unwrap());
         assert!(
             sol.iterations() > 10 * default_iterations,
             "damped solve took {} iterations vs {default_iterations} at the default",

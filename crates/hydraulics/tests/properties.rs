@@ -1,7 +1,9 @@
 //! Property-based tests for the hydraulic solver and layouts.
 
 use rcs_fluids::Coolant;
+use rcs_hydraulics::SolveOptions;
 use rcs_hydraulics::{balance, layout, Element, HydraulicNetwork, Pipe, PumpCurve};
+use rcs_obs::Sinks;
 use rcs_testkit::check_cases;
 use rcs_units::{Celsius, Length, Pressure, VolumeFlow};
 
@@ -249,8 +251,22 @@ fn sparse_and_dense_agree_under_random_branch_outages() {
 
             let mut sparse = net.solver_context_with(SolverEngine::Sparse);
             let mut dense = net.solver_context_with(SolverEngine::Dense);
-            let s = net.solve_in(&water(), &mut sparse).unwrap();
-            let d = net.solve_in(&water(), &mut dense).unwrap();
+            let s = net
+                .solve_with(
+                    &water(),
+                    &SolveOptions::default(),
+                    &mut sparse,
+                    Sinks::disabled(),
+                )
+                .unwrap();
+            let d = net
+                .solve_with(
+                    &water(),
+                    &SolveOptions::default(),
+                    &mut dense,
+                    Sinks::disabled(),
+                )
+                .unwrap();
             assert_eq!(s.iterations(), d.iterations());
             for (k, (qs, qd)) in s.flows().iter().zip(d.flows()).enumerate() {
                 let (qs, qd) = (qs.cubic_meters_per_second(), qd.cubic_meters_per_second());

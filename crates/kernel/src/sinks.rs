@@ -4,8 +4,8 @@
 //! *telemetry* state: every golden counter, histogram bucket, trace
 //! sample and span-tree node recorded so far, plus each trace channel's
 //! decimation cursor (stride and push count) and the span sink's
-//! **open-span stack**. Restoring into a **fresh** [`Registry`],
-//! [`TraceRecorder`] and [`SpanSink`] then reproduces, bitwise, the
+//! **open-span stack**. Restoring into a **fresh** [`Sinks`] bundle
+//! then reproduces, bitwise, the
 //! sinks a straight uninterrupted run would have produced — including
 //! spans that were still open when the checkpoint was taken.
 //!
@@ -19,16 +19,16 @@
 //! disabled sink is a silent no-op, because a straight run against a
 //! disabled sink records nothing either.
 
-use rcs_obs::span::{Frame, SpanNode, SpanSink, SpanState};
-use rcs_obs::trace::{ChannelKind, ChannelSnapshot, Sample, TraceRecorder, TraceSnapshot};
-use rcs_obs::{FHistogramSnapshot, HistogramSnapshot, Registry, Snapshot};
+use rcs_obs::span::{Frame, SpanNode, SpanState};
+use rcs_obs::trace::{ChannelKind, ChannelSnapshot, Sample, TraceSnapshot};
+use rcs_obs::{FHistogramSnapshot, HistogramSnapshot, Sinks, Snapshot};
 
 use crate::snap::{SnapReader, SnapWriter, SnapshotError};
 
-/// Captured state of one run's observability sinks: the golden
-/// [`Registry`] snapshot plus the full [`TraceRecorder`] state
+/// Captured state of one run's [`Sinks`]: the golden
+/// counter snapshot plus the full trace recorder state
 /// (channels, samples, decimation cursors, capacity, enablement) plus
-/// the full [`SpanSink`] state (closed tree, elision summaries, open
+/// the full span sink state (closed tree, elision summaries, open
 /// stack).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SinkState {
@@ -47,37 +47,18 @@ pub struct SinkState {
 }
 
 impl SinkState {
-    /// Captures the current state of `obs` and `trace` (no span sink —
-    /// the span state stays empty). Prefer
-    /// [`SinkState::capture_spanned`] on span-aware paths.
+    /// Captures the current state of all three sinks — including the
+    /// span sink's open stack, so a span that brackets the checkpoint
+    /// closes correctly on the restored sink.
     #[must_use]
-    pub fn capture(obs: &Registry, trace: &TraceRecorder) -> Self {
-        Self::capture_spanned(obs, trace, SpanSink::disabled())
-    }
-
-    /// Captures the current state of `obs`, `trace` and `spans` —
-    /// including the span sink's open stack, so a span that brackets
-    /// the checkpoint closes correctly on the restored sink.
-    #[must_use]
-    pub fn capture_spanned(obs: &Registry, trace: &TraceRecorder, spans: &SpanSink) -> Self {
+    pub fn capture(sinks: Sinks<'_>) -> Self {
         Self {
-            obs: obs.snapshot(),
-            trace: trace.snapshot(),
-            trace_capacity: trace.capacity(),
-            trace_enabled: trace.is_enabled(),
-            spans: spans.snapshot(),
+            obs: sinks.obs.snapshot(),
+            trace: sinks.trace.snapshot(),
+            trace_capacity: sinks.trace.capacity(),
+            trace_enabled: sinks.trace.is_enabled(),
+            spans: sinks.spans.snapshot(),
         }
-    }
-
-    /// [`SinkState::restore_spanned`] without a span sink (the captured
-    /// span state, if any, is dropped — matching a straight run whose
-    /// span sink is disabled).
-    ///
-    /// # Errors
-    ///
-    /// See [`SinkState::restore_spanned`].
-    pub fn restore(&self, obs: &Registry, trace: &TraceRecorder) -> Result<(), SnapshotError> {
-        self.restore_spanned(obs, trace, SpanSink::disabled())
     }
 
     /// Restores the captured state into **fresh** sinks: golden
@@ -95,12 +76,8 @@ impl SinkState {
     /// with a different capacity than the captured one: future
     /// decimation would then diverge from the uninterrupted run, which
     /// breaks the resume-equivalence contract.
-    pub fn restore_spanned(
-        &self,
-        obs: &Registry,
-        trace: &TraceRecorder,
-        spans: &SpanSink,
-    ) -> Result<(), SnapshotError> {
+    pub fn restore(&self, sinks: Sinks<'_>) -> Result<(), SnapshotError> {
+        let Sinks { obs, trace, spans } = sinks;
         obs.absorb(&self.obs);
         if trace.is_enabled() {
             if self.trace_enabled && trace.capacity() != self.trace_capacity {
@@ -350,6 +327,9 @@ impl SinkState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rcs_obs::span::SpanSink;
+    use rcs_obs::trace::TraceRecorder;
+    use rcs_obs::Registry;
 
     fn busy_sinks() -> (Registry, TraceRecorder) {
         let obs = Registry::new();
@@ -383,7 +363,11 @@ mod tests {
     fn capture_serialize_restore_is_bitwise() {
         let (obs, trace) = busy_sinks();
         let spans = busy_spans(&obs);
-        let state = SinkState::capture_spanned(&obs, &trace, &spans);
+        let state = SinkState::capture(Sinks {
+            obs: &obs,
+            trace: &trace,
+            spans: &spans,
+        });
         assert_eq!(state.spans.stack.len(), 1, "mid-span checkpoint");
 
         let mut w = SnapWriter::new();
@@ -397,7 +381,13 @@ mod tests {
         let obs2 = Registry::new();
         let trace2 = TraceRecorder::with_capacity(8);
         let spans2 = SpanSink::with_fanout(2);
-        decoded.restore_spanned(&obs2, &trace2, &spans2).unwrap();
+        decoded
+            .restore(Sinks {
+                obs: &obs2,
+                trace: &trace2,
+                spans: &spans2,
+            })
+            .unwrap();
         assert_eq!(obs2.snapshot(), obs.snapshot());
         assert_eq!(obs2.work_units(), obs.work_units());
         assert_eq!(trace2.snapshot(), trace.snapshot());
@@ -426,13 +416,23 @@ mod tests {
     }
 
     #[test]
-    fn legacy_capture_restore_keeps_spans_empty() {
+    fn a_disabled_span_sink_captures_no_spans() {
         let (obs, trace) = busy_sinks();
-        let state = SinkState::capture(&obs, &trace);
+        let state = SinkState::capture(Sinks {
+            obs: &obs,
+            trace: &trace,
+            spans: SpanSink::disabled(),
+        });
         assert!(state.spans.is_empty());
         let obs2 = Registry::new();
         let trace2 = TraceRecorder::with_capacity(8);
-        state.restore(&obs2, &trace2).unwrap();
+        state
+            .restore(Sinks {
+                obs: &obs2,
+                trace: &trace2,
+                spans: SpanSink::disabled(),
+            })
+            .unwrap();
         assert_eq!(obs2.snapshot(), obs.snapshot());
     }
 
@@ -440,11 +440,21 @@ mod tests {
     fn restore_into_disabled_sinks_is_a_silent_noop() {
         let (obs, trace) = busy_sinks();
         let spans = busy_spans(&obs);
-        let state = SinkState::capture_spanned(&obs, &trace, &spans);
+        let state = SinkState::capture(Sinks {
+            obs: &obs,
+            trace: &trace,
+            spans: &spans,
+        });
         let obs2 = Registry::disabled();
         let trace2 = TraceRecorder::disabled();
         let spans2 = SpanSink::disabled();
-        state.restore_spanned(obs2, trace2, spans2).unwrap();
+        state
+            .restore(Sinks {
+                obs: obs2,
+                trace: trace2,
+                spans: spans2,
+            })
+            .unwrap();
         assert!(obs2.snapshot().counters.is_empty());
         assert!(trace2.snapshot().is_empty());
         assert!(spans2.snapshot().is_empty());
@@ -453,11 +463,19 @@ mod tests {
     #[test]
     fn capacity_mismatch_is_a_structured_error() {
         let (obs, trace) = busy_sinks();
-        let state = SinkState::capture(&obs, &trace);
+        let state = SinkState::capture(Sinks {
+            obs: &obs,
+            trace: &trace,
+            spans: SpanSink::disabled(),
+        });
         let obs2 = Registry::new();
         let trace2 = TraceRecorder::with_capacity(16);
         assert!(matches!(
-            state.restore(&obs2, &trace2),
+            state.restore(Sinks {
+                obs: &obs2,
+                trace: &trace2,
+                spans: SpanSink::disabled()
+            }),
             Err(SnapshotError::Malformed(_))
         ));
     }
@@ -466,7 +484,11 @@ mod tests {
     fn truncated_sink_bytes_decode_to_an_error() {
         let (obs, trace) = busy_sinks();
         let spans = busy_spans(&obs);
-        let state = SinkState::capture_spanned(&obs, &trace, &spans);
+        let state = SinkState::capture(Sinks {
+            obs: &obs,
+            trace: &trace,
+            spans: &spans,
+        });
         let mut w = SnapWriter::new();
         state.write_into(&mut w);
         let bytes = w.into_bytes();
@@ -482,7 +504,11 @@ mod tests {
         let spans = SpanSink::new();
         spans.enter("only", &obs);
         spans.exit(&obs);
-        let mut state = SinkState::capture_spanned(&obs, &trace, &spans);
+        let mut state = SinkState::capture(Sinks {
+            obs: &obs,
+            trace: &trace,
+            spans: &spans,
+        });
         state.spans.roots = vec![7]; // node 7 does not exist
         let mut w = SnapWriter::new();
         state.write_into(&mut w);

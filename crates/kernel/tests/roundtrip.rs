@@ -35,7 +35,7 @@ use rcs_devices::OperatingPoint;
 use rcs_kernel::SnapshotError;
 use rcs_numeric::rng::Rng;
 use rcs_obs::trace::TraceRecorder;
-use rcs_obs::Registry;
+use rcs_obs::{Registry, Sinks};
 use rcs_testkit::{check_cases, Gen};
 use rcs_thermal::{NodeId, ThermalNetwork, TransientSession};
 use rcs_units::{Celsius, Power, Seconds, ThermalResistance};
@@ -128,23 +128,32 @@ fn transient_resume_is_bitwise_for_random_networks_and_splits() {
         let mut straight =
             TransientSession::new(&net, &initial, duration, max_step).expect("valid problem");
         straight.run(&net, u64::MAX);
-        let reference = straight.finish_observed(&net, &obs_ref);
+        let reference = straight.finish(&net, Sinks::counters(&obs_ref));
 
         let k = g.draw(0u64..=reference.len() as u64 + 1);
         let obs_a = Registry::new();
         let trace_a = TraceRecorder::new();
+        let sinks_a = Sinks {
+            obs: &obs_a,
+            trace: &trace_a,
+            ..Sinks::disabled()
+        };
         let mut session =
             TransientSession::new(&net, &initial, duration, max_step).expect("valid problem");
         session.run(&net, k);
-        let bytes = session.checkpoint(&obs_a, &trace_a);
+        let bytes = session.checkpoint(sinks_a);
 
         let obs_b = Registry::new();
         let trace_b = TraceRecorder::new();
-        let mut resumed =
-            TransientSession::resume(&net, &bytes, &obs_b, &trace_b).expect("snapshot opens");
+        let sinks_b = Sinks {
+            obs: &obs_b,
+            trace: &trace_b,
+            ..Sinks::disabled()
+        };
+        let mut resumed = TransientSession::resume(&net, &bytes, sinks_b).expect("snapshot opens");
         resumed.run(&net, u64::MAX);
         assert!(resumed.is_finished());
-        let finished = resumed.finish_observed(&net, &obs_b);
+        let finished = resumed.finish(&net, Sinks::counters(&obs_b));
 
         assert_traces_bitwise(&reference, &finished, &nodes);
         assert_eq!(
@@ -202,43 +211,46 @@ fn drill_resume_is_bitwise_even_mid_chaos() {
 
         let obs_ref = Registry::new();
         let trace_ref = TraceRecorder::new();
-        let mut straight = match DrillSession::new(
-            &drill,
-            Rng::seed_from_u64(seed),
-            supervised,
-            &obs_ref,
-            &trace_ref,
-        ) {
-            Ok(s) => s,
-            // A baseline solve failure is a legal early exit, not a
-            // roundtrip scenario.
-            Err(_) => return,
+        let sinks_ref = Sinks {
+            obs: &obs_ref,
+            trace: &trace_ref,
+            ..Sinks::disabled()
         };
-        straight.run(&drill, &obs_ref, &trace_ref, u64::MAX);
-        let (reference, rng_ref) = straight.finish(&obs_ref);
+        let mut straight =
+            match DrillSession::new(&drill, Rng::seed_from_u64(seed), supervised, sinks_ref) {
+                Ok(s) => s,
+                // A baseline solve failure is a legal early exit, not a
+                // roundtrip scenario.
+                Err(_) => return,
+            };
+        straight.run(&drill, sinks_ref, u64::MAX);
+        let (reference, rng_ref) = straight.finish(Sinks::counters(&obs_ref));
 
         // Splits inside the horizon, biased so some land after fault
         // onset (mid-chaos) and some at the endpoints.
         let k = g.draw(0u64..=reference.steps as u64 + 1);
         let obs_a = Registry::new();
         let trace_a = TraceRecorder::new();
-        let mut session = DrillSession::new(
-            &drill,
-            Rng::seed_from_u64(seed),
-            supervised,
-            &obs_a,
-            &trace_a,
-        )
-        .expect("baseline solved above");
-        session.run(&drill, &obs_a, &trace_a, k);
-        let bytes = session.checkpoint(&obs_a, &trace_a);
+        let sinks_a = Sinks {
+            obs: &obs_a,
+            trace: &trace_a,
+            ..Sinks::disabled()
+        };
+        let mut session = DrillSession::new(&drill, Rng::seed_from_u64(seed), supervised, sinks_a)
+            .expect("baseline solved above");
+        session.run(&drill, sinks_a, k);
+        let bytes = session.checkpoint(sinks_a);
 
         let obs_b = Registry::new();
         let trace_b = TraceRecorder::new();
-        let mut resumed =
-            DrillSession::resume(&drill, &bytes, &obs_b, &trace_b).expect("snapshot opens");
-        resumed.run(&drill, &obs_b, &trace_b, u64::MAX);
-        let (outcome, rng_b) = resumed.finish(&obs_b);
+        let sinks_b = Sinks {
+            obs: &obs_b,
+            trace: &trace_b,
+            ..Sinks::disabled()
+        };
+        let mut resumed = DrillSession::resume(&drill, &bytes, sinks_b).expect("snapshot opens");
+        resumed.run(&drill, sinks_b, u64::MAX);
+        let (outcome, rng_b) = resumed.finish(Sinks::counters(&obs_b));
 
         assert_eq!(outcome, reference, "outcome diverged at split {k}");
         assert_eq!(
@@ -269,26 +281,40 @@ fn warmup_resume_is_bitwise_for_random_operating_points() {
 
         let obs_ref = Registry::new();
         let trace_ref = TraceRecorder::new();
-        let mut straight =
-            WarmupSession::new(&model, duration, step, &obs_ref).expect("model warms up");
+        let sinks_ref = Sinks {
+            obs: &obs_ref,
+            trace: &trace_ref,
+            ..Sinks::disabled()
+        };
+        let mut straight = WarmupSession::new(&model, duration, step, Sinks::counters(&obs_ref))
+            .expect("model warms up");
         straight.run(u64::MAX);
-        let reference = straight.finish(&obs_ref, &trace_ref);
+        let reference = straight.finish(sinks_ref);
 
         let k = g.draw(0u64..=reference.trace().len() as u64 + 1);
         let obs_a = Registry::new();
         let trace_a = TraceRecorder::new();
-        let mut session =
-            WarmupSession::new(&model, duration, step, &obs_a).expect("model warms up");
+        let sinks_a = Sinks {
+            obs: &obs_a,
+            trace: &trace_a,
+            ..Sinks::disabled()
+        };
+        let mut session = WarmupSession::new(&model, duration, step, Sinks::counters(&obs_a))
+            .expect("model warms up");
         session.run(k);
-        let bytes = session.checkpoint(&obs_a, &trace_a);
+        let bytes = session.checkpoint(sinks_a);
 
         let obs_b = Registry::new();
         let trace_b = TraceRecorder::new();
-        let mut resumed =
-            WarmupSession::resume(&model, &bytes, &obs_b, &trace_b).expect("snapshot opens");
+        let sinks_b = Sinks {
+            obs: &obs_b,
+            trace: &trace_b,
+            ..Sinks::disabled()
+        };
+        let mut resumed = WarmupSession::resume(&model, &bytes, sinks_b).expect("snapshot opens");
         resumed.run(u64::MAX);
         assert!(resumed.is_finished());
-        let finished = resumed.finish(&obs_b, &trace_b);
+        let finished = resumed.finish(sinks_b);
 
         assert_series_bitwise(&reference.chip_series(), &finished.chip_series(), "chip");
         assert_series_bitwise(&reference.bath_series(), &finished.bath_series(), "bath");
@@ -335,24 +361,38 @@ fn mc_resume_is_bitwise_even_across_thread_counts() {
 
         let obs_ref = Registry::new();
         let trace_ref = TraceRecorder::new();
-        let reference = availability::monte_carlo_traced(
-            &classes, horizon, trials, seed, threads_a, &obs_ref, &trace_ref,
+        let sinks_ref = Sinks {
+            obs: &obs_ref,
+            trace: &trace_ref,
+            ..Sinks::disabled()
+        };
+        let reference = availability::monte_carlo_with_threads(
+            &classes, horizon, trials, seed, threads_a, sinks_ref,
         );
 
         // Split at a random chunk boundary, then resume at a (possibly)
         // different worker count: the report must not notice.
         let obs_a = Registry::new();
         let trace_a = TraceRecorder::new();
-        let mut session = McSession::new(horizon, trials, seed, threads_a, &obs_a);
+        let sinks_a = Sinks {
+            obs: &obs_a,
+            trace: &trace_a,
+            ..Sinks::disabled()
+        };
+        let mut session = McSession::new(horizon, trials, seed, threads_a, Sinks::counters(&obs_a));
         let k = g.draw(0u64..=trials as u64 / 64 + 2);
-        session.advance(&classes, &obs_a, &trace_a, k);
-        let bytes = session.checkpoint(&obs_a, &trace_a);
+        session.advance(&classes, sinks_a, k);
+        let bytes = session.checkpoint(sinks_a);
 
         let obs_b = Registry::new();
         let trace_b = TraceRecorder::new();
-        let mut resumed =
-            McSession::resume(&bytes, threads_b, &obs_b, &trace_b).expect("snapshot opens");
-        while resumed.advance(&classes, &obs_b, &trace_b, u64::MAX) > 0 {}
+        let sinks_b = Sinks {
+            obs: &obs_b,
+            trace: &trace_b,
+            ..Sinks::disabled()
+        };
+        let mut resumed = McSession::resume(&bytes, threads_b, sinks_b).expect("snapshot opens");
+        while resumed.advance(&classes, sinks_b, u64::MAX) > 0 {}
         let report = resumed.finish();
 
         assert_eq!(
@@ -379,6 +419,11 @@ fn corrupted_snapshots_are_structured_errors_never_panics() {
         let initial = net.uniform_initial(Celsius::new(25.0));
         let obs = Registry::new();
         let trace = TraceRecorder::new();
+        let sinks = Sinks {
+            obs: &obs,
+            trace: &trace,
+            ..Sinks::disabled()
+        };
         let mut session = TransientSession::new(
             &net,
             &initial,
@@ -387,16 +432,10 @@ fn corrupted_snapshots_are_structured_errors_never_panics() {
         )
         .expect("valid problem");
         session.run(&net, g.draw(0u64..=16));
-        let bytes = session.checkpoint(&obs, &trace);
+        let bytes = session.checkpoint(sinks);
 
         // Sanity: the pristine bytes do open.
-        assert!(TransientSession::resume(
-            &net,
-            &bytes,
-            Registry::disabled(),
-            TraceRecorder::disabled()
-        )
-        .is_ok());
+        assert!(TransientSession::resume(&net, &bytes, Sinks::disabled()).is_ok());
 
         // A wrong-kind open is rejected before any payload decoding.
         assert!(matches!(
@@ -406,26 +445,16 @@ fn corrupted_snapshots_are_structured_errors_never_panics() {
 
         // Truncation at a random point: structured error, never panic.
         let cut = g.index(bytes.len());
-        let err = TransientSession::resume(
-            &net,
-            &bytes[..cut],
-            Registry::disabled(),
-            TraceRecorder::disabled(),
-        )
-        .expect_err("truncated bytes must not decode");
+        let err = TransientSession::resume(&net, &bytes[..cut], Sinks::disabled())
+            .expect_err("truncated bytes must not decode");
         let _ = err.to_string(); // Display is total too.
 
         // A single flipped bit anywhere: structured error, never panic.
         let mut corrupt = bytes.clone();
         let at = g.index(corrupt.len());
         corrupt[at] ^= 1 << g.index(8);
-        let err = TransientSession::resume(
-            &net,
-            &corrupt,
-            Registry::disabled(),
-            TraceRecorder::disabled(),
-        )
-        .expect_err("corrupted bytes must not decode");
+        let err = TransientSession::resume(&net, &corrupt, Sinks::disabled())
+            .expect_err("corrupted bytes must not decode");
         let _ = err.to_string();
     });
 }

@@ -17,14 +17,18 @@
 //!   never reorder an observable. [`Registry::snapshot`] captures only
 //!   this channel, and the counter-asserting regression tests compare
 //!   snapshots directly.
-//! - the **non-golden channel** — wall-clock [`Span`] durations and
-//!   scheduling-dependent [`Registry::note`] gauges (worker counts,
-//!   per-worker task tallies). These appear in the run manifest for
-//!   operators but are excluded from [`Snapshot`] equality and from the
-//!   CI counter diff, because they legitimately vary run to run.
+//! - the **non-golden channel** — scheduling-dependent
+//!   [`Registry::note`] gauges (worker counts, per-worker task tallies).
+//!   These appear in the run manifest for operators but are excluded
+//!   from [`Snapshot`] equality and from the CI counter diff, because
+//!   they legitimately vary run to run.
 //!
-//! A [`Span`] straddles both: its *count* is golden (how many times the
-//! scope ran is deterministic), its *duration* is not.
+//! Every instrumented entry point in the workspace takes one [`Sinks`]
+//! bundle — the counter [`Registry`], the [`trace::TraceRecorder`] and
+//! the [`span::SpanSink`] — instead of a separate parameter per
+//! channel. [`Sinks::disabled`] is the no-op bundle, and
+//! [`Sinks::shard`] / [`Sinks::absorb`] split and re-merge all three
+//! channels for one parallel work item.
 //!
 //! The [`manifest`] module renders a registry into the NDJSON run
 //! manifest every experiment binary emits (seed, thread count, model
@@ -38,21 +42,21 @@
 //! let obs = Registry::new();
 //! obs.inc("solver.calls");
 //! obs.record_histogram("solver.iterations", &[5, 10, 50], 7);
-//! {
-//!     let _span = obs.span("solver.total");
-//! } // span count is golden, its wall-clock duration is not
+//! obs.note("solver.workers", 4); // non-golden: not in the snapshot
 //!
 //! let snap = obs.snapshot();
 //! assert_eq!(snap.counter("solver.calls"), 1);
-//! assert_eq!(snap.counter("solver.total"), 1);
+//! assert_eq!(snap.counter("solver.workers"), 0);
 //! assert_eq!(snap.histogram("solver.iterations").unwrap().counts, [0, 1, 0, 0]);
 //! ```
 
 #![warn(missing_docs)]
+// Resilience gate: a telemetry sink must never take the lazy panic path
+// (a poisoned lock or a foreign id is recovered from, not unwrapped).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
-use std::time::Instant;
+use std::sync::{Mutex, PoisonError};
 
 pub mod manifest;
 pub mod profile;
@@ -71,8 +75,6 @@ struct Inner {
     histograms: BTreeMap<String, HistogramSnapshot>,
     /// Golden: fixed-edge float histograms.
     fhistograms: BTreeMap<String, FHistogramSnapshot>,
-    /// Non-golden: wall-clock span durations.
-    timings: BTreeMap<String, TimingStat>,
     /// Non-golden: scheduling-dependent gauges.
     notes: BTreeMap<String, u64>,
     /// Golden: running sum of every `profile.*` counter ever recorded
@@ -80,15 +82,6 @@ struct Inner {
     /// [`Registry::work_units`]. Redundant with the counters themselves
     /// but O(1) to read, which the span sink does on every enter/exit.
     work_units: u64,
-}
-
-/// Accumulated wall-clock time of one span name (non-golden channel).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TimingStat {
-    /// Completed spans.
-    pub count: u64,
-    /// Total wall-clock nanoseconds across them.
-    pub total_nanos: u128,
 }
 
 /// A deterministic telemetry sink.
@@ -118,7 +111,6 @@ static DISABLED: Registry = Registry {
         counters: BTreeMap::new(),
         histograms: BTreeMap::new(),
         fhistograms: BTreeMap::new(),
-        timings: BTreeMap::new(),
         notes: BTreeMap::new(),
         work_units: 0,
     }),
@@ -149,7 +141,10 @@ impl Registry {
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        self.inner.lock().expect("telemetry registry poisoned")
+        // A poisoned lock only means a recording thread panicked between
+        // lock and unlock; every update is a single map write, so the
+        // state is still consistent.
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Adds `n` to the golden counter `name` (creating it at zero).
@@ -293,37 +288,6 @@ impl Registry {
         *inner.notes.entry(name.to_owned()).or_insert(0) += n;
     }
 
-    /// Opens a wall-clock span. Dropping the guard increments the golden
-    /// counter `name` and adds the elapsed time to the non-golden timing
-    /// channel under the same name.
-    #[must_use]
-    pub fn span<'a>(&'a self, name: &str) -> Span<'a> {
-        Span {
-            registry: self,
-            // the disabled sink never reads the name: keep the guard
-            // allocation-free (String::new() does not allocate)
-            name: if self.enabled {
-                name.to_owned()
-            } else {
-                String::new()
-            },
-            started: Instant::now(),
-        }
-    }
-
-    /// Records a finished span (used by [`Span::drop`]; public so code
-    /// that already measured a duration can feed it in).
-    pub fn record_span(&self, name: &str, nanos: u128) {
-        if !self.enabled {
-            return;
-        }
-        let mut inner = self.lock();
-        *inner.counters.entry(name.to_owned()).or_insert(0) += 1;
-        let t = inner.timings.entry(name.to_owned()).or_default();
-        t.count += 1;
-        t.total_nanos += nanos;
-    }
-
     /// Captures the golden channel: all counters and histograms, in
     /// sorted name order. Two runs of the same seeded workload must
     /// produce `==` snapshots at any thread count.
@@ -347,17 +311,6 @@ impl Registry {
                 .map(|(k, v)| (k.clone(), v.clone()))
                 .collect(),
         }
-    }
-
-    /// Captures the non-golden timing channel (span durations), in
-    /// sorted name order.
-    #[must_use]
-    pub fn timings(&self) -> Vec<(String, TimingStat)> {
-        self.lock()
-            .timings
-            .iter()
-            .map(|(k, &v)| (k.clone(), v))
-            .collect()
     }
 
     /// Captures the non-golden note gauges, in sorted name order.
@@ -435,18 +388,121 @@ impl Registry {
     }
 }
 
-/// RAII guard returned by [`Registry::span`].
-#[derive(Debug)]
-pub struct Span<'a> {
-    registry: &'a Registry,
-    name: String,
-    started: Instant,
+/// The three telemetry sinks of one run, passed around as one value:
+/// golden counters, bounded trace channels and the work-unit span
+/// tree. Every instrumented entry point in the workspace takes a
+/// `Sinks`, so a call site chooses which channels are live by what it
+/// puts in the bundle, never by which function it calls.
+///
+/// The bundle is `Copy` (three shared references). Narrow it with
+/// struct-update syntax when a nested call must not see a channel,
+/// e.g. `Sinks { spans: SpanSink::disabled(), ..sinks }`.
+///
+/// # Examples
+///
+/// ```
+/// use rcs_obs::{span::SpanSink, trace::TraceRecorder, Registry, Sinks};
+///
+/// let (obs, trace, spans) = (Registry::new(), TraceRecorder::new(), SpanSink::new());
+/// let sinks = Sinks { obs: &obs, trace: &trace, spans: &spans };
+/// let shard = sinks.shard();
+/// shard.sinks().spans.enter("item", shard.sinks().obs);
+/// shard.sinks().obs.work("solver.iterations", 3);
+/// shard.sinks().spans.exit(shard.sinks().obs);
+/// sinks.absorb("item 0", &shard);
+/// assert_eq!(obs.work_units(), 3);
+/// assert_eq!(spans.snapshot().nodes[0].total(), 3);
+/// assert!(Sinks::counters(&obs).obs.is_enabled());
+/// assert!(!Sinks::disabled().trace.is_enabled());
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Sinks<'a> {
+    /// Golden counters, histograms and the work clock.
+    pub obs: &'a Registry,
+    /// Bounded, deterministically decimated sample channels.
+    pub trace: &'a trace::TraceRecorder,
+    /// Hierarchical span tree stamped in work units.
+    pub spans: &'a span::SpanSink,
 }
 
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        self.registry
-            .record_span(&self.name, self.started.elapsed().as_nanos());
+impl Sinks<'static> {
+    /// All three channels off: every record call returns after one
+    /// branch and nothing touches the heap.
+    #[must_use]
+    pub fn disabled() -> Self {
+        Self {
+            obs: Registry::disabled(),
+            trace: trace::TraceRecorder::disabled(),
+            spans: span::SpanSink::disabled(),
+        }
+    }
+}
+
+impl<'a> Sinks<'a> {
+    /// Counters only: `obs` live, trace and spans disabled.
+    #[must_use]
+    pub fn counters(obs: &'a Registry) -> Self {
+        Self {
+            obs,
+            ..Sinks::disabled()
+        }
+    }
+
+    /// Empty per-item sinks for one parallel work item: a **live**
+    /// registry (always — per-item work budgets read it even when the
+    /// caller's counters are off), and trace and span shards that
+    /// mirror this bundle's enablement.
+    #[must_use]
+    pub fn shard(&self) -> Shard {
+        Shard {
+            obs: Registry::new(),
+            trace: self.trace.shard(),
+            spans: self.spans.shard(),
+        }
+    }
+
+    /// Merges one finished shard into these sinks — the only place the
+    /// three channels are re-merged. Counters are absorbed, trace
+    /// channels are appended under the prefix `label` (empty = merged
+    /// unprefixed), and the shard's span tree is spliced under the
+    /// currently open span with its timestamps offset by the work clock
+    /// read just before the counters were absorbed. Called once per
+    /// item in **input order**, this reproduces exactly what serial
+    /// inline execution would have recorded.
+    pub fn absorb(&self, label: &str, shard: &Shard) {
+        // Snapshots are built only for live targets: with disabled sinks a
+        // parallel map pays nothing for the merge.
+        let base = self.obs.work_units();
+        if self.obs.is_enabled() {
+            self.obs.absorb(&shard.obs.snapshot());
+        }
+        if self.trace.is_enabled() {
+            self.trace.absorb_prefixed(label, &shard.trace.snapshot());
+        }
+        if self.spans.is_enabled() {
+            self.spans.absorb_at(base, &shard.spans.snapshot());
+        }
+    }
+}
+
+/// The owned per-item sinks handed out by [`Sinks::shard`] and merged
+/// back by [`Sinks::absorb`].
+#[derive(Debug)]
+pub struct Shard {
+    obs: Registry,
+    trace: trace::TraceRecorder,
+    spans: span::SpanSink,
+}
+
+impl Shard {
+    /// The shard as a [`Sinks`] bundle to record into.
+    #[must_use]
+    pub fn sinks(&self) -> Sinks<'_> {
+        Sinks {
+            obs: &self.obs,
+            trace: &self.trace,
+            spans: &self.spans,
+        }
     }
 }
 
@@ -515,7 +571,7 @@ impl FHistogramSnapshot {
     /// and `NaN`).
     #[must_use]
     pub fn overflow(&self) -> u64 {
-        *self.counts.last().expect("counts never empty")
+        self.counts.last().copied().unwrap_or(0)
     }
 }
 
@@ -643,12 +699,8 @@ mod tests {
         obs.record_histogram_f64("fh", &[1.0], 0.5);
         obs.note("n", 1);
         obs.work("phase.step", 3);
-        {
-            let _span = obs.span("s");
-        }
         assert!(!obs.is_enabled());
         assert!(obs.snapshot().is_empty());
-        assert!(obs.timings().is_empty());
         assert!(obs.notes().is_empty());
     }
 
@@ -705,29 +757,6 @@ mod tests {
         let snap = total.snapshot();
         assert_eq!(snap.fhistogram("fh").unwrap().counts, vec![1, 1]);
         assert!(!snap.is_empty());
-    }
-
-    #[test]
-    fn spans_count_golden_and_time_non_golden() {
-        let obs = Registry::new();
-        {
-            let _a = obs.span("scope");
-        }
-        {
-            let _b = obs.span("scope");
-        }
-        let snap = obs.snapshot();
-        assert_eq!(snap.counter("scope"), 2);
-        let timings = obs.timings();
-        assert_eq!(timings.len(), 1);
-        assert_eq!(timings[0].0, "scope");
-        assert_eq!(timings[0].1.count, 2);
-        // durations live outside the snapshot: two registries with
-        // different wall-clock histories still compare equal
-        let other = Registry::new();
-        other.record_span("scope", 999_999_999);
-        other.record_span("scope", 1);
-        assert_eq!(other.snapshot(), snap);
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //!
 //! Every experiment binary emits one manifest per run: a `run` header
 //! line (experiment name, seed, thread count, model version), one line
-//! per golden counter and histogram, then the non-golden `timing` and
-//! `note` lines. One JSON object per line, keys in a fixed order, so
+//! per golden counter and histogram, then the non-golden `note` lines. One JSON object per line, keys in a fixed order, so
 //! the golden portion of two manifests can be compared with `grep` +
 //! `diff` — which is exactly what the CI counter-diff job does between
 //! its `RCS_THREADS=1` and `RCS_THREADS=4` legs.
@@ -15,7 +14,7 @@
 
 use std::fmt::Write as _;
 
-use crate::{Registry, TimingStat};
+use crate::Registry;
 
 /// Identity of one run, rendered into the manifest's `run` header line.
 #[derive(Debug, Clone)]
@@ -65,7 +64,7 @@ pub(crate) fn escape_json(s: &str) -> String {
 
 /// Renders the full NDJSON manifest: `run` header, golden `counter`,
 /// `histogram` and `fhistogram` lines (sorted by name), then non-golden
-/// `timing` and `note` lines. Ends with a trailing newline.
+/// `note` lines. Ends with a trailing newline.
 #[must_use]
 pub fn render(meta: &RunMeta, registry: &Registry) -> String {
     let mut out = String::new();
@@ -112,13 +111,6 @@ pub fn render(meta: &RunMeta, registry: &Registry) -> String {
             out,
             "{{\"type\":\"fhistogram\",\"name\":\"{}\",\"edges\":[{edges}],\"counts\":[{counts}]}}",
             escape_json(name),
-        );
-    }
-    for (name, TimingStat { count, total_nanos }) in registry.timings() {
-        let _ = writeln!(
-            out,
-            "{{\"type\":\"timing\",\"name\":\"{}\",\"count\":{count},\"total_nanos\":{total_nanos}}}",
-            escape_json(&name),
         );
     }
     for (name, value) in registry.notes() {
@@ -184,7 +176,6 @@ mod tests {
         let obs = Registry::new();
         obs.add("solver.calls", 2);
         obs.record_histogram("solver.rung", &[0, 1, 2], 0);
-        obs.record_span("solver.total", 1234);
         obs.note("workers", 4);
         let meta = RunMeta {
             experiment: "exp_demo".to_owned(),
@@ -202,24 +193,15 @@ mod tests {
             lines[1],
             "{\"type\":\"counter\",\"name\":\"solver.calls\",\"value\":2}"
         );
-        // record_span contributes a golden count under the span name
         assert_eq!(
             lines[2],
-            "{\"type\":\"counter\",\"name\":\"solver.total\",\"value\":1}"
-        );
-        assert_eq!(
-            lines[3],
             "{\"type\":\"histogram\",\"name\":\"solver.rung\",\"bounds\":[0,1,2],\"counts\":[1,0,0,0]}"
         );
         assert_eq!(
-            lines[4],
-            "{\"type\":\"timing\",\"name\":\"solver.total\",\"count\":1,\"total_nanos\":1234}"
-        );
-        assert_eq!(
-            lines[5],
+            lines[3],
             "{\"type\":\"note\",\"name\":\"workers\",\"value\":4}"
         );
-        assert_eq!(lines.len(), 6);
+        assert_eq!(lines.len(), 4);
     }
 
     #[test]
@@ -285,14 +267,14 @@ mod tests {
     }
 
     #[test]
-    fn golden_lines_match_across_registries_with_different_timings() {
+    fn golden_lines_match_across_registries_with_different_notes() {
         let meta = RunMeta::new("exp_x", Some(7), 1);
         let a = Registry::new();
         a.inc("c");
-        a.record_span("s", 10);
+        a.note("workers", 1);
         let b = Registry::new();
         b.inc("c");
-        b.record_span("s", 999_999);
+        b.note("workers", 4);
         let golden = |text: &str| {
             text.lines()
                 .filter(|l| {

@@ -22,15 +22,19 @@ use crate::profile;
 // Minimal JSON value + parser (the workspace is dependency-free).
 // ---------------------------------------------------------------------
 
-/// A parsed JSON value. Numbers are `f64`; the golden counters this
-/// tooling cares about fit `f64` exactly (they are far below 2^53).
+/// A parsed JSON value. Unsigned integer literals (digits only: no
+/// sign, fraction or exponent) that fit a `u64` parse to the exact
+/// [`Json::Int`]; every other number is an `f64`. Golden counters are
+/// `u64`s, so they never pass through a float on the way to a diff.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number.
+    /// An unsigned integer literal, exact.
+    Int(u64),
+    /// Any other JSON number.
     Num(f64),
     /// A string.
     Str(String),
@@ -64,18 +68,22 @@ impl Json {
     #[must_use]
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            #[allow(clippy::cast_precision_loss)]
+            Json::Int(n) => Some(*n as f64),
             Json::Num(n) => Some(*n),
             Json::Null => Some(f64::NAN),
             _ => None,
         }
     }
 
-    /// The value as a non-negative integer.
+    /// The value as a non-negative integer: only an unsigned integer
+    /// literal that fits a `u64` qualifies. Fractions, exponents,
+    /// negatives and out-of-range literals are `None`, never rounded or
+    /// saturated.
     #[must_use]
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
+            Json::Int(n) => Some(*n),
             _ => None,
         }
     }
@@ -204,6 +212,11 @@ fn parse_number(text: &str, pos: &mut usize) -> Result<Json, String> {
     }
     // only ASCII bytes were consumed, so both ends are char boundaries
     let text = &text[start..*pos];
+    if text.bytes().all(|b| b.is_ascii_digit()) {
+        if let Ok(n) = text.parse::<u64>() {
+            return Ok(Json::Int(n));
+        }
+    }
     text.parse::<f64>()
         .map(Json::Num)
         .map_err(|_| format!("invalid number {text:?} at offset {start}"))
@@ -405,7 +418,9 @@ pub fn parse_ndjson(text: &str) -> Result<Vec<RunDoc>, String> {
         if docs.is_empty() {
             docs.push(RunDoc::default());
         }
-        let doc = docs.last_mut().expect("doc pushed above");
+        let Some(doc) = docs.last_mut() else {
+            unreachable!("a doc was pushed above")
+        };
         let name = || -> Result<String, String> {
             Ok(value
                 .get("name")
@@ -628,9 +643,11 @@ fn within(a: f64, b: f64, tol: f64) -> bool {
     (a - b).abs() <= tol * a.abs().max(b.abs())
 }
 
+/// The difference is taken exactly in integers, so two counters that
+/// differ by one still differ at tolerance zero however large they are.
 #[allow(clippy::cast_precision_loss)]
 fn within_u64(a: u64, b: u64, tol: f64) -> bool {
-    a == b || (a as f64 - b as f64).abs() <= tol * (a.max(b) as f64)
+    a == b || a.abs_diff(b) as f64 <= tol * (a.max(b) as f64)
 }
 
 fn diff_map<V, F>(
@@ -1253,6 +1270,25 @@ mod tests {
         assert!(parse_json("{} junk").is_err());
         let escaped = parse_json("\"a\\\"b\\u0041\"").unwrap();
         assert_eq!(escaped.as_str(), Some("a\"bA"));
+    }
+
+    #[test]
+    fn integer_literals_are_exact_and_as_u64_never_rounds() {
+        let big = parse_json("9007199254740993").unwrap();
+        assert_eq!(big, Json::Int(9_007_199_254_740_993));
+        assert_eq!(big.as_u64(), Some(9_007_199_254_740_993));
+        assert_eq!(
+            parse_json("18446744073709551615").unwrap().as_u64(),
+            Some(u64::MAX)
+        );
+        // out of range, exponent, fraction, sign: not a u64
+        for text in ["18446744073709551616", "1e30", "1e3", "2.0", "2.5", "-1"] {
+            let v = parse_json(text).unwrap();
+            assert_eq!(v.as_u64(), None, "{text}");
+            assert!(v.as_f64().is_some(), "{text}");
+        }
+        assert!(!within_u64(1 << 53, (1 << 53) + 1, 0.0));
+        assert!(within_u64(1 << 53, (1 << 53) + 1, 1e-15));
     }
 
     #[test]

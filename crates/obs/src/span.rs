@@ -63,7 +63,7 @@
 //! assert!(text.contains("\"total\":42"));
 //! ```
 
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use crate::manifest::escape_json;
 use crate::Registry;
@@ -243,7 +243,9 @@ impl SpanSink {
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, SpanState> {
-        self.inner.lock().expect("span sink poisoned")
+        // A poisoned lock only means a recording thread panicked; every
+        // update leaves the state consistent, so keep recording.
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Counts existing same-label children (nodes plus elided) of the
@@ -369,7 +371,7 @@ impl SpanSink {
     /// elision decisions serial inline execution would have made.
     ///
     /// Shard roots still open in `state` are closed at their own start
-    /// (zero-width); `par_map_spanned` always closes them first.
+    /// (zero-width); the parallel maps always close them first.
     pub fn absorb_at(&self, base: u64, state: &SpanState) {
         if !self.enabled || state.is_empty() {
             return;

@@ -42,7 +42,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Environment variable naming the trace export file. Unset (or empty)
 /// means "do not export" — the recorder still records, the file is
@@ -246,7 +246,9 @@ impl TraceRecorder {
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, TraceInner> {
-        self.inner.lock().expect("trace recorder poisoned")
+        // A poisoned lock only means a recording thread panicked; every
+        // update leaves the state consistent, so keep recording.
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Finds or creates the channel `name` of the given kind.
@@ -280,18 +282,19 @@ impl TraceRecorder {
     }
 
     /// Pushes one sample into `channel`. Kept or decimated according to
-    /// the channel's current stride; a no-op on the disabled sink.
+    /// the channel's current stride; a no-op on the disabled sink and
+    /// for an id this recorder never handed out.
     pub fn record(&self, channel: ChannelId, t: f64, value: f64) {
         if !self.enabled {
             return;
         }
         let mut inner = self.lock();
         let capacity = self.capacity;
-        let c = inner
-            .channels
-            .get_mut(channel.0)
-            .expect("trace channel id from another recorder");
-        push(c, capacity, t, value);
+        // An id from another recorder (or from a disabled one) names no
+        // channel here: the sample is dropped, never a panic.
+        if let Some(c) = inner.channels.get_mut(channel.0) {
+            push(c, capacity, t, value);
+        }
     }
 
     /// [`TraceRecorder::channel`] + [`TraceRecorder::record`] in one

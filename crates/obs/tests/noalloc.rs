@@ -1,9 +1,8 @@
-//! The disabled sinks are free: every record call on
-//! [`Registry::disabled`] and [`TraceRecorder::disabled`] must return
+//! The disabled sinks are free: every record call on the
+//! [`Sinks::disabled`] bundle — counters, trace and spans — must return
 //! without touching the heap. A counting global allocator proves it —
-//! not "fast enough", but **zero allocations**, so un-observed entry
-//! points (`solve_robust`, `run`, …) pay one branch per call and
-//! nothing else.
+//! not "fast enough", but **zero allocations**, so entry points called
+//! with disabled sinks pay one branch per call and nothing else.
 //!
 //! Everything lives in one `#[test]` so no sibling test can allocate
 //! concurrently and poison the counter delta.
@@ -11,9 +10,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use rcs_obs::span::SpanSink;
-use rcs_obs::trace::{ChannelKind, TraceRecorder};
-use rcs_obs::Registry;
+use rcs_obs::trace::ChannelKind;
+use rcs_obs::Sinks;
 
 /// Forwards to the system allocator, counting every `alloc`/`realloc`.
 struct CountingAlloc;
@@ -48,9 +46,7 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
 
 #[test]
 fn disabled_sinks_never_touch_the_heap() {
-    let obs = Registry::disabled();
-    let trace = TraceRecorder::disabled();
-    let spans = SpanSink::disabled();
+    let Sinks { obs, trace, spans } = Sinks::disabled();
     assert!(!obs.is_enabled());
     assert!(!trace.is_enabled());
     assert!(!spans.is_enabled());
@@ -67,8 +63,6 @@ fn disabled_sinks_never_touch_the_heap() {
             obs.record_histogram("solver.rung", &[1, 2, 4], i);
             obs.record_histogram_f64("solver.residual", &[1e-9, 1e-6, 1e-3], 1e-7);
             obs.note("workers", 4);
-            obs.record_span("solver.total", 12_345);
-            drop(obs.span("solver.scope"));
 
             let ch = trace.channel("t_chip", ChannelKind::Temperature);
             assert_eq!(ch, chip);

@@ -17,12 +17,17 @@
 //! - [`thread_count`] — worker-count resolution: the `RCS_THREADS`
 //!   environment variable when set, otherwise the machine's available
 //!   parallelism;
-//! - [`par_map_isolated`] / [`par_map_isolated_observed`] — panic
-//!   isolation: each item runs under [`isolate`] (`catch_unwind`), so a
-//!   panicking closure yields a per-item [`WorkerPanic`] `Err` instead
-//!   of poisoning the pool and losing the rest of the batch. The
-//!   observed variant counts every caught panic on the golden
-//!   `resilience.worker.panics` counter, in input order.
+//! - [`par_map`] — the instrumented map: every item records into its
+//!   own shard of the caller's [`Sinks`] bundle (counters, trace, spans)
+//!   and the shards merge back in input order, so telemetry is as
+//!   thread-invariant as the results;
+//! - [`par_map_isolated`] — [`par_map`] with panic isolation: each item
+//!   runs under [`isolate`] (`catch_unwind`), so a panicking closure
+//!   yields a per-item [`WorkerPanic`] `Err` instead of poisoning the
+//!   pool and losing the rest of the batch; every caught panic counts on
+//!   the golden `resilience.worker.panics` counter, in input order;
+//! - [`par_map_shards`] — [`par_map`] without the map-shape counters,
+//!   for resumable sessions that split one logical map across calls.
 //!
 //! The pool is deliberately not work-stealing and not persistent: sweeps
 //! in this workspace are dozens-to-thousands of coarse items, where a
@@ -37,6 +42,17 @@
 //! ```
 //! let squares = rcs_parallel::par_map_indexed(vec![1u64, 2, 3, 4], 2, |i, x| (i, x * x));
 //! assert_eq!(squares, vec![(0, 1), (1, 4), (2, 9), (3, 16)]);
+//!
+//! // The instrumented map: each item records into its own shard of the
+//! // caller's sinks; shards merge back in input order.
+//! let obs = rcs_obs::Registry::new();
+//! let sinks = rcs_obs::Sinks::counters(&obs);
+//! let doubled = rcs_parallel::par_map(vec![1u64, 2, 3], 2, sinks, |_| String::new(), |_, x, shard| {
+//!     shard.obs.inc("items.seen");
+//!     x * 2
+//! });
+//! assert_eq!(doubled, vec![2, 4, 6]);
+//! assert_eq!(obs.snapshot().counter("items.seen"), 3);
 //! ```
 
 #![warn(missing_docs)]
@@ -50,9 +66,7 @@ use std::ops::Range;
 use std::sync::mpsc;
 use std::sync::{Mutex, PoisonError};
 
-use rcs_obs::span::SpanSink;
-use rcs_obs::trace::TraceRecorder;
-use rcs_obs::Registry;
+use rcs_obs::{Shard, Sinks};
 
 /// Environment variable overriding the worker count (`thread_count`).
 pub const THREADS_ENV: &str = "RCS_THREADS";
@@ -134,8 +148,8 @@ where
     pooled_map(items, threads.min(n), &f).0
 }
 
-/// The pooled path shared by [`par_map_indexed`] and
-/// [`par_map_observed`]: runs `workers` scoped threads over a channel
+/// The pooled path shared by [`par_map_indexed`] and the sink-taking
+/// maps: runs `workers` scoped threads over a channel
 /// work queue and returns the input-order results plus how many items
 /// each worker happened to process (a scheduling artifact — callers
 /// that surface it must treat it as non-golden).
@@ -207,8 +221,8 @@ where
     )
 }
 
-/// One worker panic caught by [`isolate`] or the `par_map_isolated`
-/// family, converted into a value: the panic payload's message when it
+/// One worker panic caught by [`isolate`] or [`par_map_isolated`],
+/// converted into a value: the panic payload's message when it
 /// was a string (the overwhelmingly common case — `panic!`, `assert!`),
 /// a fixed placeholder otherwise. The message of a deterministic panic
 /// is itself deterministic, so it may appear in golden artifacts.
@@ -240,7 +254,7 @@ impl std::error::Error for WorkerPanic {}
 /// Runs `f` under `catch_unwind`, converting a panic into a
 /// [`WorkerPanic`] value instead of unwinding into the caller. This is
 /// the per-attempt containment primitive the query engine's retry
-/// ladder uses; the `par_map_isolated` family applies it per item.
+/// ladder uses; [`par_map_isolated`] applies it per item.
 ///
 /// `AssertUnwindSafe` is deliberate: callers of this workspace pass
 /// closures over plain data (queries, solver inputs) whose partial
@@ -254,295 +268,175 @@ pub fn isolate<R>(f: impl FnOnce() -> R) -> Result<R, WorkerPanic> {
         .map_err(|payload| WorkerPanic::from_payload(payload.as_ref()))
 }
 
-/// [`par_map_indexed`] with per-item panic isolation: each invocation of
-/// `f` runs under [`isolate`], so a panicking item becomes its own
+/// Maps `f` over `items` on up to `threads` scoped workers, giving each
+/// item its own telemetry shard ([`Sinks::shard`]) and merging the
+/// shards back into `sinks` in **input order** ([`Sinks::absorb`]).
+///
+/// That merge discipline is what keeps every golden channel
+/// bit-identical at any `RCS_THREADS`: no matter which worker recorded a
+/// shard, or when, the merged counters, trace samples and span trees are
+/// the same as serial inline execution would produce. Each item runs
+/// inside one span labelled `label(i)` on its shard span sink, and its
+/// trace channels merge under the prefix `label(i)` (an empty label
+/// merges them unprefixed, concatenated in input order). Every item's
+/// shard registry is live even when `sinks` is disabled, so per-item
+/// work budgets still see the item's work.
+///
+/// The map is recorded under the golden `parallel.maps` /
+/// `parallel.tasks` counters (workload shape does not depend on
+/// scheduling), while the worker count and the largest per-worker item
+/// tally go to the non-golden note channel (`parallel.workers`,
+/// `parallel.worker_tasks.max`), because those *are* scheduling.
+///
+/// # Panics
+///
+/// Panics if any invocation of `f` panics (see [`par_map_isolated`]
+/// for the containing form).
+pub fn par_map<T, R, F, L>(
+    items: Vec<T>,
+    threads: usize,
+    sinks: Sinks<'_>,
+    label: L,
+    f: F,
+) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, T, Sinks<'_>) -> R + Sync,
+    L: Fn(usize) -> String + Sync,
+{
+    sinks.obs.inc("parallel.maps");
+    sinks.obs.add("parallel.tasks", items.len() as u64);
+    par_map_shards(items, threads, sinks, label, f)
+}
+
+/// [`par_map`] with per-item panic isolation: each invocation of `f`
+/// runs under [`isolate`], so a panicking item becomes its own
 /// `Err(WorkerPanic)` slot while every other item's result survives.
 /// The partition into `Ok`/`Err` is a pure function of the items (a
 /// deterministic closure panics deterministically), never of the
 /// scheduler, so isolated maps stay bit-identical at every
 /// `RCS_THREADS`.
-pub fn par_map_isolated<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<Result<R, WorkerPanic>>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    par_map_indexed(items, threads, |i, x| isolate(|| f(i, x)))
-}
-
-/// [`par_map_isolated`] with telemetry: like [`par_map_observed`], `f`
-/// receives a per-item shard [`Registry`] absorbed into `obs` in input
-/// order — including the shard of a panicked item, which keeps whatever
-/// golden telemetry the item recorded before the panic (a deterministic
-/// prefix). Every caught panic additionally lands one count on the
-/// golden `resilience.worker.panics` counter, in input order.
-pub fn par_map_isolated_observed<T, R, F>(
+///
+/// A panicked item's shard is merged like any other — it keeps the
+/// deterministic prefix of telemetry recorded before the panic, and
+/// its item span is closed, so merged span trees stay balanced — and
+/// every caught panic lands one count on the golden
+/// `resilience.worker.panics` counter right after its shard, in input
+/// order.
+pub fn par_map_isolated<T, R, F, L>(
     items: Vec<T>,
     threads: usize,
-    obs: &Registry,
+    sinks: Sinks<'_>,
+    label: L,
     f: F,
 ) -> Vec<Result<R, WorkerPanic>>
 where
     T: Send,
     R: Send,
-    F: Fn(usize, T, &Registry) -> R + Sync,
+    F: Fn(usize, T, Sinks<'_>) -> R + Sync,
+    L: Fn(usize) -> String + Sync,
+{
+    sinks.obs.inc("parallel.maps");
+    sinks.obs.add("parallel.tasks", items.len() as u64);
+    let shards = run_shards(items, threads, sinks, &label, |i, x, shard| {
+        isolate(|| f(i, x, shard))
+    });
+    shards
+        .into_iter()
+        .enumerate()
+        .map(|(i, (result, shard))| {
+            sinks.absorb(&label(i), &shard);
+            if result.is_err() {
+                sinks.obs.inc("resilience.worker.panics");
+                sinks.obs.work("resilience.worker.panics", 1);
+            }
+            result
+        })
+        .collect()
+}
+
+/// [`par_map`] **without** the golden map-shape counters
+/// (`parallel.maps` / `parallel.tasks`) — the shard-collect primitive
+/// for resumable kernel sessions. A session that records its map shape
+/// once at construction can then run the same work in one call or in
+/// several batches: each batch merges its shards in input order, and
+/// because this primitive records no golden counters of its own, the
+/// merged sinks are bit-identical however the items were split across
+/// calls. The non-golden worker notes are still emitted per call (they
+/// are scheduling, not results).
+pub fn par_map_shards<T, R, F, L>(
+    items: Vec<T>,
+    threads: usize,
+    sinks: Sinks<'_>,
+    label: L,
+    f: F,
+) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, T, Sinks<'_>) -> R + Sync,
+    L: Fn(usize) -> String + Sync,
+{
+    run_shards(items, threads, sinks, &label, f)
+        .into_iter()
+        .enumerate()
+        .map(|(i, (result, shard))| {
+            sinks.absorb(&label(i), &shard);
+            result
+        })
+        .collect()
+}
+
+/// The shared body of the sink-taking maps: runs every item on its own
+/// [`Shard`] inside a `label(i)` span, records the worker notes, and
+/// hands back the results with their unmerged shards in input order.
+fn run_shards<T, R, F, L>(
+    items: Vec<T>,
+    threads: usize,
+    sinks: Sinks<'_>,
+    label: &L,
+    f: F,
+) -> Vec<(R, Shard)>
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, T, Sinks<'_>) -> R + Sync,
+    L: Fn(usize) -> String + Sync,
 {
     let n = items.len();
-    obs.inc("parallel.maps");
-    obs.add("parallel.tasks", n as u64);
-
-    let isolated = |i: usize, item: T| {
-        let shard = Registry::new();
-        let result = isolate(|| f(i, item, &shard));
-        (result, shard.snapshot())
+    let worker = |i: usize, item: T| {
+        let shard = sinks.shard();
+        let s = shard.sinks();
+        s.spans.enter(&label(i), s.obs);
+        let result = f(i, item, s);
+        s.spans.exit(s.obs);
+        (result, shard)
     };
     let (pairs, tallies) = if threads <= 1 || n <= 1 {
         let pairs = items
             .into_iter()
             .enumerate()
-            .map(|(i, x)| isolated(i, x))
+            .map(|(i, x)| worker(i, x))
             .collect();
         (pairs, vec![n as u64])
     } else {
-        pooled_map(items, threads.min(n), &isolated)
-    };
-
-    obs.note("parallel.workers", tallies.len() as u64);
-    obs.note(
-        "parallel.worker_tasks.max",
-        tallies.iter().copied().max().unwrap_or(0),
-    );
-
-    let mut results = Vec::with_capacity(n);
-    for (result, snapshot) in pairs {
-        obs.absorb(&snapshot);
-        if result.is_err() {
-            obs.inc("resilience.worker.panics");
-            obs.work("resilience.worker.panics", 1);
-        }
-        results.push(result);
-    }
-    results
-}
-
-/// [`par_map_indexed`] with telemetry: `f` additionally receives a
-/// **per-item shard [`Registry`]**, and the shards' golden snapshots are
-/// [`absorbed`] into `obs` in **input order** once the map completes.
-///
-/// That merge discipline is what keeps the golden channel bit-identical
-/// at any `RCS_THREADS`: no matter which worker recorded a shard, or
-/// when, the merged counters are the same integer sums in the same
-/// order. The map itself is recorded under `parallel.maps` /
-/// `parallel.tasks` (golden — workload shape does not depend on
-/// scheduling), while worker count and per-worker item tallies go to
-/// the non-golden note channel (`parallel.workers`,
-/// `parallel.worker_tasks.max`), because those *are* scheduling.
-///
-/// [`absorbed`]: Registry::absorb
-pub fn par_map_observed<T, R, F>(items: Vec<T>, threads: usize, obs: &Registry, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T, &Registry) -> R + Sync,
-{
-    par_map_traced(
-        items,
-        threads,
-        obs,
-        TraceRecorder::disabled(),
-        |_| String::new(),
-        move |i, x, shard, _| f(i, x, shard),
-    )
-}
-
-/// [`par_map_observed`] with trace recording: `f` additionally receives
-/// a **per-item shard [`TraceRecorder`]** (sharing `trace`'s capacity
-/// and enablement), and the shard traces are absorbed into `trace` in
-/// **input order** after the registry snapshot of the same item, each
-/// under the channel prefix `label(i)` (empty = merge unprefixed).
-///
-/// Distinct per-item labels keep per-item trajectories apart (the E17
-/// drill matrix names each cell); an empty label concatenates shard
-/// samples into shared channels in input order (the Monte-Carlo trial
-/// series). Either way the merged trace is a pure function of the input
-/// order — bit-identical at every `RCS_THREADS`.
-pub fn par_map_traced<T, R, F, L>(
-    items: Vec<T>,
-    threads: usize,
-    obs: &Registry,
-    trace: &TraceRecorder,
-    label: L,
-    f: F,
-) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T, &Registry, &TraceRecorder) -> R + Sync,
-    L: Fn(usize) -> String,
-{
-    obs.inc("parallel.maps");
-    obs.add("parallel.tasks", items.len() as u64);
-    par_map_shards(items, threads, obs, trace, label, f)
-}
-
-/// [`par_map_traced`] **without** the golden map-shape counters
-/// (`parallel.maps` / `parallel.tasks`) — the shard-collect primitive
-/// for resumable kernel sessions. A session that records its map shape
-/// once at construction can then run the same work in one call or in
-/// several batches: each batch collects per-item shards and absorbs
-/// them in input order, and because this primitive records no golden
-/// counters of its own, the merged registry is bit-identical however
-/// the items were split across calls. The non-golden worker notes are
-/// still emitted per call (they are scheduling, not results).
-pub fn par_map_shards<T, R, F, L>(
-    items: Vec<T>,
-    threads: usize,
-    obs: &Registry,
-    trace: &TraceRecorder,
-    label: L,
-    f: F,
-) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T, &Registry, &TraceRecorder) -> R + Sync,
-    L: Fn(usize) -> String,
-{
-    let n = items.len();
-
-    let observed = |i: usize, item: T| {
-        let shard = Registry::new();
-        let shard_trace = trace.shard();
-        let result = f(i, item, &shard, &shard_trace);
-        (result, shard.snapshot(), shard_trace.snapshot())
-    };
-
-    let (triples, tallies) = if threads <= 1 || n <= 1 {
-        let triples = items
-            .into_iter()
-            .enumerate()
-            .map(|(i, x)| observed(i, x))
-            .collect();
-        (triples, vec![n as u64])
-    } else {
-        pooled_map(items, threads.min(n), &observed)
-    };
-
-    obs.note("parallel.workers", tallies.len() as u64);
-    obs.note(
-        "parallel.worker_tasks.max",
-        tallies.iter().copied().max().unwrap_or(0),
-    );
-
-    let mut results = Vec::with_capacity(n);
-    for (i, (result, snapshot, trace_snapshot)) in triples.into_iter().enumerate() {
-        obs.absorb(&snapshot);
-        trace.absorb_prefixed(&label(i), &trace_snapshot);
-        results.push(result);
-    }
-    results
-}
-
-/// The fully-instrumented parallel map: per-item panic isolation
-/// ([`par_map_isolated_observed`]), per-item trace shards
-/// ([`par_map_traced`]) **and** per-item span shards, all absorbed in
-/// input order.
-///
-/// Each item runs inside one span labelled `label(i)` on a shard
-/// [`SpanSink`]; after the map, shard trees are spliced under the
-/// caller's currently open span via [`SpanSink::absorb_at`] with the
-/// shard's counter snapshot absorbed immediately before, so span
-/// timestamps land exactly where serial inline execution would have put
-/// them. The item span is closed even when the item panics (the
-/// deterministic pre-panic prefix of the tree is kept, mirroring the
-/// counter contract), so absorbed shard trees are always balanced.
-///
-/// Golden counters are identical to [`par_map_isolated_observed`] /
-/// [`par_map_traced`]: `parallel.maps` / `parallel.tasks` up front,
-/// `resilience.worker.panics` per caught panic in input order, worker
-/// tallies on the non-golden note channel.
-pub fn par_map_spanned<T, R, F, L>(
-    items: Vec<T>,
-    threads: usize,
-    obs: &Registry,
-    trace: &TraceRecorder,
-    spans: &SpanSink,
-    label: L,
-    f: F,
-) -> Vec<Result<R, WorkerPanic>>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T, &Registry, &TraceRecorder, &SpanSink) -> R + Sync,
-    L: Fn(usize) -> String + Sync,
-{
-    let n = items.len();
-    obs.inc("parallel.maps");
-    obs.add("parallel.tasks", n as u64);
-
-    let worker = |i: usize, item: T| {
-        let shard = Registry::new();
-        let shard_trace = trace.shard();
-        let shard_spans = spans.shard();
-        shard_spans.enter(&label(i), &shard);
-        let result = isolate(|| f(i, item, &shard, &shard_trace, &shard_spans));
-        // Close the item span whether or not the item panicked — the
-        // absorbed tree must be balanced.
-        shard_spans.exit(&shard);
-        (
-            result,
-            shard.snapshot(),
-            shard_trace.snapshot(),
-            shard_spans.snapshot(),
-        )
-    };
-
-    let (quads, tallies) = if threads <= 1 || n <= 1 {
-        let quads = items
-            .into_iter()
-            .enumerate()
-            .map(|(i, x)| worker(i, x))
-            .collect();
-        (quads, vec![n as u64])
-    } else {
         pooled_map(items, threads.min(n), &worker)
     };
-
-    obs.note("parallel.workers", tallies.len() as u64);
-    obs.note(
+    sinks.obs.note("parallel.workers", tallies.len() as u64);
+    sinks.obs.note(
         "parallel.worker_tasks.max",
         tallies.iter().copied().max().unwrap_or(0),
     );
-
-    let mut results = Vec::with_capacity(n);
-    for (i, (result, snapshot, trace_snapshot, span_state)) in quads.into_iter().enumerate() {
-        let base = obs.work_units();
-        obs.absorb(&snapshot);
-        trace.absorb_prefixed(&label(i), &trace_snapshot);
-        spans.absorb_at(base, &span_state);
-        if result.is_err() {
-            obs.inc("resilience.worker.panics");
-            obs.work("resilience.worker.panics", 1);
-        }
-        results.push(result);
-    }
-    results
-}
-
-/// Maps `f` over `items` with the default worker count
-/// ([`thread_count`]), in input order.
-pub fn par_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    par_map_indexed(items, thread_count(), f)
+    pairs
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rcs_obs::span::{render_ndjson, SpanSink};
+    use rcs_obs::trace::{ChannelKind, TraceRecorder, TraceSnapshot};
+    use rcs_obs::{Registry, Snapshot};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
@@ -639,178 +533,234 @@ mod tests {
         let _ = fixed_chunks(10, 0);
     }
 
-    #[test]
-    fn observed_map_returns_results_in_input_order() {
-        let obs = Registry::new();
-        let got = par_map_observed((0..50).collect::<Vec<u64>>(), 4, &obs, |i, x, shard| {
-            shard.inc("seen");
-            (i as u64) + x
-        });
-        assert_eq!(got, (0..50).map(|x| 2 * x).collect::<Vec<u64>>());
-        let snap = obs.snapshot();
-        assert_eq!(snap.counter("seen"), 50);
-        assert_eq!(snap.counter("parallel.maps"), 1);
-        assert_eq!(snap.counter("parallel.tasks"), 50);
+    /// Live sinks of one test run: counters, a small trace recorder (so
+    /// decimation kicks in) and a span sink.
+    fn live() -> (Registry, TraceRecorder, SpanSink) {
+        (
+            Registry::new(),
+            TraceRecorder::with_capacity(16),
+            SpanSink::new(),
+        )
     }
 
-    #[test]
-    fn observed_map_golden_snapshot_is_thread_invariant() {
-        let run = |threads: usize| {
-            let obs = Registry::new();
-            let _ = par_map_observed(
-                (0..33).collect::<Vec<u64>>(),
-                threads,
-                &obs,
-                |_, x, shard| {
-                    shard.record_histogram("vals", &[10, 20], x);
-                    if x % 3 == 0 {
-                        shard.inc("multiples_of_three");
-                    }
-                    x
-                },
-            );
-            obs.snapshot()
-        };
-        let reference = run(1);
-        for threads in [2, 4, 7] {
-            assert_eq!(run(threads), reference, "threads = {threads}");
+    fn bundle<'a>(sinks: &'a (Registry, TraceRecorder, SpanSink)) -> Sinks<'a> {
+        Sinks {
+            obs: &sinks.0,
+            trace: &sinks.1,
+            spans: &sinks.2,
         }
-        assert_eq!(reference.counter("multiples_of_three"), 11);
-        assert_eq!(
-            reference.histogram("vals").unwrap().counts,
-            vec![11, 10, 12]
-        );
+    }
+
+    /// Everything a run left in its sinks, golden channels only.
+    fn golden(sinks: &(Registry, TraceRecorder, SpanSink)) -> (Snapshot, TraceSnapshot, String) {
+        (
+            sinks.0.snapshot(),
+            sinks.1.snapshot(),
+            render_ndjson(&sinks.2.snapshot()),
+        )
+    }
+
+    /// One item's work: a counter, a histogram, a 40-sample trace
+    /// series and a nested span carrying work units.
+    fn record(x: u64, shard: Sinks<'_>) -> u64 {
+        shard.obs.inc("seen");
+        shard.obs.record_histogram("vals", &[10, 20], x);
+        for step in 0..40u64 {
+            #[allow(clippy::cast_precision_loss)]
+            shard.trace.record_named(
+                "series",
+                ChannelKind::Scalar,
+                step as f64,
+                (x * 100 + step) as f64,
+            );
+        }
+        shard.spans.enter("solve", shard.obs);
+        shard.obs.work("units", 10 + x);
+        shard.spans.exit(shard.obs);
+        x * 2
     }
 
     #[test]
-    fn traced_map_is_thread_invariant_with_and_without_labels() {
-        use rcs_obs::trace::ChannelKind;
-        let run = |threads: usize, labelled: bool| {
-            let obs = Registry::new();
-            let trace = TraceRecorder::with_capacity(16);
-            let _ = par_map_traced(
-                (0..9).collect::<Vec<u64>>(),
-                threads,
-                &obs,
-                &trace,
-                |i| {
-                    if labelled {
-                        format!("cell {i}")
-                    } else {
-                        String::new()
-                    }
-                },
-                |i, x, shard, shard_trace| {
-                    shard.inc("seen");
-                    for step in 0..40u64 {
-                        #[allow(clippy::cast_precision_loss)]
-                        shard_trace.record_named(
-                            "series",
-                            ChannelKind::Scalar,
-                            step as f64,
-                            (x * 100 + step) as f64,
-                        );
-                    }
-                    i
-                },
-            );
-            (obs.snapshot(), trace.snapshot())
-        };
+    fn sink_map_merges_every_channel_in_input_order_at_every_thread_count() {
         for labelled in [false, true] {
-            let (snap_1, trace_1) = run(1, labelled);
-            assert!(!trace_1.is_empty());
+            let label = |i: usize| {
+                if labelled {
+                    format!("cell {i}")
+                } else {
+                    String::new()
+                }
+            };
+            let run = |threads: usize| {
+                let sinks = live();
+                sinks.2.enter("batch", &sinks.0);
+                let got = par_map(
+                    (0..33).collect::<Vec<u64>>(),
+                    threads,
+                    bundle(&sinks),
+                    label,
+                    {
+                        |i, x, shard| {
+                            assert_eq!(i as u64, x, "index must match the input position");
+                            record(x, shard)
+                        }
+                    },
+                );
+                sinks.2.exit(&sinks.0);
+                assert_eq!(got, (0..33).map(|x| 2 * x).collect::<Vec<u64>>());
+                golden(&sinks)
+            };
+            let reference = run(1);
+            let (snap, trace, spans) = &reference;
+            assert_eq!(snap.counter("seen"), 33);
+            assert_eq!(snap.counter("parallel.maps"), 1);
+            assert_eq!(snap.counter("parallel.tasks"), 33);
+            assert_eq!(snap.histogram("vals").unwrap().counts, vec![11, 10, 12]);
             if labelled {
-                assert_eq!(trace_1.channels.len(), 9);
-                assert!(trace_1.channel("cell 0/series").is_some());
+                assert_eq!(trace.channels.len(), 33);
+                assert!(trace.channel("cell 0/series").is_some());
+                assert_eq!(spans.matches("\"label\":\"cell ").count(), 33);
             } else {
-                // unlabelled shards concatenate into one channel, in
-                // input order, through the bounded decimation (the
-                // merged channel re-pushes each shard's *retained*
-                // samples, so its push count is the retained total)
-                assert_eq!(trace_1.channels.len(), 1);
-                let c = trace_1.channel("series").unwrap();
-                assert!(c.pushed > 0 && c.pushed <= 9 * 40);
+                // unlabelled shards concatenate into one channel through
+                // the bounded decimation, in input order
+                assert_eq!(trace.channels.len(), 1);
+                let c = trace.channel("series").unwrap();
+                assert!(c.pushed > 0 && c.pushed <= 33 * 40);
                 assert!(c.samples.len() <= 16);
             }
             for threads in [2, 4, 7] {
-                let (snap_n, trace_n) = run(threads, labelled);
-                assert_eq!(snap_1, snap_n, "snapshot diverged at {threads}");
-                assert_eq!(trace_1, trace_n, "trace diverged at {threads}");
+                assert_eq!(
+                    run(threads),
+                    reference,
+                    "threads = {threads}, labelled = {labelled}"
+                );
             }
         }
     }
 
     #[test]
-    fn shard_map_split_across_calls_matches_one_traced_map() {
-        use rcs_obs::trace::ChannelKind;
-        let work = |x: u64, shard: &Registry, shard_trace: &TraceRecorder| {
-            shard.add("units", x);
-            shard_trace.record_named("series", ChannelKind::Scalar, x as f64, (x * 7) as f64);
+    fn isolated_map_contains_panics_with_balanced_spans_at_every_thread_count() {
+        let body = |x: u64, shard: Sinks<'_>| {
+            shard.obs.inc("pre_panic_work");
+            shard.spans.enter("solve", shard.obs);
+            shard.obs.work("units", 10 + x);
+            shard.spans.exit(shard.obs);
+            assert!(x % 5 != 2, "injected panic on {x}");
+            x * 10
+        };
+        let run = |threads: usize| {
+            let sinks = live();
+            sinks.2.enter("batch", &sinks.0);
+            let got = par_map_isolated(
+                (0..20).collect::<Vec<u64>>(),
+                threads,
+                bundle(&sinks),
+                |i| format!("item.{i}"),
+                |_, x, shard| body(x, shard),
+            );
+            sinks.2.exit(&sinks.0);
+            (got, golden(&sinks))
+        };
+        let (ref_got, reference) = run(1);
+        assert_eq!(ref_got.len(), 20, "no item may be lost");
+        for (i, r) in ref_got.iter().enumerate() {
+            if i % 5 == 2 {
+                let e = r.as_ref().unwrap_err();
+                assert!(e.message.contains("injected panic"), "{e:?}");
+            } else {
+                assert_eq!(*r, Ok((i as u64) * 10));
+            }
+        }
+        let (snap, _, spans) = &reference;
+        assert_eq!(snap.counter("resilience.worker.panics"), 4);
+        assert_eq!(snap.counter("profile.resilience.worker.panics"), 4);
+        // the deterministic pre-panic prefix of every shard is kept
+        assert_eq!(snap.counter("pre_panic_work"), 20);
+        // each item span present (the panicked ones included), balanced
+        assert_eq!(spans.matches("\"label\":\"item.").count(), 20);
+        assert_eq!(spans.matches("\"label\":\"solve\"").count(), 20);
+        for threads in [2, 4, 7] {
+            let (got, golden) = run(threads);
+            assert_eq!(got, ref_got, "threads = {threads}");
+            assert_eq!(golden, reference, "threads = {threads}");
+        }
+        // disabled sinks: the same results, nothing recorded
+        let off = par_map_isolated(
+            (0..20).collect::<Vec<u64>>(),
+            4,
+            Sinks::disabled(),
+            |i| format!("item.{i}"),
+            |_, x, shard| body(x, shard),
+        );
+        assert_eq!(off, ref_got);
+        assert!(Registry::disabled().snapshot().is_empty());
+    }
+
+    #[test]
+    fn shards_are_live_even_when_the_caller_sinks_are_disabled() {
+        for threads in [1, 2, 4, 7] {
+            let got = par_map(
+                (0..9).collect::<Vec<u64>>(),
+                threads,
+                Sinks::disabled(),
+                |_| String::new(),
+                |_, x, shard| {
+                    assert!(shard.obs.is_enabled(), "per-item budgets read this shard");
+                    assert!(!shard.trace.is_enabled() && !shard.spans.is_enabled());
+                    shard.obs.work("units", x);
+                    shard.obs.work_units()
+                },
+            );
+            assert_eq!(got, (0..9).collect::<Vec<u64>>(), "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn shard_map_split_across_calls_matches_one_map() {
+        let work = |x: u64, shard: Sinks<'_>| {
+            shard.obs.add("units", x);
+            #[allow(clippy::cast_precision_loss)]
+            shard
+                .trace
+                .record_named("series", ChannelKind::Scalar, x as f64, (x * 7) as f64);
             x * 7
         };
-        // Reference: one par_map_traced over all items.
-        let obs_a = Registry::new();
-        let trace_a = TraceRecorder::with_capacity(16);
-        let got_a = par_map_traced(
+        let whole = live();
+        let got_a = par_map(
             (0..24).collect::<Vec<u64>>(),
             4,
-            &obs_a,
-            &trace_a,
+            bundle(&whole),
             |_| String::new(),
-            |_, x, shard, shard_trace| work(x, shard, shard_trace),
+            |_, x, shard| work(x, shard),
         );
         // Split run: map-shape counters recorded once up front, then the
         // same items through par_map_shards in two batches.
-        let obs_b = Registry::new();
-        let trace_b = TraceRecorder::with_capacity(16);
-        obs_b.inc("parallel.maps");
-        obs_b.add("parallel.tasks", 24);
+        let split = live();
+        split.0.inc("parallel.maps");
+        split.0.add("parallel.tasks", 24);
         let mut got_b = Vec::new();
         for batch in [(0u64..9).collect::<Vec<_>>(), (9..24).collect::<Vec<_>>()] {
             got_b.extend(par_map_shards(
                 batch,
                 4,
-                &obs_b,
-                &trace_b,
+                bundle(&split),
                 |_| String::new(),
-                |_, x, shard, shard_trace| work(x, shard, shard_trace),
+                |_, x, shard| work(x, shard),
             ));
         }
         assert_eq!(got_a, got_b);
-        assert_eq!(obs_a.snapshot(), obs_b.snapshot());
-        assert_eq!(trace_a.snapshot(), trace_b.snapshot());
+        assert_eq!(golden(&whole), golden(&split));
     }
 
     #[test]
-    fn traced_map_with_disabled_recorder_matches_observed_map() {
-        let obs_a = Registry::new();
-        let got_a = par_map_observed((0..12).collect::<Vec<u64>>(), 3, &obs_a, |_, x, shard| {
-            shard.inc("seen");
-            x * 2
-        });
-        let obs_b = Registry::new();
-        let trace = TraceRecorder::disabled();
-        let got_b = par_map_traced(
-            (0..12).collect::<Vec<u64>>(),
-            3,
-            &obs_b,
-            trace,
-            |_| String::new(),
-            |_, x, shard, shard_trace| {
-                shard.inc("seen");
-                assert!(!shard_trace.is_enabled());
-                x * 2
-            },
-        );
-        assert_eq!(got_a, got_b);
-        assert_eq!(obs_a.snapshot(), obs_b.snapshot());
-        assert!(trace.snapshot().is_empty());
-    }
-
-    #[test]
-    fn observed_map_worker_tallies_are_notes_not_golden() {
+    fn worker_tallies_are_notes_not_golden() {
         let obs = Registry::new();
-        let _ = par_map_observed((0..20).collect::<Vec<u64>>(), 4, &obs, |_, x, _| x);
+        let _ = par_map(
+            (0..20).collect::<Vec<u64>>(),
+            4,
+            Sinks::counters(&obs),
+            |_| String::new(),
+            |_, x, _| x,
+        );
         let notes = obs.notes();
         let workers = notes.iter().find(|(k, _)| k == "parallel.workers");
         assert_eq!(workers, Some(&("parallel.workers".to_owned(), 4)));
@@ -825,114 +775,6 @@ mod tests {
         assert_eq!(err.message, "boom 7");
         let err = isolate(|| -> u32 { std::panic::panic_any(13u64) }).unwrap_err();
         assert_eq!(err.message, "non-string panic payload");
-    }
-
-    #[test]
-    fn isolated_map_contains_panics_without_losing_the_batch() {
-        for threads in [1, 2, 4] {
-            let got = par_map_isolated((0..9).collect::<Vec<u64>>(), threads, |_, x| {
-                assert!(x % 3 != 1, "injected panic on {x}");
-                x * 10
-            });
-            assert_eq!(got.len(), 9, "no item may be lost");
-            for (i, r) in got.iter().enumerate() {
-                if i % 3 == 1 {
-                    let e = r.as_ref().unwrap_err();
-                    assert!(e.message.contains("injected panic"), "{e:?}");
-                } else {
-                    assert_eq!(*r, Ok((i as u64) * 10));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn isolated_observed_map_counts_panics_and_is_thread_invariant() {
-        let run = |threads: usize| {
-            let obs = Registry::new();
-            let got = par_map_isolated_observed(
-                (0..20).collect::<Vec<u64>>(),
-                threads,
-                &obs,
-                |_, x, shard| {
-                    shard.inc("pre_panic_work");
-                    assert!(x % 5 != 2, "chaos {x}");
-                    x
-                },
-            );
-            (got, obs.snapshot())
-        };
-        let (ref_got, ref_snap) = run(1);
-        assert_eq!(ref_snap.counter("resilience.worker.panics"), 4);
-        assert_eq!(ref_snap.counter("profile.resilience.worker.panics"), 4);
-        // The deterministic pre-panic prefix of every shard is kept.
-        assert_eq!(ref_snap.counter("pre_panic_work"), 20);
-        assert_eq!(ref_got.iter().filter(|r| r.is_err()).count(), 4);
-        for threads in [2, 4, 7] {
-            let (got, snap) = run(threads);
-            assert_eq!(got, ref_got, "threads = {threads}");
-            assert_eq!(snap, ref_snap, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn spanned_map_counters_match_isolated_observed_map() {
-        let body = |x: u64, shard: &Registry| {
-            shard.inc("seen");
-            shard.work("units", x + 1);
-            assert!(x % 4 != 3, "chaos {x}");
-            x * 2
-        };
-        let obs_a = Registry::new();
-        let got_a =
-            par_map_isolated_observed((0..13).collect::<Vec<u64>>(), 4, &obs_a, |_, x, shard| {
-                body(x, shard)
-            });
-        let obs_b = Registry::new();
-        let got_b = par_map_spanned(
-            (0..13).collect::<Vec<u64>>(),
-            4,
-            &obs_b,
-            TraceRecorder::disabled(),
-            rcs_obs::span::SpanSink::disabled(),
-            |i| format!("item.{i}"),
-            |_, x, shard, _, _| body(x, shard),
-        );
-        assert_eq!(got_a, got_b);
-        assert_eq!(obs_a.snapshot(), obs_b.snapshot());
-    }
-
-    #[test]
-    fn spanned_map_tree_is_thread_invariant_and_balanced_under_panics() {
-        let run = |threads: usize| {
-            let obs = Registry::new();
-            let spans = rcs_obs::span::SpanSink::new();
-            spans.enter("batch", &obs);
-            let _ = par_map_spanned(
-                (0..6).collect::<Vec<u64>>(),
-                threads,
-                &obs,
-                TraceRecorder::disabled(),
-                &spans,
-                |i| format!("item.{i}"),
-                |_, x, shard, _, shard_spans| {
-                    shard_spans.enter("solve", shard);
-                    shard.work("units", 10 + x);
-                    shard_spans.exit(shard);
-                    assert!(x != 4, "chaos {x}");
-                    x
-                },
-            );
-            spans.exit(&obs);
-            rcs_obs::span::render_ndjson(&spans.snapshot())
-        };
-        let reference = run(1);
-        // each item span present (including the panicked one), balanced
-        assert_eq!(reference.matches("\"label\":\"item.").count(), 6);
-        assert_eq!(reference.matches("\"label\":\"solve\"").count(), 6);
-        for threads in [2, 4, 7] {
-            assert_eq!(run(threads), reference, "threads = {threads}");
-        }
     }
 
     #[test]

@@ -7,18 +7,22 @@
 //! `.json` path).
 
 use rcs_obs::span::SpanSink;
-use rcs_obs::Registry;
+use rcs_obs::{Registry, Sinks};
 use rcs_query::e18_query_service;
 
 fn main() {
     let obs = Registry::new();
     let spans = SpanSink::from_env();
-    let tables = e18_query_service::run_spanned(&obs, &spans);
+    let tables = e18_query_service::run(Sinks {
+        obs: &obs,
+        spans: &spans,
+        ..Sinks::disabled()
+    });
     rcs_core::experiments::finish_run(
         "e18_query_service",
         Some(e18_query_service::SEED),
         &tables,
-        &obs,
+        Sinks::counters(&obs),
     );
     rcs_obs::span::emit(&spans.snapshot());
 }

@@ -21,7 +21,7 @@
 use std::process::ExitCode;
 
 use rcs_core::experiments::Table;
-use rcs_obs::Registry;
+use rcs_obs::{Registry, Sinks};
 use rcs_query::{e18_query_service, DesignQuery, QueryEngine, QueryOutcome};
 
 fn usage() -> &'static str {
@@ -119,7 +119,7 @@ fn main() -> ExitCode {
 
     let obs = Registry::new();
     let mut engine = QueryEngine::new(capacity);
-    let outcomes = engine.run_batch(&queries, threads, &obs);
+    let outcomes = engine.run_batch(&queries, threads, Sinks::counters(&obs));
 
     // Per-request status lines, in request order; parse failures slot
     // back in between the solved outcomes.

@@ -10,7 +10,7 @@
 //! hit/miss/eviction ratio of this experiment exactly.
 
 use rcs_core::experiments::Table;
-use rcs_obs::Registry;
+use rcs_obs::Sinks;
 
 use crate::{BathVariant, CoolantChoice, DesignQuery, DeviceFamily, QueryEngine};
 
@@ -64,26 +64,17 @@ pub fn batch() -> Vec<DesignQuery> {
 /// Runs the experiment: [`ROUNDS`] replays of [`batch`] through one
 /// engine, returning the verdict grid (from the final, cache-mixed
 /// round — bit-identical to the first by the determinism contract) and
-/// the per-round cache-behaviour table.
+/// the per-round cache-behaviour table. On `sinks.spans` each replay
+/// round runs inside a `round` span whose `query.batch` child carries
+/// the per-request `req.<hash>` spans.
 ///
 /// # Panics
 ///
 /// Panics if any grid point fails to converge — every E18 point is a
 /// known-good immersion design.
 #[must_use]
-pub fn run(obs: &Registry) -> Vec<Table> {
-    run_spanned(obs, rcs_obs::span::SpanSink::disabled())
-}
-
-/// [`run`] plus span attribution: each replay round runs inside a
-/// `round` span whose `query.batch` child carries the per-request
-/// `req.<hash>` spans. Telemetry on `obs` is byte-identical to [`run`].
-///
-/// # Panics
-///
-/// Same contract as [`run`].
-#[must_use]
-pub fn run_spanned(obs: &Registry, spans: &rcs_obs::span::SpanSink) -> Vec<Table> {
+pub fn run(sinks: Sinks<'_>) -> Vec<Table> {
+    let Sinks { obs, spans, .. } = sinks;
     let queries = batch();
     let threads = rcs_parallel::thread_count();
     let mut engine = QueryEngine::new(CAPACITY);
@@ -94,7 +85,7 @@ pub fn run_spanned(obs: &Registry, spans: &rcs_obs::span::SpanSink) -> Vec<Table
     for round in 1..=ROUNDS {
         spans.enter("round", obs);
         last = engine
-            .run_batch_spanned(&queries, threads, obs, spans)
+            .run_batch(&queries, threads, sinks)
             .into_iter()
             .map(|outcome| match outcome {
                 crate::QueryOutcome::Ok(verdict) => verdict,
@@ -174,6 +165,7 @@ pub fn run_spanned(obs: &Registry, spans: &rcs_obs::span::SpanSink) -> Vec<Table
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rcs_obs::Registry;
 
     /// The pinned cache schedule: 14 requests × 3 rounds against an
     /// 8-slot FIFO cache partition into exactly these counters. This is
@@ -181,7 +173,7 @@ mod tests {
     #[test]
     fn cache_schedule_is_pinned() {
         let obs = Registry::new();
-        let _tables = run(&obs);
+        let _tables = run(Sinks::counters(&obs));
         let snap = obs.snapshot();
         assert_eq!(snap.counter("query.requests"), 42);
         assert_eq!(snap.counter("query.cache.hits"), 18);

@@ -12,7 +12,7 @@
 //! and the [`QueryEngine`] batch scheduler answers whole request lists:
 //! hits are served from the cache, in-batch duplicates are coalesced,
 //! and the remaining distinct misses are solved concurrently over
-//! [`rcs_parallel::par_map_observed`].
+//! [`rcs_parallel::par_map_isolated`].
 //!
 //! # Determinism contract
 //!
@@ -52,12 +52,13 @@
 //! # Examples
 //!
 //! ```
+//! use rcs_obs::{Registry, Sinks};
 //! use rcs_query::{DesignQuery, QueryEngine};
 //!
 //! let q = DesignQuery::parse("family=skat util=0.85 trials=64 seed=7")?;
 //! let mut engine = QueryEngine::new(8);
-//! let obs = rcs_obs::Registry::new();
-//! let outcomes = engine.run_batch(&[q.clone(), q], 1, &obs);
+//! let obs = Registry::new();
+//! let outcomes = engine.run_batch(&[q.clone(), q], 1, Sinks::counters(&obs));
 //! assert_eq!(outcomes.len(), 2);
 //! let verdict = outcomes[0].verdict().ok_or("in-budget point solves")?;
 //! assert!(verdict.junction_c < 85.0);
@@ -82,7 +83,7 @@ use rcs_devices::OperatingPoint;
 use rcs_fluids::Coolant;
 use rcs_numeric::hash::Fnv1a;
 use rcs_obs::span::SpanSink;
-use rcs_obs::Registry;
+use rcs_obs::{Registry, Sinks};
 use rcs_platform::{presets, ComputeModule};
 use rcs_units::{Power, Seconds};
 
@@ -612,21 +613,22 @@ pub fn solve_query_at(
 
     let model = ImmersionModel::new(query.family.module(), bath)
         .with_operating_point(OperatingPoint::at_utilization(query.utilization));
+    let sinks = Sinks::counters(obs);
     let report = if attempt == 0 {
-        model.solve_robust_observed(obs)
+        model.solve_robust(sinks)
     } else {
         let (damping, max_iter) = RETRY_RUNGS[(attempt as usize - 1).min(RETRY_RUNGS.len() - 1)];
-        model.solve_with_damping(damping, max_iter, obs)
+        model.solve_with_damping(damping, max_iter, sinks)
     }
     .map_err(|e| QueryError::from_core(&e))?;
 
-    let avail = availability::monte_carlo_observed(
+    let avail = availability::monte_carlo_with_threads(
         &classes,
         HORIZON_YEARS,
         query.trials as usize,
         query.seed,
         1,
-        obs,
+        sinks,
     );
 
     let mut checks = rules::operating_rules(&report);
@@ -715,18 +717,22 @@ impl FaultInjector for NoFaults {
 /// [`rcs_parallel::isolate`] so a panicking solve becomes the retryable
 /// [`QueryError::WorkerPanic`] instead of taking down the worker.
 ///
-/// `obs` should be the query's *own* shard registry (as handed out by
-/// [`rcs_parallel::par_map_isolated_observed`]): spent work is measured
-/// as the shard's `profile.*` total, so the
+/// `sinks` should be the query's *own* shard (as handed out by
+/// [`rcs_parallel::par_map_isolated`]): spent work is measured as the
+/// shard registry's `profile.*` total, so the
 /// [`work_budget`](ResiliencePolicy::work_budget) covers exactly this
 /// query's attempts — including injected cost inflation.
 ///
-/// Golden counters, recorded only when the events occur:
+/// Golden counters on `sinks.obs`, recorded only when the events occur:
 /// `resilience.retry.attempts`, `resilience.retry.recoveries`,
 /// `resilience.worker.panics`, `resilience.budget.exhausted`,
 /// `resilience.failures.fatal`, `resilience.failures.exhausted`, and
 /// `resilience.injected.*` for injected faults — each mirrored into
-/// `profile.*` work.
+/// `profile.*` work. On `sinks.spans` every attempt runs inside an
+/// `attempt` span, and a tripped work budget leaves a zero-width
+/// `budget` marker span inside the attempt that tripped it — so span
+/// rollups show which attempt of which request burned the work, and
+/// where budgets cut runs short.
 ///
 /// # Errors
 ///
@@ -737,28 +743,9 @@ pub fn solve_query_resilient(
     query: &DesignQuery,
     policy: &ResiliencePolicy,
     injector: &dyn FaultInjector,
-    obs: &Registry,
+    sinks: Sinks<'_>,
 ) -> Result<DesignVerdict, QueryError> {
-    solve_query_resilient_spanned(query, policy, injector, obs, SpanSink::disabled())
-}
-
-/// [`solve_query_resilient`] plus span attribution: every attempt of
-/// the retry ladder runs inside an `attempt` span, and a tripped work
-/// budget leaves a zero-width `budget` marker span inside the attempt
-/// that tripped it — so span rollups show which attempt of which
-/// request burned the work, and where budgets cut runs short.
-/// Telemetry on `obs` is byte-identical to [`solve_query_resilient`].
-///
-/// # Errors
-///
-/// Same contract as [`solve_query_resilient`].
-pub fn solve_query_resilient_spanned(
-    query: &DesignQuery,
-    policy: &ResiliencePolicy,
-    injector: &dyn FaultInjector,
-    obs: &Registry,
-    spans: &SpanSink,
-) -> Result<DesignVerdict, QueryError> {
+    let Sinks { obs, spans, .. } = sinks;
     let max_attempts = policy.max_attempts.max(1);
     let mut last_err: Option<QueryError> = None;
     for attempt in 0..max_attempts {
@@ -1135,13 +1122,13 @@ impl QueryEngine {
         &mut self,
         queries: &[DesignQuery],
         threads: usize,
-        obs: &Registry,
+        sinks: Sinks<'_>,
     ) -> Vec<QueryOutcome> {
-        self.run_batch_with(queries, threads, obs, &NoFaults)
+        self.run_batch_with(queries, threads, sinks, &NoFaults)
     }
 
-    /// [`run_batch`](Self::run_batch) plus span attribution (see
-    /// [`run_batch_with_spanned`](Self::run_batch_with_spanned)).
+    /// [`run_batch`](Self::run_batch) on separate sinks. Kept for
+    /// `perfbench/src/sinks.rs`, its only caller.
     pub fn run_batch_spanned(
         &mut self,
         queries: &[DesignQuery],
@@ -1149,7 +1136,15 @@ impl QueryEngine {
         obs: &Registry,
         spans: &SpanSink,
     ) -> Vec<QueryOutcome> {
-        self.run_batch_with_spanned(queries, threads, obs, &NoFaults, spans)
+        self.run_batch(
+            queries,
+            threads,
+            Sinks {
+                obs,
+                spans,
+                ..Sinks::disabled()
+            },
+        )
     }
 
     /// [`run_batch`](Self::run_batch) with an explicit [`FaultInjector`]
@@ -1161,7 +1156,7 @@ impl QueryEngine {
     ///    in-batch duplicates and distinct misses against the cache
     ///    state at batch entry;
     /// 2. the misses solve concurrently over
-    ///    [`rcs_parallel::par_map_isolated_observed`] — each through
+    ///    [`rcs_parallel::par_map_isolated`] — each through
     ///    [`solve_query_resilient`]'s retry/budget ladder, each on its
     ///    own telemetry shard, panics contained per item;
     /// 3. successful verdicts enter the cache sequentially in
@@ -1173,34 +1168,21 @@ impl QueryEngine {
     ///    with provenance; same-batch successes are eligible sources),
     ///    or `Failed` when nothing is close enough.
     ///
-    /// The outcomes — and every golden counter — are bit-identical at
-    /// any `threads`.
+    /// The outcomes — and every golden channel — are bit-identical at
+    /// any `threads`. On `sinks.spans` the whole batch runs inside one
+    /// `query.batch` span; every distinct miss solves inside a
+    /// `req.<canonical hash>` child (merged in miss order) with its
+    /// retry ladder's `attempt` / `budget` spans nested inside; and
+    /// every degraded resolution leaves a zero-width `degrade` marker on
+    /// the batch span.
     pub fn run_batch_with(
         &mut self,
         queries: &[DesignQuery],
         threads: usize,
-        obs: &Registry,
+        sinks: Sinks<'_>,
         injector: &dyn FaultInjector,
     ) -> Vec<QueryOutcome> {
-        self.run_batch_with_spanned(queries, threads, obs, injector, SpanSink::disabled())
-    }
-
-    /// [`run_batch_with`](Self::run_batch_with) plus span attribution:
-    /// the whole batch runs inside one `query.batch` span; every
-    /// distinct miss solves inside a `req.<canonical hash>` child
-    /// (absorbed in miss order via [`rcs_parallel::par_map_spanned`])
-    /// with its retry ladder's `attempt` / `budget` spans nested
-    /// inside; and every degraded resolution leaves a zero-width
-    /// `degrade` marker on the batch span. Telemetry on `obs` is
-    /// byte-identical to [`run_batch_with`](Self::run_batch_with).
-    pub fn run_batch_with_spanned(
-        &mut self,
-        queries: &[DesignQuery],
-        threads: usize,
-        obs: &Registry,
-        injector: &dyn FaultInjector,
-        spans: &SpanSink,
-    ) -> Vec<QueryOutcome> {
+        let Sinks { obs, spans, .. } = sinks;
         obs.inc("query.batch.runs");
         spans.enter("query.batch", obs);
         obs.add("query.requests", queries.len() as u64);
@@ -1248,16 +1230,13 @@ impl QueryEngine {
             .iter()
             .map(|(hash, _)| format!("req.{hash:016x}"))
             .collect();
-        let solved = rcs_parallel::par_map_spanned(
+        let solved = rcs_parallel::par_map_isolated(
             misses,
             threads,
-            obs,
-            rcs_obs::trace::TraceRecorder::disabled(),
-            spans,
+            sinks,
             |i| labels[i].clone(),
-            |_, (hash, query), shard, _, shard_spans| {
-                let result =
-                    solve_query_resilient_spanned(&query, &policy, injector, shard, shard_spans);
+            |_, (hash, query), shard| {
+                let result = solve_query_resilient(&query, &policy, injector, shard);
                 (hash, query, result)
             },
         );

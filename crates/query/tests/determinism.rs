@@ -2,7 +2,7 @@
 //! at every thread count, cache hits bit-equal to cold recomputation,
 //! deterministic FIFO eviction, and spec canonicalization.
 
-use rcs_obs::Registry;
+use rcs_obs::{Registry, Sinks};
 use rcs_query::{solve_query, DesignQuery, DesignVerdict, QueryEngine, QueryOutcome};
 
 /// Unwraps a batch of outcomes into exact verdicts — every query in
@@ -46,12 +46,13 @@ fn assert_all_bitwise_eq(a: &[DesignVerdict], b: &[DesignVerdict], what: &str) {
 fn batch_results_are_bit_identical_at_every_thread_count() {
     let queries = batch();
     let reference_obs = Registry::new();
-    let reference = verdicts(QueryEngine::new(8).run_batch(&queries, 1, &reference_obs));
+    let reference =
+        verdicts(QueryEngine::new(8).run_batch(&queries, 1, Sinks::counters(&reference_obs)));
     let reference_snap = reference_obs.snapshot();
 
     for threads in [2, 4] {
         let obs = Registry::new();
-        let got = verdicts(QueryEngine::new(8).run_batch(&queries, threads, &obs));
+        let got = verdicts(QueryEngine::new(8).run_batch(&queries, threads, Sinks::counters(&obs)));
         assert_all_bitwise_eq(&reference, &got, &format!("threads={threads}"));
 
         // The golden counters are part of the contract too.
@@ -80,11 +81,11 @@ fn cache_hits_are_bit_identical_to_cold_recomputation() {
     for threads in [1, 2, 4] {
         let obs = Registry::new();
         let mut engine = QueryEngine::new(8);
-        let cold = verdicts(engine.run_batch(&queries, threads, &obs));
+        let cold = verdicts(engine.run_batch(&queries, threads, Sinks::counters(&obs)));
         assert_eq!(obs.snapshot().counter("query.cache.hits"), 0);
 
         // Second pass: everything resident, served from the cache.
-        let warm = verdicts(engine.run_batch(&queries, threads, &obs));
+        let warm = verdicts(engine.run_batch(&queries, threads, Sinks::counters(&obs)));
         assert_eq!(
             obs.snapshot().counter("query.cache.hits"),
             queries.len() as u64,
@@ -110,7 +111,7 @@ fn eviction_order_is_deterministic_and_thread_invariant() {
     for threads in [1, 2, 4] {
         let obs = Registry::new();
         let mut engine = QueryEngine::new(2);
-        verdicts(engine.run_batch(&queries, threads, &obs));
+        verdicts(engine.run_batch(&queries, threads, Sinks::counters(&obs)));
         // Four distinct misses through a 2-slot FIFO: the first two
         // inserts were evicted by the last two, in insertion order.
         assert_eq!(obs.snapshot().counter("query.cache.evictions"), 2);

@@ -2,7 +2,9 @@
 //! deterministic retry/budget ladders, graceful degradation, the
 //! zero-capacity cache, and the stability of error formatting.
 
-use rcs_obs::Registry;
+use rcs_obs::span::{render_ndjson, SpanSink};
+use rcs_obs::trace::TraceRecorder;
+use rcs_obs::{Registry, Sinks};
 use rcs_query::{
     solve_query, DesignQuery, FaultInjector, InjectedFault, QueryCache, QueryEngine, QueryError,
     QueryOutcome, ResiliencePolicy, SolveDiagnostics,
@@ -64,7 +66,7 @@ fn zero_capacity_engine_solves_every_round_without_eviction_churn() {
     let obs = Registry::new();
     let mut engine = QueryEngine::new(0);
     for round in 1..=2 {
-        let outcomes = engine.run_batch(&queries, 2, &obs);
+        let outcomes = engine.run_batch(&queries, 2, Sinks::counters(&obs));
         assert!(outcomes.iter().all(QueryOutcome::is_ok), "round {round}");
     }
     let snap = obs.snapshot();
@@ -167,7 +169,7 @@ fn transient_panic_is_retried_and_recovers() {
     };
     let obs = Registry::new();
     let mut engine = QueryEngine::new(4);
-    let outcomes = engine.run_batch_with(&queries, 1, &obs, &injector);
+    let outcomes = engine.run_batch_with(&queries, 1, Sinks::counters(&obs), &injector);
     assert!(outcomes[0].is_ok(), "{:?}", outcomes[0]);
 
     let snap = obs.snapshot();
@@ -195,7 +197,7 @@ fn persistent_panic_exhausts_the_ladder_and_fails_only_itself() {
         degrade_window: 0.0, // disable degradation to see the raw failure
         ..ResiliencePolicy::default()
     });
-    let outcomes = engine.run_batch_with(&queries, 2, &obs, &injector);
+    let outcomes = engine.run_batch_with(&queries, 2, Sinks::counters(&obs), &injector);
     assert_eq!(outcomes.len(), 3, "no request may be lost");
     assert!(outcomes[0].is_ok());
     assert!(outcomes[2].is_ok());
@@ -231,7 +233,7 @@ fn failed_requests_degrade_onto_the_nearest_cached_neighbor() {
         degrade_window: 0.1,
         ..ResiliencePolicy::default()
     });
-    let outcomes = engine.run_batch_with(&queries, 2, &obs, &injector);
+    let outcomes = engine.run_batch_with(&queries, 2, Sinks::counters(&obs), &injector);
     assert!(outcomes[0].is_ok() && outcomes[1].is_ok());
     let QueryOutcome::Degraded {
         verdict,
@@ -282,7 +284,7 @@ fn degradation_respects_the_window_and_the_design_axes() {
         degrade_window: 0.1,
         ..ResiliencePolicy::default()
     });
-    let outcomes = engine.run_batch_with(&queries, 1, &obs, &injector);
+    let outcomes = engine.run_batch_with(&queries, 1, Sinks::counters(&obs), &injector);
     assert!(outcomes[..3].iter().all(QueryOutcome::is_ok));
     assert!(outcomes[3].is_failed(), "{:?}", outcomes[3]);
 
@@ -295,18 +297,28 @@ fn degradation_respects_the_window_and_the_design_axes() {
 fn work_budgets_shed_requests_deterministically() {
     // An inflated work cost larger than the budget trips the deadline
     // before the solve runs; with an empty cache the request fails as
-    // BudgetExhausted carrying the exact spent/budget pair.
+    // BudgetExhausted carrying the exact spent/budget pair. The budget
+    // reads each request's own shard registry, which is live even when
+    // the caller's sinks are disabled — so the outcome may not depend
+    // on whether the batch was observed.
     let queries = vec![q("family=skat util=0.9 trials=8")];
     let injector = FaultAt {
         target: 0.9,
         fault: InjectedFault::InflateWork(10_000),
     };
-    let obs = Registry::new();
-    let mut engine = QueryEngine::new(4).with_policy(ResiliencePolicy {
-        work_budget: 5_000,
-        ..ResiliencePolicy::default()
+    let run = |sinks: Sinks<'_>| {
+        let mut engine = QueryEngine::new(4).with_policy(ResiliencePolicy {
+            work_budget: 5_000,
+            ..ResiliencePolicy::default()
+        });
+        engine.run_batch_with(&queries, 1, sinks, &injector)
+    };
+    let (obs, trace, spans) = (Registry::new(), TraceRecorder::new(), SpanSink::new());
+    let outcomes = run(Sinks {
+        obs: &obs,
+        trace: &trace,
+        spans: &spans,
     });
-    let outcomes = engine.run_batch_with(&queries, 1, &obs, &injector);
     let err = outcomes[0].error().expect("budget must trip");
     let QueryError::BudgetExhausted { spent, budget } = err else {
         panic!("expected BudgetExhausted, got {err:?}");
@@ -319,6 +331,13 @@ fn work_budgets_shed_requests_deterministically() {
     assert_eq!(snap.counter("resilience.budget.exhausted"), 1);
     assert_eq!(snap.counter("resilience.injected.cost"), 10_000);
     assert_eq!(snap.counter("profile.resilience.injected.cost"), 10_000);
+    assert!(render_ndjson(&spans.snapshot()).contains("\"label\":\"budget\""));
+
+    let unobserved = run(Sinks::disabled());
+    assert_eq!(unobserved.len(), outcomes.len());
+    for (a, b) in unobserved.iter().zip(&outcomes) {
+        assert!(a.bitwise_eq(b), "{a:?} != {b:?}");
+    }
 }
 
 #[test]
@@ -351,7 +370,7 @@ fn mixed_batches_are_bit_identical_at_every_thread_count() {
     let run = |threads: usize| {
         let obs = Registry::new();
         let mut engine = QueryEngine::new(3);
-        let outcomes = engine.run_batch_with(&queries, threads, &obs, &Mixed);
+        let outcomes = engine.run_batch_with(&queries, threads, Sinks::counters(&obs), &Mixed);
         (
             outcomes,
             engine.cache().keys_in_eviction_order(),
@@ -395,7 +414,7 @@ fn empty_batch_emits_a_clean_zero_counter_manifest() {
     // not an "incident" the event-driven channels should invent.
     let obs = Registry::new();
     let mut engine = QueryEngine::new(4);
-    let outcomes = engine.run_batch(&[], 4, &obs);
+    let outcomes = engine.run_batch(&[], 4, Sinks::counters(&obs));
     assert!(outcomes.is_empty());
     assert!(engine.cache().is_empty());
 
@@ -442,7 +461,7 @@ fn all_invalid_batch_fails_every_request_without_touching_the_cache() {
 
     let obs = Registry::new();
     let mut engine = QueryEngine::new(4);
-    let outcomes = engine.run_batch(&queries, 2, &obs);
+    let outcomes = engine.run_batch(&queries, 2, Sinks::counters(&obs));
     assert_eq!(outcomes.len(), 2);
     for (i, outcome) in outcomes.iter().enumerate() {
         match outcome {

@@ -3,16 +3,14 @@
 //! The integration loop itself lives on the `rcs-kernel` stepping
 //! kernel: [`TransientSession`] owns the integrator state, advances it
 //! one [`rcs_kernel::Clock`] tick at a time, and can be checkpointed to
-//! bytes and resumed with bitwise-identical results. The
-//! [`ThermalNetwork::solve_transient`] family is a thin
+//! bytes and resumed with bitwise-identical results.
+//! [`ThermalNetwork::solve_transient_from`] is a thin
 //! run-to-completion wrapper over a session, so the public API (and
 //! every golden number it produces) is unchanged.
 
 use rcs_kernel::{Clock, SinkState, SnapReader, SnapWriter, SnapshotError};
 use rcs_numeric::ode::{rk4_step, Rk4Scratch};
-use rcs_obs::span::SpanSink;
-use rcs_obs::trace::TraceRecorder;
-use rcs_obs::Registry;
+use rcs_obs::Sinks;
 use rcs_units::{Celsius, Seconds};
 
 use crate::error::ThermalError;
@@ -133,25 +131,12 @@ impl ThermalNetwork {
         duration: Seconds,
         max_step: Seconds,
     ) -> Result<TransientTrace, ThermalError> {
-        self.solve_transient_observed(initial, duration, max_step, Registry::disabled())
-    }
-
-    /// [`ThermalNetwork::solve_transient`] with telemetry recorded into
-    /// `obs` (see [`ThermalNetwork::solve_transient_from_observed`] for
-    /// the counters).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`ThermalNetwork::solve_transient`].
-    pub fn solve_transient_observed(
-        &self,
-        initial: Celsius,
-        duration: Seconds,
-        max_step: Seconds,
-        obs: &Registry,
-    ) -> Result<TransientTrace, ThermalError> {
-        let initial_temps = self.uniform_initial(initial);
-        self.solve_transient_from_observed(&initial_temps, duration, max_step, obs)
+        self.solve_transient_from(
+            &self.uniform_initial(initial),
+            duration,
+            max_step,
+            Sinks::disabled(),
+        )
     }
 
     /// The per-node initial state of a uniform cold start: boundary
@@ -172,7 +157,13 @@ impl ThermalNetwork {
 
     /// Integrates the network from an explicit per-node initial state
     /// (e.g. the final sample of a previous window, enabling step-change
-    /// experiments such as pump-failure transients).
+    /// experiments such as pump-failure transients), recording into
+    /// `sinks.obs` — all golden-channel integers:
+    ///
+    /// - `thermal.transient.calls` / `.errors` counters;
+    /// - `thermal.transient.steps` — integration samples produced (a
+    ///   function of duration and step size only);
+    /// - `thermal.transient.nodes` histogram of network size.
     ///
     /// # Errors
     ///
@@ -183,72 +174,19 @@ impl ThermalNetwork {
         initial: &[Celsius],
         duration: Seconds,
         max_step: Seconds,
+        sinks: Sinks<'_>,
     ) -> Result<TransientTrace, ThermalError> {
-        self.solve_transient_from_observed(initial, duration, max_step, Registry::disabled())
-    }
-
-    /// [`ThermalNetwork::solve_transient_from`] with telemetry recorded
-    /// into `obs` — all golden-channel integers:
-    ///
-    /// - `thermal.transient.calls` / `.errors` counters;
-    /// - `thermal.transient.steps` — integration samples produced (a
-    ///   function of duration and step size only);
-    /// - `thermal.transient.nodes` histogram of network size.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`ThermalNetwork::solve_transient_from`].
-    pub fn solve_transient_from_observed(
-        &self,
-        initial: &[Celsius],
-        duration: Seconds,
-        max_step: Seconds,
-        obs: &Registry,
-    ) -> Result<TransientTrace, ThermalError> {
-        obs.inc("thermal.transient.calls");
+        sinks.obs.inc("thermal.transient.calls");
         match TransientSession::new(self, initial, duration, max_step) {
             Ok(mut session) => {
                 while session.step(self) {}
-                Ok(session.finish_observed(self, obs))
+                Ok(session.finish(self, sinks))
             }
             Err(e) => {
-                obs.inc("thermal.transient.errors");
+                sinks.obs.inc("thermal.transient.errors");
                 Err(e)
             }
         }
-    }
-
-    /// [`ThermalNetwork::solve_transient_observed`] plus trace
-    /// recording: on success every node's temperature series is pushed
-    /// into the channel `thermal.<node name>` of `trace` (bounded — long
-    /// transients are decimated deterministically).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`ThermalNetwork::solve_transient`].
-    pub fn solve_transient_traced(
-        &self,
-        initial: Celsius,
-        duration: Seconds,
-        max_step: Seconds,
-        obs: &Registry,
-        trace: &rcs_obs::trace::TraceRecorder,
-    ) -> Result<TransientTrace, ThermalError> {
-        let result = self.solve_transient_observed(initial, duration, max_step, obs);
-        if let Ok(t) = &result {
-            if trace.is_enabled() {
-                for (node, data) in self.nodes.iter().enumerate() {
-                    let channel = trace.channel(
-                        &format!("thermal.{}", data.name),
-                        rcs_obs::trace::ChannelKind::Temperature,
-                    );
-                    for (time, temp) in t.series(NodeId(node)) {
-                        trace.record(channel, time.seconds(), temp.degrees());
-                    }
-                }
-            }
-        }
-        result
     }
 }
 
@@ -485,7 +423,8 @@ impl TransientSession {
     /// histogram and the `thermal.ode_steps` / `thermal.ode_node_steps`
     /// work profile.
     #[must_use]
-    pub fn finish_observed(self, net: &ThermalNetwork, obs: &Registry) -> TransientTrace {
+    pub fn finish(self, net: &ThermalNetwork, sinks: Sinks<'_>) -> TransientTrace {
+        let obs = sinks.obs;
         let trace = self.into_trace();
         obs.add("thermal.transient.steps", trace.len() as u64);
         obs.record_histogram(
@@ -504,24 +443,12 @@ impl TransientSession {
     }
 
     /// Seals the session — clock, state vector, accumulated samples —
-    /// plus the current contents of `obs` and `trace` into versioned
-    /// snapshot bytes.
+    /// plus the current contents of `sinks` (the span sink's **open
+    /// stack** included, so a span bracketing this session survives the
+    /// checkpoint and closes on the restored sink exactly where the
+    /// straight run closes it) into versioned snapshot bytes.
     #[must_use]
-    pub fn checkpoint(&self, obs: &Registry, trace: &TraceRecorder) -> Vec<u8> {
-        self.checkpoint_spanned(obs, trace, SpanSink::disabled())
-    }
-
-    /// [`TransientSession::checkpoint`] that additionally seals the
-    /// span sink's state — closed tree and **open stack** — so a span
-    /// bracketing this session survives the checkpoint and closes on
-    /// the restored sink exactly where the straight run closes it.
-    #[must_use]
-    pub fn checkpoint_spanned(
-        &self,
-        obs: &Registry,
-        trace: &TraceRecorder,
-        spans: &SpanSink,
-    ) -> Vec<u8> {
+    pub fn checkpoint(&self, sinks: Sinks<'_>) -> Vec<u8> {
         let mut w = SnapWriter::new();
         self.clock.write_into(&mut w);
         w.f64_slice(&self.state);
@@ -535,14 +462,14 @@ impl TransientSession {
                 w.f64(c.degrees());
             }
         }
-        SinkState::capture_spanned(obs, trace, spans).write_into(&mut w);
+        SinkState::capture(sinks).write_into(&mut w);
         rcs_kernel::seal(TRANSIENT_SNAPSHOT_KIND, &w.into_bytes())
     }
 
     /// Reconstructs a session from [`TransientSession::checkpoint`]
-    /// bytes, restoring the captured telemetry into the (fresh) `obs`
-    /// and `trace` sinks. The resumed session finishes bitwise
-    /// identically to the uninterrupted one.
+    /// bytes, restoring the captured telemetry into the (fresh) `sinks`.
+    /// The resumed session finishes bitwise identically to the
+    /// uninterrupted one.
     ///
     /// # Errors
     ///
@@ -552,24 +479,7 @@ impl TransientSession {
     pub fn resume(
         net: &ThermalNetwork,
         bytes: &[u8],
-        obs: &Registry,
-        trace: &TraceRecorder,
-    ) -> Result<Self, SnapshotError> {
-        Self::resume_spanned(net, bytes, obs, trace, SpanSink::disabled())
-    }
-
-    /// [`TransientSession::resume`] that additionally restores the
-    /// sealed span tree — open stack included — into `spans`.
-    ///
-    /// # Errors
-    ///
-    /// See [`TransientSession::resume`].
-    pub fn resume_spanned(
-        net: &ThermalNetwork,
-        bytes: &[u8],
-        obs: &Registry,
-        trace: &TraceRecorder,
-        spans: &SpanSink,
+        sinks: Sinks<'_>,
     ) -> Result<Self, SnapshotError> {
         let payload = rcs_kernel::open(TRANSIENT_SNAPSHOT_KIND, bytes)?;
         let mut r = SnapReader::new(payload);
@@ -589,7 +499,7 @@ impl TransientSession {
             }
             temperatures.push(sample);
         }
-        let sinks = SinkState::read_from(&mut r)?;
+        let captured = SinkState::read_from(&mut r)?;
         if !r.is_exhausted() {
             return Err(SnapshotError::Malformed(
                 "trailing bytes after transient session state".to_owned(),
@@ -607,7 +517,7 @@ impl TransientSession {
                 net.nodes.len()
             )));
         }
-        sinks.restore_spanned(obs, trace, spans)?;
+        captured.restore(sinks)?;
         Ok(Self {
             clock,
             state,
@@ -622,6 +532,7 @@ impl TransientSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rcs_obs::Registry;
     use rcs_units::{Power, ThermalResistance};
 
     /// RC step response: T(t) = T_inf (1 - exp(-t/RC)) with T_inf = P*R.
@@ -695,7 +606,12 @@ mod tests {
             .map(|i| first.temperature(first.len() - 1, crate::NodeId(i)))
             .collect();
         let second = net
-            .solve_transient_from(&handoff, Seconds::new(400.0), Seconds::new(0.05))
+            .solve_transient_from(
+                &handoff,
+                Seconds::new(400.0),
+                Seconds::new(0.05),
+                Sinks::disabled(),
+            )
             .unwrap();
         let steady = net.solve_steady().unwrap().temperature(j).degrees();
         assert!((second.final_temperature(j).degrees() - steady).abs() < 1e-3);
@@ -733,21 +649,22 @@ mod tests {
         net.connect(j, amb, ThermalResistance::from_kelvin_per_watt(0.5))
             .unwrap();
         net.add_heat(j, Power::from_watts(100.0)).unwrap();
+        let initial = net.uniform_initial(Celsius::new(0.0));
         let trace = net
-            .solve_transient_observed(
-                Celsius::new(0.0),
+            .solve_transient_from(
+                &initial,
                 Seconds::new(10.0),
                 Seconds::new(0.1),
-                &obs,
+                Sinks::counters(&obs),
             )
             .unwrap();
         // a bad step records an error, not steps
         let _ = net
-            .solve_transient_observed(
-                Celsius::new(0.0),
+            .solve_transient_from(
+                &initial,
                 Seconds::new(10.0),
                 Seconds::new(0.0),
-                &obs,
+                Sinks::counters(&obs),
             )
             .unwrap_err();
         let snap = obs.snapshot();
@@ -774,21 +691,40 @@ mod tests {
 
         let initial: Vec<Celsius> = vec![Celsius::new(25.0); net.node_count()];
         let straight = net
-            .solve_transient_from(&initial, Seconds::new(40.0), Seconds::new(0.1))
+            .solve_transient_from(
+                &initial,
+                Seconds::new(40.0),
+                Seconds::new(0.1),
+                Sinks::disabled(),
+            )
             .unwrap();
 
         for k in [0u64, 1, 7, 399, 400] {
             let obs = Registry::new();
             let trace = rcs_obs::trace::TraceRecorder::new();
+            let sinks = Sinks {
+                obs: &obs,
+                trace: &trace,
+                ..Sinks::disabled()
+            };
             let mut front =
                 TransientSession::new(&net, &initial, Seconds::new(40.0), Seconds::new(0.1))
                     .unwrap();
             front.run(&net, k);
-            let bytes = front.checkpoint(&obs, &trace);
+            let bytes = front.checkpoint(sinks);
 
             let obs2 = Registry::new();
             let trace2 = rcs_obs::trace::TraceRecorder::new();
-            let mut back = TransientSession::resume(&net, &bytes, &obs2, &trace2).unwrap();
+            let mut back = TransientSession::resume(
+                &net,
+                &bytes,
+                Sinks {
+                    obs: &obs2,
+                    trace: &trace2,
+                    ..Sinks::disabled()
+                },
+            )
+            .unwrap();
             while back.step(&net) {}
             let resumed = back.into_trace();
 
@@ -823,13 +759,18 @@ mod tests {
             TransientSession::new(&net, &initial, Seconds::new(5.0), Seconds::new(0.1)).unwrap();
         let obs = Registry::new();
         let trace = rcs_obs::trace::TraceRecorder::new();
-        let bytes = session.checkpoint(&obs, &trace);
+        let sinks = Sinks {
+            obs: &obs,
+            trace: &trace,
+            ..Sinks::disabled()
+        };
+        let bytes = session.checkpoint(sinks);
 
         let mut corrupt = bytes.clone();
         let mid = corrupt.len() / 2;
         corrupt[mid] ^= 0xFF;
-        assert!(TransientSession::resume(&net, &corrupt, &obs, &trace).is_err());
-        assert!(TransientSession::resume(&net, &bytes[..bytes.len() - 9], &obs, &trace).is_err());
+        assert!(TransientSession::resume(&net, &corrupt, sinks).is_err());
+        assert!(TransientSession::resume(&net, &bytes[..bytes.len() - 9], sinks).is_err());
 
         // A valid snapshot against the wrong network is rejected too.
         let mut other = ThermalNetwork::new();
@@ -842,7 +783,7 @@ mod tests {
         other
             .connect(y, oamb, ThermalResistance::from_kelvin_per_watt(1.0))
             .unwrap();
-        assert!(TransientSession::resume(&other, &bytes, &obs, &trace).is_err());
+        assert!(TransientSession::resume(&other, &bytes, sinks).is_err());
     }
 
     #[test]

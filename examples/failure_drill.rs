@@ -8,6 +8,7 @@ use rcs_sim::cooling::control::{Action, ControlSubsystem, Readings};
 use rcs_sim::cooling::faults::{FaultKind, FaultTimeline, SensorChannel, SensorFault};
 use rcs_sim::core::{FaultDrill, ImmersionModel};
 use rcs_sim::numeric::rng::Rng;
+use rcs_sim::obs::Sinks;
 use rcs_sim::thermal::ThermalNetwork;
 use rcs_sim::units::ThermalResistance;
 use rcs_sim::units::{Celsius, Seconds, VolumeFlow};
@@ -48,7 +49,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     net.add_heat(chip_node, steady.total_heat)?;
 
     let initial = vec![steady.junction, steady.coolant_hot, Celsius::new(20.0)];
-    let trace = net.solve_transient_from(&initial, Seconds::minutes(12.0), Seconds::new(1.0))?;
+    let trace = net.solve_transient_from(
+        &initial,
+        Seconds::minutes(12.0),
+        Seconds::new(1.0),
+        Sinks::disabled(),
+    )?;
 
     println!("t+ [s]   Tj [°C]   bath [°C]   control verdict");
     let mut shutdown_at = None;
@@ -120,7 +126,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // .csv path).
     let obs = rcs_sim::obs::Registry::new();
     let recorder = rcs_sim::obs::trace::TraceRecorder::new();
-    let outcome = drill.run_traced(&mut Rng::seed_from_u64(7), &obs, &recorder);
+    let outcome = drill.run(
+        &mut Rng::seed_from_u64(7),
+        Sinks {
+            obs: &obs,
+            trace: &recorder,
+            ..Sinks::disabled()
+        },
+    );
 
     println!("\nhardened drill: {}", outcome.name);
     match outcome.time_to_shutdown {

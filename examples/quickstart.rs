@@ -4,6 +4,7 @@
 //! Run with `cargo run --release --example quickstart`.
 
 use rcs_sim::core::{rules, ImmersionModel};
+use rcs_sim::obs::Sinks;
 use rcs_sim::units::Seconds;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -28,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Cold-start warm-up (the Fig. 2 heat test).
-    let warmup = model.warmup(Seconds::hours(1.0), Seconds::new(2.0))?;
+    let warmup = model.warmup(Seconds::hours(1.0), Seconds::new(2.0), Sinks::disabled())?;
     println!(
         "\nwarm-up: chips reach {:.1} (bath {:.1}) and settle in {:.0} s",
         warmup.final_chip_temperature(),

@@ -21,6 +21,7 @@
 
 use rcs_sim::cooling::{availability, risk, CoolingArchitecture, ImmersionBath};
 use rcs_sim::core::{FleetConfig, FleetSimulation};
+use rcs_sim::obs::Sinks;
 
 /// Tolerance for pinned floating-point golden values. The runs are
 /// bit-deterministic on a given platform; the headroom only covers
@@ -88,9 +89,17 @@ fn availability_monte_carlo_is_thread_count_invariant() {
     // every field bit-identical from the inline serial path (1) through
     // even (2, 4) and uneven (7) pool splits.
     let classes = skat_failure_classes();
-    let serial = availability::monte_carlo_with_threads(&classes, 5.0, 500, 42, 1);
+    let serial =
+        availability::monte_carlo_with_threads(&classes, 5.0, 500, 42, 1, Sinks::disabled());
     for threads in [2, 4, 7] {
-        let pooled = availability::monte_carlo_with_threads(&classes, 5.0, 500, 42, threads);
+        let pooled = availability::monte_carlo_with_threads(
+            &classes,
+            5.0,
+            500,
+            42,
+            threads,
+            Sinks::disabled(),
+        );
         assert_eq!(
             serial, pooled,
             "AvailabilityReport must be bit-identical at {threads} threads"

@@ -3,6 +3,7 @@
 
 use rcs_sim::core::{rules, AirCooledModel, ColdPlateModel, ImmersionModel};
 use rcs_sim::devices::{reliability, FpgaPart, OperatingPoint};
+use rcs_sim::obs::Sinks;
 use rcs_sim::platform::{presets, Rack};
 use rcs_sim::taskgraph::{map_onto, workloads, FpgaField};
 use rcs_sim::units::{Celsius, Seconds};
@@ -82,7 +83,7 @@ fn transient_agrees_with_steady_state() {
     let model = ImmersionModel::skat();
     let steady = model.solve().expect("solves");
     let warmup = model
-        .warmup(Seconds::hours(3.0), Seconds::new(2.0))
+        .warmup(Seconds::hours(3.0), Seconds::new(2.0), Sinks::disabled())
         .expect("integrates");
     assert!((warmup.final_chip_temperature().degrees() - steady.junction.degrees()).abs() < 6.0);
     assert!((warmup.final_bath_temperature().degrees() - steady.coolant_hot.degrees()).abs() < 6.0);

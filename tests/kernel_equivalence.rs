@@ -24,6 +24,7 @@
 use std::collections::BTreeMap;
 
 use rcs_sim::obs::report::{parse_ndjson, RunDoc};
+use rcs_sim::obs::Sinks;
 use rcs_sim::obs::{Registry, Snapshot};
 
 /// Loads and parses one committed golden profile.
@@ -68,7 +69,7 @@ fn e05_skat_thermal_matches_the_pre_port_golden() {
     let doc = golden("exp_skat_thermal_profile.ndjson");
     assert_eq!(doc.experiment, "e05_skat_thermal");
     let obs = Registry::new();
-    let tables = e05_skat_thermal::run_observed(&obs);
+    let tables = e05_skat_thermal::run(Sinks::counters(&obs));
     // The golden was captured through `finish_run`, which counts the
     // rendered tables; mirror that.
     obs.add("experiments.tables", tables.len() as u64);
@@ -83,7 +84,7 @@ fn e08_hydraulic_balance_matches_the_pre_port_golden() {
     let doc = golden("exp_hydraulic_balance_profile.ndjson");
     assert_eq!(doc.experiment, "e08_hydraulic_balance");
     let obs = Registry::new();
-    let tables = e08_hydraulic_balance::run_observed(&obs);
+    let tables = e08_hydraulic_balance::run(Sinks::counters(&obs));
     obs.add("experiments.tables", tables.len() as u64);
     assert_matches_golden(&doc, &obs.snapshot(), "e08");
 }
@@ -96,7 +97,7 @@ fn e12_reliability_mc_matches_the_pre_port_golden() {
     let doc = golden("exp_reliability_mc_profile.ndjson");
     assert_eq!(doc.experiment, "e12_reliability_mc");
     let obs = Registry::new();
-    let tables = e12_reliability_mc::run_observed(&obs);
+    let tables = e12_reliability_mc::run(Sinks::counters(&obs));
     obs.add("experiments.tables", tables.len() as u64);
     assert_matches_golden(&doc, &obs.snapshot(), "e12");
 }
@@ -111,7 +112,7 @@ fn e17_fault_drills_match_the_pre_port_golden_at_1_2_and_4_threads() {
     assert_eq!(doc.experiment, "e17_fault_drills");
     for threads in [1usize, 2, 4] {
         let obs = Registry::new();
-        let rows = e17_fault_drills::rows_with_threads_observed(threads, &obs);
+        let rows = e17_fault_drills::rows_with_threads(threads, Sinks::counters(&obs));
         assert!(!rows.is_empty());
         // The golden's run rendered the matrix as one table.
         obs.add("experiments.tables", 1);
@@ -131,7 +132,7 @@ fn e19_chaos_drill_matches_the_pre_port_golden_at_1_2_and_4_threads() {
     chaos::silence_expected_panics();
     for threads in [1usize, 2, 4] {
         let obs = Registry::new();
-        let tables = chaos::e19_chaos_drill::run_with_threads(threads, &obs);
+        let tables = chaos::e19_chaos_drill::run_with_threads(threads, Sinks::counters(&obs));
         obs.add("experiments.tables", tables.len() as u64);
         assert_matches_golden(&doc, &obs.snapshot(), &format!("e19 at {threads} threads"));
     }

@@ -9,10 +9,11 @@ use rcs_sim::core::FaultDrill;
 use rcs_sim::numeric::rng::Rng;
 use rcs_sim::obs::report::{self, DiffOptions};
 use rcs_sim::obs::trace::{self, TraceRecorder};
+use rcs_sim::obs::Sinks;
 use rcs_sim::obs::{manifest, Registry};
 use rcs_sim::units::Seconds;
 
-/// One NDJSON stream exactly as `finish_run_traced` writes it when
+/// One NDJSON stream exactly as `finish_run` writes it when
 /// `RCS_OBS_MANIFEST` and `RCS_OBS_TRACE` point at the same file:
 /// manifest lines first, trace lines appended.
 fn workload_ndjson(seed: u64) -> String {
@@ -21,7 +22,14 @@ fn workload_ndjson(seed: u64) -> String {
     let drill = FaultDrill::skat("pump seizure", timeline, Seconds::minutes(8.0));
     let obs = Registry::new();
     let recorder = TraceRecorder::new();
-    let _ = drill.run_traced(&mut Rng::seed_from_u64(seed), &obs, &recorder);
+    let _ = drill.run(
+        &mut Rng::seed_from_u64(seed),
+        Sinks {
+            obs: &obs,
+            trace: &recorder,
+            ..Sinks::disabled()
+        },
+    );
     let meta = manifest::RunMeta::new("obs_report_test", Some(seed), 1);
     let mut text = manifest::render(&meta, &obs);
     text.push_str(&trace::render_ndjson(&recorder.snapshot()));
@@ -109,6 +117,24 @@ fn an_injected_trace_drift_flips_the_exit_code() {
         "{}",
         diff.render()
     );
+}
+
+#[test]
+fn counters_past_2_pow_53_are_compared_exactly() {
+    // 2^53 and 2^53 + 1 are the same f64: a parser or diff that routes
+    // counters through floats calls them equal.
+    let manifest = |value: u64| {
+        format!(
+            "{{\"type\":\"run\",\"experiment\":\"big\",\"seed\":null,\"threads\":1,\"model_version\":\"0\"}}\n\
+             {{\"type\":\"counter\",\"name\":\"mc.events\",\"value\":{value}}}\n"
+        )
+    };
+    let a = report::parse_ndjson(&manifest(1 << 53)).unwrap();
+    let b = report::parse_ndjson(&manifest((1 << 53) + 1)).unwrap();
+    assert_eq!(b[0].counters["mc.events"], 9_007_199_254_740_993);
+    let diff = report::diff_docs(&a, &b, &DiffOptions::default());
+    assert_ne!(diff.exit_code(), 0, "{}", diff.render());
+    assert!(diff.findings.iter().any(|f| f.name == "mc.events"));
 }
 
 #[test]

@@ -2,6 +2,7 @@
 //! experiment harness — the machine-checkable version of EXPERIMENTS.md.
 
 use rcs_sim::core::experiments;
+use rcs_sim::obs::Sinks;
 
 /// §1: Rigel-2 at 58.1 °C and Taygeta at 72.9 °C reproduce within 3 K
 /// after the one-parameter calibration.
@@ -45,7 +46,7 @@ fn claim_liquid_physics() {
 /// the SKAT heat test, with no immersion-side calibration.
 #[test]
 fn claim_skat_envelope() {
-    let tables = experiments::e05_skat_thermal::run();
+    let tables = experiments::e05_skat_thermal::run(Sinks::disabled());
     for row in &tables[0].rows {
         assert_ne!(row[3], "NO", "{row:?}");
     }
@@ -73,12 +74,12 @@ fn claim_rack_petaflops() {
 /// redistributes evenly.
 #[test]
 fn claim_hydraulic_balancing() {
-    let rows = experiments::e08_hydraulic_balance::rows();
+    let rows = experiments::e08_hydraulic_balance::rows(Sinks::disabled());
     let direct = &rows[0];
     let reverse = &rows[2];
     assert!(reverse.spread < direct.spread);
     assert!(reverse.spread < 1.10);
-    let (_, after) = experiments::e08_hydraulic_balance::failure_series(3);
+    let (_, after) = experiments::e08_hydraulic_balance::failure_series(3, Sinks::disabled());
     let survivors: Vec<f64> = after
         .iter()
         .enumerate()
@@ -121,7 +122,7 @@ fn claim_pin_fin_sink() {
 /// wins the availability comparison.
 #[test]
 fn claim_operational_reliability() {
-    let rows = experiments::e12_reliability_mc::rows();
+    let rows = experiments::e12_reliability_mc::rows(Sinks::disabled());
     let plates = &rows[1];
     let immersion = &rows[2];
     assert!(immersion.availability > plates.availability);
@@ -132,7 +133,7 @@ fn claim_operational_reliability() {
 /// The complete harness renders without panicking and yields every table.
 #[test]
 fn all_experiments_render() {
-    let tables = experiments::run_all();
+    let tables = experiments::run_all(Sinks::disabled());
     assert!(tables.len() >= 16, "got {} tables", tables.len());
     for t in &tables {
         assert!(!t.rows.is_empty(), "{} is empty", t.title);

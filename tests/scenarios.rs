@@ -6,6 +6,7 @@ use rcs_sim::cooling::maintenance::{summarize, PlumbingTopology};
 use rcs_sim::core::{experiments, FaultDrill, RackImmersionModel, Supervisor};
 use rcs_sim::hydraulics::layout::ReturnStyle;
 use rcs_sim::numeric::rng::Rng;
+use rcs_sim::obs::Sinks;
 use rcs_sim::thermal::Chiller;
 use rcs_sim::units::{Celsius, Power, Seconds};
 
@@ -85,7 +86,7 @@ fn serviceability_and_availability_agree() {
     let immers = summarize(PlumbingTopology::CentralizedImmersion, 12);
     assert!(skat.lost_module_hours_per_year < immers.lost_module_hours_per_year);
 
-    let reliability = experiments::e12_reliability_mc::rows();
+    let reliability = experiments::e12_reliability_mc::rows(Sinks::disabled());
     let im = reliability
         .iter()
         .find(|r| r.architecture.contains("SKAT)"))
@@ -114,13 +115,13 @@ fn hardened_supervisor_preempts_hardware_damage_behind_a_lying_sensor() {
         );
     let drill = FaultDrill::skat("seizure behind a lie", timeline, Seconds::minutes(20.0));
 
-    let open_loop = drill.run_open_loop(&mut Rng::seed_from_u64(11));
+    let open_loop = drill.run_open_loop(&mut Rng::seed_from_u64(11), Sinks::disabled());
     assert!(
         open_loop.violation_steps > 0,
         "unsupervised drill must actually endanger the hardware: {open_loop:?}"
     );
 
-    let supervised = drill.run(&mut Rng::seed_from_u64(11));
+    let supervised = drill.run(&mut Rng::seed_from_u64(11), Sinks::disabled());
     assert!(supervised.shut_down);
     assert_eq!(supervised.violation_steps, 0, "{supervised:?}");
     assert!(supervised.peak_junction.degrees() < 67.5);
@@ -130,7 +131,7 @@ fn hardened_supervisor_preempts_hardware_damage_behind_a_lying_sensor() {
 /// Every extension experiment renders alongside the paper ones.
 #[test]
 fn extended_harness_renders() {
-    let tables = experiments::run_all();
+    let tables = experiments::run_all(Sinks::disabled());
     let titles: Vec<&str> = tables.iter().map(|t| t.title.as_str()).collect();
     for needle in ["E13a", "E14", "E15", "E7b", "E17"] {
         assert!(

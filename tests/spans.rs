@@ -14,6 +14,7 @@ use rcs_sim::core::{DrillSession, FaultDrill};
 use rcs_sim::numeric::rng::Rng;
 use rcs_sim::obs::span::{self, SpanSink};
 use rcs_sim::obs::trace::TraceRecorder;
+use rcs_sim::obs::Sinks;
 use rcs_sim::obs::{report, Registry};
 use rcs_sim::query::e18_query_service;
 use rcs_sim::units::Seconds;
@@ -26,11 +27,13 @@ fn golden(name: &str) -> String {
 fn e17_spans(threads: usize) -> String {
     let obs = Registry::new();
     let spans = SpanSink::new();
-    let _ = e17_fault_drills::rows_with_threads_spanned(
+    let _ = e17_fault_drills::rows_with_threads(
         threads,
-        &obs,
-        TraceRecorder::disabled(),
-        &spans,
+        Sinks {
+            obs: &obs,
+            spans: &spans,
+            ..Sinks::disabled()
+        },
     );
     span::render_ndjson(&spans.snapshot())
 }
@@ -42,7 +45,15 @@ fn e18_spans(threads: usize) -> String {
     let mut engine = rcs_sim::query::QueryEngine::new(e18_query_service::CAPACITY);
     for _ in 0..e18_query_service::ROUNDS {
         spans.enter("round", &obs);
-        let _ = engine.run_batch_spanned(&queries, threads, &obs, &spans);
+        let _ = engine.run_batch(
+            &queries,
+            threads,
+            Sinks {
+                obs: &obs,
+                spans: &spans,
+                ..Sinks::disabled()
+            },
+        );
         spans.exit(&obs);
     }
     span::render_ndjson(&spans.snapshot())
@@ -52,7 +63,14 @@ fn e19_spans(threads: usize) -> String {
     chaos::silence_expected_panics();
     let obs = Registry::new();
     let spans = SpanSink::new();
-    let _ = e19_chaos_drill::run_with_threads_spanned(threads, &obs, &spans);
+    let _ = e19_chaos_drill::run_with_threads(
+        threads,
+        Sinks {
+            obs: &obs,
+            spans: &spans,
+            ..Sinks::disabled()
+        },
+    );
     span::render_ndjson(&spans.snapshot())
 }
 
@@ -88,7 +106,11 @@ fn e19_span_tree_is_bit_identical_at_1_2_and_4_threads() {
 fn e05_span_tree_matches_the_committed_golden() {
     let obs = Registry::new();
     let spans = SpanSink::new();
-    let _ = e05_skat_thermal::run_spanned(&obs, TraceRecorder::disabled(), &spans);
+    let _ = e05_skat_thermal::run(Sinks {
+        obs: &obs,
+        spans: &spans,
+        ..Sinks::disabled()
+    });
     assert_eq!(
         span::render_ndjson(&spans.snapshot()),
         golden("exp_skat_thermal_spans.ndjson")
@@ -107,7 +129,11 @@ fn e18_span_tree_matches_the_committed_golden() {
     // tree is thread-invariant, so any explicit count reproduces it.
     let obs = Registry::new();
     let spans = SpanSink::new();
-    let _ = e18_query_service::run_spanned(&obs, &spans);
+    let _ = e18_query_service::run(Sinks {
+        obs: &obs,
+        spans: &spans,
+        ..Sinks::disabled()
+    });
     assert_eq!(
         span::render_ndjson(&spans.snapshot()),
         golden("exp_query_service_spans.ndjson")
@@ -126,28 +152,35 @@ fn drill_checkpoint_restore_reproduces_the_straight_span_tree_bitwise() {
     let drill = FaultDrill::skat("resume", timeline, Seconds::minutes(10.0));
 
     let run = |split_at: Option<u64>| -> String {
-        let obs = Registry::new();
-        let trace = TraceRecorder::new();
-        let spans = SpanSink::new();
+        let (obs, trace, spans) = (Registry::new(), TraceRecorder::new(), SpanSink::new());
+        let sinks = Sinks {
+            obs: &obs,
+            trace: &trace,
+            spans: &spans,
+        };
         spans.enter("drill.session", &obs);
-        let mut session =
-            DrillSession::new_spanned(&drill, Rng::seed_from_u64(17), true, &obs, &trace, &spans)
-                .expect("baseline solves");
+        let mut session = DrillSession::new(&drill, Rng::seed_from_u64(17), true, sinks)
+            .expect("baseline solves");
         if let Some(k) = split_at {
-            session.run(&drill, &obs, &trace, k);
-            let bytes = session.checkpoint_spanned(&obs, &trace, &spans);
+            session.run(&drill, sinks, k);
+            let bytes = session.checkpoint(sinks);
             // Fresh sinks: everything recorded so far must come back
             // from the snapshot alone, including the open span stack.
             let (obs, trace, spans) = (Registry::new(), TraceRecorder::new(), SpanSink::new());
-            let mut session = DrillSession::resume_spanned(&drill, &bytes, &obs, &trace, &spans)
-                .expect("snapshot reopens");
-            session.run(&drill, &obs, &trace, u64::MAX);
-            let _ = session.finish(&obs);
+            let sinks = Sinks {
+                obs: &obs,
+                trace: &trace,
+                spans: &spans,
+            };
+            let mut session =
+                DrillSession::resume(&drill, &bytes, sinks).expect("snapshot reopens");
+            session.run(&drill, sinks, u64::MAX);
+            let _ = session.finish(sinks);
             spans.exit(&obs);
             return span::render_ndjson(&spans.snapshot());
         }
-        session.run(&drill, &obs, &trace, u64::MAX);
-        let _ = session.finish(&obs);
+        session.run(&drill, sinks, u64::MAX);
+        let _ = session.finish(sinks);
         spans.exit(&obs);
         span::render_ndjson(&spans.snapshot())
     };
@@ -167,7 +200,11 @@ fn chrome_export_is_valid_deterministic_json_without_wall_clock() {
     let render = || -> String {
         let obs = Registry::new();
         let spans = SpanSink::new();
-        let _ = e18_query_service::run_spanned(&obs, &spans);
+        let _ = e18_query_service::run(Sinks {
+            obs: &obs,
+            spans: &spans,
+            ..Sinks::disabled()
+        });
         span::render_chrome(&spans.snapshot())
     };
     let doc = render();

@@ -14,6 +14,7 @@ use rcs_sim::cooling::{availability, risk, CoolingArchitecture, ImmersionBath};
 use rcs_sim::core::experiments::{e05_skat_thermal, e17_fault_drills};
 use rcs_sim::core::{FaultDrill, ImmersionModel};
 use rcs_sim::numeric::rng::Rng;
+use rcs_sim::obs::Sinks;
 use rcs_sim::obs::{manifest, Registry};
 use rcs_sim::units::Seconds;
 
@@ -23,7 +24,7 @@ use rcs_sim::units::Seconds;
 #[test]
 fn e5_runs_with_zero_fallback_rung_escalations() {
     let obs = Registry::new();
-    let tables = e05_skat_thermal::run_observed(&obs);
+    let tables = e05_skat_thermal::run(Sinks::counters(&obs));
     assert!(!tables.is_empty());
     let snap = obs.snapshot();
     assert_eq!(snap.counter("hydraulics.ladder.escalations"), 0);
@@ -44,7 +45,7 @@ fn e5_runs_with_zero_fallback_rung_escalations() {
 fn immersion_iterations_match_circulation_solve_count() {
     let obs = Registry::new();
     let report = ImmersionModel::skat()
-        .solve_robust_observed(&obs)
+        .solve_robust(Sinks::counters(&obs))
         .expect("SKAT converges");
     let snap = obs.snapshot();
     assert_eq!(
@@ -65,7 +66,7 @@ fn immersion_iterations_match_circulation_solve_count() {
 fn nominal_drill_telemetry_is_silent() {
     let drill = FaultDrill::skat("nominal", FaultTimeline::new(), Seconds::minutes(10.0));
     let obs = Registry::new();
-    let outcome = drill.run_observed(&mut Rng::seed_from_u64(7), &obs);
+    let outcome = drill.run(&mut Rng::seed_from_u64(7), Sinks::counters(&obs));
     assert!(outcome.clean());
     let snap = obs.snapshot();
     assert_eq!(snap.counter("drill.steps"), 300);
@@ -86,7 +87,7 @@ fn pump_seizure_drill_records_the_protective_sequence() {
         FaultTimeline::new().with_event(Seconds::minutes(2.0), FaultKind::PumpSeizure { pump: 0 });
     let drill = FaultDrill::skat("pump seizure", timeline, Seconds::minutes(20.0));
     let obs = Registry::new();
-    let outcome = drill.run_observed(&mut Rng::seed_from_u64(7), &obs);
+    let outcome = drill.run(&mut Rng::seed_from_u64(7), Sinks::counters(&obs));
     assert!(outcome.shut_down);
     let snap = obs.snapshot();
     assert!(snap.counter("drill.relinearizations") >= 2);
@@ -105,7 +106,8 @@ fn monte_carlo_counters_are_exact_integer_numerators() {
         ImmersionBath::skat_default(),
     ));
     let obs = Registry::new();
-    let report = availability::monte_carlo_observed(&classes, 5.0, 960, 42, 1, &obs);
+    let report =
+        availability::monte_carlo_with_threads(&classes, 5.0, 960, 42, 1, Sinks::counters(&obs));
     let snap = obs.snapshot();
     assert_eq!(snap.counter("mc.runs"), 1);
     assert_eq!(snap.counter("mc.trials"), 960);
@@ -124,7 +126,7 @@ fn monte_carlo_counters_are_exact_integer_numerators() {
 #[test]
 fn fault_drill_matrix_accounts_for_every_cell() {
     let obs = Registry::new();
-    let rows = e17_fault_drills::rows_with_threads_observed(1, &obs);
+    let rows = e17_fault_drills::rows_with_threads(1, Sinks::counters(&obs));
     let snap = obs.snapshot();
     assert_eq!(snap.counter("drill.runs"), rows.len() as u64);
     assert_eq!(snap.counter("drill.violation_steps"), 0);
@@ -144,21 +146,19 @@ fn disabled_sinks_bit_match_the_unobserved_entry_points() {
     use rcs_sim::obs::trace::TraceRecorder;
 
     let model = ImmersionModel::skat();
-    let plain = model.solve_robust().expect("SKAT converges");
+    let plain = model
+        .solve_robust(Sinks::disabled())
+        .expect("SKAT converges");
     let traced = model
-        .solve_robust_traced(Registry::disabled(), TraceRecorder::disabled())
+        .solve_robust(Sinks::disabled())
         .expect("SKAT converges");
     assert_eq!(plain, traced);
 
     let timeline =
         FaultTimeline::new().with_event(Seconds::minutes(2.0), FaultKind::PumpSeizure { pump: 0 });
     let drill = FaultDrill::skat("pump seizure", timeline, Seconds::minutes(20.0));
-    let plain = drill.run(&mut Rng::seed_from_u64(7));
-    let traced = drill.run_traced(
-        &mut Rng::seed_from_u64(7),
-        Registry::disabled(),
-        TraceRecorder::disabled(),
-    );
+    let plain = drill.run(&mut Rng::seed_from_u64(7), Sinks::disabled());
+    let traced = drill.run(&mut Rng::seed_from_u64(7), Sinks::disabled());
     assert_eq!(plain, traced);
 
     // the shared sinks buffered nothing while doing all of that
@@ -167,17 +167,17 @@ fn disabled_sinks_bit_match_the_unobserved_entry_points() {
 }
 
 /// The NDJSON manifest is grep-stable: golden `counter`/`histogram`
-/// lines are independent of wall-clock timings, and the run header
-/// carries seed and thread count.
+/// lines are independent of the non-golden, scheduling-dependent notes,
+/// and the run header carries seed and thread count.
 #[test]
 fn manifest_golden_lines_ignore_wall_clock() {
     let meta = manifest::RunMeta::new("telemetry_test", Some(99), 4);
     let a = Registry::new();
     let b = Registry::new();
-    for obs in [&a, &b] {
+    for (workers, obs) in [(1, &a), (4, &b)] {
         obs.inc("demo.calls");
         obs.record_histogram("demo.size", &[1, 2, 4], 3);
-        let _span = obs.span("demo.total");
+        obs.note("demo.workers", workers);
     }
     let golden = |text: &str| {
         text.lines()

@@ -12,11 +12,12 @@
 use rcs_sim::cooling::{availability, risk, ColdPlateLoop, CoolingArchitecture};
 use rcs_sim::core::experiments::e17_fault_drills;
 use rcs_sim::obs::trace::{TraceRecorder, TraceSnapshot};
+use rcs_sim::obs::Sinks;
 use rcs_sim::obs::{profile, Registry, Snapshot};
 
 fn drill_matrix_snapshot(threads: usize) -> (Vec<rcs_sim::core::DrillOutcome>, Snapshot) {
     let obs = Registry::new();
-    let rows = e17_fault_drills::rows_with_threads_observed(threads, &obs);
+    let rows = e17_fault_drills::rows_with_threads(threads, Sinks::counters(&obs));
     (rows, obs.snapshot())
 }
 
@@ -38,7 +39,14 @@ fn mc_snapshot(threads: usize) -> (availability::AvailabilityReport, Snapshot) {
         ColdPlateLoop::per_chip_plates(96),
     ));
     let obs = Registry::new();
-    let report = availability::monte_carlo_observed(&classes, 5.0, 2000, 20180401, threads, &obs);
+    let report = availability::monte_carlo_with_threads(
+        &classes,
+        5.0,
+        2000,
+        20180401,
+        threads,
+        Sinks::counters(&obs),
+    );
     (report, obs.snapshot())
 }
 
@@ -60,7 +68,12 @@ fn availability_mc_telemetry_is_identical_at_1_2_and_4_threads() {
 fn drill_matrix_trace(threads: usize) -> (TraceSnapshot, profile::ProfileNode) {
     let obs = Registry::new();
     let trace = TraceRecorder::new();
-    let _ = e17_fault_drills::rows_with_threads_traced(threads, &obs, &trace);
+    let sinks = Sinks {
+        obs: &obs,
+        trace: &trace,
+        ..Sinks::disabled()
+    };
+    let _ = e17_fault_drills::rows_with_threads(threads, sinks);
     (trace.snapshot(), profile::tree(&obs.snapshot()))
 }
 
@@ -90,7 +103,12 @@ fn mc_trace(threads: usize) -> (TraceSnapshot, profile::ProfileNode) {
     ));
     let obs = Registry::new();
     let trace = TraceRecorder::new();
-    let _ = availability::monte_carlo_traced(&classes, 5.0, 2000, 20180401, threads, &obs, &trace);
+    let sinks = Sinks {
+        obs: &obs,
+        trace: &trace,
+        ..Sinks::disabled()
+    };
+    let _ = availability::monte_carlo_with_threads(&classes, 5.0, 2000, 20180401, threads, sinks);
     (trace.snapshot(), profile::tree(&obs.snapshot()))
 }
 

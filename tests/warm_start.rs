@@ -22,7 +22,7 @@
 
 use rcs_sim::fluids::Coolant;
 use rcs_sim::hydraulics::{layout, HydraulicSolution};
-use rcs_sim::obs::Registry;
+use rcs_sim::obs::{Registry, Sinks};
 use rcs_sim::units::Celsius;
 
 /// Warm/cold agreement tolerance: same scale as the solver's own
@@ -46,7 +46,7 @@ fn sweep(warm: bool) -> Vec<HydraulicSolution> {
     let water = Coolant::water().state(Celsius::new(20.0));
     let valve = plan.loop_branches[0];
     plan.network
-        .solve_sweep(OPENINGS.len(), warm, |net, i| {
+        .solve_sweep(OPENINGS.len(), warm, Sinks::disabled(), |net, i| {
             net.set_valve_opening(valve, OPENINGS[i]).unwrap();
             water
         })
@@ -141,7 +141,7 @@ fn warm_sweep_work_counters_drop() {
         let valve_target = plan.loop_branches[0];
         let obs = Registry::new();
         plan.network
-            .solve_sweep_observed(OPENINGS.len(), warm, &obs, |net, i| {
+            .solve_sweep(OPENINGS.len(), warm, Sinks::counters(&obs), |net, i| {
                 let _ = net.set_branch_open(valve_target, OPENINGS[i] > 0.5);
                 water
             })
