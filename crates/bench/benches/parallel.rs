@@ -3,10 +3,12 @@
 //! closing with a measured serial-vs-parallel speedup line per workload.
 //!
 //! Because the chunk → RNG-stream mapping is thread-count independent,
-//! every row of this file computes the *identical* result — only the
-//! wall-clock changes, which is exactly what this bench quantifies. On a
-//! single-core host the speedup hovers around 1×; on a multi-core host
-//! the Monte-Carlo sweep should scale close to the worker count.
+//! and a rack pass fans out over modules that only share the pass's
+//! supply temperature, every row of this file computes the *identical*
+//! result — only the wall-clock changes, which is exactly what this
+//! bench quantifies. On a single-core host the speedup hovers around
+//! 1×; on a multi-core host the Monte-Carlo sweep and the rack solve
+//! should scale close to the worker count.
 //!
 //! Run with `cargo bench -p rcs-bench --bench parallel`, or `-- --quick`
 //! for the CI smoke pass (fewer trials, still exercising the pooled
@@ -17,7 +19,8 @@ use std::time::Duration;
 
 use rcs_bench::Harness;
 use rcs_cooling::{availability, risk, ColdPlateLoop, CoolingArchitecture};
-use rcs_core::{FleetConfig, FleetSimulation};
+use rcs_core::{FleetConfig, FleetSimulation, RackImmersionModel};
+use rcs_hydraulics::layout::ReturnStyle;
 use rcs_obs::Sinks;
 
 /// Deduplicated ascending ladder of worker counts to sweep: serial,
@@ -96,6 +99,24 @@ fn main() {
         }
     }
     report_speedup("fleet_seed_sweep", &fleet_rows);
+
+    // Coupled rack solve: each shared-chiller pass fans out over the
+    // modules. 16 direct-return SKAT+ modules overload the 150 kW
+    // facility chiller, so the solve takes several passes.
+    let rack = RackImmersionModel::skat_plus_rack(16).with_manifold_style(ReturnStyle::Direct);
+    let mut rack_rows = Vec::new();
+    for threads in thread_ladder() {
+        let median = h.bench_median(&format!("rack_solve/16modules/threads={threads}"), || {
+            black_box(
+                rack.solve_with_threads(threads)
+                    .expect("rack solve converges"),
+            )
+        });
+        if let Some(median) = median {
+            rack_rows.push((threads, median));
+        }
+    }
+    report_speedup("rack_solve", &rack_rows);
 
     h.finish();
 }

@@ -20,6 +20,10 @@ use crate::error::CoreError;
 use crate::immersion::ImmersionModel;
 use crate::report::SteadyReport;
 
+/// Passes of the shared-chiller fixed point before the rack solve
+/// reports [`CoreError::NoConvergence`].
+const SUPPLY_PASSES: usize = 20;
+
 /// A rack of identical immersion-cooled modules on a shared secondary
 /// loop.
 ///
@@ -113,12 +117,33 @@ impl RackImmersionModel {
     }
 
     /// Solves the coupled rack: manifold flows → per-module solves →
-    /// shared-chiller feedback, iterated to a fixed point.
+    /// shared-chiller feedback, iterated to a fixed point. Each pass
+    /// solves its modules in parallel on [`rcs_parallel::thread_count`]
+    /// workers; see [`RackImmersionModel::solve_with_threads`].
     ///
     /// # Errors
     ///
-    /// Propagates substrate and convergence failures.
+    /// Propagates substrate and module convergence failures, and returns
+    /// [`CoreError::NoConvergence`] when the shared-chiller supply still
+    /// moves by 1e-6 K or more in the last of its 20 passes
+    /// (`residual_k` is that last move).
     pub fn solve(&self) -> Result<RackReport, CoreError> {
+        self.solve_with_threads(rcs_parallel::thread_count())
+    }
+
+    /// [`RackImmersionModel::solve`] on an explicit worker count.
+    ///
+    /// Within one pass every module sees only the pass's supply
+    /// temperature, so the modules are independent and are solved with
+    /// [`rcs_parallel::par_map_indexed`]. Results come back in module
+    /// order, the rack heat is summed in module order and the first
+    /// failing module (in module order) decides the error, so the report
+    /// is bit-identical at every `threads`, `1` included.
+    ///
+    /// # Errors
+    ///
+    /// As [`RackImmersionModel::solve`].
+    pub fn solve_with_threads(&self, threads: usize) -> Result<RackReport, CoreError> {
         // 1. Manifold flow distribution at the chiller setpoint. The
         //    distribution is not re-solved if an overloaded chiller raises
         //    the supply a few kelvin: water viscosity shifts the flows by
@@ -131,40 +156,53 @@ impl RackImmersionModel {
 
         // 2. Fixed point over the shared chiller's supply temperature.
         let mut supply = self.facility_chiller.setpoint();
-        let mut per_module: Vec<SteadyReport> = Vec::new();
-        let mut total_heat = Power::ZERO;
-        for _ in 0..20 {
-            per_module.clear();
-            total_heat = Power::ZERO;
-            for flow in &water_flows {
-                let mut bath = self.bath_template.clone();
-                bath.water_flow = *flow;
-                // each module sees the shared supply temperature; capacity
-                // accounting happens at the rack level below
-                bath.chiller =
-                    Chiller::new(supply, Power::kilowatts(1e3), self.facility_chiller.cop());
-                let report = ImmersionModel::new(self.module.clone(), bath)
-                    .with_operating_point(self.op)
-                    .solve()?;
-                total_heat += report.total_heat;
-                per_module.push(report);
-            }
+        let mut residual_k = None;
+        for _ in 0..SUPPLY_PASSES {
+            let per_module = self.solve_pass(&water_flows, supply, threads)?;
+            let total_heat = per_module
+                .iter()
+                .fold(Power::ZERO, |sum, report| sum + report.total_heat);
             let next_supply = self.facility_chiller.supply_temperature(total_heat);
-            if (next_supply - supply).kelvins().abs() < 1e-6 {
-                supply = next_supply;
-                break;
-            }
+            let step = (next_supply - supply).kelvins().abs();
             supply = next_supply;
+            if step < 1e-6 {
+                return Ok(RackReport {
+                    per_module,
+                    water_flows,
+                    chiller_supply: supply,
+                    total_heat,
+                    within_chiller_capacity: self.facility_chiller.within_capacity(total_heat),
+                    chiller_power: self.facility_chiller.electrical_power(total_heat),
+                });
+            }
+            residual_k = Some(step);
         }
-
-        Ok(RackReport {
-            per_module,
-            water_flows,
-            chiller_supply: supply,
-            total_heat,
-            within_chiller_capacity: self.facility_chiller.within_capacity(total_heat),
-            chiller_power: self.facility_chiller.electrical_power(total_heat),
+        Err(CoreError::NoConvergence {
+            iterations: SUPPLY_PASSES,
+            residual_k,
         })
+    }
+
+    /// One shared-chiller pass: every module's coupled solve at the
+    /// supply temperature `supply`, in module order.
+    fn solve_pass(
+        &self,
+        water_flows: &[VolumeFlow],
+        supply: Celsius,
+        threads: usize,
+    ) -> Result<Vec<SteadyReport>, CoreError> {
+        rcs_parallel::par_map_indexed(water_flows.to_vec(), threads, |_, flow| {
+            let mut bath = self.bath_template.clone();
+            bath.water_flow = flow;
+            // each module sees the shared supply temperature; capacity
+            // accounting happens at the rack level
+            bath.chiller = Chiller::new(supply, Power::kilowatts(1e3), self.facility_chiller.cop());
+            ImmersionModel::new(self.module.clone(), bath)
+                .with_operating_point(self.op)
+                .solve()
+        })
+        .into_iter()
+        .collect()
     }
 }
 
@@ -277,6 +315,73 @@ mod tests {
             .unwrap();
         assert!(on_220kw.within_chiller_capacity);
         assert!(on_220kw.hottest_junction().unwrap() < on_150kw.hottest_junction().unwrap());
+    }
+
+    /// The whole report rendered with `{:?}`: every field, and every
+    /// `f64` in its shortest round-trip form, so two renders are equal
+    /// exactly when the reports are bit-identical.
+    fn bits(report: &Result<RackReport, CoreError>) -> String {
+        format!("{report:?}")
+    }
+
+    #[test]
+    fn reports_are_bit_identical_at_every_thread_count() {
+        let racks = [
+            ("SKAT reverse", RackImmersionModel::skat_rack(6)),
+            (
+                "SKAT direct",
+                RackImmersionModel::skat_rack(6).with_manifold_style(ReturnStyle::Direct),
+            ),
+            (
+                "SKAT+ direct",
+                RackImmersionModel::skat_plus_rack(6).with_manifold_style(ReturnStyle::Direct),
+            ),
+            // ~155 kW on the 150 kW default: an overloaded, multi-pass rack
+            ("SKAT+ overloaded", RackImmersionModel::skat_plus_rack(12)),
+        ];
+        for (name, rack) in racks {
+            let serial = rack.solve_with_threads(1);
+            assert!(serial.is_ok(), "{name}: {serial:?}");
+            for threads in [2, 4, 7] {
+                assert_eq!(
+                    bits(&rack.solve_with_threads(threads)),
+                    bits(&serial),
+                    "{name}, threads = {threads}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_chiller_fixed_point_that_never_settles_is_an_error() {
+        // 12 SKAT modules on a 38 kW chiller: the supply still moves
+        // ~3e-5 K at the last pass. At 40 kW the same rack settles.
+        let on = |kw: f64| {
+            RackImmersionModel::skat_rack(12).with_chiller(Chiller::new(
+                Celsius::new(20.0),
+                Power::kilowatts(kw),
+                4.5,
+            ))
+        };
+        let serial = on(38.0).solve_with_threads(1);
+        let Err(CoreError::NoConvergence {
+            iterations,
+            residual_k: Some(residual_k),
+        }) = serial
+        else {
+            panic!("expected NoConvergence with a residual, got {serial:?}");
+        };
+        assert_eq!(iterations, SUPPLY_PASSES);
+        assert!((1e-6..1e-3).contains(&residual_k), "{residual_k} K");
+        for threads in [2, 4, 7] {
+            assert_eq!(
+                bits(&on(38.0).solve_with_threads(threads)),
+                bits(&serial),
+                "threads = {threads}"
+            );
+        }
+        let settled = on(40.0).solve_with_threads(1).unwrap();
+        assert!(!settled.within_chiller_capacity);
     }
 
     #[test]

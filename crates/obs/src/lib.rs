@@ -153,7 +153,7 @@ impl Registry {
             return;
         }
         let mut inner = self.lock();
-        *inner.counters.entry(name.to_owned()).or_insert(0) += n;
+        update(&mut inner.counters, name, || 0, |c| *c += n);
         if name.starts_with(profile::PREFIX) {
             inner.work_units += n;
         }
@@ -199,23 +199,21 @@ impl Registry {
             bounds.windows(2).all(|w| w[0] < w[1]),
             "histogram {name} bounds must be strictly ascending"
         );
-        let mut inner = self.lock();
-        let hist = inner
-            .histograms
-            .entry(name.to_owned())
-            .or_insert_with(|| HistogramSnapshot {
-                bounds: bounds.to_vec(),
-                counts: vec![0; bounds.len() + 1],
-            });
-        assert_eq!(
-            hist.bounds, bounds,
-            "histogram {name} re-recorded with different bounds"
-        );
         let bucket = bounds
             .iter()
             .position(|&b| value <= b)
             .unwrap_or(bounds.len());
-        hist.counts[bucket] += 1;
+        let new = || HistogramSnapshot {
+            bounds: bounds.to_vec(),
+            counts: vec![0; bounds.len() + 1],
+        };
+        update(&mut self.lock().histograms, name, new, |hist| {
+            assert_eq!(
+                hist.bounds, bounds,
+                "histogram {name} re-recorded with different bounds"
+            );
+            hist.counts[bucket] += 1;
+        });
     }
 
     /// Records one float observation into the fixed-edge histogram
@@ -251,29 +249,27 @@ impl Registry {
             edges.windows(2).all(|w| w[0] < w[1]),
             "float histogram {name} edges must be strictly ascending"
         );
-        let mut inner = self.lock();
-        let hist = inner
-            .fhistograms
-            .entry(name.to_owned())
-            .or_insert_with(|| FHistogramSnapshot {
-                edges: edges.to_vec(),
-                counts: vec![0; edges.len() + 1],
-            });
-        assert!(
-            hist.edges.len() == edges.len()
-                && hist
-                    .edges
-                    .iter()
-                    .zip(edges)
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-            "float histogram {name} re-recorded with different edges"
-        );
         let bucket = if value.is_nan() {
             edges.len() // divergence: explicit overflow bucket
         } else {
             edges.partition_point(|&e| e <= value)
         };
-        hist.counts[bucket] += 1;
+        let new = || FHistogramSnapshot {
+            edges: edges.to_vec(),
+            counts: vec![0; edges.len() + 1],
+        };
+        update(&mut self.lock().fhistograms, name, new, |hist| {
+            assert!(
+                hist.edges.len() == edges.len()
+                    && hist
+                        .edges
+                        .iter()
+                        .zip(edges)
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "float histogram {name} re-recorded with different edges"
+            );
+            hist.counts[bucket] += 1;
+        });
     }
 
     /// Adds `n` to the **non-golden** gauge `name` — for values that
@@ -284,8 +280,7 @@ impl Registry {
         if !self.enabled {
             return;
         }
-        let mut inner = self.lock();
-        *inner.notes.entry(name.to_owned()).or_insert(0) += n;
+        update(&mut self.lock().notes, name, || 0, |v| *v += n);
     }
 
     /// Captures the golden channel: all counters and histograms, in
@@ -341,50 +336,61 @@ impl Registry {
         }
         let mut inner = self.lock();
         for (name, v) in &snapshot.counters {
-            *inner.counters.entry(name.clone()).or_insert(0) += v;
+            update(&mut inner.counters, name, || 0, |c| *c += v);
             if name.starts_with(profile::PREFIX) {
                 inner.work_units += v;
             }
         }
         for (name, hist) in &snapshot.histograms {
-            let target =
-                inner
-                    .histograms
-                    .entry(name.clone())
-                    .or_insert_with(|| HistogramSnapshot {
-                        bounds: hist.bounds.clone(),
-                        counts: vec![0; hist.counts.len()],
-                    });
-            assert_eq!(
-                target.bounds, hist.bounds,
-                "histogram {name} absorbed with different bounds"
-            );
-            for (t, s) in target.counts.iter_mut().zip(&hist.counts) {
-                *t += s;
-            }
+            let new = || HistogramSnapshot {
+                bounds: hist.bounds.clone(),
+                counts: vec![0; hist.counts.len()],
+            };
+            update(&mut inner.histograms, name, new, |target| {
+                assert_eq!(
+                    target.bounds, hist.bounds,
+                    "histogram {name} absorbed with different bounds"
+                );
+                for (t, s) in target.counts.iter_mut().zip(&hist.counts) {
+                    *t += s;
+                }
+            });
         }
         for (name, hist) in &snapshot.fhistograms {
-            let target =
-                inner
-                    .fhistograms
-                    .entry(name.clone())
-                    .or_insert_with(|| FHistogramSnapshot {
-                        edges: hist.edges.clone(),
-                        counts: vec![0; hist.counts.len()],
-                    });
-            assert!(
-                target.edges.len() == hist.edges.len()
-                    && target
-                        .edges
-                        .iter()
-                        .zip(&hist.edges)
-                        .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "float histogram {name} absorbed with different edges"
-            );
-            for (t, s) in target.counts.iter_mut().zip(&hist.counts) {
-                *t += s;
-            }
+            let new = || FHistogramSnapshot {
+                edges: hist.edges.clone(),
+                counts: vec![0; hist.counts.len()],
+            };
+            update(&mut inner.fhistograms, name, new, |target| {
+                assert!(
+                    target.edges.len() == hist.edges.len()
+                        && target
+                            .edges
+                            .iter()
+                            .zip(&hist.edges)
+                            .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "float histogram {name} absorbed with different edges"
+                );
+                for (t, s) in target.counts.iter_mut().zip(&hist.counts) {
+                    *t += s;
+                }
+            });
         }
+    }
+}
+
+/// Applies `f` to the value under `key`, first inserting `new()` when
+/// the key is absent. A key already in the map is found by `&str`, so
+/// recording into a warm name allocates nothing.
+fn update<V>(
+    map: &mut BTreeMap<String, V>,
+    key: &str,
+    new: impl FnOnce() -> V,
+    f: impl FnOnce(&mut V),
+) {
+    match map.get_mut(key) {
+        Some(value) => f(value),
+        None => f(map.entry(key.to_owned()).or_insert_with(new)),
     }
 }
 

@@ -4,6 +4,10 @@
 //! not "fast enough", but **zero allocations**, so entry points called
 //! with disabled sinks pay one branch per call and nothing else.
 //!
+//! A live registry is nearly as cheap once warm: recording into a name
+//! it already holds — counters, both histogram kinds, notes — looks the
+//! name up by `&str` and allocates nothing either.
+//!
 //! Everything lives in one `#[test]` so no sibling test can allocate
 //! concurrently and poison the counter delta.
 
@@ -11,7 +15,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use rcs_obs::trace::ChannelKind;
-use rcs_obs::Sinks;
+use rcs_obs::{Registry, Sinks};
 
 /// Forwards to the system allocator, counting every `alloc`/`realloc`.
 struct CountingAlloc;
@@ -85,4 +89,30 @@ fn disabled_sinks_never_touch_the_heap() {
     assert!(obs.snapshot().is_empty());
     assert!(trace.snapshot().is_empty());
     assert!(spans.snapshot().is_empty());
+
+    // A warm live registry: the first round inserts every name, the
+    // later rounds only find them.
+    let live = Registry::new();
+    let record = |i: u64| {
+        live.inc("solver.calls");
+        live.add("solver.iterations", i);
+        live.record_histogram("solver.rung", &[1, 2, 4], i);
+        #[allow(clippy::cast_precision_loss)]
+        live.record_histogram_f64("solver.residual", &[1e-9, 1e-6, 1e-3], i as f64 * 1e-7);
+        live.note("workers", 4);
+    };
+    record(0);
+    let count = allocations_in(|| (1..1000).for_each(record));
+    assert_eq!(
+        count, 0,
+        "a warm live registry made {count} heap allocations"
+    );
+    let snap = live.snapshot();
+    assert_eq!(snap.counter("solver.calls"), 1000);
+    assert_eq!(snap.counter("solver.iterations"), 999 * 1000 / 2);
+    assert_eq!(
+        snap.histogram("solver.rung").unwrap().counts,
+        vec![2, 1, 2, 995]
+    );
+    assert_eq!(live.notes(), vec![("workers".to_owned(), 4000)]);
 }

@@ -5,11 +5,11 @@
 //! must stay one at **any** thread count. This crate supplies the
 //! execution half of that contract with nothing but `std`:
 //!
-//! - [`par_map_indexed`] — a scoped thread pool (`std::thread::scope`
-//!   workers pulling from a channel work queue) whose results are always
-//!   collected in **input order**, so a parallel map is observably
-//!   identical to the serial `iter().map()` no matter how the items were
-//!   scheduled;
+//! - [`par_map_indexed`] — a scoped thread pool (the calling thread
+//!   plus `std::thread::scope` workers, all pulling from one shared work
+//!   queue) whose results are always collected in **input order**, so a
+//!   parallel map is observably identical to the serial `iter().map()`
+//!   no matter how the items were scheduled;
 //! - [`fixed_chunks`] — the fixed-size chunk partition the Monte-Carlo
 //!   loops use. Chunk boundaries depend only on the workload size, never
 //!   on the thread count, so the chunk → RNG-stream mapping (one
@@ -29,11 +29,15 @@
 //! - [`par_map_shards`] — [`par_map`] without the map-shape counters,
 //!   for resumable sessions that split one logical map across calls.
 //!
-//! The pool is deliberately not work-stealing and not persistent: sweeps
-//! in this workspace are dozens-to-thousands of coarse items, where a
-//! one-shot scoped pool costs microseconds and keeps every closure
-//! borrow-checked against the caller's stack (no `'static` bounds, no
-//! `Arc`).
+//! The pool is deliberately not work-stealing and not persistent. Each
+//! map builds it afresh: the caller becomes worker 0, spawns the other
+//! `threads - 1` workers as scoped threads and works the queue beside
+//! them, so a map spawns one thread fewer than it has workers and no
+//! thread ever blocks idle waiting for results. Items in this workspace
+//! are coarse (tens of microseconds and up), where a few microseconds
+//! of dispatch per item is noise, and scoped threads keep every
+//! closure borrow-checked against the caller's stack (no `'static`
+//! bounds, no `Arc`).
 //!
 //! [`jump`]: https://prng.di.unimi.it/
 //!
@@ -63,7 +67,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::ops::Range;
-use std::sync::mpsc;
+use std::panic::AssertUnwindSafe;
 use std::sync::{Mutex, PoisonError};
 
 use rcs_obs::{Shard, Sinks};
@@ -112,8 +116,8 @@ pub fn fixed_chunks(total: usize, chunk_size: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
-/// Maps `f` over `items` on up to `threads` scoped workers, returning
-/// results in **input order**.
+/// Maps `f` over `items` on up to `threads` workers, returning results
+/// in **input order**.
 ///
 /// `f` receives each item's index alongside the item, so stages can
 /// label work (e.g. pick RNG stream `i`) without threading state through
@@ -121,15 +125,17 @@ pub fn fixed_chunks(total: usize, chunk_size: usize) -> Vec<Range<usize>> {
 /// runs inline on the caller's thread — that path is the reference the
 /// pooled path is tested to be bit-identical against.
 ///
-/// Work distribution is a channel work queue: items are enqueued once,
-/// workers pull the next `(index, item)` whenever they finish one, and
-/// every result is slotted back by index. Scheduling order therefore
-/// affects only timing, never the returned `Vec`.
+/// Otherwise the caller is worker 0: it spawns `threads - 1` scoped
+/// workers (never more than there are items) and all of them pull the
+/// next `(index, item)` from one shared queue whenever they finish one.
+/// Every result is put back by index, so scheduling order affects only
+/// timing, never the returned `Vec`.
 ///
 /// # Panics
 ///
-/// Panics if any invocation of `f` panics (the panic is propagated once
-/// all workers have stopped).
+/// Panics if any invocation of `f` panics, on whichever worker ran it.
+/// The panic is re-raised once all workers have stopped, as
+/// `a scoped thread panicked: <message>`.
 pub fn par_map_indexed<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
 where
     T: Send,
@@ -149,10 +155,16 @@ where
 }
 
 /// The pooled path shared by [`par_map_indexed`] and the sink-taking
-/// maps: runs `workers` scoped threads over a channel
-/// work queue and returns the input-order results plus how many items
-/// each worker happened to process (a scheduling artifact — callers
-/// that surface it must treat it as non-golden).
+/// maps. The calling thread is worker 0: it spawns `workers - 1` scoped
+/// threads and then drains the same work queue alongside them, so a
+/// map costs one spawn fewer than it has workers and the caller never
+/// sits idle waiting for results. Returns the input-order results plus
+/// how many items each worker happened to process, the caller first (a
+/// scheduling artifact — callers that surface it must treat it as
+/// non-golden).
+///
+/// A panic in any worker, the caller included, is re-raised once every
+/// worker has stopped, as `a scoped thread panicked: <message>`.
 fn pooled_map<T, R, F>(items: Vec<T>, workers: usize, f: &F) -> (Vec<R>, Vec<u64>)
 where
     T: Send,
@@ -160,65 +172,49 @@ where
     F: Fn(usize, T) -> R + Sync,
 {
     let n = items.len();
-    // Work queue: pre-filled, sender dropped, so `recv` drains the queue
-    // and then reports disconnection — no sentinel values needed.
-    let (work_tx, work_rx) = mpsc::channel::<(usize, T)>();
-    for pair in items.into_iter().enumerate() {
-        // The receiver is alive until after this loop, so the send can
-        // only fail if the channel itself is broken — unrecoverable.
-        if work_tx.send(pair).is_err() {
-            unreachable!("work-queue receiver dropped while enqueueing");
+    // Work queue: each worker pulls the next `(index, item)` under the
+    // lock and computes outside it. Pulling cannot panic, so the lock is
+    // never poisoned in practice; if it were, the iterator would still be
+    // consistent, so keep draining it.
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let drain = || {
+        let mut done = Vec::new();
+        loop {
+            let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+            let Some((index, item)) = next else { break };
+            done.push((index, f(index, item)));
         }
-    }
-    drop(work_tx);
-    let work_rx = Mutex::new(work_rx);
-
-    let (result_tx, result_rx) = mpsc::channel::<(usize, R)>();
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    let tallies = Mutex::new(vec![0u64; workers]);
-
-    std::thread::scope(|scope| {
-        for worker in 0..workers {
-            let result_tx = result_tx.clone();
-            let work_rx = &work_rx;
-            let tallies = &tallies;
-            let f = &f;
-            scope.spawn(move || {
-                let mut processed = 0u64;
-                loop {
-                    // Hold the lock only while pulling the next item, not
-                    // while computing on it. A poisoned lock just means a
-                    // sibling worker panicked between lock and unlock;
-                    // the queue itself is still consistent, so keep
-                    // draining it rather than cascading the failure.
-                    let next = work_rx
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .recv();
-                    let Ok((index, item)) = next else { break };
-                    let result = f(index, item);
-                    processed += 1;
-                    if result_tx.send((index, result)).is_err() {
-                        break;
-                    }
-                }
-                tallies.lock().unwrap_or_else(PoisonError::into_inner)[worker] = processed;
-            });
-        }
-        drop(result_tx);
-        for (index, result) in result_rx {
-            slots[index] = Some(result);
-        }
+        done
+    };
+    let per_worker: Vec<std::thread::Result<Vec<(usize, R)>>> = std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..workers).map(|_| scope.spawn(drain)).collect();
+        // The caller's panic is caught only so that the spawned workers
+        // are joined before it is re-raised below; nothing it left
+        // half-done is read.
+        let caller = std::panic::catch_unwind(AssertUnwindSafe(drain));
+        std::iter::once(caller)
+            .chain(spawned.into_iter().map(|h| h.join()))
+            .collect()
     });
 
-    let results = slots
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|| unreachable!("every index produced exactly one result")))
-        .collect();
-    (
-        results,
-        tallies.into_inner().unwrap_or_else(PoisonError::into_inner),
-    )
+    let mut tallies = Vec::with_capacity(workers);
+    let mut indexed = Vec::with_capacity(n);
+    for done in per_worker {
+        match done {
+            Ok(done) => {
+                tallies.push(done.len() as u64);
+                indexed.extend(done);
+            }
+            Err(payload) => panic!(
+                "a scoped thread panicked: {}",
+                WorkerPanic::from_payload(payload.as_ref()).message
+            ),
+        }
+    }
+    // Every index was pulled exactly once, so sorting by it restores
+    // input order whichever worker ran which item.
+    indexed.sort_unstable_by_key(|&(index, _)| index);
+    (indexed.into_iter().map(|(_, r)| r).collect(), tallies)
 }
 
 /// One worker panic caught by [`isolate`] or [`par_map_isolated`],
@@ -264,7 +260,7 @@ impl std::error::Error for WorkerPanic {}
 ///
 /// Returns the caught panic as a [`WorkerPanic`].
 pub fn isolate<R>(f: impl FnOnce() -> R) -> Result<R, WorkerPanic> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+    std::panic::catch_unwind(AssertUnwindSafe(f))
         .map_err(|payload| WorkerPanic::from_payload(payload.as_ref()))
 }
 
@@ -504,6 +500,45 @@ mod tests {
             assert!(x != 2, "worker boom");
             x
         });
+    }
+
+    #[test]
+    fn a_panic_on_any_worker_carries_its_message() {
+        // Every item panics, so the caller's own item does too.
+        let caught = isolate(|| par_map_indexed(vec![0u8; 6], 3, |_, _| -> u8 { panic!("boom") }));
+        assert_eq!(
+            caught.unwrap_err().message,
+            "a scoped thread panicked: boom"
+        );
+    }
+
+    #[test]
+    fn worker_tallies_cover_every_worker_and_sum_to_the_item_count() {
+        for (n, workers) in [(2usize, 2usize), (5, 2), (97, 4), (10, 7), (3, 3)] {
+            let (got, tallies) = pooled_map((0..n).collect::<Vec<usize>>(), workers, &|_, x| x);
+            assert_eq!(got, (0..n).collect::<Vec<usize>>());
+            assert_eq!(tallies.len(), workers, "n = {n}, workers = {workers}");
+            assert_eq!(
+                tallies.iter().sum::<u64>(),
+                n as u64,
+                "n = {n}, workers = {workers}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_caller_is_worker_zero() {
+        // One item per worker, each held at a barrier until every worker
+        // holds one: the map can only finish if the caller takes an item.
+        let workers = 3;
+        let barrier = std::sync::Barrier::new(workers);
+        let caller = std::thread::current().id();
+        let (ran_on, tallies) = pooled_map(vec![(); workers], workers, &|_, ()| {
+            barrier.wait();
+            std::thread::current().id()
+        });
+        assert_eq!(tallies, vec![1; workers]);
+        assert_eq!(ran_on.iter().filter(|&&id| id == caller).count(), 1);
     }
 
     #[test]
