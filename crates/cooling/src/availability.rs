@@ -335,12 +335,6 @@ impl McSession {
         self.clock.is_finished()
     }
 
-    /// Chunks completed so far.
-    #[must_use]
-    pub fn chunks_done(&self) -> u64 {
-        self.clock.next_index()
-    }
-
     /// Reduces the accumulated trials into the final report.
     ///
     /// # Panics

@@ -10,7 +10,7 @@ use rcs_platform::presets;
 use rcs_units::{Power, Seconds};
 
 use super::Table;
-use crate::{AirCooledModel, ColdPlateModel, CoreError, ImmersionModel};
+use crate::{AirCooledModel, ColdPlateModel, ImmersionModel};
 
 /// Annual energy breakdown for one architecture.
 #[derive(Debug, Clone, PartialEq)]
@@ -141,18 +141,6 @@ pub fn run() -> Vec<Table> {
             .collect(),
     );
     vec![table]
-}
-
-/// Convenience: the immersion-vs-cold-plate PUE gap.
-///
-/// # Errors
-///
-/// Propagates solver failures.
-pub fn pue_gap() -> Result<f64, CoreError> {
-    let plates = ColdPlateModel::for_module(presets::skat()).solve()?;
-    let immersion = ImmersionModel::skat().solve()?;
-    let pue = |r: &crate::SteadyReport| 1.0 + r.cooling_overhead();
-    Ok(pue(&plates) - pue(&immersion))
 }
 
 #[cfg(test)]

@@ -100,18 +100,6 @@ impl Supervisor {
         }
     }
 
-    /// Overrides the demanded utilization.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `demand` is outside `(0, 1]`.
-    #[must_use]
-    pub fn with_demand(mut self, demand: f64) -> Self {
-        assert!(demand > 0.0 && demand <= 1.0, "demand outside (0, 1]");
-        self.demand_utilization = demand;
-        self
-    }
-
     /// Runs the supervisor through a chilled-water-supply scenario: one
     /// coupled solve per step, sensors read, policy applied to the next
     /// step's utilization.

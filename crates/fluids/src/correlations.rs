@@ -295,21 +295,6 @@ pub fn htc_flat_plate(state: &FluidState, velocity: Velocity, length: Length) ->
     nu_flat_plate(re, state.prandtl()).to_htc(state.conductivity, length)
 }
 
-/// Natural-convection heat-transfer coefficient on a vertical surface of
-/// the given height.
-#[must_use]
-pub fn htc_natural_vertical(
-    coolant: &Coolant,
-    t_surface: Celsius,
-    t_bulk: Celsius,
-    height: Length,
-) -> HeatTransferCoeff {
-    let film = Celsius::new(0.5 * (t_surface.degrees() + t_bulk.degrees()));
-    let s = coolant.state(film);
-    let ra = rayleigh(coolant, t_surface, t_bulk, height);
-    nu_natural_vertical_plate(ra, s.prandtl()).to_htc(s.conductivity, height)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

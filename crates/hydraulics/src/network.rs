@@ -198,25 +198,10 @@ impl HydraulicNetwork {
         (0..self.junctions.len()).map(JunctionId)
     }
 
-    /// Iterates over all branch ids.
-    pub fn branch_ids(&self) -> impl Iterator<Item = BranchId> + '_ {
-        (0..self.branches.len()).map(BranchId)
-    }
-
     /// Number of branches.
     #[must_use]
     pub fn branch_count(&self) -> usize {
         self.branches.len()
-    }
-
-    /// Name of a junction.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a foreign id.
-    #[must_use]
-    pub fn junction_name(&self, j: JunctionId) -> &str {
-        &self.junctions[j.0].name
     }
 
     /// Name of a branch.

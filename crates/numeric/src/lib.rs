@@ -4,8 +4,7 @@
 //! dependencies: a dense row-major matrix with LU-style Gaussian
 //! elimination ([`Matrix::solve`]), a sparse graph-elimination kernel
 //! with reusable symbolic analysis ([`SparseSymbolic`]), a fixed-step
-//! fourth-order Runge-Kutta integrator ([`ode::rk4`]),
-//! bracketing/Newton root finders ([`root`]), a deterministic
+//! fourth-order Runge-Kutta integrator ([`ode::rk4`]), a deterministic
 //! xoshiro256++ generator with the exponential/Poisson draws and the
 //! stream-splitting jumps the Monte-Carlo studies need ([`rng`]), and
 //! the shared order statistics they report ([`stats`]).
@@ -37,7 +36,6 @@ pub mod hash;
 mod matrix;
 pub mod ode;
 pub mod rng;
-pub mod root;
 mod sparse;
 pub mod stats;
 

@@ -16,13 +16,6 @@ pub enum NumericError {
         /// What was provided.
         actual: usize,
     },
-    /// An iterative method failed to converge.
-    NoConvergence {
-        /// Iterations performed before giving up.
-        iterations: usize,
-        /// Residual at the final iterate.
-        residual: f64,
-    },
 }
 
 impl core::fmt::Display for NumericError {
@@ -33,15 +26,6 @@ impl core::fmt::Display for NumericError {
             }
             Self::DimensionMismatch { expected, actual } => {
                 write!(f, "dimension mismatch: expected {expected}, got {actual}")
-            }
-            Self::NoConvergence {
-                iterations,
-                residual,
-            } => {
-                write!(
-                    f,
-                    "no convergence after {iterations} iterations (residual {residual:.3e})"
-                )
             }
         }
     }

@@ -1,6 +1,6 @@
 //! Property-based tests for the numeric kernels.
 
-use rcs_numeric::{ode, root, Matrix};
+use rcs_numeric::{ode, Matrix};
 use rcs_testkit::check;
 
 /// Random diagonally dominant matrix: always solvable, well conditioned.
@@ -77,29 +77,5 @@ fn rk4_matches_exponential_decay() {
         );
         let analytic = y0 * (-lambda * t1).exp();
         assert!((y[0] - analytic).abs() < 1e-6 * y0.abs().max(1.0));
-    });
-}
-
-/// Bisection finds the root of any monotone cubic with a sign change.
-#[test]
-fn bisect_monotone_cubic() {
-    check("bisect_monotone_cubic", |g| {
-        let c = g.draw(-50.0..50.0f64);
-        // f(x) = x^3 + x - c is strictly increasing; root within +-|c|+1
-        let bound = c.abs() + 1.0;
-        let r = root::bisect(|x| x * x * x + x - c, -bound, bound, 1e-12, 500).unwrap();
-        assert!((r * r * r + r - c).abs() < 1e-6);
-    });
-}
-
-/// Newton agrees with bisection on the same cubic.
-#[test]
-fn newton_agrees_with_bisect() {
-    check("newton_agrees_with_bisect", |g| {
-        let c = g.draw(-50.0..50.0f64);
-        let bound = c.abs() + 1.0;
-        let b = root::bisect(|x| x * x * x + x - c, -bound, bound, 1e-12, 500).unwrap();
-        let n = root::newton(|x| x * x * x + x - c, 0.0, 1e-12, 200).unwrap();
-        assert!((b - n).abs() < 1e-6);
     });
 }

@@ -203,45 +203,10 @@ impl ThermalNetwork {
         Ok(())
     }
 
-    /// Replaces the heat generation of an internal node.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ThermalNetwork::add_heat`].
-    pub fn set_heat(&mut self, node: NodeId, power: Power) -> Result<(), ThermalError> {
-        let data = self
-            .nodes
-            .get_mut(node.0)
-            .ok_or(ThermalError::UnknownNode { index: node.0 })?;
-        if matches!(data.kind, NodeKind::Boundary { .. }) {
-            return Err(ThermalError::HeatOnBoundary {
-                node: data.name.clone(),
-            });
-        }
-        data.heat = power;
-        Ok(())
-    }
-
     /// Number of nodes (internal + boundary).
     #[must_use]
     pub fn node_count(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// Number of resistors.
-    #[must_use]
-    pub fn resistor_count(&self) -> usize {
-        self.resistors.len()
-    }
-
-    /// Name of a node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id does not belong to this network.
-    #[must_use]
-    pub fn node_name(&self, node: NodeId) -> &str {
-        &self.nodes[node.0].name
     }
 
     /// Total heat injected into the network.

@@ -18,7 +18,7 @@
 //! | module | crate | provides |
 //! |---|---|---|
 //! | [`units`] | `rcs-units` | typed physical quantities |
-//! | [`numeric`] | `rcs-numeric` | dense linear algebra, RK4, root finding |
+//! | [`numeric`] | `rcs-numeric` | dense linear algebra, RK4, RNG, order statistics |
 //! | [`parallel`] | `rcs-parallel` | deterministic scoped thread pool for sweeps |
 //! | [`obs`] | `rcs-obs` | deterministic telemetry: counters, histograms, manifests |
 //! | [`fluids`] | `rcs-fluids` | coolant properties & convection correlations |
@@ -27,7 +27,6 @@
 //! | [`devices`] | `rcs-devices` | FPGA catalog, power, performance, reliability |
 //! | [`platform`] | `rcs-platform` | boards, modules, racks, presets |
 //! | [`cooling`] | `rcs-cooling` | cooling architectures, control, risk |
-//! | [`taskgraph`] | `rcs-taskgraph` | information graphs → FPGA field mapping |
 //! | [`kernel`] | `rcs-kernel` | deterministic stepping kernel with checkpoint/restore |
 //! | [`core`] | `rcs-core` | the coupled simulator and experiment harness |
 //! | [`query`] | `rcs-query` | design-query service: cached, resilient batch answers |
@@ -60,6 +59,5 @@ pub use rcs_obs as obs;
 pub use rcs_parallel as parallel;
 pub use rcs_platform as platform;
 pub use rcs_query as query;
-pub use rcs_taskgraph as taskgraph;
 pub use rcs_thermal as thermal;
 pub use rcs_units as units;
