@@ -1191,6 +1191,54 @@ mod tests {
     }
 
     #[test]
+    fn the_fouling_stall_is_a_structured_solver_failure() {
+        // A known stall of the coupled fixed point: SKAT+ with exchanger
+        // fouling at 0.0057 K/W/h, a valve stuck at 34 % and a stuck
+        // flow sensor. The supervisor shuts the module down at 432 s;
+        // some 150 s later, as the fouling keeps growing, no rung of the
+        // relinearization's robust ladder settles. Anderson acceleration
+        // does not remove the stall either. The drill must stop there
+        // and say so: no panic and no silent answer.
+        let timeline = FaultTimeline::new()
+            .with_event(
+                Seconds::new(196.013_466_120_277_46),
+                FaultKind::SensorFault {
+                    channel: SensorChannel::CoolantFlow,
+                    fault: SensorFault::StuckAt(40.0),
+                },
+            )
+            .with_event(
+                Seconds::new(15.085_226_833_390_507),
+                FaultKind::ValveStuckPartial {
+                    opening: 0.343_715_225_292_238_2,
+                },
+            )
+            .with_event(
+                Seconds::new(29.331_788_199_309_795),
+                FaultKind::ExchangerFouling {
+                    rate_k_per_w_per_hour: 0.005_683_113_300_987_479,
+                },
+            );
+        let drill = FaultDrill::skat_plus("fouling stall", timeline, Seconds::minutes(20.0));
+        let mut noise = Rng::from_state([
+            4_459_883_985_227_805_811,
+            13_810_241_932_670_568_633,
+            5_929_899_252_078_136_610,
+            7_852_303_822_236_916_059,
+        ]);
+        let obs = Registry::new();
+        let outcome = drill.run(&mut noise, Sinks::counters(&obs));
+        let failure = outcome.solver_failure.as_deref().expect("the drill stalls");
+        assert!(failure.contains("did not converge"), "{failure}");
+        assert!(!outcome.clean());
+        assert_eq!(outcome.time_to_shutdown, Some(Seconds::new(432.0)));
+        assert!(outcome.steps < 1200, "the drill stops at the stall");
+        let snap = obs.snapshot();
+        assert_eq!(snap.counter("drill.solver_failures"), 1);
+        assert!(snap.counter("immersion.ladder.no_convergence") >= 1);
+    }
+
+    #[test]
     fn nominal_skat_plus_drill_raises_nothing() {
         let drill = FaultDrill::skat_plus("nominal", FaultTimeline::new(), Seconds::minutes(10.0));
         let outcome = drill.run(&mut rng(), Sinks::disabled());

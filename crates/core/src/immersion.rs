@@ -2,6 +2,7 @@
 
 use rcs_cooling::ImmersionBath;
 use rcs_devices::{OperatingPoint, PowerModel};
+use rcs_fluids::FluidState;
 use rcs_hydraulics::{
     BranchId, Element, HydraulicNetwork, Pipe, PumpCurve, SolveOptions, SolverContext, Valve,
 };
@@ -190,7 +191,8 @@ impl ImmersionModel {
             }
             Some((net, bath_branch)) => {
                 let mut ctx = net.solver_context();
-                self.circulation_solve(&net, bath_branch, oil_bulk, &mut ctx, obs)
+                let oil = self.bath.coolant.state(oil_bulk);
+                self.circulation_solve(&net, bath_branch, &oil, &mut ctx, obs)
             }
         }
     }
@@ -248,24 +250,24 @@ impl ImmersionModel {
         Ok(Some((net, bath_branch)))
     }
 
-    /// One circulation operating-point solve through a caller-held
-    /// [`SolverContext`], so consecutive solves of the same bath reuse
-    /// the sparse schedule and warm-start from the previous flows.
+    /// One circulation operating-point solve of oil in state `oil`
+    /// through a caller-held [`SolverContext`], so consecutive solves of
+    /// the same bath reuse the sparse schedule and warm-start from the
+    /// previous flows.
     fn circulation_solve(
         &self,
         net: &HydraulicNetwork,
         bath_branch: BranchId,
-        oil_bulk: Celsius,
+        oil: &FluidState,
         ctx: &mut SolverContext,
         obs: &Registry,
     ) -> Result<(VolumeFlow, Power), CoreError> {
         obs.inc("immersion.circulation.calls");
-        let oil = self.bath.coolant.state(oil_bulk);
         // retry ladder: bit-identical to a plain solve for healthy
         // networks, but deeply derated pump curves get the damped rungs
         // and, failing those, diagnostics naming the offending branch
         let solution = net
-            .solve_with_ladder(&oil, &SolveOptions::ladder(), ctx, Sinks::counters(obs))
+            .solve_with_ladder(oil, &SolveOptions::ladder(), ctx, Sinks::counters(obs))
             .map_err(CoreError::from)?;
         let flow = solution.flow(bath_branch);
         let electrical =
@@ -278,8 +280,8 @@ impl ImmersionModel {
     /// # Errors
     ///
     /// Returns [`CoreError::NoConvergence`] if the outer fixed point fails
-    /// (it converges in a handful of iterations for every physical
-    /// configuration) and propagates substrate failures.
+    /// (it converges for every physical configuration, typically in
+    /// about ten iterations) and propagates substrate failures.
     pub fn solve(&self) -> Result<SteadyReport, CoreError> {
         self.solve_counted(Sinks::disabled())
     }
@@ -318,6 +320,14 @@ impl ImmersionModel {
     /// stiff faulted configurations; the last rung's
     /// [`CoreError::NoConvergence`] (with its recorded residual) is
     /// returned if all fail.
+    ///
+    /// Every rung runs the same Anderson-accelerated fixed point (depth
+    /// 2 on junction, hot-oil and cold-oil temperature) with the rung's
+    /// damping (0.5, 0.25, 0.1) as its mixing factor. A least-squares
+    /// step that is ill-conditioned or not finite clears the history
+    /// and falls back to the plain damped blend toward the update, so a
+    /// heavier rung still moves more cautiously. A rung converges once
+    /// the update moves junction plus hot oil by less than 1e-7 K.
     ///
     /// Telemetry, all golden:
     ///
@@ -427,8 +437,10 @@ impl ImmersionModel {
     /// Solves with one explicit damping rung outside the standard
     /// ladder — the hook the query layer's deterministic retry ladder
     /// uses to push past [`ImmersionModel::solve_robust`] with
-    /// progressively heavier damping (`damping` is the blend factor
-    /// toward the new iterate; smaller is heavier). Work done by the
+    /// progressively heavier damping. `damping` is the mixing factor of
+    /// the ladder's Anderson-accelerated fixed point and the blend
+    /// factor of its safeguard's plain damped step toward the new
+    /// iterate; smaller is heavier. Work done by the
     /// fixed point lands on `profile.immersion.fixed_point_iterations`
     /// in `sinks.obs` whether or not the rung converges, so work-unit
     /// budgets see every retry attempt.
@@ -463,6 +475,14 @@ impl ImmersionModel {
         result
     }
 
+    /// The coupled fixed point `x = G(x)` on the state
+    /// `x = (tj, oil_hot, oil_cold)`. One evaluation of `G` runs the
+    /// circulation solve, sink convection, the ε-NTU exchanger balance,
+    /// the chiller and the temperature-dependent chip power. Each step
+    /// is an [`Anderson`] step mixed with `damping`; a step its safeguard
+    /// rejects is the plain damped blend toward `G(x)`. Converged once
+    /// `|Δtj| + |Δoil_hot|` of `G(x) − x` falls below 1e-7 K, accepting
+    /// the damped blend of that last update.
     fn solve_damped(
         &self,
         damping: f64,
@@ -471,6 +491,10 @@ impl ImmersionModel {
     ) -> Result<SteadyReport, CoreError> {
         let model = PowerModel::for_part(self.module.ccb().part());
         let stack = self.chip_stack();
+        // the water side sits at the chiller setpoint whatever the oil does
+        let water = rcs_fluids::Coolant::water().state(self.bath.chiller.setpoint());
+        let c_water: ThermalCapacityRate =
+            (self.bath.water_flow * water.density) * water.specific_heat;
 
         // One network build and one solver context for the whole fixed
         // point: every iteration's hydraulic solve after the first
@@ -487,13 +511,15 @@ impl ImmersionModel {
         let mut converged = false;
         let mut iterations = 0;
         let mut last_step = None;
+        let mut mixer = Anderson::new(damping);
 
         for iter in 0..max_iter {
             iterations = iter + 1;
             let oil_bulk = Celsius::new(0.5 * (oil_hot.degrees() + oil_cold.degrees()));
+            let oil_state = self.bath.coolant.state(oil_bulk);
             let (q, p_elec) = match (&circulation, &mut ctx) {
                 (Some((net, bath_branch)), Some(ctx)) => {
-                    self.circulation_solve(net, *bath_branch, oil_bulk, ctx, obs)?
+                    self.circulation_solve(net, *bath_branch, &oil_state, ctx, obs)?
                 }
                 _ => {
                     obs.inc("immersion.circulation.calls");
@@ -505,7 +531,6 @@ impl ImmersionModel {
             pump_electrical = p_elec;
             velocity = self.bath.approach_velocity(flow);
 
-            let oil_state = self.bath.coolant.state(oil_bulk);
             let chip_p = model.power(self.op, tj);
             // pump heat also lands in the bath (fully for immersed drives,
             // hydraulic share otherwise)
@@ -517,9 +542,6 @@ impl ImmersionModel {
             let total = self.module.total_heat(self.op, tj) + pump_heat;
 
             let c_oil: ThermalCapacityRate = (flow * oil_state.density) * oil_state.specific_heat;
-            let water = rcs_fluids::Coolant::water().state(self.bath.chiller.setpoint());
-            let c_water: ThermalCapacityRate =
-                (self.bath.water_flow * water.density) * water.specific_heat;
             let eps = self.bath.exchanger.effectiveness(c_oil, c_water);
             let c_min =
                 ThermalCapacityRate::new(c_oil.watts_per_kelvin().min(c_water.watts_per_kelvin()));
@@ -536,14 +558,16 @@ impl ImmersionModel {
 
             let step = (new_tj - tj).kelvins().abs() + (new_hot - oil_hot).kelvins().abs();
             last_step = Some(step);
-            // blend factor: with the default damping of 0.5 this is the
-            // plain average; heavier ladder rungs move more slowly
-            let keep = 1.0 - damping;
-            oil_hot = Celsius::new(keep * oil_hot.degrees() + damping * new_hot.degrees());
-            oil_cold = Celsius::new(keep * oil_cold.degrees() + damping * new_cold.degrees());
-            tj = Celsius::new(keep * tj.degrees() + damping * new_tj.degrees());
-            if step < 1e-7 {
+            let x = [tj.degrees(), oil_hot.degrees(), oil_cold.degrees()];
+            let g = [new_tj.degrees(), new_hot.degrees(), new_cold.degrees()];
+            let next = if step < 1e-7 {
                 converged = true;
+                damped_blend(x, g, damping)
+            } else {
+                mixer.step(x, g)
+            };
+            [tj, oil_hot, oil_cold] = next.map(Celsius::new);
+            if converged {
                 break;
             }
         }
@@ -700,6 +724,117 @@ impl ImmersionModel {
             steady.total_heat - self.module.fpga_heat(self.op, steady.junction),
         )?;
         Ok((net, chip_node, bath_node))
+    }
+}
+
+/// How many past `(Δx, Δf)` pairs an [`Anderson`] step mixes.
+const ANDERSON_DEPTH: usize = 2;
+
+/// Smallest `sin²` of the angle between the two residual differences
+/// that still counts as two independent directions. Below it the 2×2
+/// normal equations are too ill-conditioned to trust.
+const ANDERSON_MIN_SIN2: f64 = 1e-8;
+
+/// The plain damped step: the blend `(1 − β)·x + β·g` toward the update
+/// `g = G(x)`. With `β = 0.5` it is the average of state and update.
+fn damped_blend(x: [f64; 3], g: [f64; 3], beta: f64) -> [f64; 3] {
+    let keep = 1.0 - beta;
+    std::array::from_fn(|i| keep * x[i] + beta * g[i])
+}
+
+fn dot(a: &[f64; 3], b: &[f64; 3]) -> f64 {
+    a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+}
+
+/// Safeguarded Anderson acceleration (Walker & Ni, SIAM J. Numer. Anal.
+/// 49, 2011) of depth [`ANDERSON_DEPTH`] for the fixed point `x = G(x)`
+/// on the three-temperature immersion state, with mixing factor `β`.
+///
+/// With residual `f = G(x) − x` and the last few differences `Δx_j`,
+/// `Δf_j` of successive states and residuals, a step solves
+/// `min_γ ‖f − Σ γ_j Δf_j‖₂` and moves to
+/// `x + β·f − Σ γ_j (Δx_j + β·Δf_j)`. Without history that is the
+/// damped blend. When the least-squares problem is ill-conditioned
+/// (collinear differences, a zero difference) or the step is not finite,
+/// the history is cleared and the step is the damped blend, so the
+/// damping ladders keep their shape. The history is a few fixed-size
+/// arrays: nothing goes on the heap.
+#[derive(Debug)]
+struct Anderson {
+    beta: f64,
+    dx: [[f64; 3]; ANDERSON_DEPTH],
+    df: [[f64; 3]; ANDERSON_DEPTH],
+    /// Valid history columns, oldest overwritten first.
+    len: usize,
+    /// The column the next difference overwrites.
+    head: usize,
+    /// The previous state and residual.
+    last: Option<([f64; 3], [f64; 3])>,
+}
+
+impl Anderson {
+    fn new(beta: f64) -> Self {
+        Self {
+            beta,
+            dx: [[0.0; 3]; ANDERSON_DEPTH],
+            df: [[0.0; 3]; ANDERSON_DEPTH],
+            len: 0,
+            head: 0,
+            last: None,
+        }
+    }
+
+    /// The next state from state `x` and its update `g = G(x)`.
+    fn step(&mut self, x: [f64; 3], g: [f64; 3]) -> [f64; 3] {
+        let f: [f64; 3] = std::array::from_fn(|i| g[i] - x[i]);
+        if let Some((x0, f0)) = self.last.replace((x, f)) {
+            self.dx[self.head] = std::array::from_fn(|i| x[i] - x0[i]);
+            self.df[self.head] = std::array::from_fn(|i| f[i] - f0[i]);
+            self.head = (self.head + 1) % ANDERSON_DEPTH;
+            self.len = (self.len + 1).min(ANDERSON_DEPTH);
+        }
+        let damped = damped_blend(x, g, self.beta);
+        if self.len == 0 {
+            return damped;
+        }
+        if let Some(gamma) = self.mixing_weights(&f) {
+            let beta = self.beta;
+            let next: [f64; 3] = std::array::from_fn(|i| {
+                (0..self.len).fold(damped[i], |acc, j| {
+                    acc - gamma[j] * (self.dx[j][i] + beta * self.df[j][i])
+                })
+            });
+            if next.iter().all(|v| v.is_finite()) {
+                return next;
+            }
+        }
+        // safeguard: forget the history, take the plain damped step
+        self.len = 0;
+        self.head = 0;
+        damped
+    }
+
+    /// The least-squares weights `γ` over the valid history columns,
+    /// from the normal equations; `None` when they are ill-conditioned
+    /// or not finite.
+    fn mixing_weights(&self, f: &[f64; 3]) -> Option<[f64; ANDERSON_DEPTH]> {
+        let [d0, d1] = &self.df;
+        let gamma = if self.len == 1 {
+            let a = dot(d0, d0);
+            if a.is_nan() || a <= 0.0 {
+                return None;
+            }
+            [dot(d0, f) / a, 0.0]
+        } else {
+            let (a00, a01, a11) = (dot(d0, d0), dot(d0, d1), dot(d1, d1));
+            let det = a00 * a11 - a01 * a01;
+            if det.is_nan() || det <= ANDERSON_MIN_SIN2 * a00 * a11 {
+                return None;
+            }
+            let (b0, b1) = (dot(d0, f), dot(d1, f));
+            [(a11 * b0 - a01 * b1) / det, (a00 * b1 - a01 * b0) / det]
+        };
+        gamma.iter().all(|v| v.is_finite()).then_some(gamma)
     }
 }
 
@@ -1055,6 +1190,159 @@ mod tests {
             .solve_robust(Sinks::counters(&Registry::new()))
             .unwrap();
         assert_eq!(plain, observed);
+    }
+
+    #[test]
+    fn plain_solve_is_bitwise_the_robust_ladders_rung_zero() {
+        // the rack model solves with `solve()` and the benchmark's rack
+        // shadow replay with `solve_robust`: both must run one kernel
+        for model in [ImmersionModel::skat(), ImmersionModel::skat_plus()] {
+            let obs = Registry::new();
+            let robust = model.solve_robust(Sinks::counters(&obs)).unwrap();
+            let snap = obs.snapshot();
+            let rung = snap.histogram("immersion.ladder.rung").unwrap();
+            assert_eq!(rung.counts, vec![1, 0, 0, 0]);
+            let plain = model.solve().unwrap();
+            assert_eq!(plain, robust);
+            for (a, b) in [
+                (plain.junction, robust.junction),
+                (plain.coolant_hot, robust.coolant_hot),
+                (plain.coolant_cold, robust.coolant_cold),
+            ] {
+                assert_eq!(a.degrees().to_bits(), b.degrees().to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn paper_design_points_converge_on_rung_zero_within_15_iterations() {
+        // E5 and E9: the SKAT and SKAT+ modules; E7: the same modules and
+        // every module solve of the two 12-module shared-chiller racks
+        for model in [ImmersionModel::skat(), ImmersionModel::skat_plus()] {
+            let obs = Registry::new();
+            let report = model.solve_robust(Sinks::counters(&obs)).unwrap();
+            assert_eq!(obs.snapshot().counter("immersion.ladder.escalations"), 0);
+            assert!(report.iterations <= 15, "{} iterations", report.iterations);
+        }
+        for rack in [
+            crate::RackImmersionModel::skat_rack(12),
+            crate::RackImmersionModel::skat_plus_rack(12),
+        ] {
+            for module in rack.solve().unwrap().per_module {
+                assert!(module.iterations <= 15, "{} iterations", module.iterations);
+            }
+        }
+    }
+
+    /// Drives a mixer on `G` from `x0` until the update moves the state
+    /// by less than 1e-12; returns the state and the iteration count.
+    fn iterate(
+        mixer: &mut Anderson,
+        g: impl Fn([f64; 3]) -> [f64; 3],
+        x0: [f64; 3],
+    ) -> ([f64; 3], usize) {
+        let mut x = x0;
+        for iter in 1..=200 {
+            let gx = g(x);
+            if (0..3).map(|i| (gx[i] - x[i]).abs()).sum::<f64>() < 1e-12 {
+                return (x, iter);
+            }
+            x = mixer.step(x, gx);
+        }
+        panic!("no convergence from {x0:?}");
+    }
+
+    #[test]
+    fn anderson_without_history_is_the_damped_blend() {
+        let mut mixer = Anderson::new(0.25);
+        let (x, g) = ([45.0, 28.0, 25.0], [50.0, 30.0, 24.0]);
+        let step = mixer.step(x, g);
+        assert_eq!(step, damped_blend(x, g, 0.25));
+        assert_eq!(step, [46.25, 28.5, 24.75]);
+    }
+
+    #[test]
+    fn a_zero_residual_difference_falls_back_to_the_damped_step() {
+        // the same state and update twice: Δf = 0, a singular 1×1 system
+        let mut mixer = Anderson::new(0.5);
+        let (x, g) = ([45.0, 28.0, 25.0], [46.0, 28.5, 24.0]);
+        mixer.step(x, g);
+        let step = mixer.step(x, g);
+        assert_eq!(step, damped_blend(x, g, 0.5));
+        assert_eq!(mixer.len, 0, "the safeguard clears the history");
+    }
+
+    #[test]
+    fn a_collinear_history_falls_back_to_the_damped_step_and_converges() {
+        // an isotropic contraction maps every state difference to a
+        // parallel residual difference; three states on one line give
+        // two collinear history columns and singular normal equations
+        let fixed = [52.0, 29.0, 26.5];
+        let g = |x: [f64; 3]| -> [f64; 3] {
+            std::array::from_fn(|i| fixed[i] + 0.8 * (x[i] - fixed[i]))
+        };
+        let mut mixer = Anderson::new(0.5);
+        let x0 = [45.0, 28.0, 28.0];
+        let shift = [1.0, 2.0, -1.0];
+        let x1: [f64; 3] = std::array::from_fn(|i| x0[i] + shift[i]);
+        let x2: [f64; 3] = std::array::from_fn(|i| x1[i] + 2.0 * shift[i]);
+        mixer.step(x0, g(x0));
+        mixer.step(x1, g(x1));
+        let step = mixer.step(x2, g(x2));
+        assert_eq!(step, damped_blend(x2, g(x2), 0.5), "collinear: damped step");
+        assert_eq!(mixer.len, 0, "the safeguard clears the history");
+        let (x, _) = iterate(&mut mixer, g, step);
+        assert!(x.iter().all(|v| v.is_finite()));
+        for i in 0..3 {
+            assert!((x[i] - fixed[i]).abs() < 1e-9, "{x:?}");
+        }
+    }
+
+    #[test]
+    fn a_non_finite_update_is_a_damped_step_not_a_panic() {
+        let mut mixer = Anderson::new(0.5);
+        mixer.step([45.0, 28.0, 25.0], [46.0, 28.5, 24.0]);
+        let poisoned = [f64::NAN, 29.0, 24.5];
+        let step = mixer.step([45.5, 28.25, 24.5], poisoned);
+        assert!(step[0].is_nan());
+        assert_eq!(mixer.len, 0);
+        // and a coupled solve with no circulation at all (every pump
+        // gone, no stagnation model) ends in a structured error
+        let err = ImmersionModel::skat()
+            .with_pump_curves(Vec::new())
+            .solve_robust(Sinks::disabled())
+            .unwrap_err();
+        assert!(matches!(err, CoreError::NoConvergence { .. }), "{err}");
+    }
+
+    #[test]
+    fn anderson_beats_the_damped_blend_on_a_coupled_contraction() {
+        // a non-symmetric linear contraction with a slow mode, the shape
+        // of the junction ← leakage power ← oil temperature coupling
+        let g = |x: [f64; 3]| -> [f64; 3] {
+            [
+                30.0 + 0.9 * x[1] + 0.05 * x[0],
+                20.0 + 0.03 * x[0] + 0.6 * x[1],
+                0.95 * x[1] - 1.0,
+            ]
+        };
+        let x0 = [45.0, 28.0, 28.0];
+        let (fast, accelerated) = iterate(&mut Anderson::new(0.5), g, x0);
+        // the damped blend alone: a mixer whose history never survives
+        let mut picard = 0;
+        let mut x = x0;
+        loop {
+            picard += 1;
+            let gx = g(x);
+            if (0..3).map(|i| (gx[i] - x[i]).abs()).sum::<f64>() < 1e-12 {
+                break;
+            }
+            x = damped_blend(x, gx, 0.5);
+        }
+        for i in 0..3 {
+            assert!((fast[i] - x[i]).abs() < 1e-9);
+        }
+        assert!(accelerated * 3 < picard, "{accelerated} vs {picard}");
     }
 
     #[test]

@@ -142,10 +142,19 @@ fn fleet_simulation_matches_golden_values() {
     // the fixed point takes an infinitesimally different path to the
     // same physics — see the changelog. Event counts and availability
     // draw from the pinned RNG stream and are unchanged.
+    // Re-pinned again (49.399_473_892_455_38 → 49.399_473_916_248_97, a
+    // 2.4e-8 K shift) when the immersion fixed point moved from a plain
+    // damped blend to Anderson acceleration: the solve now stops at a
+    // different point inside the same 1e-7 K stopping tolerance. Event
+    // counts, availability and PFLOP-years are unchanged, exactly.
     let outcome = FleetSimulation::new(12, 5.0, 20180401)
         .run(FleetConfig::ImmersionDesigned)
         .unwrap();
-    assert!((outcome.mean_junction_c - 49.399_473_892_455_38).abs() < GOLDEN_TOL);
+    assert!(
+        (outcome.mean_junction_c - 49.399_473_916_248_97).abs() < GOLDEN_TOL,
+        "mean_junction_c = {:?}",
+        outcome.mean_junction_c
+    );
     // event counts are integers drawn from the pinned stream: exact
     assert_eq!(outcome.chip_failures, 5.0);
     assert_eq!(outcome.cooling_events, 47.0);

@@ -17,9 +17,14 @@
 //! ambient-threaded experiments get their matrix from the CI
 //! `RCS_THREADS` legs, which run this whole suite at 1 and 4 workers.
 //!
-//! If one of these tests fails, the kernel port (or a later change to a
-//! ported loop) drifted from the pre-port behavior — fix the loop, do
-//! **not** re-pin the golden.
+//! These goldens are the exact half of a two-level oracle: they pin the
+//! work a run does (iterations, calls, factorizations) bitwise, while
+//! `tests/physics_oracle.rs` checks what the solvers compute within a
+//! physics tolerance. If one of these tests fails, a loop drifted from
+//! the pinned behavior — fix the loop. Re-pin a golden only for a
+//! deliberate change of the work itself (the Anderson-accelerated
+//! immersion fixed point, for one, cut its iterations about 3.6×), and
+//! record the reason in the changelog.
 
 use std::collections::BTreeMap;
 
