@@ -92,12 +92,6 @@ impl Harness {
         }
     }
 
-    /// [`Harness::from_args_for`] with the default suite name `bench`.
-    #[must_use]
-    pub fn from_args() -> Self {
-        Self::from_args_for("bench")
-    }
-
     /// A harness pinned to quick mode with no filter (useful in tests
     /// and doctests).
     #[must_use]

@@ -6,6 +6,7 @@ use rcs_platform::ComputeModule;
 use rcs_units::{Power, TempDelta, ThermalCapacityRate, Velocity, VolumeFlow};
 
 use crate::error::CoreError;
+use crate::immersion::PUMP_DRIVE_EFFICIENCY;
 use crate::report::SteadyReport;
 
 /// Loop flow allocated per cooled board.
@@ -109,7 +110,8 @@ impl ColdPlateModel {
         let total = self.module.total_heat(self.op, tj);
         // circulating a closed loop across many small plates costs real
         // pressure: ~150 kPa at the loop flow
-        let pump_electrical = Power::from_watts(150e3 * flow.cubic_meters_per_second() / 0.45);
+        let pump_electrical =
+            Power::from_watts(150e3 * flow.cubic_meters_per_second() / PUMP_DRIVE_EFFICIENCY);
         Ok(SteadyReport {
             architecture: "closed-loop cold plates",
             module: self.module.name().to_owned(),

@@ -32,10 +32,10 @@ use rcs_obs::span::SpanSink;
 use rcs_obs::trace::TraceRecorder;
 use rcs_obs::{Registry, Sinks};
 use rcs_platform::ComputeModule;
-use rcs_units::{Celsius, Power, Seconds, VolumeFlow};
+use rcs_units::{Celsius, Seconds, VolumeFlow};
 
 use crate::error::CoreError;
-use crate::immersion::ImmersionModel;
+use crate::immersion::{pump_heat, ImmersionModel};
 
 /// Snapshot kind tag for [`DrillSession`] checkpoints.
 pub const DRILL_SNAPSHOT_KIND: &str = "core.drill";
@@ -449,38 +449,18 @@ impl FaultDrill {
             model = model.with_circulation_valve(state.valve_opening);
         }
         let steady = model.solve_robust(sinks)?;
-
-        let bulk =
-            Celsius::new(0.5 * (steady.coolant_hot.degrees() + steady.coolant_cold.degrees()));
-        let oil = self.bath.coolant.state(bulk);
-        let stack = model.chip_stack();
-        let r_field = stack
-            .total_resistance(&oil, steady.sink_velocity)
-            .kelvin_per_watt()
-            / chips;
-
-        let water = rcs_fluids::Coolant::water().state(degraded_bath.chiller.setpoint());
-        let c_oil = (steady.coolant_flow * oil.density) * oil.specific_heat;
-        let c_water = (degraded_bath.water_flow * water.density) * water.specific_heat;
-        let eps = degraded_bath.exchanger.effectiveness(c_oil, c_water);
-        let c_min = c_oil.watts_per_kelvin().min(c_water.watts_per_kelvin());
-        let r_hx = 1.0 / (eps * c_min).max(1e-9);
-
-        let pump_heat_w = if degraded_bath.immersed_pumps {
-            steady.circulation_power.watts()
-        } else {
-            steady.circulation_power.watts() * 0.45
-        };
+        let (_, r_sink, r_hx) = model.lumped_plant(&steady);
+        let pump = pump_heat(&degraded_bath, steady.circulation_power);
         let supply = degraded_bath
             .chiller
-            .supply_temperature(steady.total_heat + Power::from_watts(pump_heat_w));
+            .supply_temperature(steady.total_heat + pump);
 
         Ok(Linearization {
             flow_lpm: steady.coolant_flow.as_liters_per_minute(),
-            r_field,
-            r_hx,
+            r_field: r_sink.kelvin_per_watt() / chips,
+            r_hx: r_hx.kelvin_per_watt(),
             supply_c: supply.degrees(),
-            pump_heat_w,
+            pump_heat_w: pump.watts(),
         })
     }
 }
@@ -615,10 +595,9 @@ impl DrillSession {
 
         // Healthy baseline: initial temperatures and the stagnant-mode
         // reference resistance.
-        let baseline = match ImmersionModel::new(drill.module.clone(), drill.bath.clone())
-            .with_operating_point(OperatingPoint::at_utilization(drill.demand_utilization))
-            .solve_robust(sinks)
-        {
+        let model = ImmersionModel::new(drill.module.clone(), drill.bath.clone())
+            .with_operating_point(OperatingPoint::at_utilization(drill.demand_utilization));
+        let baseline = match model.solve_robust(sinks) {
             Ok(r) => r,
             Err(e) => {
                 obs.inc("drill.solver_failures");
@@ -629,13 +608,8 @@ impl DrillSession {
         #[allow(clippy::cast_precision_loss)]
         let chips = drill.module.compute_fpga_count() as f64;
         let c_chip = CHIP_FIELD_CAPACITANCE_PER_CHIP * chips;
-        let stack = ImmersionModel::new(drill.module.clone(), drill.bath.clone()).chip_stack();
-        let baseline_bulk =
-            Celsius::new(0.5 * (baseline.coolant_hot.degrees() + baseline.coolant_cold.degrees()));
-        let baseline_oil = drill.bath.coolant.state(baseline_bulk);
-        let r_chip_baseline = stack
-            .total_resistance(&baseline_oil, baseline.sink_velocity)
-            .kelvin_per_watt();
+        let (_, r_sink, _) = model.lumped_plant(&baseline);
+        let r_chip_baseline = r_sink.kelvin_per_watt();
 
         Ok(Self {
             clock: Clock::fixed_clamped(SCAN_DT.seconds(), drill.duration.seconds()),

@@ -285,6 +285,30 @@ mod tests {
     }
 
     #[test]
+    fn a_drifting_chiller_is_throttled_through_not_shut_down() {
+        // On both designs the supervisor answers a failing chiller by
+        // shedding load, never trips the module, and keeps the junction
+        // under the hardware limit.
+        let mut drifts = 0;
+        for (drill, outcome) in cells().iter().zip(rows_with_threads(1, Sinks::disabled())) {
+            if drill.name != "chiller setpoint drift" {
+                continue;
+            }
+            drifts += 1;
+            assert!(outcome.time_to_alarm.is_some(), "{outcome:?}");
+            assert!(outcome.min_utilization < 0.90, "{outcome:?}");
+            assert!(!outcome.shut_down, "{outcome:?}");
+            assert_eq!(outcome.time_to_shutdown, None, "{outcome:?}");
+            assert_eq!(outcome.violation_steps, 0, "{outcome:?}");
+            assert!(
+                outcome.peak_junction < drill.control.component_limit,
+                "{outcome:?}"
+            );
+        }
+        assert_eq!(drifts, 2, "one drift row per design");
+    }
+
+    #[test]
     fn observed_matrix_matches_plain_and_counts_every_cell() {
         let obs = Registry::new();
         let observed = rows_with_threads(1, Sinks::counters(&obs));

@@ -12,7 +12,8 @@ use rcs_thermal::{
     TransientTrace,
 };
 use rcs_units::{
-    Celsius, Length, Power, Seconds, TempDelta, ThermalCapacityRate, Velocity, VolumeFlow,
+    Celsius, Length, Power, Seconds, TempDelta, ThermalCapacityRate, ThermalResistance, Velocity,
+    VolumeFlow,
 };
 
 use rcs_obs::span::SpanSink;
@@ -24,7 +25,18 @@ use crate::report::SteadyReport;
 
 /// Electrical efficiency of the circulation pump drive (hydraulic power
 /// delivered per electrical watt).
-const PUMP_DRIVE_EFFICIENCY: f64 = 0.45;
+pub(crate) const PUMP_DRIVE_EFFICIENCY: f64 = 0.45;
+
+/// Heat the circulation pumps put into the bath: all of their
+/// electrical power when the drives are immersed, only the hydraulic
+/// share otherwise.
+pub(crate) fn pump_heat(bath: &ImmersionBath, electrical: Power) -> Power {
+    if bath.immersed_pumps {
+        electrical
+    } else {
+        Power::from_watts(electrical.watts() * PUMP_DRIVE_EFFICIENCY)
+    }
+}
 
 /// Outer fixed-point iteration histogram bounds (inclusive upper
 /// bounds, overflow bucket past the heaviest ladder budget).
@@ -532,14 +544,9 @@ impl ImmersionModel {
             velocity = self.bath.approach_velocity(flow);
 
             let chip_p = model.power(self.op, tj);
-            // pump heat also lands in the bath (fully for immersed drives,
-            // hydraulic share otherwise)
-            let pump_heat = if self.bath.immersed_pumps {
-                pump_electrical
-            } else {
-                Power::from_watts(pump_electrical.watts() * PUMP_DRIVE_EFFICIENCY)
-            };
-            let total = self.module.total_heat(self.op, tj) + pump_heat;
+            // pump heat also lands in the bath
+            let total =
+                self.module.total_heat(self.op, tj) + pump_heat(&self.bath, pump_electrical);
 
             let c_oil: ThermalCapacityRate = (flow * oil_state.density) * oil_state.specific_heat;
             let eps = self.bath.exchanger.effectiveness(c_oil, c_water);
@@ -582,11 +589,7 @@ impl ImmersionModel {
         let total = self.module.total_heat(self.op, tj);
         // the chiller rejects everything that crossed the exchanger:
         // module heat plus the pump heat deposited in the bath
-        let pump_heat = if self.bath.immersed_pumps {
-            pump_electrical
-        } else {
-            Power::from_watts(pump_electrical.watts() * PUMP_DRIVE_EFFICIENCY)
-        };
+        let rejected = total + pump_heat(&self.bath, pump_electrical);
         Ok(SteadyReport {
             architecture: "open-loop immersion",
             module: self.module.name().to_owned(),
@@ -598,7 +601,7 @@ impl ImmersionModel {
             coolant_flow: flow,
             sink_velocity: velocity,
             circulation_power: pump_electrical,
-            chiller_power: self.bath.chiller.electrical_power(total + pump_heat),
+            chiller_power: self.bath.chiller.electrical_power(rejected),
             iterations,
         })
     }
@@ -617,16 +620,12 @@ impl ImmersionModel {
         let steady = self.solve()?;
         let chips_per_board = self.module.ccb().compute_fpga_count();
         let boards = self.module.ccb_count() as f64;
-        let oil_bulk =
-            Celsius::new(0.5 * (steady.coolant_hot.degrees() + steady.coolant_cold.degrees()));
-        let oil = self.bath.coolant.state(oil_bulk);
+        let (oil, r, _) = self.lumped_plant(&steady);
         // each board gets an equal share of the circulated flow
         let per_board_flow = VolumeFlow::from_cubic_meters_per_second(
             steady.coolant_flow.cubic_meters_per_second() / boards,
         );
         let c_board: ThermalCapacityRate = (per_board_flow * oil.density) * oil.specific_heat;
-        let stack = self.chip_stack();
-        let r = stack.total_resistance(&oil, steady.sink_velocity);
         let chip_p = steady.chip_power;
         // board overhead heats the stream too, spread evenly
         let overhead_per_chip = Power::from_watts(
@@ -676,6 +675,29 @@ impl ImmersionModel {
         Ok(session.finish(sinks))
     }
 
+    /// The two-node lumped plant around a solved steady state, read at
+    /// the bulk oil temperature ½(hot + cold): the bulk oil state, one
+    /// chip's junction→oil resistance and the bath→water exchanger
+    /// resistance 1 / (ε·C_min).
+    pub(crate) fn lumped_plant(
+        &self,
+        steady: &SteadyReport,
+    ) -> (FluidState, ThermalResistance, ThermalResistance) {
+        let oil = self.bath.coolant.state(Celsius::new(
+            0.5 * (steady.coolant_hot.degrees() + steady.coolant_cold.degrees()),
+        ));
+        let r_sink = self
+            .chip_stack()
+            .total_resistance(&oil, steady.sink_velocity);
+        let water = rcs_fluids::Coolant::water().state(self.bath.chiller.setpoint());
+        let c_oil = (steady.coolant_flow * oil.density) * oil.specific_heat;
+        let c_water = (self.bath.water_flow * water.density) * water.specific_heat;
+        let eps = self.bath.exchanger.effectiveness(c_oil, c_water);
+        let c_min = c_oil.watts_per_kelvin().min(c_water.watts_per_kelvin());
+        let r_hx = ThermalResistance::from_kelvin_per_watt(1.0 / (eps * c_min).max(1e-9));
+        (oil, r_sink, r_hx)
+    }
+
     /// Builds the two-node warm-up network (chip field + oil bath
     /// against the chilled-water boundary) around the solved steady
     /// state, recording the steady solve's telemetry into `sinks`.
@@ -686,25 +708,9 @@ impl ImmersionModel {
         // Freeze the convection operating point at the solved steady state
         // so the transient uses consistent resistances.
         let steady = self.solve_counted(sinks)?;
-        let oil_state = self.bath.coolant.state(Celsius::new(
-            0.5 * (steady.coolant_hot.degrees() + steady.coolant_cold.degrees()),
-        ));
-        let stack = self.chip_stack();
+        let (oil_state, r_sink, r_hx) = self.lumped_plant(&steady);
         let chips = self.module.compute_fpga_count() as f64;
-        let r_field = rcs_units::ThermalResistance::from_kelvin_per_watt(
-            stack
-                .total_resistance(&oil_state, steady.sink_velocity)
-                .kelvin_per_watt()
-                / chips,
-        );
-
-        let water = rcs_fluids::Coolant::water().state(self.bath.chiller.setpoint());
-        let c_oil = (steady.coolant_flow * oil_state.density) * oil_state.specific_heat;
-        let c_water = (self.bath.water_flow * water.density) * water.specific_heat;
-        let eps = self.bath.exchanger.effectiveness(c_oil, c_water);
-        let c_min = c_oil.watts_per_kelvin().min(c_water.watts_per_kelvin());
-        let r_hx =
-            rcs_units::ThermalResistance::from_kelvin_per_watt(1.0 / (eps * c_min).max(1e-9));
+        let r_field = ThermalResistance::from_kelvin_per_watt(r_sink.kelvin_per_watt() / chips);
 
         // capacitances: chip + sink mass per FPGA ~ 150 J/K; the bath is
         // ~60 L of oil

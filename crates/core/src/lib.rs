@@ -46,7 +46,6 @@ mod immersion;
 mod rack_model;
 mod report;
 pub mod rules;
-mod supervisor;
 
 pub use air::AirCooledModel;
 pub use coldplate::ColdPlateModel;
@@ -59,4 +58,3 @@ pub use fleet::{FleetConfig, FleetOutcome, FleetSimulation};
 pub use immersion::{ImmersionModel, WarmupSession, WarmupTrace, WARMUP_SNAPSHOT_KIND};
 pub use rack_model::{RackImmersionModel, RackReport};
 pub use report::SteadyReport;
-pub use supervisor::{SupervisionOutcome, SupervisionStep, Supervisor};

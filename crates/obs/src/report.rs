@@ -797,6 +797,18 @@ pub fn diff(a: &RunDoc, b: &RunDoc, opts: &DiffOptions) -> DiffReport {
 /// other side). A run present on only one side is itself a regression.
 #[must_use]
 pub fn diff_docs(a: &[RunDoc], b: &[RunDoc], opts: &DiffOptions) -> DiffReport {
+    diff_matched_runs(a, b, opts, diff)
+}
+
+/// Matches the run documents of two files by experiment name and merges
+/// `diff_run` over every matched pair; a run present on only one side is
+/// itself a regression.
+fn diff_matched_runs(
+    a: &[RunDoc],
+    b: &[RunDoc],
+    opts: &DiffOptions,
+    diff_run: fn(&RunDoc, &RunDoc, &DiffOptions) -> DiffReport,
+) -> DiffReport {
     let mut report = DiffReport::default();
     let index = |docs: &[RunDoc]| -> BTreeMap<String, usize> {
         docs.iter()
@@ -809,7 +821,7 @@ pub fn diff_docs(a: &[RunDoc], b: &[RunDoc], opts: &DiffOptions) -> DiffReport {
     let names: std::collections::BTreeSet<&String> = ia.keys().chain(ib.keys()).collect();
     for name in names {
         match (ia.get(name.as_str()), ib.get(name.as_str())) {
-            (Some(&da), Some(&db)) => report.merge(diff(&a[da], &b[db], opts)),
+            (Some(&da), Some(&db)) => report.merge(diff_run(&a[da], &b[db], opts)),
             (present, _) => {
                 report.compared += 1;
                 let detail = if present.is_some() {
@@ -1215,38 +1227,7 @@ pub fn diff_spans(a: &RunDoc, b: &RunDoc, opts: &DiffOptions) -> DiffReport {
 /// experiment name exactly like [`diff_docs`].
 #[must_use]
 pub fn diff_spans_docs(a: &[RunDoc], b: &[RunDoc], opts: &DiffOptions) -> DiffReport {
-    let mut report = DiffReport::default();
-    let index = |docs: &[RunDoc]| -> BTreeMap<String, usize> {
-        docs.iter()
-            .enumerate()
-            .map(|(i, d)| (d.experiment.clone(), i))
-            .collect()
-    };
-    let ia = index(a);
-    let ib = index(b);
-    let names: std::collections::BTreeSet<&String> = ia.keys().chain(ib.keys()).collect();
-    for name in names {
-        match (ia.get(name.as_str()), ib.get(name.as_str())) {
-            (Some(&da), Some(&db)) => report.merge(diff_spans(&a[da], &b[db], opts)),
-            (present, _) => {
-                report.compared += 1;
-                report.findings.push(Finding {
-                    kind: "run",
-                    name: if name.is_empty() {
-                        "(headerless)".to_owned()
-                    } else {
-                        name.to_string()
-                    },
-                    detail: if present.is_some() {
-                        "run present in baseline, missing in candidate".to_owned()
-                    } else {
-                        "run missing in baseline, present in candidate".to_owned()
-                    },
-                });
-            }
-        }
-    }
-    report
+    diff_matched_runs(a, b, opts, diff_spans)
 }
 
 #[cfg(test)]

@@ -160,16 +160,7 @@ pub struct SpanSink {
 }
 
 /// The shared disabled sink behind [`SpanSink::disabled`].
-static DISABLED: SpanSink = SpanSink {
-    enabled: false,
-    fanout: DEFAULT_FANOUT,
-    inner: Mutex::new(SpanState {
-        nodes: Vec::new(),
-        roots: Vec::new(),
-        root_elided: Vec::new(),
-        stack: Vec::new(),
-    }),
-};
+static DISABLED: SpanSink = SpanSink::empty(false, DEFAULT_FANOUT);
 
 impl Default for SpanSink {
     fn default() -> Self {
@@ -193,10 +184,20 @@ impl SpanSink {
     #[must_use]
     pub fn with_fanout(fanout: usize) -> Self {
         assert!(fanout > 0, "span fanout cap must be positive");
+        Self::empty(true, fanout)
+    }
+
+    /// A sink with nothing recorded.
+    const fn empty(enabled: bool, fanout: usize) -> Self {
         Self {
-            enabled: true,
+            enabled,
             fanout,
-            inner: Mutex::new(SpanState::default()),
+            inner: Mutex::new(SpanState {
+                nodes: Vec::new(),
+                roots: Vec::new(),
+                root_elided: Vec::new(),
+                stack: Vec::new(),
+            }),
         }
     }
 
@@ -211,11 +212,7 @@ impl SpanSink {
     pub fn from_env() -> Self {
         match std::env::var(SPANS_ENV) {
             Ok(path) if !path.is_empty() => Self::new(),
-            _ => Self {
-                enabled: false,
-                fanout: DEFAULT_FANOUT,
-                inner: Mutex::new(SpanState::default()),
-            },
+            _ => Self::empty(false, DEFAULT_FANOUT),
         }
     }
 
@@ -235,11 +232,7 @@ impl SpanSink {
     /// the per-item recorder parallel stages hand each task.
     #[must_use]
     pub fn shard(&self) -> SpanSink {
-        SpanSink {
-            enabled: self.enabled,
-            fanout: self.fanout,
-            inner: Mutex::new(SpanState::default()),
-        }
+        Self::empty(self.enabled, self.fanout)
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, SpanState> {
@@ -326,21 +319,7 @@ impl SpanSink {
         match state.stack.pop() {
             Some(Frame::Node(idx)) => state.nodes[idx].end = Some(now),
             Some(Frame::Elided { label, start }) => {
-                let work = now.saturating_sub(start);
-                let target = match state.stack.last() {
-                    Some(Frame::Node(parent)) => {
-                        let parent = *parent;
-                        &mut state.nodes[parent].elided
-                    }
-                    _ => &mut state.root_elided,
-                };
-                match target.iter_mut().find(|(l, _, _)| *l == label) {
-                    Some(entry) => {
-                        entry.1 += 1;
-                        entry.2 += work;
-                    }
-                    None => target.push((label, 1, work)),
-                }
+                Self::fold_elided(&mut state, &label, 1, now.saturating_sub(start));
             }
             Some(Frame::Suppressed) | None => {}
         }
@@ -382,20 +361,27 @@ impl SpanSink {
             Self::splice(&mut live, self.fanout, base, state, root);
         }
         for (label, count, work) in &state.root_elided {
-            let target = match live.stack.last() {
-                Some(Frame::Node(parent)) => {
-                    let parent = *parent;
-                    &mut live.nodes[parent].elided
-                }
-                _ => &mut live.root_elided,
-            };
-            match target.iter_mut().find(|(l, _, _)| l == label) {
-                Some(entry) => {
-                    entry.1 += count;
-                    entry.2 += work;
-                }
-                None => target.push((label.clone(), *count, *work)),
+            Self::fold_elided(&mut live, label, *count, *work);
+        }
+    }
+
+    /// Folds `count` elided `label` spans carrying `work` into the
+    /// elision summary of the open span on top of `state`'s stack (or of
+    /// the root set).
+    fn fold_elided(state: &mut SpanState, label: &str, count: u64, work: u64) {
+        let target = match state.stack.last() {
+            Some(Frame::Node(parent)) => {
+                let parent = *parent;
+                &mut state.nodes[parent].elided
             }
+            _ => &mut state.root_elided,
+        };
+        match target.iter_mut().find(|(l, _, _)| l == label) {
+            Some(entry) => {
+                entry.1 += count;
+                entry.2 += work;
+            }
+            None => target.push((label.to_owned(), count, work)),
         }
     }
 
@@ -406,21 +392,7 @@ impl SpanSink {
         let node = &shard.nodes[root];
         if Self::same_label_children(live, &node.label) >= fanout {
             // Serial execution would have elided this whole subtree.
-            let work = node.total();
-            let target = match live.stack.last() {
-                Some(Frame::Node(parent)) => {
-                    let parent = *parent;
-                    &mut live.nodes[parent].elided
-                }
-                _ => &mut live.root_elided,
-            };
-            match target.iter_mut().find(|(l, _, _)| *l == node.label) {
-                Some(entry) => {
-                    entry.1 += 1;
-                    entry.2 += work;
-                }
-                None => target.push((node.label.clone(), 1, work)),
-            }
+            Self::fold_elided(live, &node.label, 1, node.total());
             return;
         }
         let idx = Self::copy_subtree(live, base, shard, root);

@@ -156,14 +156,7 @@ impl Default for TraceRecorder {
 }
 
 /// The shared no-op sink behind [`TraceRecorder::disabled`].
-static DISABLED: TraceRecorder = TraceRecorder {
-    enabled: false,
-    capacity: DEFAULT_CAPACITY,
-    inner: Mutex::new(TraceInner {
-        channels: Vec::new(),
-        index: BTreeMap::new(),
-    }),
-};
+static DISABLED: TraceRecorder = TraceRecorder::empty(false, DEFAULT_CAPACITY);
 
 impl TraceRecorder {
     /// Creates an enabled recorder with [`DEFAULT_CAPACITY`] samples per
@@ -182,8 +175,13 @@ impl TraceRecorder {
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
         assert!(capacity >= 2, "trace capacity must be at least 2");
+        Self::empty(true, capacity)
+    }
+
+    /// A recorder with no channels.
+    const fn empty(enabled: bool, capacity: usize) -> Self {
         Self {
-            enabled: true,
+            enabled,
             capacity,
             inner: Mutex::new(TraceInner {
                 channels: Vec::new(),
@@ -207,14 +205,7 @@ impl TraceRecorder {
     pub fn from_env() -> TraceRecorder {
         match std::env::var(TRACE_ENV) {
             Ok(path) if !path.is_empty() => Self::new(),
-            _ => Self {
-                enabled: false,
-                capacity: DEFAULT_CAPACITY,
-                inner: Mutex::new(TraceInner {
-                    channels: Vec::new(),
-                    index: BTreeMap::new(),
-                }),
-            },
+            _ => Self::empty(false, DEFAULT_CAPACITY),
         }
     }
 
@@ -223,14 +214,7 @@ impl TraceRecorder {
     /// parent produces no-op shards.
     #[must_use]
     pub fn shard(&self) -> TraceRecorder {
-        Self {
-            enabled: self.enabled,
-            capacity: self.capacity,
-            inner: Mutex::new(TraceInner {
-                channels: Vec::new(),
-                index: BTreeMap::new(),
-            }),
-        }
+        Self::empty(self.enabled, self.capacity)
     }
 
     /// `true` unless this is the [`TraceRecorder::disabled`] sink.

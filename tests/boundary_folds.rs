@@ -2,8 +2,7 @@
 //! helpers: `percentile` at the degenerate sample sizes and probability
 //! extremes, and the `Option`-returning folds that used to synthesize
 //! fake values from empty collections (spread, coefficient of
-//! variation, settling time, peak junction) and now honestly return
-//! `None`.
+//! variation, settling time) and now honestly return `None`.
 
 use rcs_sim::hydraulics::balance;
 use rcs_sim::numeric::stats::percentile;
@@ -75,15 +74,4 @@ fn settling_time_of_a_foreign_node_is_none() {
     let foreign = other.add_node("c");
     assert_eq!(trace.settling_time(foreign, 0.5), None);
     assert_eq!(trace.last(foreign), None);
-}
-
-#[test]
-fn peak_junction_of_an_empty_scenario_is_none() {
-    use rcs_sim::core::SupervisionOutcome;
-    let outcome = SupervisionOutcome {
-        steps: vec![],
-        shut_down: false,
-        min_utilization: 1.0,
-    };
-    assert_eq!(outcome.peak_junction(), None);
 }

@@ -1,33 +1,15 @@
-//! Scenario integration tests: the extension systems (supervisor, rack
-//! coupling, maintenance, energy) playing together.
+//! Scenario integration tests: the extension systems (the hardened
+//! fault-drill supervisor, rack coupling, maintenance, energy) playing
+//! together.
 
 use rcs_sim::cooling::faults::{FaultKind, FaultTimeline, SensorChannel, SensorFault};
 use rcs_sim::cooling::maintenance::{summarize, PlumbingTopology};
-use rcs_sim::core::{experiments, FaultDrill, RackImmersionModel, Supervisor};
+use rcs_sim::core::{experiments, FaultDrill, RackImmersionModel};
 use rcs_sim::hydraulics::layout::ReturnStyle;
 use rcs_sim::numeric::rng::Rng;
 use rcs_sim::obs::Sinks;
 use rcs_sim::thermal::Chiller;
 use rcs_sim::units::{Celsius, Power, Seconds};
-
-/// A data-center heat wave: facility water drifts from 20 to 30 °C over a
-/// day and recovers. The supervised rack sheds load instead of tripping,
-/// and recovers its utilization afterwards.
-#[test]
-fn heat_wave_is_survivable_under_supervision() {
-    let scenario: Vec<Celsius> = (0..24)
-        .map(|h| {
-            let drift = 10.0 * (core::f64::consts::PI * h as f64 / 23.0).sin();
-            Celsius::new(20.0 + drift.max(0.0))
-        })
-        .collect();
-    let outcome = Supervisor::skat_default().run(&scenario).expect("solves");
-    assert!(!outcome.shut_down);
-    assert!(outcome.peak_junction().unwrap().degrees() <= 67.5);
-    // load was shed at the peak and restored at the end
-    assert!(outcome.min_utilization < 0.90);
-    assert!(outcome.steps.last().unwrap().utilization > outcome.min_utilization);
-}
 
 /// The rack model and the single-module model agree when the rack is
 /// well-fed: a 12-module SKAT rack's hottest junction is within a kelvin
