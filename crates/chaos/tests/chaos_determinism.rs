@@ -4,8 +4,9 @@
 //! eviction order included.
 
 use rcs_chaos::{e19_chaos_drill, ChaosConfig, ChaosInjector};
+use rcs_obs::span::SpanSink;
 use rcs_obs::{Registry, Sinks};
-use rcs_query::{DesignQuery, QueryEngine, QueryOutcome, ResiliencePolicy};
+use rcs_query::{DesignQuery, QueryEngine, QueryError, QueryOutcome, ResiliencePolicy};
 
 /// The golden counter names the determinism property compares.
 const RESILIENCE_COUNTERS: &[&str] = &[
@@ -90,6 +91,63 @@ fn e19_is_bit_identical_across_thread_counts() {
             );
         }
     }
+}
+
+/// Work budgets read the query shard's work clock, which the clock-only
+/// shard handed out under disabled sinks keeps exactly as a live shard
+/// does: every E19 cell — budget trips and injected cost inflation
+/// included — answers bitwise alike with telemetry off and on.
+#[test]
+fn budgets_trip_alike_with_disabled_and_live_sinks() {
+    std::panic::set_hook(Box::new(|_| {}));
+    let queries = e19_chaos_drill::batch();
+    let mut budget_trips = 0;
+    for (_, capacity, policy) in e19_chaos_drill::loads() {
+        for (scenario, config) in e19_chaos_drill::scenarios() {
+            let injector = ChaosInjector::new(config);
+            let run = |threads: usize, sinks: Sinks<'_>| {
+                let mut engine = QueryEngine::new(capacity).with_policy(policy);
+                let mut outcomes = Vec::new();
+                for _ in 0..e19_chaos_drill::ROUNDS {
+                    outcomes.extend(engine.run_batch_with(&queries, threads, sinks, &injector));
+                }
+                outcomes
+            };
+            let (obs, spans) = (Registry::new(), SpanSink::new());
+            let live = Sinks {
+                obs: &obs,
+                spans: &spans,
+                ..Sinks::disabled()
+            };
+            let reference = run(1, live);
+            budget_trips += reference
+                .iter()
+                .filter_map(|o| match o {
+                    QueryOutcome::Degraded { provenance, .. } => Some(&provenance.error),
+                    other => other.error(),
+                })
+                .filter(|e| matches!(e, QueryError::BudgetExhausted { .. }))
+                .count();
+            let counters = Registry::new();
+            let others = [
+                (1, Sinks::disabled()),
+                (4, Sinks::disabled()),
+                (4, Sinks::counters(&counters)),
+            ];
+            for (threads, sinks) in others {
+                let got = run(threads, sinks);
+                assert_eq!(got.len(), reference.len());
+                for (i, (a, b)) in reference.iter().zip(&got).enumerate() {
+                    assert!(
+                        a.bitwise_eq(b),
+                        "{scenario} outcome {i} at threads={threads}, obs on={}: {a:?} vs {b:?}",
+                        sinks.obs.is_enabled()
+                    );
+                }
+            }
+        }
+    }
+    assert!(budget_trips > 0, "the tight load must trip work budgets");
 }
 
 /// The satellite property: random mixed batches through random chaos

@@ -169,6 +169,8 @@ pub fn rows_with_threads(threads: usize, sinks: Sinks<'_>) -> Vec<DrillOutcome> 
         threads,
         sinks,
         |i| labels[i].clone(),
+        // drills cost alike: keep first-in-first-out dispatch
+        |_| 0,
         |_, (drill, mut rng), shard| drill.run(&mut rng, shard),
     )
     .into_iter()

@@ -56,6 +56,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 pub mod manifest;
@@ -67,7 +68,7 @@ pub mod trace;
 /// Aggregated state behind the registry mutex. `BTreeMap` keeps every
 /// iteration (snapshots, manifests) in sorted name order, so rendered
 /// telemetry never depends on insertion order.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Inner {
     /// Golden: monotonic counters.
     counters: BTreeMap<String, u64>,
@@ -77,11 +78,18 @@ struct Inner {
     fhistograms: BTreeMap<String, FHistogramSnapshot>,
     /// Non-golden: scheduling-dependent gauges.
     notes: BTreeMap<String, u64>,
-    /// Golden: running sum of every `profile.*` counter ever recorded
-    /// or absorbed — the deterministic work clock behind
-    /// [`Registry::work_units`]. Redundant with the counters themselves
-    /// but O(1) to read, which the span sink does on every enter/exit.
-    work_units: u64,
+}
+
+/// What a registry keeps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    /// Nothing: [`Registry::disabled`].
+    Disabled,
+    /// The work clock only: the shard [`Sinks::shard`] hands out when
+    /// the caller's counters are off.
+    Clock,
+    /// Everything: [`Registry::new`].
+    Live,
 }
 
 /// A deterministic telemetry sink.
@@ -91,10 +99,29 @@ struct Inner {
 /// or stages may give each task its own registry and [`absorb`] the
 /// snapshots in input order — the contract the parallel layer uses.
 ///
+/// A registry is live ([`Registry::new`]), disabled
+/// ([`Registry::disabled`]), or **clock-only**. A clock-only registry is
+/// what [`Sinks::shard`] hands a parallel item when the caller's
+/// counters are off: it keeps just the [`work_units`] clock (so
+/// per-item work budgets and span timestamps still read the item's
+/// work), bumped by every `profile.*` [`add`] and by [`work`] without
+/// building a counter name. Its histograms and notes are no-ops, its
+/// [`snapshot`] is empty, and it still reports [`is_enabled`].
+///
 /// [`absorb`]: Registry::absorb
+/// [`work_units`]: Registry::work_units
+/// [`add`]: Registry::add
+/// [`work`]: Registry::work
+/// [`snapshot`]: Registry::snapshot
+/// [`is_enabled`]: Registry::is_enabled
 #[derive(Debug)]
 pub struct Registry {
-    enabled: bool,
+    mode: Mode,
+    /// Golden: running sum of every `profile.*` counter ever recorded
+    /// or absorbed — the deterministic work clock behind
+    /// [`Registry::work_units`]. Redundant with the counters themselves
+    /// but O(1) to read, which the span sink does on every enter/exit.
+    work_units: AtomicU64,
     inner: Mutex<Inner>,
 }
 
@@ -105,25 +132,26 @@ impl Default for Registry {
 }
 
 /// The shared disabled sink behind [`Registry::disabled`].
-static DISABLED: Registry = Registry {
-    enabled: false,
-    inner: Mutex::new(Inner {
-        counters: BTreeMap::new(),
-        histograms: BTreeMap::new(),
-        fhistograms: BTreeMap::new(),
-        notes: BTreeMap::new(),
-        work_units: 0,
-    }),
-};
+static DISABLED: Registry = Registry::with_mode(Mode::Disabled);
 
 impl Registry {
+    const fn with_mode(mode: Mode) -> Self {
+        Self {
+            mode,
+            work_units: AtomicU64::new(0),
+            inner: Mutex::new(Inner {
+                counters: BTreeMap::new(),
+                histograms: BTreeMap::new(),
+                fhistograms: BTreeMap::new(),
+                notes: BTreeMap::new(),
+            }),
+        }
+    }
+
     /// Creates an empty, enabled registry.
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            enabled: true,
-            inner: Mutex::new(Inner::default()),
-        }
+        Self::with_mode(Mode::Live)
     }
 
     /// The shared no-op sink: every record call returns immediately, so
@@ -134,10 +162,23 @@ impl Registry {
         &DISABLED
     }
 
-    /// `true` unless this is the [`Registry::disabled`] sink.
+    /// `true` unless this is the [`Registry::disabled`] sink (a
+    /// clock-only shard counts as enabled: it keeps the work clock).
     #[must_use]
     pub fn is_enabled(&self) -> bool {
-        self.enabled
+        self.mode != Mode::Disabled
+    }
+
+    /// `true` only for a registry that keeps every channel, not just the
+    /// work clock.
+    fn is_live(&self) -> bool {
+        self.mode == Mode::Live
+    }
+
+    /// Advances the work clock by `units`. The clock publishes no other
+    /// data, so `Relaxed` suffices: concurrent adds still sum exactly.
+    fn tick(&self, units: u64) {
+        self.work_units.fetch_add(units, Ordering::Relaxed);
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
@@ -149,13 +190,13 @@ impl Registry {
 
     /// Adds `n` to the golden counter `name` (creating it at zero).
     pub fn add(&self, name: &str, n: u64) {
-        if !self.enabled {
-            return;
+        match self.mode {
+            Mode::Disabled => return,
+            Mode::Clock => {}
+            Mode::Live => update(&mut self.lock().counters, name, || 0, |c| *c += n),
         }
-        let mut inner = self.lock();
-        update(&mut inner.counters, name, || 0, |c| *c += n);
         if name.starts_with(profile::PREFIX) {
-            inner.work_units += n;
+            self.tick(n);
         }
     }
 
@@ -166,10 +207,7 @@ impl Registry {
     /// every `RCS_THREADS`. The disabled sink always reads 0.
     #[must_use]
     pub fn work_units(&self) -> u64 {
-        if !self.enabled {
-            return 0;
-        }
-        self.lock().work_units
+        self.work_units.load(Ordering::Relaxed)
     }
 
     /// Increments the golden counter `name` by one.
@@ -191,7 +229,7 @@ impl Registry {
     /// Panics if `bounds` is empty or not strictly ascending, or if the
     /// histogram was first recorded with different bounds.
     pub fn record_histogram(&self, name: &str, bounds: &[u64], value: u64) {
-        if !self.enabled {
+        if !self.is_live() {
             return;
         }
         assert!(!bounds.is_empty(), "histogram {name} needs buckets");
@@ -237,7 +275,7 @@ impl Registry {
     /// ascending, or if the histogram was first recorded with different
     /// edges — edge sets are compile-time constants, never data.
     pub fn record_histogram_f64(&self, name: &str, edges: &[f64], value: f64) {
-        if !self.enabled {
+        if !self.is_live() {
             return;
         }
         assert!(!edges.is_empty(), "float histogram {name} needs edges");
@@ -277,7 +315,7 @@ impl Registry {
     /// per-worker task tallies). Notes appear in the manifest but never
     /// in [`Registry::snapshot`].
     pub fn note(&self, name: &str, n: u64) {
-        if !self.enabled {
+        if !self.is_live() {
             return;
         }
         update(&mut self.lock().notes, name, || 0, |v| *v += n);
@@ -327,19 +365,29 @@ impl Registry {
     /// fixed order — so the merged registry is independent of which
     /// worker ran what when.
     ///
+    /// A clock-only registry absorbs just the snapshot's `profile.*`
+    /// work into its clock.
+    ///
     /// # Panics
     ///
     /// Panics if a histogram name collides with different bounds.
     pub fn absorb(&self, snapshot: &Snapshot) {
-        if !self.enabled {
+        if self.mode == Mode::Disabled {
+            return;
+        }
+        let work = snapshot
+            .counters
+            .iter()
+            .filter(|(name, _)| name.starts_with(profile::PREFIX))
+            .map(|(_, v)| v)
+            .sum();
+        self.tick(work);
+        if !self.is_live() {
             return;
         }
         let mut inner = self.lock();
         for (name, v) in &snapshot.counters {
             update(&mut inner.counters, name, || 0, |c| *c += v);
-            if name.starts_with(profile::PREFIX) {
-                inner.work_units += v;
-            }
         }
         for (name, hist) in &snapshot.histograms {
             let new = || HistogramSnapshot {
@@ -454,33 +502,47 @@ impl<'a> Sinks<'a> {
         }
     }
 
-    /// Empty per-item sinks for one parallel work item: a **live**
-    /// registry (always — per-item work budgets read it even when the
-    /// caller's counters are off), and trace and span shards that
-    /// mirror this bundle's enablement.
+    /// Empty per-item sinks for one parallel work item: trace and span
+    /// shards that mirror this bundle's enablement, and a registry that
+    /// is never disabled, because per-item work budgets and the shard's
+    /// span timestamps read its work clock. Under live counters the
+    /// shard registry is live too; when this bundle's counters are
+    /// disabled or themselves clock-only, it is a private **clock-only**
+    /// registry (see [`Registry`]), which keeps only
+    /// [`Registry::work_units`] — no lock, map update or name formatting
+    /// per record call, and nothing to snapshot at merge time.
     #[must_use]
     pub fn shard(&self) -> Shard {
+        let mode = if self.obs.is_live() {
+            Mode::Live
+        } else {
+            Mode::Clock
+        };
         Shard {
-            obs: Registry::new(),
+            obs: Registry::with_mode(mode),
             trace: self.trace.shard(),
             spans: self.spans.shard(),
         }
     }
 
     /// Merges one finished shard into these sinks — the only place the
-    /// three channels are re-merged. Counters are absorbed, trace
-    /// channels are appended under the prefix `label` (empty = merged
-    /// unprefixed), and the shard's span tree is spliced under the
-    /// currently open span with its timestamps offset by the work clock
-    /// read just before the counters were absorbed. Called once per
-    /// item in **input order**, this reproduces exactly what serial
-    /// inline execution would have recorded.
+    /// three channels are re-merged. Counters are absorbed (a clock-only
+    /// target adds just the shard's work clock, so nested shards still
+    /// charge their parent item), trace channels are appended under the
+    /// prefix `label` (empty = merged unprefixed), and the shard's span
+    /// tree is spliced under the currently open span with its
+    /// timestamps offset by the work clock read just before the counters
+    /// were absorbed. Called once per item in **input order**, this
+    /// reproduces exactly what serial inline execution would have
+    /// recorded.
     pub fn absorb(&self, label: &str, shard: &Shard) {
         // Snapshots are built only for live targets: with disabled sinks a
         // parallel map pays nothing for the merge.
         let base = self.obs.work_units();
-        if self.obs.is_enabled() {
-            self.obs.absorb(&shard.obs.snapshot());
+        match self.obs.mode {
+            Mode::Disabled => {}
+            Mode::Clock => self.obs.tick(shard.obs.work_units()),
+            Mode::Live => self.obs.absorb(&shard.obs.snapshot()),
         }
         if self.trace.is_enabled() {
             self.trace.absorb_prefixed(label, &shard.trace.snapshot());
@@ -812,6 +874,37 @@ mod tests {
         let snap = obs.snapshot();
         assert_eq!(snap.counter("hits"), 4000);
         assert_eq!(snap.histogram("vals").unwrap().counts, vec![4000, 0]);
+    }
+
+    #[test]
+    fn clock_only_shards_keep_the_work_clock_and_charge_their_parent() {
+        let item = Sinks::disabled().shard();
+        let chunk = item.sinks().shard();
+        chunk.sinks().obs.work("mc.trials", 64);
+        chunk.sinks().obs.add("profile.mc.events", 3);
+        chunk.sinks().obs.inc("mc.runs"); // not work: the clock ignores it
+        assert_eq!(chunk.sinks().obs.work_units(), 67);
+        item.sinks().obs.work("immersion.iterations", 10);
+        item.sinks().absorb("", &chunk);
+        assert_eq!(item.sinks().obs.work_units(), 77);
+        assert!(item.sinks().obs.snapshot().is_empty());
+        // a clock-only registry absorbs just a snapshot's profile work
+        let live = Registry::new();
+        live.work("a", 5);
+        live.inc("b");
+        item.sinks().obs.absorb(&live.snapshot());
+        assert_eq!(item.sinks().obs.work_units(), 82);
+        // the disabled bundle itself stays untouched
+        Sinks::disabled().absorb("", &item);
+        assert_eq!(Registry::disabled().work_units(), 0);
+        // live callers keep live shards
+        let obs = Registry::new();
+        let shard = Sinks::counters(&obs).shard();
+        shard.sinks().obs.work("a", 4);
+        shard.sinks().obs.inc("b");
+        Sinks::counters(&obs).absorb("", &shard);
+        assert_eq!(obs.snapshot().counter("b"), 1);
+        assert_eq!(obs.work_units(), 4);
     }
 
     #[test]

@@ -26,24 +26,41 @@
 //! assert_eq!(tree.child("hydraulics").unwrap().total, 72);
 //! ```
 
+use std::cell::RefCell;
 use std::fmt::Write as _;
 
-use crate::{Registry, Snapshot};
+use crate::{Mode, Registry, Snapshot};
 
 /// Counter-name prefix that marks a golden counter as profile work.
 pub const PREFIX: &str = "profile.";
+
+thread_local! {
+    /// The `profile.<path>` name of the counter being recorded, rebuilt
+    /// in place per call so a warm live [`Registry::work`] allocates
+    /// nothing.
+    static KEY: RefCell<String> = const { RefCell::new(String::new()) };
+}
 
 impl Registry {
     /// Adds `units` of deterministic work under the dot-separated
     /// profile path `path` (recorded as the golden counter
     /// `profile.<path>`). Work units must be pure functions of the
     /// workload — iteration counts, trial counts, step counts — never
-    /// wall-clock readings.
+    /// wall-clock readings. A clock-only registry just advances its
+    /// work clock.
     pub fn work(&self, path: &str, units: u64) {
-        if !self.is_enabled() {
-            return;
+        match self.mode {
+            Mode::Disabled => {}
+            Mode::Clock => self.tick(units),
+            Mode::Live => KEY.with(|key| {
+                // `add` never calls back into `work`, so the borrow is free
+                let mut key = key.borrow_mut();
+                key.clear();
+                key.push_str(PREFIX);
+                key.push_str(path);
+                self.add(&key, units);
+            }),
         }
-        self.add(&format!("{PREFIX}{path}"), units);
     }
 }
 

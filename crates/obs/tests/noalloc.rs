@@ -5,8 +5,12 @@
 //! with disabled sinks pay one branch per call and nothing else.
 //!
 //! A live registry is nearly as cheap once warm: recording into a name
-//! it already holds — counters, both histogram kinds, notes — looks the
-//! name up by `&str` and allocates nothing either.
+//! it already holds — counters, both histogram kinds, notes, profile
+//! work — looks the name up by `&str` and allocates nothing either.
+//!
+//! A shard of the disabled bundle keeps only the work clock: every
+//! record call on it is allocation-free, and the clock advances by
+//! exactly the `profile.*` work recorded.
 //!
 //! Everything lives in one `#[test]` so no sibling test can allocate
 //! concurrently and poison the counter delta.
@@ -100,6 +104,7 @@ fn disabled_sinks_never_touch_the_heap() {
         #[allow(clippy::cast_precision_loss)]
         live.record_histogram_f64("solver.residual", &[1e-9, 1e-6, 1e-3], i as f64 * 1e-7);
         live.note("workers", 4);
+        live.work("solver.sweeps", i);
     };
     record(0);
     let count = allocations_in(|| (1..1000).for_each(record));
@@ -115,4 +120,28 @@ fn disabled_sinks_never_touch_the_heap() {
         vec![2, 1, 2, 995]
     );
     assert_eq!(live.notes(), vec![("workers".to_owned(), 4000)]);
+    assert_eq!(snap.counter("profile.solver.sweeps"), 999 * 1000 / 2);
+    assert_eq!(live.work_units(), 999 * 1000 / 2);
+
+    // A shard of the disabled bundle: a clock-only registry.
+    let shard = Sinks::disabled().shard();
+    let Sinks { obs, spans, .. } = shard.sinks();
+    assert!(obs.is_enabled(), "per-item budgets read the shard's clock");
+    let count = allocations_in(|| {
+        for i in 0..1000 {
+            obs.inc("solver.calls");
+            obs.add("solver.iterations", i);
+            obs.add("profile.solver.direct", 2);
+            obs.work("solver.sweeps", i);
+            obs.record_histogram("solver.rung", &[1, 2, 4], i);
+            obs.record_histogram_f64("solver.residual", &[1e-9, 1e-6, 1e-3], 1e-7);
+            obs.note("workers", 4);
+            spans.enter("session", obs);
+            spans.exit(obs);
+        }
+    });
+    assert_eq!(count, 0, "a clock-only shard made {count} heap allocations");
+    assert_eq!(obs.work_units(), 999 * 1000 / 2 + 2 * 1000);
+    assert!(obs.snapshot().is_empty());
+    assert!(obs.notes().is_empty());
 }

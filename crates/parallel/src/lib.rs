@@ -25,7 +25,8 @@
 //!   runs under [`isolate`] (`catch_unwind`), so a panicking closure
 //!   yields a per-item [`WorkerPanic`] `Err` instead of poisoning the
 //!   pool and losing the rest of the batch; every caught panic counts on
-//!   the golden `resilience.worker.panics` counter, in input order;
+//!   the golden `resilience.worker.panics` counter, in input order. Its
+//!   pooled path starts items largest-first by a caller-supplied cost;
 //! - [`par_map_shards`] — [`par_map`] without the map-shape counters,
 //!   for resumable sessions that split one logical map across calls.
 //!
@@ -33,11 +34,18 @@
 //! map builds it afresh: the caller becomes worker 0, spawns the other
 //! `threads - 1` workers as scoped threads and works the queue beside
 //! them, so a map spawns one thread fewer than it has workers and no
-//! thread ever blocks idle waiting for results. Items in this workspace
-//! are coarse (tens of microseconds and up), where a few microseconds
-//! of dispatch per item is noise, and scoped threads keep every
-//! closure borrow-checked against the caller's stack (no `'static`
-//! bounds, no `Arc`).
+//! thread ever blocks idle waiting for results. That spawn is most of
+//! the fixed cost of a map: on a 2-vCPU x86-64 VM a map of 16 trivial
+//! items at 2 threads takes ≈35 µs (perfbench's
+//! `parallel.dispatch_us_per_item` reads ≈2.2 µs), against items of
+//! 0.1–1 ms for a query-batch miss and more for a fault drill.
+//! [`par_map_isolated`] takes a per-item cost estimate and starts the
+//! largest items first (ties in input order), so the last item to start
+//! is a small one and no worker idles behind a late large item. A
+//! resident pool would save the spawn, but handing it closures that
+//! borrow the caller's stack needs `unsafe` lifetime erasure, which this
+//! workspace does not use outside tests; scoped threads keep every
+//! closure borrow-checked (no `'static` bounds, no `Arc`).
 //!
 //! [`jump`]: https://prng.di.unimi.it/
 //!
@@ -151,11 +159,12 @@ where
             .collect();
     }
 
-    pooled_map(items, threads.min(n), &f).0
+    pooled_map(items.into_iter().enumerate(), threads.min(n), &f).0
 }
 
 /// The pooled path shared by [`par_map_indexed`] and the sink-taking
-/// maps. The calling thread is worker 0: it spawns `workers - 1` scoped
+/// maps. `queue` yields `(input index, item)` pairs in dispatch order.
+/// The calling thread is worker 0: it spawns `workers - 1` scoped
 /// threads and then drains the same work queue alongside them, so a
 /// map costs one spawn fewer than it has workers and the caller never
 /// sits idle waiting for results. Returns the input-order results plus
@@ -165,18 +174,19 @@ where
 ///
 /// A panic in any worker, the caller included, is re-raised once every
 /// worker has stopped, as `a scoped thread panicked: <message>`.
-fn pooled_map<T, R, F>(items: Vec<T>, workers: usize, f: &F) -> (Vec<R>, Vec<u64>)
+fn pooled_map<I, T, R, F>(queue: I, workers: usize, f: &F) -> (Vec<R>, Vec<u64>)
 where
+    I: ExactSizeIterator<Item = (usize, T)> + Send,
     T: Send,
     R: Send,
     F: Fn(usize, T) -> R + Sync,
 {
-    let n = items.len();
+    let n = queue.len();
     // Work queue: each worker pulls the next `(index, item)` under the
     // lock and computes outside it. Pulling cannot panic, so the lock is
     // never poisoned in practice; if it were, the iterator would still be
     // consistent, so keep draining it.
-    let queue = Mutex::new(items.into_iter().enumerate());
+    let queue = Mutex::new(queue);
     let drain = || {
         let mut done = Vec::new();
         loop {
@@ -215,6 +225,16 @@ where
     // input order whichever worker ran which item.
     indexed.sort_unstable_by_key(|&(index, _)| index);
     (indexed.into_iter().map(|(_, r)| r).collect(), tallies)
+}
+
+/// The pooled dispatch order of `items`: descending `cost`, ties in
+/// input order (a stable sort), each item paired with its input index.
+/// Starting the most expensive items first keeps one late large item
+/// from running alone while the other workers idle.
+fn largest_first<T>(items: Vec<T>, cost: impl Fn(&T) -> u64) -> Vec<(usize, T)> {
+    let mut queue: Vec<(usize, T)> = items.into_iter().enumerate().collect();
+    queue.sort_by_key(|(_, item)| std::cmp::Reverse(cost(item)));
+    queue
 }
 
 /// One worker panic caught by [`isolate`] or [`par_map_isolated`],
@@ -275,8 +295,8 @@ pub fn isolate<R>(f: impl FnOnce() -> R) -> Result<R, WorkerPanic> {
 /// inside one span labelled `label(i)` on its shard span sink, and its
 /// trace channels merge under the prefix `label(i)` (an empty label
 /// merges them unprefixed, concatenated in input order). Every item's
-/// shard registry is live even when `sinks` is disabled, so per-item
-/// work budgets still see the item's work.
+/// shard registry keeps at least the work clock, even when `sinks` is
+/// disabled, so per-item work budgets still see the item's work.
 ///
 /// The map is recorded under the golden `parallel.maps` /
 /// `parallel.tasks` counters (workload shape does not depend on
@@ -314,17 +334,23 @@ where
 /// scheduler, so isolated maps stay bit-identical at every
 /// `RCS_THREADS`.
 ///
+/// `cost` estimates each item's relative cost: the pooled path starts
+/// items in descending cost, ties in input order, so a constant cost
+/// keeps plain first-in-first-out dispatch. Only timing depends on it;
+/// results, shard merges and the panic tally stay in input order.
+///
 /// A panicked item's shard is merged like any other — it keeps the
 /// deterministic prefix of telemetry recorded before the panic, and
 /// its item span is closed, so merged span trees stay balanced — and
 /// every caught panic lands one count on the golden
 /// `resilience.worker.panics` counter right after its shard, in input
 /// order.
-pub fn par_map_isolated<T, R, F, L>(
+pub fn par_map_isolated<T, R, F, L, C>(
     items: Vec<T>,
     threads: usize,
     sinks: Sinks<'_>,
     label: L,
+    cost: C,
     f: F,
 ) -> Vec<Result<R, WorkerPanic>>
 where
@@ -332,10 +358,11 @@ where
     R: Send,
     F: Fn(usize, T, Sinks<'_>) -> R + Sync,
     L: Fn(usize) -> String + Sync,
+    C: Fn(&T) -> u64,
 {
     sinks.obs.inc("parallel.maps");
     sinks.obs.add("parallel.tasks", items.len() as u64);
-    let shards = run_shards(items, threads, sinks, &label, |i, x, shard| {
+    let shards = run_shards(items, threads, sinks, &label, cost, |i, x, shard| {
         isolate(|| f(i, x, shard))
     });
     shards
@@ -374,7 +401,7 @@ where
     F: Fn(usize, T, Sinks<'_>) -> R + Sync,
     L: Fn(usize) -> String + Sync,
 {
-    run_shards(items, threads, sinks, &label, f)
+    run_shards(items, threads, sinks, &label, |_| 0, f)
         .into_iter()
         .enumerate()
         .map(|(i, (result, shard))| {
@@ -385,13 +412,15 @@ where
 }
 
 /// The shared body of the sink-taking maps: runs every item on its own
-/// [`Shard`] inside a `label(i)` span, records the worker notes, and
+/// [`Shard`] inside a `label(i)` span (pooled items start in
+/// [`largest_first`] order of `cost`), records the worker notes, and
 /// hands back the results with their unmerged shards in input order.
 fn run_shards<T, R, F, L>(
     items: Vec<T>,
     threads: usize,
     sinks: Sinks<'_>,
     label: &L,
+    cost: impl Fn(&T) -> u64,
     f: F,
 ) -> Vec<(R, Shard)>
 where
@@ -417,7 +446,11 @@ where
             .collect();
         (pairs, vec![n as u64])
     } else {
-        pooled_map(items, threads.min(n), &worker)
+        pooled_map(
+            largest_first(items, cost).into_iter(),
+            threads.min(n),
+            &worker,
+        )
     };
     sinks.obs.note("parallel.workers", tallies.len() as u64);
     sinks.obs.note(
@@ -515,7 +548,7 @@ mod tests {
     #[test]
     fn worker_tallies_cover_every_worker_and_sum_to_the_item_count() {
         for (n, workers) in [(2usize, 2usize), (5, 2), (97, 4), (10, 7), (3, 3)] {
-            let (got, tallies) = pooled_map((0..n).collect::<Vec<usize>>(), workers, &|_, x| x);
+            let (got, tallies) = pooled_map((0..n).enumerate(), workers, &|_, x| x);
             assert_eq!(got, (0..n).collect::<Vec<usize>>());
             assert_eq!(tallies.len(), workers, "n = {n}, workers = {workers}");
             assert_eq!(
@@ -533,10 +566,14 @@ mod tests {
         let workers = 3;
         let barrier = std::sync::Barrier::new(workers);
         let caller = std::thread::current().id();
-        let (ran_on, tallies) = pooled_map(vec![(); workers], workers, &|_, ()| {
-            barrier.wait();
-            std::thread::current().id()
-        });
+        let (ran_on, tallies) = pooled_map(
+            vec![(); workers].into_iter().enumerate(),
+            workers,
+            &|_, ()| {
+                barrier.wait();
+                std::thread::current().id()
+            },
+        );
         assert_eq!(tallies, vec![1; workers]);
         assert_eq!(ran_on.iter().filter(|&&id| id == caller).count(), 1);
     }
@@ -676,13 +713,19 @@ mod tests {
     fn isolated_map_contains_panics_with_balanced_spans_at_every_thread_count() {
         let body = |x: u64, shard: Sinks<'_>| {
             shard.obs.inc("pre_panic_work");
+            #[allow(clippy::cast_precision_loss)]
+            shard
+                .trace
+                .record_named("series", ChannelKind::Scalar, x as f64, x as f64);
             shard.spans.enter("solve", shard.obs);
             shard.obs.work("units", 10 + x);
             shard.spans.exit(shard.obs);
             assert!(x % 5 != 2, "injected panic on {x}");
             x * 10
         };
-        let run = |threads: usize| {
+        // A cost falling with the input index makes the pooled path start
+        // the items in reverse input order; nothing observable may change.
+        let run = |threads: usize, reversed: bool| {
             let sinks = live();
             sinks.2.enter("batch", &sinks.0);
             let got = par_map_isolated(
@@ -690,12 +733,13 @@ mod tests {
                 threads,
                 bundle(&sinks),
                 |i| format!("item.{i}"),
+                |&x| if reversed { 100 - x } else { 0 },
                 |_, x, shard| body(x, shard),
             );
             sinks.2.exit(&sinks.0);
             (got, golden(&sinks))
         };
-        let (ref_got, reference) = run(1);
+        let (ref_got, reference) = run(1, false);
         assert_eq!(ref_got.len(), 20, "no item may be lost");
         for (i, r) in ref_got.iter().enumerate() {
             if i % 5 == 2 {
@@ -705,18 +749,24 @@ mod tests {
                 assert_eq!(*r, Ok((i as u64) * 10));
             }
         }
-        let (snap, _, spans) = &reference;
+        let (snap, trace, spans) = &reference;
         assert_eq!(snap.counter("resilience.worker.panics"), 4);
         assert_eq!(snap.counter("profile.resilience.worker.panics"), 4);
         // the deterministic pre-panic prefix of every shard is kept
         assert_eq!(snap.counter("pre_panic_work"), 20);
+        assert_eq!(trace.channels.len(), 20);
         // each item span present (the panicked ones included), balanced
         assert_eq!(spans.matches("\"label\":\"item.").count(), 20);
         assert_eq!(spans.matches("\"label\":\"solve\"").count(), 20);
         for threads in [2, 4, 7] {
-            let (got, golden) = run(threads);
-            assert_eq!(got, ref_got, "threads = {threads}");
-            assert_eq!(golden, reference, "threads = {threads}");
+            for reversed in [false, true] {
+                let (got, golden) = run(threads, reversed);
+                assert_eq!(got, ref_got, "threads = {threads}, reversed = {reversed}");
+                assert_eq!(
+                    golden, reference,
+                    "threads = {threads}, reversed = {reversed}"
+                );
+            }
         }
         // disabled sinks: the same results, nothing recorded
         let off = par_map_isolated(
@@ -724,6 +774,7 @@ mod tests {
             4,
             Sinks::disabled(),
             |i| format!("item.{i}"),
+            |_| 0,
             |_, x, shard| body(x, shard),
         );
         assert_eq!(off, ref_got);
@@ -731,7 +782,30 @@ mod tests {
     }
 
     #[test]
-    fn shards_are_live_even_when_the_caller_sinks_are_disabled() {
+    fn pooled_dispatch_is_descending_cost_with_ties_in_input_order() {
+        let costs = [3u64, 9, 1, 9, 3, 0, 9];
+        let queue = largest_first(costs.to_vec(), |&c| c);
+        let order: Vec<usize> = queue.iter().map(|&(i, _)| i).collect();
+        assert_eq!(order, vec![1, 3, 6, 0, 4, 2, 5]);
+        // a lone worker drains the queue front to back: that is the
+        // dequeue order, and results still come back in input order
+        let started = Mutex::new(Vec::new());
+        let (got, _) = pooled_map(queue.into_iter(), 1, &|i, c| {
+            started.lock().unwrap().push(i);
+            c
+        });
+        assert_eq!(started.into_inner().unwrap(), order);
+        assert_eq!(got, costs);
+        // a constant cost keeps first-in-first-out dispatch
+        let fifo: Vec<usize> = largest_first(costs.to_vec(), |_| 7)
+            .into_iter()
+            .map(|(i, _)| i)
+            .collect();
+        assert_eq!(fifo, (0..costs.len()).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn shards_keep_the_work_clock_when_the_caller_sinks_are_disabled() {
         for threads in [1, 2, 4, 7] {
             let got = par_map(
                 (0..9).collect::<Vec<u64>>(),
@@ -741,7 +815,9 @@ mod tests {
                 |_, x, shard| {
                     assert!(shard.obs.is_enabled(), "per-item budgets read this shard");
                     assert!(!shard.trace.is_enabled() && !shard.spans.is_enabled());
+                    shard.obs.inc("ignored");
                     shard.obs.work("units", x);
+                    assert!(shard.obs.snapshot().is_empty(), "clock-only shard");
                     shard.obs.work_units()
                 },
             );

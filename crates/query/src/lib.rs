@@ -718,8 +718,9 @@ impl FaultInjector for NoFaults {
 /// [`QueryError::WorkerPanic`] instead of taking down the worker.
 ///
 /// `sinks` should be the query's *own* shard (as handed out by
-/// [`rcs_parallel::par_map_isolated`]): spent work is measured as the
-/// shard registry's `profile.*` total, so the
+/// [`rcs_parallel::par_map_isolated`]): spent work is the shard
+/// registry's work clock ([`Registry::work_units`], its `profile.*`
+/// total, which a clock-only shard keeps too), so the
 /// [`work_budget`](ResiliencePolicy::work_budget) covers exactly this
 /// query's attempts — including injected cost inflation.
 ///
@@ -759,7 +760,7 @@ pub fn solve_query_resilient(
             obs.add("resilience.injected.cost", units);
             obs.work("resilience.injected.cost", units);
         }
-        let spent = rcs_obs::profile::tree(&obs.snapshot()).total;
+        let spent = obs.work_units();
         if spent >= policy.work_budget {
             obs.inc("resilience.budget.exhausted");
             obs.work("resilience.budget.exhausted", 1);
@@ -1156,7 +1157,8 @@ impl QueryEngine {
     ///    in-batch duplicates and distinct misses against the cache
     ///    state at batch entry;
     /// 2. the misses solve concurrently over
-    ///    [`rcs_parallel::par_map_isolated`] — each through
+    ///    [`rcs_parallel::par_map_isolated`], those with the most
+    ///    Monte-Carlo trials started first — each through
     ///    [`solve_query_resilient`]'s retry/budget ladder, each on its
     ///    own telemetry shard, panics contained per item;
     /// 3. successful verdicts enter the cache sequentially in
@@ -1235,6 +1237,8 @@ impl QueryEngine {
             threads,
             sinks,
             |i| labels[i].clone(),
+            // the Monte-Carlo trials dominate a miss: largest first
+            |(_, query)| u64::from(query.trials),
             |_, (hash, query), shard| {
                 let result = solve_query_resilient(&query, &policy, injector, shard);
                 (hash, query, result)
