@@ -9,11 +9,11 @@ use rcs_cooling::ImmersionBath;
 use rcs_core::ImmersionModel;
 use rcs_fluids::Coolant;
 use rcs_hydraulics::SolveOptions;
-use rcs_hydraulics::{layout, Element, HydraulicNetwork, Pipe, SolverEngine};
+use rcs_hydraulics::{balance, layout, Element, HydraulicNetwork, Pipe, SolverEngine};
 use rcs_numeric::Matrix;
 use rcs_obs::Sinks;
 use rcs_thermal::ThermalNetwork;
-use rcs_units::{Celsius, Length, Power, Seconds, ThermalResistance};
+use rcs_units::{Celsius, Length, Power, Pressure, Seconds, ThermalResistance, VolumeFlow};
 
 /// Dense elimination at the sizes our networks actually reach.
 fn bench_matrix_solve(h: &mut Harness) {
@@ -216,6 +216,32 @@ fn bench_hydraulic_sweep(h: &mut Harness) {
     }
 }
 
+/// Balancing-valve trim of a valved direct-return rack to a 1.02 spread,
+/// from fully open valves: the direct-return cost that reverse return
+/// avoids. The rack is sized as racks are sized for the immersion
+/// models: the header grows as √(n/6) from 50 mm and the pump delivers
+/// 150 L/min per loop against 180 kPa shutoff.
+fn bench_auto_trim(h: &mut Harness) {
+    let water = Coolant::water().state(Celsius::new(20.0));
+    for loops in [6usize, 32] {
+        let plan = layout::rack_manifold_with(
+            loops,
+            layout::ReturnStyle::Direct,
+            &layout::ManifoldParams {
+                manifold_diameter: Length::millimeters(50.0 * (loops as f64 / 6.0).sqrt()),
+                pump_shutoff: Pressure::kilopascals(180.0),
+                pump_max_flow: VolumeFlow::liters_per_minute(150.0 * loops as f64),
+                balancing_valves: true,
+                ..layout::ManifoldParams::default()
+            },
+        );
+        h.bench(&format!("auto_trim/{loops}"), || {
+            let mut plan = plan.clone();
+            black_box(balance::auto_trim(&mut plan, black_box(&water), 1.02, 60).unwrap())
+        });
+    }
+}
+
 fn main() {
     let mut h = Harness::from_args_for("solvers");
     bench_matrix_solve(&mut h);
@@ -225,6 +251,7 @@ fn main() {
     bench_sparse_vs_dense_manifold(&mut h);
     bench_hydraulic_sweep(&mut h);
     bench_hydraulic_warm_circulation(&mut h);
+    bench_auto_trim(&mut h);
     bench_coupled_immersion(&mut h);
     h.finish();
 }

@@ -83,6 +83,12 @@ pub enum HydraulicError {
         /// Structured post-mortem of the failed ladder.
         diagnostics: ConvergenceDiagnostics,
     },
+    /// A balancing-valve trim met a loop with no valve to set (a plan
+    /// built with `balancing_valves: false`).
+    MissingValve {
+        /// Rack index of the first loop without a valve.
+        loop_index: usize,
+    },
     /// An underlying numeric kernel failed.
     Numeric(NumericError),
 }
@@ -101,6 +107,9 @@ impl core::fmt::Display for HydraulicError {
             ),
             Self::Unsolvable { diagnostics } => {
                 write!(f, "flow network unsolvable: {diagnostics}")
+            }
+            Self::MissingValve { loop_index } => {
+                write!(f, "module loop {loop_index} has no balancing valve to trim")
             }
             Self::Numeric(e) => write!(f, "numeric failure: {e}"),
         }
