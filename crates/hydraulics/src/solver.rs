@@ -1,10 +1,16 @@
-//! Damped global-gradient (Newton) solver for the flow distribution.
+//! Global-gradient (Newton) solver for the flow distribution.
 //!
 //! The algorithm is Todini & Pilati's global gradient method as used by
 //! EPANET: each outer iteration linearizes every branch's head-loss curve
 //! around its current flow, solves the resulting nodal pressure system,
-//! and updates branch flows from the new pressures. An under-relaxation
-//! factor keeps the quadratic loss curves from oscillating.
+//! and updates branch flows from the new pressures. The default attempt
+//! takes full Newton steps (relax 1.0), as EPANET does, and converges
+//! quadratically near the solution. At relax 1.0 the updated flows solve
+//! the linearized nodal equations exactly, so they satisfy junction
+//! continuity by construction (to rounding) and head closure on every
+//! branch decides convergence. A relax below 1 blends each update with
+//! the previous flows; only the retry ladder's damped rungs use it, for
+//! stiff loss curves on which full steps oscillate.
 //!
 //! The nodal system is solved with sparse graph elimination over the
 //! node incidence structure ([`rcs_numeric::SparseSymbolic`]): the
@@ -45,8 +51,9 @@ use crate::solution::HydraulicSolution;
 const CONTINUITY_TOL: f64 = 1e-9;
 /// Maximum outer Newton iterations.
 const MAX_ITER: usize = 200;
-/// Under-relaxation on flow updates.
-const RELAX: f64 = 0.7;
+/// Under-relaxation on flow updates of the default attempt: 1.0 takes
+/// full Newton steps.
+const RELAX: f64 = 1.0;
 /// Minimum 0-based iteration index at which a cold solve may declare
 /// convergence (≥ 4 iterations — the residual can look deceptively
 /// small before the linearization has settled).
@@ -58,9 +65,9 @@ const MIN_ITER_WARM: usize = 1;
 
 /// Tuning knobs for one solve attempt.
 ///
-/// The defaults reproduce the historical solver behaviour exactly;
-/// [`SolveOptions::damped`] builds the heavier rungs of the retry
-/// ladder.
+/// The defaults take full Newton steps (relax 1.0) with a 200-iteration
+/// budget; [`SolveOptions::damped`] builds the heavier rungs of the
+/// retry ladder.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolveOptions {
     /// Under-relaxation factor on flow updates, in `(0, 1]`.
@@ -86,9 +93,10 @@ impl SolveOptions {
     }
 
     /// The standard retry ladder for
-    /// [`HydraulicNetwork::solve_with_ladder`]: default first
-    /// (bit-identical to [`HydraulicNetwork::solve`] when it converges),
-    /// then two progressively damped re-solves.
+    /// [`HydraulicNetwork::solve_with_ladder`]: the default full Newton
+    /// steps first (bit-identical to [`HydraulicNetwork::solve`] when it
+    /// converges), then two progressively damped re-solves with larger
+    /// budgets for stiff networks on which full steps oscillate.
     #[must_use]
     pub fn ladder() -> [Self; 3] {
         [
@@ -747,7 +755,8 @@ impl HydraulicNetwork {
                 pressures[reference] = 0.0;
             }
 
-            // Flow update with under-relaxation.
+            // Flow update: the full Newton step, blended with the
+            // previous flows when `opts.relax < 1`.
             for (k, b) in self.branches.iter().enumerate() {
                 if !b.open {
                     flows[k] = 0.0;
@@ -777,7 +786,8 @@ impl HydraulicNetwork {
 
             // ...plus head closure on every open branch. Continuity alone is
             // trivially satisfied on a pure loop (any circulating flow
-            // conserves mass), so the energy equation must be checked too.
+            // conserves mass), and a full step satisfies it everywhere by
+            // construction, so the energy equation must be checked too.
             // Each drop is kept for the next iteration's linearization.
             let mut worst_head = 0.0f64;
             let mut head_scale = 1.0f64;

@@ -9,13 +9,15 @@
 //! `#[test]` so no sibling test can allocate concurrently and poison the
 //! counter delta.
 
+mod common;
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use rcs_fluids::{Coolant, FluidState};
-use rcs_hydraulics::{Element, HydraulicNetwork, Pipe, PumpCurve, SolveOptions, SolverContext};
+use rcs_hydraulics::{SolveOptions, SolverContext};
 use rcs_obs::Sinks;
-use rcs_units::{Celsius, Length, Pressure, VolumeFlow};
+use rcs_units::Celsius;
 
 /// Forwards to the system allocator, counting every `alloc`/`realloc`.
 struct CountingAlloc;
@@ -53,43 +55,13 @@ fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
 /// next seed.
 const WARM_SOLVE_ALLOCATIONS: u64 = 2;
 
-/// The SKAT+ immersion bath's circulation network: the bath + exchanger
-/// loss path against two parallel immersed pumps.
-fn bath_circulation() -> HydraulicNetwork {
-    let mut net = HydraulicNetwork::new();
-    let inlet = net.add_junction("bath inlet");
-    let outlet = net.add_junction("bath outlet");
-    let d50 = Length::millimeters(50.0);
-    let path = [2.0, 4.0, 2.0, 6.0]
-        .into_iter()
-        .map(|k| Element::MinorLoss { k, diameter: d50 })
-        .chain([Element::Pipe(Pipe::smooth(Length::from_meters(1.5), d50))])
-        .collect();
-    net.add_branch("bath + exchanger path", inlet, outlet, path)
-        .unwrap();
-    for i in 0..2 {
-        let pump = PumpCurve::new(
-            Pressure::kilopascals(95.0),
-            VolumeFlow::liters_per_minute(1100.0),
-        );
-        net.add_branch(
-            format!("pump {i}"),
-            outlet,
-            inlet,
-            vec![Element::Pump(pump)],
-        )
-        .unwrap();
-    }
-    net
-}
-
 fn oil(t: f64) -> FluidState {
     Coolant::src_dielectric().state(Celsius::new(t))
 }
 
 #[test]
 fn warm_solves_allocate_a_constant_independent_of_newton_iterations() {
-    let net = bath_circulation();
+    let net = common::bath_circulation(2, 1.0);
     let off = Sinks::disabled();
     let mut ctx: SolverContext = net.solver_context();
     // cold start and first warm solve size every workspace
@@ -116,7 +88,8 @@ fn warm_solves_allocate_a_constant_independent_of_newton_iterations() {
         default_iterations = default_iterations.max(sol.iterations());
     }
 
-    // Heavier under-relaxation forces many more Newton iterations; the
+    // Heavy under-relaxation converges only linearly, so it takes many
+    // more iterations than the default full Newton steps; the
     // allocation count must not move.
     let crawl = SolveOptions::damped(0.05, 1500);
     for step in 0..5u32 {

@@ -1,9 +1,11 @@
 //! Property-based tests for the hydraulic solver and layouts.
 
+mod common;
+
 use rcs_fluids::Coolant;
-use rcs_hydraulics::SolveOptions;
 use rcs_hydraulics::{balance, layout, Element, HydraulicNetwork, Pipe, PumpCurve};
-use rcs_obs::Sinks;
+use rcs_hydraulics::{HydraulicSolution, SolveOptions, SolverContext};
+use rcs_obs::{Registry, Sinks};
 use rcs_testkit::check_cases;
 use rcs_units::{Celsius, Length, Pressure, VolumeFlow};
 
@@ -284,5 +286,158 @@ fn sparse_and_dense_agree_under_random_branch_outages() {
                 assert_eq!(s.flow(spur_ids[i]).cubic_meters_per_second(), 0.0);
             }
         },
+    );
+}
+
+fn water_at(t: f64) -> rcs_fluids::FluidState {
+    Coolant::water().state(Celsius::new(t))
+}
+
+/// Solves through the standard ladder and asserts that its first rung,
+/// the default options, converged: no escalation to a damped rung.
+fn solve_on_rung_zero(
+    net: &HydraulicNetwork,
+    fluid: &rcs_fluids::FluidState,
+    ctx: &mut SolverContext,
+    what: &str,
+) -> HydraulicSolution {
+    let obs = Registry::new();
+    let sol = net
+        .solve_with_ladder(fluid, &SolveOptions::ladder(), ctx, Sinks::counters(&obs))
+        .unwrap_or_else(|e| panic!("{what}: {e}"));
+    assert_eq!(
+        obs.snapshot().counter("hydraulics.ladder.escalations"),
+        0,
+        "{what}: the default options did not converge"
+    );
+    sol
+}
+
+/// Asserts that every branch flow of `sol` matches a cold solve of the
+/// same network under heavy damping within 1e-6 of the network's
+/// largest flow. The scale is the network's, as in the solver's own
+/// tolerance: a dead-end branch carries zero flow, which the damped
+/// reference only approaches.
+fn assert_matches_damped_reference(
+    net: &HydraulicNetwork,
+    fluid: &rcs_fluids::FluidState,
+    sol: &HydraulicSolution,
+    what: &str,
+) {
+    let reference = net
+        .solve_with(
+            fluid,
+            &SolveOptions::damped(0.15, 1500),
+            &mut net.solver_context(),
+            Sinks::disabled(),
+        )
+        .unwrap_or_else(|e| panic!("{what}: damped reference: {e}"));
+    let scale = reference
+        .flows()
+        .iter()
+        .fold(0.0f64, |m, q| m.max(q.cubic_meters_per_second().abs()));
+    for (k, (q, r)) in sol.flows().iter().zip(reference.flows()).enumerate() {
+        let (q, r) = (q.cubic_meters_per_second(), r.cubic_meters_per_second());
+        assert!(
+            (q - r).abs() <= 1e-6 * scale,
+            "{what}: branch {k} flows {q} vs damped reference {r}"
+        );
+    }
+}
+
+/// Every manifold the benchmark sizes (1–48 loops, direct and reverse
+/// return, with and without balancing valves at openings 0.05–1, with
+/// and without a failed loop, water at 5/20/45 °C) converges on full
+/// Newton steps, cold and warm after a 0.5 K water change, and lands
+/// where the heavily damped solver does.
+#[test]
+fn manifolds_converge_on_full_newton_steps() {
+    for n in [1usize, 2, 3, 5, 8, 13, 21, 32, 48] {
+        for style in [layout::ReturnStyle::Direct, layout::ReturnStyle::Reverse] {
+            for valves in [false, true] {
+                for failed in [false, true] {
+                    if failed && n == 1 {
+                        continue; // the pump would be dead-headed
+                    }
+                    let params = layout::ManifoldParams {
+                        balancing_valves: valves,
+                        ..layout::ManifoldParams::default()
+                    };
+                    let mut plan = layout::rack_manifold_with(n, style, &params);
+                    if valves {
+                        for (i, &b) in plan.loop_branches.iter().enumerate() {
+                            let opening = 0.05 + 0.95 * ((i * 7) % 10) as f64 / 9.0;
+                            plan.network.set_valve_opening(b, opening).unwrap();
+                        }
+                    }
+                    if failed {
+                        plan.fail_loop(n / 2).unwrap();
+                    }
+                    let net = &plan.network;
+                    for t in [5.0, 20.0, 45.0] {
+                        let what =
+                            format!("{n} loops, {style}, valves {valves}, failed {failed}, {t} °C");
+                        let mut ctx = net.solver_context();
+                        let cold = solve_on_rung_zero(net, &water_at(t), &mut ctx, &what);
+                        assert_matches_damped_reference(net, &water_at(t), &cold, &what);
+                        let warm = water_at(t + 0.5);
+                        let resolved = solve_on_rung_zero(net, &warm, &mut ctx, &what);
+                        assert_matches_damped_reference(net, &warm, &resolved, &what);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Bath circulation with one of 1–4 parallel pumps derated down to
+/// 0.001 of its head converges on full Newton steps through a warm oil
+/// temperature sweep, the shape of the coupled immersion fixed point,
+/// and matches the heavily damped solver at every step.
+#[test]
+fn derated_bath_pumps_converge_on_full_newton_steps() {
+    let oils = [Coolant::src_dielectric(), Coolant::mineral_oil_md45()];
+    for pumps in 1..=4 {
+        for head in [1.0, 0.3, 0.1, 0.01, 0.001] {
+            let net = common::bath_circulation(pumps, head);
+            for oil in &oils {
+                let mut ctx = net.solver_context();
+                for step in 0..8u32 {
+                    let fluid = oil.state(Celsius::new(20.0 + 5.0 * f64::from(step)));
+                    let what = format!("{pumps} pumps, head {head}, step {step}");
+                    let sol = solve_on_rung_zero(&net, &fluid, &mut ctx, &what);
+                    assert_matches_damped_reference(&net, &fluid, &sol, &what);
+                }
+            }
+        }
+    }
+}
+
+/// Full Newton steps converge quadratically near the solution: a cold
+/// solve of a 32-loop direct-return manifold takes at most 10
+/// iterations, and a warm re-solve after a 0.5 K water change at most 3.
+/// Under-relaxed steps converge only linearly and need about twice as
+/// many.
+#[test]
+fn full_newton_steps_bound_manifold_iterations() {
+    let plan = layout::rack_manifold(32, layout::ReturnStyle::Direct);
+    let net = &plan.network;
+    let (opts, off) = (SolveOptions::default(), Sinks::disabled());
+    let mut ctx = net.solver_context();
+    let cold = net
+        .solve_with(&water_at(20.0), &opts, &mut ctx, off)
+        .unwrap();
+    assert!(
+        cold.iterations() <= 10,
+        "cold solve took {} iterations",
+        cold.iterations()
+    );
+    let warm = net
+        .solve_with(&water_at(20.5), &opts, &mut ctx, off)
+        .unwrap();
+    assert!(
+        warm.iterations() <= 3,
+        "warm re-solve took {} iterations",
+        warm.iterations()
     );
 }

@@ -147,11 +147,16 @@ fn fleet_simulation_matches_golden_values() {
     // damped blend to Anderson acceleration: the solve now stops at a
     // different point inside the same 1e-7 K stopping tolerance. Event
     // counts, availability and PFLOP-years are unchanged, exactly.
+    // Re-pinned again (49.399_473_916_248_97 → 49.399_473_915_145_26, a
+    // 1.1e-9 K shift) when the hydraulic solver's default attempt moved
+    // to full Newton steps: each inner circulation solve lands nearer
+    // the exact flow, so the fixed point again stops at a different
+    // point inside the same tolerance.
     let outcome = FleetSimulation::new(12, 5.0, 20180401)
         .run(FleetConfig::ImmersionDesigned)
         .unwrap();
     assert!(
-        (outcome.mean_junction_c - 49.399_473_916_248_97).abs() < GOLDEN_TOL,
+        (outcome.mean_junction_c - 49.399_473_915_145_26).abs() < GOLDEN_TOL,
         "mean_junction_c = {:?}",
         outcome.mean_junction_c
     );
