@@ -171,9 +171,9 @@ fn bench_sparse_vs_dense_manifold(h: &mut Harness) {
                 ctx.clear_seed();
                 black_box(
                     plan.network
-                        .solve_with(
+                        .solve_with_ladder(
                             black_box(&water),
-                            &SolveOptions::default(),
+                            &[SolveOptions::default()],
                             &mut ctx,
                             Sinks::disabled(),
                         )
@@ -204,13 +204,22 @@ fn bench_hydraulic_sweep(h: &mut Harness) {
             &format!("hydraulic_sweep_{tag}/12x{}", openings.len()),
             || {
                 let mut net = plan.network.clone();
-                black_box(
-                    net.solve_sweep(openings.len(), warm, Sinks::disabled(), |net, i| {
-                        net.set_valve_opening(valve, openings[i]).unwrap();
-                        water
-                    })
-                    .unwrap(),
-                )
+                let mut ctx = net.solver_context();
+                for opening in openings {
+                    net.set_valve_opening(valve, opening).unwrap();
+                    if !warm {
+                        ctx.clear_seed();
+                    }
+                    black_box(
+                        net.solve_with_ladder(
+                            &water,
+                            &SolveOptions::ladder(),
+                            &mut ctx,
+                            Sinks::disabled(),
+                        )
+                        .unwrap(),
+                    );
+                }
             },
         );
     }

@@ -38,7 +38,7 @@ fn measure(plan: &layout::ManifoldPlan, label: &str, sinks: Sinks<'_>) -> Layout
     let mut ctx = plan.network.solver_context();
     let sol = plan
         .network
-        .solve_with(&water(), &SolveOptions::default(), &mut ctx, sinks)
+        .solve_with_ladder(&water(), &SolveOptions::ladder(), &mut ctx, sinks)
         .expect("manifold converges");
     let flows = plan.loop_flows(&sol);
     LayoutRow {
@@ -51,10 +51,10 @@ fn measure(plan: &layout::ManifoldPlan, label: &str, sinks: Sinks<'_>) -> Layout
 
 /// Computes the three layout rows: direct return, direct return with
 /// auto-trimmed balancing valves, and reverse return. The three
-/// measurement solves record `hydraulics.solve.*` counters into `sinks`
-/// (the auto-trim iteration is deliberately unobserved — its solve
-/// count is an implementation detail of the valve-trimming search, not
-/// of the reported layouts).
+/// measurement solves record `hydraulics.ladder.*` telemetry into
+/// `sinks` (the auto-trim iteration is deliberately unobserved — its
+/// solve count is an implementation detail of the valve-trimming
+/// search, not of the reported layouts).
 #[must_use]
 pub fn rows(sinks: Sinks<'_>) -> Vec<LayoutRow> {
     let direct = layout::rack_manifold(LOOPS, layout::ReturnStyle::Direct);
@@ -87,7 +87,7 @@ pub fn failure_series(failed: usize, sinks: Sinks<'_>) -> (Vec<f64>, Vec<f64>) {
         .loop_flows(
             &plan
                 .network
-                .solve_with(&water(), &SolveOptions::default(), &mut ctx, sinks)
+                .solve_with_ladder(&water(), &SolveOptions::ladder(), &mut ctx, sinks)
                 .expect("converges"),
         )
         .iter()
@@ -98,7 +98,7 @@ pub fn failure_series(failed: usize, sinks: Sinks<'_>) -> (Vec<f64>, Vec<f64>) {
         .loop_flows(
             &plan
                 .network
-                .solve_with(&water(), &SolveOptions::default(), &mut ctx, sinks)
+                .solve_with_ladder(&water(), &SolveOptions::ladder(), &mut ctx, sinks)
                 .expect("converges"),
         )
         .iter()
@@ -112,7 +112,8 @@ pub fn failure_series(failed: usize, sinks: Sinks<'_>) -> (Vec<f64>, Vec<f64>) {
 /// `e08.flow/<layout>` trace channel (loop index as the time axis), the
 /// failure injection records its before/after series in
 /// `e08.failure.before` / `e08.failure.after`, and the whole
-/// measurement pass runs inside a single `hydraulics.balance` span.
+/// measurement pass runs inside a single `hydraulics.balance` span with
+/// one `hydraulics.ladder` child per measurement solve.
 #[must_use]
 #[allow(clippy::cast_precision_loss)]
 pub fn run(sinks: Sinks<'_>) -> Vec<Table> {
@@ -230,12 +231,16 @@ mod tests {
         assert_eq!(tables.len(), 2);
         let snap = obs.snapshot();
         // three layout measurements + the before/after failure solves,
-        // every one a single-attempt convergence
-        assert_eq!(snap.counter("hydraulics.solve.calls"), 5);
-        assert_eq!(snap.counter("hydraulics.solve.converged"), 5);
-        assert_eq!(snap.counter("hydraulics.solve.stalled"), 0);
+        // every one converged on the ladder's first rung
+        assert_eq!(snap.counter("hydraulics.ladder.calls"), 5);
+        assert_eq!(snap.counter("hydraulics.ladder.converged"), 5);
+        assert_eq!(snap.counter("hydraulics.ladder.escalations"), 0);
+        let rung = snap
+            .histogram("hydraulics.ladder.rung")
+            .expect("rung histogram recorded");
+        assert_eq!(rung.counts, vec![5, 0, 0, 0]);
         let iters = snap
-            .histogram("hydraulics.solve.iterations")
+            .histogram("hydraulics.ladder.iterations")
             .expect("iteration histogram recorded");
         assert_eq!(iters.total(), 5);
     }

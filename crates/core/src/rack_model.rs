@@ -12,6 +12,7 @@ use rcs_cooling::ImmersionBath;
 use rcs_devices::OperatingPoint;
 use rcs_fluids::Coolant;
 use rcs_hydraulics::layout::{self, ManifoldParams, ReturnStyle};
+use rcs_obs::Sinks;
 use rcs_platform::ComputeModule;
 use rcs_thermal::Chiller;
 use rcs_units::{Celsius, Power, Pressure, VolumeFlow};
@@ -184,7 +185,8 @@ impl RackImmersionModel {
     }
 
     /// One shared-chiller pass: every module's coupled solve at the
-    /// supply temperature `supply`, in module order.
+    /// supply temperature `supply`, in module order, each through the
+    /// immersion retry ladder ([`ImmersionModel::solve_robust`]).
     fn solve_pass(
         &self,
         water_flows: &[VolumeFlow],
@@ -199,7 +201,7 @@ impl RackImmersionModel {
             bath.chiller = Chiller::new(supply, Power::kilowatts(1e3), self.facility_chiller.cop());
             ImmersionModel::new(self.module.clone(), bath)
                 .with_operating_point(self.op)
-                .solve()
+                .solve_robust(Sinks::disabled())
         })
         .into_iter()
         .collect()

@@ -179,9 +179,9 @@ fn solve_loop_flows(
     fluid: &FluidState,
     ctx: &mut SolverContext,
 ) -> Result<(Vec<VolumeFlow>, Vec<VolumeFlow>), HydraulicError> {
-    let sol = plan
-        .network
-        .solve_with(fluid, &SolveOptions::default(), ctx, Sinks::disabled())?;
+    let sol =
+        plan.network
+            .solve_with_ladder(fluid, &SolveOptions::ladder(), ctx, Sinks::disabled())?;
     Ok((plan.loop_flows(&sol), plan.surviving_loop_flows(&sol)))
 }
 

@@ -70,13 +70,6 @@ pub enum HydraulicError {
     },
     /// A branch was built with no elements.
     EmptyBranch,
-    /// The Newton iteration failed to reach the continuity tolerance.
-    NoConvergence {
-        /// Iterations performed.
-        iterations: usize,
-        /// Final worst continuity residual in m³/s.
-        residual: f64,
-    },
     /// Every rung of the retry ladder failed; the diagnostics name the
     /// offending junction and branch.
     Unsolvable {
@@ -101,10 +94,6 @@ impl core::fmt::Display for HydraulicError {
             Self::SelfLoop { index } => write!(f, "branch connects junction {index} to itself"),
             Self::NonPositiveParameter { parameter } => write!(f, "non-positive {parameter}"),
             Self::EmptyBranch => write!(f, "branch has no elements"),
-            Self::NoConvergence { iterations, residual } => write!(
-                f,
-                "flow solver did not converge after {iterations} iterations (residual {residual:.3e} m³/s)"
-            ),
             Self::Unsolvable { diagnostics } => {
                 write!(f, "flow network unsolvable: {diagnostics}")
             }
@@ -136,15 +125,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn display_mentions_units() {
-        let e = HydraulicError::NoConvergence {
-            iterations: 50,
-            residual: 1e-3,
-        };
-        assert!(e.to_string().contains("m³/s"));
-    }
-
-    #[test]
     fn unsolvable_display_names_the_offenders() {
         let e = HydraulicError::Unsolvable {
             diagnostics: ConvergenceDiagnostics {
@@ -162,5 +142,6 @@ mod tests {
         assert!(msg.contains("bath inlet"), "{msg}");
         assert!(msg.contains("pump 1"), "{msg}");
         assert!(msg.contains("1 ladder attempt"), "{msg}");
+        assert!(msg.contains("m³/s"), "{msg}");
     }
 }

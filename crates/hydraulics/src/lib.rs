@@ -8,13 +8,15 @@
 //! - [`HydraulicNetwork`] — junction/branch network construction, where
 //!   each branch is a series of [`Element`]s: Darcy-Weisbach pipes, minor
 //!   losses, trim/balancing [`Valve`]s and [`PumpCurve`]s.
-//! - A damped global-gradient (Todini-style Newton) solver,
-//!   [`HydraulicNetwork::solve`], returning per-branch flows and nodal
-//!   pressures with mass-conservation residuals. Repeated solves of the
-//!   same topology reuse a [`SolverContext`] — a cached sparse
-//!   elimination schedule plus a warm-start seed from the neighboring
-//!   solution ([`HydraulicNetwork::solve_with`],
-//!   [`HydraulicNetwork::solve_sweep`]).
+//! - A global-gradient (Todini-style Newton) solver returning per-branch
+//!   flows and nodal pressures with mass-conservation residuals. Every
+//!   solve runs a retry ladder ([`SolveOptions::ladder`]): full Newton
+//!   steps first, then damped re-solves for stiff networks.
+//!   [`HydraulicNetwork::solve`] runs it on a fresh context; repeated
+//!   solves of the same topology call
+//!   [`HydraulicNetwork::solve_with_ladder`] through a reused
+//!   [`SolverContext`] — a cached sparse elimination schedule plus a
+//!   warm-start seed from the neighboring solution.
 //! - [`layout`] — builders for the two manifold topologies the paper
 //!   compares: conventional **direct-return** and the suggested
 //!   **reverse-return (Tichelmann)** arrangement whose equal path lengths

@@ -198,22 +198,6 @@ impl HydraulicNetwork {
         (0..self.junctions.len()).map(JunctionId)
     }
 
-    /// Number of branches.
-    #[must_use]
-    pub fn branch_count(&self) -> usize {
-        self.branches.len()
-    }
-
-    /// Name of a branch.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a foreign id.
-    #[must_use]
-    pub fn branch_name(&self, b: BranchId) -> &str {
-        &self.branches[b.0].name
-    }
-
     /// Endpoints of a branch.
     ///
     /// # Panics
@@ -268,7 +252,6 @@ mod tests {
             Length::millimeters(25.0),
         ));
         let id = net.add_branch("ok", a, b, vec![pipe]).unwrap();
-        assert_eq!(net.branch_name(id), "ok");
         assert_eq!(net.branch_endpoints(id), (a, b));
         assert!(net.branch_is_open(id).unwrap());
     }
@@ -295,7 +278,6 @@ mod tests {
             rcs_units::VolumeFlow::liters_per_minute(100.0),
         ));
         assert!(net.add_branch("pump", a, b, vec![pump]).is_ok());
-        assert_eq!(net.branch_count(), 1);
         assert_eq!(net.junction_count(), 2);
     }
 }

@@ -28,10 +28,10 @@
 //! instead of from scratch.
 //!
 //! Faulted networks (deeply derated pumps, nearly shut valves) can sit
-//! on much stiffer loss curves than healthy ones, so the solver also
-//! exposes a retry ladder ([`HydraulicNetwork::solve_with_ladder`]): the
-//! default settings first, then progressively heavier damping with a
-//! larger iteration budget, and finally a structured
+//! on much stiffer loss curves than healthy ones, so every solve runs a
+//! retry ladder ([`HydraulicNetwork::solve_with_ladder`]): the default
+//! settings first, then progressively heavier damping with a larger
+//! iteration budget, and finally a structured
 //! [`ConvergenceDiagnostics`] naming the worst junction and branch if
 //! every rung fails.
 //!
@@ -93,10 +93,10 @@ impl SolveOptions {
     }
 
     /// The standard retry ladder for
-    /// [`HydraulicNetwork::solve_with_ladder`]: the default full Newton
-    /// steps first (bit-identical to [`HydraulicNetwork::solve`] when it
-    /// converges), then two progressively damped re-solves with larger
-    /// budgets for stiff networks on which full steps oscillate.
+    /// [`HydraulicNetwork::solve_with_ladder`] (and so for
+    /// [`HydraulicNetwork::solve`]): the default full Newton steps first,
+    /// then two progressively damped re-solves with larger budgets for
+    /// stiff networks on which full steps oscillate.
     #[must_use]
     pub fn ladder() -> [Self; 3] {
         [
@@ -154,11 +154,12 @@ struct BranchScatter {
 /// starts from them instead of from the cold uniform guess.
 ///
 /// The context revalidates itself against the network on every solve:
-/// if the topology changed (junctions, branches, openness, reference)
-/// the plan is rebuilt automatically — the warm seed survives pure
-/// openness changes (a failure sweep's neighboring solution is still
-/// the best available guess) and is dropped when the branch set itself
-/// changed. Valve re-trims and fluid changes don't invalidate anything.
+/// if the topology changed (junction count, reference, any branch's
+/// endpoints or openness) the plan is rebuilt automatically — the warm
+/// seed survives pure openness changes (a failure sweep's neighboring
+/// solution is still the best available guess) and is dropped when the
+/// branch set itself changed. Valve re-trims and fluid changes don't
+/// invalidate anything.
 ///
 /// Warm-starting is deterministic: the seed is a pure function of the
 /// solve history through this context, so results are bit-identical at
@@ -182,10 +183,10 @@ struct BranchScatter {
 ///     Pressure::kilopascals(60.0), VolumeFlow::liters_per_minute(150.0)))])?;
 /// let water = Coolant::water().state(Celsius::new(20.0));
 ///
-/// let (opts, off) = (SolveOptions::default(), Sinks::disabled());
+/// let (ladder, off) = (SolveOptions::ladder(), Sinks::disabled());
 /// let mut ctx = net.solver_context();
-/// let cold = net.solve_with(&water, &opts, &mut ctx, off)?;
-/// let warm = net.solve_with(&water, &opts, &mut ctx, off)?; // starts from `cold`'s flows
+/// let cold = net.solve_with_ladder(&water, &ladder, &mut ctx, off)?;
+/// let warm = net.solve_with_ladder(&water, &ladder, &mut ctx, off)?; // starts from `cold`'s flows
 /// assert!(warm.iterations() < cold.iterations());
 /// # Ok::<(), rcs_hydraulics::HydraulicError>(())
 /// ```
@@ -195,7 +196,8 @@ pub struct SolverContext {
     // -- topology fingerprint --
     n_junctions: usize,
     reference: usize,
-    openness: Vec<bool>,
+    /// `(from, to, open)` of every branch.
+    incidence: Vec<(usize, usize, bool)>,
     // -- assembly plan --
     unknowns: Vec<usize>,
     touched: Vec<bool>,
@@ -223,7 +225,11 @@ impl SolverContext {
     fn build(net: &HydraulicNetwork, engine: SolverEngine, warm: Option<Vec<f64>>) -> Self {
         let n_junctions = net.junctions.len();
         let reference = net.reference.map_or(0, |r| r.0);
-        let openness: Vec<bool> = net.branches.iter().map(|b| b.open).collect();
+        let incidence: Vec<(usize, usize, bool)> = net
+            .branches
+            .iter()
+            .map(|b| (b.from.0, b.to.0, b.open))
+            .collect();
         let unknowns: Vec<usize> = (0..n_junctions).filter(|&j| j != reference).collect();
         let mut col_of: Vec<Option<usize>> = vec![None; n_junctions];
         for (c, &j) in unknowns.iter().enumerate() {
@@ -283,7 +289,7 @@ impl SolverContext {
             engine,
             n_junctions,
             reference,
-            openness,
+            incidence,
             unknowns,
             touched,
             scatter,
@@ -297,29 +303,37 @@ impl SolverContext {
         }
     }
 
+    /// `true` if `net` has the same branches, endpoint for endpoint, as
+    /// the network the plan was built for (openness aside).
+    fn same_branches(&self, net: &HydraulicNetwork) -> bool {
+        self.incidence.len() == net.branches.len()
+            && self
+                .incidence
+                .iter()
+                .zip(net.branches.iter())
+                .all(|(&(from, to, _), b)| from == b.from.0 && to == b.to.0)
+    }
+
     /// `true` if the stored plan still describes `net`'s topology.
     fn matches(&self, net: &HydraulicNetwork) -> bool {
         self.n_junctions == net.junctions.len()
             && self.reference == net.reference.map_or(0, |r| r.0)
-            && self.openness.len() == net.branches.len()
+            && self.same_branches(net)
             && self
-                .openness
+                .incidence
                 .iter()
                 .zip(net.branches.iter())
-                .all(|(o, b)| *o == b.open)
+                .all(|(&(_, _, open), b)| open == b.open)
     }
 
     /// Revalidates against `net`, rebuilding the plan if the topology
-    /// changed. The warm seed survives a rebuild when the branch count
-    /// is unchanged (openness flips); otherwise it is dropped.
+    /// changed. The warm seed survives a rebuild when the branches are
+    /// unchanged but for openness; otherwise it is dropped.
     fn ensure(&mut self, net: &HydraulicNetwork) {
         if self.matches(net) {
             return;
         }
-        let warm = self
-            .warm_flows
-            .take()
-            .filter(|w| w.len() == net.branches.len());
+        let warm = self.warm_flows.take().filter(|_| self.same_branches(net));
         *self = Self::build(net, self.engine, warm);
     }
 
@@ -328,12 +342,6 @@ impl SolverContext {
         self.warm_flows
             .take()
             .filter(|w| w.len() == net.branches.len() && w.iter().all(|q| q.is_finite()))
-    }
-
-    /// The engine this context factors with.
-    #[must_use]
-    pub fn engine(&self) -> SolverEngine {
-        self.engine
     }
 
     /// `true` if the next solve through this context will start from a
@@ -357,11 +365,6 @@ const ITER_BOUNDS: [u64; 7] = [5, 10, 20, 50, 200, 500, 1500];
 const RUNG_BOUNDS: [u64; 3] = [0, 1, 2];
 /// Residual-decade histogram bounds (see [`rcs_obs::residual_decade`]).
 const DECADE_BOUNDS: [u64; 4] = [3, 6, 9, 12];
-
-/// Bucket edges for the float residual histogram (continuity residual,
-/// m³/s). The explicit underflow/overflow buckets absorb exactly-zero
-/// residuals and non-finite divergence without panicking.
-const RESIDUAL_EDGES: [f64; 4] = [1e-12, 1e-9, 1e-6, 1e-3];
 
 /// Where a failed attempt left off — enough to build the diagnostics.
 struct SolveFailure {
@@ -400,21 +403,20 @@ impl HydraulicNetwork {
     }
 
     /// Solves the steady flow distribution for the given fluid state:
-    /// one cold attempt with the default options and no telemetry.
+    /// the standard retry ladder ([`SolveOptions::ladder`]) on a fresh
+    /// context, with no telemetry.
     ///
     /// # Errors
     ///
-    /// Returns [`HydraulicError::NoConvergence`] if the continuity residual
-    /// does not fall below tolerance, and propagates singular-matrix
-    /// failures from degenerate networks.
+    /// As [`HydraulicNetwork::solve_with_ladder`]:
+    /// [`HydraulicError::Unsolvable`] if every rung stalls, and
+    /// singular-matrix failures from degenerate networks.
     pub fn solve(&self, fluid: &FluidState) -> Result<HydraulicSolution, HydraulicError> {
-        let opts = SolveOptions::default();
-        self.solve_with(fluid, &opts, &mut self.solver_context(), Sinks::disabled())
+        self.solve_observed(fluid, Registry::disabled())
     }
 
     /// [`HydraulicNetwork::solve`] with counters recorded into `obs`.
-    /// Kept for `perfbench/src/sinks.rs`, its only caller; everything
-    /// else calls [`HydraulicNetwork::solve_with`].
+    /// Kept for `perfbench/src/sinks.rs`, its only caller.
     ///
     /// # Errors
     ///
@@ -424,80 +426,12 @@ impl HydraulicNetwork {
         fluid: &FluidState,
         obs: &Registry,
     ) -> Result<HydraulicSolution, HydraulicError> {
-        self.solve_with(
+        self.solve_with_ladder(
             fluid,
-            &SolveOptions::default(),
+            &SolveOptions::ladder(),
             &mut self.solver_context(),
             Sinks::counters(obs),
         )
-    }
-
-    /// One solve attempt with explicit damping/budget options through a
-    /// reusable context: the symbolic factorization is shared and, when
-    /// `ctx` holds a seed from a previous success, the attempt starts
-    /// warm. Telemetry lands on `sinks.obs` — all golden-channel
-    /// integers:
-    ///
-    /// - `hydraulics.solve.calls` / `.converged` / `.stalled` counters;
-    /// - `hydraulics.solve.iterations` histogram on success;
-    /// - `hydraulics.solve.residual_decade` histogram of the converged
-    ///   residual's decade;
-    /// - a `hydraulics.warm_starts` work counter when the attempt
-    ///   converged from a warm seed.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`HydraulicNetwork::solve`].
-    pub fn solve_with(
-        &self,
-        fluid: &FluidState,
-        opts: &SolveOptions,
-        ctx: &mut SolverContext,
-        sinks: Sinks<'_>,
-    ) -> Result<HydraulicSolution, HydraulicError> {
-        let obs = sinks.obs;
-        obs.inc("hydraulics.solve.calls");
-        match self.solve_inner(fluid, opts, ctx) {
-            Ok(outcome) => {
-                let solution = outcome.solution;
-                obs.inc("hydraulics.solve.converged");
-                obs.record_histogram(
-                    "hydraulics.solve.iterations",
-                    &ITER_BOUNDS,
-                    solution.iterations() as u64,
-                );
-                obs.record_histogram(
-                    "hydraulics.solve.residual_decade",
-                    &DECADE_BOUNDS,
-                    residual_decade(solution.worst_residual_m3s()),
-                );
-                obs.record_histogram_f64(
-                    "hydraulics.solve.residual",
-                    &RESIDUAL_EDGES,
-                    solution.worst_residual_m3s(),
-                );
-                self.record_solver_work(obs, solution.iterations() as u64);
-                if outcome.warm_started {
-                    obs.work("hydraulics.warm_starts", 1);
-                }
-                Ok(solution)
-            }
-            Err(InnerError::Stalled(fail)) => {
-                obs.inc("hydraulics.solve.stalled");
-                obs.record_histogram_f64("hydraulics.solve.residual", &RESIDUAL_EDGES, {
-                    fail.residual
-                });
-                self.record_solver_work(obs, fail.iterations as u64);
-                Err(HydraulicError::NoConvergence {
-                    iterations: fail.iterations,
-                    residual: fail.residual,
-                })
-            }
-            Err(InnerError::Other(err)) => {
-                obs.inc("hydraulics.solve.error");
-                Err(err)
-            }
-        }
     }
 
     /// Rolls one solve attempt's deterministic effort into the work
@@ -511,10 +445,12 @@ impl HydraulicNetwork {
         obs.work("hydraulics.iter_unknowns", iterations * unknowns);
     }
 
-    /// Solves through a retry ladder — [`SolveOptions::ladder`] is the
-    /// standard one: default options first (bit-identical to
-    /// [`HydraulicNetwork::solve`] when it converges, so healthy
-    /// networks pay nothing), then two progressively damped re-solves.
+    /// Solves through a retry ladder — the only solve attempt driver;
+    /// [`SolveOptions::ladder`] is the standard one: the default full
+    /// Newton steps first (so healthy networks pay nothing extra), then
+    /// two progressively damped re-solves. A caller that needs one
+    /// specific attempt passes a one-rung slice, such as
+    /// `&[SolveOptions::default()]`.
     /// A network that defeats every rung returns
     /// [`HydraulicError::Unsolvable`] with structured diagnostics naming
     /// the worst junction and branch.
@@ -644,40 +580,6 @@ impl HydraulicNetwork {
                 residual: fail.residual,
             },
         })
-    }
-
-    /// Solves a parameter sweep: `configure` mutates the network for
-    /// step `i` (valve trims, branch failures, a new fluid state) and
-    /// each step is solved through the standard ladder with a shared
-    /// context, recording into `sinks`. With `warm = true` every step
-    /// starts from the previous step's solution — the neighboring solve
-    /// is the cheapest possible starting point — while `warm = false`
-    /// solves every step cold (the cross-check the warm path is
-    /// validated against).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first step's solver failure.
-    pub fn solve_sweep<F>(
-        &mut self,
-        steps: usize,
-        warm: bool,
-        sinks: Sinks<'_>,
-        mut configure: F,
-    ) -> Result<Vec<HydraulicSolution>, HydraulicError>
-    where
-        F: FnMut(&mut Self, usize) -> FluidState,
-    {
-        let mut ctx = self.solver_context();
-        let mut out = Vec::with_capacity(steps);
-        for i in 0..steps {
-            let fluid = configure(self, i);
-            if !warm {
-                ctx.clear_seed();
-            }
-            out.push(self.solve_with_ladder(&fluid, &SolveOptions::ladder(), &mut ctx, sinks)?);
-        }
-        Ok(out)
     }
 
     fn solve_inner(
@@ -938,7 +840,7 @@ mod tests {
         net: &HydraulicNetwork,
         ctx: &mut SolverContext,
     ) -> Result<HydraulicSolution, HydraulicError> {
-        net.solve_with(&water(), &SolveOptions::default(), ctx, Sinks::disabled())
+        net.solve_with_ladder(&water(), &[SolveOptions::default()], ctx, Sinks::disabled())
     }
 
     /// A ladder solve on a fresh context with counters into `obs`.
@@ -1115,22 +1017,13 @@ mod tests {
     }
 
     #[test]
-    fn robust_solve_is_identical_to_plain_solve_on_healthy_networks() {
-        // First ladder rung == default options, so a converging network
-        // must produce bit-identical flows through either entry point.
-        let mut net = HydraulicNetwork::new();
-        let s = net.add_junction("supply");
-        let r = net.add_junction("return");
-        let b1 = net.add_branch("short", s, r, vec![pipe(5.0)]).unwrap();
-        let b2 = net.add_branch("long", s, r, vec![pipe(40.0)]).unwrap();
-        net.add_branch("pump", r, s, vec![pump()]).unwrap();
-        let plain = net.solve(&water()).unwrap();
-        let robust = ladder(&net, &SolveOptions::ladder(), Registry::disabled()).unwrap();
-        for b in [b1, b2] {
-            assert_eq!(
-                plain.flow(b).cubic_meters_per_second(),
-                robust.flow(b).cubic_meters_per_second()
-            );
+    fn solve_is_identical_to_a_single_default_attempt_on_healthy_networks() {
+        // The ladder's first rung is the default options, so on a network
+        // that converges there `solve()` returns the single attempt's bits.
+        let manifold = crate::layout::rack_manifold(32, crate::layout::ReturnStyle::Direct);
+        for net in [branched_net().0, manifold.network] {
+            let single = ladder(&net, &[SolveOptions::default()], Registry::disabled()).unwrap();
+            assert_bitwise_eq(&net.solve(&water()).unwrap(), &single);
         }
     }
 
@@ -1144,13 +1037,8 @@ mod tests {
         // One-iteration budget cannot converge...
         let starved = SolveOptions::damped(0.7, 1);
         assert!(matches!(
-            net.solve_with(
-                &water(),
-                &starved,
-                &mut net.solver_context(),
-                Sinks::disabled()
-            ),
-            Err(HydraulicError::NoConvergence { iterations: 1, .. })
+            ladder(&net, &[starved], Registry::disabled()),
+            Err(HydraulicError::Unsolvable { .. })
         ));
         // ...but a ladder whose later rung has a real budget succeeds.
         let sol = net
@@ -1245,54 +1133,16 @@ mod tests {
         net.add_branch("pump", b, a, vec![pump()]).unwrap();
         let obs = Registry::new();
         let rungs = [SolveOptions::damped(0.7, 1), SolveOptions::damped(0.3, 2)];
-        let _ = net
-            .solve_with_ladder(
-                &water(),
-                &rungs,
-                &mut net.solver_context(),
-                Sinks::counters(&obs),
-            )
-            .unwrap_err();
+        let _ = ladder(&net, &rungs, &obs).unwrap_err();
         let snap = obs.snapshot();
         assert_eq!(snap.counter("hydraulics.ladder.converged"), 0);
         assert_eq!(snap.counter("hydraulics.ladder.unsolvable"), 1);
         assert_eq!(snap.counter("hydraulics.ladder.escalations"), 1);
         assert!(snap.histogram("hydraulics.ladder.rung").is_none());
-    }
-
-    #[test]
-    fn single_attempt_telemetry_counts_calls_and_outcomes() {
-        let mut net = HydraulicNetwork::new();
-        let a = net.add_junction("a");
-        let b = net.add_junction("b");
-        net.add_branch("loop", a, b, vec![pipe(20.0)]).unwrap();
-        net.add_branch("pump", b, a, vec![pump()]).unwrap();
-        let obs = Registry::new();
-        let mut ctx = net.solver_context();
-        net.solve_with(
-            &water(),
-            &SolveOptions::default(),
-            &mut ctx,
-            Sinks::counters(&obs),
-        )
-        .unwrap();
-        let _ = net
-            .solve_with(
-                &water(),
-                &SolveOptions::damped(0.7, 1),
-                &mut net.solver_context(),
-                Sinks::counters(&obs),
-            )
-            .unwrap_err();
-        let snap = obs.snapshot();
-        assert_eq!(snap.counter("hydraulics.solve.calls"), 2);
-        assert_eq!(snap.counter("hydraulics.solve.converged"), 1);
-        assert_eq!(snap.counter("hydraulics.solve.stalled"), 1);
-        let decades = snap.histogram("hydraulics.solve.residual_decade").unwrap();
-        assert_eq!(
-            decades.total(),
-            1,
-            "only the converged attempt records a residual"
+        assert!(
+            snap.histogram("hydraulics.ladder.residual_decade")
+                .is_none(),
+            "only a converged rung records a residual decade"
         );
     }
 
@@ -1305,8 +1155,8 @@ mod tests {
         let b2 = net.add_branch("long", s, r, vec![pipe(40.0)]).unwrap();
         net.add_branch("pump", r, s, vec![pump()]).unwrap();
         let obs = Registry::new();
-        let plain = ladder(&net, &SolveOptions::ladder(), Registry::disabled()).unwrap();
-        let observed = ladder(&net, &SolveOptions::ladder(), &obs).unwrap();
+        let plain = net.solve(&water()).unwrap();
+        let observed = net.solve_observed(&water(), &obs).unwrap();
         for b in [b1, b2] {
             assert_eq!(
                 plain.flow(b).cubic_meters_per_second(),
@@ -1374,21 +1224,6 @@ mod tests {
     }
 
     #[test]
-    fn stateless_solve_matches_fresh_context_solve_bitwise() {
-        let (net, ids) = branched_net();
-        let stateless = net.solve(&water()).unwrap();
-        let mut ctx = net.solver_context();
-        let via_ctx = attempt(&net, &mut ctx).unwrap();
-        assert_eq!(stateless.iterations(), via_ctx.iterations());
-        for &b in &ids {
-            assert_eq!(
-                stateless.flow(b).cubic_meters_per_second(),
-                via_ctx.flow(b).cubic_meters_per_second()
-            );
-        }
-    }
-
-    #[test]
     fn warm_start_converges_faster_to_the_same_solution() {
         let (net, ids) = branched_net();
         let mut ctx = net.solver_context();
@@ -1443,7 +1278,7 @@ mod tests {
         // a starved warm attempt fails and must not leave a stale seed
         let starved = SolveOptions::damped(0.7, 1);
         let _ = net
-            .solve_with(&water(), &starved, &mut ctx, Sinks::disabled())
+            .solve_with_ladder(&water(), &[starved], &mut ctx, Sinks::disabled())
             .unwrap_err();
         assert!(!ctx.is_warm(), "failed attempts must clear the seed");
         // the next solve is cold and matches the stateless path bitwise
@@ -1477,12 +1312,16 @@ mod tests {
         let openings = [1.0, 0.8, 0.6, 0.4, 0.3, 0.5, 0.9];
         let sweep = |warm: bool| {
             let mut n = net.clone();
-            let valve = ids[1];
-            n.solve_sweep(openings.len(), warm, Sinks::disabled(), |net, i| {
-                net.set_valve_opening(valve, openings[i]).unwrap();
-                water()
-            })
-            .unwrap()
+            let mut ctx = n.solver_context();
+            let mut out = Vec::new();
+            for opening in openings {
+                n.set_valve_opening(ids[1], opening).unwrap();
+                if !warm {
+                    ctx.clear_seed();
+                }
+                out.push(attempt(&n, &mut ctx).unwrap());
+            }
+            out
         };
         let cold = sweep(false);
         let warm = sweep(true);
@@ -1559,9 +1398,9 @@ mod tests {
         let warm_water = Coolant::water().state(Celsius::new(45.0));
         let rungs = [SolveOptions::damped(0.7, 1), SolveOptions::default()];
         let mut used = net.solver_context();
-        net.solve_with(
+        net.solve_with_ladder(
             &warm_water,
-            &SolveOptions::default(),
+            &[SolveOptions::default()],
             &mut used,
             Sinks::disabled(),
         )
@@ -1607,6 +1446,42 @@ mod tests {
         let fresh_grown = net.solve(&water()).unwrap();
         assert_bitwise_eq(&grown, &fresh_grown);
         assert_eq!(grown.flows().len(), 5);
+    }
+
+    #[test]
+    fn context_handed_a_rewired_network_of_the_same_shape_replans() {
+        // Same junction and branch counts, reference and openness, but
+        // every branch on other endpoints (and another junction left
+        // isolated): the context must rebuild its plan and drop its seed,
+        // so the solve equals a fresh context's.
+        let build = |ends: [(usize, usize); 3]| {
+            let mut net = HydraulicNetwork::new();
+            let j = [
+                net.add_junction("a"),
+                net.add_junction("b"),
+                net.add_junction("c"),
+            ];
+            for (elements, (from, to)) in [vec![pipe(20.0)], vec![pipe(10.0)], vec![pump()]]
+                .into_iter()
+                .zip(ends)
+            {
+                net.add_branch("branch", j[from], j[to], elements).unwrap();
+            }
+            net
+        };
+        let first = build([(0, 1), (0, 1), (1, 0)]);
+        let rewired = build([(0, 2), (0, 2), (2, 0)]);
+        let mut ctx = first.solver_context();
+        attempt(&first, &mut ctx).unwrap();
+        let reused = rewired
+            .solve_with_ladder(
+                &water(),
+                &SolveOptions::ladder(),
+                &mut ctx,
+                Sinks::disabled(),
+            )
+            .unwrap();
+        assert_bitwise_eq(&reused, &rewired.solve(&water()).unwrap());
     }
 
     #[test]

@@ -91,11 +91,13 @@ fn warm_solves_allocate_a_constant_independent_of_newton_iterations() {
     // Heavy under-relaxation converges only linearly, so it takes many
     // more iterations than the default full Newton steps; the
     // allocation count must not move.
-    let crawl = SolveOptions::damped(0.05, 1500);
+    let crawl = [SolveOptions::damped(0.05, 1500)];
     for step in 0..5u32 {
         let fluid = oil(36.0 + 0.5 * f64::from(step));
-        let (sol, count) =
-            allocations_in(|| net.solve_with(&fluid, &crawl, &mut ctx, off).unwrap());
+        let (sol, count) = allocations_in(|| {
+            net.solve_with_ladder(&fluid, &crawl, &mut ctx, off)
+                .unwrap()
+        });
         assert!(
             sol.iterations() > 10 * default_iterations,
             "damped solve took {} iterations vs {default_iterations} at the default",

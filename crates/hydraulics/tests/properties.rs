@@ -254,17 +254,17 @@ fn sparse_and_dense_agree_under_random_branch_outages() {
             let mut sparse = net.solver_context_with(SolverEngine::Sparse);
             let mut dense = net.solver_context_with(SolverEngine::Dense);
             let s = net
-                .solve_with(
+                .solve_with_ladder(
                     &water(),
-                    &SolveOptions::default(),
+                    &[SolveOptions::default()],
                     &mut sparse,
                     Sinks::disabled(),
                 )
                 .unwrap();
             let d = net
-                .solve_with(
+                .solve_with_ladder(
                     &water(),
-                    &SolveOptions::default(),
+                    &[SolveOptions::default()],
                     &mut dense,
                     Sinks::disabled(),
                 )
@@ -325,9 +325,9 @@ fn assert_matches_damped_reference(
     what: &str,
 ) {
     let reference = net
-        .solve_with(
+        .solve_with_ladder(
             fluid,
-            &SolveOptions::damped(0.15, 1500),
+            &[SolveOptions::damped(0.15, 1500)],
             &mut net.solver_context(),
             Sinks::disabled(),
         )
@@ -422,10 +422,10 @@ fn derated_bath_pumps_converge_on_full_newton_steps() {
 fn full_newton_steps_bound_manifold_iterations() {
     let plan = layout::rack_manifold(32, layout::ReturnStyle::Direct);
     let net = &plan.network;
-    let (opts, off) = (SolveOptions::default(), Sinks::disabled());
+    let (opts, off) = ([SolveOptions::default()], Sinks::disabled());
     let mut ctx = net.solver_context();
     let cold = net
-        .solve_with(&water_at(20.0), &opts, &mut ctx, off)
+        .solve_with_ladder(&water_at(20.0), &opts, &mut ctx, off)
         .unwrap();
     assert!(
         cold.iterations() <= 10,
@@ -433,7 +433,7 @@ fn full_newton_steps_bound_manifold_iterations() {
         cold.iterations()
     );
     let warm = net
-        .solve_with(&water_at(20.5), &opts, &mut ctx, off)
+        .solve_with_ladder(&water_at(20.5), &opts, &mut ctx, off)
         .unwrap();
     assert!(
         warm.iterations() <= 3,

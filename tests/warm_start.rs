@@ -21,7 +21,7 @@
 //!    the saving is visible in the `profile.*` work counters.
 
 use rcs_sim::fluids::Coolant;
-use rcs_sim::hydraulics::{layout, HydraulicSolution};
+use rcs_sim::hydraulics::{layout, HydraulicNetwork, HydraulicSolution, SolveOptions};
 use rcs_sim::obs::{Registry, Sinks};
 use rcs_sim::units::Celsius;
 
@@ -31,6 +31,29 @@ const AGREE_TOL: f64 = 1e-9;
 
 const LOOPS: usize = 6;
 const OPENINGS: [f64; 7] = [1.0, 0.85, 0.7, 0.55, 0.4, 0.6, 0.9];
+
+/// Solves one step per entry of [`OPENINGS`] through the standard
+/// ladder and one shared context: `configure` sets the network up for
+/// step `i`, and a cold sweep drops the seed before every step.
+fn solve_steps(
+    net: &mut HydraulicNetwork,
+    warm: bool,
+    sinks: Sinks<'_>,
+    mut configure: impl FnMut(&mut HydraulicNetwork, usize),
+) -> Vec<HydraulicSolution> {
+    let water = Coolant::water().state(Celsius::new(20.0));
+    let mut ctx = net.solver_context();
+    (0..OPENINGS.len())
+        .map(|i| {
+            configure(net, i);
+            if !warm {
+                ctx.clear_seed();
+            }
+            net.solve_with_ladder(&water, &SolveOptions::ladder(), &mut ctx, sinks)
+                .expect("sweep converges at every step")
+        })
+        .collect()
+}
 
 /// Solves the benchmark sweep — a direct-return rack manifold whose
 /// first loop valve is trimmed step by step — warm or cold.
@@ -43,14 +66,10 @@ fn sweep(warm: bool) -> Vec<HydraulicSolution> {
             ..layout::ManifoldParams::default()
         },
     );
-    let water = Coolant::water().state(Celsius::new(20.0));
     let valve = plan.loop_branches[0];
-    plan.network
-        .solve_sweep(OPENINGS.len(), warm, Sinks::disabled(), |net, i| {
-            net.set_valve_opening(valve, OPENINGS[i]).unwrap();
-            water
-        })
-        .expect("benchmark sweep converges at every step")
+    solve_steps(&mut plan.network, warm, Sinks::disabled(), |net, i| {
+        net.set_valve_opening(valve, OPENINGS[i]).unwrap();
+    })
 }
 
 #[test]
@@ -140,17 +159,13 @@ fn warm_sweep_work_counters_drop() {
     // same sweep observed warm and cold shows strictly fewer
     // hydraulics iterations (== factorizations) and a warm_starts
     // count of steps - 1.
-    let water = Coolant::water().state(Celsius::new(20.0));
     let run = |warm: bool| {
         let mut plan = layout::rack_manifold(LOOPS, layout::ReturnStyle::Reverse);
         let valve_target = plan.loop_branches[0];
         let obs = Registry::new();
-        plan.network
-            .solve_sweep(OPENINGS.len(), warm, Sinks::counters(&obs), |net, i| {
-                let _ = net.set_branch_open(valve_target, OPENINGS[i] > 0.5);
-                water
-            })
-            .expect("sweep converges");
+        solve_steps(&mut plan.network, warm, Sinks::counters(&obs), |net, i| {
+            let _ = net.set_branch_open(valve_target, OPENINGS[i] > 0.5);
+        });
         obs.snapshot()
     };
     let cold = run(false);
