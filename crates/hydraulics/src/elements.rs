@@ -37,52 +37,85 @@ impl Pipe {
     /// the transition band and `64/Re` below it.
     #[must_use]
     pub fn friction_factor(&self, re: f64) -> f64 {
+        self.friction(re).0
+    }
+
+    /// The friction factor at `re` and its logarithmic slope
+    /// `Re · df/dRe`, both in closed form. Below Re = 1 the curve is
+    /// clamped, so its slope there is that of `64/Re` at Re = 1.
+    fn friction(&self, re: f64) -> (f64, f64) {
         let re = re.max(1.0);
         let rel_rough = self.roughness.meters() / self.diameter.meters();
         let turbulent = |re: f64| {
-            let arg = rel_rough / 3.7 + 5.74 / re.powf(0.9);
-            0.25 / arg.log10().powi(2)
+            // f = 0.25 / lg², lg = log10(ε/3.7D + t), t = 5.74 Re^-0.9,
+            // so Re · df/dRe = 1.8 f t / (arg · ln 10 · lg)
+            let t = 5.74 / re.powf(0.9);
+            let arg = rel_rough / 3.7 + t;
+            let lg = arg.log10();
+            let f = 0.25 / lg.powi(2);
+            (f, 1.8 * f * t / (arg * core::f64::consts::LN_10 * lg))
         };
         if re < 2300.0 {
-            64.0 / re
+            (64.0 / re, -64.0 / re)
         } else if re > 4000.0 {
             turbulent(re)
         } else {
             let w = (re - 2300.0) / 1700.0;
-            (64.0 / 2300.0) * (1.0 - w) + turbulent(4000.0) * w
+            let (f_4000, _) = turbulent(4000.0);
+            (
+                (64.0 / 2300.0) * (1.0 - w) + f_4000 * w,
+                (f_4000 - 64.0 / 2300.0) * re / 1700.0,
+            )
         }
     }
 
     /// Pressure loss at flow `q` (signed: loss opposes the flow direction).
     #[must_use]
     pub fn pressure_loss(&self, q: VolumeFlow, fluid: &FluidState) -> Pressure {
+        self.loss_and_slope(q, fluid).0
+    }
+
+    /// Pressure loss at flow `q` together with its derivative with
+    /// respect to flow, in Pa/(m³/s), from one evaluation of the friction
+    /// curve.
+    ///
+    /// Below the transition band the slope is the Hagen-Poiseuille one,
+    /// `32 μ L / (D² A)`, all the way down to zero flow: there the
+    /// clamped friction curve is quadratic and its own slope vanishes,
+    /// which would hand a stagnant branch a near-infinite conductance.
+    /// The slope never drops below a small positive floor, keeping the
+    /// Newton matrix well conditioned.
+    #[must_use]
+    pub(crate) fn loss_and_slope(&self, q: VolumeFlow, fluid: &FluidState) -> (Pressure, f64) {
         let area = self.area_m2();
+        let d = self.diameter.meters();
+        let length = self.length.meters();
         let v = q.cubic_meters_per_second() / area;
         let rho = fluid.density.kg_per_cubic_meter();
         let mu = fluid.viscosity.pascal_seconds();
-        let re = rho * v.abs() * self.diameter.meters() / mu;
-        let f = self.friction_factor(re);
-        let dp = f * self.length.meters() / self.diameter.meters() * rho * v * v.abs() / 2.0;
-        Pressure::from_pascals(dp)
+        let re = rho * v.abs() * d / mu;
+        let (f, re_df) = self.friction(re);
+        let dp = f * length / d * rho * v * v.abs() / 2.0;
+        let slope = if re < 2300.0 {
+            32.0 * mu * length / (d * d * area)
+        } else {
+            // d/dq of f(Re) L/D ρ v|v|/2 with Re ∝ |q|
+            length / d * rho * v.abs() / (2.0 * area) * (2.0 * f + re_df)
+        };
+        (Pressure::from_pascals(dp), slope.max(1e-3))
     }
+}
 
-    /// Derivative of the pressure loss with respect to flow, in Pa/(m³/s).
-    /// Never returns less than a small positive floor, keeping the Newton
-    /// matrix well conditioned near zero flow.
-    #[must_use]
-    pub fn loss_derivative(&self, q: VolumeFlow, fluid: &FluidState) -> f64 {
-        // numerical derivative is robust across the laminar/turbulent seam
-        let h = (q.cubic_meters_per_second().abs() * 1e-4).max(1e-9);
-        let up = self.pressure_loss(
-            VolumeFlow::from_cubic_meters_per_second(q.cubic_meters_per_second() + h),
-            fluid,
-        );
-        let dn = self.pressure_loss(
-            VolumeFlow::from_cubic_meters_per_second(q.cubic_meters_per_second() - h),
-            fluid,
-        );
-        ((up.pascals() - dn.pascals()) / (2.0 * h)).max(1e-3)
-    }
+/// Drop and slope of a quadratic minor loss `K ρ v|v| / 2` referred to
+/// `diameter`, the slope floored like every element's.
+fn quadratic_loss(k: f64, diameter: Length, q: VolumeFlow, fluid: &FluidState) -> (Pressure, f64) {
+    let area = core::f64::consts::PI * diameter.meters().powi(2) / 4.0;
+    let v = q.cubic_meters_per_second() / area;
+    let rho = fluid.density.kg_per_cubic_meter();
+    (
+        Pressure::from_pascals(k * rho * v * v.abs() / 2.0),
+        (k * rho * q.cubic_meters_per_second().abs() / (area * area)).max(1e-3),
+    )
 }
 
 /// A trim or balancing valve modeled as an adjustable minor loss.
@@ -121,18 +154,14 @@ impl Valve {
     /// Pressure loss at flow `q`.
     #[must_use]
     pub fn pressure_loss(&self, q: VolumeFlow, fluid: &FluidState) -> Pressure {
-        let area = core::f64::consts::PI * self.diameter.meters().powi(2) / 4.0;
-        let v = q.cubic_meters_per_second() / area;
-        let rho = fluid.density.kg_per_cubic_meter();
-        Pressure::from_pascals(self.k_effective() * rho * v * v.abs() / 2.0)
+        self.loss_and_slope(q, fluid).0
     }
 
-    /// Derivative of the pressure loss with respect to flow.
+    /// Pressure loss at flow `q` together with its derivative with
+    /// respect to flow, in Pa/(m³/s).
     #[must_use]
-    pub fn loss_derivative(&self, q: VolumeFlow, fluid: &FluidState) -> f64 {
-        let area = core::f64::consts::PI * self.diameter.meters().powi(2) / 4.0;
-        let rho = fluid.density.kg_per_cubic_meter();
-        (self.k_effective() * rho * q.cubic_meters_per_second().abs() / (area * area)).max(1e-3)
+    pub(crate) fn loss_and_slope(&self, q: VolumeFlow, fluid: &FluidState) -> (Pressure, f64) {
+        quadratic_loss(self.k_effective(), self.diameter, q, fluid)
     }
 }
 
@@ -172,25 +201,28 @@ impl PumpCurve {
     /// Pressure *gain* delivered at flow `q` (negative for `q > max_flow`).
     #[must_use]
     pub fn pressure_gain(&self, q: VolumeFlow) -> Pressure {
-        let qn = q.cubic_meters_per_second() / self.max_flow.cubic_meters_per_second();
-        if qn >= 0.0 {
-            Pressure::from_pascals(self.shutoff.pascals() * (1.0 - qn * qn))
-        } else {
-            // check valve: steeply resist reverse flow
-            Pressure::from_pascals(self.shutoff.pascals() * (1.0 + 1e3 * qn.abs()))
-        }
+        -self.loss_and_slope(q).0
     }
 
-    /// Derivative of the *loss* contribution (`−gain`) with respect to
-    /// flow; non-negative by construction.
+    /// The *loss* contribution (`−gain`) at flow `q` together with its
+    /// derivative with respect to flow, which is non-negative by
+    /// construction.
     #[must_use]
-    pub fn loss_derivative(&self, q: VolumeFlow) -> f64 {
+    pub(crate) fn loss_and_slope(&self, q: VolumeFlow) -> (Pressure, f64) {
+        let p0 = self.shutoff.pascals();
         let q_max = self.max_flow.cubic_meters_per_second();
         let qn = q.cubic_meters_per_second() / q_max;
         if qn >= 0.0 {
-            (2.0 * self.shutoff.pascals() * qn / q_max).max(1e-3)
+            (
+                Pressure::from_pascals(-(p0 * (1.0 - qn * qn))),
+                (2.0 * p0 * qn / q_max).max(1e-3),
+            )
         } else {
-            1e3 * self.shutoff.pascals() / q_max
+            // check valve: steeply resist reverse flow
+            (
+                Pressure::from_pascals(-(p0 * (1.0 + 1e3 * qn.abs()))),
+                1e3 * p0 / q_max,
+            )
         }
     }
 
@@ -246,31 +278,19 @@ impl Element {
     /// negative drops, i.e. gains).
     #[must_use]
     pub fn pressure_drop(&self, q: VolumeFlow, fluid: &FluidState) -> Pressure {
-        match self {
-            Self::Pipe(p) => p.pressure_loss(q, fluid),
-            Self::MinorLoss { k, diameter } => {
-                let area = core::f64::consts::PI * diameter.meters().powi(2) / 4.0;
-                let v = q.cubic_meters_per_second() / area;
-                let rho = fluid.density.kg_per_cubic_meter();
-                Pressure::from_pascals(k * rho * v * v.abs() / 2.0)
-            }
-            Self::Valve(v) => v.pressure_loss(q, fluid),
-            Self::Pump(p) => Pressure::from_pascals(-p.pressure_gain(q).pascals()),
-        }
+        self.drop_and_slope(q, fluid).0
     }
 
-    /// Derivative of the pressure drop with respect to flow (non-negative).
+    /// Signed pressure drop at flow `q` together with its derivative with
+    /// respect to flow (positive), from one evaluation of the element's
+    /// loss curve.
     #[must_use]
-    pub fn drop_derivative(&self, q: VolumeFlow, fluid: &FluidState) -> f64 {
+    pub(crate) fn drop_and_slope(&self, q: VolumeFlow, fluid: &FluidState) -> (Pressure, f64) {
         match self {
-            Self::Pipe(p) => p.loss_derivative(q, fluid),
-            Self::MinorLoss { k, diameter } => {
-                let area = core::f64::consts::PI * diameter.meters().powi(2) / 4.0;
-                let rho = fluid.density.kg_per_cubic_meter();
-                (k * rho * q.cubic_meters_per_second().abs() / (area * area)).max(1e-3)
-            }
-            Self::Valve(v) => v.loss_derivative(q, fluid),
-            Self::Pump(p) => p.loss_derivative(q),
+            Self::Pipe(p) => p.loss_and_slope(q, fluid),
+            Self::MinorLoss { k, diameter } => quadratic_loss(*k, *diameter, q, fluid),
+            Self::Valve(v) => v.loss_and_slope(q, fluid),
+            Self::Pump(p) => p.loss_and_slope(q),
         }
     }
 }
@@ -318,11 +338,177 @@ mod tests {
         assert!(fwd > 0.0);
     }
 
+    /// Water at 5, 20 and 45 °C and both immersion oils at 40 °C.
+    fn fluids() -> Vec<FluidState> {
+        let mut fluids: Vec<FluidState> = [5.0, 20.0, 45.0]
+            .iter()
+            .map(|&t| Coolant::water().state(Celsius::new(t)))
+            .collect();
+        for oil in [Coolant::src_dielectric(), Coolant::mineral_oil_md45()] {
+            fluids.push(oil.state(Celsius::new(40.0)));
+        }
+        fluids
+    }
+
+    /// One element of every kind: a smooth and a rough pipe, a minor
+    /// loss, a half-shut valve and a pump.
+    fn elements() -> Vec<Element> {
+        vec![
+            Element::Pipe(pipe()),
+            Element::Pipe(Pipe {
+                roughness: Length::from_meters(45e-6),
+                ..pipe()
+            }),
+            Element::MinorLoss {
+                k: 4.0,
+                diameter: Length::millimeters(25.0),
+            },
+            Element::Valve(Valve {
+                opening: 0.5,
+                ..Valve::balancing(Length::millimeters(25.0))
+            }),
+            Element::Pump(PumpCurve::new(
+                Pressure::kilopascals(50.0),
+                VolumeFlow::liters_per_minute(120.0),
+            )),
+        ]
+    }
+
+    /// The flow through `p` at Reynolds number `re`.
+    fn flow_at_re(p: &Pipe, re: f64, fluid: &FluidState) -> f64 {
+        re * fluid.viscosity.pascal_seconds() * p.area_m2()
+            / (fluid.density.kg_per_cubic_meter() * p.diameter.meters())
+    }
+
+    /// Flows to probe `e` at, both signs, away from the seams of its
+    /// loss curve: Re ≈ 1, 2300 and 4000 for a pipe, zero flow for the
+    /// others.
+    fn probe_flows(e: &Element, fluid: &FluidState) -> Vec<f64> {
+        let magnitudes: Vec<f64> = match e {
+            Element::Pipe(p) => [5.0, 300.0, 1500.0, 2800.0, 3500.0, 6000.0, 3e4, 2e5]
+                .iter()
+                .map(|&re| flow_at_re(p, re, fluid))
+                .collect(),
+            _ => [5.0, 30.0, 90.0, 150.0]
+                .iter()
+                .map(|&lpm| VolumeFlow::liters_per_minute(lpm).cubic_meters_per_second())
+                .collect(),
+        };
+        magnitudes.iter().flat_map(|&q| [q, -q]).collect()
+    }
+
+    /// The drop of element `e` at flow `q`, written out term by term.
+    fn closed_form_drop(e: &Element, q: f64, fluid: &FluidState) -> f64 {
+        let rho = fluid.density.kg_per_cubic_meter();
+        let quadratic = |k: f64, diameter: Length| {
+            let v = q / (core::f64::consts::PI * diameter.meters().powi(2) / 4.0);
+            k * rho * v * v.abs() / 2.0
+        };
+        match e {
+            Element::Pipe(p) => {
+                let v = q / p.area_m2();
+                let re = rho * v.abs() * p.diameter.meters() / fluid.viscosity.pascal_seconds();
+                p.friction_factor(re) * p.length.meters() / p.diameter.meters() * rho * v * v.abs()
+                    / 2.0
+            }
+            Element::MinorLoss { k, diameter } => quadratic(*k, *diameter),
+            Element::Valve(v) => quadratic(v.k_effective(), v.diameter),
+            Element::Pump(p) => {
+                let p0 = p.shutoff.pascals();
+                let qn = q / p.max_flow.cubic_meters_per_second();
+                -(if qn >= 0.0 {
+                    p0 * (1.0 - qn * qn)
+                } else {
+                    p0 * (1.0 + 1e3 * qn.abs())
+                })
+            }
+        }
+    }
+
     #[test]
-    fn loss_derivative_positive_even_at_zero() {
-        let p = pipe();
-        let d = p.loss_derivative(VolumeFlow::from_cubic_meters_per_second(0.0), &water());
-        assert!(d > 0.0);
+    fn fused_drop_is_bitwise_the_pressure_drop() {
+        for fluid in &fluids() {
+            for e in &elements() {
+                let mut flows = probe_flows(e, fluid);
+                flows.extend([0.0, -0.0, 1e-12, -1e-12]);
+                for q in flows {
+                    let expected = closed_form_drop(e, q, fluid).to_bits();
+                    let q = VolumeFlow::from_cubic_meters_per_second(q);
+                    let (drop, _) = e.drop_and_slope(q, fluid);
+                    assert_eq!(drop.pascals().to_bits(), expected, "{e:?} at {q:?}");
+                    assert_eq!(
+                        e.pressure_drop(q, fluid).pascals().to_bits(),
+                        expected,
+                        "{e:?} at {q:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn slopes_match_a_central_difference_of_the_drop() {
+        for fluid in &fluids() {
+            for e in &elements() {
+                for q in probe_flows(e, fluid) {
+                    let h = q.abs() * 1e-6;
+                    let drop = |q: f64| {
+                        e.pressure_drop(VolumeFlow::from_cubic_meters_per_second(q), fluid)
+                            .pascals()
+                    };
+                    let numeric = (drop(q + h) - drop(q - h)) / (2.0 * h);
+                    let (_, slope) =
+                        e.drop_and_slope(VolumeFlow::from_cubic_meters_per_second(q), fluid);
+                    assert!(
+                        ((slope - numeric) / numeric).abs() < 1e-5,
+                        "{e:?} at {q} m³/s: slope {slope} vs central difference {numeric}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn laminar_slope_is_hagen_poiseuille_down_to_zero_flow() {
+        for fluid in &fluids() {
+            let p = pipe();
+            let mu = fluid.viscosity.pascal_seconds();
+            let d = p.diameter.meters();
+            let hagen_poiseuille = 32.0 * mu * p.length.meters() / (d * d * p.area_m2());
+            for re in [0.0, 1e-6, 0.01, 0.5, 0.99, 1.5, 100.0, 2000.0] {
+                for q in [flow_at_re(&p, re, fluid), -flow_at_re(&p, re, fluid)] {
+                    let (_, slope) =
+                        p.loss_and_slope(VolumeFlow::from_cubic_meters_per_second(q), fluid);
+                    assert!(
+                        ((slope - hagen_poiseuille) / hagen_poiseuille).abs() < 1e-12,
+                        "Re {re}: slope {slope} vs Hagen-Poiseuille {hagen_poiseuille}"
+                    );
+                }
+            }
+            // Below Re = 1 the clamped curve is quadratic, and its own
+            // slope is 2·Re times the Hagen-Poiseuille one and vanishes
+            // with the flow.
+            let q = flow_at_re(&p, 0.01, fluid);
+            let h = q * 1e-6;
+            let numeric = (p
+                .pressure_loss(VolumeFlow::from_cubic_meters_per_second(q + h), fluid)
+                .pascals()
+                - p.pressure_loss(VolumeFlow::from_cubic_meters_per_second(q - h), fluid)
+                    .pascals())
+                / (2.0 * h);
+            assert!(
+                ((numeric / hagen_poiseuille) - 0.02).abs() < 1e-6,
+                "{numeric}"
+            );
+        }
+    }
+
+    #[test]
+    fn slope_positive_even_at_zero() {
+        for e in &elements() {
+            let (_, slope) = e.drop_and_slope(VolumeFlow::ZERO, &water());
+            assert!(slope > 0.0, "{e:?}");
+        }
     }
 
     #[test]

@@ -33,18 +33,19 @@ pub(crate) struct BranchData {
 impl BranchData {
     /// Total signed pressure drop from `from` to `to` at flow `q`.
     pub(crate) fn pressure_drop(&self, q: VolumeFlow, fluid: &FluidState) -> Pressure {
-        self.elements
-            .iter()
-            .map(|e| e.pressure_drop(q, fluid))
-            .fold(Pressure::ZERO, |acc, p| acc + p)
+        self.drop_and_slope(q, fluid).0
     }
 
-    /// Derivative of the total pressure drop with respect to flow.
-    pub(crate) fn drop_derivative(&self, q: VolumeFlow, fluid: &FluidState) -> f64 {
+    /// Total signed pressure drop at flow `q` together with its
+    /// derivative with respect to flow, each element's loss curve
+    /// evaluated once.
+    pub(crate) fn drop_and_slope(&self, q: VolumeFlow, fluid: &FluidState) -> (Pressure, f64) {
         self.elements
             .iter()
-            .map(|e| e.drop_derivative(q, fluid))
-            .sum()
+            .fold((Pressure::ZERO, 0.0), |(drop, slope), e| {
+                let (d, s) = e.drop_and_slope(q, fluid);
+                (drop + d, slope + s)
+            })
     }
 }
 

@@ -44,7 +44,7 @@ use rcs_obs::{residual_decade, Registry, Sinks};
 use rcs_units::VolumeFlow;
 
 use crate::error::{ConvergenceDiagnostics, HydraulicError, SolveAttempt};
-use crate::network::HydraulicNetwork;
+use crate::network::{BranchData, HydraulicNetwork};
 use crate::solution::HydraulicSolution;
 
 /// Convergence tolerance on the worst junction continuity residual, m³/s.
@@ -213,7 +213,8 @@ pub struct SolverContext {
     /// the drops the previous head-closure check evaluated at the same
     /// flows.
     drops: Vec<f64>,
-    /// Per-branch linearized conductance `d = 1 / h'`, m³/s per Pa.
+    /// Per-branch linearized conductance `d = 1 / h'`, m³/s per Pa,
+    /// evaluated together with `drops` and carried the same way.
     conductance: Vec<f64>,
     /// Per-junction continuity residual, m³/s.
     residual: Vec<f64>,
@@ -624,22 +625,21 @@ impl HydraulicNetwork {
         let mut worst_junction = 0usize;
         let mut worst_branch = 0usize;
         for iter in 0..opts.max_iter {
-            // Linearize each open branch: dp(Q) ~ h + h' (Qnew - Q). From
-            // the second iteration on, `drops` already holds h at these
-            // exact flows (the head-closure check below evaluated it), so
-            // only the derivative is new. Iteration 0 evaluates h afresh:
-            // drops left by an earlier solve or rung belong to other flows.
-            for (k, b) in self.branches.iter().enumerate() {
-                if !b.open {
-                    ctx.drops[k] = 0.0;
-                    ctx.conductance[k] = 0.0;
-                    continue;
+            // Linearize each open branch: dp(Q) ~ h + h' (Qnew - Q), kept
+            // as the drop h and the conductance 1/h'. From the second
+            // iteration on, the head-closure check below has already
+            // evaluated both at these exact flows, so each iteration
+            // evaluates each branch's loss curve once. Iteration 0
+            // evaluates them afresh: workspaces left by an earlier solve
+            // or rung belong to other flows.
+            if iter == 0 {
+                for (k, b) in self.branches.iter().enumerate() {
+                    (ctx.drops[k], ctx.conductance[k]) = if b.open {
+                        linearize(b, flows[k], fluid)
+                    } else {
+                        (0.0, 0.0)
+                    };
                 }
-                let q = VolumeFlow::from_cubic_meters_per_second(flows[k]);
-                if iter == 0 {
-                    ctx.drops[k] = b.pressure_drop(q, fluid).pascals();
-                }
-                ctx.conductance[k] = 1.0 / b.drop_derivative(q, fluid).max(1e-9);
             }
 
             // Assemble and solve the nodal system A p = rhs over the
@@ -690,16 +690,17 @@ impl HydraulicNetwork {
             // trivially satisfied on a pure loop (any circulating flow
             // conserves mass), and a full step satisfies it everywhere by
             // construction, so the energy equation must be checked too.
-            // Each drop is kept for the next iteration's linearization.
+            // Each drop and conductance is kept for the next iteration's
+            // linearization.
             let mut worst_head = 0.0f64;
             let mut head_scale = 1.0f64;
             for (k, b) in self.branches.iter().enumerate() {
                 if !b.open {
                     continue;
                 }
-                let q = VolumeFlow::from_cubic_meters_per_second(flows[k]);
-                let drop = b.pressure_drop(q, fluid).pascals();
+                let (drop, conductance) = linearize(b, flows[k], fluid);
                 ctx.drops[k] = drop;
+                ctx.conductance[k] = conductance;
                 let dp = pressures[b.from.0] - pressures[b.to.0];
                 if (drop - dp).abs() > worst_head {
                     worst_head = (drop - dp).abs();
@@ -826,6 +827,13 @@ impl HydraulicNetwork {
         ctx.rhs.copy_from_slice(&p);
         Ok(())
     }
+}
+
+/// The drop `h` of branch `b` at flow `q` and its linearized conductance
+/// `1 / h'`, from one evaluation of each element's loss curve.
+fn linearize(b: &BranchData, q: f64, fluid: &FluidState) -> (f64, f64) {
+    let (drop, slope) = b.drop_and_slope(VolumeFlow::from_cubic_meters_per_second(q), fluid);
+    (drop.pascals(), 1.0 / slope.max(1e-9))
 }
 
 #[cfg(test)]

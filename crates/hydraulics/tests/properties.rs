@@ -345,6 +345,32 @@ fn assert_matches_damped_reference(
     }
 }
 
+/// An `n`-loop manifold as the benchmark sizes it: with balancing valves
+/// at openings spread over 0.05–1 when `valves`, and with loop `n / 2`
+/// failed when `failed`.
+fn benchmark_manifold(
+    n: usize,
+    style: layout::ReturnStyle,
+    valves: bool,
+    failed: bool,
+) -> layout::ManifoldPlan {
+    let params = layout::ManifoldParams {
+        balancing_valves: valves,
+        ..layout::ManifoldParams::default()
+    };
+    let mut plan = layout::rack_manifold_with(n, style, &params);
+    if valves {
+        for (i, &b) in plan.loop_branches.iter().enumerate() {
+            let opening = 0.05 + 0.95 * ((i * 7) % 10) as f64 / 9.0;
+            plan.network.set_valve_opening(b, opening).unwrap();
+        }
+    }
+    if failed {
+        plan.fail_loop(n / 2).unwrap();
+    }
+    plan
+}
+
 /// Every manifold the benchmark sizes (1–48 loops, direct and reverse
 /// return, with and without balancing valves at openings 0.05–1, with
 /// and without a failed loop, water at 5/20/45 °C) converges on full
@@ -359,20 +385,7 @@ fn manifolds_converge_on_full_newton_steps() {
                     if failed && n == 1 {
                         continue; // the pump would be dead-headed
                     }
-                    let params = layout::ManifoldParams {
-                        balancing_valves: valves,
-                        ..layout::ManifoldParams::default()
-                    };
-                    let mut plan = layout::rack_manifold_with(n, style, &params);
-                    if valves {
-                        for (i, &b) in plan.loop_branches.iter().enumerate() {
-                            let opening = 0.05 + 0.95 * ((i * 7) % 10) as f64 / 9.0;
-                            plan.network.set_valve_opening(b, opening).unwrap();
-                        }
-                    }
-                    if failed {
-                        plan.fail_loop(n / 2).unwrap();
-                    }
+                    let plan = benchmark_manifold(n, style, valves, failed);
                     let net = &plan.network;
                     for t in [5.0, 20.0, 45.0] {
                         let what =
@@ -388,6 +401,21 @@ fn manifolds_converge_on_full_newton_steps() {
             }
         }
     }
+}
+
+/// A failed loop leaves a dead end whose flow tends to zero, where the
+/// friction curve is clamped and its own slope vanishes with the flow; a
+/// linearization that used it would hand the dead end a near-infinite
+/// conductance and wander. On the 2-loop direct-return valved manifold
+/// in 5 °C water a cold full-Newton solve takes the 4 iterations a cold
+/// solve must take at least.
+#[test]
+fn dead_end_loop_converges_in_the_minimum_cold_iterations() {
+    let plan = benchmark_manifold(2, layout::ReturnStyle::Direct, true, true);
+    let net = &plan.network;
+    let mut ctx = net.solver_context();
+    let sol = solve_on_rung_zero(net, &water_at(5.0), &mut ctx, "dead end");
+    assert_eq!(sol.iterations(), 4);
 }
 
 /// Bath circulation with one of 1–4 parallel pumps derated down to
