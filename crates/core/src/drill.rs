@@ -448,7 +448,7 @@ impl FaultDrill {
         if state.valve_opening < 1.0 {
             model = model.with_circulation_valve(state.valve_opening);
         }
-        let steady = model.solve_robust(sinks)?;
+        let steady = model.solve_with_ladder(&ImmersionModel::LADDER, sinks)?;
         let (_, r_sink, r_hx) = model.lumped_plant(&steady);
         let pump = pump_heat(&degraded_bath, steady.circulation_power);
         let supply = degraded_bath
@@ -597,7 +597,7 @@ impl DrillSession {
         // reference resistance.
         let model = ImmersionModel::new(drill.module.clone(), drill.bath.clone())
             .with_operating_point(OperatingPoint::at_utilization(drill.demand_utilization));
-        let baseline = match model.solve_robust(sinks) {
+        let baseline = match model.solve_with_ladder(&ImmersionModel::LADDER, sinks) {
             Ok(r) => r,
             Err(e) => {
                 obs.inc("drill.solver_failures");

@@ -16,17 +16,22 @@ use crate::ImmersionModel;
 ///
 /// The steady solve and the warm-up integration both record into
 /// `sinks`, so the manifest shows exactly how hard the prototype
-/// reproduction worked (`immersion.solve.*`, `hydraulics.ladder.*`,
-/// `thermal.transient.*`), the warm-up pushes its chip-field and bath
-/// series into the `immersion.warmup.*` trace channels, and the steady
-/// solve and the warm-up run inside `immersion.solve` and
-/// `immersion.warmup` spans.
+/// reproduction worked (`immersion.ladder.*`, `hydraulics.ladder.*`,
+/// `thermal.transient.*`). Both steady solves, the direct one and the
+/// one the warm-up embeds, run the standard
+/// [`ImmersionModel::LADDER`] and push its `immersion.ladder.*` trace
+/// samples; the warm-up adds its chip-field and bath series in the
+/// `immersion.warmup.*` trace channels. The steady solve and the
+/// warm-up run inside `immersion.solve` and `immersion.warmup` spans,
+/// each holding the ladder's `immersion.ladder` → `rung` spans.
 #[must_use]
 pub fn run(sinks: Sinks<'_>) -> Vec<Table> {
     let Sinks { obs, spans, .. } = sinks;
     let model = ImmersionModel::skat();
     spans.enter("immersion.solve", obs);
-    let report = model.solve_counted(sinks).expect("SKAT converges");
+    let report = model
+        .solve_with_ladder(&ImmersionModel::LADDER, sinks)
+        .expect("SKAT converges");
     spans.exit(obs);
 
     let steady = Table::new(
@@ -148,9 +153,12 @@ mod tests {
         // steady picture never falls back to a damped retry
         assert_eq!(snap.counter("hydraulics.ladder.escalations"), 0);
         assert_eq!(snap.counter("hydraulics.ladder.unsolvable"), 0);
-        assert_eq!(snap.counter("immersion.solve.no_convergence"), 0);
-        // one direct steady solve plus the one embedded in the warm-up
-        assert_eq!(snap.counter("immersion.solve.calls"), 2);
+        assert_eq!(snap.counter("immersion.ladder.no_convergence"), 0);
+        // one direct steady solve plus the one embedded in the warm-up,
+        // both converging on the ladder's first rung
+        assert_eq!(snap.counter("immersion.ladder.calls"), 2);
+        let rung = snap.histogram("immersion.ladder.rung").expect("recorded");
+        assert_eq!(rung.counts, vec![2, 0, 0, 0]);
         assert_eq!(snap.counter("immersion.warmup.calls"), 1);
         assert_eq!(snap.counter("thermal.transient.calls"), 1);
         assert!(snap.counter("thermal.transient.steps") > 0);

@@ -41,7 +41,8 @@ pub(crate) fn pump_heat(bath: &ImmersionBath, electrical: Power) -> Power {
 /// Outer fixed-point iteration histogram bounds (inclusive upper
 /// bounds, overflow bucket past the heaviest ladder budget).
 const ITER_BOUNDS: [u64; 7] = [5, 10, 20, 50, 120, 400, 1200];
-/// Coupled-ladder rung histogram bounds: rung 0 (default damping), 1, 2.
+/// Coupled-ladder rung histogram bounds: rungs 0, 1, 2 of the standard
+/// ladder (rung 0 is the default damping); later rungs overflow.
 const RUNG_BOUNDS: [u64; 3] = [0, 1, 2];
 
 /// The coupled model of one immersion-cooled computational module:
@@ -287,116 +288,114 @@ impl ImmersionModel {
         Ok((flow, electrical))
     }
 
-    /// Solves the full coupled steady state with the default damping.
+    /// The standard coupled retry ladder as `(damping, max_iter)` rungs:
+    /// the default mixing first, then two heavier-damped re-solves with
+    /// larger budgets for stiff faulted configurations.
+    pub const LADDER: [(f64, usize); 3] = [(0.5, 120), (0.25, 400), (0.1, 1200)];
+
+    /// Solves the full coupled steady state through the standard
+    /// [`ImmersionModel::LADDER`] with telemetry off.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::NoConvergence`] if the outer fixed point fails
-    /// (it converges for every physical configuration, typically in
-    /// about ten iterations) and propagates substrate failures.
+    /// Returns [`CoreError::NoConvergence`] if every rung of the ladder
+    /// fails (the default rung converges for every physical
+    /// configuration, typically in about ten iterations) and propagates
+    /// substrate failures.
     pub fn solve(&self) -> Result<SteadyReport, CoreError> {
-        self.solve_counted(Sinks::disabled())
+        self.solve_with_ladder(&Self::LADDER, Sinks::disabled())
     }
 
-    /// [`ImmersionModel::solve`] with telemetry recorded into
-    /// `sinks.obs` — all golden-channel integers:
+    /// [`ImmersionModel::solve`] with telemetry on separate sinks. Kept
+    /// for `perfbench/src/sinks.rs`, its only caller.
     ///
-    /// - `immersion.solve.calls` / `.converged` / `.no_convergence` /
-    ///   `.error` counters;
-    /// - `immersion.solve.iterations` histogram of the outer fixed
-    ///   point on success;
-    /// - the `immersion.circulation.*` and `hydraulics.ladder.*`
-    ///   counters of every inner circulation solve.
-    pub(crate) fn solve_counted(&self, sinks: Sinks<'_>) -> Result<SteadyReport, CoreError> {
-        let obs = sinks.obs;
-        obs.inc("immersion.solve.calls");
-        let result = self.solve_with_damping(0.5, 120, sinks);
-        match &result {
-            Ok(report) => {
-                obs.inc("immersion.solve.converged");
-                obs.record_histogram(
-                    "immersion.solve.iterations",
-                    &ITER_BOUNDS,
-                    report.iterations as u64,
-                );
-            }
-            Err(CoreError::NoConvergence { .. }) => obs.inc("immersion.solve.no_convergence"),
-            Err(_) => obs.inc("immersion.solve.error"),
-        }
-        result
+    /// # Errors
+    ///
+    /// Same contract as [`ImmersionModel::solve_with_ladder`].
+    pub fn solve_robust_spanned(
+        &self,
+        obs: &Registry,
+        trace: &TraceRecorder,
+        spans: &SpanSink,
+    ) -> Result<SteadyReport, CoreError> {
+        self.solve_with_ladder(&Self::LADDER, Sinks { obs, trace, spans })
     }
 
-    /// Solves through the coupled retry ladder: the default damping
-    /// first (bit-identical to [`ImmersionModel::solve`] when it
-    /// converges), then two progressively heavier-damped re-solves for
-    /// stiff faulted configurations; the last rung's
-    /// [`CoreError::NoConvergence`] (with its recorded residual) is
-    /// returned if all fail.
+    /// Solves through a retry ladder of `(damping, max_iter)` rungs, in
+    /// order, and returns the first rung's report that converges; the
+    /// last rung's [`CoreError::NoConvergence`] (with its recorded
+    /// residual) is returned if all fail. This is the one attempt
+    /// driver of the coupled fixed point: [`ImmersionModel::LADDER`] is
+    /// the standard ladder, and a one-off attempt is a one-rung slice.
     ///
     /// Every rung runs the same Anderson-accelerated fixed point (depth
     /// 2 on junction, hot-oil and cold-oil temperature) with the rung's
-    /// damping (0.5, 0.25, 0.1) as its mixing factor. A least-squares
-    /// step that is ill-conditioned or not finite clears the history
-    /// and falls back to the plain damped blend toward the update, so a
-    /// heavier rung still moves more cautiously. A rung converges once
-    /// the update moves junction plus hot oil by less than 1e-7 K.
+    /// damping as its mixing factor, from the same cold start. A
+    /// least-squares step that is ill-conditioned or not finite clears
+    /// the history and falls back to the plain damped blend toward the
+    /// update, so a heavier rung still moves more cautiously. A rung
+    /// converges once the update moves junction plus hot oil by less
+    /// than 1e-7 K.
     ///
     /// Telemetry, all golden:
     ///
     /// - counters on `sinks.obs`: `immersion.ladder.calls` /
     ///   `.converged` / `.no_convergence` / `.error`,
-    ///   `immersion.ladder.escalations` (damping rungs abandoned before
+    ///   `immersion.ladder.escalations` (rungs abandoned before
     ///   convergence — the fallback count), the `immersion.ladder.rung`
     ///   histogram of the converged rung and `immersion.ladder.iterations`
-    ///   of its outer fixed point, plus the `immersion.circulation.*` and
-    ///   `hydraulics.ladder.*` counters of every inner circulation solve
-    ///   (abandoned rungs included);
+    ///   of its outer fixed point, the `profile.immersion.fixed_point_iterations`
+    ///   work of every rung attempted, plus the `immersion.circulation.*`
+    ///   and `hydraulics.ladder.*` counters of every inner circulation
+    ///   solve (abandoned rungs included);
     /// - trace on `sinks.trace`: every rung attempted pushes one sample
     ///   into `immersion.ladder.iterations` and, where a residual exists,
     ///   into `immersion.ladder.residual` (rung index as the time axis);
     /// - spans on `sinks.spans`: one `immersion.ladder` span with one
-    ///   `rung` child per damping rung attempted.
+    ///   `rung` child per rung attempted.
     ///
     /// # Errors
     ///
-    /// As [`ImmersionModel::solve`]; substrate failures propagate
-    /// immediately without retries.
+    /// [`CoreError::InvalidConfiguration`], before any work or
+    /// telemetry, for an empty ladder, a damping outside `(0, 1]` or a
+    /// `max_iter` of 0; [`CoreError::NoConvergence`] when every rung
+    /// fails; substrate failures propagate immediately without retries.
     #[allow(clippy::cast_precision_loss)]
-    pub fn solve_robust(&self, sinks: Sinks<'_>) -> Result<SteadyReport, CoreError> {
-        use rcs_obs::trace::ChannelKind;
-        const LADDER: [(f64, usize); 3] = [(0.5, 120), (0.25, 400), (0.1, 1200)];
+    pub fn solve_with_ladder(
+        &self,
+        rungs: &[(f64, usize)],
+        sinks: Sinks<'_>,
+    ) -> Result<SteadyReport, CoreError> {
+        use rcs_obs::trace::ChannelKind::{Residual, Scalar};
+        check_ladder(rungs)?;
         let Sinks { obs, trace, spans } = sinks;
         obs.inc("immersion.ladder.calls");
         spans.enter("immersion.ladder", obs);
         let mut last = None;
-        for (rung, (damping, max_iter)) in LADDER.into_iter().enumerate() {
+        for (rung, &(damping, max_iter)) in rungs.iter().enumerate() {
             spans.enter("rung", obs);
             let attempt = self.solve_damped(damping, max_iter, obs);
-            match attempt {
-                Err(
-                    e @ CoreError::NoConvergence {
-                        iterations,
-                        residual_k,
-                    },
-                ) => {
-                    obs.work("immersion.fixed_point_iterations", iterations as u64);
+            let (iterations, residual) = match &attempt {
+                Ok(report) => (report.iterations, None),
+                Err(CoreError::NoConvergence {
+                    iterations,
+                    residual_k,
+                }) => (*iterations, *residual_k),
+                Err(_) => {
+                    obs.inc("immersion.ladder.error");
                     spans.exit(obs);
-                    trace.record_named(
-                        "immersion.ladder.iterations",
-                        ChannelKind::Scalar,
-                        rung as f64,
-                        iterations as f64,
-                    );
-                    if let Some(residual) = residual_k {
-                        trace.record_named(
-                            "immersion.ladder.residual",
-                            ChannelKind::Residual,
-                            rung as f64,
-                            residual,
-                        );
-                    }
-                    last = Some(e);
+                    spans.exit(obs);
+                    return attempt;
                 }
+            };
+            obs.work("immersion.fixed_point_iterations", iterations as u64);
+            spans.exit(obs);
+            let t = rung as f64;
+            trace.record_named("immersion.ladder.iterations", Scalar, t, iterations as f64);
+            if let Some(residual) = residual {
+                trace.record_named("immersion.ladder.residual", Residual, t, residual);
+            }
+            match attempt {
                 Ok(report) => {
                     obs.inc("immersion.ladder.converged");
                     obs.add("immersion.ladder.escalations", rung as u64);
@@ -404,87 +403,18 @@ impl ImmersionModel {
                     obs.record_histogram(
                         "immersion.ladder.iterations",
                         &ITER_BOUNDS,
-                        report.iterations as u64,
-                    );
-                    obs.work("immersion.fixed_point_iterations", report.iterations as u64);
-                    spans.exit(obs);
-                    trace.record_named(
-                        "immersion.ladder.iterations",
-                        ChannelKind::Scalar,
-                        rung as f64,
-                        report.iterations as f64,
+                        iterations as u64,
                     );
                     spans.exit(obs);
                     return Ok(report);
                 }
-                Err(e) => {
-                    obs.inc("immersion.ladder.error");
-                    spans.exit(obs);
-                    spans.exit(obs);
-                    return Err(e);
-                }
+                Err(e) => last = Some(e),
             }
         }
         obs.inc("immersion.ladder.no_convergence");
-        obs.add("immersion.ladder.escalations", (LADDER.len() - 1) as u64);
+        obs.add("immersion.ladder.escalations", (rungs.len() - 1) as u64);
         spans.exit(obs);
-        Err(last.expect("ladder has at least one rung"))
-    }
-
-    /// [`ImmersionModel::solve_robust`] on separate sinks. Kept for
-    /// `perfbench/src/sinks.rs`, its only caller.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`ImmersionModel::solve_robust`].
-    pub fn solve_robust_spanned(
-        &self,
-        obs: &Registry,
-        trace: &TraceRecorder,
-        spans: &SpanSink,
-    ) -> Result<SteadyReport, CoreError> {
-        self.solve_robust(Sinks { obs, trace, spans })
-    }
-
-    /// Solves with one explicit damping rung outside the standard
-    /// ladder — the hook the query layer's deterministic retry ladder
-    /// uses to push past [`ImmersionModel::solve_robust`] with
-    /// progressively heavier damping. `damping` is the mixing factor of
-    /// the ladder's Anderson-accelerated fixed point and the blend
-    /// factor of its safeguard's plain damped step toward the new
-    /// iterate; smaller is heavier. Work done by the
-    /// fixed point lands on `profile.immersion.fixed_point_iterations`
-    /// in `sinks.obs` whether or not the rung converges, so work-unit
-    /// budgets see every retry attempt.
-    ///
-    /// # Errors
-    ///
-    /// As [`ImmersionModel::solve`]: [`CoreError::NoConvergence`] when
-    /// the rung's iteration budget runs out, substrate errors verbatim.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `damping` is not in `(0, 1]` or `max_iter` is zero.
-    pub fn solve_with_damping(
-        &self,
-        damping: f64,
-        max_iter: usize,
-        sinks: Sinks<'_>,
-    ) -> Result<SteadyReport, CoreError> {
-        assert!(damping > 0.0 && damping <= 1.0, "damping must be in (0, 1]");
-        assert!(max_iter > 0, "max_iter must be positive");
-        let obs = sinks.obs;
-        let result = self.solve_damped(damping, max_iter, obs);
-        match &result {
-            Ok(report) => {
-                obs.work("immersion.fixed_point_iterations", report.iterations as u64);
-            }
-            Err(CoreError::NoConvergence { iterations, .. }) => {
-                obs.work("immersion.fixed_point_iterations", *iterations as u64);
-            }
-            Err(_) => {}
-        }
-        result
+        Err(last.unwrap_or_else(|| invalid_ladder("no rungs")))
     }
 
     /// The coupled fixed point `x = G(x)` on the state
@@ -654,9 +584,12 @@ impl ImmersionModel {
     /// Simulates the module warm-up from a cold start (Fig. 2's heat
     /// test): lumped chip-field and bath nodes against the chilled-water
     /// boundary. Records an `immersion.warmup.calls` counter plus the
-    /// counters of the embedded steady solve (`immersion.solve.*`) and
-    /// transient integration (`thermal.transient.*`) into `sinks.obs`,
-    /// and the chip-field and bath temperature series into the
+    /// telemetry of the embedded steady solve (the standard
+    /// [`ImmersionModel::LADDER`] through
+    /// [`ImmersionModel::solve_with_ladder`]: `immersion.ladder.*`
+    /// counters, trace samples and spans) and the counters of the
+    /// transient integration (`thermal.transient.*`) into `sinks`, and
+    /// the chip-field and bath temperature series into the
     /// `immersion.warmup.chip` / `immersion.warmup.bath` channels of
     /// `sinks.trace` (bounded — long warm-ups are decimated
     /// deterministically).
@@ -707,7 +640,7 @@ impl ImmersionModel {
     ) -> Result<(ThermalNetwork, NodeId, NodeId), CoreError> {
         // Freeze the convection operating point at the solved steady state
         // so the transient uses consistent resistances.
-        let steady = self.solve_counted(sinks)?;
+        let steady = self.solve_with_ladder(&Self::LADDER, sinks)?;
         let (oil_state, r_sink, r_hx) = self.lumped_plant(&steady);
         let chips = self.module.compute_fpga_count() as f64;
         let r_field = ThermalResistance::from_kelvin_per_watt(r_sink.kelvin_per_watt() / chips);
@@ -730,6 +663,27 @@ impl ImmersionModel {
             steady.total_heat - self.module.fpga_heat(self.op, steady.junction),
         )?;
         Ok((net, chip_node, bath_node))
+    }
+}
+
+/// Rejects a ladder [`ImmersionModel::solve_with_ladder`] cannot run:
+/// no rungs, a damping outside `(0, 1]` or a zero iteration budget.
+fn check_ladder(rungs: &[(f64, usize)]) -> Result<(), CoreError> {
+    let reason = if rungs.is_empty() {
+        "no rungs".to_owned()
+    } else if let Some((damping, _)) = rungs.iter().find(|(d, _)| !(*d > 0.0 && *d <= 1.0)) {
+        format!("damping {damping} outside (0, 1]")
+    } else if rungs.iter().any(|&(_, max_iter)| max_iter == 0) {
+        "a rung with max_iter 0".to_owned()
+    } else {
+        return Ok(());
+    };
+    Err(invalid_ladder(&reason))
+}
+
+fn invalid_ladder(reason: &str) -> CoreError {
+    CoreError::InvalidConfiguration {
+        reason: format!("immersion ladder: {reason}"),
     }
 }
 
@@ -1162,72 +1116,105 @@ mod tests {
         assert!((hottest - profile[0].1).kelvins() > 0.3);
     }
 
-    #[test]
-    fn healthy_skat_solve_records_rung_zero_telemetry() {
-        let obs = Registry::new();
-        let report = ImmersionModel::skat()
-            .solve_robust(Sinks::counters(&obs))
-            .unwrap();
-        let snap = obs.snapshot();
-        assert_eq!(snap.counter("immersion.ladder.calls"), 1);
-        assert_eq!(snap.counter("immersion.ladder.converged"), 1);
-        assert_eq!(snap.counter("immersion.ladder.escalations"), 0);
-        let rung = snap.histogram("immersion.ladder.rung").unwrap();
-        assert_eq!(rung.counts, vec![1, 0, 0, 0], "healthy SKAT uses rung 0");
-        // every outer iteration ran one circulation solve, and every one
-        // of those converged on the hydraulic ladder's first rung
-        assert_eq!(
-            snap.counter("immersion.circulation.calls"),
-            report.iterations as u64
-        );
-        assert_eq!(
-            snap.counter("hydraulics.ladder.converged"),
-            report.iterations as u64
-        );
-        assert_eq!(snap.counter("hydraulics.ladder.escalations"), 0);
-    }
-
-    #[test]
-    fn observed_and_plain_solves_agree_exactly() {
-        let plain = ImmersionModel::skat()
-            .solve_robust(Sinks::disabled())
-            .unwrap();
-        let observed = ImmersionModel::skat()
-            .solve_robust(Sinks::counters(&Registry::new()))
-            .unwrap();
-        assert_eq!(plain, observed);
+    /// `==` on every field, plus the bits of the three state
+    /// temperatures (which `==` would let differ in the sign of zero).
+    fn assert_same_bits(a: &SteadyReport, b: &SteadyReport) {
+        assert_eq!(a, b);
+        for (x, y) in [
+            (a.junction, b.junction),
+            (a.coolant_hot, b.coolant_hot),
+            (a.coolant_cold, b.coolant_cold),
+        ] {
+            assert_eq!(x.degrees().to_bits(), y.degrees().to_bits());
+        }
     }
 
     #[test]
     fn plain_solve_is_bitwise_the_robust_ladders_rung_zero() {
-        // the rack model solves with `solve()` and the benchmark's rack
-        // shadow replay with `solve_robust`: both must run one kernel
         for model in [ImmersionModel::skat(), ImmersionModel::skat_plus()] {
             let obs = Registry::new();
-            let robust = model.solve_robust(Sinks::counters(&obs)).unwrap();
+            let ladder = model
+                .solve_with_ladder(&ImmersionModel::LADDER, Sinks::counters(&obs))
+                .unwrap();
             let snap = obs.snapshot();
+            assert_eq!(snap.counter("immersion.ladder.calls"), 1);
+            assert_eq!(snap.counter("immersion.ladder.converged"), 1);
+            assert_eq!(snap.counter("immersion.ladder.escalations"), 0);
             let rung = snap.histogram("immersion.ladder.rung").unwrap();
-            assert_eq!(rung.counts, vec![1, 0, 0, 0]);
-            let plain = model.solve().unwrap();
-            assert_eq!(plain, robust);
-            for (a, b) in [
-                (plain.junction, robust.junction),
-                (plain.coolant_hot, robust.coolant_hot),
-                (plain.coolant_cold, robust.coolant_cold),
-            ] {
-                assert_eq!(a.degrees().to_bits(), b.degrees().to_bits());
-            }
+            assert_eq!(
+                rung.counts,
+                vec![1, 0, 0, 0],
+                "the design points use rung 0"
+            );
+            assert_eq!(snap.counter("hydraulics.ladder.escalations"), 0);
+            // the rack model solves with `solve()` and the benchmark's
+            // rack shadow replay with `solve_robust_spanned`: both run
+            // this ladder, so both must equal rung 0 run alone, with
+            // telemetry on or off
+            assert_same_bits(&model.solve().unwrap(), &ladder);
+            let rung_zero =
+                model.solve_with_ladder(&ImmersionModel::LADDER[..1], Sinks::disabled());
+            assert_same_bits(&rung_zero.unwrap(), &ladder);
         }
+    }
+
+    #[test]
+    fn a_stalled_rung_escalates_to_the_next_and_its_report_is_that_rungs_alone() {
+        let model = ImmersionModel::skat();
+        let obs = Registry::new();
+        let escalated = model
+            .solve_with_ladder(&[(0.5, 2), (0.5, 120)], Sinks::counters(&obs))
+            .unwrap();
+        let snap = obs.snapshot();
+        assert_eq!(snap.counter("immersion.ladder.converged"), 1);
+        assert_eq!(snap.counter("immersion.ladder.no_convergence"), 0);
+        assert_eq!(snap.counter("immersion.ladder.escalations"), 1);
+        let rung = snap.histogram("immersion.ladder.rung").unwrap();
+        assert_eq!(rung.counts, vec![0, 1, 0, 0], "converged on rung 1");
+        // the abandoned rung's two iterations are charged as work too
+        assert_eq!(
+            snap.counter("profile.immersion.fixed_point_iterations"),
+            2 + escalated.iterations as u64
+        );
+        // every rung starts cold, so rung 1 alone lands on the same bits
+        let direct = model.solve_with_ladder(&[(0.5, 120)], Sinks::disabled());
+        assert_same_bits(&escalated, &direct.unwrap());
+    }
+
+    #[test]
+    fn a_ladder_it_cannot_run_is_an_invalid_configuration_not_a_panic() {
+        let model = ImmersionModel::skat();
+        let bad: [&[(f64, usize)]; 5] = [
+            &[],
+            &[(0.0, 120)],
+            &[(1.5, 120)],
+            &[(f64::NAN, 120)],
+            &[(0.5, 120), (0.25, 0)],
+        ];
+        for rungs in bad {
+            let obs = Registry::new();
+            let err = model.solve_with_ladder(rungs, Sinks::counters(&obs));
+            assert!(
+                matches!(err, Err(CoreError::InvalidConfiguration { .. })),
+                "{rungs:?}: {err:?}"
+            );
+            // rejected before any work or telemetry
+            assert_eq!(obs.snapshot(), Registry::new().snapshot(), "{rungs:?}");
+        }
+        // a damping of exactly 1 is the undamped fixed point, a valid rung
+        assert!(model
+            .solve_with_ladder(&[(1.0, 120)], Sinks::disabled())
+            .is_ok());
     }
 
     #[test]
     fn paper_design_points_converge_on_rung_zero_within_15_iterations() {
         // E5 and E9: the SKAT and SKAT+ modules; E7: the same modules and
         // every module solve of the two 12-module shared-chiller racks
+        // (that the modules land on rung 0 is pinned by
+        // `plain_solve_is_bitwise_the_robust_ladders_rung_zero`)
         for model in [ImmersionModel::skat(), ImmersionModel::skat_plus()] {
-            let obs = Registry::new();
-            let report = model.solve_robust(Sinks::counters(&obs)).unwrap();
-            assert_eq!(obs.snapshot().counter("immersion.ladder.escalations"), 0);
+            let report = model.solve().unwrap();
             assert!(report.iterations <= 15, "{} iterations", report.iterations);
         }
         for rack in [
@@ -1316,7 +1303,7 @@ mod tests {
         // gone, no stagnation model) ends in a structured error
         let err = ImmersionModel::skat()
             .with_pump_curves(Vec::new())
-            .solve_robust(Sinks::disabled())
+            .solve()
             .unwrap_err();
         assert!(matches!(err, CoreError::NoConvergence { .. }), "{err}");
     }
@@ -1377,7 +1364,12 @@ mod tests {
             .unwrap();
         let snap = obs.snapshot();
         assert_eq!(snap.counter("immersion.warmup.calls"), 1);
-        assert_eq!(snap.counter("immersion.solve.calls"), 1);
+        // the embedded steady solve ran the standard ladder once and
+        // converged on its first rung
+        assert_eq!(snap.counter("immersion.ladder.calls"), 1);
+        assert_eq!(snap.counter("immersion.ladder.converged"), 1);
+        assert_eq!(snap.counter("immersion.ladder.no_convergence"), 0);
+        assert_eq!(snap.counter("immersion.ladder.escalations"), 0);
         assert_eq!(snap.counter("thermal.transient.calls"), 1);
         assert_eq!(
             snap.counter("thermal.transient.steps"),
@@ -1419,8 +1411,9 @@ mod tests {
                 trace: &trace_a,
                 ..Sinks::disabled()
             };
-            let mut session =
-                WarmupSession::new(&model, duration, step, Sinks::counters(&obs_a)).unwrap();
+            // built on the same channels as the reference, whose
+            // embedded steady solve also traces its ladder
+            let mut session = WarmupSession::new(&model, duration, step, sinks_a).unwrap();
             session.run(k);
             let bytes = session.checkpoint(sinks_a);
 

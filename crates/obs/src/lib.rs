@@ -155,7 +155,7 @@ impl Registry {
     }
 
     /// The shared no-op sink: every record call returns immediately, so
-    /// un-observed entry points (`solve_robust`, `run`, …) pay one
+    /// un-observed entry points (`solve`, `run`, …) pay one
     /// branch and nothing else.
     #[must_use]
     pub fn disabled() -> &'static Registry {

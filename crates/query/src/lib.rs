@@ -558,9 +558,9 @@ impl DesignVerdict {
 }
 
 /// Damping rungs for retry attempts beyond the first: heavier damping
-/// than the standard robust ladder's last rung (0.1), with matching
-/// iteration headroom. Attempt `n ≥ 1` uses `RETRY_RUNGS[n - 1]`,
-/// clamped to the last rung.
+/// than the standard ladder's last rung (0.1), with matching iteration
+/// headroom. Attempt `n ≥ 1` runs the one-rung ladder
+/// `RETRY_RUNGS[n - 1]`, clamped to the last rung.
 const RETRY_RUNGS: [(f64, usize); 2] = [(0.05, 2400), (0.02, 4800)];
 
 /// Solves one query against the coupled steady-state model, the
@@ -569,8 +569,9 @@ const RETRY_RUNGS: [(f64, usize); 2] = [(0.05, 2400), (0.02, 4800)];
 /// [`QueryEngine::run_batch`], and nesting pools would not change the
 /// (thread-invariant) result anyway.
 ///
-/// Equivalent to attempt 0 of [`solve_query_at`] — the standard robust
-/// solver ladder, no retry damping.
+/// This is attempt 0 of [`solve_query_resilient`]'s retry ladder: the
+/// coupled fixed point runs the standard [`ImmersionModel::LADDER`],
+/// with no retry damping.
 ///
 /// # Errors
 ///
@@ -581,18 +582,14 @@ pub fn solve_query(query: &DesignQuery, obs: &Registry) -> Result<DesignVerdict,
     solve_query_at(query, 0, obs)
 }
 
-/// [`solve_query`] at a given rung of the retry ladder. Attempt 0 is
-/// the standard robust solve; attempts ≥ 1 re-run the coupled fixed
-/// point under `RETRY_RUNGS` damping, trading iterations for
+/// [`solve_query`] at a given rung of the retry ladder. Attempt 0 runs
+/// the standard [`ImmersionModel::LADDER`]; attempts ≥ 1 run a one-rung
+/// ladder of `RETRY_RUNGS` damping through the same
+/// [`ImmersionModel::solve_with_ladder`], trading iterations for
 /// stability. Inputs are validated *before* any solver runs, so a
 /// poisoned query (NaN utilization, zero trials) fails fast as the
 /// fatal [`QueryError::InvalidDesign`] instead of panicking a worker.
-///
-/// # Errors
-///
-/// [`QueryError::InvalidDesign`] for malformed points,
-/// [`QueryError::NoConvergence`] when the chosen rung fails to land.
-pub fn solve_query_at(
+fn solve_query_at(
     query: &DesignQuery,
     attempt: u32,
     obs: &Registry,
@@ -614,13 +611,13 @@ pub fn solve_query_at(
     let model = ImmersionModel::new(query.family.module(), bath)
         .with_operating_point(OperatingPoint::at_utilization(query.utilization));
     let sinks = Sinks::counters(obs);
-    let report = if attempt == 0 {
-        model.solve_robust(sinks)
-    } else {
-        let (damping, max_iter) = RETRY_RUNGS[(attempt as usize - 1).min(RETRY_RUNGS.len() - 1)];
-        model.solve_with_damping(damping, max_iter, sinks)
-    }
-    .map_err(|e| QueryError::from_core(&e))?;
+    let rungs: &[(f64, usize)] = match attempt {
+        0 => &ImmersionModel::LADDER,
+        n => std::slice::from_ref(&RETRY_RUNGS[(n as usize - 1).min(RETRY_RUNGS.len() - 1)]),
+    };
+    let report = model
+        .solve_with_ladder(rungs, sinks)
+        .map_err(|e| QueryError::from_core(&e))?;
 
     let avail = availability::monte_carlo_with_threads(
         &classes,
@@ -713,7 +710,7 @@ impl FaultInjector for NoFaults {
 }
 
 /// Answers one query under a [`ResiliencePolicy`]: a bounded retry
-/// ladder over [`solve_query_at`], each attempt wrapped in
+/// ladder over [`solve_query`]'s coupled solve, each attempt wrapped in
 /// [`rcs_parallel::isolate`] so a panicking solve becomes the retryable
 /// [`QueryError::WorkerPanic`] instead of taking down the worker.
 ///

@@ -37,7 +37,6 @@ use rcs_sim::core::experiments::e17_fault_drills::drill_scripts;
 use rcs_sim::core::{CoreError, ImmersionModel, RackImmersionModel, SteadyReport};
 use rcs_sim::devices::OperatingPoint;
 use rcs_sim::obs::report::{parse_json, Json};
-use rcs_sim::obs::Sinks;
 use rcs_sim::platform::presets;
 use rcs_sim::thermal::{TimAging, TimMaterial};
 use rcs_sim::units::Seconds;
@@ -219,7 +218,7 @@ fn observe() -> Vec<(String, Outcome)> {
         .into_iter()
         .map(|(name, model)| {
             let outcome = model
-                .solve_robust(Sinks::disabled())
+                .solve()
                 .map(|report| steady_fields(&report))
                 .map_err(|e| error_tag(&name, &e));
             (name, outcome)

@@ -29,7 +29,12 @@ fn e5_runs_with_zero_fallback_rung_escalations() {
     let snap = obs.snapshot();
     assert_eq!(snap.counter("hydraulics.ladder.escalations"), 0);
     assert_eq!(snap.counter("hydraulics.ladder.unsolvable"), 0);
-    assert_eq!(snap.counter("immersion.solve.no_convergence"), 0);
+    // both steady solves (the direct one and the warm-up's) landed on
+    // the immersion ladder's first rung
+    assert_eq!(snap.counter("immersion.ladder.calls"), 2);
+    assert_eq!(snap.counter("immersion.ladder.converged"), 2);
+    assert_eq!(snap.counter("immersion.ladder.no_convergence"), 0);
+    assert_eq!(snap.counter("immersion.ladder.escalations"), 0);
     let rungs = snap
         .histogram("hydraulics.ladder.rung")
         .expect("rung histogram recorded");
@@ -45,7 +50,7 @@ fn e5_runs_with_zero_fallback_rung_escalations() {
 fn immersion_iterations_match_circulation_solve_count() {
     let obs = Registry::new();
     let report = ImmersionModel::skat()
-        .solve_robust(Sinks::counters(&obs))
+        .solve_with_ladder(&ImmersionModel::LADDER, Sinks::counters(&obs))
         .expect("SKAT converges");
     let snap = obs.snapshot();
     assert_eq!(
@@ -146,13 +151,11 @@ fn disabled_sinks_bit_match_the_unobserved_entry_points() {
     use rcs_sim::obs::trace::TraceRecorder;
 
     let model = ImmersionModel::skat();
-    let plain = model
-        .solve_robust(Sinks::disabled())
+    let plain = model.solve().expect("SKAT converges");
+    let disabled = model
+        .solve_with_ladder(&ImmersionModel::LADDER, Sinks::disabled())
         .expect("SKAT converges");
-    let traced = model
-        .solve_robust(Sinks::disabled())
-        .expect("SKAT converges");
-    assert_eq!(plain, traced);
+    assert_eq!(plain, disabled);
 
     let timeline =
         FaultTimeline::new().with_event(Seconds::minutes(2.0), FaultKind::PumpSeizure { pump: 0 });
