@@ -557,9 +557,9 @@ impl DesignVerdict {
     }
 }
 
-/// Damping rungs for retry attempts beyond the first: heavier damping
-/// than the standard ladder's last rung (0.1), with matching iteration
-/// headroom. Attempt `n ≥ 1` runs the one-rung ladder
+/// Damping rungs for retries after a stall: heavier damping than the
+/// standard ladder's last rung (0.1), with matching iteration headroom.
+/// After `n ≥ 1` stalled attempts a retry runs the one-rung ladder
 /// `RETRY_RUNGS[n - 1]`, clamped to the last rung.
 const RETRY_RUNGS: [(f64, usize); 2] = [(0.05, 2400), (0.02, 4800)];
 
@@ -582,16 +582,16 @@ pub fn solve_query(query: &DesignQuery, obs: &Registry) -> Result<DesignVerdict,
     solve_query_at(query, 0, obs)
 }
 
-/// [`solve_query`] at a given rung of the retry ladder. Attempt 0 runs
-/// the standard [`ImmersionModel::LADDER`]; attempts ≥ 1 run a one-rung
-/// ladder of `RETRY_RUNGS` damping through the same
-/// [`ImmersionModel::solve_with_ladder`], trading iterations for
+/// [`solve_query`] after `stalls` earlier attempts failed to converge.
+/// With none it runs the standard [`ImmersionModel::LADDER`]; after a
+/// stall it runs a one-rung ladder of `RETRY_RUNGS` damping through the
+/// same [`ImmersionModel::solve_with_ladder`], trading iterations for
 /// stability. Inputs are validated *before* any solver runs, so a
 /// poisoned query (NaN utilization, zero trials) fails fast as the
 /// fatal [`QueryError::InvalidDesign`] instead of panicking a worker.
 fn solve_query_at(
     query: &DesignQuery,
-    attempt: u32,
+    stalls: u32,
     obs: &Registry,
 ) -> Result<DesignVerdict, QueryError> {
     if !query.utilization.is_finite() || !(0.0..=1.0).contains(&query.utilization) {
@@ -611,7 +611,7 @@ fn solve_query_at(
     let model = ImmersionModel::new(query.family.module(), bath)
         .with_operating_point(OperatingPoint::at_utilization(query.utilization));
     let sinks = Sinks::counters(obs);
-    let rungs: &[(f64, usize)] = match attempt {
+    let rungs: &[(f64, usize)] = match stalls {
         0 => &ImmersionModel::LADDER,
         n => std::slice::from_ref(&RETRY_RUNGS[(n as usize - 1).min(RETRY_RUNGS.len() - 1)]),
     };
@@ -713,6 +713,11 @@ impl FaultInjector for NoFaults {
 /// ladder over [`solve_query`]'s coupled solve, each attempt wrapped in
 /// [`rcs_parallel::isolate`] so a panicking solve becomes the retryable
 /// [`QueryError::WorkerPanic`] instead of taking down the worker.
+/// Damping escalates only after a stall: a retry after a
+/// [`QueryError::NoConvergence`], injected or real, runs the next, more
+/// heavily damped `RETRY_RUNGS` rung, while a retry after a worker panic
+/// re-runs the rung the panicked attempt would have run. A panic says
+/// nothing about convergence.
 ///
 /// `sinks` should be the query's *own* shard (as handed out by
 /// [`rcs_parallel::par_map_isolated`]): spent work is the shard
@@ -746,6 +751,7 @@ pub fn solve_query_resilient(
     let Sinks { obs, spans, .. } = sinks;
     let max_attempts = policy.max_attempts.max(1);
     let mut last_err: Option<QueryError> = None;
+    let mut stalls = 0;
     for attempt in 0..max_attempts {
         spans.enter("attempt", obs);
         if attempt > 0 {
@@ -780,7 +786,7 @@ pub fn solve_query_resilient(
                 obs.work("resilience.injected.poisoned", 1);
                 let mut poisoned = query.clone();
                 poisoned.utilization = f64::NAN;
-                solve_query_at(&poisoned, attempt, obs)
+                solve_query_at(&poisoned, stalls, obs)
             }
             Some(InjectedFault::ForceNoConvergence) => {
                 obs.inc("resilience.injected.no_convergence");
@@ -793,7 +799,7 @@ pub fn solve_query_resilient(
                     },
                 })
             }
-            _ => solve_query_at(query, attempt, obs),
+            _ => solve_query_at(query, stalls, obs),
         });
         let err = match result {
             Ok(Ok(verdict)) => {
@@ -820,6 +826,7 @@ pub fn solve_query_resilient(
             return Err(err);
         }
         spans.exit(obs);
+        stalls += u32::from(matches!(err, QueryError::NoConvergence { .. }));
         last_err = Some(err);
     }
     obs.inc("resilience.failures.exhausted");

@@ -6,8 +6,8 @@ use rcs_obs::span::{render_ndjson, SpanSink};
 use rcs_obs::trace::TraceRecorder;
 use rcs_obs::{Registry, Sinks};
 use rcs_query::{
-    solve_query, DesignQuery, FaultInjector, InjectedFault, QueryCache, QueryEngine, QueryError,
-    QueryOutcome, ResiliencePolicy, SolveDiagnostics,
+    solve_query, solve_query_resilient, DesignQuery, FaultInjector, InjectedFault, QueryCache,
+    QueryEngine, QueryError, QueryOutcome, ResiliencePolicy, SolveDiagnostics,
 };
 
 fn q(spec: &str) -> DesignQuery {
@@ -179,6 +179,31 @@ fn transient_panic_is_retried_and_recovers() {
     assert_eq!(snap.counter("resilience.retry.recoveries"), 1);
     // Profile mirrors carry the events into the work tree.
     assert_eq!(snap.counter("profile.resilience.worker.panics"), 1);
+}
+
+/// Damping escalates only after a stall: a panic says nothing about
+/// convergence, so the retry after one re-runs the standard ladder and
+/// does exactly the work, and lands on exactly the bits, of a direct
+/// solve.
+#[test]
+fn a_retry_after_a_panic_reruns_the_standard_ladder() {
+    // the retry rung 0.05/2400 would take 21 iterations here, against 7
+    let query = q("family=skat util=0.85 trials=8");
+    let injector = TransientAt {
+        target: 0.85,
+        fault: InjectedFault::Panic,
+    };
+    let (obs, direct) = (Registry::new(), Registry::new());
+    let policy = ResiliencePolicy::default();
+    let verdict = solve_query_resilient(&query, &policy, &injector, Sinks::counters(&obs));
+    let expected = solve_query(&query, &direct).expect("solves");
+    let work = "profile.immersion.fixed_point_iterations";
+    assert_eq!(obs.snapshot().counter("resilience.retry.recoveries"), 1);
+    assert_eq!(
+        obs.snapshot().counter(work),
+        direct.snapshot().counter(work)
+    );
+    assert!(verdict.expect("the retry recovers").bitwise_eq(&expected));
 }
 
 #[test]
