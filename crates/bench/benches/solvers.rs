@@ -9,7 +9,7 @@ use rcs_cooling::ImmersionBath;
 use rcs_core::ImmersionModel;
 use rcs_fluids::Coolant;
 use rcs_hydraulics::SolveOptions;
-use rcs_hydraulics::{balance, layout, Element, HydraulicNetwork, Pipe, SolverEngine};
+use rcs_hydraulics::{balance, layout, Element, HydraulicNetwork, Pipe};
 use rcs_numeric::Matrix;
 use rcs_obs::Sinks;
 use rcs_thermal::ThermalNetwork;
@@ -153,34 +153,29 @@ fn bench_coupled_immersion(h: &mut Harness) {
     });
 }
 
-/// The sparse graph-elimination kernel against the dense reference on
-/// the same manifold, sharing one analyzed context across solves (the
-/// production shape: symbolic once, numeric per Newton iteration).
-fn bench_sparse_vs_dense_manifold(h: &mut Harness) {
+/// The sparse graph-elimination kernel on a manifold, sharing one
+/// analyzed context across solves (the production shape: symbolic once,
+/// numeric per Newton iteration). The `_sparse` row names are kept so
+/// history stays comparable.
+fn bench_sparse_manifold(h: &mut Harness) {
     let water = Coolant::water().state(Celsius::new(20.0));
     for loops in [6usize, 12, 24] {
         let plan = layout::rack_manifold(loops, layout::ReturnStyle::Reverse);
-        for engine in [SolverEngine::Sparse, SolverEngine::Dense] {
-            let tag = match engine {
-                SolverEngine::Sparse => "sparse",
-                SolverEngine::Dense => "dense",
-            };
-            let mut ctx = plan.network.solver_context_with(engine);
-            h.bench(&format!("hydraulic_manifold_{tag}/{loops}"), || {
-                // cold every time: isolate the per-solve elimination cost
-                ctx.clear_seed();
-                black_box(
-                    plan.network
-                        .solve_with_ladder(
-                            black_box(&water),
-                            &[SolveOptions::default()],
-                            &mut ctx,
-                            Sinks::disabled(),
-                        )
-                        .unwrap(),
-                )
-            });
-        }
+        let mut ctx = plan.network.solver_context();
+        h.bench(&format!("hydraulic_manifold_sparse/{loops}"), || {
+            // cold every time: isolate the per-solve elimination cost
+            ctx.clear_seed();
+            black_box(
+                plan.network
+                    .solve_with_ladder(
+                        black_box(&water),
+                        &[SolveOptions::default()],
+                        &mut ctx,
+                        Sinks::disabled(),
+                    )
+                    .unwrap(),
+            )
+        });
     }
 }
 
@@ -257,7 +252,7 @@ fn main() {
     bench_thermal_steady(&mut h);
     bench_thermal_transient(&mut h);
     bench_hydraulic_manifold(&mut h);
-    bench_sparse_vs_dense_manifold(&mut h);
+    bench_sparse_manifold(&mut h);
     bench_hydraulic_sweep(&mut h);
     bench_hydraulic_warm_circulation(&mut h);
     bench_auto_trim(&mut h);

@@ -34,6 +34,7 @@
 use std::path::Path;
 use std::process::ExitCode;
 
+use rcs_obs::manifest::escape_json;
 use rcs_obs::report::{parse_json, Json};
 
 /// Median ratio (fresh / baseline) above which a benchmark fails.
@@ -112,24 +113,6 @@ fn check_suite(baseline_dir: &str, fresh_dir: &str, suite: &str, tol: f64) -> Re
     Ok(failures)
 }
 
-/// Escapes a string for embedding in a JSON line (names are benchmark
-/// identifiers, but a history file must never be corrupted by one).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Appends one NDJSON history line for `suite` to
 /// `<dir>/<suite>.ndjson`: fresh and baseline medians side by side plus
 /// the run verdict, stamped with Unix seconds.
@@ -155,7 +138,7 @@ fn emit_history(
                 .map_or_else(|| "null".to_owned(), |b| format!("{}", b.median_ns));
             format!(
                 "{{\"name\":\"{}\",\"median_ns\":{},\"baseline_ns\":{base}}}",
-                escape(&f.name),
+                escape_json(&f.name),
                 f.median_ns
             )
         })
@@ -163,7 +146,7 @@ fn emit_history(
     let line = format!(
         "{{\"type\":\"bench_history\",\"suite\":\"{}\",\"unix_ts\":{ts},\"tolerance\":{tol},\
          \"failures\":{failures},\"benchmarks\":[{}]}}\n",
-        escape(suite),
+        escape_json(suite),
         benches.join(",")
     );
     std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir}: {e}"))?;

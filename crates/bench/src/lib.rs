@@ -34,6 +34,8 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
+use rcs_obs::manifest::escape_json;
+
 /// Target wall-clock time for one measured sample in full mode.
 const SAMPLE_TARGET: Duration = Duration::from_millis(5);
 /// Warmup budget in full mode.
@@ -177,14 +179,16 @@ impl Harness {
         let mode = if self.quick { "quick" } else { "full" };
         let mut out = String::new();
         out.push_str("{\n");
-        out.push_str(&format!("  \"suite\": \"{}\",\n", self.suite));
+        out.push_str(&format!("  \"suite\": \"{}\",\n", escape_json(&self.suite)));
         out.push_str(&format!("  \"mode\": \"{mode}\",\n"));
         out.push_str("  \"benchmarks\": [\n");
         for (i, r) in self.results.iter().enumerate() {
             let comma = if i + 1 < self.results.len() { "," } else { "" };
             out.push_str(&format!(
                 "    {{\"name\": \"{}\", \"median_ns\": {}, \"min_ns\": {}}}{comma}\n",
-                r.name, r.median_ns, r.min_ns
+                escape_json(&r.name),
+                r.median_ns,
+                r.min_ns
             ));
         }
         out.push_str("  ]\n}\n");
@@ -292,7 +296,7 @@ mod tests {
         let mut h = Harness::quick();
         h.suite = "unit".into();
         h.bench("alpha/1", || 1u64);
-        h.bench("beta", || 2u64);
+        h.bench("beta \"quoted\"\\", || 2u64);
         let doc = rcs_obs::report::parse_json(&h.render_json()).unwrap();
         assert_eq!(doc.get("suite").and_then(|v| v.as_str()), Some("unit"));
         assert_eq!(doc.get("mode").and_then(|v| v.as_str()), Some("quick"));
@@ -308,6 +312,10 @@ mod tests {
             .get("median_ns")
             .and_then(|v| v.as_u64())
             .is_some());
+        assert_eq!(
+            benches[1].get("name").and_then(|v| v.as_str()),
+            Some("beta \"quoted\"\\")
+        );
         assert!(benches[1].get("min_ns").and_then(|v| v.as_u64()).is_some());
     }
 

@@ -109,7 +109,8 @@ pub enum FaultKind {
     },
     /// A circulation-path valve sticks partially closed in one step.
     ValveStuckPartial {
-        /// The stuck opening fraction, in `(0, 1]`.
+        /// The stuck opening fraction, at most 1. An opening of 0 or
+        /// less is a fully shut valve: no circulation.
         opening: f64,
     },
     /// A sensor channel starts lying.

@@ -414,9 +414,10 @@ impl FaultDrill {
 
     /// Solves the degraded steady state and extracts the two-node
     /// transient coefficients around it. A bath with no circulation at
-    /// all (every pump seized or suction uncovered) gets the stagnation
-    /// model instead of a coupled solve — stagnation is a physical
-    /// state, not a solver failure.
+    /// all (every pump seized, suction uncovered, or the circulation
+    /// valve stuck fully shut) gets the stagnation model instead of a
+    /// coupled solve — stagnation is a physical state, not a solver
+    /// failure.
     fn linearize(
         &self,
         state: &DegradedState,
@@ -428,7 +429,7 @@ impl FaultDrill {
         let degraded_bath = state.apply_to(&self.bath);
         let curves = state.pump_curves(&self.bath);
 
-        if curves.is_empty() {
+        if curves.is_empty() || state.valve_opening <= 0.0 {
             // no circulation: natural convection at the sinks, residual
             // conduction (plus any fouling) through the exchanger section
             return Ok(Linearization {
@@ -1328,6 +1329,41 @@ mod tests {
         let outcome = drill.run(&mut rng(), Sinks::disabled());
         assert!(!outcome.shut_down, "{outcome:?}");
         assert!(outcome.clean());
+    }
+
+    #[test]
+    fn a_fully_shut_circulation_valve_stagnates_the_bath_without_a_panic() {
+        use rcs_obs::trace::TraceRecorder;
+
+        for opening in [0.0, -0.5] {
+            let timeline = FaultTimeline::new().with_event(
+                Seconds::minutes(2.0),
+                FaultKind::ValveStuckPartial { opening },
+            );
+            let drill = FaultDrill::skat("shut valve", timeline, Seconds::minutes(10.0));
+            let trace = TraceRecorder::new();
+            let sinks = Sinks {
+                trace: &trace,
+                ..Sinks::disabled()
+            };
+            let outcome = drill.run(&mut rng(), sinks);
+            assert!(outcome.solver_failure.is_none(), "{outcome:?}");
+            let snap = trace.snapshot();
+            let flow = &snap
+                .channel("drill.flow_lpm")
+                .expect("flow is traced")
+                .samples;
+            assert!(flow.iter().any(|s| s.t < 120.0 && s.value > 0.0));
+            let after: Vec<f64> = flow
+                .iter()
+                .filter(|s| s.t > 120.0)
+                .map(|s| s.value)
+                .collect();
+            assert!(
+                !after.is_empty() && after.iter().all(|&q| q == 0.0),
+                "{after:?}"
+            );
+        }
     }
 
     #[test]

@@ -180,36 +180,6 @@ impl ImmersionModel {
         .with_aging(self.aging)
     }
 
-    /// Solves the circulation operating point at the given bulk oil
-    /// temperature: the pump curve against bath + exchanger losses.
-    /// Records `immersion.circulation.calls` / `.stagnant` counters plus
-    /// the `hydraulics.ladder.*` counters of the inner network solve
-    /// into `sinks.obs`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates hydraulic solver failures.
-    pub fn circulation(
-        &self,
-        oil_bulk: Celsius,
-        sinks: Sinks<'_>,
-    ) -> Result<(VolumeFlow, Power), CoreError> {
-        let obs = sinks.obs;
-        match self.circulation_network()? {
-            None => {
-                // every pump seized: no driving head, the bath stagnates
-                obs.inc("immersion.circulation.calls");
-                obs.inc("immersion.circulation.stagnant");
-                Ok((VolumeFlow::ZERO, Power::ZERO))
-            }
-            Some((net, bath_branch)) => {
-                let mut ctx = net.solver_context();
-                let oil = self.bath.coolant.state(oil_bulk);
-                self.circulation_solve(&net, bath_branch, &oil, &mut ctx, obs)
-            }
-        }
-    }
-
     /// Builds the bath circulation network — the bath + exchanger loss
     /// path against the surviving pump curves — or `None` when every
     /// pump has seized (stagnant bath). The topology depends only on
@@ -1022,12 +992,19 @@ mod tests {
         assert!(r.junction > skat.junction);
     }
 
+    /// One circulation operating-point solve at bulk oil temperature
+    /// `oil_c`, on a fresh network and context.
+    fn circulation(m: &ImmersionModel, oil_c: f64, obs: &Registry) -> (VolumeFlow, Power) {
+        let (net, bath_branch) = m.circulation_network().unwrap().expect("a pump survives");
+        let oil = m.bath.coolant.state(Celsius::new(oil_c));
+        m.circulation_solve(&net, bath_branch, &oil, &mut net.solver_context(), obs)
+            .unwrap()
+    }
+
     #[test]
     fn circulation_operating_point_is_sane() {
         let m = ImmersionModel::skat();
-        let (flow, electrical) = m
-            .circulation(Celsius::new(28.0), Sinks::disabled())
-            .unwrap();
+        let (flow, electrical) = circulation(&m, 28.0, Registry::disabled());
         let lpm = flow.as_liters_per_minute();
         assert!(lpm > 150.0 && lpm < 900.0, "flow = {lpm} L/min");
         assert!(electrical.watts() > 50.0 && electrical.watts() < 3000.0);
@@ -1036,12 +1013,8 @@ mod tests {
     #[test]
     fn warm_oil_circulates_faster() {
         let m = ImmersionModel::skat();
-        let (cold, _) = m
-            .circulation(Celsius::new(10.0), Sinks::disabled())
-            .unwrap();
-        let (warm, _) = m
-            .circulation(Celsius::new(40.0), Sinks::disabled())
-            .unwrap();
+        let (cold, _) = circulation(&m, 10.0, Registry::disabled());
+        let (warm, _) = circulation(&m, 40.0, Registry::disabled());
         assert!(warm > cold);
     }
 
@@ -1329,11 +1302,9 @@ mod tests {
     fn stagnant_bath_records_stagnation_not_hydraulics() {
         let obs = Registry::new();
         let model = ImmersionModel::skat().with_pump_curves(Vec::new());
-        let (flow, power) = model
-            .circulation(Celsius::new(30.0), Sinks::counters(&obs))
-            .unwrap();
-        assert_eq!(flow, VolumeFlow::ZERO);
-        assert_eq!(power, Power::ZERO);
+        assert!(model.circulation_network().unwrap().is_none());
+        // one fixed-point iteration: one stagnant circulation, no solve
+        let _ = model.solve_damped(0.5, 1, &obs);
         let snap = obs.snapshot();
         assert_eq!(snap.counter("immersion.circulation.stagnant"), 1);
         assert_eq!(snap.counter("hydraulics.ladder.calls"), 0);

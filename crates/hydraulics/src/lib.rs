@@ -57,4 +57,4 @@ pub use elements::{Element, Pipe, PumpCurve, Valve};
 pub use error::{ConvergenceDiagnostics, HydraulicError, SolveAttempt};
 pub use network::{BranchId, HydraulicNetwork, JunctionId};
 pub use solution::HydraulicSolution;
-pub use solver::{SolveOptions, SolverContext, SolverEngine};
+pub use solver::{SolveOptions, SolverContext};

@@ -16,9 +16,10 @@
 //! node incidence structure ([`rcs_numeric::SparseSymbolic`]): the
 //! symbolic factorization is analyzed once per topology and replayed
 //! per Newton iteration. The elimination schedule mirrors the dense
-//! loop order exactly, so the sparse path is bit-identical to the dense
-//! reference ([`SolverEngine::Dense`], kept as a cross-check) on the
-//! diagonally dominant systems the assembly produces.
+//! loop order exactly, so on the diagonally dominant systems the
+//! assembly produces it is bit-identical to dense Gaussian elimination
+//! ([`rcs_numeric::Matrix::solve`]), which the unit tests keep as the
+//! reference every nodal solve is checked against.
 //!
 //! Repeated solves — parameter sweeps, coupled fixed points, failure
 //! studies — reuse a [`SolverContext`]: the symbolic factorization is
@@ -38,7 +39,7 @@
 //! [`ConvergenceDiagnostics`]: crate::error::ConvergenceDiagnostics
 
 use rcs_fluids::FluidState;
-use rcs_numeric::{Matrix, SparseSymbolic};
+use rcs_numeric::SparseSymbolic;
 use rcs_obs::trace::ChannelKind;
 use rcs_obs::{residual_decade, Registry, Sinks};
 use rcs_units::VolumeFlow;
@@ -107,27 +108,9 @@ impl SolveOptions {
     }
 }
 
-/// Which linear-algebra kernel factors the nodal system.
-///
-/// The two engines perform the same arithmetic in the same order on the
-/// diagonally dominant systems the assembly produces (dense partial
-/// pivoting never swaps rows there), so they agree bit-for-bit; the
-/// dense path survives as the independent cross-check the sparse
-/// schedule is validated against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolverEngine {
-    /// Sparse graph elimination with a precomputed symbolic schedule
-    /// (the default — O(nnz) per iteration instead of O(n³)).
-    #[default]
-    Sparse,
-    /// Dense Gaussian elimination with partial pivoting
-    /// ([`rcs_numeric::Matrix::solve`]), the reference path.
-    Dense,
-}
-
 /// Precomputed per-branch assembly plan: the unknown-column of each
-/// endpoint and, for the sparse engine, the value-array indices the
-/// branch conductance scatters into.
+/// endpoint and the value-array indices the branch conductance
+/// scatters into.
 #[derive(Debug, Clone, Copy)]
 struct BranchScatter {
     /// Unknown column of the `from` junction (`None` = reference).
@@ -192,7 +175,6 @@ struct BranchScatter {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SolverContext {
-    engine: SolverEngine,
     // -- topology fingerprint --
     n_junctions: usize,
     reference: usize,
@@ -202,9 +184,9 @@ pub struct SolverContext {
     unknowns: Vec<usize>,
     touched: Vec<bool>,
     scatter: Vec<BranchScatter>,
-    symbolic: Option<SparseSymbolic>,
-    // -- numeric workspaces (sparse engine; `rhs` returns the pressures
-    //    of the unknown junctions for both engines) --
+    symbolic: SparseSymbolic,
+    // -- numeric workspaces (`rhs` returns the pressures of the unknown
+    //    junctions) --
     values: Vec<f64>,
     rhs: Vec<f64>,
     // -- Newton workspaces --
@@ -223,7 +205,7 @@ pub struct SolverContext {
 }
 
 impl SolverContext {
-    fn build(net: &HydraulicNetwork, engine: SolverEngine, warm: Option<Vec<f64>>) -> Self {
+    fn build(net: &HydraulicNetwork, warm: Option<Vec<f64>>) -> Self {
         let n_junctions = net.junctions.len();
         let reference = net.reference.map_or(0, |r| r.0);
         let incidence: Vec<(usize, usize, bool)> = net
@@ -242,22 +224,16 @@ impl SolverContext {
             touched[b.to.0] = true;
         }
 
-        let symbolic = match engine {
-            SolverEngine::Dense => None,
-            SolverEngine::Sparse => {
-                // Open-branch incidence only: exactly the edges whose
-                // conductances the assembly scatters. Closed branches
-                // contribute nothing (matching the dense assembly), so
-                // openness is part of the fingerprint above.
-                let edges: Vec<(usize, usize)> = net
-                    .branches
-                    .iter()
-                    .filter(|b| b.open)
-                    .filter_map(|b| Some((col_of[b.from.0]?, col_of[b.to.0]?)))
-                    .collect();
-                Some(SparseSymbolic::analyze(unknowns.len(), &edges))
-            }
-        };
+        // Open-branch incidence only: exactly the edges whose
+        // conductances the assembly scatters. Closed branches contribute
+        // nothing, so openness is part of the fingerprint above.
+        let edges: Vec<(usize, usize)> = net
+            .branches
+            .iter()
+            .filter(|b| b.open)
+            .filter_map(|b| Some((col_of[b.from.0]?, col_of[b.to.0]?)))
+            .collect();
+        let symbolic = SparseSymbolic::analyze(unknowns.len(), &edges);
         let scatter = net
             .branches
             .iter()
@@ -265,8 +241,8 @@ impl SolverContext {
                 let ci = col_of[b.from.0];
                 let cj = col_of[b.to.0];
                 let idx = |r: Option<usize>, c: Option<usize>| -> usize {
-                    match (&symbolic, r, c, b.open) {
-                        (Some(sym), Some(r), Some(c), true) => sym
+                    match (r, c, b.open) {
+                        (Some(r), Some(c), true) => symbolic
                             .index_of(r, c)
                             .expect("open-branch incidence is structural"),
                         _ => 0,
@@ -283,11 +259,10 @@ impl SolverContext {
             })
             .collect();
 
-        let nnz = symbolic.as_ref().map_or(0, SparseSymbolic::nnz);
+        let nnz = symbolic.nnz();
         let n = unknowns.len();
         let n_branches = net.branches.len();
         Self {
-            engine,
             n_junctions,
             reference,
             incidence,
@@ -335,7 +310,7 @@ impl SolverContext {
             return;
         }
         let warm = self.warm_flows.take().filter(|_| self.same_branches(net));
-        *self = Self::build(net, self.engine, warm);
+        *self = Self::build(net, warm);
     }
 
     /// Consumes the warm seed if it is usable for `net`.
@@ -387,20 +362,12 @@ struct SolveOutcome {
 }
 
 impl HydraulicNetwork {
-    /// Builds a reusable [`SolverContext`] for this topology with the
-    /// default (sparse) engine. Reuse it across repeated solves to
-    /// share the symbolic factorization and warm-start each solve from
-    /// the previous solution.
+    /// Builds a reusable [`SolverContext`] for this topology. Reuse it
+    /// across repeated solves to share the symbolic factorization and
+    /// warm-start each solve from the previous solution.
     #[must_use]
     pub fn solver_context(&self) -> SolverContext {
-        self.solver_context_with(SolverEngine::default())
-    }
-
-    /// [`HydraulicNetwork::solver_context`] with an explicit engine
-    /// (the dense path is the cross-check reference).
-    #[must_use]
-    pub fn solver_context_with(&self, engine: SolverEngine) -> SolverContext {
-        SolverContext::build(self, engine, None)
+        SolverContext::build(self, None)
     }
 
     /// Solves the steady flow distribution for the given fluid state:
@@ -643,14 +610,10 @@ impl HydraulicNetwork {
             }
 
             // Assemble and solve the nodal system A p = rhs over the
-            // unknown junctions with the context's engine; the pressures
-            // come back in `ctx.rhs`.
+            // unknown junctions; the pressures come back in `ctx.rhs`.
             if n > 0 {
-                match ctx.engine {
-                    SolverEngine::Sparse => self.solve_nodal_sparse(ctx, &flows),
-                    SolverEngine::Dense => self.solve_nodal_dense(ctx, &flows),
-                }
-                .map_err(|e| InnerError::Other(e.into()))?;
+                self.solve_nodal(ctx, &flows)
+                    .map_err(|e| InnerError::Other(e.into()))?;
                 for (c, &j) in ctx.unknowns.iter().enumerate() {
                     pressures[j] = ctx.rhs[c];
                 }
@@ -736,17 +699,15 @@ impl HydraulicNetwork {
         }))
     }
 
-    /// One nodal solve on the sparse engine, in place: scatter the
-    /// linearized conductances into the context's value workspace (same
-    /// branch order as the dense assembly, so the accumulated sums are
-    /// bit-identical), pin isolated rows, and replay the precomputed
-    /// elimination schedule. The pressures are left in `ctx.rhs`.
-    fn solve_nodal_sparse(
+    /// One nodal solve, in place: scatter the linearized conductances
+    /// into the context's value workspace in branch order, pin isolated
+    /// rows, and replay the precomputed elimination schedule. The
+    /// pressures are left in `ctx.rhs`.
+    fn solve_nodal(
         &self,
         ctx: &mut SolverContext,
         flows: &[f64],
     ) -> Result<(), rcs_numeric::NumericError> {
-        let sym = ctx.symbolic.as_ref().expect("sparse context has a plan");
         ctx.values.fill(0.0);
         ctx.rhs.fill(0.0);
         for (k, b) in self.branches.iter().enumerate() {
@@ -777,55 +738,11 @@ impl HydraulicNetwork {
         // diagonal — no open branch touches them, so no fill either).
         for (row, &j) in ctx.unknowns.iter().enumerate() {
             if !ctx.touched[j] {
-                ctx.values[sym.diag_index(row)] = 1.0;
+                ctx.values[ctx.symbolic.diag_index(row)] = 1.0;
                 ctx.rhs[row] = 0.0;
             }
         }
-        sym.factor_solve(&mut ctx.values, &mut ctx.rhs)
-    }
-
-    /// One nodal solve on the dense reference engine — the historical
-    /// assembly, kept as the cross-check the sparse schedule is
-    /// validated against. The pressures are left in `ctx.rhs`.
-    fn solve_nodal_dense(
-        &self,
-        ctx: &mut SolverContext,
-        flows: &[f64],
-    ) -> Result<(), rcs_numeric::NumericError> {
-        let n = ctx.unknowns.len();
-        let mut a = Matrix::zeros(n, n);
-        ctx.rhs.fill(0.0);
-        for (k, b) in self.branches.iter().enumerate() {
-            if !b.open {
-                continue;
-            }
-            let sc = ctx.scatter[k];
-            let d = ctx.conductance[k];
-            let q_lin = flows[k] - d * ctx.drops[k];
-            if let Some(ci) = sc.ci {
-                a[(ci, ci)] += d;
-                ctx.rhs[ci] -= q_lin;
-                if let Some(cj) = sc.cj {
-                    a[(ci, cj)] -= d;
-                }
-            }
-            if let Some(cj) = sc.cj {
-                a[(cj, cj)] += d;
-                ctx.rhs[cj] += q_lin;
-                if let Some(ci) = sc.ci {
-                    a[(cj, ci)] -= d;
-                }
-            }
-        }
-        for (row, &j) in ctx.unknowns.iter().enumerate() {
-            if !ctx.touched[j] {
-                a[(row, row)] = 1.0;
-                ctx.rhs[row] = 0.0;
-            }
-        }
-        let p = a.solve(&ctx.rhs)?;
-        ctx.rhs.copy_from_slice(&p);
-        Ok(())
+        ctx.symbolic.factor_solve(&mut ctx.values, &mut ctx.rhs)
     }
 }
 
@@ -1211,24 +1128,124 @@ mod tests {
         (net, ids)
     }
 
-    #[test]
-    fn sparse_and_dense_engines_agree_bitwise_on_cold_solves() {
-        let (net, ids) = branched_net();
-        let mut sparse = net.solver_context_with(SolverEngine::Sparse);
-        let mut dense = net.solver_context_with(SolverEngine::Dense);
-        let s = attempt(&net, &mut sparse).unwrap();
-        let d = attempt(&net, &mut dense).unwrap();
-        assert_eq!(s.iterations(), d.iterations());
-        for &b in &ids {
+    /// The dense reference for one nodal solve: the system
+    /// `solve_nodal` factors, assembled from `ctx`'s scatter plan into a
+    /// dense [`rcs_numeric::Matrix`] and solved by partially pivoted
+    /// Gaussian elimination. Returns the unknown junctions' pressures.
+    fn solve_nodal_dense(net: &HydraulicNetwork, ctx: &SolverContext, flows: &[f64]) -> Vec<f64> {
+        let n = ctx.unknowns.len();
+        let mut a = rcs_numeric::Matrix::zeros(n, n);
+        let mut rhs = vec![0.0; n];
+        for (k, _) in net.branches.iter().enumerate().filter(|(_, b)| b.open) {
+            let sc = ctx.scatter[k];
+            let d = ctx.conductance[k];
+            let q_lin = flows[k] - d * ctx.drops[k];
+            if let Some(ci) = sc.ci {
+                a[(ci, ci)] += d;
+                rhs[ci] -= q_lin;
+                if let Some(cj) = sc.cj {
+                    a[(ci, cj)] -= d;
+                }
+            }
+            if let Some(cj) = sc.cj {
+                a[(cj, cj)] += d;
+                rhs[cj] += q_lin;
+                if let Some(ci) = sc.ci {
+                    a[(cj, ci)] -= d;
+                }
+            }
+        }
+        for (row, &j) in ctx.unknowns.iter().enumerate() {
+            if !ctx.touched[j] {
+                a[(row, row)] = 1.0;
+                rhs[row] = 0.0;
+            }
+        }
+        a.solve(&rhs).unwrap()
+    }
+
+    /// `steps` full Newton steps from `flows`, each nodal system solved
+    /// by both `solve_nodal` and the dense reference, which must agree
+    /// bit for bit. Returns the flows and junction pressures after the
+    /// last step.
+    fn dense_newton(
+        net: &HydraulicNetwork,
+        fluid: &FluidState,
+        mut flows: Vec<f64>,
+        steps: usize,
+    ) -> (Vec<f64>, Vec<f64>) {
+        let relax = SolveOptions::default().relax;
+        let mut ctx = net.solver_context();
+        let mut pressures = vec![0.0; net.junctions.len()];
+        for _ in 0..steps {
+            for (k, b) in net.branches.iter().enumerate() {
+                (ctx.drops[k], ctx.conductance[k]) = if b.open {
+                    linearize(b, flows[k], fluid)
+                } else {
+                    (0.0, 0.0)
+                };
+            }
+            let dense = solve_nodal_dense(net, &ctx, &flows);
+            net.solve_nodal(&mut ctx, &flows).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(
-                s.flow(b).cubic_meters_per_second(),
-                d.flow(b).cubic_meters_per_second(),
-                "sparse and dense engines must agree bitwise"
+                bits(&ctx.rhs),
+                bits(&dense),
+                "sparse and dense nodal solves differ"
             );
+            for (c, &j) in ctx.unknowns.iter().enumerate() {
+                pressures[j] = dense[c];
+            }
+            for (k, b) in net.branches.iter().enumerate() {
+                let dp = pressures[b.from.0] - pressures[b.to.0];
+                let q_new = flows[k] + ctx.conductance[k] * (dp - ctx.drops[k]);
+                flows[k] = if b.open {
+                    relax * q_new + (1.0 - relax) * flows[k]
+                } else {
+                    0.0
+                };
+            }
+        }
+        (flows, pressures)
+    }
+
+    /// The cold initial guess of `solve_inner`.
+    fn cold_guess(net: &HydraulicNetwork) -> Vec<f64> {
+        net.branches
+            .iter()
+            .map(|b| if b.open { 1e-4 } else { 0.0 })
+            .collect()
+    }
+
+    /// Asserts that `sol`, a default-rung solve started from `start`,
+    /// is bitwise the dense-reference Newton walk of as many steps, and
+    /// that the nodal solve at its converged flows matches the dense
+    /// reference too. Returns the walk's junction pressures.
+    fn assert_matches_dense_newton(
+        net: &HydraulicNetwork,
+        fluid: &FluidState,
+        start: Vec<f64>,
+        sol: &HydraulicSolution,
+    ) -> Vec<f64> {
+        let (flows, pressures) = dense_newton(net, fluid, start, sol.iterations());
+        for (q, s) in flows.iter().zip(sol.flows()) {
+            assert_eq!(q.to_bits(), s.cubic_meters_per_second().to_bits());
         }
         for j in net.junction_ids() {
-            assert_eq!(s.pressure(j).pascals(), d.pressure(j).pascals());
+            assert_eq!(
+                pressures[j.0].to_bits(),
+                sol.pressure(j).pascals().to_bits()
+            );
         }
+        dense_newton(net, fluid, flows, 1);
+        pressures
+    }
+
+    #[test]
+    fn sparse_nodal_solves_match_the_dense_reference_bitwise_on_cold_solves() {
+        let (net, _) = branched_net();
+        let s = attempt(&net, &mut net.solver_context()).unwrap();
+        assert_matches_dense_newton(&net, &water(), cold_guess(&net), &s);
     }
 
     #[test]
@@ -1516,42 +1533,36 @@ mod tests {
     }
 
     #[test]
-    fn sparse_and_dense_engines_agree_bitwise_on_warm_chains() {
-        // Both engines through their own long-lived context over a chain
-        // of temperatures, trims and a failure: warm starts, carried
-        // drops and plan rebuilds must keep them bit-identical.
+    fn sparse_nodal_solves_match_the_dense_reference_bitwise_on_warm_chains() {
+        // One long-lived context over a chain of temperatures, trims and
+        // a failure: every step's Newton walk from its warm seed, carried
+        // drops and plan rebuilds included, must match the dense
+        // reference bit for bit.
         let (mut net, ids) = branched_net();
-        let mut sparse = net.solver_context_with(SolverEngine::Sparse);
-        let mut dense = net.solver_context_with(SolverEngine::Dense);
+        let mut ctx = net.solver_context();
+        let mut seed = cold_guess(&net);
         for step in 0..8u32 {
             let fluid = Coolant::water().state(Celsius::new(20.0 + 3.0 * f64::from(step)));
             net.set_valve_opening(ids[1], 1.0 - 0.1 * f64::from(step))
                 .unwrap();
             if step == 5 {
                 net.set_branch_open(ids[2], false).unwrap();
+                seed[ids[2].0] = 0.0;
             }
             let s = net
-                .solve_with_ladder(
-                    &fluid,
-                    &SolveOptions::ladder(),
-                    &mut sparse,
-                    Sinks::disabled(),
-                )
+                .solve_with_ladder(&fluid, &SolveOptions::ladder(), &mut ctx, Sinks::disabled())
                 .unwrap();
-            let d = net
-                .solve_with_ladder(
-                    &fluid,
-                    &SolveOptions::ladder(),
-                    &mut dense,
-                    Sinks::disabled(),
-                )
-                .unwrap();
-            assert_bitwise_eq(&s, &d);
+            assert_matches_dense_newton(&net, &fluid, seed, &s);
+            seed = s
+                .flows()
+                .iter()
+                .map(|q| q.cubic_meters_per_second())
+                .collect();
         }
     }
 
     #[test]
-    fn isolated_junctions_are_pinned_identically_by_both_engines() {
+    fn isolated_junctions_are_pinned_identically_by_the_dense_reference() {
         let mut net = HydraulicNetwork::new();
         let a = net.add_junction("a");
         let b = net.add_junction("b");
@@ -1563,24 +1574,101 @@ mod tests {
             .add_branch("spur", b, spur_end, vec![pipe(5.0)])
             .unwrap();
         net.set_branch_open(spur, false).unwrap();
-        let mut sparse = net.solver_context_with(SolverEngine::Sparse);
-        let mut dense = net.solver_context_with(SolverEngine::Dense);
-        let s = attempt(&net, &mut sparse).unwrap();
-        let d = attempt(&net, &mut dense).unwrap();
+        let s = attempt(&net, &mut net.solver_context()).unwrap();
+        let dense = assert_matches_dense_newton(&net, &water(), cold_guess(&net), &s);
         for j in [stranded, spur_end] {
             assert_eq!(s.pressure(j).pascals(), 0.0);
-            assert_eq!(d.pressure(j).pascals(), 0.0);
+            assert_eq!(dense[j.0], 0.0);
         }
         assert_eq!(s.flow(spur).cubic_meters_per_second(), 0.0);
-        assert_eq!(
-            s.flows()
-                .iter()
-                .map(|q| q.cubic_meters_per_second())
-                .sum::<f64>(),
-            d.flows()
-                .iter()
-                .map(|q| q.cubic_meters_per_second())
-                .sum::<f64>()
+    }
+
+    /// On every randomized topology and open/close pattern, each nodal
+    /// solve of a cold solve matches the dense reference bitwise,
+    /// including the isolated-junction class: a junction whose last
+    /// open branch closes is pinned to the reference pressure.
+    #[test]
+    fn sparse_and_dense_agree_under_random_branch_outages() {
+        rcs_testkit::check_cases(
+            "sparse_and_dense_agree_under_random_branch_outages",
+            64,
+            |g| {
+                let loops = g.draw(2usize..=6);
+                let mut net = HydraulicNetwork::new();
+                // supply/return headers with one loop and one dead-end
+                // spur per station; spurs and loops open or close
+                // independently
+                let supply: Vec<_> = (0..loops)
+                    .map(|i| net.add_junction(format!("s{i}")))
+                    .collect();
+                let ret: Vec<_> = (0..loops)
+                    .map(|i| net.add_junction(format!("r{i}")))
+                    .collect();
+                let spurs: Vec<_> = (0..loops)
+                    .map(|i| net.add_junction(format!("x{i}")))
+                    .collect();
+                let pipe = |len: f64| {
+                    Element::Pipe(Pipe::smooth(
+                        Length::from_meters(len),
+                        Length::millimeters(20.0),
+                    ))
+                };
+                for i in 0..loops - 1 {
+                    let run = g.draw(0.5..4.0f64);
+                    net.add_branch(format!("sh{i}"), supply[i], supply[i + 1], vec![pipe(run)])
+                        .unwrap();
+                    net.add_branch(format!("rh{i}"), ret[i + 1], ret[i], vec![pipe(run)])
+                        .unwrap();
+                }
+                let mut loop_ids = Vec::new();
+                let mut spur_ids = Vec::new();
+                for i in 0..loops {
+                    let len = g.draw(2.0..25.0f64);
+                    loop_ids.push(
+                        net.add_branch(format!("loop{i}"), supply[i], ret[i], vec![pipe(len)])
+                            .unwrap(),
+                    );
+                    spur_ids.push(
+                        net.add_branch(format!("spur{i}"), supply[i], spurs[i], vec![pipe(1.0)])
+                            .unwrap(),
+                    );
+                }
+                net.add_branch(
+                    "pump",
+                    ret[0],
+                    supply[0],
+                    vec![Element::Pump(PumpCurve::new(
+                        Pressure::kilopascals(g.draw(40.0..120.0f64)),
+                        VolumeFlow::liters_per_minute(400.0),
+                    ))],
+                )
+                .unwrap();
+                // random outages: keep loop 0 so the pump always has a
+                // circuit; every spur is a dead end, so closing one
+                // isolates its junction
+                let mut closed_spurs = Vec::new();
+                for &id in &loop_ids[1..] {
+                    if g.draw(0.0..1.0f64) < 0.35 {
+                        net.set_branch_open(id, false).unwrap();
+                    }
+                }
+                for (i, &id) in spur_ids.iter().enumerate() {
+                    if g.draw(0.0..1.0f64) < 0.5 {
+                        net.set_branch_open(id, false).unwrap();
+                        closed_spurs.push(i);
+                    }
+                }
+
+                let s = attempt(&net, &mut net.solver_context()).unwrap();
+                let dense = assert_matches_dense_newton(&net, &water(), cold_guess(&net), &s);
+                // a spur junction cut off from the network is pinned to
+                // the reference pressure with zero flow
+                for &i in &closed_spurs {
+                    assert_eq!(s.pressure(spurs[i]).pascals(), 0.0);
+                    assert_eq!(dense[spurs[i].0], 0.0);
+                    assert_eq!(s.flow(spur_ids[i]).cubic_meters_per_second(), 0.0);
+                }
+            },
         );
     }
 }

@@ -175,120 +175,6 @@ fn cold_oil_flows_less_than_warm_oil() {
     });
 }
 
-/// The sparse engine must agree with the dense reference on every
-/// randomized topology and open/close pattern — including the PR 2
-/// isolated-junction class, where a junction's last open branch closes
-/// and the node must be pinned to the reference pressure by both
-/// engines identically.
-#[test]
-fn sparse_and_dense_agree_under_random_branch_outages() {
-    use rcs_hydraulics::SolverEngine;
-    check_cases(
-        "sparse_and_dense_agree_under_random_branch_outages",
-        64,
-        |g| {
-            let loops = g.draw(2usize..=6);
-            let mut net = HydraulicNetwork::new();
-            // supply/return headers with one loop and one dead-end spur per
-            // station; spurs and loops open or close independently
-            let supply: Vec<_> = (0..loops)
-                .map(|i| net.add_junction(format!("s{i}")))
-                .collect();
-            let ret: Vec<_> = (0..loops)
-                .map(|i| net.add_junction(format!("r{i}")))
-                .collect();
-            let spurs: Vec<_> = (0..loops)
-                .map(|i| net.add_junction(format!("x{i}")))
-                .collect();
-            let pipe = |len: f64| {
-                Element::Pipe(Pipe::smooth(
-                    Length::from_meters(len),
-                    Length::millimeters(20.0),
-                ))
-            };
-            for i in 0..loops - 1 {
-                let run = g.draw(0.5..4.0f64);
-                net.add_branch(format!("sh{i}"), supply[i], supply[i + 1], vec![pipe(run)])
-                    .unwrap();
-                net.add_branch(format!("rh{i}"), ret[i + 1], ret[i], vec![pipe(run)])
-                    .unwrap();
-            }
-            let mut loop_ids = Vec::new();
-            let mut spur_ids = Vec::new();
-            for i in 0..loops {
-                let len = g.draw(2.0..25.0f64);
-                loop_ids.push(
-                    net.add_branch(format!("loop{i}"), supply[i], ret[i], vec![pipe(len)])
-                        .unwrap(),
-                );
-                spur_ids.push(
-                    net.add_branch(format!("spur{i}"), supply[i], spurs[i], vec![pipe(1.0)])
-                        .unwrap(),
-                );
-            }
-            net.add_branch(
-                "pump",
-                ret[0],
-                supply[0],
-                vec![Element::Pump(PumpCurve::new(
-                    Pressure::kilopascals(g.draw(40.0..120.0f64)),
-                    VolumeFlow::liters_per_minute(400.0),
-                ))],
-            )
-            .unwrap();
-            // random outages: keep loop 0 so the pump always has a circuit;
-            // every spur is a dead end, so closing one isolates its junction
-            let mut closed_spurs = Vec::new();
-            for &id in &loop_ids[1..] {
-                if g.draw(0.0..1.0f64) < 0.35 {
-                    net.set_branch_open(id, false).unwrap();
-                }
-            }
-            for (i, &id) in spur_ids.iter().enumerate() {
-                if g.draw(0.0..1.0f64) < 0.5 {
-                    net.set_branch_open(id, false).unwrap();
-                    closed_spurs.push(i);
-                }
-            }
-
-            let mut sparse = net.solver_context_with(SolverEngine::Sparse);
-            let mut dense = net.solver_context_with(SolverEngine::Dense);
-            let s = net
-                .solve_with_ladder(
-                    &water(),
-                    &[SolveOptions::default()],
-                    &mut sparse,
-                    Sinks::disabled(),
-                )
-                .unwrap();
-            let d = net
-                .solve_with_ladder(
-                    &water(),
-                    &[SolveOptions::default()],
-                    &mut dense,
-                    Sinks::disabled(),
-                )
-                .unwrap();
-            assert_eq!(s.iterations(), d.iterations());
-            for (k, (qs, qd)) in s.flows().iter().zip(d.flows()).enumerate() {
-                let (qs, qd) = (qs.cubic_meters_per_second(), qd.cubic_meters_per_second());
-                assert!((qs - qd).abs() <= 1e-12, "branch {k}: {qs} vs {qd}");
-            }
-            for j in net.junction_ids() {
-                let (ps, pd) = (s.pressure(j).pascals(), d.pressure(j).pascals());
-                assert!((ps - pd).abs() <= 1e-12 * ps.abs().max(1.0), "{ps} vs {pd}");
-            }
-            // a spur junction cut off from the network is pinned to the
-            // reference pressure with zero residual by BOTH engines
-            for &i in &closed_spurs {
-                assert_eq!(s.pressure(spurs[i]).pascals(), 0.0);
-                assert_eq!(d.pressure(spurs[i]).pascals(), 0.0);
-                assert_eq!(s.flow(spur_ids[i]).cubic_meters_per_second(), 0.0);
-            }
-        },
-    );
-}
-
 fn water_at(t: f64) -> rcs_fluids::FluidState {
     Coolant::water().state(Celsius::new(t))
 }

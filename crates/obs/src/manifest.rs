@@ -44,7 +44,8 @@ impl RunMeta {
 }
 
 /// Escapes `s` as the contents of a JSON string literal.
-pub(crate) fn escape_json(s: &str) -> String {
+#[must_use]
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
