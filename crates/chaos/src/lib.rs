@@ -94,12 +94,6 @@ impl ChaosInjector {
     pub fn new(config: ChaosConfig) -> Self {
         Self { config }
     }
-
-    /// The configuration this injector draws from.
-    #[must_use]
-    pub fn config(&self) -> &ChaosConfig {
-        &self.config
-    }
 }
 
 impl FaultInjector for ChaosInjector {

@@ -250,20 +250,15 @@ impl CoolingArchitecture {
     }
 
     /// `true` if the design can condense room moisture onto cold surfaces
-    /// in a standard machine room (24 °C, 55 % RH).
+    /// in a standard machine room (24 °C, 55 % RH) — §2's dew-point
+    /// problem, via the Magnus psychrometric model.
     #[must_use]
     pub fn dew_point_exposure(&self) -> bool {
-        self.dew_point_exposure_in(&rcs_fluids::humidity::RoomAir::machine_room_default())
-    }
-
-    /// `true` if the design can condense moisture out of the given room
-    /// air onto cold surfaces (§2's dew-point problem, via the Magnus
-    /// psychrometric model).
-    #[must_use]
-    pub fn dew_point_exposure_in(&self, room: &rcs_fluids::humidity::RoomAir) -> bool {
         match self {
             // cold plates sit in open air at the coolant supply temperature
-            Self::ColdPlate(c) => room.condenses_on(c.supply),
+            Self::ColdPlate(c) => {
+                rcs_fluids::humidity::RoomAir::machine_room_default().condenses_on(c.supply)
+            }
             // the immersion bath's cold surfaces are inside the oil volume
             Self::Immersion(_) | Self::Air(_) => false,
         }

@@ -18,8 +18,6 @@
 //!   leaks, lying sensors) resolved into degraded-mode physics hooks.
 //! - [`plausibility`] — per-channel sensor sanity filters and redundant
 //!   median voting, so supervision survives faulty sensors.
-//! - [`pumps`] — the §2 pump selection criteria (IP-55, NPSH, vibration,
-//!   oil compatibility, continuous duty) as a scoring model.
 //! - [`risk`] / [`availability`] — failure classes per architecture and a
 //!   seeded Monte-Carlo availability estimator, reproducing the paper's
 //!   qualitative claim that immersion removes the leak and dew-point
@@ -47,7 +45,6 @@ mod designs;
 pub mod faults;
 pub mod maintenance;
 pub mod plausibility;
-pub mod pumps;
 pub mod risk;
 
 pub use designs::{

@@ -207,12 +207,6 @@ impl PlausibilityFilter {
         }
     }
 
-    /// The last plausible value, if any sample ever passed.
-    #[must_use]
-    pub fn last_good(&self) -> Option<f64> {
-        self.last_good.map(|(_, v)| v)
-    }
-
     /// Captures the filter's full mutable state for a simulation-kernel
     /// checkpoint. [`PlausibilityFilter::restore_state`] with this value
     /// makes the filter's future decisions bit-identical to one that was

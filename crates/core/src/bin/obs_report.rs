@@ -136,11 +136,7 @@ fn main() -> ExitCode {
             let b = load(&candidate);
             let diff = report::diff_docs(&a, &b, &opts);
             print!("{}", diff.render());
-            if diff.has_regressions() {
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
-            }
+            ExitCode::from(diff.exit_code())
         }
         "attribution" => {
             if rest.first().map(String::as_str) == Some("diff") {
@@ -149,11 +145,7 @@ fn main() -> ExitCode {
                 let b = load(&candidate);
                 let diff = report::diff_spans_docs(&a, &b, &opts);
                 print!("{}", diff.render());
-                return if diff.has_regressions() {
-                    ExitCode::FAILURE
-                } else {
-                    ExitCode::SUCCESS
-                };
+                return ExitCode::from(diff.exit_code());
             }
             let (top, files) = parse_top_and_files(rest);
             for path in &files {

@@ -298,25 +298,12 @@ impl FleetSimulation {
             .collect()
     }
 
-    /// Runs one configuration across many seeds in parallel — the
-    /// service-life *distribution* rather than one history.
+    /// Runs one configuration across many seeds on `threads` workers —
+    /// the service-life *distribution* rather than one history.
     ///
     /// Every seed is an independent work item (its own stream family via
     /// `seed.wrapping_add(..)`), results are returned in `seeds` order,
     /// and the outcome vector is bit-identical at every thread count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates coupled-solver failures.
-    pub fn sweep_seeds(
-        &self,
-        config: FleetConfig,
-        seeds: &[u64],
-    ) -> Result<Vec<FleetOutcome>, CoreError> {
-        self.sweep_seeds_with_threads(config, seeds, rcs_parallel::thread_count())
-    }
-
-    /// [`FleetSimulation::sweep_seeds`] with an explicit worker count.
     ///
     /// # Errors
     ///

@@ -506,51 +506,6 @@ impl ImmersionModel {
         })
     }
 
-    /// Per-chip junction temperatures along one board's flow direction.
-    ///
-    /// Oil enters a board at the cold bath temperature and heats up chip
-    /// by chip, so the streamwise-last FPGA is the "maximum FPGA
-    /// temperature" the paper reports. Returns one entry per chip
-    /// position, upstream first.
-    ///
-    /// # Errors
-    ///
-    /// Propagates coupled-solver failures.
-    pub fn chip_profile(&self) -> Result<Vec<(usize, Celsius)>, CoreError> {
-        let steady = self.solve()?;
-        let chips_per_board = self.module.ccb().compute_fpga_count();
-        let boards = self.module.ccb_count() as f64;
-        let (oil, r, _) = self.lumped_plant(&steady);
-        // each board gets an equal share of the circulated flow
-        let per_board_flow = VolumeFlow::from_cubic_meters_per_second(
-            steady.coolant_flow.cubic_meters_per_second() / boards,
-        );
-        let c_board: ThermalCapacityRate = (per_board_flow * oil.density) * oil.specific_heat;
-        let chip_p = steady.chip_power;
-        // board overhead heats the stream too, spread evenly
-        let overhead_per_chip = Power::from_watts(
-            (self
-                .module
-                .ccb()
-                .board_power(self.op, steady.junction)
-                .watts()
-                - chip_p.watts() * chips_per_board as f64)
-                / chips_per_board as f64,
-        );
-
-        let mut local = steady.coolant_cold;
-        let mut profile = Vec::with_capacity(chips_per_board);
-        for i in 0..chips_per_board {
-            // the chip sees oil warmed by everything upstream plus half of
-            // its own heat (mid-chip reference)
-            let half = Power::from_watts(0.5 * (chip_p + overhead_per_chip).watts());
-            let mid = local + half / c_board;
-            profile.push((i, mid + chip_p * r));
-            local += (chip_p + overhead_per_chip) / c_board;
-        }
-        Ok(profile)
-    }
-
     /// Simulates the module warm-up from a cold start (Fig. 2's heat
     /// test): lumped chip-field and bath nodes against the chilled-water
     /// boundary. Records an `immersion.warmup.calls` counter plus the
@@ -1071,24 +1026,6 @@ mod tests {
         );
         // and it takes minutes, not seconds (the oil mass is big)
         assert!(trace.settling_time(0.5).seconds() > 120.0);
-    }
-
-    #[test]
-    fn chip_profile_rises_along_the_flow() {
-        let model = ImmersionModel::skat();
-        let profile = model.chip_profile().unwrap();
-        assert_eq!(profile.len(), 8);
-        for w in profile.windows(2) {
-            assert!(w[1].1 > w[0].1, "streamwise heating must be monotone");
-        }
-        // the hottest chip stays within the paper's envelope and near the
-        // lumped solve's junction figure
-        let steady = model.solve().unwrap();
-        let hottest = profile.last().unwrap().1;
-        assert!(hottest.degrees() <= 55.0, "hottest chip {hottest}");
-        assert!((hottest.degrees() - steady.junction.degrees()).abs() < 3.0);
-        // and the first chip is visibly cooler
-        assert!((hottest - profile[0].1).kelvins() > 0.3);
     }
 
     /// Every field bit for bit: `{:?}` prints each float's shortest

@@ -34,12 +34,6 @@ pub struct SteadyReport {
 }
 
 impl SteadyReport {
-    /// Overheat of the hottest junction above the cold coolant.
-    #[must_use]
-    pub fn junction_overheat(&self) -> rcs_units::TempDelta {
-        self.junction - self.coolant_cold
-    }
-
     /// Cooling overhead: auxiliary power (circulation + chiller share)
     /// per watt of IT heat — the energy-efficiency metric behind the
     /// paper's title claim.
@@ -111,7 +105,6 @@ mod tests {
     #[test]
     fn derived_metrics() {
         let r = sample();
-        assert!((r.junction_overheat().kelvins() - 27.0).abs() < 1e-12);
         assert!((r.cooling_overhead() - 2350.0 / 9300.0).abs() < 1e-12);
         assert!(r.field_mtbf_hours(96) > 0.0);
     }

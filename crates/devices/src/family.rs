@@ -32,32 +32,6 @@ impl FpgaFamily {
             Self::UltraScale2,
         ]
     }
-
-    /// Process node in nanometers.
-    #[must_use]
-    pub fn process_nm(self) -> f64 {
-        match self {
-            Self::Virtex6 => 40.0,
-            Self::Virtex7 => 28.0,
-            Self::UltraScale => 20.0,
-            Self::UltraScalePlus => 16.0,
-            Self::UltraScale2 => 10.0,
-        }
-    }
-
-    /// The junction temperature the paper considers compatible with "high
-    /// reliability of the equipment during a long operation period"
-    /// (65…70 °C): we use the midpoint as the design ceiling.
-    #[must_use]
-    pub fn reliable_junction_limit_c(self) -> f64 {
-        67.5
-    }
-
-    /// Absolute commercial-grade junction limit.
-    #[must_use]
-    pub fn absolute_junction_limit_c(self) -> f64 {
-        85.0
-    }
 }
 
 impl core::fmt::Display for FpgaFamily {
@@ -81,15 +55,7 @@ mod tests {
         let all = FpgaFamily::all();
         for w in all.windows(2) {
             assert!(w[0] < w[1]);
-            assert!(w[0].process_nm() > w[1].process_nm());
         }
-    }
-
-    #[test]
-    fn reliability_window_is_the_papers() {
-        let limit = FpgaFamily::UltraScale.reliable_junction_limit_c();
-        assert!((65.0..=70.0).contains(&limit));
-        assert!(FpgaFamily::UltraScale.absolute_junction_limit_c() > limit);
     }
 
     #[test]

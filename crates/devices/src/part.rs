@@ -26,8 +26,6 @@ pub struct FpgaPart {
     name: String,
     family: FpgaFamily,
     logic_cells: u64,
-    dsp_slices: u32,
-    bram_megabits: f64,
     design_clock: Frequency,
     package_side: Length,
     r_junction_case: ThermalResistance,
@@ -45,8 +43,6 @@ impl FpgaPart {
         name: impl Into<String>,
         family: FpgaFamily,
         logic_cells: u64,
-        dsp_slices: u32,
-        bram_megabits: f64,
         design_clock: Frequency,
         package_side: Length,
         r_junction_case: ThermalResistance,
@@ -57,8 +53,6 @@ impl FpgaPart {
             name: name.into(),
             family,
             logic_cells,
-            dsp_slices,
-            bram_megabits,
             design_clock,
             package_side,
             r_junction_case,
@@ -74,8 +68,6 @@ impl FpgaPart {
             "XC6VLX240T",
             FpgaFamily::Virtex6,
             241_152,
-            768,
-            14.9,
             Frequency::megahertz(300.0),
             Length::millimeters(42.5),
             ThermalResistance::from_kelvin_per_watt(0.12),
@@ -91,8 +83,6 @@ impl FpgaPart {
             "XC7VX485T",
             FpgaFamily::Virtex7,
             485_760,
-            2800,
-            37.1,
             Frequency::megahertz(350.0),
             Length::millimeters(45.0),
             ThermalResistance::from_kelvin_per_watt(0.11),
@@ -109,8 +99,6 @@ impl FpgaPart {
             "XCKU095",
             FpgaFamily::UltraScale,
             1_176_000,
-            768,
-            60.8,
             Frequency::megahertz(420.0),
             Length::millimeters(42.5),
             ThermalResistance::from_kelvin_per_watt(0.10),
@@ -127,8 +115,6 @@ impl FpgaPart {
             "XCVU9P-class",
             FpgaFamily::UltraScalePlus,
             2_586_000,
-            6840,
-            270.0,
             Frequency::megahertz(575.0),
             Length::millimeters(45.0),
             ThermalResistance::from_kelvin_per_watt(0.09),
@@ -145,8 +131,6 @@ impl FpgaPart {
             "UltraScale-2 (projected)",
             FpgaFamily::UltraScale2,
             5_500_000,
-            14_000,
-            560.0,
             Frequency::megahertz(700.0),
             Length::millimeters(45.0),
             ThermalResistance::from_kelvin_per_watt(0.08),
@@ -183,18 +167,6 @@ impl FpgaPart {
     #[must_use]
     pub fn logic_cells(&self) -> u64 {
         self.logic_cells
-    }
-
-    /// DSP slices.
-    #[must_use]
-    pub fn dsp_slices(&self) -> u32 {
-        self.dsp_slices
-    }
-
-    /// Block RAM capacity in megabits.
-    #[must_use]
-    pub fn bram_megabits(&self) -> f64 {
-        self.bram_megabits
     }
 
     /// Design (achievable pipeline) clock for RCS task structures.

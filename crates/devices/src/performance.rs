@@ -8,8 +8,6 @@
 //! claim holds: not less than 12 new-generation modules in a 47U rack
 //! exceed 1 PFlops (§5).
 
-use rcs_units::Fraction;
-
 use crate::part::FpgaPart;
 
 /// A computation rate in (32-bit-equivalent) operations per second.
@@ -96,16 +94,6 @@ pub fn peak_ops(part: &FpgaPart) -> ComputeRate {
     )
 }
 
-/// Sustained rate at a given resource utilization and clock fraction.
-#[must_use]
-pub fn sustained_ops(
-    part: &FpgaPart,
-    utilization: Fraction,
-    clock_fraction: Fraction,
-) -> ComputeRate {
-    peak_ops(part) * utilization.clamp(0.0, 1.0) * clock_fraction.clamp(0.0, 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,14 +128,6 @@ mod tests {
         // performance above 1 PFlops, in a single 47U computer rack".
         let rack = peak_ops(&FpgaPart::vu9p_class()).ops_per_second() * 96.0 * 12.0;
         assert!(rack / 1e15 > 1.0, "rack = {} PFlops", rack / 1e15);
-    }
-
-    #[test]
-    fn sustained_scales_linearly() {
-        let part = FpgaPart::xcku095();
-        let half = sustained_ops(&part, 0.5, 1.0);
-        let full = sustained_ops(&part, 1.0, 1.0);
-        assert!((full.ops_per_second() / half.ops_per_second() - 2.0).abs() < 1e-12);
     }
 
     #[test]

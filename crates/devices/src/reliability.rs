@@ -9,8 +9,6 @@
 
 use rcs_units::Celsius;
 
-use crate::family::FpgaFamily;
-
 /// Activation energy of the dominant wear-out mechanism, eV.
 pub const ACTIVATION_ENERGY_EV: f64 = 0.7;
 
@@ -68,13 +66,6 @@ pub fn field_mtbf_hours(junction: Celsius, devices: usize) -> f64 {
     mtbf_hours(junction) / devices.max(1) as f64
 }
 
-/// Whether a junction temperature satisfies the paper's long-service
-/// reliability rule for the family.
-#[must_use]
-pub fn within_reliable_range(family: FpgaFamily, junction: Celsius) -> bool {
-    junction.degrees() <= family.reliable_junction_limit_c()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,14 +97,6 @@ mod tests {
         // buys a ~3.5x wear-out margin.
         let gain = failure_rate_fit(Celsius::new(72.9)) / failure_rate_fit(Celsius::new(55.0));
         assert!(gain > 3.0, "gain = {gain}");
-        assert!(within_reliable_range(
-            FpgaFamily::UltraScale,
-            Celsius::new(55.0)
-        ));
-        assert!(!within_reliable_range(
-            FpgaFamily::Virtex7,
-            Celsius::new(72.9)
-        ));
     }
 
     #[test]

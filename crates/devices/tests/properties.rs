@@ -1,6 +1,6 @@
 //! Property-based tests for the device models.
 
-use rcs_devices::{performance, reliability, FpgaPart, OperatingPoint, PowerModel};
+use rcs_devices::{reliability, FpgaPart, OperatingPoint, PowerModel};
 use rcs_testkit::check;
 use rcs_units::Celsius;
 
@@ -76,21 +76,6 @@ fn acceleration_is_positive_and_finite() {
         let t = g.draw(-20.0..150.0f64);
         let af = reliability::acceleration_factor(Celsius::new(t));
         assert!(af.is_finite() && af > 0.0);
-    });
-}
-
-/// Sustained performance never exceeds peak and scales linearly.
-#[test]
-fn sustained_below_peak() {
-    check("sustained_below_peak", |g| {
-        let idx = g.draw(0usize..5);
-        let u = g.draw(0.0..1.0f64);
-        let c = g.draw(0.0..1.0f64);
-        let part = &parts()[idx];
-        let peak = performance::peak_ops(part).ops_per_second();
-        let sustained = performance::sustained_ops(part, u, c).ops_per_second();
-        assert!(sustained <= peak + 1e-6);
-        assert!((sustained - peak * u * c).abs() <= 1e-6 * peak);
     });
 }
 

@@ -4,63 +4,21 @@ use crate::state::FluidState;
 use crate::table::{PropertyRow, PropertyTable};
 use rcs_units::Celsius;
 
-/// Which physical fluid a [`Coolant`] models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
-pub enum CoolantKind {
-    /// Dry air at atmospheric pressure.
-    Air,
-    /// Distilled/deionized water.
-    Water,
-    /// 30 % propylene-glycol/water mixture (closed-loop antifreeze).
-    Glycol30,
-    /// MD-4.5 white mineral oil — the secondary heat-transfer agent
-    /// circulating inside the paper's computational modules (§4).
-    MineralOilMd45,
-    /// The dielectric coolant designed by SRC SC&NC for the SKAT immersion
-    /// bath (§3): oil-class fluid tuned for higher heat capacity and lower
-    /// viscosity than commodity white oil.
-    SrcDielectric,
-    /// A user-supplied fluid.
-    Custom,
-}
-
-impl core::fmt::Display for CoolantKind {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        let name = match self {
-            Self::Air => "air",
-            Self::Water => "water",
-            Self::Glycol30 => "30% propylene glycol",
-            Self::MineralOilMd45 => "mineral oil MD-4.5",
-            Self::SrcDielectric => "SRC dielectric coolant",
-            Self::Custom => "custom fluid",
-        };
-        f.write_str(name)
-    }
-}
-
-/// Electrical, fire and handling characteristics of a coolant.
+/// Electrical and handling characteristics of a coolant.
 ///
 /// These are the §2 "strict requirements" on the chemical composition of an
-/// immersion heat-transfer agent; they feed the
-/// [`selection`](crate::selection) scorer.
+/// immersion heat-transfer agent.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SafetyTraits {
     /// Dielectric breakdown strength in kV/mm. Water is effectively zero
     /// for immersion purposes (it conducts once contaminated).
     pub dielectric_strength_kv_per_mm: f64,
-    /// Flash point, if the fluid is combustible.
-    pub flash_point: Option<Celsius>,
     /// `true` if a leak onto live electronics is destructive
     /// (electrically conductive coolant).
     pub conductive_leak_hazard: bool,
-    /// Relative toxicity on a 0 (benign) to 1 (hazardous) scale.
-    pub toxicity: f64,
     /// Long-term parameter stability on a 0 (degrades fast) to 1 (stable)
     /// scale.
     pub stability: f64,
-    /// Relative cost per liter, water = 1.
-    pub relative_cost: f64,
 }
 
 /// A named heat-transfer agent: property table plus safety traits.
@@ -78,24 +36,12 @@ pub struct SafetyTraits {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Coolant {
-    kind: CoolantKind,
     name: String,
     table: PropertyTable,
     safety: SafetyTraits,
 }
 
 impl Coolant {
-    /// Creates a custom coolant from a property table and safety traits.
-    #[must_use]
-    pub fn custom(name: impl Into<String>, table: PropertyTable, safety: SafetyTraits) -> Self {
-        Self {
-            kind: CoolantKind::Custom,
-            name: name.into(),
-            table,
-            safety,
-        }
-    }
-
     /// Dry air at 1 atm, tabulated 0–100 °C.
     #[must_use]
     pub fn air() -> Self {
@@ -108,16 +54,12 @@ impl Coolant {
         ])
         .expect("static air table is valid");
         Self {
-            kind: CoolantKind::Air,
             name: "air".to_owned(),
             table,
             safety: SafetyTraits {
                 dielectric_strength_kv_per_mm: 3.0,
-                flash_point: None,
                 conductive_leak_hazard: false,
-                toxicity: 0.0,
                 stability: 1.0,
-                relative_cost: 0.0,
             },
         }
     }
@@ -134,16 +76,12 @@ impl Coolant {
         ])
         .expect("static water table is valid");
         Self {
-            kind: CoolantKind::Water,
             name: "water".to_owned(),
             table,
             safety: SafetyTraits {
                 dielectric_strength_kv_per_mm: 0.0,
-                flash_point: None,
                 conductive_leak_hazard: true,
-                toxicity: 0.0,
                 stability: 0.9,
-                relative_cost: 1.0,
             },
         }
     }
@@ -159,16 +97,12 @@ impl Coolant {
         ])
         .expect("static glycol table is valid");
         Self {
-            kind: CoolantKind::Glycol30,
             name: "30% propylene glycol".to_owned(),
             table,
             safety: SafetyTraits {
                 dielectric_strength_kv_per_mm: 0.0,
-                flash_point: None,
                 conductive_leak_hazard: true,
-                toxicity: 0.1,
                 stability: 0.85,
-                relative_cost: 3.0,
             },
         }
     }
@@ -186,16 +120,12 @@ impl Coolant {
         ])
         .expect("static oil table is valid");
         Self {
-            kind: CoolantKind::MineralOilMd45,
             name: "mineral oil MD-4.5".to_owned(),
             table,
             safety: SafetyTraits {
                 dielectric_strength_kv_per_mm: 14.0,
-                flash_point: Some(Celsius::new(180.0)),
                 conductive_leak_hazard: false,
-                toxicity: 0.05,
                 stability: 0.8,
-                relative_cost: 8.0,
             },
         }
     }
@@ -218,24 +148,14 @@ impl Coolant {
         ])
         .expect("static dielectric table is valid");
         Self {
-            kind: CoolantKind::SrcDielectric,
             name: "SRC dielectric coolant".to_owned(),
             table,
             safety: SafetyTraits {
                 dielectric_strength_kv_per_mm: 18.0,
-                flash_point: Some(Celsius::new(200.0)),
                 conductive_leak_hazard: false,
-                toxicity: 0.02,
                 stability: 0.95,
-                relative_cost: 12.0,
             },
         }
-    }
-
-    /// Which fluid family this coolant belongs to.
-    #[must_use]
-    pub fn kind(&self) -> CoolantKind {
-        self.kind
     }
 
     /// Human-readable coolant name.
@@ -308,7 +228,6 @@ impl Coolant {
             })
             .collect();
         Self {
-            kind: self.kind,
             name: format!("{} ({service_years:.1} y service)", self.name),
             table: PropertyTable::new(rows).expect("aged table stays valid"),
             safety: self.safety,
@@ -395,10 +314,6 @@ mod tests {
     #[test]
     fn display_names() {
         assert_eq!(Coolant::water().to_string(), "water");
-        assert_eq!(
-            CoolantKind::MineralOilMd45.to_string(),
-            "mineral oil MD-4.5"
-        );
     }
 
     #[test]

@@ -2,16 +2,15 @@
 //!
 //! These are the standard correlations a thermal engineer sizes a cooling
 //! system with: internal duct flow (laminar constant-Nu, Dittus-Boelter,
-//! Gnielinski), external flat plates, Zukauskas staggered pin/tube banks
-//! (the paper's "solder pin" turbulator heat sink), and Churchill-Chu
-//! natural convection. All functions are pure and deterministic.
+//! Gnielinski), external flat plates and Zukauskas staggered pin/tube
+//! banks (the paper's "solder pin" turbulator heat sink). All functions
+//! are pure and deterministic.
 //!
 //! Correlations are stated in terms of dimensionless groups and converted to
 //! typed [`HeatTransferCoeff`] values by the `htc_*` helpers.
 
-use rcs_units::{Celsius, HeatTransferCoeff, Length, Velocity};
+use rcs_units::{HeatTransferCoeff, Length, Velocity};
 
-use crate::coolant::Coolant;
 use crate::dimensionless::{Nusselt, Prandtl, Reynolds};
 use crate::state::FluidState;
 
@@ -212,55 +211,6 @@ pub fn pin_bank_row_correction(rows: usize) -> f64 {
     }
 }
 
-/// Churchill-Chu correlation for natural convection from a vertical plate,
-/// valid over the full Rayleigh range:
-/// `Nu = (0.825 + 0.387 Ra^{1/6} / [1 + (0.492/Pr)^{9/16}]^{8/27})²`.
-#[must_use]
-pub fn nu_natural_vertical_plate(rayleigh: f64, pr: Prandtl) -> Nusselt {
-    let ra = rayleigh.max(0.0);
-    let denom = (1.0 + (0.492 / pr.value()).powf(9.0 / 16.0)).powf(8.0 / 27.0);
-    let nu = (0.825 + 0.387 * ra.powf(1.0 / 6.0) / denom).powi(2);
-    Nusselt::new(nu)
-}
-
-/// Volumetric thermal-expansion coefficient `beta = −(1/rho) · d rho/dT` in
-/// 1/K, estimated by central finite difference on the coolant's property
-/// table.
-///
-/// # Examples
-///
-/// ```
-/// use rcs_fluids::{correlations, Coolant};
-/// use rcs_units::Celsius;
-/// let beta = correlations::thermal_expansion(&Coolant::water(), Celsius::new(50.0));
-/// assert!(beta > 1e-4 && beta < 1e-3); // water: ~4.5e-4 1/K at 50 °C
-/// ```
-#[must_use]
-pub fn thermal_expansion(coolant: &Coolant, t: Celsius) -> f64 {
-    let dt = 5.0;
-    let lo = coolant.state(Celsius::new(t.degrees() - dt));
-    let hi = coolant.state(Celsius::new(t.degrees() + dt));
-    let rho = coolant.state(t).density.kg_per_cubic_meter();
-    let span = hi.temperature.degrees() - lo.temperature.degrees();
-    if span <= 0.0 {
-        return 0.0;
-    }
-    -((hi.density.kg_per_cubic_meter() - lo.density.kg_per_cubic_meter()) / span) / rho
-}
-
-/// Rayleigh number for natural convection over a surface of characteristic
-/// length `length`, with surface and bulk temperatures `t_surface`/`t_bulk`.
-#[must_use]
-pub fn rayleigh(coolant: &Coolant, t_surface: Celsius, t_bulk: Celsius, length: Length) -> f64 {
-    let film = Celsius::new(0.5 * (t_surface.degrees() + t_bulk.degrees()));
-    let s = coolant.state(film);
-    let beta = thermal_expansion(coolant, film);
-    let nu = s.kinematic_viscosity().square_meters_per_second();
-    let alpha = s.thermal_diffusivity();
-    let dt = (t_surface.degrees() - t_bulk.degrees()).abs();
-    9.80665 * beta * dt * length.meters().powi(3) / (nu * alpha)
-}
-
 /// Heat-transfer coefficient for flow in a duct of hydraulic diameter `d_h`.
 #[must_use]
 pub fn htc_duct(
@@ -298,6 +248,8 @@ pub fn htc_flat_plate(state: &FluidState, velocity: Velocity, length: Length) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Coolant;
+    use rcs_units::Celsius;
 
     #[test]
     fn friction_factor_regimes() {
@@ -358,20 +310,6 @@ mod tests {
             last = c;
         }
         assert_eq!(pin_bank_row_correction(25), 1.0);
-    }
-
-    #[test]
-    fn natural_convection_grows_with_rayleigh() {
-        let pr = Prandtl::new(6.0);
-        let a = nu_natural_vertical_plate(1e4, pr).value();
-        let b = nu_natural_vertical_plate(1e8, pr).value();
-        assert!(b > 5.0 * a);
-    }
-
-    #[test]
-    fn water_expansion_coefficient_plausible() {
-        let beta = thermal_expansion(&Coolant::water(), Celsius::new(50.0));
-        assert!(beta > 2e-4 && beta < 8e-4, "beta = {beta}");
     }
 
     #[test]

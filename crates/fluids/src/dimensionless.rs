@@ -72,18 +72,6 @@ impl Reynolds {
                 / state.viscosity.pascal_seconds(),
         )
     }
-
-    /// Returns `true` for fully turbulent internal flow (`Re > 4000`).
-    #[must_use]
-    pub fn is_turbulent_duct(self) -> bool {
-        self.0 > 4000.0
-    }
-
-    /// Returns `true` for laminar internal flow (`Re < 2300`).
-    #[must_use]
-    pub fn is_laminar_duct(self) -> bool {
-        self.0 < 2300.0
-    }
 }
 
 dimensionless!(
@@ -151,8 +139,6 @@ mod tests {
             Length::from_meters(0.01),
         );
         assert!((re.value() - 10_000.0).abs() < 1e-9);
-        assert!(re.is_turbulent_duct());
-        assert!(!re.is_laminar_duct());
     }
 
     #[test]
@@ -164,17 +150,6 @@ mod tests {
             Length::from_meters(0.01),
         );
         assert!(re.value() > 0.0);
-    }
-
-    #[test]
-    fn laminar_classification() {
-        let s = state(1000.0, 1e-2);
-        let re = Reynolds::from_flow(
-            &s,
-            Velocity::from_meters_per_second(0.01),
-            Length::from_meters(0.01),
-        );
-        assert!(re.is_laminar_duct());
     }
 
     #[test]

@@ -1,19 +1,8 @@
 //! Error type for fluid property evaluation.
 
-use rcs_units::Celsius;
-
 /// Error returned by fallible fluid-property operations.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FluidError {
-    /// The requested temperature lies outside the tabulated validity range.
-    TemperatureOutOfRange {
-        /// Temperature that was requested.
-        requested: Celsius,
-        /// Lowest tabulated temperature.
-        min: Celsius,
-        /// Highest tabulated temperature.
-        max: Celsius,
-    },
     /// A property table was constructed with fewer than two rows.
     TableTooShort {
         /// Number of rows supplied.
@@ -37,14 +26,6 @@ pub enum FluidError {
 impl core::fmt::Display for FluidError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            Self::TemperatureOutOfRange {
-                requested,
-                min,
-                max,
-            } => write!(
-                f,
-                "temperature {requested:.1} outside tabulated range [{min:.1}, {max:.1}]"
-            ),
             Self::TableTooShort { rows } => {
                 write!(f, "property table needs at least 2 rows, got {rows}")
             }

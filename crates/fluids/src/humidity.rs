@@ -8,24 +8,6 @@
 
 use rcs_units::Celsius;
 
-/// Saturation water-vapor pressure over liquid water, in pascals, by the
-/// Magnus-Tetens approximation (accurate to ~0.1 % between 0 and 60 °C).
-///
-/// # Examples
-///
-/// ```
-/// use rcs_fluids::humidity;
-/// use rcs_units::Celsius;
-/// // ~3.17 kPa at 25 °C (standard tables)
-/// let p = humidity::saturation_vapor_pressure(Celsius::new(25.0));
-/// assert!((p - 3170.0).abs() < 50.0);
-/// ```
-#[must_use]
-pub fn saturation_vapor_pressure(t: Celsius) -> f64 {
-    let t_c = t.degrees();
-    610.94 * (17.625 * t_c / (t_c + 243.04)).exp()
-}
-
 /// Dew-point temperature of air at dry-bulb temperature `t` and relative
 /// humidity `rh` in `(0, 1]` (inverse Magnus formula).
 ///
@@ -102,14 +84,6 @@ impl Default for RoomAir {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn saturation_pressure_textbook_points() {
-        // 0 °C: 611 Pa; 20 °C: 2339 Pa; 40 °C: 7384 Pa
-        assert!((saturation_vapor_pressure(Celsius::new(0.0)) - 611.0).abs() < 10.0);
-        assert!((saturation_vapor_pressure(Celsius::new(20.0)) - 2339.0).abs() < 30.0);
-        assert!((saturation_vapor_pressure(Celsius::new(40.0)) - 7384.0).abs() < 100.0);
-    }
 
     #[test]
     fn dew_point_round_trip() {

@@ -12,17 +12,12 @@
 //! - [`Coolant`] — a named fluid with temperature-dependent properties
 //!   (density, specific heat, thermal conductivity, dynamic viscosity)
 //!   obtained by interpolating tabulated state points, plus the
-//!   electrical/safety traits that drive coolant selection (§2 of the
-//!   paper).
+//!   electrical/safety traits behind the §2 coolant requirements.
 //! - [`FluidState`] — all properties evaluated at one temperature, with
-//!   derived quantities (Prandtl number, kinematic viscosity, volumetric
-//!   heat capacity, thermal diffusivity).
-//! - [`correlations`] — Nusselt-number correlations for forced and natural
+//!   derived quantities (Prandtl number, volumetric heat capacity).
+//! - [`correlations`] — Nusselt-number correlations for forced
 //!   convection (Dittus-Boelter, Gnielinski, Zukauskas pin banks, flat
-//!   plates, Churchill-Chu) returning typed heat-transfer coefficients.
-//! - [`selection`] — the paper's coolant-requirement scoring: dielectric
-//!   strength, heat capacity, viscosity, flammability, toxicity, stability
-//!   and cost.
+//!   plates) returning typed heat-transfer coefficients.
 //!
 //! # Examples
 //!
@@ -46,11 +41,10 @@ pub mod correlations;
 mod dimensionless;
 mod error;
 pub mod humidity;
-pub mod selection;
 mod state;
 mod table;
 
-pub use coolant::{Coolant, CoolantKind, SafetyTraits};
+pub use coolant::{Coolant, SafetyTraits};
 pub use dimensionless::{Nusselt, Prandtl, Reynolds};
 pub use error::FluidError;
 pub use state::FluidState;

@@ -1,8 +1,7 @@
 //! A fluid's full property set at one temperature.
 
 use rcs_units::{
-    Celsius, Density, DynamicViscosity, KinematicViscosity, SpecificHeat, ThermalConductivity,
-    VolumetricHeatCapacity,
+    Celsius, Density, DynamicViscosity, SpecificHeat, ThermalConductivity, VolumetricHeatCapacity,
 };
 
 use crate::dimensionless::Prandtl;
@@ -37,12 +36,6 @@ pub struct FluidState {
 }
 
 impl FluidState {
-    /// Kinematic viscosity `nu = mu / rho`.
-    #[must_use]
-    pub fn kinematic_viscosity(&self) -> KinematicViscosity {
-        self.viscosity / self.density
-    }
-
     /// Volumetric heat capacity `rho * c_p`.
     ///
     /// The §2 comparison metric: how much heat a unit volume of coolant
@@ -59,15 +52,6 @@ impl FluidState {
             self.viscosity.pascal_seconds() * self.specific_heat.joules_per_kg_kelvin()
                 / self.conductivity.watts_per_meter_kelvin(),
         )
-    }
-
-    /// Thermal diffusivity `alpha = k / (rho * c_p)` in m²/s.
-    #[must_use]
-    pub fn thermal_diffusivity(&self) -> f64 {
-        self.conductivity.watts_per_meter_kelvin()
-            / self
-                .volumetric_heat_capacity()
-                .joules_per_cubic_meter_kelvin()
     }
 }
 
@@ -90,18 +74,5 @@ mod tests {
         // Incropera: Pr of water at 300 K is about 6.1.
         let pr = water25().prandtl().value();
         assert!((pr - 6.13).abs() < 0.2, "Pr = {pr}");
-    }
-
-    #[test]
-    fn water_kinematic_viscosity() {
-        let nu = water25().kinematic_viscosity().square_meters_per_second();
-        assert!((nu - 8.93e-7).abs() < 2e-8);
-    }
-
-    #[test]
-    fn water_thermal_diffusivity() {
-        // about 1.46e-7 m²/s at room temperature
-        let a = water25().thermal_diffusivity();
-        assert!((a - 1.46e-7).abs() < 5e-9);
     }
 }

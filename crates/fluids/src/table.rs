@@ -48,8 +48,7 @@ impl PropertyRow {
 /// A temperature-indexed table of fluid properties.
 ///
 /// Construction validates monotonicity and positivity; evaluation clamps to
-/// the tabulated range (the checked alternative [`PropertyTable::try_state`]
-/// reports out-of-range requests instead).
+/// the tabulated range.
 ///
 /// # Examples
 ///
@@ -136,23 +135,6 @@ impl PropertyTable {
             self.max_temperature().degrees(),
         ));
         self.interpolate(t_clamped)
-    }
-
-    /// Evaluates the table at `t`, failing if `t` is outside the range.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FluidError::TemperatureOutOfRange`] when `t` is outside the
-    /// tabulated interval.
-    pub fn try_state(&self, t: Celsius) -> Result<FluidState, FluidError> {
-        if t < self.min_temperature() || t > self.max_temperature() {
-            return Err(FluidError::TemperatureOutOfRange {
-                requested: t,
-                min: self.min_temperature(),
-                max: self.max_temperature(),
-            });
-        }
-        Ok(self.interpolate(t))
     }
 
     fn interpolate(&self, t: Celsius) -> FluidState {
@@ -258,16 +240,6 @@ mod tests {
         let high = t.state(Celsius::new(140.0));
         assert!((low.density.kg_per_cubic_meter() - 1000.0).abs() < 1e-9);
         assert!((high.density.kg_per_cubic_meter() - 900.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn try_state_reports_out_of_range() {
-        let t = two_row();
-        assert!(matches!(
-            t.try_state(Celsius::new(-1.0)),
-            Err(FluidError::TemperatureOutOfRange { .. })
-        ));
-        assert!(t.try_state(Celsius::new(100.0)).is_ok());
     }
 
     #[test]

@@ -131,19 +131,6 @@ impl ManifoldPlan {
         self.network.set_branch_open(id, false)
     }
 
-    /// Reopens the circulation loop of module `index`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HydraulicError::UnknownBranch`] for an out-of-range index.
-    pub fn restore_loop(&mut self, index: usize) -> Result<(), HydraulicError> {
-        let id = *self
-            .loop_branches
-            .get(index)
-            .ok_or(HydraulicError::UnknownBranch { index })?;
-        self.network.set_branch_open(id, true)
-    }
-
     /// Number of module loops.
     #[must_use]
     pub fn loop_count(&self) -> usize {
@@ -357,18 +344,6 @@ mod tests {
             } else {
                 assert!(*q > before_flows[i]);
             }
-        }
-    }
-
-    #[test]
-    fn restore_loop_recovers_original_distribution() {
-        let mut plan = rack_manifold(4, ReturnStyle::Reverse);
-        let before = plan.loop_flows(&plan.network.solve(&water()).unwrap());
-        plan.fail_loop(1).unwrap();
-        plan.restore_loop(1).unwrap();
-        let after = plan.loop_flows(&plan.network.solve(&water()).unwrap());
-        for (b, a) in before.iter().zip(&after) {
-            assert!((b.cubic_meters_per_second() - a.cubic_meters_per_second()).abs() < 1e-9);
         }
     }
 

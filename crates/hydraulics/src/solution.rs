@@ -1,6 +1,5 @@
 //! Solved flow distribution of a hydraulic network.
 
-use rcs_fluids::FluidState;
 use rcs_units::{Power, Pressure, VolumeFlow};
 
 use crate::elements::Element;
@@ -11,7 +10,6 @@ use crate::network::{BranchId, HydraulicNetwork, JunctionId};
 #[derive(Debug, Clone)]
 pub struct HydraulicSolution {
     network: HydraulicNetwork,
-    fluid: FluidState,
     pressures: Vec<f64>,
     flows: Vec<f64>,
     iterations: usize,
@@ -21,7 +19,6 @@ pub struct HydraulicSolution {
 impl HydraulicSolution {
     pub(crate) fn new(
         network: HydraulicNetwork,
-        fluid: FluidState,
         pressures: Vec<f64>,
         flows: Vec<f64>,
         iterations: usize,
@@ -29,7 +26,6 @@ impl HydraulicSolution {
     ) -> Self {
         Self {
             network,
-            fluid,
             pressures,
             flows,
             iterations,
@@ -113,12 +109,6 @@ impl HydraulicSolution {
             }
         }
         total
-    }
-
-    /// The fluid state this solution was computed for.
-    #[must_use]
-    pub fn fluid(&self) -> &FluidState {
-        &self.fluid
     }
 
     /// The solved network (including open/closed branch states).

@@ -680,7 +680,6 @@ impl HydraulicNetwork {
                 return Ok(SolveOutcome {
                     solution: HydraulicSolution::new(
                         self.clone(),
-                        *fluid,
                         pressures,
                         flows,
                         iter + 1,

@@ -8,7 +8,7 @@
 //!
 //! * [`TimeGrid::Uniform`] — the RK4 transient grid: `dt` fixed,
 //!   current time *accumulated* (`t += dt`), matching
-//!   `rcs_numeric::ode::rk4`.
+//!   `TransientSession`'s accumulation.
 //! * [`TimeGrid::FixedClamped`] — the fault-drill scan grid: time
 //!   *multiplied* (`t = i * dt`), final step clamped to the horizon,
 //!   matching `FaultDrill::simulate`.
@@ -27,7 +27,7 @@ use crate::snap::{SnapReader, SnapWriter, SnapshotError};
 #[derive(Debug, Clone, PartialEq)]
 pub enum TimeGrid {
     /// `steps` equal steps of width `dt` starting at `t0`; time is
-    /// accumulated (`t += dt`) so rounding matches the RK4 driver.
+    /// accumulated (`t += dt`) so rounding matches `TransientSession`.
     Uniform {
         /// Start time.
         t0: f64,
@@ -137,13 +137,6 @@ impl Clock {
         &self.grid
     }
 
-    /// Index of the next tick to be produced (equals the number of
-    /// ticks already taken).
-    #[must_use]
-    pub fn next_index(&self) -> u64 {
-        self.next_index
-    }
-
     /// `true` once every tick has been produced.
     #[must_use]
     pub fn is_finished(&self) -> bool {
@@ -167,7 +160,7 @@ impl Clock {
 
     /// Accumulated time after the last tick taken — on
     /// [`TimeGrid::Uniform`] this is the `t += dt` running sum the RK4
-    /// driver observes at, preserved bitwise across checkpoints.
+    /// transient observes at, preserved bitwise across checkpoints.
     #[must_use]
     pub fn now(&self) -> f64 {
         self.t
@@ -309,8 +302,8 @@ mod tests {
     }
 
     #[test]
-    fn uniform_accumulates_time_exactly_like_the_rk4_driver() {
-        // Mirror rcs_numeric::ode::rk4's `t += dt` recurrence.
+    fn uniform_accumulates_time_exactly_like_the_rk4_transient() {
+        // Mirror TransientSession's `t += dt` recurrence.
         let span = 1.0f64;
         let steps = 7u64;
         #[allow(clippy::cast_precision_loss)]

@@ -116,14 +116,6 @@ impl Fnv1a {
     }
 }
 
-/// One-shot FNV-1a (finalized) over a byte slice.
-#[must_use]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write(bytes);
-    h.finish()
-}
-
 /// Canonical IEEE-754 bits of a float: `-0.0` folds onto `0.0` and
 /// every NaN payload onto the one quiet NaN `f64::NAN` produces, so
 /// semantically equal query fields share one encoding. Infinities keep
@@ -197,12 +189,5 @@ mod tests {
             canonical_f64_bits(f64::NEG_INFINITY)
         );
         assert_eq!(canonical_f64_bits(1.5), 1.5f64.to_bits());
-    }
-
-    #[test]
-    fn one_shot_matches_incremental() {
-        let mut h = Fnv1a::new();
-        h.write(b"content-addressed");
-        assert_eq!(h.finish(), fnv1a(b"content-addressed"));
     }
 }

@@ -4,7 +4,7 @@
 //! dependencies: a dense row-major matrix with LU-style Gaussian
 //! elimination ([`Matrix::solve`]), a sparse graph-elimination kernel
 //! with reusable symbolic analysis ([`SparseSymbolic`]), a fixed-step
-//! fourth-order Runge-Kutta integrator ([`ode::rk4`]), a deterministic
+//! fourth-order Runge-Kutta step ([`ode::rk4_step`]), a deterministic
 //! xoshiro256++ generator with the exponential/Poisson draws and the
 //! stream-splitting jumps the Monte-Carlo studies need ([`rng`]), and
 //! the shared order statistics they report ([`stats`]).

@@ -81,12 +81,6 @@ impl Matrix {
         self.rows
     }
 
-    /// Number of columns.
-    #[must_use]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// Matrix-vector product `A x`.
     ///
     /// # Errors

@@ -27,10 +27,29 @@ impl Rk4Scratch {
 }
 
 /// One classic fourth-order Runge-Kutta step of `dy/dt = f(t, y)` from
-/// `t` to `t + dt`, mutating `y` in place. This is the single-step core
-/// [`rk4`] loops over; the stepping kernel (`rcs-kernel` sessions)
-/// drives it directly so a resumed transient performs the exact same
-/// arithmetic, in the exact same order, as an uninterrupted one.
+/// `t` to `t + dt`, mutating `y` in place. The stepping kernel
+/// (`rcs-kernel` sessions) drives it one tick at a time, so a resumed
+/// transient performs the exact same arithmetic, in the exact same
+/// order, as an uninterrupted one.
+///
+/// # Examples
+///
+/// Exponential decay keeps its analytic solution:
+///
+/// ```
+/// use rcs_numeric::ode::{rk4_step, Rk4Scratch};
+///
+/// let mut y = vec![1.0];
+/// let mut scratch = Rk4Scratch::new(1);
+/// let dt = 1e-3;
+/// let mut f = |_t: f64, y: &[f64], dy: &mut [f64]| dy[0] = -y[0];
+/// let mut t = 0.0;
+/// for _ in 0..1000 {
+///     rk4_step(&mut y, t, dt, &mut f, &mut scratch);
+///     t += dt;
+/// }
+/// assert!((y[0] - (-1.0f64).exp()).abs() < 1e-9);
+/// ```
 pub fn rk4_step<F>(y: &mut [f64], t: f64, dt: f64, f: &mut F, scratch: &mut Rk4Scratch)
 where
     F: FnMut(f64, &[f64], &mut [f64]),
@@ -61,55 +80,6 @@ where
     }
 }
 
-/// Integrates `dy/dt = f(t, y)` from `t0` to `t1` with classic fourth-order
-/// Runge-Kutta, mutating `y` in place and invoking `observe(t, y)` after
-/// every step (including once for the initial state).
-///
-/// The step count is chosen so the step size never exceeds `max_dt`; the
-/// final step lands exactly on `t1`.
-///
-/// # Panics
-///
-/// Panics if `t1 < t0` or `max_dt <= 0`.
-///
-/// # Examples
-///
-/// Exponential decay keeps its analytic solution:
-///
-/// ```
-/// let mut y = vec![1.0];
-/// rcs_numeric::ode::rk4(
-///     &mut y, 0.0, 1.0, 1e-3,
-///     |_t, y, dy| dy[0] = -y[0],
-///     |_t, _y| {},
-/// );
-/// assert!((y[0] - (-1.0f64).exp()).abs() < 1e-9);
-/// ```
-pub fn rk4<F, O>(y: &mut [f64], t0: f64, t1: f64, max_dt: f64, mut f: F, mut observe: O)
-where
-    F: FnMut(f64, &[f64], &mut [f64]),
-    O: FnMut(f64, &[f64]),
-{
-    assert!(t1 >= t0, "rk4: t1 must be >= t0");
-    assert!(max_dt > 0.0, "rk4: max_dt must be positive");
-    let span = t1 - t0;
-    if span == 0.0 {
-        observe(t0, y);
-        return;
-    }
-    let steps = (span / max_dt).ceil().max(1.0) as usize;
-    let dt = span / steps as f64;
-    let mut scratch = Rk4Scratch::new(y.len());
-
-    observe(t0, y);
-    let mut t = t0;
-    for _ in 0..steps {
-        rk4_step(y, t, dt, &mut f, &mut scratch);
-        t += dt;
-        observe(t, y);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,17 +89,18 @@ mod tests {
         // y'' = -y as a 2-state system; RK4 should hold |E - E0| tiny over
         // a few periods at modest step size.
         let mut y = vec![1.0, 0.0];
-        rk4(
-            &mut y,
-            0.0,
-            4.0 * std::f64::consts::PI,
-            1e-3,
-            |_t, y, dy| {
-                dy[0] = y[1];
-                dy[1] = -y[0];
-            },
-            |_t, _y| {},
-        );
+        let mut scratch = Rk4Scratch::new(2);
+        let mut f = |_t: f64, y: &[f64], dy: &mut [f64]| {
+            dy[0] = y[1];
+            dy[1] = -y[0];
+        };
+        let steps = (4.0 * std::f64::consts::PI / 1e-3).ceil() as usize;
+        let dt = 4.0 * std::f64::consts::PI / steps as f64;
+        let mut t = 0.0;
+        for _ in 0..steps {
+            rk4_step(&mut y, t, dt, &mut f, &mut scratch);
+            t += dt;
+        }
         let energy = 0.5 * (y[0] * y[0] + y[1] * y[1]);
         assert!((energy - 0.5).abs() < 1e-9, "E = {energy}");
         // two full periods: back to the start
@@ -138,40 +109,16 @@ mod tests {
     }
 
     #[test]
-    fn observer_sees_every_step() {
-        let mut y = vec![0.0];
-        let mut count = 0;
-        rk4(
-            &mut y,
-            0.0,
-            1.0,
-            0.25,
-            |_t, _y, dy| dy[0] = 1.0,
-            |_t, _y| count += 1,
-        );
-        assert_eq!(count, 5); // initial + 4 steps
-        assert!((y[0] - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn zero_span_only_observes_initial_state() {
+    fn a_zero_width_step_leaves_the_state_unchanged() {
         let mut y = vec![7.0];
-        let mut seen = Vec::new();
-        rk4(
+        let mut scratch = Rk4Scratch::new(1);
+        rk4_step(
             &mut y,
             2.0,
-            2.0,
-            0.1,
-            |_t, _y, dy| dy[0] = 100.0,
-            |t, y| seen.push((t, y[0])),
+            0.0,
+            &mut |_t, _y, dy| dy[0] = 100.0,
+            &mut scratch,
         );
-        assert_eq!(seen, vec![(2.0, 7.0)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "t1 must be >= t0")]
-    fn backwards_time_panics() {
-        let mut y = vec![0.0];
-        rk4(&mut y, 1.0, 0.0, 0.1, |_t, _y, _dy| {}, |_t, _y| {});
+        assert_eq!(y[0].to_bits(), 7.0f64.to_bits());
     }
 }

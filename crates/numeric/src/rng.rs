@@ -168,24 +168,7 @@ impl Rng {
         self.apply_jump(&JUMP);
     }
 
-    /// Advances the generator by 2^192 steps in O(1) draws.
-    ///
-    /// The long-jump polynomial from the reference
-    /// `xoshiro256plusplus.c`: it yields 2^32 starting points from which
-    /// [`Rng::jump`] can carve 2^64 non-overlapping streams each — the
-    /// coarse level of a two-level stream hierarchy (e.g. one long jump
-    /// per experiment, one jump per worker within it).
-    pub fn long_jump(&mut self) {
-        const LONG_JUMP: [u64; 4] = [
-            0x76E1_5D3E_FEFD_CBBF,
-            0xC500_4E44_1C52_2FB3,
-            0x7771_0069_854E_E241,
-            0x3910_9BB0_2ACB_E635,
-        ];
-        self.apply_jump(&LONG_JUMP);
-    }
-
-    /// Core of `jump`/`long_jump`: multiplies the state by the jump
+    /// Core of [`Rng::jump`]: multiplies the state by the jump
     /// polynomial in the GF(2) algebra of the linear engine.
     fn apply_jump(&mut self, polynomial: &[u64; 4]) {
         let mut acc = [0u64; 4];
@@ -459,22 +442,6 @@ mod tests {
         rng.jump();
         rng.jump();
         assert_eq!(rng.next_u64(), 0xBD1A_8014_54FF_844B);
-    }
-
-    #[test]
-    fn long_jump_matches_reference_vectors() {
-        let mut rng = Rng::seed_from_u64(42);
-        rng.long_jump();
-        let outputs: Vec<u64> = (0..4).map(|_| rng.next_u64()).collect();
-        assert_eq!(
-            outputs,
-            vec![
-                0x0201_9A87_BFC0_BB07,
-                0x25BE_E492_0971_7963,
-                0x2104_70A1_C318_29F5,
-                0x177E_B6D9_45C4_58C2,
-            ]
-        );
     }
 
     #[test]

@@ -204,12 +204,6 @@ impl SparseSymbolic {
         }
     }
 
-    /// Matrix dimension.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     /// Number of stored entries (structural nonzeros including fill-in)
     /// — the length of the value array expected by
     /// [`SparseSymbolic::factor_solve`].

@@ -59,22 +59,28 @@ fn solve_is_linear() {
     });
 }
 
-/// RK4 integrates linear decay to the analytic solution.
+/// RK4 steps integrate linear decay to the analytic solution.
 #[test]
 fn rk4_matches_exponential_decay() {
     check("rk4_matches_exponential_decay", |g| {
         let lambda = g.draw(0.05..5.0f64);
         let y0 = g.draw(-50.0..50.0f64);
         let t1 = g.draw(0.1..5.0f64);
+        let steps = (t1 / 1e-3).ceil() as usize;
+        let dt = t1 / steps as f64;
         let mut y = vec![y0];
-        ode::rk4(
-            &mut y,
-            0.0,
-            t1,
-            1e-3,
-            |_t, y, dy| dy[0] = -lambda * y[0],
-            |_t, _y| {},
-        );
+        let mut scratch = ode::Rk4Scratch::new(1);
+        let mut t = 0.0;
+        for _ in 0..steps {
+            ode::rk4_step(
+                &mut y,
+                t,
+                dt,
+                &mut |_t, y, dy| dy[0] = -lambda * y[0],
+                &mut scratch,
+            );
+            t += dt;
+        }
         let analytic = y0 * (-lambda * t1).exp();
         assert!((y[0] - analytic).abs() < 1e-6 * y0.abs().max(1.0));
     });

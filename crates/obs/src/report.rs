@@ -602,8 +602,8 @@ impl DiffReport {
     /// The process exit code the `obs_report` binary returns: 0 clean,
     /// 1 on any regression.
     #[must_use]
-    pub fn exit_code(&self) -> i32 {
-        i32::from(self.has_regressions())
+    pub fn exit_code(&self) -> u8 {
+        u8::from(self.has_regressions())
     }
 
     /// Renders the report as text: a `PASS`/`FAIL` verdict line plus
@@ -849,17 +849,10 @@ fn diff_matched_runs(
 // ---------------------------------------------------------------------
 
 /// Renders a human-readable cross-run summary: per run, the header
-/// identity, the largest golden counters, the rolled-up profile tree,
-/// and per-trace channel statistics. Shows the 10 largest counters and
-/// `profile.*` leaves — [`summary_top`] makes the cut configurable.
-#[must_use]
-pub fn summary(docs: &[RunDoc]) -> String {
-    summary_top(docs, 10)
-}
-
-/// [`summary`] with an explicit hotspot cut: the `top` largest golden
-/// counters and the `top` largest `profile.*` work leaves, both ranked
-/// by magnitude (the `obs_report summary --top N` flag).
+/// identity, the `top` largest golden counters, the rolled-up profile
+/// tree, the `top` largest `profile.*` work leaves (both ranked by
+/// magnitude; the `obs_report summary --top N` flag) and per-trace
+/// channel statistics.
 #[must_use]
 pub fn summary_top(docs: &[RunDoc], top: usize) -> String {
     let mut out = String::new();
@@ -1525,7 +1518,7 @@ mod tests {
     #[test]
     fn summary_renders_header_profile_and_traces() {
         let docs = parse_ndjson(&demo_ndjson()).unwrap();
-        let text = summary(&docs);
+        let text = summary_top(&docs, 10);
         assert!(text.contains("== e_demo =="), "{text}");
         assert!(text.contains("seed=7 threads=2"), "{text}");
         assert!(text.contains("solver.calls = 3"), "{text}");

@@ -29,11 +29,11 @@
 //!
 //! A hot loop entering the same label thousands of times under one
 //! parent would make exports unbounded. Per (parent, label) pair, only
-//! the first [`SpanSink::fanout`] spans become tree nodes; later
-//! same-label siblings are *elided*: their subtree is suppressed and
-//! their count and total work fold into the parent's
-//! [`elided`](SpanNode::elided) summary, so totals stay exact while
-//! files stay bounded.
+//! the first `fanout` spans (the cap [`SpanSink::with_fanout`] sets)
+//! become tree nodes; later same-label siblings are *elided*: their
+//! subtree is suppressed and their count and total work fold into the
+//! parent's [`elided`](SpanNode::elided) summary, so totals stay exact
+//! while files stay bounded.
 //!
 //! # Stable ids
 //!
@@ -220,12 +220,6 @@ impl SpanSink {
     #[must_use]
     pub fn is_enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// This sink's per-(parent, label) fan-out cap.
-    #[must_use]
-    pub fn fanout(&self) -> usize {
-        self.fanout
     }
 
     /// An empty sink sharing this sink's enablement and fan-out cap —

@@ -128,12 +128,6 @@ impl ComputeModule {
         self.ccb.compute_fpga_count() * self.ccb_count
     }
 
-    /// All FPGA packages in the module.
-    #[must_use]
-    pub fn package_count(&self) -> usize {
-        self.ccb.package_count() * self.ccb_count
-    }
-
     /// Peak compute rate of the module.
     #[must_use]
     pub fn peak_performance(&self) -> ComputeRate {
@@ -195,7 +189,6 @@ mod tests {
     fn counts_and_volume() {
         let m = skat_like();
         assert_eq!(m.compute_fpga_count(), 96);
-        assert_eq!(m.package_count(), 108); // 12 controllers on top
         assert!((m.volume().as_liters() - 51.5).abs() < 1.0);
     }
 

@@ -971,8 +971,8 @@ impl QueryCache {
     pub fn new(capacity: usize) -> Self {
         Self {
             capacity,
-            order: VecDeque::with_capacity(capacity),
-            map: HashMap::with_capacity(capacity),
+            order: VecDeque::new(),
+            map: HashMap::new(),
         }
     }
 
@@ -1105,12 +1105,6 @@ impl QueryEngine {
     pub fn with_policy(mut self, policy: ResiliencePolicy) -> Self {
         self.policy = policy;
         self
-    }
-
-    /// The active resilience policy.
-    #[must_use]
-    pub fn policy(&self) -> &ResiliencePolicy {
-        &self.policy
     }
 
     /// The cache, for inspection.
@@ -1431,5 +1425,29 @@ mod tests {
         // Pretend probe collided onto the same hash: equality must veto.
         assert!(cache.lookup(hash, &probe).is_none());
         assert!(cache.lookup(hash, &stored).is_some());
+    }
+
+    #[test]
+    fn a_usize_max_capacity_cache_grows_on_insert() {
+        // Sizing the deque and map to the capacity up front would try
+        // to allocate for usize::MAX entries and panic.
+        let mut cache = QueryCache::new(usize::MAX);
+        let query = q("family=skat");
+        let hash = query.canonical_hash();
+        let verdict = DesignVerdict {
+            query_hash: hash,
+            junction_c: 0.0,
+            coolant_hot_c: 0.0,
+            coolant_cold_c: 0.0,
+            total_heat_w: 0.0,
+            cooling_overhead: 0.0,
+            availability_mean: 1.0,
+            availability_p05: 1.0,
+            annual_energy_kwh: 0.0,
+            compliant: true,
+        };
+        assert_eq!(cache.insert(hash, query.clone(), verdict.clone()), None);
+        assert_eq!(cache.lookup(hash, &query), Some(&verdict));
+        assert_eq!(cache.len(), 1);
     }
 }

@@ -68,27 +68,6 @@ impl PlateHeatExchanger {
         Self { ua, arrangement }
     }
 
-    /// Builds the UA of a gasketed plate stack from per-side film
-    /// coefficients (W/(m²·K)), plate area (m²), count, thickness and
-    /// conductivity — `1/UA = 1/(h_h·A) + t/(k·A) + 1/(h_c·A)` over the
-    /// total effective area.
-    #[must_use]
-    pub fn from_plates(
-        plate_count: usize,
-        plate_area_m2: f64,
-        h_hot: f64,
-        h_cold: f64,
-        plate_thickness_m: f64,
-        plate_conductivity: f64,
-        arrangement: FlowArrangement,
-    ) -> Self {
-        let area = plate_area_m2 * plate_count.max(1) as f64;
-        let r = 1.0 / (h_hot * area)
-            + plate_thickness_m / (plate_conductivity * area)
-            + 1.0 / (h_cold * area);
-        Self::new(ThermalCapacityRate::new(1.0 / r), arrangement)
-    }
-
     /// Overall conductance.
     #[must_use]
     pub fn ua(&self) -> ThermalCapacityRate {
@@ -110,12 +89,6 @@ impl PlateHeatExchanger {
             ua: ThermalCapacityRate::new(1.0 / (r_clean + fouling_resistance_k_per_w.max(0.0))),
             arrangement: self.arrangement,
         }
-    }
-
-    /// Flow arrangement.
-    #[must_use]
-    pub fn arrangement(&self) -> FlowArrangement {
-        self.arrangement
     }
 
     /// Effectiveness for the given capacity rates (ε-NTU method).
@@ -306,21 +279,6 @@ mod tests {
         let hot = ThermalCapacityRate::new(1500.0);
         let cold = ThermalCapacityRate::new(2500.0);
         assert!(fouled.effectiveness(hot, cold) < clean.effectiveness(hot, cold));
-    }
-
-    #[test]
-    fn from_plates_builds_sane_ua() {
-        let hx = PlateHeatExchanger::from_plates(
-            40,     // plates
-            0.05,   // m² per plate
-            1200.0, // oil side
-            4500.0, // water side
-            0.5e-3, // 0.5 mm stainless plate
-            16.0,   // stainless conductivity
-            FlowArrangement::Counterflow,
-        );
-        let ua = hx.ua().watts_per_kelvin();
-        assert!(ua > 1000.0 && ua < 4000.0, "UA = {ua}");
     }
 
     #[test]

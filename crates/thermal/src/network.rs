@@ -110,31 +110,6 @@ impl ThermalNetwork {
         NodeId(self.nodes.len() - 1)
     }
 
-    /// Changes the imposed temperature of a boundary node.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ThermalError::UnknownNode`] for a foreign id and
-    /// [`ThermalError::HeatOnBoundary`]-style misuse is prevented by only
-    /// accepting boundary nodes (internal nodes return `UnknownNode`).
-    pub fn set_boundary_temperature(
-        &mut self,
-        node: NodeId,
-        temperature: Celsius,
-    ) -> Result<(), ThermalError> {
-        let data = self
-            .nodes
-            .get_mut(node.0)
-            .ok_or(ThermalError::UnknownNode { index: node.0 })?;
-        match &mut data.kind {
-            NodeKind::Boundary { temperature: t } => {
-                *t = temperature;
-                Ok(())
-            }
-            NodeKind::Internal { .. } => Err(ThermalError::UnknownNode { index: node.0 }),
-        }
-    }
-
     /// Connects two nodes with a thermal resistance.
     ///
     /// # Errors
@@ -158,30 +133,6 @@ impl ThermalNetwork {
         }
         self.resistors.push(ResistorData { a, b, resistance });
         Ok(ResistorId(self.resistors.len() - 1))
-    }
-
-    /// Replaces the resistance of an existing resistor (used by coupled
-    /// solvers whose convection coefficients change between iterations).
-    ///
-    /// # Errors
-    ///
-    /// Rejects unknown resistor ids and non-positive resistances.
-    pub fn set_resistance(
-        &mut self,
-        resistor: ResistorId,
-        resistance: ThermalResistance,
-    ) -> Result<(), ThermalError> {
-        if resistance.kelvin_per_watt() <= 0.0 {
-            return Err(ThermalError::NonPositiveParameter {
-                parameter: "resistance",
-            });
-        }
-        let r = self
-            .resistors
-            .get_mut(resistor.0)
-            .ok_or(ThermalError::UnknownNode { index: resistor.0 })?;
-        r.resistance = resistance;
-        Ok(())
     }
 
     /// Adds heat generation to an internal node (accumulates).
@@ -353,35 +304,6 @@ impl SteadySolution {
         self.flows[resistor.0]
     }
 
-    /// The hottest node and its temperature.
-    ///
-    /// Returns `None` for an empty network.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any solved node temperature is non-finite — a NaN here
-    /// means an upstream solver bug, and silently ranking it as
-    /// "hottest" (or not) would forward garbage to the safety logic
-    /// that consumes this readout.
-    #[must_use]
-    pub fn hottest(&self) -> Option<(NodeId, Celsius)> {
-        self.temperatures
-            .iter()
-            .enumerate()
-            .max_by(|a, b| {
-                let (ta, tb) = (a.1.degrees(), b.1.degrees());
-                assert!(
-                    ta.is_finite() && tb.is_finite(),
-                    "non-finite node temperature in solved network: \
-                     node {} = {ta} C, node {} = {tb} C",
-                    a.0,
-                    b.0
-                );
-                ta.total_cmp(&tb)
-            })
-            .map(|(i, &t)| (NodeId(i), t))
-    }
-
     /// Net heat absorbed by a boundary node (positive into the boundary).
     ///
     /// # Panics
@@ -546,64 +468,6 @@ mod tests {
         assert!(net
             .connect(a, b, ThermalResistance::from_kelvin_per_watt(-1.0))
             .is_err());
-    }
-
-    #[test]
-    fn set_resistance_updates_solution() {
-        let mut net = ThermalNetwork::new();
-        let j = net.add_node("j");
-        let amb = net.add_boundary("amb", Celsius::new(0.0));
-        let r = net
-            .connect(j, amb, ThermalResistance::from_kelvin_per_watt(1.0))
-            .unwrap();
-        net.add_heat(j, Power::from_watts(10.0)).unwrap();
-        assert!((net.solve_steady().unwrap().temperature(j).degrees() - 10.0).abs() < 1e-9);
-        net.set_resistance(r, ThermalResistance::from_kelvin_per_watt(2.0))
-            .unwrap();
-        assert!((net.solve_steady().unwrap().temperature(j).degrees() - 20.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn set_boundary_temperature_shifts_solution() {
-        let mut net = ThermalNetwork::new();
-        let j = net.add_node("j");
-        let amb = net.add_boundary("amb", Celsius::new(0.0));
-        net.connect(j, amb, ThermalResistance::from_kelvin_per_watt(1.0))
-            .unwrap();
-        net.add_heat(j, Power::from_watts(10.0)).unwrap();
-        net.set_boundary_temperature(amb, Celsius::new(25.0))
-            .unwrap();
-        assert!((net.solve_steady().unwrap().temperature(j).degrees() - 35.0).abs() < 1e-9);
-        // internal node can't be used as a boundary
-        assert!(net.set_boundary_temperature(j, Celsius::new(1.0)).is_err());
-    }
-
-    #[test]
-    fn hottest_finds_heated_node() {
-        let mut net = ThermalNetwork::new();
-        let a = net.add_node("a");
-        let b = net.add_node("b");
-        let amb = net.add_boundary("amb", Celsius::new(0.0));
-        let r = ThermalResistance::from_kelvin_per_watt(1.0);
-        net.connect(a, amb, r).unwrap();
-        net.connect(b, amb, r).unwrap();
-        net.add_heat(a, Power::from_watts(5.0)).unwrap();
-        net.add_heat(b, Power::from_watts(50.0)).unwrap();
-        let s = net.solve_steady().unwrap();
-        assert_eq!(s.hottest().unwrap().0, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-finite node temperature")]
-    fn hottest_rejects_non_finite_temperatures() {
-        // A NaN boundary temperature flows straight into the solved
-        // temperature vector; `hottest` must refuse to rank it rather
-        // than silently report an arbitrary "hottest node".
-        let mut net = ThermalNetwork::new();
-        let _ok = net.add_boundary("ok", Celsius::new(20.0));
-        let _poisoned = net.add_boundary("poisoned", Celsius::new(f64::NAN));
-        let s = net.solve_steady().unwrap();
-        let _ = s.hottest();
     }
 
     #[test]

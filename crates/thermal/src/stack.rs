@@ -84,12 +84,6 @@ impl ChipStack {
         &self.sink
     }
 
-    /// Current interface aging.
-    #[must_use]
-    pub fn aging(&self) -> TimAging {
-        self.aging
-    }
-
     /// Total junction-to-coolant resistance in the given flow.
     #[must_use]
     pub fn total_resistance(&self, state: &FluidState, approach: Velocity) -> ThermalResistance {

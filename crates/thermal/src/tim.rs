@@ -144,24 +144,6 @@ impl ThermalInterface {
         }
     }
 
-    /// The interface material.
-    #[must_use]
-    pub fn material(&self) -> TimMaterial {
-        self.material
-    }
-
-    /// Bond-line thickness.
-    #[must_use]
-    pub fn thickness(&self) -> Length {
-        self.thickness
-    }
-
-    /// Contact area.
-    #[must_use]
-    pub fn area(&self) -> Area {
-        self.area
-    }
-
     /// Conductive resistance `t / (k(t_age) · A)` after the given aging.
     #[must_use]
     pub fn resistance(&self, aging: TimAging) -> ThermalResistance {

@@ -402,12 +402,6 @@ impl TransientSession {
         self.clock.is_finished()
     }
 
-    /// Samples produced so far (initial state included).
-    #[must_use]
-    pub fn samples(&self) -> usize {
-        self.times.len()
-    }
-
     /// Consumes the session, yielding the trace accumulated so far.
     #[must_use]
     pub fn into_trace(self) -> TransientTrace {

@@ -14,19 +14,13 @@ scalar_quantity!(
     /// ```
     /// use rcs_units::VolumeFlow;
     /// // The paper: one modern FPGA needs 1 m³ of air per minute.
-    /// let air = VolumeFlow::cubic_meters_per_minute(1.0);
+    /// let air = VolumeFlow::liters_per_minute(1000.0);
     /// assert!((air.cubic_meters_per_second() - 1.0 / 60.0).abs() < 1e-12);
     /// ```
     VolumeFlow, "m³/s", from_cubic_meters_per_second, cubic_meters_per_second
 );
 
 impl VolumeFlow {
-    /// Creates a flow from cubic meters per minute.
-    #[must_use]
-    pub fn cubic_meters_per_minute(v: f64) -> Self {
-        Self::from_cubic_meters_per_second(v / 60.0)
-    }
-
     /// Creates a flow from liters per minute.
     #[must_use]
     pub fn liters_per_minute(lpm: f64) -> Self {

@@ -63,19 +63,13 @@ scalar_quantity!(
     ///
     /// ```
     /// // 250 ml of water, the paper's per-FPGA-per-minute requirement.
-    /// let v = rcs_units::Volume::liters(0.25);
-    /// assert!((v.cubic_meters() - 2.5e-4).abs() < 1e-18);
+    /// let v = rcs_units::Volume::from_cubic_meters(2.5e-4);
+    /// assert!((v.as_liters() - 0.25).abs() < 1e-12);
     /// ```
     Volume, "m³", from_cubic_meters, cubic_meters
 );
 
 impl Volume {
-    /// Creates a volume from liters.
-    #[must_use]
-    pub fn liters(l: f64) -> Self {
-        Self::from_cubic_meters(l * 1e-3)
-    }
-
     /// Returns the volume in liters.
     #[must_use]
     pub fn as_liters(self) -> f64 {
@@ -144,10 +138,5 @@ mod tests {
     fn rack_units() {
         // 3U module height, the paper's CM form factor.
         assert!((Length::rack_units(3.0).as_millimeters() - 133.35).abs() < 1e-9);
-    }
-
-    #[test]
-    fn liters_round_trip() {
-        assert!((Volume::liters(250.0).as_liters() - 250.0).abs() < 1e-9);
     }
 }

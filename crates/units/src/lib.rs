@@ -40,8 +40,8 @@ pub use geometry::{Area, Length, Volume};
 pub use power::{Energy, Frequency, Power, Seconds};
 pub use pressure::Pressure;
 pub use properties::{
-    Density, DynamicViscosity, HeatTransferCoeff, KinematicViscosity, SpecificHeat,
-    ThermalCapacityRate, ThermalConductivity, ThermalResistance, VolumetricHeatCapacity,
+    Density, DynamicViscosity, HeatTransferCoeff, SpecificHeat, ThermalCapacityRate,
+    ThermalConductivity, ThermalResistance, VolumetricHeatCapacity,
 };
 pub use temperature::{Celsius, Kelvin, TempDelta};
 
@@ -52,13 +52,6 @@ pub use temperature::{Celsius, Kelvin, TempDelta};
 /// single constant so that "a year" can never silently mean 8760 h in
 /// one crate and 8766 h in another.
 pub const HOURS_PER_YEAR: f64 = 8766.0;
-
-/// Convenience alias for a dimensionless ratio in `[0, 1]`.
-///
-/// Used for efficiencies, utilizations and effectiveness values. A plain
-/// `f64` is acceptable here because the quantity is dimensionless, but the
-/// alias documents intent at API boundaries.
-pub type Fraction = f64;
 
 #[cfg(test)]
 mod tests {

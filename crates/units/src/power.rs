@@ -111,12 +111,6 @@ impl Frequency {
     pub fn megahertz(mhz: f64) -> Self {
         Self::from_hertz(mhz * 1e6)
     }
-
-    /// Returns the frequency in megahertz.
-    #[must_use]
-    pub fn as_megahertz(self) -> f64 {
-        self.hertz() / 1e6
-    }
 }
 
 impl core::ops::Mul<Seconds> for Power {
@@ -159,11 +153,6 @@ mod tests {
         assert!((e.as_kilowatt_hours() - 8.736).abs() < 1e-9);
         assert!(((e / dt).watts() - p.watts()).abs() < 1e-9);
         assert!(((e / p).seconds() - 3600.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn frequency_conversion() {
-        assert!((Frequency::megahertz(312.5).as_megahertz() - 312.5).abs() < 1e-12);
     }
 
     #[test]

@@ -34,26 +34,6 @@ impl Pressure {
     pub fn as_kilopascals(self) -> f64 {
         self.pascals() / 1e3
     }
-
-    /// Creates a pressure from meters of head of a fluid with density
-    /// `rho_kg_m3` under standard gravity.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// let p = rcs_units::Pressure::from_head_meters(10.0, 998.0);
-    /// assert!((p.as_kilopascals() - 97.91).abs() < 0.05);
-    /// ```
-    #[must_use]
-    pub fn from_head_meters(head: f64, rho_kg_m3: f64) -> Self {
-        Self::from_pascals(head * rho_kg_m3 * 9.80665)
-    }
-
-    /// Returns the equivalent head in meters for a fluid of the given density.
-    #[must_use]
-    pub fn as_head_meters(self, rho_kg_m3: f64) -> f64 {
-        self.pascals() / (rho_kg_m3 * 9.80665)
-    }
 }
 
 impl core::ops::Mul<VolumeFlow> for Pressure {
@@ -73,12 +53,6 @@ impl core::ops::Mul<Pressure> for VolumeFlow {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn head_round_trip() {
-        let p = Pressure::from_head_meters(5.0, 870.0);
-        assert!((p.as_head_meters(870.0) - 5.0).abs() < 1e-12);
-    }
 
     #[test]
     fn hydraulic_power() {

@@ -55,21 +55,7 @@ scalar_quantity!(
 
 scalar_quantity!(
     /// Dynamic viscosity in Pa·s.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use rcs_units::{Density, DynamicViscosity};
-    /// let mu = DynamicViscosity::new(0.02); // light oil
-    /// let nu = mu / Density::new(870.0);
-    /// assert!((nu.square_meters_per_second() - 2.2989e-5).abs() < 1e-8);
-    /// ```
     DynamicViscosity, "Pa·s", new, pascal_seconds
-);
-
-scalar_quantity!(
-    /// Kinematic viscosity in m²/s.
-    KinematicViscosity, "m²/s", new, square_meters_per_second
 );
 
 scalar_quantity!(
@@ -100,28 +86,10 @@ scalar_quantity!(
 );
 
 impl ThermalResistance {
-    /// Returns the equivalent conductance (UA) value.
-    ///
-    /// # Panics
-    ///
-    /// Does not panic; a zero resistance maps to an infinite conductance.
-    #[must_use]
-    pub fn to_conductance(self) -> ThermalCapacityRate {
-        ThermalCapacityRate::new(1.0 / self.kelvin_per_watt())
-    }
-
     /// Series combination of two resistances.
     #[must_use]
     pub fn in_series(self, other: Self) -> Self {
         self + other
-    }
-
-    /// Parallel combination of two resistances.
-    #[must_use]
-    pub fn in_parallel(self, other: Self) -> Self {
-        let a = self.kelvin_per_watt();
-        let b = other.kelvin_per_watt();
-        Self::from_kelvin_per_watt(a * b / (a + b))
     }
 }
 
@@ -154,13 +122,6 @@ impl core::ops::Mul<SpecificHeat> for Density {
     type Output = VolumetricHeatCapacity;
     fn mul(self, rhs: SpecificHeat) -> VolumetricHeatCapacity {
         VolumetricHeatCapacity::new(self.kg_per_cubic_meter() * rhs.joules_per_kg_kelvin())
-    }
-}
-
-impl core::ops::Div<Density> for DynamicViscosity {
-    type Output = KinematicViscosity;
-    fn div(self, rhs: Density) -> KinematicViscosity {
-        KinematicViscosity::new(self.pascal_seconds() / rhs.kg_per_cubic_meter())
     }
 }
 
@@ -240,18 +201,10 @@ mod tests {
     use crate::{Celsius, VolumeFlow};
 
     #[test]
-    fn series_parallel_resistance() {
+    fn series_resistance_adds() {
         let a = ThermalResistance::from_kelvin_per_watt(0.2);
         let b = ThermalResistance::from_kelvin_per_watt(0.3);
         assert!((a.in_series(b).kelvin_per_watt() - 0.5).abs() < 1e-15);
-        assert!((a.in_parallel(b).kelvin_per_watt() - 0.12).abs() < 1e-15);
-    }
-
-    #[test]
-    fn conductance_round_trip() {
-        let r = ThermalResistance::from_kelvin_per_watt(0.25);
-        let back = r.to_conductance().to_resistance();
-        assert!((back.kelvin_per_watt() - 0.25).abs() < 1e-15);
     }
 
     #[test]

@@ -109,7 +109,7 @@ fn availability_monte_carlo_is_thread_count_invariant() {
 
 #[test]
 fn fleet_simulation_is_thread_count_invariant() {
-    // run_all (config sweep) and sweep_seeds (seed sweep) at 1/2/4/7
+    // run_all (config sweep) and sweep_seeds_with_threads (seed sweep) at 1/2/4/7
     // workers: identical FleetOutcome vectors throughout.
     let sim = FleetSimulation::new(12, 5.0, 20180401);
     let serial_all = sim.run_all_with_threads(1).unwrap();
