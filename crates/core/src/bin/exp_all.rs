@@ -3,10 +3,9 @@
 //! (`RCS_OBS_MANIFEST` file, else stderr) plus, when `RCS_OBS_TRACE`
 //! names a file, the deterministic trace channels of the instrumented
 //! experiments, and, when `RCS_OBS_SPANS` names a file, the golden
-//! span tree of the sweep. The golden `counter`, `histogram`,
-//! `fhistogram`, `trace` and `span` lines are bit-identical at every
-//! `RCS_THREADS` setting — the CI `obs_report diff` and
-//! `span-attribution` jobs hold us to that.
+//! span tree of the sweep. The golden `counter`, `histogram`, `trace`
+//! and `span` lines are bit-identical at every `RCS_THREADS` setting —
+//! the CI `obs_report diff` and `span-attribution` jobs hold us to that.
 
 use rcs_core::experiments::{self, run_all};
 use rcs_obs::span::SpanSink;

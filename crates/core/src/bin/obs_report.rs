@@ -13,12 +13,12 @@
 //! profile tree, and per-trace statistics for every run document found
 //! in the given files.
 //!
-//! `diff` compares the golden channels (counters, integer and float
-//! histograms, traces, `profile.*` work accounting) of two manifest
-//! files, matching run documents by experiment name. It exits 0 when
-//! every compared channel matches (within the optional per-prefix
-//! relative tolerance bands) and 1 on any drift, missing channel, or
-//! unmatched run — the CI regression gate.
+//! `diff` compares the golden channels (counters, histograms, traces,
+//! `profile.*` work accounting) of two manifest files, matching run
+//! documents by experiment name. It exits 0 when every compared channel
+//! matches (within the optional per-prefix relative tolerance bands)
+//! and 1 on any drift, missing channel, or unmatched run — the CI
+//! regression gate.
 //!
 //! `attribution` renders the span-tree rollup of each run: the top-`n`
 //! self-work spans, the critical path (heaviest-total descent from the

@@ -21,7 +21,7 @@
 
 use rcs_obs::span::{Frame, SpanNode, SpanState};
 use rcs_obs::trace::{ChannelKind, ChannelSnapshot, Sample, TraceSnapshot};
-use rcs_obs::{FHistogramSnapshot, HistogramSnapshot, Sinks, Snapshot};
+use rcs_obs::{HistogramSnapshot, Sinks, Snapshot};
 
 use crate::snap::{SnapReader, SnapWriter, SnapshotError};
 
@@ -106,12 +106,6 @@ impl SinkState {
             w.u64_slice(&h.bounds);
             w.u64_slice(&h.counts);
         }
-        w.count(self.obs.fhistograms.len());
-        for (name, h) in &self.obs.fhistograms {
-            w.str(name);
-            w.f64_slice(&h.edges);
-            w.u64_slice(&h.counts);
-        }
         w.bool(self.trace_enabled);
         // A capacity, not a byte length — skip the length sanity bound.
         w.u64(self.trace_capacity as u64);
@@ -179,8 +173,11 @@ impl SinkState {
     ///
     /// # Errors
     ///
-    /// [`SnapshotError`] on truncated bytes, an unknown channel-kind
-    /// token, or span-tree indices out of range.
+    /// [`SnapshotError`] on truncated bytes, a histogram whose bounds
+    /// are empty or not strictly ascending or whose counts are not one
+    /// more than its bounds, histogram names out of sorted order or
+    /// repeated, an unknown channel-kind token, or span-tree indices out
+    /// of range.
     pub fn read_from(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
         let n = r.count()?;
         let mut counters = Vec::with_capacity(n);
@@ -193,15 +190,30 @@ impl SinkState {
             let name = r.str()?;
             let bounds = r.u64_vec()?;
             let counts = r.u64_vec()?;
+            // `Registry::record_histogram` indexes `counts` by bucket, so
+            // a restored histogram must have the shape it would build.
+            if bounds.is_empty()
+                || !bounds.windows(2).all(|w| w[0] < w[1])
+                || counts.len() != bounds.len() + 1
+            {
+                return Err(SnapshotError::Malformed(format!(
+                    "histogram {name:?}: {} bounds (need at least one, strictly \
+                     ascending) with {} counts (need one more than bounds)",
+                    bounds.len(),
+                    counts.len()
+                )));
+            }
+            // A registry snapshot lists each name once, in sorted order; a
+            // repeated name with other bounds would panic `restore`.
+            if histograms
+                .last()
+                .is_some_and(|(prev, _): &(String, _)| *prev >= name)
+            {
+                return Err(SnapshotError::Malformed(format!(
+                    "histogram {name:?} repeated or out of name order"
+                )));
+            }
             histograms.push((name, HistogramSnapshot { bounds, counts }));
-        }
-        let n = r.count()?;
-        let mut fhistograms = Vec::with_capacity(n);
-        for _ in 0..n {
-            let name = r.str()?;
-            let edges = r.f64_vec()?;
-            let counts = r.u64_vec()?;
-            fhistograms.push((name, FHistogramSnapshot { edges, counts }));
         }
         let trace_enabled = r.bool()?;
         let raw_capacity = r.u64()?;
@@ -240,7 +252,6 @@ impl SinkState {
             obs: Snapshot {
                 counters,
                 histograms,
-                fhistograms,
             },
             trace: TraceSnapshot { channels },
             trace_capacity,
@@ -337,7 +348,6 @@ mod tests {
         obs.add("kernel.test.items", 41);
         obs.record_histogram("kernel.test.sizes", &[2, 4, 8], 5);
         obs.record_histogram("kernel.test.sizes", &[2, 4, 8], 3);
-        obs.record_histogram_f64("kernel.test.temps", &[10.0, 20.0], 14.25);
         let trace = TraceRecorder::with_capacity(8);
         let ch = trace.channel("kernel.test.temp", ChannelKind::Temperature);
         for i in 0..37 {
@@ -518,5 +528,50 @@ mod tests {
             SinkState::read_from(&mut r),
             Err(SnapshotError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn a_histogram_the_registry_could_not_have_built_is_rejected() {
+        let decode = |histograms: Vec<(&str, Vec<u64>, Vec<u64>)>| {
+            let state = SinkState {
+                obs: Snapshot {
+                    counters: Vec::new(),
+                    histograms: histograms
+                        .into_iter()
+                        .map(|(name, bounds, counts)| {
+                            (name.to_owned(), HistogramSnapshot { bounds, counts })
+                        })
+                        .collect(),
+                },
+                trace: TraceSnapshot::default(),
+                trace_capacity: 8,
+                trace_enabled: false,
+                spans: SpanState::default(),
+            };
+            let mut w = SnapWriter::new();
+            state.write_into(&mut w);
+            SinkState::read_from(&mut SnapReader::new(&w.into_bytes()))
+        };
+        // Each state would restore and then panic (or misbucket) on the
+        // next `record_histogram` into the same name — or, for the
+        // repeated name, in `restore` itself.
+        let rung = "hydraulics.ladder.rung";
+        for histograms in [
+            vec![(rung, vec![0, 1, 2], vec![])],
+            vec![(rung, vec![0, 1, 2], vec![0, 0, 0])],
+            vec![(rung, vec![], vec![0])],
+            vec![(rung, vec![0, 2, 1], vec![0, 0, 0, 0])],
+            vec![(rung, vec![1, 1], vec![0, 0, 0])],
+            vec![
+                (rung, vec![0, 1, 2], vec![0; 4]),
+                (rung, vec![5, 9], vec![0; 3]),
+            ],
+        ] {
+            let shapes = format!("{histograms:?}");
+            match decode(histograms) {
+                Err(SnapshotError::Malformed(msg)) => assert!(msg.contains(rung), "{msg}"),
+                other => panic!("{shapes} decoded to {other:?}"),
+            }
+        }
     }
 }

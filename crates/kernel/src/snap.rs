@@ -25,7 +25,9 @@ pub const MAGIC: [u8; 4] = *b"RCSK";
 /// reject a new snapshot (and vice versa) rather than misparse it.
 /// v2: `SinkState` carries the span-tree state (nodes, elisions, open
 /// stack) after the trace channels.
-pub const FORMAT_VERSION: u32 = 2;
+/// v3: `SinkState` drops the float-histogram block that sat between
+/// the histograms and the trace channels.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// A structured snapshot decoding failure. Every variant names what the
 /// reader expected and what it found, so a corrupted checkpoint is
@@ -467,19 +469,22 @@ mod tests {
             bad[i] ^= 0x01;
             assert!(open("test.kind", &bad).is_err(), "flip at byte {i}");
         }
-        // Wrong version is named specifically.
-        let mut bad = sealed.clone();
-        bad[4] = 99;
-        let body_len = bad.len() - 4;
-        let crc = crc32(&bad[..body_len]).to_le_bytes();
-        bad[body_len..].copy_from_slice(&crc);
-        assert!(matches!(
-            open("test.kind", &bad),
-            Err(SnapshotError::BadVersion {
-                found: 99,
-                supported: FORMAT_VERSION
-            })
-        ));
+        // Wrong version is named specifically — the previous layout's
+        // version too, so an old checkpoint is never misread.
+        for (version, found) in [(99, 99), (FORMAT_VERSION - 1, 2)] {
+            let mut bad = sealed.clone();
+            bad[4..8].copy_from_slice(&version.to_le_bytes());
+            let body_len = bad.len() - 4;
+            let crc = crc32(&bad[..body_len]).to_le_bytes();
+            bad[body_len..].copy_from_slice(&crc);
+            assert_eq!(
+                open("test.kind", &bad),
+                Err(SnapshotError::BadVersion {
+                    found,
+                    supported: 3
+                })
+            );
+        }
         // Garbage magic.
         assert!(matches!(
             open("test.kind", b"NOPE....but long enough to not truncate"),

@@ -24,13 +24,15 @@
 //!   [`rcs_cooling::availability::McSession`], resumed at a *different*
 //!   thread count than the original run;
 //! * corrupted / truncated snapshot bytes, which must come back as
-//!   structured [`rcs_kernel::SnapshotError`]s — never a panic.
+//!   structured [`rcs_kernel::SnapshotError`]s — never a panic — both
+//!   in the sealed envelope and, resealed past the checksum, in the
+//!   payload decoder itself.
 
 use rcs_cooling::availability::{self, McSession};
 use rcs_cooling::faults::{FaultKind, FaultTimeline};
 use rcs_cooling::risk;
 use rcs_cooling::{ColdPlateLoop, CoolingArchitecture, ImmersionBath};
-use rcs_core::{DrillSession, FaultDrill, ImmersionModel, WarmupSession};
+use rcs_core::{DrillSession, FaultDrill, ImmersionModel, WarmupSession, DRILL_SNAPSHOT_KIND};
 use rcs_devices::OperatingPoint;
 use rcs_kernel::SnapshotError;
 use rcs_numeric::rng::Rng;
@@ -456,5 +458,62 @@ fn corrupted_snapshots_are_structured_errors_never_panics() {
         let err = TransientSession::resume(&net, &corrupt, Sinks::disabled())
             .expect_err("corrupted bytes must not decode");
         let _ = err.to_string();
+    });
+}
+
+#[test]
+fn corrupted_payloads_resealed_past_the_checksum_never_plant_a_panic() {
+    check_cases("corrupt_payload_total_decoding", 8, |g| {
+        let duration = Seconds::minutes(g.draw(3.0..8.0));
+        let drill = FaultDrill::skat("corrupt", random_timeline(g, duration), duration);
+        let obs = Registry::new();
+        let seed = g.draw(0u64..=u64::MAX - 1);
+        let Ok(mut session) = DrillSession::new(
+            &drill,
+            Rng::seed_from_u64(seed),
+            true,
+            Sinks::counters(&obs),
+        ) else {
+            return;
+        };
+        // Mid-drill: 3 minutes hold at least 90 scans.
+        session.run(&drill, Sinks::counters(&obs), g.draw(1u64..=60));
+        let bytes = session.checkpoint(Sinks::counters(&obs));
+        assert!(
+            obs.snapshot()
+                .histograms
+                .iter()
+                .any(|(name, _)| name.starts_with("immersion.ladder.")),
+            "the checkpoint carries the immersion ladder's histograms"
+        );
+        let payload = rcs_kernel::open(DRILL_SNAPSHOT_KIND, &bytes).expect("pristine bytes open");
+
+        for _ in 0..64 {
+            // Corrupt the payload, then reseal it so the checksum passes
+            // and the decoder itself sees the damage.
+            let mut corrupt = payload.to_vec();
+            if g.bool(0.25) {
+                corrupt.truncate(g.index(corrupt.len()));
+            } else {
+                let at = g.index(corrupt.len());
+                corrupt[at] ^= 1 << g.index(8);
+            }
+            let resealed = rcs_kernel::seal(DRILL_SNAPSHOT_KIND, &corrupt);
+            let fresh = Registry::new();
+            match DrillSession::resume(&drill, &resealed, Sinks::counters(&fresh)) {
+                Err(err) => {
+                    let _ = err.to_string();
+                }
+                // Whatever decoded must take the next observation: one
+                // into each restored histogram's overflow bucket, at the
+                // bounds it was restored with.
+                Ok(_) => {
+                    for (name, h) in fresh.snapshot().histograms {
+                        let past_last = h.bounds.last().map_or(0, |b| b.saturating_add(1));
+                        fresh.record_histogram(&name, &h.bounds, past_last);
+                    }
+                }
+            }
+        }
     });
 }

@@ -74,8 +74,6 @@ struct Inner {
     counters: BTreeMap<String, u64>,
     /// Golden: fixed-bucket histograms.
     histograms: BTreeMap<String, HistogramSnapshot>,
-    /// Golden: fixed-edge float histograms.
-    fhistograms: BTreeMap<String, FHistogramSnapshot>,
     /// Non-golden: scheduling-dependent gauges.
     notes: BTreeMap<String, u64>,
 }
@@ -142,7 +140,6 @@ impl Registry {
             inner: Mutex::new(Inner {
                 counters: BTreeMap::new(),
                 histograms: BTreeMap::new(),
-                fhistograms: BTreeMap::new(),
                 notes: BTreeMap::new(),
             }),
         }
@@ -254,62 +251,6 @@ impl Registry {
         });
     }
 
-    /// Records one float observation into the fixed-edge histogram
-    /// `name`, hardened against degenerate inputs: every float —
-    /// including zero, negative values, `±inf` and `NaN` — lands in a
-    /// bucket and nothing panics on a value.
-    ///
-    /// `edges` are finite, strictly ascending bucket edges. The
-    /// histogram has `edges.len() + 1` counts with **explicit
-    /// underflow and overflow buckets**: `counts[0]` holds values below
-    /// `edges[0]` (including `-inf`), `counts[i]` holds
-    /// `edges[i-1] <= v < edges[i]`, and the last bucket holds values
-    /// at or above the final edge (including `+inf`). `NaN` counts as
-    /// divergence and lands in the overflow bucket. Like
-    /// [`Registry::record_histogram`], the edges are fixed at first use
-    /// (compared bitwise).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `edges` is empty, non-finite, or not strictly
-    /// ascending, or if the histogram was first recorded with different
-    /// edges — edge sets are compile-time constants, never data.
-    pub fn record_histogram_f64(&self, name: &str, edges: &[f64], value: f64) {
-        if !self.is_live() {
-            return;
-        }
-        assert!(!edges.is_empty(), "float histogram {name} needs edges");
-        assert!(
-            edges.iter().all(|e| e.is_finite()),
-            "float histogram {name} edges must be finite"
-        );
-        assert!(
-            edges.windows(2).all(|w| w[0] < w[1]),
-            "float histogram {name} edges must be strictly ascending"
-        );
-        let bucket = if value.is_nan() {
-            edges.len() // divergence: explicit overflow bucket
-        } else {
-            edges.partition_point(|&e| e <= value)
-        };
-        let new = || FHistogramSnapshot {
-            edges: edges.to_vec(),
-            counts: vec![0; edges.len() + 1],
-        };
-        update(&mut self.lock().fhistograms, name, new, |hist| {
-            assert!(
-                hist.edges.len() == edges.len()
-                    && hist
-                        .edges
-                        .iter()
-                        .zip(edges)
-                        .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "float histogram {name} re-recorded with different edges"
-            );
-            hist.counts[bucket] += 1;
-        });
-    }
-
     /// Adds `n` to the **non-golden** gauge `name` — for values that
     /// legitimately depend on scheduling or the machine (worker counts,
     /// per-worker task tallies). Notes appear in the manifest but never
@@ -335,11 +276,6 @@ impl Registry {
                 .collect(),
             histograms: inner
                 .histograms
-                .iter()
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect(),
-            fhistograms: inner
-                .fhistograms
                 .iter()
                 .map(|(k, v)| (k.clone(), v.clone()))
                 .collect(),
@@ -398,26 +334,6 @@ impl Registry {
                 assert_eq!(
                     target.bounds, hist.bounds,
                     "histogram {name} absorbed with different bounds"
-                );
-                for (t, s) in target.counts.iter_mut().zip(&hist.counts) {
-                    *t += s;
-                }
-            });
-        }
-        for (name, hist) in &snapshot.fhistograms {
-            let new = || FHistogramSnapshot {
-                edges: hist.edges.clone(),
-                counts: vec![0; hist.counts.len()],
-            };
-            update(&mut inner.fhistograms, name, new, |target| {
-                assert!(
-                    target.edges.len() == hist.edges.len()
-                        && target
-                            .edges
-                            .iter()
-                            .zip(&hist.edges)
-                            .all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "float histogram {name} absorbed with different edges"
                 );
                 for (t, s) in target.counts.iter_mut().zip(&hist.counts) {
                     *t += s;
@@ -592,57 +508,6 @@ impl HistogramSnapshot {
     }
 }
 
-/// One float histogram's state: finite, strictly ascending bucket
-/// edges plus counts with explicit underflow (`counts[0]`) and
-/// overflow (`counts[edges.len()]`) buckets — see
-/// [`Registry::record_histogram_f64`].
-///
-/// Equality compares edges **bitwise** (`f64::to_bits`): edges are
-/// compile-time constants, so bitwise equality is exact and keeps
-/// [`Snapshot`] `Eq`.
-#[derive(Debug, Clone)]
-pub struct FHistogramSnapshot {
-    /// Finite bucket edges, strictly ascending.
-    pub edges: Vec<f64>,
-    /// Per-bucket counts; `counts.len() == edges.len() + 1`.
-    pub counts: Vec<u64>,
-}
-
-impl PartialEq for FHistogramSnapshot {
-    fn eq(&self, other: &Self) -> bool {
-        self.counts == other.counts
-            && self.edges.len() == other.edges.len()
-            && self
-                .edges
-                .iter()
-                .zip(&other.edges)
-                .all(|(a, b)| a.to_bits() == b.to_bits())
-    }
-}
-
-impl Eq for FHistogramSnapshot {}
-
-impl FHistogramSnapshot {
-    /// Total observations across all buckets.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// The explicit underflow bucket (`value < edges[0]`, incl. `-inf`).
-    #[must_use]
-    pub fn underflow(&self) -> u64 {
-        self.counts[0]
-    }
-
-    /// The explicit overflow bucket (`value >= last edge`, incl. `+inf`
-    /// and `NaN`).
-    #[must_use]
-    pub fn overflow(&self) -> u64 {
-        self.counts.last().copied().unwrap_or(0)
-    }
-}
-
 /// A captured golden channel: the thing the regression tests compare
 /// and the manifest serializes. Entries are in sorted name order.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -651,8 +516,6 @@ pub struct Snapshot {
     pub counters: Vec<(String, u64)>,
     /// `(name, histogram)` pairs.
     pub histograms: Vec<(String, HistogramSnapshot)>,
-    /// `(name, float histogram)` pairs.
-    pub fhistograms: Vec<(String, FHistogramSnapshot)>,
 }
 
 impl Snapshot {
@@ -674,19 +537,10 @@ impl Snapshot {
             .map(|(_, h)| h)
     }
 
-    /// The float histogram `name`, if any observation was recorded.
-    #[must_use]
-    pub fn fhistogram(&self, name: &str) -> Option<&FHistogramSnapshot> {
-        self.fhistograms
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, h)| h)
-    }
-
     /// `true` if nothing was recorded.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.histograms.is_empty() && self.fhistograms.is_empty()
+        self.counters.is_empty() && self.histograms.is_empty()
     }
 }
 
@@ -764,67 +618,11 @@ mod tests {
         let obs = Registry::disabled();
         obs.inc("c");
         obs.record_histogram("h", &[1], 0);
-        obs.record_histogram_f64("fh", &[1.0], 0.5);
         obs.note("n", 1);
         obs.work("phase.step", 3);
         assert!(!obs.is_enabled());
         assert!(obs.snapshot().is_empty());
         assert!(obs.notes().is_empty());
-    }
-
-    #[test]
-    fn f64_histogram_has_explicit_underflow_and_overflow_buckets() {
-        let obs = Registry::new();
-        let edges = [1e-9, 1e-6, 1e-3];
-        // underflow: below the first edge, incl. zero, negatives, -inf
-        for v in [0.0, -5.0, 1e-12, f64::NEG_INFINITY] {
-            obs.record_histogram_f64("resid", &edges, v);
-        }
-        // interior buckets: [1e-9, 1e-6) and [1e-6, 1e-3)
-        obs.record_histogram_f64("resid", &edges, 1e-9);
-        obs.record_histogram_f64("resid", &edges, 5e-7);
-        obs.record_histogram_f64("resid", &edges, 1e-4);
-        // overflow: at/above the last edge, incl. +inf and NaN
-        for v in [1e-3, 7.0, f64::INFINITY, f64::NAN] {
-            obs.record_histogram_f64("resid", &edges, v);
-        }
-        let snap = obs.snapshot();
-        let h = snap.fhistogram("resid").expect("recorded");
-        // 3 edges → 4 buckets: underflow, [1e-9,1e-6), [1e-6,1e-3), overflow
-        assert_eq!(h.counts, vec![4, 2, 1, 4]);
-        assert_eq!(h.underflow(), 4);
-        assert_eq!(h.overflow(), 4);
-        assert_eq!(h.total(), 11);
-    }
-
-    #[test]
-    #[should_panic(expected = "different edges")]
-    fn f64_histogram_edges_are_fixed_at_first_use() {
-        let obs = Registry::new();
-        obs.record_histogram_f64("fh", &[1.0, 2.0], 0.5);
-        obs.record_histogram_f64("fh", &[1.0, 3.0], 0.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "must be finite")]
-    fn f64_histogram_rejects_non_finite_edges() {
-        let obs = Registry::new();
-        obs.record_histogram_f64("fh", &[1.0, f64::INFINITY], 0.5);
-    }
-
-    #[test]
-    fn f64_histograms_absorb_additively() {
-        let edges = [0.5];
-        let shard_a = Registry::new();
-        shard_a.record_histogram_f64("fh", &edges, 0.1);
-        let shard_b = Registry::new();
-        shard_b.record_histogram_f64("fh", &edges, 0.9);
-        let total = Registry::new();
-        total.absorb(&shard_a.snapshot());
-        total.absorb(&shard_b.snapshot());
-        let snap = total.snapshot();
-        assert_eq!(snap.fhistogram("fh").unwrap().counts, vec![1, 1]);
-        assert!(!snap.is_empty());
     }
 
     #[test]

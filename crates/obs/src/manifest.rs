@@ -63,8 +63,8 @@ pub fn escape_json(s: &str) -> String {
     out
 }
 
-/// Renders the full NDJSON manifest: `run` header, golden `counter`,
-/// `histogram` and `fhistogram` lines (sorted by name), then non-golden
+/// Renders the full NDJSON manifest: `run` header, golden `counter` and
+/// `histogram` lines (sorted by name), then non-golden
 /// `note` lines. Ends with a trailing newline.
 #[must_use]
 pub fn render(meta: &RunMeta, registry: &Registry) -> String {
@@ -95,22 +95,6 @@ pub fn render(meta: &RunMeta, registry: &Registry) -> String {
         let _ = writeln!(
             out,
             "{{\"type\":\"histogram\",\"name\":\"{}\",\"bounds\":[{bounds}],\"counts\":[{counts}]}}",
-            escape_json(name),
-        );
-    }
-    for (name, hist) in &snapshot.fhistograms {
-        // edges are asserted finite at record time, so plain Display is
-        // valid JSON
-        let edges = hist
-            .edges
-            .iter()
-            .map(f64::to_string)
-            .collect::<Vec<_>>()
-            .join(",");
-        let counts = join_u64(&hist.counts);
-        let _ = writeln!(
-            out,
-            "{{\"type\":\"fhistogram\",\"name\":\"{}\",\"edges\":[{edges}],\"counts\":[{counts}]}}",
             escape_json(name),
         );
     }
@@ -203,21 +187,6 @@ mod tests {
             "{\"type\":\"note\",\"name\":\"workers\",\"value\":4}"
         );
         assert_eq!(lines.len(), 4);
-    }
-
-    #[test]
-    fn float_histograms_render_edges_as_json_numbers() {
-        let obs = Registry::new();
-        obs.record_histogram_f64("solver.residual", &[0.000001, 0.5], 0.25);
-        let meta = RunMeta::new("exp_fh", None, 1);
-        let text = render(&meta, &obs);
-        assert!(
-            text.contains(
-                "{\"type\":\"fhistogram\",\"name\":\"solver.residual\",\
-                 \"edges\":[0.000001,0.5],\"counts\":[0,1,0]}"
-            ),
-            "{text}"
-        );
     }
 
     #[test]

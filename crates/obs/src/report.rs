@@ -338,8 +338,6 @@ pub struct RunDoc {
     pub counters: BTreeMap<String, u64>,
     /// Golden histograms: `(bounds, counts)`.
     pub histograms: BTreeMap<String, (Vec<u64>, Vec<u64>)>,
-    /// Golden float histograms: `(edges, counts)`.
-    pub fhistograms: BTreeMap<String, (Vec<f64>, Vec<u64>)>,
     /// Traced channels.
     pub traces: BTreeMap<String, TraceDoc>,
     /// Golden span tree in export (pre-order DFS) order.
@@ -363,13 +361,6 @@ fn field_err(line_no: usize, what: &str) -> String {
 fn u64_array(value: &Json) -> Option<Vec<u64>> {
     match value {
         Json::Arr(items) => items.iter().map(Json::as_u64).collect(),
-        _ => None,
-    }
-}
-
-fn f64_array(value: &Json) -> Option<Vec<f64>> {
-    match value {
-        Json::Arr(items) => items.iter().map(Json::as_f64).collect(),
         _ => None,
     }
 }
@@ -446,17 +437,6 @@ pub fn parse_ndjson(text: &str) -> Result<Vec<RunDoc>, String> {
                     .and_then(u64_array)
                     .ok_or_else(|| field_err(line_no, "histogram \"counts\""))?;
                 doc.histograms.insert(name()?, (bounds, counts));
-            }
-            "fhistogram" => {
-                let edges = value
-                    .get("edges")
-                    .and_then(f64_array)
-                    .ok_or_else(|| field_err(line_no, "fhistogram \"edges\""))?;
-                let counts = value
-                    .get("counts")
-                    .and_then(u64_array)
-                    .ok_or_else(|| field_err(line_no, "fhistogram \"counts\""))?;
-                doc.fhistograms.insert(name()?, (edges, counts));
             }
             "trace" => {
                 let samples = match value.get("samples") {
@@ -575,7 +555,7 @@ impl DiffOptions {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Finding {
     /// Channel class: `"counter"`, `"profile"`, `"histogram"`,
-    /// `"fhistogram"`, `"trace"`, or `"run"`.
+    /// `"trace"`, or `"run"`.
     pub kind: &'static str,
     /// Channel name.
     pub name: String,
@@ -732,30 +712,6 @@ pub fn diff(a: &RunDoc, b: &RunDoc, opts: &DiffOptions) -> DiffReport {
         &mut report,
     );
     diff_map(
-        "fhistogram",
-        &a.fhistograms,
-        &b.fhistograms,
-        |_| true,
-        |name, (edges_a, counts_a), (edges_b, counts_b)| {
-            if edges_a.len() != edges_b.len()
-                || edges_a
-                    .iter()
-                    .zip(edges_b)
-                    .any(|(ea, eb)| ea.to_bits() != eb.to_bits())
-            {
-                return Some("bucket edges differ".to_owned());
-            }
-            let tol = opts.tolerance(name);
-            (counts_a.len() != counts_b.len()
-                || counts_a
-                    .iter()
-                    .zip(counts_b)
-                    .any(|(&ca, &cb)| !within_u64(ca, cb, tol)))
-            .then(|| format!("counts {counts_a:?} vs {counts_b:?} (tol {tol})"))
-        },
-        &mut report,
-    );
-    diff_map(
         "trace",
         &a.traces,
         &b.traces,
@@ -877,10 +833,9 @@ pub fn summary_top(docs: &[RunDoc], top: usize) -> String {
         );
         let _ = writeln!(
             out,
-            "  {} counters, {} histograms, {} float histograms, {} traces, {} spans",
+            "  {} counters, {} histograms, {} traces, {} spans",
             doc.counters.len(),
             doc.histograms.len(),
-            doc.fhistograms.len(),
             doc.traces.len(),
             doc.spans.len()
         );
@@ -1300,7 +1255,6 @@ mod tests {
             "{\"type\":\"counter\",\"name\":\"solver.calls\",\"value\":3}",
             "{\"type\":\"counter\",\"name\":\"profile.solve.iters\",\"value\":12}",
             "{\"type\":\"histogram\",\"name\":\"solver.rung\",\"bounds\":[0,1],\"counts\":[3,0,0]}",
-            "{\"type\":\"fhistogram\",\"name\":\"solver.residual\",\"edges\":[0.000001,0.001],\"counts\":[3,0,0]}",
             "{\"type\":\"timing\",\"name\":\"solver.total\",\"count\":3,\"total_nanos\":999}",
             "{\"type\":\"trace\",\"name\":\"t_chip\",\"kind\":\"temperature\",\"stride\":1,\"pushed\":2,\"samples\":[[0,45.5],[2,45.75]]}",
             "{\"type\":\"span\",\"id\":\"00000000000000aa\",\"parent\":null,\"label\":\"outer\",\"depth\":0,\"start\":0,\"end\":20,\"self\":8,\"total\":20}",
@@ -1319,7 +1273,6 @@ mod tests {
         assert_eq!(doc.seed, Some(7));
         assert_eq!(doc.counters["solver.calls"], 3);
         assert_eq!(doc.histograms["solver.rung"].1, vec![3, 0, 0]);
-        assert_eq!(doc.fhistograms["solver.residual"].0.len(), 2);
         assert_eq!(
             doc.traces["t_chip"].samples,
             vec![(0.0, 45.5), (2.0, 45.75)]

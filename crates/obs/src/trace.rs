@@ -22,10 +22,9 @@
 //!
 //! # Export
 //!
-//! [`emit`] writes NDJSON (or CSV, if the target path ends in `.csv`)
-//! to the file named by the `RCS_OBS_TRACE` environment variable and
-//! does nothing when it is unset — stdout stays byte-exact for the
-//! experiment-determinism CI jobs.
+//! [`emit`] appends NDJSON to the file named by the `RCS_OBS_TRACE`
+//! environment variable and does nothing when it is unset — stdout
+//! stays byte-exact for the experiment-determinism CI jobs.
 //!
 //! # Examples
 //!
@@ -476,34 +475,6 @@ pub fn render_ndjson(snapshot: &TraceSnapshot) -> String {
     out
 }
 
-/// Renders a trace snapshot as CSV with a `channel,kind,index,t,value`
-/// header and one row per retained sample. Channel names containing a
-/// comma, double quote, newline, or carriage return are RFC-4180
-/// quoted (embedded quotes doubled) — an unquoted embedded newline
-/// would split the row in two.
-#[must_use]
-pub fn render_csv(snapshot: &TraceSnapshot) -> String {
-    let mut out = String::from("channel,kind,index,t,value\n");
-    for ch in &snapshot.channels {
-        let name = if ch.name.contains([',', '"', '\n', '\r']) {
-            format!("\"{}\"", ch.name.replace('"', "\"\""))
-        } else {
-            ch.name.clone()
-        };
-        for s in &ch.samples {
-            let _ = writeln!(
-                out,
-                "{name},{},{},{},{}",
-                ch.kind.as_str(),
-                s.index,
-                s.t,
-                s.value
-            );
-        }
-    }
-    out
-}
-
 /// A finite float as a JSON number; non-finite as `null`.
 fn json_f64(v: f64) -> String {
     if v.is_finite() {
@@ -513,10 +484,9 @@ fn json_f64(v: f64) -> String {
     }
 }
 
-/// Exports `snapshot` to the file named by [`TRACE_ENV`] (appending;
-/// CSV when the path ends in `.csv`, NDJSON otherwise). Does nothing
-/// when the variable is unset or empty — and never touches stdout, so
-/// experiment stdout stays byte-exact.
+/// Appends `snapshot` as NDJSON to the file named by [`TRACE_ENV`].
+/// Does nothing when the variable is unset or empty — and never
+/// touches stdout, so experiment stdout stays byte-exact.
 pub fn emit(snapshot: &TraceSnapshot) {
     use std::io::Write as _;
     let Ok(path) = std::env::var(TRACE_ENV) else {
@@ -525,11 +495,7 @@ pub fn emit(snapshot: &TraceSnapshot) {
     if path.is_empty() {
         return;
     }
-    let rendered = if path.ends_with(".csv") {
-        render_csv(snapshot)
-    } else {
-        render_ndjson(snapshot)
-    };
+    let rendered = render_ndjson(snapshot);
     match std::fs::OpenOptions::new()
         .create(true)
         .append(true)
@@ -605,27 +571,6 @@ mod tests {
             again.record(ch2, f64::from(i), f64::from(i) * 2.0);
         }
         assert_eq!(again.snapshot(), snap);
-    }
-
-    #[test]
-    fn csv_export_quotes_hostile_channel_names() {
-        let trace = TraceRecorder::new();
-        trace.record_named("plain", ChannelKind::Scalar, 0.0, 1.0);
-        trace.record_named("a,b", ChannelKind::Scalar, 0.0, 2.0);
-        trace.record_named("say \"hi\"", ChannelKind::Scalar, 0.0, 3.0);
-        trace.record_named("line\nbreak", ChannelKind::Scalar, 0.0, 4.0);
-        trace.record_named("car\rreturn", ChannelKind::Scalar, 0.0, 5.0);
-        let csv = render_csv(&trace.snapshot());
-        assert!(csv.contains("\nplain,scalar,"), "{csv}");
-        assert!(csv.contains("\n\"a,b\",scalar,"), "{csv}");
-        assert!(csv.contains("\n\"say \"\"hi\"\"\",scalar,"), "{csv}");
-        assert!(csv.contains("\"line\nbreak\",scalar,"), "{csv}");
-        assert!(csv.contains("\"car\rreturn\",scalar,"), "{csv}");
-        // a data row never starts with an unquoted name fragment: every
-        // line is either the header, a quoted-name row, a quote
-        // continuation, or starts with an unquoted full name
-        let header_cols = csv.lines().next().unwrap().split(',').count();
-        assert_eq!(header_cols, 5);
     }
 
     #[test]
@@ -706,7 +651,7 @@ mod tests {
     }
 
     #[test]
-    fn ndjson_and_csv_exports_render_every_channel() {
+    fn ndjson_export_renders_every_channel() {
         let trace = TraceRecorder::new();
         trace.record_named("t_chip", ChannelKind::Temperature, 0.0, 45.5);
         trace.record_named("t_chip", ChannelKind::Temperature, 2.0, 45.75);
@@ -716,13 +661,6 @@ mod tests {
             ndjson,
             "{\"type\":\"trace\",\"name\":\"t_chip\",\"kind\":\"temperature\",\
              \"stride\":1,\"pushed\":2,\"samples\":[[0,45.5],[2,45.75]]}\n"
-        );
-        let csv = render_csv(&snap);
-        assert_eq!(
-            csv,
-            "channel,kind,index,t,value\n\
-             t_chip,temperature,0,0,45.5\n\
-             t_chip,temperature,1,2,45.75\n"
         );
     }
 

@@ -69,7 +69,6 @@ fn disabled_sinks_never_touch_the_heap() {
             obs.add("solver.iterations", i);
             obs.work("solver.sweeps", i);
             obs.record_histogram("solver.rung", &[1, 2, 4], i);
-            obs.record_histogram_f64("solver.residual", &[1e-9, 1e-6, 1e-3], 1e-7);
             obs.note("workers", 4);
 
             let ch = trace.channel("t_chip", ChannelKind::Temperature);
@@ -101,8 +100,6 @@ fn disabled_sinks_never_touch_the_heap() {
         live.inc("solver.calls");
         live.add("solver.iterations", i);
         live.record_histogram("solver.rung", &[1, 2, 4], i);
-        #[allow(clippy::cast_precision_loss)]
-        live.record_histogram_f64("solver.residual", &[1e-9, 1e-6, 1e-3], i as f64 * 1e-7);
         live.note("workers", 4);
         live.work("solver.sweeps", i);
     };
@@ -134,7 +131,6 @@ fn disabled_sinks_never_touch_the_heap() {
             obs.add("profile.solver.direct", 2);
             obs.work("solver.sweeps", i);
             obs.record_histogram("solver.rung", &[1, 2, 4], i);
-            obs.record_histogram_f64("solver.residual", &[1e-9, 1e-6, 1e-3], 1e-7);
             obs.note("workers", 4);
             spans.enter("session", obs);
             spans.exit(obs);

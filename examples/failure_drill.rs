@@ -122,8 +122,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     // Record the drill trajectory into a bounded deterministic trace:
     // temperatures, flow, utilization, alarms and actions, one channel
-    // each. Set RCS_OBS_TRACE=<file> to export it (NDJSON, or CSV for a
-    // .csv path).
+    // each. Set RCS_OBS_TRACE=<file> to export it as NDJSON.
     let obs = rcs_sim::obs::Registry::new();
     let recorder = rcs_sim::obs::trace::TraceRecorder::new();
     let outcome = drill.run(
