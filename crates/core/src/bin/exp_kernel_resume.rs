@@ -1,8 +1,8 @@
 //! Kernel resume harness for the CI `kernel-resume` job.
 //!
 //! Runs the four checkpointable kernel loops — a thermal transient, the
-//! SKAT immersion warm-up, a pump-seizure fault drill and an
-//! availability Monte-Carlo study — and emits one NDJSON manifest
+//! SKAT immersion warm-up, a pump-seizure and impeller-wear fault drill
+//! and an availability Monte-Carlo study — and emits one NDJSON manifest
 //! (`RCS_OBS_MANIFEST`, plus traces when `RCS_OBS_TRACE` is set and the
 //! golden span tree when `RCS_OBS_SPANS` is set) and a summary table on
 //! stdout.
@@ -121,9 +121,18 @@ fn run(split: bool) -> (Vec<Table>, RunSinks) {
     ]);
 
     // --- 3. pump-seizure fault drill (split lands mid-chaos) --------
-    let timeline =
-        FaultTimeline::new().with_event(Seconds::minutes(2.0), FaultKind::PumpSeizure { pump: 0 });
-    let drill = FaultDrill::skat("kernel_resume", timeline, Seconds::minutes(20.0));
+    // SKAT+ has two pumps: after the seizure the worn survivor keeps
+    // the bath circulating, so wear relinearizes the loaded plant every
+    // fifth scan after the split too, each solve seeded from the last.
+    let timeline = FaultTimeline::new()
+        .with_event(
+            Seconds::minutes(1.0),
+            FaultKind::ImpellerWear {
+                head_decay_per_hour: 0.3,
+            },
+        )
+        .with_event(Seconds::minutes(2.0), FaultKind::PumpSeizure { pump: 0 });
+    let drill = FaultDrill::skat_plus("kernel_resume", timeline, Seconds::minutes(20.0));
     sinks.spans.enter("drill.session", &sinks.obs);
     let mut drill_session =
         DrillSession::new(&drill, Rng::seed_from_u64(SEED), true, sinks.bundle())

@@ -35,7 +35,7 @@ use rcs_platform::ComputeModule;
 use rcs_units::{Celsius, Seconds, VolumeFlow};
 
 use crate::error::CoreError;
-use crate::immersion::{pump_heat, ImmersionModel};
+use crate::immersion::{pump_heat, ImmersionModel, SteadySeed};
 
 /// Snapshot kind tag for [`DrillSession`] checkpoints.
 pub const DRILL_SNAPSHOT_KIND: &str = "core.drill";
@@ -418,12 +418,17 @@ impl FaultDrill {
     /// valve stuck fully shut) gets the stagnation model instead of a
     /// coupled solve — stagnation is a physical state, not a solver
     /// failure.
+    ///
+    /// A coupled solve starts its first rung from `seed`, the previous
+    /// converged steady state, and replaces it with its own; the
+    /// stagnation model leaves it as it is.
     fn linearize(
         &self,
         state: &DegradedState,
         utilization: f64,
         r_chip_baseline: f64,
         chips: f64,
+        seed: &mut SteadySeed,
         sinks: Sinks<'_>,
     ) -> Result<Linearization, CoreError> {
         let degraded_bath = state.apply_to(&self.bath);
@@ -445,11 +450,13 @@ impl FaultDrill {
             .with_operating_point(OperatingPoint::at_utilization(
                 utilization.max(UTILIZATION_FLOOR),
             ))
-            .with_pump_curves(curves);
+            .with_pump_curves(curves)
+            .with_seed(*seed);
         if state.valve_opening < 1.0 {
             model = model.with_circulation_valve(state.valve_opening);
         }
         let steady = model.solve_with_ladder(&ImmersionModel::LADDER, sinks)?;
+        *seed = SteadySeed::from(&steady);
         let (_, r_sink, r_hx) = model.lumped_plant(&steady);
         let pump = pump_heat(&degraded_bath, steady.circulation_power);
         let supply = degraded_bath
@@ -495,6 +502,9 @@ pub struct DrillSession {
     r_chip_baseline: f64,
     lin: Option<Linearization>,
     lin_key: Option<LinKey>,
+    /// The last converged coupled steady state (the baseline's until the
+    /// first loaded relinearization): where the next one starts.
+    seed: SteadySeed,
     supervisor: HardenedSupervisor,
     outcome: DrillOutcome,
 }
@@ -626,6 +636,7 @@ impl DrillSession {
             r_chip_baseline,
             lin: None,
             lin_key: None,
+            seed: SteadySeed::from(&baseline),
             supervisor: HardenedSupervisor::new(drill.control),
             outcome,
         })
@@ -666,6 +677,7 @@ impl DrillSession {
                     self.utilization,
                     self.r_chip_baseline,
                     self.chips,
+                    &mut self.seed,
                     Sinks {
                         spans: SpanSink::disabled(),
                         ..sinks
@@ -835,7 +847,8 @@ impl DrillSession {
     }
 
     /// Seals the full drill state — clock, plant state, supervisor
-    /// filter histories, cached linearization, RNG stream position,
+    /// filter histories, cached linearization and relinearization seed,
+    /// RNG stream position,
     /// partial outcome — plus the contents of `sinks` (the span sink's
     /// open stack included, so a span bracketing this drill survives the
     /// checkpoint) into versioned snapshot bytes.
@@ -881,6 +894,10 @@ impl DrillSession {
             }
             None => w.bool(false),
         }
+        w.f64(self.seed.junction.degrees());
+        w.f64(self.seed.coolant_hot.degrees());
+        w.f64(self.seed.coolant_cold.degrees());
+        w.f64(self.seed.flow.cubic_meters_per_second());
         // Supervisor: worst-seen statuses, vote tallies, filter states.
         let health = self.supervisor.worst_seen;
         w.u8(status_to_u8(health.level));
@@ -985,6 +1002,14 @@ impl DrillSession {
         } else {
             None
         };
+        // A corrupt seed needs no check: a non-finite one is ignored by
+        // the solver and any finite one only moves where rung 0 starts.
+        let seed = SteadySeed {
+            junction: Celsius::new(r.f64()?),
+            coolant_hot: Celsius::new(r.f64()?),
+            coolant_cold: Celsius::new(r.f64()?),
+            flow: VolumeFlow::from_cubic_meters_per_second(r.f64()?),
+        };
         let mut supervisor = HardenedSupervisor::new(drill.control);
         supervisor.worst_seen = ChannelHealth {
             level: status_from_u8(r.u8()?)?,
@@ -1053,6 +1078,7 @@ impl DrillSession {
             r_chip_baseline,
             lin,
             lin_key,
+            seed,
             supervisor,
             outcome,
         })
@@ -1474,19 +1500,11 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    #[test]
-    fn drill_session_checkpoint_resume_is_bitwise_identical() {
+    /// Runs `drill` straight through, then split at every scan in
+    /// `splits`: checkpoint there, resume into fresh sinks and finish.
+    /// Every split must reproduce the straight run bit for bit.
+    fn assert_resume_is_bitwise(drill: &FaultDrill, steps: usize, splits: &[u64]) {
         use rcs_obs::trace::TraceRecorder;
-
-        // A drill that exercises every stateful subsystem: the pump
-        // seizure trips relinearizations, alarms, throttles and an
-        // emergency shutdown, so filter histories, vote tallies and the
-        // partial outcome are all non-trivial at the split points.
-        let timeline = || {
-            FaultTimeline::new()
-                .with_event(Seconds::minutes(2.0), FaultKind::PumpSeizure { pump: 0 })
-        };
-        let drill = FaultDrill::skat("resume", timeline(), Seconds::minutes(20.0));
 
         let obs_ref = Registry::new();
         let trace_ref = TraceRecorder::new();
@@ -1497,12 +1515,9 @@ mod tests {
         };
         let mut rng_ref = rng();
         let reference = drill.run(&mut rng_ref, sinks_ref);
-        assert_eq!(reference.steps, 600, "20 min at 2 s scans");
+        assert_eq!(reference.steps, steps);
 
-        // Splits straddle the seizure (scan 60), the shutdown region and
-        // both endpoints (0 = checkpoint before any scan, 600 = after
-        // the last one).
-        for k in [0u64, 1, 59, 60, 61, 137, 599, 600] {
+        for &k in splits {
             let obs_a = Registry::new();
             let trace_a = TraceRecorder::new();
             let sinks_a = Sinks {
@@ -1510,9 +1525,9 @@ mod tests {
                 trace: &trace_a,
                 ..Sinks::disabled()
             };
-            let mut session = DrillSession::new(&drill, Rng::seed_from_u64(7), true, sinks_a)
+            let mut session = DrillSession::new(drill, Rng::seed_from_u64(7), true, sinks_a)
                 .expect("baseline solves");
-            session.run(&drill, sinks_a, k);
+            session.run(drill, sinks_a, k);
             let bytes = session.checkpoint(sinks_a);
 
             let obs_b = Registry::new();
@@ -1522,29 +1537,64 @@ mod tests {
                 trace: &trace_b,
                 ..Sinks::disabled()
             };
-            let mut resumed =
-                DrillSession::resume(&drill, &bytes, sinks_b).expect("snapshot opens");
-            while resumed.step(&drill, sinks_b) {}
+            let mut resumed = DrillSession::resume(drill, &bytes, sinks_b).expect("snapshot opens");
+            while resumed.step(drill, sinks_b) {}
             assert!(resumed.is_finished());
             let (outcome, final_rng) = resumed.finish(Sinks::counters(&obs_b));
 
-            assert_eq!(outcome, reference, "outcome diverged at split {k}");
+            let name = &drill.name;
+            assert_eq!(outcome, reference, "{name}: outcome diverged at split {k}");
             assert_eq!(
                 obs_b.snapshot(),
                 obs_ref.snapshot(),
-                "golden counters diverged at split {k}"
+                "{name}: golden counters diverged at split {k}"
             );
             assert_eq!(
                 trace_b.snapshot(),
                 trace_ref.snapshot(),
-                "traces diverged at split {k}"
+                "{name}: traces diverged at split {k}"
             );
             assert_eq!(
                 final_rng.state(),
                 rng_ref.state(),
-                "rng stream diverged at split {k}"
+                "{name}: rng stream diverged at split {k}"
             );
         }
+    }
+
+    #[test]
+    fn drill_session_checkpoint_resume_is_bitwise_identical() {
+        // A drill that exercises every stateful subsystem: the pump
+        // seizure trips relinearizations, alarms, throttles and an
+        // emergency shutdown, so filter histories, vote tallies and the
+        // partial outcome are all non-trivial at the split points.
+        // Splits straddle the seizure (scan 60), the shutdown region and
+        // both endpoints (0 = checkpoint before any scan, 600 = after
+        // the last one); 20 min at 2 s scans is 600 scans.
+        let seizure = FaultDrill::skat(
+            "resume",
+            FaultTimeline::new()
+                .with_event(Seconds::minutes(2.0), FaultKind::PumpSeizure { pump: 0 }),
+            Seconds::minutes(20.0),
+        );
+        assert_resume_is_bitwise(&seizure, 600, &[0, 1, 59, 60, 61, 137, 599, 600]);
+
+        // Growing fouling relinearizes the loaded plant every 5th scan,
+        // each solve seeded from the one before. Splits between two
+        // seeded relinearizations resume only if the seed round-trips
+        // through the snapshot: the resumed solve must start where the
+        // uninterrupted one does, or its iteration counts drift.
+        let fouling = FaultDrill::skat(
+            "resume fouling",
+            FaultTimeline::new().with_event(
+                Seconds::minutes(1.0),
+                FaultKind::ExchangerFouling {
+                    rate_k_per_w_per_hour: 0.002,
+                },
+            ),
+            Seconds::minutes(20.0),
+        );
+        assert_resume_is_bitwise(&fouling, 600, &[0, 33, 212, 477]);
     }
 
     #[test]

@@ -74,6 +74,44 @@ pub struct ImmersionModel {
     /// Circulation-path valve opening in `(0, 1]`; `1.0` (the default)
     /// adds no valve element at all, keeping healthy solves identical.
     circulation_valve_opening: f64,
+    /// Where rung 0 of the coupled ladder starts; `None` (the default)
+    /// starts it cold.
+    seed: Option<SteadySeed>,
+}
+
+/// A converged coupled state that rung 0 of
+/// [`ImmersionModel::solve_with_ladder`] can start from instead of the
+/// cold guess: the fixed point's `(tj, oil_hot, oil_cold)` and the bath
+/// flow that seeds the first circulation solve. Built from the
+/// [`SteadyReport`] of a neighboring configuration (the previous state
+/// of a slowly degrading plant); see [`ImmersionModel::with_seed`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SteadySeed {
+    pub(crate) junction: Celsius,
+    pub(crate) coolant_hot: Celsius,
+    pub(crate) coolant_cold: Celsius,
+    pub(crate) flow: VolumeFlow,
+}
+
+impl SteadySeed {
+    /// `true` when every component is finite; any other seed is ignored.
+    fn is_finite(&self) -> bool {
+        self.junction.degrees().is_finite()
+            && self.coolant_hot.degrees().is_finite()
+            && self.coolant_cold.degrees().is_finite()
+            && self.flow.is_finite()
+    }
+}
+
+impl From<&SteadyReport> for SteadySeed {
+    fn from(report: &SteadyReport) -> Self {
+        Self {
+            junction: report.junction,
+            coolant_hot: report.coolant_hot,
+            coolant_cold: report.coolant_cold,
+            flow: report.coolant_flow,
+        }
+    }
 }
 
 impl ImmersionModel {
@@ -101,6 +139,7 @@ impl ImmersionModel {
             aging: TimAging::fresh(),
             pump_overrides: None,
             circulation_valve_opening: 1.0,
+            seed: None,
         }
     }
 
@@ -149,6 +188,18 @@ impl ImmersionModel {
             "valve opening outside (0, 1]"
         );
         self.circulation_valve_opening = opening;
+        self
+    }
+
+    /// Starts rung 0 of every ladder solve from `seed` instead of the
+    /// cold guess, and seeds that rung's first circulation solve with
+    /// the seed's bath flow, split evenly across the pumps. Later rungs
+    /// still start cold, and a seed with a non-finite component is
+    /// ignored, so either way the solve lands where an unseeded one
+    /// would, within the fixed point's stopping tolerance.
+    #[must_use]
+    pub fn with_seed(mut self, seed: SteadySeed) -> Self {
+        self.seed = Some(seed);
         self
     }
 
@@ -300,7 +351,10 @@ impl ImmersionModel {
     ///
     /// Every rung runs the same Anderson-accelerated fixed point (depth
     /// 2 on junction, hot-oil and cold-oil temperature) with the rung's
-    /// damping as its mixing factor, from the same cold start. A
+    /// damping as its mixing factor. Rung 0 starts from the model's
+    /// [`ImmersionModel::with_seed`] state when it has a finite one;
+    /// every other rung starts cold, so a ladder that escalates to rung
+    /// k returns the bits of rung k run alone, unseeded. A
     /// least-squares step that is ill-conditioned or not finite clears
     /// the history and falls back to the plain damped blend toward the
     /// update, so a heavier rung still moves more cautiously. A rung
@@ -342,9 +396,10 @@ impl ImmersionModel {
         obs.inc("immersion.ladder.calls");
         spans.enter("immersion.ladder", obs);
         let mut last = None;
+        let mut seed = self.seed.filter(SteadySeed::is_finite);
         for (rung, &(damping, max_iter)) in rungs.iter().enumerate() {
             spans.enter("rung", obs);
-            let attempt = self.solve_damped(damping, max_iter, obs);
+            let attempt = self.solve_damped(damping, max_iter, seed.take(), obs);
             let (iterations, residual) = match &attempt {
                 Ok(report) => (report.iterations, None),
                 Err(CoreError::NoConvergence {
@@ -399,6 +454,7 @@ impl ImmersionModel {
         &self,
         damping: f64,
         max_iter: usize,
+        seed: Option<SteadySeed>,
         obs: &Registry,
     ) -> Result<SteadyReport, CoreError> {
         let model = PowerModel::for_part(self.module.ccb().part());
@@ -412,11 +468,30 @@ impl ImmersionModel {
         // point: every iteration's hydraulic solve after the first
         // warm-starts from the previous iteration's flows.
         let circulation = self.circulation_network()?;
-        let mut ctx = circulation.as_ref().map(|(net, _)| net.solver_context());
+        let mut ctx = circulation.as_ref().map(|(net, _)| {
+            let mut ctx = net.solver_context();
+            if let Some(seed) = &seed {
+                // the bath path, then the pumps in parallel, in the
+                // order `circulation_network` adds them
+                let pumps = self
+                    .pump_overrides
+                    .as_ref()
+                    .map_or(self.bath.pump_count, Vec::len);
+                let per_pump = seed.flow / pumps as f64;
+                let mut flows = vec![per_pump; pumps + 1];
+                flows[0] = seed.flow;
+                ctx.set_seed(&flows);
+            }
+            ctx
+        });
 
-        let mut tj = Celsius::new(45.0);
-        let mut oil_hot = self.bath.chiller.setpoint() + TempDelta::from_kelvins(8.0);
-        let mut oil_cold = oil_hot;
+        let (mut tj, mut oil_hot, mut oil_cold) = match seed {
+            Some(seed) => (seed.junction, seed.coolant_hot, seed.coolant_cold),
+            None => {
+                let oil = self.bath.chiller.setpoint() + TempDelta::from_kelvins(8.0);
+                (Celsius::new(45.0), oil, oil)
+            }
+        };
         let mut flow = VolumeFlow::ZERO;
         let mut pump_electrical = Power::ZERO;
         let mut velocity = Velocity::from_meters_per_second(0.0);
@@ -1073,7 +1148,71 @@ mod tests {
             snap.counter("profile.immersion.fixed_point_iterations"),
             2 + escalated.iterations as u64
         );
-        // every rung starts cold, so rung 1 alone lands on the same bits
+        // rung 1 starts cold, so rung 1 alone lands on the same bits
+        let direct = model.solve_with_ladder(&[(0.5, 120)], Sinks::disabled());
+        assert_same_bits(&escalated, &direct.unwrap());
+    }
+
+    #[test]
+    fn a_non_finite_seed_is_ignored() {
+        let model = ImmersionModel::skat_plus();
+        let cold = model.solve().unwrap();
+        let good = SteadySeed::from(&cold);
+        let poisoned = [
+            SteadySeed {
+                junction: Celsius::new(f64::NAN),
+                ..good
+            },
+            SteadySeed {
+                coolant_hot: Celsius::new(f64::INFINITY),
+                ..good
+            },
+            SteadySeed {
+                coolant_cold: Celsius::new(f64::NEG_INFINITY),
+                ..good
+            },
+            SteadySeed {
+                flow: VolumeFlow::from_cubic_meters_per_second(f64::NAN),
+                ..good
+            },
+        ];
+        for seed in poisoned {
+            let obs = Registry::new();
+            let seeded = model
+                .clone()
+                .with_seed(seed)
+                .solve_with_ladder(&ImmersionModel::LADDER, Sinks::counters(&obs))
+                .unwrap();
+            assert_same_bits(&seeded, &cold);
+            // no warm start reached the first circulation solve either
+            assert_eq!(
+                obs.snapshot().counter("profile.hydraulics.warm_starts"),
+                seeded.iterations as u64 - 1,
+                "{seed:?}"
+            );
+        }
+        // a finite seed at the fixed point itself is a warm start that
+        // settles at once
+        let warm = model.with_seed(good).solve().unwrap();
+        assert!(warm.iterations < cold.iterations);
+    }
+
+    #[test]
+    fn an_escalated_seeded_ladder_is_its_next_rung_run_alone_unseeded() {
+        let model = ImmersionModel::skat();
+        let far = SteadySeed {
+            junction: Celsius::new(95.0),
+            coolant_hot: Celsius::new(60.0),
+            coolant_cold: Celsius::new(5.0),
+            flow: VolumeFlow::liters_per_minute(30.0),
+        };
+        let obs = Registry::new();
+        let escalated = model
+            .clone()
+            .with_seed(far)
+            .solve_with_ladder(&[(0.5, 1), (0.5, 120)], Sinks::counters(&obs))
+            .unwrap();
+        assert_eq!(obs.snapshot().counter("immersion.ladder.escalations"), 1);
         let direct = model.solve_with_ladder(&[(0.5, 120)], Sinks::disabled());
         assert_same_bits(&escalated, &direct.unwrap());
     }
@@ -1241,7 +1380,7 @@ mod tests {
         let model = ImmersionModel::skat().with_pump_curves(Vec::new());
         assert!(model.circulation_network().unwrap().is_none());
         // one fixed-point iteration: one stagnant circulation, no solve
-        let _ = model.solve_damped(0.5, 1, &obs);
+        let _ = model.solve_damped(0.5, 1, None, &obs);
         let snap = obs.snapshot();
         assert_eq!(snap.counter("immersion.circulation.stagnant"), 1);
         assert_eq!(snap.counter("hydraulics.ladder.calls"), 0);

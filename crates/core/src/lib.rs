@@ -55,6 +55,6 @@ pub use drill::{
 };
 pub use error::CoreError;
 pub use fleet::{FleetConfig, FleetOutcome, FleetSimulation};
-pub use immersion::{ImmersionModel, WarmupSession, WarmupTrace, WARMUP_SNAPSHOT_KIND};
+pub use immersion::{ImmersionModel, SteadySeed, WarmupSession, WarmupTrace, WARMUP_SNAPSHOT_KIND};
 pub use rack_model::{RackImmersionModel, RackReport};
 pub use report::SteadyReport;

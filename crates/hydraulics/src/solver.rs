@@ -331,6 +331,16 @@ impl SolverContext {
     pub fn clear_seed(&mut self) {
         self.warm_flows = None;
     }
+
+    /// Replaces the warm-start seed with caller-supplied branch flows,
+    /// one per branch in [`HydraulicNetwork::add_branch`] order — for a
+    /// caller that knows a neighboring solution this context never
+    /// solved. The next solve starts from them if they are usable: a
+    /// seed of the wrong length or with a non-finite flow is dropped
+    /// there, and that solve starts cold.
+    pub fn set_seed(&mut self, flows: &[VolumeFlow]) {
+        self.warm_flows = Some(flows.iter().map(|q| q.cubic_meters_per_second()).collect());
+    }
 }
 
 /// Iteration-count histogram bounds shared by all solver telemetry
@@ -1328,6 +1338,45 @@ mod tests {
             1,
             "only the second solve starts from a seed"
         );
+    }
+
+    #[test]
+    fn an_unusable_caller_seed_is_a_cold_solve_and_a_usable_one_a_warm_start() {
+        let (net, _) = branched_net();
+        let counted = |seed: &[VolumeFlow]| {
+            let obs = Registry::new();
+            let mut ctx = net.solver_context();
+            ctx.set_seed(seed);
+            let sol = net
+                .solve_with_ladder(
+                    &water(),
+                    &SolveOptions::ladder(),
+                    &mut ctx,
+                    Sinks::counters(&obs),
+                )
+                .unwrap();
+            (
+                sol,
+                obs.snapshot().counter("profile.hydraulics.warm_starts"),
+            )
+        };
+        let cold = net.solve(&water()).unwrap();
+        let q = |m3s: f64| VolumeFlow::from_cubic_meters_per_second(m3s);
+        let bad: [&[VolumeFlow]; 4] = [
+            &[q(1e-3); 3],
+            &[q(1e-3); 5],
+            &[q(1e-3), q(f64::NAN), q(1e-3), q(1e-3)],
+            &[q(1e-3), q(1e-3), q(f64::INFINITY), q(1e-3)],
+        ];
+        for seed in bad {
+            let (sol, warm_starts) = counted(seed);
+            assert_bitwise_eq(&sol, &cold);
+            assert_eq!(warm_starts, 0, "{seed:?} must not count a warm start");
+        }
+        // the cold solution itself is the best seed there is
+        let (sol, warm_starts) = counted(&cold.flows());
+        assert_eq!(warm_starts, 1);
+        assert!(sol.iterations() < cold.iterations());
     }
 
     #[test]

@@ -27,7 +27,9 @@ pub const MAGIC: [u8; 4] = *b"RCSK";
 /// stack) after the trace channels.
 /// v3: `SinkState` drops the float-histogram block that sat between
 /// the histograms and the trace channels.
-pub const FORMAT_VERSION: u32 = 3;
+/// v4: the fault-drill payload carries the relinearization seed (the
+/// last converged steady state) after the linearization cache key.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// A structured snapshot decoding failure. Every variant names what the
 /// reader expected and what it found, so a corrupted checkpoint is
@@ -471,7 +473,7 @@ mod tests {
         }
         // Wrong version is named specifically — the previous layout's
         // version too, so an old checkpoint is never misread.
-        for (version, found) in [(99, 99), (FORMAT_VERSION - 1, 2)] {
+        for (version, found) in [(99, 99), (FORMAT_VERSION - 1, 3)] {
             let mut bad = sealed.clone();
             bad[4..8].copy_from_slice(&version.to_le_bytes());
             let body_len = bad.len() - 4;
@@ -481,7 +483,7 @@ mod tests {
                 open("test.kind", &bad),
                 Err(SnapshotError::BadVersion {
                     found,
-                    supported: 3
+                    supported: 4
                 })
             );
         }

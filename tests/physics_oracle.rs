@@ -34,7 +34,7 @@ use std::fmt::Write as _;
 use rcs_sim::cooling::faults::DegradedState;
 use rcs_sim::cooling::ImmersionBath;
 use rcs_sim::core::experiments::e17_fault_drills::drill_scripts;
-use rcs_sim::core::{CoreError, ImmersionModel, RackImmersionModel, SteadyReport};
+use rcs_sim::core::{CoreError, ImmersionModel, RackImmersionModel, SteadyReport, SteadySeed};
 use rcs_sim::devices::OperatingPoint;
 use rcs_sim::obs::report::{parse_json, Json};
 use rcs_sim::platform::presets;
@@ -306,33 +306,72 @@ fn physics_matches_the_golden_within_tolerance() {
     );
     let mut misses = Vec::new();
     for ((name, want), (_, got)) in golden.iter().zip(&fresh) {
-        let (want, got) = match (want, got) {
-            (Ok(want), Ok(got)) => (want, got),
-            (want, got) => {
-                let tag = |o: &Outcome| o.as_ref().err().cloned();
-                if tag(want) != tag(got) {
-                    misses.push(format!(
-                        "{name}: golden {:?}, now {:?}",
-                        tag(want),
-                        tag(got)
-                    ));
-                }
-                continue;
-            }
-        };
-        let keys = |f: &[(String, f64)]| f.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>();
-        assert_eq!(keys(got), keys(want), "{name}: field list drifted");
-        for ((field, g), (_, f)) in want.iter().zip(got) {
-            if let Some(by) = miss(field, *g, *f) {
-                misses.push(format!(
-                    "{name}.{field}: golden {g:?}, now {f:?} (off by {by:e})"
-                ));
-            }
-        }
+        compare(name, want, got, &mut misses);
     }
     assert!(
         misses.is_empty(),
         "{} field(s) outside tolerance:\n{}",
+        misses.len(),
+        misses.join("\n")
+    );
+}
+
+/// Appends to `misses` every way `got` falls outside the tolerance of
+/// `want`: another error tag, or a field off by more than its bound.
+fn compare(name: &str, want: &Outcome, got: &Outcome, misses: &mut Vec<String>) {
+    let (want, got) = match (want, got) {
+        (Ok(want), Ok(got)) => (want, got),
+        (want, got) => {
+            let tag = |o: &Outcome| o.as_ref().err().cloned();
+            if tag(want) != tag(got) {
+                misses.push(format!(
+                    "{name}: golden {:?}, now {:?}",
+                    tag(want),
+                    tag(got)
+                ));
+            }
+            return;
+        }
+    };
+    let keys = |f: &[(String, f64)]| f.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>();
+    assert_eq!(keys(got), keys(want), "{name}: field list drifted");
+    for ((field, g), (_, f)) in want.iter().zip(got) {
+        if let Some(by) = miss(field, *g, *f) {
+            misses.push(format!(
+                "{name}.{field}: golden {g:?}, now {f:?} (off by {by:e})"
+            ));
+        }
+    }
+}
+
+#[test]
+fn a_solve_seeded_from_the_previous_configuration_lands_on_its_cold_solve() {
+    // Neighboring cases differ by one knob (or, across groups, by the
+    // whole design), so the seeds run from near misses to far ones. A
+    // seed moves only where rung 0 starts, never where it lands.
+    let mut seed: Option<SteadySeed> = None;
+    let mut seeded_cases = 0;
+    let mut misses = Vec::new();
+    for (name, model) in module_cases() {
+        let cold = model.solve();
+        if let Some(seed) = seed {
+            let seeded = model.with_seed(seed).solve();
+            let outcome = |r: &Result<SteadyReport, CoreError>| -> Outcome {
+                r.as_ref()
+                    .map(steady_fields)
+                    .map_err(|e| error_tag(&name, e))
+            };
+            compare(&name, &outcome(&cold), &outcome(&seeded), &mut misses);
+            seeded_cases += 1;
+        }
+        if let Ok(report) = &cold {
+            seed = Some(SteadySeed::from(report));
+        }
+    }
+    assert_eq!(seeded_cases, module_cases().len() - 1);
+    assert!(
+        misses.is_empty(),
+        "{} seeded field(s) outside tolerance:\n{}",
         misses.len(),
         misses.join("\n")
     );
