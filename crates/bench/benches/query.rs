@@ -4,9 +4,11 @@
 //! Every row answers the same 12-point family × utilization grid, so
 //! every row computes the identical verdicts (the determinism contract)
 //! — only the wall-clock changes. The closing report lines quantify the
-//! two claims the query layer makes: misses scale with the worker
-//! count, and a cache hit is orders of magnitude cheaper than a cold
-//! solve (the `hit_speedup` line must stay well above 10×).
+//! three claims the query layer makes: misses scale with the worker
+//! count, a cache hit is orders of magnitude cheaper than a cold solve
+//! (the `hit_speedup` line must stay well above 10×), and a miss whose
+//! availability study is resident skips the Monte-Carlo
+//! (`study_reuse_speedup`).
 //!
 //! Run with `cargo bench -p rcs-bench --bench query`, or `-- --quick`
 //! for the CI smoke pass.
@@ -26,9 +28,9 @@ fn thread_ladder() -> Vec<usize> {
     ladder
 }
 
-/// The benchmark grid: 12 distinct queries, modest trial budget so the
-/// steady-state solve dominates over the Monte-Carlo.
-fn grid(trials: u32) -> Vec<DesignQuery> {
+/// The benchmark grid: every family at each of `utils`, one trial
+/// budget and seed, so the grid shares one availability study per bath.
+fn grid(trials: u32, utils: &[&str]) -> Vec<DesignQuery> {
     let mut queries = Vec::new();
     for family in ["rigel2", "taygeta", "skat", "skat_plus"] {
         let bath = if family == "skat_plus" {
@@ -36,7 +38,7 @@ fn grid(trials: u32) -> Vec<DesignQuery> {
         } else {
             "skat"
         };
-        for util in ["0.6", "0.85", "1.0"] {
+        for util in utils {
             let spec = format!("family={family} bath={bath} util={util} trials={trials} seed=3");
             queries.push(DesignQuery::parse(&spec).expect("valid spec"));
         }
@@ -47,7 +49,9 @@ fn grid(trials: u32) -> Vec<DesignQuery> {
 fn main() {
     let mut h = Harness::from_args_for("query");
     let trials = if h.is_quick() { 32 } else { 128 };
-    let queries = grid(trials);
+    // 12 distinct queries, modest trial budget so the steady-state
+    // solve dominates over the Monte-Carlo.
+    let queries = grid(trials, &["0.6", "0.85", "1.0"]);
     let n = queries.len();
 
     // Cold batches across the thread ladder: a fresh engine per
@@ -87,6 +91,21 @@ fn main() {
         }
     }
 
+    // Study reuse at one thread: an engine warmed on the same grid at
+    // another utilization holds both baths' studies but none of the
+    // batch's verdicts, so every request misses and reuses its study.
+    // Each sample runs on a clone of the warmed engine.
+    let mut warmed = QueryEngine::new(2 * n);
+    warmed.run_batch(
+        &grid(trials, &["0.7"]),
+        rcs_parallel::thread_count(),
+        Sinks::disabled(),
+    );
+    let reuse_median = h.bench_median(&format!("query_batch/{n}q/study_reuse"), || {
+        let mut engine = warmed.clone();
+        black_box(engine.run_batch(&queries, 1, Sinks::disabled()))
+    });
+
     // Throughput + speedup report lines.
     let serial_cold = cold_rows.iter().find(|(t, _)| *t == 1).map(|&(_, d)| d);
     if let Some(serial) = serial_cold {
@@ -103,6 +122,10 @@ fn main() {
                 "bench  speedup miss_solve_scaling               {speedup:.2}x (threads=1 vs threads={threads}, identical verdicts)"
             );
         }
+    }
+    if let (Some(cold), Some(reuse)) = (serial_cold, reuse_median) {
+        let speedup = cold.as_secs_f64() / reuse.as_secs_f64().max(f64::MIN_POSITIVE);
+        println!("bench  speedup study_reuse_speedup              {speedup:.2}x (resident studies vs cold solve, bit-identical verdicts)");
     }
     if let (Some(cold), Some(warm)) = (serial_cold, warm_median) {
         let speedup = cold.as_secs_f64() / warm.as_secs_f64().max(f64::MIN_POSITIVE);

@@ -57,6 +57,27 @@ struct ChunkOutcome {
     losses: u64,
 }
 
+/// Panics, naming the class, on a non-finite class parameter — the
+/// contract documented on [`McSession::advance`].
+fn check_classes(classes: &[FailureClass]) {
+    for class in classes {
+        for (what, value) in [
+            ("rate_per_year", class.rate_per_year),
+            ("downtime_hours", class.consequence.downtime_hours),
+            (
+                "hardware_loss_probability",
+                class.consequence.hardware_loss_probability,
+            ),
+        ] {
+            assert!(
+                value.is_finite(),
+                "failure class {:?}: {what} is {value}, not finite",
+                class.name
+            );
+        }
+    }
+}
+
 /// Runs the trials of one chunk on its own RNG stream.
 fn run_chunk(
     classes: &[FailureClass],
@@ -108,7 +129,9 @@ fn run_chunk(
 ///
 /// # Panics
 ///
-/// Panics if `horizon_years` is not positive or `trials` is zero.
+/// Panics if `horizon_years` is not positive, `trials` is zero, or a
+/// class has a non-finite rate, downtime or hardware-loss probability
+/// (see [`McSession::advance`]).
 #[must_use]
 pub fn monte_carlo(
     classes: &[FailureClass],
@@ -143,7 +166,8 @@ pub fn monte_carlo(
 ///
 /// # Panics
 ///
-/// Panics if `horizon_years` is not positive or `trials` is zero.
+/// Panics if `horizon_years` is not positive, `trials` is zero, or a
+/// class parameter is not finite.
 #[must_use]
 pub fn monte_carlo_with_threads(
     classes: &[FailureClass],
@@ -163,7 +187,8 @@ pub fn monte_carlo_with_threads(
 ///
 /// # Panics
 ///
-/// Panics if `horizon_years` is not positive or `trials` is zero.
+/// Panics if `horizon_years` is not positive, `trials` is zero, or a
+/// class parameter is not finite.
 #[must_use]
 pub fn monte_carlo_observed(
     classes: &[FailureClass],
@@ -257,8 +282,19 @@ impl McSession {
     /// batch, reducing shard telemetry and results in chunk order.
     /// Returns how many chunks ran (0 when the study is complete). The
     /// chunks record counters and trace samples but no spans.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the class, if any class has a non-finite
+    /// `rate_per_year`, `downtime_hours` or `hardware_loss_probability`
+    /// — checked before the first draw, because an infinite rate never
+    /// leaves the interarrival loop and a NaN probability has no
+    /// Bernoulli draw. Finite values are clamped as before: a negative
+    /// rate draws no events, a probability outside `[0, 1]` is clamped
+    /// into it.
     #[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation)]
     pub fn advance(&mut self, classes: &[FailureClass], sinks: Sinks<'_>, max_chunks: u64) -> u64 {
+        check_classes(classes);
         let mut indices = Vec::new();
         while (indices.len() as u64) < max_chunks {
             let Some(tick) = self.clock.tick() else { break };
@@ -352,8 +388,10 @@ impl McSession {
         let mut availabilities = self.availabilities;
         // total order even under NaN: a poisoned trial would sort to the
         // top deterministically instead of leaving the percentile rank
-        // dependent on the comparison sequence
-        availabilities.sort_by(f64::total_cmp);
+        // dependent on the comparison sequence. Values equal under
+        // `total_cmp` share their bits, so the unstable sort yields the
+        // same array as a stable one.
+        availabilities.sort_unstable_by(f64::total_cmp);
         let trials = self.trials as f64;
         let mean = availabilities.iter().sum::<f64>() / trials;
         let p05 = percentile(&availabilities, 0.05);
@@ -651,6 +689,71 @@ mod tests {
                 "truncated at {cut}"
             );
         }
+    }
+
+    /// The immersion classes with one parameter of the named class
+    /// replaced.
+    fn poisoned(edit: impl FnOnce(&mut FailureClass)) -> Vec<FailureClass> {
+        let mut classes = risk::failure_classes(&CoolingArchitecture::Immersion(
+            ImmersionBath::skat_default(),
+        ));
+        edit(&mut classes[0]);
+        classes
+    }
+
+    #[test]
+    #[should_panic(expected = "rate_per_year is inf, not finite")]
+    fn an_infinite_rate_is_rejected_by_the_class_check() {
+        // Only the check runs: the trial loop would never return.
+        check_classes(&poisoned(|c| c.rate_per_year = f64::INFINITY));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "failure class \"facility cooling trip (chiller/CRAC)\": rate_per_year is NaN"
+    )]
+    fn a_nan_rate_panics_instead_of_counting_as_zero() {
+        let classes = poisoned(|c| c.rate_per_year = f64::NAN);
+        let _ = monte_carlo_with_threads(&classes, 5.0, 70, 1, 1, Sinks::disabled());
+    }
+
+    #[test]
+    #[should_panic(expected = "hardware_loss_probability is NaN")]
+    fn a_nan_loss_probability_panics_before_the_first_draw() {
+        let classes = poisoned(|c| c.consequence.hardware_loss_probability = f64::NAN);
+        let _ = monte_carlo_with_threads(&classes, 5.0, 70, 1, 2, Sinks::disabled());
+    }
+
+    #[test]
+    #[should_panic(expected = "downtime_hours is -inf")]
+    fn a_non_finite_downtime_panics() {
+        let classes = poisoned(|c| c.consequence.downtime_hours = f64::NEG_INFINITY);
+        let _ = monte_carlo_with_threads(&classes, 5.0, 70, 1, 1, Sinks::disabled());
+    }
+
+    #[test]
+    fn finite_out_of_range_parameters_keep_their_clamping() {
+        let reference = monte_carlo_with_threads(
+            &poisoned(|c| c.rate_per_year = 0.0),
+            5.0,
+            300,
+            4,
+            1,
+            Sinks::disabled(),
+        );
+        let negative = monte_carlo_with_threads(
+            &poisoned(|c| c.rate_per_year = -3.0),
+            5.0,
+            300,
+            4,
+            1,
+            Sinks::disabled(),
+        );
+        assert_eq!(negative, reference, "a negative rate draws no events");
+        let clamped = poisoned(|c| c.consequence.hardware_loss_probability = 7.0);
+        let r = monte_carlo_with_threads(&clamped, 5.0, 300, 4, 1, Sinks::disabled());
+        let events_per_trial = r.mean_events_per_year * 5.0;
+        assert!(r.mean_hardware_losses > 0.0 && r.mean_hardware_losses <= events_per_trial);
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! and the [`QueryEngine`] batch scheduler answers whole request lists:
 //! hits are served from the cache, in-batch duplicates are coalesced,
 //! and the remaining distinct misses are solved concurrently over
-//! [`rcs_parallel::par_map_isolated`].
+//! [`rcs_parallel::par_map_isolated`], each reusing its availability
+//! study when a sibling design point with the same [`StudyKey`] already
+//! ran it.
 //!
 //! # Determinism contract
 //!
@@ -28,7 +30,11 @@
 //! - a cached verdict is returned as stored — bit-identical to the
 //!   solve that produced it — and the solvers themselves are
 //!   deterministic, so a warm cache and a cold cache produce the same
-//!   bytes.
+//!   bytes;
+//! - studies are resolved against the study table at batch entry in
+//!   miss order and stored in miss order, and a stored study holds the
+//!   bits a fresh run would produce, so reuse changes only the work
+//!   done.
 //!
 //! The golden `query.*` counters ([`QueryEngine::run_batch`]) and their
 //! `profile.query.*` work mirrors make the cache behaviour a pinned,
@@ -76,6 +82,7 @@
 pub mod e18_query_service;
 
 use std::collections::{HashMap, VecDeque};
+use std::hash::Hash;
 
 use rcs_cooling::{availability, risk, CoolingArchitecture, ImmersionBath};
 use rcs_core::{rules, CoreError, ImmersionModel};
@@ -299,7 +306,7 @@ impl DeviceFamily {
 }
 
 /// Immersion coolant of a query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CoolantChoice {
     /// The SRC dielectric blend (the paper's working fluid).
     SrcDielectric,
@@ -338,7 +345,7 @@ impl CoolantChoice {
 }
 
 /// Bath hardware variant of a query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BathVariant {
     /// The SKAT bath: one external pump, 1150 W/K exchanger.
     Skat,
@@ -557,6 +564,64 @@ impl DesignVerdict {
     }
 }
 
+/// Everything an availability study depends on: the bath and coolant
+/// that fix the failure classes, and the trial budget and seed of the
+/// Monte-Carlo. A query's family and utilization are not part of it, so
+/// every design point sharing a key shares one study — which is what
+/// lets [`QueryEngine`] keep solved studies and reuse them across
+/// design points.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct StudyKey {
+    /// Bath hardware variant.
+    pub bath: BathVariant,
+    /// Immersion coolant.
+    pub coolant: CoolantChoice,
+    /// Monte-Carlo trial budget.
+    pub trials: u32,
+    /// Monte-Carlo seed.
+    pub seed: u64,
+}
+
+impl From<&DesignQuery> for StudyKey {
+    fn from(query: &DesignQuery) -> Self {
+        Self {
+            bath: query.bath,
+            coolant: query.coolant,
+            trials: query.trials,
+            seed: query.seed,
+        }
+    }
+}
+
+/// The part of an availability study a verdict keeps.
+#[derive(Debug, Clone, Copy)]
+struct Study {
+    mean: f64,
+    p05: f64,
+}
+
+impl StudyKey {
+    /// Runs the study serially over [`HORIZON_YEARS`], with failure
+    /// classes built from the key alone. Counters (`mc.*`) and work
+    /// land on `obs`.
+    fn run(self, obs: &Registry) -> Study {
+        let bath = self.bath.bath_with(self.coolant);
+        let classes = risk::failure_classes(&CoolingArchitecture::Immersion(bath));
+        let report = availability::monte_carlo_with_threads(
+            &classes,
+            HORIZON_YEARS,
+            self.trials as usize,
+            self.seed,
+            1,
+            Sinks::counters(obs),
+        );
+        Study {
+            mean: report.mean_availability,
+            p05: report.p05_availability,
+        }
+    }
+}
+
 /// Damping rungs for retries after a stall: heavier damping than the
 /// standard ladder's last rung (0.1), with matching iteration headroom.
 /// After `n ≥ 1` stalled attempts a retry runs the one-rung ladder
@@ -567,7 +632,9 @@ const RETRY_RUNGS: [(f64, usize); 2] = [(0.05, 2400), (0.02, 4800)];
 /// availability Monte-Carlo and the compliance rules. The Monte-Carlo
 /// runs serially here — batch parallelism lives in
 /// [`QueryEngine::run_batch`], and nesting pools would not change the
-/// (thread-invariant) result anyway.
+/// (thread-invariant) result anyway. This is the uncached reference:
+/// it always runs the study, through the same function an engine miss
+/// runs with its resident study, if any.
 ///
 /// This is attempt 0 of [`solve_query_resilient`]'s retry ladder: the
 /// coupled fixed point runs the standard [`ImmersionModel::LADDER`],
@@ -579,19 +646,22 @@ const RETRY_RUNGS: [(f64, usize); 2] = [(0.05, 2400), (0.02, 4800)];
 /// and [`QueryError::NoConvergence`] when the solvers run out of
 /// headroom (e.g. a workload the bath cannot carry).
 pub fn solve_query(query: &DesignQuery, obs: &Registry) -> Result<DesignVerdict, QueryError> {
-    solve_query_at(query, 0, obs)
+    solve_query_at(query, 0, None, obs)
 }
 
-/// [`solve_query`] after `stalls` earlier attempts failed to converge.
-/// With none it runs the standard [`ImmersionModel::LADDER`]; after a
-/// stall it runs a one-rung ladder of `RETRY_RUNGS` damping through the
-/// same [`ImmersionModel::solve_with_ladder`], trading iterations for
+/// [`solve_query`] after `stalls` earlier attempts failed to converge,
+/// reusing `resident` as the query's availability study when the
+/// engine already holds it. With no stalls it runs the standard
+/// [`ImmersionModel::LADDER`]; after a stall it runs a one-rung ladder
+/// of `RETRY_RUNGS` damping through the same
+/// [`ImmersionModel::solve_with_ladder`], trading iterations for
 /// stability. Inputs are validated *before* any solver runs, so a
 /// poisoned query (NaN utilization, zero trials) fails fast as the
 /// fatal [`QueryError::InvalidDesign`] instead of panicking a worker.
 fn solve_query_at(
     query: &DesignQuery,
     stalls: u32,
+    resident: Option<Study>,
     obs: &Registry,
 ) -> Result<DesignVerdict, QueryError> {
     if !query.utilization.is_finite() || !(0.0..=1.0).contains(&query.utilization) {
@@ -605,28 +675,17 @@ fn solve_query_at(
         });
     }
 
-    let bath = query.bath.bath_with(query.coolant);
-    let classes = risk::failure_classes(&CoolingArchitecture::Immersion(bath.clone()));
-
-    let model = ImmersionModel::new(query.family.module(), bath)
+    let model = ImmersionModel::new(query.family.module(), query.bath.bath_with(query.coolant))
         .with_operating_point(OperatingPoint::at_utilization(query.utilization));
-    let sinks = Sinks::counters(obs);
     let rungs: &[(f64, usize)] = match stalls {
         0 => &ImmersionModel::LADDER,
         n => std::slice::from_ref(&RETRY_RUNGS[(n as usize - 1).min(RETRY_RUNGS.len() - 1)]),
     };
     let report = model
-        .solve_with_ladder(rungs, sinks)
+        .solve_with_ladder(rungs, Sinks::counters(obs))
         .map_err(|e| QueryError::from_core(&e))?;
 
-    let avail = availability::monte_carlo_with_threads(
-        &classes,
-        HORIZON_YEARS,
-        query.trials as usize,
-        query.seed,
-        1,
-        sinks,
-    );
+    let study = resident.unwrap_or_else(|| StudyKey::from(query).run(obs));
 
     let mut checks = rules::operating_rules(&report);
     checks.extend(rules::structural_rules(model.module()));
@@ -643,8 +702,8 @@ fn solve_query_at(
         coolant_cold_c: report.coolant_cold.degrees(),
         total_heat_w: report.total_heat.watts(),
         cooling_overhead: report.cooling_overhead(),
-        availability_mean: avail.mean_availability,
-        availability_p05: avail.p05_availability,
+        availability_mean: study.mean,
+        availability_p05: study.p05,
         annual_energy_kwh,
         compliant: rules::all_pass(&checks),
     })
@@ -748,6 +807,18 @@ pub fn solve_query_resilient(
     injector: &dyn FaultInjector,
     sinks: Sinks<'_>,
 ) -> Result<DesignVerdict, QueryError> {
+    solve_resilient_at(query, None, policy, injector, sinks)
+}
+
+/// [`solve_query_resilient`] with every attempt reusing `resident` as
+/// the availability study when the engine holds it.
+fn solve_resilient_at(
+    query: &DesignQuery,
+    resident: Option<Study>,
+    policy: &ResiliencePolicy,
+    injector: &dyn FaultInjector,
+    sinks: Sinks<'_>,
+) -> Result<DesignVerdict, QueryError> {
     let Sinks { obs, spans, .. } = sinks;
     let max_attempts = policy.max_attempts.max(1);
     let mut last_err: Option<QueryError> = None;
@@ -786,7 +857,7 @@ pub fn solve_query_resilient(
                 obs.work("resilience.injected.poisoned", 1);
                 let mut poisoned = query.clone();
                 poisoned.utilization = f64::NAN;
-                solve_query_at(&poisoned, stalls, obs)
+                solve_query_at(&poisoned, stalls, resident, obs)
             }
             Some(InjectedFault::ForceNoConvergence) => {
                 obs.inc("resilience.injected.no_convergence");
@@ -799,7 +870,7 @@ pub fn solve_query_resilient(
                     },
                 })
             }
-            _ => solve_query_at(query, stalls, obs),
+            _ => solve_query_at(query, stalls, resident, obs),
         });
         let err = match result {
             Ok(Ok(verdict)) => {
@@ -948,6 +1019,63 @@ struct CacheEntry {
     verdict: DesignVerdict,
 }
 
+/// A bounded map evicting in insertion order — the store behind both
+/// of the engine's tables (verdicts and availability studies).
+#[derive(Clone)]
+struct Fifo<K, V> {
+    capacity: usize,
+    order: VecDeque<K>,
+    map: HashMap<K, V>,
+}
+
+impl<K: Copy + Eq + Hash, V> Fifo<K, V> {
+    fn new(capacity: usize) -> Self {
+        Self {
+            capacity,
+            order: VecDeque::new(),
+            map: HashMap::new(),
+        }
+    }
+
+    fn get(&self, key: &K) -> Option<&V> {
+        self.map.get(key)
+    }
+
+    /// Inserts `value`, evicting the oldest entry when full; returns the
+    /// evicted key, if any. Re-inserting a resident key replaces the
+    /// value in place and keeps its eviction position. At capacity zero
+    /// the insert is a no-op and nothing is ever "evicted".
+    fn insert(&mut self, key: K, value: V) -> Option<K> {
+        if self.capacity == 0 {
+            return None;
+        }
+        if let Some(slot) = self.map.get_mut(&key) {
+            *slot = value;
+            return None;
+        }
+        let evicted = if self.order.len() == self.capacity {
+            self.order.pop_front().inspect(|old| {
+                self.map.remove(old);
+            })
+        } else {
+            None
+        };
+        self.order.push_back(key);
+        self.map.insert(key, value);
+        evicted
+    }
+
+    /// Resident keys, oldest (next-to-evict) first.
+    fn keys(&self) -> Vec<K> {
+        self.order.iter().copied().collect()
+    }
+
+    /// Resident values, oldest first.
+    fn values(&self) -> impl Iterator<Item = &V> {
+        self.order.iter().filter_map(|key| self.map.get(key))
+    }
+}
+
 /// Bounded content-addressed verdict cache with FIFO eviction.
 ///
 /// Insertion order alone decides eviction — no recency, no clocks — so
@@ -957,9 +1085,7 @@ struct CacheEntry {
 /// instead of serving a wrong verdict.
 #[derive(Clone)]
 pub struct QueryCache {
-    capacity: usize,
-    order: VecDeque<u64>,
-    map: HashMap<u64, CacheEntry>,
+    entries: Fifo<u64, CacheEntry>,
 }
 
 impl QueryCache {
@@ -970,41 +1096,39 @@ impl QueryCache {
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         Self {
-            capacity,
-            order: VecDeque::new(),
-            map: HashMap::new(),
+            entries: Fifo::new(capacity),
         }
     }
 
     /// Maximum resident verdicts.
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.entries.capacity
     }
 
     /// Currently resident verdicts.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.order.len()
+        self.entries.order.len()
     }
 
     /// `true` when nothing is cached.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+        self.entries.order.is_empty()
     }
 
     /// Resident hashes, oldest (next-to-evict) first.
     #[must_use]
     pub fn keys_in_eviction_order(&self) -> Vec<u64> {
-        self.order.iter().copied().collect()
+        self.entries.keys()
     }
 
     /// The cached verdict for `hash`, provided the stored query equals
     /// `query` (hash-collision guard).
     #[must_use]
     pub fn lookup(&self, hash: u64, query: &DesignQuery) -> Option<&DesignVerdict> {
-        self.map
+        self.entries
             .get(&hash)
             .filter(|e| e.query == *query)
             .map(|e| &e.verdict)
@@ -1015,23 +1139,7 @@ impl QueryCache {
     /// the entry in place and keeps its eviction position. At capacity
     /// zero the insert is a no-op and nothing is ever "evicted".
     pub fn insert(&mut self, hash: u64, query: DesignQuery, verdict: DesignVerdict) -> Option<u64> {
-        if self.capacity == 0 {
-            return None;
-        }
-        if let Some(entry) = self.map.get_mut(&hash) {
-            *entry = CacheEntry { query, verdict };
-            return None;
-        }
-        let evicted = if self.order.len() == self.capacity {
-            self.order.pop_front().inspect(|old| {
-                self.map.remove(old);
-            })
-        } else {
-            None
-        };
-        self.order.push_back(hash);
-        self.map.insert(hash, CacheEntry { query, verdict });
-        evicted
+        self.entries.insert(hash, CacheEntry { query, verdict })
     }
 
     /// The nearest resident verdict usable as a *degraded* stand-in for
@@ -1048,10 +1156,7 @@ impl QueryCache {
         window: f64,
     ) -> Option<(&DesignQuery, &DesignVerdict)> {
         let mut best: Option<(f64, &CacheEntry)> = None;
-        for hash in &self.order {
-            let Some(entry) = self.map.get(hash) else {
-                continue;
-            };
+        for entry in self.entries.values() {
             if entry.query.family != query.family
                 || entry.query.coolant != query.coolant
                 || entry.query.bath != query.bath
@@ -1072,30 +1177,44 @@ impl QueryCache {
 }
 
 /// The batch scheduler: a [`QueryCache`] fronting
-/// [`solve_query_resilient`].
+/// [`solve_query_resilient`], plus a table of solved availability
+/// studies keyed by [`StudyKey`].
+///
+/// A verdict's availability half depends on its [`StudyKey`] alone, so
+/// a miss whose key is already resident — solved for a sibling design
+/// point at another family or utilization — reuses the stored
+/// `(availability_mean, availability_p05)` instead of re-running the
+/// Monte-Carlo. The study table is a FIFO with the verdict cache's
+/// capacity (zero keeps both pass-through), and a reused study is
+/// bit-identical to a fresh one, so reuse changes the work done, never
+/// a verdict.
 ///
 /// [`run_batch`](Self::run_batch) records the golden counters
 /// `query.requests`, `query.batch.runs`, `query.batch.coalesced`,
 /// `query.cache.hits`, `query.cache.misses` and
 /// `query.cache.evictions`, each mirrored into `profile.query.*` work
-/// so the E18 profile golden pins the hit/miss ratio; resilience
-/// events additionally land on `query.outcomes.*` and `resilience.*`
-/// counters (recorded only when nonzero, so a clean batch's manifest
-/// is unchanged).
+/// so the E18 profile golden pins the hit/miss ratio, and
+/// `query.studies.reused` (misses served a resident study; a plain
+/// counter, because reuse is work *not* done). Resilience events
+/// additionally land on `query.outcomes.*` and `resilience.*` counters
+/// (recorded only when nonzero, so a clean batch's manifest is
+/// unchanged).
 #[derive(Clone)]
 pub struct QueryEngine {
     cache: QueryCache,
+    studies: Fifo<StudyKey, Study>,
     policy: ResiliencePolicy,
 }
 
 impl QueryEngine {
     /// An engine with an empty cache of the given capacity (zero means
-    /// pass-through — see [`QueryCache::new`]) and the default
-    /// [`ResiliencePolicy`].
+    /// pass-through — see [`QueryCache::new`]), an empty study table of
+    /// the same capacity, and the default [`ResiliencePolicy`].
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         Self {
             cache: QueryCache::new(capacity),
+            studies: Fifo::new(capacity),
             policy: ResiliencePolicy::default(),
         }
     }
@@ -1111,6 +1230,12 @@ impl QueryEngine {
     #[must_use]
     pub fn cache(&self) -> &QueryCache {
         &self.cache
+    }
+
+    /// Resident availability studies, oldest (next-to-evict) first.
+    #[must_use]
+    pub fn studies_in_eviction_order(&self) -> Vec<StudyKey> {
+        self.studies.keys()
     }
 
     /// Answers a batch of queries in input order, one [`QueryOutcome`]
@@ -1153,15 +1278,22 @@ impl QueryEngine {
     ///
     /// 1. a sequential lookup pass partitions requests into cache hits,
     ///    in-batch duplicates and distinct misses against the cache
-    ///    state at batch entry;
+    ///    state at batch entry, and resolves each distinct miss's
+    ///    [`StudyKey`] against the study table at batch entry, in miss
+    ///    order;
     /// 2. the misses solve concurrently over
-    ///    [`rcs_parallel::par_map_isolated`], those with the most
-    ///    Monte-Carlo trials started first — each through
+    ///    [`rcs_parallel::par_map_isolated`] — each through
     ///    [`solve_query_resilient`]'s retry/budget ladder, each on its
-    ///    own telemetry shard, panics contained per item;
+    ///    own telemetry shard, panics contained per item. A miss with a
+    ///    resident study skips the Monte-Carlo and is dispatched at cost
+    ///    0; the others cost their trial count, so the largest studies
+    ///    start first. Two misses sharing a study that is not resident
+    ///    each run it, so every miss's work budget is charged for the
+    ///    work its own solve did;
     /// 3. successful verdicts enter the cache sequentially in
     ///    first-occurrence order (driving FIFO eviction), *even when
-    ///    sibling requests failed*;
+    ///    sibling requests failed*, and studies that were not resident
+    ///    enter the study table in the same order;
     /// 4. a sequential resolution pass assembles per-request outcomes:
     ///    failed requests are answered from the nearest cache entry
     ///    within the policy's degradation window (marked `Degraded`
@@ -1194,7 +1326,7 @@ impl QueryEngine {
             Miss(usize),
         }
         let mut slots: Vec<Slot> = Vec::with_capacity(queries.len());
-        let mut misses: Vec<(u64, DesignQuery)> = Vec::new();
+        let mut misses: Vec<(u64, DesignQuery, Option<Study>)> = Vec::new();
         let mut miss_index: HashMap<u64, usize> = HashMap::new();
         let mut hits = 0u64;
         let mut coalesced = 0u64;
@@ -1209,16 +1341,19 @@ impl QueryEngine {
             } else {
                 let i = misses.len();
                 miss_index.insert(hash, i);
-                misses.push((hash, query.clone()));
+                let study = self.studies.get(&StudyKey::from(query)).copied();
+                misses.push((hash, query.clone(), study));
                 slots.push(Slot::Miss(i));
             }
         }
+        let reused = misses.iter().filter(|m| m.2.is_some()).count() as u64;
         obs.add("query.cache.hits", hits);
         obs.work("query.cache.hits", hits);
         obs.add("query.cache.misses", misses.len() as u64);
         obs.work("query.cache.misses", misses.len() as u64);
         obs.add("query.batch.coalesced", coalesced);
         obs.work("query.batch.coalesced", coalesced);
+        obs.add("query.studies.reused", reused);
 
         // Phase 2: solve distinct misses concurrently through the
         // resilience ladder; results and telemetry shards come back in
@@ -1228,35 +1363,45 @@ impl QueryEngine {
         let policy = self.policy;
         let labels: Vec<String> = misses
             .iter()
-            .map(|(hash, _)| format!("req.{hash:016x}"))
+            .map(|(hash, _, _)| format!("req.{hash:016x}"))
             .collect();
         let solved = rcs_parallel::par_map_isolated(
             misses,
             threads,
             sinks,
             |i| labels[i].clone(),
-            // the Monte-Carlo trials dominate a miss: largest first
-            |(_, query)| u64::from(query.trials),
-            |_, (hash, query), shard| {
-                let result = solve_query_resilient(&query, &policy, injector, shard);
-                (hash, query, result)
+            // a Monte-Carlo to run dominates a miss: largest first
+            |(_, query, study)| match study {
+                Some(_) => 0,
+                None => u64::from(query.trials),
+            },
+            |_, (hash, query, study), shard| {
+                let result = solve_resilient_at(&query, study, &policy, injector, shard);
+                (hash, query, study.is_none(), result)
             },
         );
 
         // Phase 3: sequential insertion in miss order drives FIFO
-        // eviction deterministically. Successes are cached even when
-        // sibling requests failed.
+        // eviction of both tables deterministically. Successes are
+        // cached even when sibling requests failed.
         let mut evictions = 0u64;
         let mut fresh: Vec<Result<DesignVerdict, QueryError>> = Vec::with_capacity(solved.len());
         for item in solved {
             match item {
-                Ok((hash, query, Ok(verdict))) => {
+                Ok((hash, query, new_study, Ok(verdict))) => {
+                    if new_study {
+                        let study = Study {
+                            mean: verdict.availability_mean,
+                            p05: verdict.availability_p05,
+                        };
+                        self.studies.insert(StudyKey::from(&query), study);
+                    }
                     if self.cache.insert(hash, query, verdict.clone()).is_some() {
                         evictions += 1;
                     }
                     fresh.push(Ok(verdict));
                 }
-                Ok((_, _, Err(e))) => fresh.push(Err(e)),
+                Ok((_, _, _, Err(e))) => fresh.push(Err(e)),
                 Err(panic) => fresh.push(Err(QueryError::WorkerPanic {
                     message: panic.message,
                 })),
