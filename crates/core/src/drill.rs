@@ -419,31 +419,32 @@ impl FaultDrill {
     /// coupled solve — stagnation is a physical state, not a solver
     /// failure.
     ///
-    /// A coupled solve starts its first rung from `seed`, the previous
-    /// converged steady state, and replaces it with its own; the
-    /// stagnation model leaves it as it is.
+    /// A coupled solve starts its first rung from `seed` and also returns
+    /// the steady state it converged to; the stagnation model returns
+    /// none.
     fn linearize(
         &self,
         state: &DegradedState,
         utilization: f64,
         r_chip_baseline: f64,
         chips: f64,
-        seed: &mut SteadySeed,
+        seed: SteadySeed,
         sinks: Sinks<'_>,
-    ) -> Result<Linearization, CoreError> {
+    ) -> Result<(Linearization, Option<SteadySeed>), CoreError> {
         let degraded_bath = state.apply_to(&self.bath);
         let curves = state.pump_curves(&self.bath);
 
         if curves.is_empty() || state.valve_opening <= 0.0 {
             // no circulation: natural convection at the sinks, residual
             // conduction (plus any fouling) through the exchanger section
-            return Ok(Linearization {
+            let lin = Linearization {
                 flow_lpm: 0.0,
                 r_field: STAGNANT_SINK_FACTOR * r_chip_baseline / chips,
                 r_hx: STAGNANT_HX_RESISTANCE_K_PER_W + state.fouling_k_per_w,
                 supply_c: degraded_bath.chiller.setpoint().degrees(),
                 pump_heat_w: 0.0,
-            });
+            };
+            return Ok((lin, None));
         }
 
         let mut model = ImmersionModel::new(self.module.clone(), degraded_bath.clone())
@@ -451,25 +452,25 @@ impl FaultDrill {
                 utilization.max(UTILIZATION_FLOOR),
             ))
             .with_pump_curves(curves)
-            .with_seed(*seed);
+            .with_seed(seed);
         if state.valve_opening < 1.0 {
             model = model.with_circulation_valve(state.valve_opening);
         }
         let steady = model.solve_with_ladder(&ImmersionModel::LADDER, sinks)?;
-        *seed = SteadySeed::from(&steady);
         let (_, r_sink, r_hx) = model.lumped_plant(&steady);
         let pump = pump_heat(&degraded_bath, steady.circulation_power);
         let supply = degraded_bath
             .chiller
             .supply_temperature(steady.total_heat + pump);
 
-        Ok(Linearization {
+        let lin = Linearization {
             flow_lpm: steady.coolant_flow.as_liters_per_minute(),
             r_field: r_sink.kelvin_per_watt() / chips,
             r_hx: r_hx.kelvin_per_watt(),
             supply_c: supply.degrees(),
             pump_heat_w: pump.watts(),
-        })
+        };
+        Ok((lin, Some(SteadySeed::from(&steady))))
     }
 }
 
@@ -502,9 +503,8 @@ pub struct DrillSession {
     r_chip_baseline: f64,
     lin: Option<Linearization>,
     lin_key: Option<LinKey>,
-    /// The last converged coupled steady state (the baseline's until the
-    /// first loaded relinearization): where the next one starts.
-    seed: SteadySeed,
+    /// Where the next loaded relinearization starts.
+    seeds: SeedPath,
     supervisor: HardenedSupervisor,
     outcome: DrillOutcome,
 }
@@ -636,7 +636,7 @@ impl DrillSession {
             r_chip_baseline,
             lin: None,
             lin_key: None,
-            seed: SteadySeed::from(&baseline),
+            seeds: SeedPath::new(SteadySeed::from(&baseline)),
             supervisor: HardenedSupervisor::new(drill.control),
             outcome,
         })
@@ -677,13 +677,16 @@ impl DrillSession {
                     self.utilization,
                     self.r_chip_baseline,
                     self.chips,
-                    &mut self.seed,
+                    self.seeds.start(&key.regime, tick.t),
                     Sinks {
                         spans: SpanSink::disabled(),
                         ..sinks
                     },
                 ) {
-                    Ok(l) => {
+                    Ok((l, solved)) => {
+                        if let Some(solved) = solved {
+                            self.seeds.record(tick.t, solved);
+                        }
                         self.lin = Some(l);
                         self.lin_key = Some(key);
                     }
@@ -847,11 +850,11 @@ impl DrillSession {
     }
 
     /// Seals the full drill state — clock, plant state, supervisor
-    /// filter histories, cached linearization and relinearization seed,
-    /// RNG stream position,
-    /// partial outcome — plus the contents of `sinks` (the span sink's
-    /// open stack included, so a span bracketing this drill survives the
-    /// checkpoint) into versioned snapshot bytes.
+    /// filter histories, cached linearization, relinearization seed and
+    /// its history, RNG stream position, partial outcome — plus the
+    /// contents of `sinks` (the span sink's open stack included, so a
+    /// span bracketing this drill survives the checkpoint) into versioned
+    /// snapshot bytes.
     #[must_use]
     pub fn checkpoint(&self, sinks: Sinks<'_>) -> Vec<u8> {
         let mut w = SnapWriter::new();
@@ -880,24 +883,16 @@ impl DrillSession {
         match &self.lin_key {
             Some(k) => {
                 w.bool(true);
-                #[allow(clippy::cast_possible_truncation)]
-                let seized: Vec<u64> = k.seized.iter().map(|&p| p as u64).collect();
-                w.u64_slice(&seized);
+                k.regime.write_into(&mut w);
                 w.f64(k.head_factor);
                 w.f64(k.air_factor);
                 w.f64(k.fouling);
                 w.f64(k.offset_k);
                 w.f64(k.capacity);
-                w.f64(k.valve);
-                w.f64(k.utilization);
-                w.bool(k.powered);
             }
             None => w.bool(false),
         }
-        w.f64(self.seed.junction.degrees());
-        w.f64(self.seed.coolant_hot.degrees());
-        w.f64(self.seed.coolant_cold.degrees());
-        w.f64(self.seed.flow.cubic_meters_per_second());
+        self.seeds.write_into(&mut w);
         // Supervisor: worst-seen statuses, vote tallies, filter states.
         let health = self.supervisor.worst_seen;
         w.u8(status_to_u8(health.level));
@@ -981,35 +976,18 @@ impl DrillSession {
             None
         };
         let lin_key = if r.bool()? {
-            let seized_raw = r.u64_vec()?;
-            let mut seized = Vec::with_capacity(seized_raw.len());
-            for v in seized_raw {
-                seized.push(usize::try_from(v).map_err(|_| {
-                    SnapshotError::Malformed(format!("seized pump index {v} overflows usize"))
-                })?);
-            }
             Some(LinKey {
-                seized,
+                regime: Regime::read_from(&mut r)?,
                 head_factor: r.f64()?,
                 air_factor: r.f64()?,
                 fouling: r.f64()?,
                 offset_k: r.f64()?,
                 capacity: r.f64()?,
-                valve: r.f64()?,
-                utilization: r.f64()?,
-                powered: r.bool()?,
             })
         } else {
             None
         };
-        // A corrupt seed needs no check: a non-finite one is ignored by
-        // the solver and any finite one only moves where rung 0 starts.
-        let seed = SteadySeed {
-            junction: Celsius::new(r.f64()?),
-            coolant_hot: Celsius::new(r.f64()?),
-            coolant_cold: Celsius::new(r.f64()?),
-            flow: VolumeFlow::from_cubic_meters_per_second(r.f64()?),
-        };
+        let seeds = SeedPath::read_from(&mut r)?;
         let mut supervisor = HardenedSupervisor::new(drill.control);
         supervisor.worst_seen = ChannelHealth {
             level: status_from_u8(r.u8()?)?,
@@ -1078,7 +1056,7 @@ impl DrillSession {
             r_chip_baseline,
             lin,
             lin_key,
-            seed,
+            seeds,
             supervisor,
             outcome,
         })
@@ -1100,31 +1078,271 @@ struct Linearization {
 /// physics-affecting slice of the degraded state plus the allowed load.
 #[derive(Debug, Clone, PartialEq)]
 struct LinKey {
-    seized: Vec<usize>,
+    regime: Regime,
     head_factor: f64,
     air_factor: f64,
     fouling: f64,
     offset_k: f64,
     capacity: f64,
-    valve: f64,
-    utilization: f64,
-    powered: bool,
 }
 
 impl LinKey {
     fn of(state: &DegradedState, utilization: f64, powered: bool) -> Self {
         Self {
-            seized: state.seized_pumps.clone(),
+            regime: Regime {
+                seized: state.seized_pumps.clone(),
+                valve: state.valve_opening,
+                utilization,
+                powered,
+            },
             head_factor: state.pump_head_factor,
             air_factor: state.air_entrainment_factor(),
             fouling: state.fouling_k_per_w,
             offset_k: state.chiller_setpoint_offset.kelvins(),
             capacity: state.chiller_capacity_factor,
-            valve: state.valve_opening,
-            utilization,
-            powered,
         }
     }
+}
+
+/// The discrete part of a [`LinKey`]: what steps rather than drifts. The
+/// gradual faults move the rest of the key linearly in time, so steady
+/// states solved in one regime lie on a smooth path.
+#[derive(Debug, Clone, PartialEq)]
+struct Regime {
+    seized: Vec<usize>,
+    valve: f64,
+    utilization: f64,
+    powered: bool,
+}
+
+impl Regime {
+    fn write_into(&self, w: &mut SnapWriter) {
+        #[allow(clippy::cast_possible_truncation)]
+        let seized: Vec<u64> = self.seized.iter().map(|&p| p as u64).collect();
+        w.u64_slice(&seized);
+        w.f64(self.valve);
+        w.f64(self.utilization);
+        w.bool(self.powered);
+    }
+
+    fn read_from(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        let seized = r
+            .u64_vec()?
+            .into_iter()
+            .map(|v| {
+                usize::try_from(v).map_err(|_| {
+                    SnapshotError::Malformed(format!("seized pump index {v} overflows usize"))
+                })
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(Self {
+            seized,
+            valve: r.f64()?,
+            utilization: r.f64()?,
+            powered: r.bool()?,
+        })
+    }
+}
+
+/// Where the next loaded relinearization starts: the last converged
+/// coupled steady state, plus the loaded states solved before it in the
+/// current [`Regime`] with their scan times, so that rung 0 starts from
+/// an extrapolation along the fault path rather than from the last point.
+#[derive(Debug, Clone)]
+struct SeedPath {
+    /// The last converged coupled steady state (the baseline's until the
+    /// first loaded relinearization).
+    seed: SteadySeed,
+    /// Up to two loaded states solved in `regime` before `seed`, oldest
+    /// first.
+    earlier: Vec<SteadySeed>,
+    /// Scan times of `earlier` and then of `seed`: empty until `seed` is
+    /// a solve of `regime`, and one longer than `earlier` after that.
+    times: Vec<f64>,
+    /// The regime `times` belongs to; `None` before the first loaded
+    /// relinearization.
+    regime: Option<Regime>,
+}
+
+impl SeedPath {
+    /// Points kept per regime: three make the extrapolation quadratic.
+    const POINTS: usize = 3;
+
+    fn new(seed: SteadySeed) -> Self {
+        Self {
+            seed,
+            earlier: Vec::new(),
+            times: Vec::new(),
+            regime: None,
+        }
+    }
+
+    /// Where a relinearization in `regime` at scan time `t` starts. A
+    /// change of regime clears the history (but keeps the seed): a
+    /// throttle step or a pump seizure moves the steady state by a step
+    /// that no extrapolation of the old regime predicts.
+    fn start(&mut self, regime: &Regime, t: f64) -> SteadySeed {
+        if self.regime.as_ref() != Some(regime) {
+            self.earlier.clear();
+            self.times.clear();
+            self.regime = Some(regime.clone());
+        }
+        self.predict(t)
+    }
+
+    /// The Lagrange extrapolation of the history to `t`: quadratic
+    /// through three points, linear through two, the plain seed with one
+    /// or none. A prediction that is non-finite or has no forward flow
+    /// falls back one order, dropping the oldest point.
+    fn predict(&self, t: f64) -> SteadySeed {
+        let points: Vec<SteadySeed> = self
+            .earlier
+            .iter()
+            .copied()
+            .chain(core::iter::once(self.seed))
+            .collect();
+        for used in (2..=self.times.len()).rev() {
+            let times = &self.times[self.times.len() - used..];
+            let seeds = &points[points.len() - used..];
+            let guess = extrapolate(times, seeds, t);
+            if guess.is_finite() && guess.flow.cubic_meters_per_second() > 0.0 {
+                return guess;
+            }
+        }
+        self.seed
+    }
+
+    /// Takes `solved`, converged at scan time `t` in the regime of the
+    /// last [`SeedPath::start`], as the new seed.
+    fn record(&mut self, t: f64, solved: SteadySeed) {
+        if !self.times.is_empty() {
+            self.earlier.push(self.seed);
+            if self.earlier.len() == Self::POINTS {
+                self.earlier.remove(0);
+            }
+        }
+        self.times.push(t);
+        if self.times.len() > Self::POINTS {
+            self.times.remove(0);
+        }
+        self.seed = solved;
+    }
+
+    fn write_into(&self, w: &mut SnapWriter) {
+        write_seed(w, &self.seed);
+        w.count(self.earlier.len());
+        for seed in &self.earlier {
+            write_seed(w, seed);
+        }
+        w.f64_slice(&self.times);
+        match &self.regime {
+            Some(regime) => {
+                w.bool(true);
+                regime.write_into(w);
+            }
+            None => w.bool(false),
+        }
+    }
+
+    /// Decodes a path written by [`SeedPath::write_into`]. Its seeds and
+    /// times need no check beyond their counts: coincident times give a
+    /// non-finite prediction, which falls back to a lower order, a
+    /// non-finite seed is ignored by the solver, and any finite start
+    /// (from unordered times too) only moves where rung 0 begins.
+    fn read_from(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        let seed = read_seed(r)?;
+        let count = r.count()?;
+        if count >= Self::POINTS {
+            return Err(SnapshotError::Malformed(format!(
+                "seed history holds {count} earlier states, at most {} fit",
+                Self::POINTS - 1
+            )));
+        }
+        let earlier = (0..count)
+            .map(|_| read_seed(r))
+            .collect::<Result<Vec<_>, _>>()?;
+        let times = r.f64_vec()?;
+        let consistent = if times.is_empty() {
+            count == 0
+        } else {
+            times.len() == count + 1
+        };
+        if !consistent {
+            return Err(SnapshotError::Malformed(format!(
+                "seed history has {} scan times for {count} earlier states",
+                times.len()
+            )));
+        }
+        let regime = if r.bool()? {
+            Some(Regime::read_from(r)?)
+        } else {
+            None
+        };
+        Ok(Self {
+            seed,
+            earlier,
+            times,
+            regime,
+        })
+    }
+}
+
+/// The Lagrange polynomial through `(times[i], seeds[i])`, evaluated at
+/// `t`, component by component.
+fn extrapolate(times: &[f64], seeds: &[SteadySeed], t: f64) -> SteadySeed {
+    let mut sum = [0.0; 4];
+    for (w, seed) in lagrange_weights(times, t).into_iter().zip(seeds) {
+        let x = [
+            seed.junction.degrees(),
+            seed.coolant_hot.degrees(),
+            seed.coolant_cold.degrees(),
+            seed.flow.cubic_meters_per_second(),
+        ];
+        for (s, x) in sum.iter_mut().zip(x) {
+            *s += w * x;
+        }
+    }
+    SteadySeed {
+        junction: Celsius::new(sum[0]),
+        coolant_hot: Celsius::new(sum[1]),
+        coolant_cold: Celsius::new(sum[2]),
+        flow: VolumeFlow::from_cubic_meters_per_second(sum[3]),
+    }
+}
+
+/// The weights that carry values at `times` to `t` along their Lagrange
+/// polynomial: `∏ (t − tⱼ) / (tᵢ − tⱼ)` over `j ≠ i`. Equal spacing gives
+/// (−1, 2) for two points and (1, −3, 3) for three; coincident times give
+/// non-finite weights.
+fn lagrange_weights(times: &[f64], t: f64) -> Vec<f64> {
+    times
+        .iter()
+        .enumerate()
+        .map(|(i, ti)| {
+            times
+                .iter()
+                .enumerate()
+                .filter(|&(j, _)| j != i)
+                .map(|(_, tj)| (t - tj) / (ti - tj))
+                .product()
+        })
+        .collect()
+}
+
+fn write_seed(w: &mut SnapWriter, seed: &SteadySeed) {
+    w.f64(seed.junction.degrees());
+    w.f64(seed.coolant_hot.degrees());
+    w.f64(seed.coolant_cold.degrees());
+    w.f64(seed.flow.cubic_meters_per_second());
+}
+
+fn read_seed(r: &mut SnapReader<'_>) -> Result<SteadySeed, SnapshotError> {
+    Ok(SteadySeed {
+        junction: Celsius::new(r.f64()?),
+        coolant_hot: Celsius::new(r.f64()?),
+        coolant_cold: Celsius::new(r.f64()?),
+        flow: VolumeFlow::from_cubic_meters_per_second(r.f64()?),
+    })
 }
 
 /// What a drill produced.
@@ -1594,7 +1812,198 @@ mod tests {
             ),
             Seconds::minutes(20.0),
         );
-        assert_resume_is_bitwise(&fouling, 600, &[0, 33, 212, 477]);
+        // The supervisor throttles this drill every few minutes, and
+        // each throttle step starts a new regime: the relinearizations
+        // at scans 145 (a regime reset), 150 and 155 are the first three
+        // of one regime, so splits 147, 152 and 157 follow its 1st, 2nd
+        // and 3rd, and 206 follows the reset at scan 205, whose regime
+        // then continues. They resume only if the whole seed history and
+        // its regime round-trip through the snapshot.
+        assert_resume_is_bitwise(&fouling, 600, &[0, 33, 147, 152, 157, 206, 212, 477]);
+    }
+
+    fn seed_at(x: [f64; 4]) -> SteadySeed {
+        SteadySeed {
+            junction: Celsius::new(x[0]),
+            coolant_hot: Celsius::new(x[1]),
+            coolant_cold: Celsius::new(x[2]),
+            flow: VolumeFlow::from_cubic_meters_per_second(x[3]),
+        }
+    }
+
+    fn components(s: SteadySeed) -> [f64; 4] {
+        [
+            s.junction.degrees(),
+            s.coolant_hot.degrees(),
+            s.coolant_cold.degrees(),
+            s.flow.cubic_meters_per_second(),
+        ]
+    }
+
+    fn regime(utilization: f64) -> Regime {
+        Regime {
+            seized: Vec::new(),
+            valve: 1.0,
+            utilization,
+            powered: true,
+        }
+    }
+
+    /// A path with the seeds at `points` recorded in order, in one
+    /// regime at utilization 0.9, starting from `baseline`.
+    fn path_through(baseline: [f64; 4], points: &[(f64, [f64; 4])]) -> SeedPath {
+        let mut path = SeedPath::new(seed_at(baseline));
+        for &(t, x) in points {
+            let _ = path.start(&regime(0.9), t);
+            path.record(t, seed_at(x));
+        }
+        path
+    }
+
+    #[test]
+    fn the_extrapolation_reproduces_linear_and_quadratic_paths() {
+        // Unequal spacing, and each component on its own path.
+        let linear = |t: f64| {
+            [
+                50.0 + 0.01 * t,
+                30.0 - 0.002 * t,
+                25.0 + 1e-4 * t,
+                1e-3 - 1e-7 * t,
+            ]
+        };
+        let quadratic = |t: f64| {
+            [
+                50.0 + 0.01 * t + 3e-5 * t * t,
+                30.0 - 0.002 * t + 1e-6 * t * t,
+                25.0 - 2e-6 * t * t,
+                1e-3 - 1e-7 * t - 1e-10 * t * t,
+            ]
+        };
+        let times = [60.0, 70.0, 90.0];
+        let t = 120.0;
+        let close = |got: [f64; 4], want: [f64; 4], what: &str| {
+            for (g, w) in got.into_iter().zip(want) {
+                assert!((g - w).abs() <= 1e-12 * w.abs(), "{what}: {g} vs {w}");
+            }
+        };
+        for (name, f) in [
+            ("linear", &linear as &dyn Fn(f64) -> [f64; 4]),
+            ("quadratic", &quadratic),
+        ] {
+            let points: Vec<_> = times.iter().map(|&t| (t, f(t))).collect();
+            let path = path_through(f(0.0), &points);
+            assert_eq!(path.times, times);
+            close(components(path.predict(t)), f(t), name);
+        }
+        // Two points of the linear path carry it too.
+        let path = path_through(linear(0.0), &[(70.0, linear(70.0)), (90.0, linear(90.0))]);
+        close(components(path.predict(t)), linear(t), "two-point linear");
+        // One point is the plain seed, bit for bit.
+        let path = path_through(linear(0.0), &[(90.0, linear(90.0))]);
+        assert_eq!(path.predict(t), seed_at(linear(90.0)));
+    }
+
+    #[test]
+    fn equal_spacing_gives_the_backward_difference_weights() {
+        assert_eq!(
+            lagrange_weights(&[10.0, 20.0, 30.0], 40.0),
+            [1.0, -3.0, 3.0]
+        );
+        assert_eq!(lagrange_weights(&[20.0, 30.0], 40.0), [-1.0, 2.0]);
+        assert_eq!(lagrange_weights(&[30.0], 40.0), [1.0]);
+        assert!(lagrange_weights(&[10.0, 10.0, 30.0], 40.0)
+            .iter()
+            .any(|w| !w.is_finite()));
+    }
+
+    #[test]
+    fn a_non_finite_or_flowless_prediction_drops_one_order() {
+        let x = |flow: f64| [55.0, 31.0, 26.0, flow];
+        let at = |t: f64, flow: f64| (t, x(flow));
+        // Equal spacing: the quadratic is f0 − 3f1 + 3f2, the line
+        // 2f2 − f1.
+        let quadratic = path_through(x(1.0), &[at(10.0, 1.0), at(20.0, 1.5), at(30.0, 1.75)]);
+        assert_eq!(quadratic.predict(40.0), seed_at(x(1.0 - 4.5 + 5.25)));
+
+        // A quadratic with no forward flow falls back to the line.
+        let path = path_through(x(1.0), &[at(10.0, 0.5), at(20.0, 3.0), at(30.0, 2.5)]);
+        assert_eq!(path.predict(40.0), seed_at(x(2.0)));
+        // A line with no forward flow falls back to the plain seed.
+        let path = path_through(x(1.0), &[at(20.0, 3.0), at(30.0, 1.0)]);
+        assert_eq!(path.predict(40.0), seed_at(x(1.0)));
+
+        // A non-finite oldest point spoils only the quadratic.
+        let mut path = path_through(x(1.0), &[at(10.0, 1.0), at(20.0, 1.5), at(30.0, 1.75)]);
+        path.earlier[0].junction = Celsius::new(f64::INFINITY);
+        assert_eq!(path.predict(40.0), seed_at([55.0, 31.0, 26.0, 2.0]));
+
+        // Coincident scan times (only a corrupted snapshot has them)
+        // give non-finite weights: the quadratic falls back to the line,
+        // and a coincident pair falls back to the plain seed.
+        let mut path = path_through(x(1.0), &[at(10.0, 1.0), at(20.0, 1.5), at(30.0, 1.75)]);
+        path.times = vec![20.0, 20.0, 30.0];
+        assert_eq!(path.predict(40.0), seed_at(x(2.0)));
+        path.times = vec![10.0, 30.0, 30.0];
+        assert_eq!(path.predict(40.0), seed_at(x(1.75)));
+    }
+
+    #[test]
+    fn a_seed_history_round_trips_and_inconsistent_counts_are_malformed() {
+        let x = |flow: f64| [55.0, 31.0, 26.0, flow];
+        let path = path_through(x(1.0), &[(10.0, x(1.0)), (20.0, x(1.5)), (30.0, x(1.75))]);
+        let mut w = SnapWriter::new();
+        path.write_into(&mut w);
+        let bytes = w.into_bytes();
+        let back = SeedPath::read_from(&mut SnapReader::new(&bytes)).unwrap();
+        assert_eq!(
+            (back.seed, &back.earlier, &back.times, &back.regime),
+            (path.seed, &path.earlier, &path.times, &path.regime)
+        );
+
+        // (earlier seeds, scan times) pairs no path can hold.
+        for (earlier, times) in [(3, 4), (1, 0), (1, 1), (0, 2), (2, 2)] {
+            let mut w = SnapWriter::new();
+            write_seed(&mut w, &path.seed);
+            w.count(earlier);
+            for _ in 0..earlier {
+                write_seed(&mut w, &path.seed);
+            }
+            w.f64_slice(&vec![10.0; times]);
+            w.bool(false);
+            let bytes = w.into_bytes();
+            assert!(
+                matches!(
+                    SeedPath::read_from(&mut SnapReader::new(&bytes)),
+                    Err(SnapshotError::Malformed(_))
+                ),
+                "{earlier} earlier seeds with {times} scan times"
+            );
+        }
+    }
+
+    #[test]
+    fn a_throttle_step_clears_the_history() {
+        let x = |flow: f64| [55.0, 31.0, 26.0, flow];
+        let mut path = path_through(x(1.0), &[(10.0, x(1.0)), (20.0, x(1.5)), (30.0, x(1.75))]);
+        assert_eq!(path.start(&regime(0.9), 40.0), seed_at(x(1.0 - 4.5 + 5.25)));
+
+        // One throttle step later the last steady state is the start,
+        // and the history restarts from the next solve.
+        let throttled = regime(0.9 - THROTTLE_STEP);
+        assert_eq!(path.start(&throttled, 40.0), seed_at(x(1.75)));
+        assert!(path.earlier.is_empty() && path.times.is_empty());
+        path.record(40.0, seed_at(x(1.25)));
+        assert_eq!(path.times, [40.0]);
+        assert_eq!(path.start(&throttled, 50.0), seed_at(x(1.25)));
+
+        // A pump seizure is a new regime too.
+        path.record(50.0, seed_at(x(1.0)));
+        let seized = Regime {
+            seized: vec![0],
+            ..throttled.clone()
+        };
+        assert_eq!(path.start(&seized, 60.0), seed_at(x(1.0)));
+        assert!(path.times.is_empty());
     }
 
     #[test]

@@ -95,7 +95,7 @@ pub struct SteadySeed {
 
 impl SteadySeed {
     /// `true` when every component is finite; any other seed is ignored.
-    fn is_finite(&self) -> bool {
+    pub(crate) fn is_finite(&self) -> bool {
         self.junction.degrees().is_finite()
             && self.coolant_hot.degrees().is_finite()
             && self.coolant_cold.degrees().is_finite()

@@ -29,7 +29,11 @@ pub const MAGIC: [u8; 4] = *b"RCSK";
 /// the histograms and the trace channels.
 /// v4: the fault-drill payload carries the relinearization seed (the
 /// last converged steady state) after the linearization cache key.
-pub const FORMAT_VERSION: u32 = 4;
+/// v5: the cache key's discrete part (seized pumps, valve, utilization,
+/// powered) travels ahead of its continuous part, and the seed is
+/// followed by its history: up to two earlier steady states, their scan
+/// times and the regime they were solved in.
+pub const FORMAT_VERSION: u32 = 5;
 
 /// A structured snapshot decoding failure. Every variant names what the
 /// reader expected and what it found, so a corrupted checkpoint is
@@ -473,7 +477,7 @@ mod tests {
         }
         // Wrong version is named specifically — the previous layout's
         // version too, so an old checkpoint is never misread.
-        for (version, found) in [(99, 99), (FORMAT_VERSION - 1, 3)] {
+        for (version, found) in [(99, 99), (FORMAT_VERSION - 1, 4)] {
             let mut bad = sealed.clone();
             bad[4..8].copy_from_slice(&version.to_le_bytes());
             let body_len = bad.len() - 4;
@@ -483,7 +487,7 @@ mod tests {
                 open("test.kind", &bad),
                 Err(SnapshotError::BadVersion {
                     found,
-                    supported: 4
+                    supported: 5
                 })
             );
         }
