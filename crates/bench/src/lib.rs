@@ -47,7 +47,7 @@ const QUICK_SAMPLES: usize = 3;
 
 /// One recorded benchmark result, as exported to `BENCH_<suite>.json`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BenchResult {
+pub(crate) struct BenchResult {
     /// Benchmark name, e.g. `matrix_solve/96`.
     pub name: String,
     /// Median per-iteration wall-clock time in nanoseconds.
@@ -175,7 +175,7 @@ impl Harness {
 
     /// Renders the recorded results as the `BENCH_*.json` document.
     #[must_use]
-    pub fn render_json(&self) -> String {
+    pub(crate) fn render_json(&self) -> String {
         let mode = if self.quick { "quick" } else { "full" };
         let mut out = String::new();
         out.push_str("{\n");

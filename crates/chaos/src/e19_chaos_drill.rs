@@ -27,19 +27,19 @@ pub const SEED: u64 = 19731102;
 
 /// Availability trial budget per query — smaller than E18's so the ten
 /// cells stay cheap; the grid hashes are distinct from E18's anyway.
-pub const TRIALS: u32 = 40;
+pub(crate) const TRIALS: u32 = 40;
 
 /// Rounds of the 14-request batch per cell (42 requests per cell).
 pub const ROUNDS: usize = 3;
 
 /// Finite work budget of the tight load profile, in work units: room
 /// for roughly one clean solve plus change, so inflated costs shed.
-pub const TIGHT_BUDGET: u64 = 2_000;
+pub(crate) const TIGHT_BUDGET: u64 = 2_000;
 
 /// Work units charged by an inflation fault — large enough to blow
 /// [`TIGHT_BUDGET`] on its own, absorbed without harm under a roomy
 /// budget.
-pub const INFLATE_UNITS: u64 = 2_500;
+pub(crate) const INFLATE_UNITS: u64 = 2_500;
 
 /// The E19 request batch: the E18 grid re-seeded for this drill.
 #[must_use]

@@ -8,7 +8,7 @@
 //!
 //! The study is a pure function of `(classes, horizon, trials, seed)` at
 //! **any** thread count. Trials are partitioned into fixed-size chunks
-//! ([`TRIALS_PER_CHUNK`], independent of the thread count); chunk `i`
+//! (`TRIALS_PER_CHUNK`, independent of the thread count); chunk `i`
 //! draws from RNG stream `i` of `Rng::split_streams` (streams 2^128
 //! steps apart, so they provably never overlap); and partial results are
 //! reduced in chunk order. Scheduling chunks onto 1, 2 or 64 workers
@@ -28,7 +28,7 @@ use crate::risk::FailureClass;
 /// thread count — so the chunk → stream mapping is pinned by the seed
 /// alone. 64 trials is coarse enough that pool overhead is noise and
 /// fine enough that a 4000-trial study still fans out 63 ways.
-pub const TRIALS_PER_CHUNK: usize = 64;
+pub(crate) const TRIALS_PER_CHUNK: usize = 64;
 
 /// Result of one Monte-Carlo availability study.
 #[derive(Debug, Clone, PartialEq)]
@@ -209,7 +209,7 @@ pub fn monte_carlo_observed(
 }
 
 /// Snapshot kind tag of [`McSession::checkpoint`] bytes.
-pub const MC_SNAPSHOT_KIND: &str = "cooling.mc";
+pub(crate) const MC_SNAPSHOT_KIND: &str = "cooling.mc";
 
 /// A resumable Monte-Carlo availability study: the chunked trial loop
 /// hoisted onto the `rcs-kernel` stepping kernel, one kernel step per
@@ -367,7 +367,7 @@ impl McSession {
 
     /// `true` once every chunk has run.
     #[must_use]
-    pub fn is_finished(&self) -> bool {
+    pub(crate) fn is_finished(&self) -> bool {
         self.clock.is_finished()
     }
 

@@ -232,33 +232,26 @@ impl ControlSubsystem {
         alarms.sort_by_key(|a| core::cmp::Reverse(a.severity));
         alarms
     }
-
-    /// `true` if the scan raises no alarm at all.
-    #[must_use]
-    pub fn is_healthy(&self, r: &Readings) -> bool {
-        self.evaluate(r).is_empty()
-    }
-}
-
-/// A healthy SKAT operating-mode scan, for tests and examples.
-#[must_use]
-pub fn nominal_skat_readings() -> Readings {
-    Readings {
-        coolant_level: 1.0,
-        coolant_flow: VolumeFlow::liters_per_minute(420.0),
-        coolant_temperature: Celsius::new(28.5),
-        component_temperature: Celsius::new(53.0),
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A healthy SKAT operating-mode scan.
+    fn nominal_skat_readings() -> Readings {
+        Readings {
+            coolant_level: 1.0,
+            coolant_flow: VolumeFlow::liters_per_minute(420.0),
+            coolant_temperature: Celsius::new(28.5),
+            component_temperature: Celsius::new(53.0),
+        }
+    }
+
     #[test]
     fn nominal_scan_is_healthy() {
         let ctl = ControlSubsystem::default();
-        assert!(ctl.is_healthy(&nominal_skat_readings()));
+        assert!(ctl.evaluate(&nominal_skat_readings()).is_empty());
     }
 
     #[test]

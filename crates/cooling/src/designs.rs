@@ -241,7 +241,7 @@ impl CoolingArchitecture {
 
     /// `true` if a coolant breach can destroy electronics.
     #[must_use]
-    pub fn conductive_leak_possible(&self) -> bool {
+    pub(crate) fn conductive_leak_possible(&self) -> bool {
         match self {
             Self::Air(_) => false,
             Self::ColdPlate(c) => c.coolant.safety().conductive_leak_hazard && !c.negative_pressure,

@@ -19,11 +19,11 @@ use crate::ImmersionBath;
 
 /// Coolant level below which the pump inlet starts entraining air and
 /// the delivered head derates (open-bath suction exposure).
-pub const AIR_ENTRAINMENT_LEVEL: f64 = 0.85;
+pub(crate) const AIR_ENTRAINMENT_LEVEL: f64 = 0.85;
 
 /// Coolant level below which circulation stops entirely: the suction is
 /// uncovered and the pump churns air.
-pub const LOSS_OF_SUCTION_LEVEL: f64 = 0.50;
+pub(crate) const LOSS_OF_SUCTION_LEVEL: f64 = 0.50;
 
 /// Which §2 sensor channel a sensor fault corrupts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -56,7 +56,7 @@ impl SensorFault {
     /// The corrupted reading for a true value, `elapsed` after fault
     /// onset. `None` models a dropout (no sample delivered).
     #[must_use]
-    pub fn corrupt(&self, true_value: f64, elapsed: Seconds) -> Option<f64> {
+    pub(crate) fn corrupt(&self, true_value: f64, elapsed: Seconds) -> Option<f64> {
         match self {
             Self::StuckAt(v) => Some(*v),
             Self::Drift { rate_per_s } => Some(true_value + rate_per_s * elapsed.seconds()),
@@ -136,12 +136,12 @@ pub struct FaultEvent {
 /// # Examples
 ///
 /// ```
-/// use rcs_cooling::faults::{FaultKind, FaultTimeline};
+/// use rcs_cooling::faults::{DegradedState, FaultKind, FaultTimeline};
 /// use rcs_units::Seconds;
 ///
 /// let timeline = FaultTimeline::new()
 ///     .with_event(Seconds::minutes(2.0), FaultKind::PumpSeizure { pump: 0 });
-/// assert!(timeline.state_at(Seconds::minutes(1.0)).is_nominal());
+/// assert_eq!(timeline.state_at(Seconds::minutes(1.0)), DegradedState::nominal());
 /// assert_eq!(timeline.state_at(Seconds::minutes(3.0)).seized_pumps, vec![0]);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -257,22 +257,9 @@ impl DegradedState {
         }
     }
 
-    /// `true` when no plant-side degradation is active (sensor faults
-    /// do not change the physics, only the readings).
-    #[must_use]
-    pub fn is_nominal(&self) -> bool {
-        self.seized_pumps.is_empty()
-            && self.pump_head_factor == 1.0
-            && self.fouling_k_per_w == 0.0
-            && self.chiller_setpoint_offset.kelvins() == 0.0
-            && self.chiller_capacity_factor == 1.0
-            && self.coolant_level == 1.0
-            && self.valve_opening == 1.0
-    }
-
     /// Pump-inlet derate from a falling bath level: full head above
-    /// [`AIR_ENTRAINMENT_LEVEL`], linear loss down to
-    /// [`LOSS_OF_SUCTION_LEVEL`], nothing below.
+    /// `AIR_ENTRAINMENT_LEVEL`, linear loss down to
+    /// `LOSS_OF_SUCTION_LEVEL`, nothing below.
     #[must_use]
     pub fn air_entrainment_factor(&self) -> f64 {
         if self.coolant_level >= AIR_ENTRAINMENT_LEVEL {
@@ -351,15 +338,14 @@ mod tests {
     #[test]
     fn empty_timeline_is_nominal_forever() {
         let state = FaultTimeline::new().state_at(Seconds::hours(10.0));
-        assert!(state.is_nominal());
-        assert!(state.sensor_faults.is_empty());
+        assert_eq!(state, DegradedState::nominal());
     }
 
     #[test]
     fn events_do_not_fire_early() {
         let tl = FaultTimeline::new()
             .with_event(minutes(5.0), FaultKind::ValveStuckPartial { opening: 0.2 });
-        assert!(tl.state_at(minutes(4.9)).is_nominal());
+        assert_eq!(tl.state_at(minutes(4.9)), DegradedState::nominal());
         assert_eq!(tl.state_at(minutes(5.0)).valve_opening, 0.2);
     }
 

@@ -74,7 +74,7 @@ impl ChannelLimits {
 
     /// `true` if `value` lies inside the plausible range.
     #[must_use]
-    pub fn in_range(&self, value: f64) -> bool {
+    pub(crate) fn in_range(&self, value: f64) -> bool {
         value.is_finite() && value >= self.min && value <= self.max
     }
 }
@@ -139,7 +139,7 @@ pub struct PlausibilityFilter {
 
 /// Default hold timeout: a channel implausible for a full minute is
 /// broken hardware, not a glitch.
-pub const DEFAULT_HOLD_TIMEOUT: Seconds = Seconds::new(60.0);
+pub(crate) const DEFAULT_HOLD_TIMEOUT: Seconds = Seconds::new(60.0);
 
 impl PlausibilityFilter {
     /// A filter with the given limits and the default hold timeout.

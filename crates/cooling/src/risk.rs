@@ -33,16 +33,16 @@ pub struct FailureClass {
 ///
 /// Industry fittings leak rarely, but §2's point is that the count
 /// multiplies: hundreds of fittings make leaks an annual affair.
-pub const LEAK_RATE_PER_CONNECTION_YEAR: f64 = 0.004;
+pub(crate) const LEAK_RATE_PER_CONNECTION_YEAR: f64 = 0.004;
 
 /// Annual failure rate of one external (shaft-sealed) pump.
-pub const EXTERNAL_PUMP_RATE_YEAR: f64 = 0.10;
+pub(crate) const EXTERNAL_PUMP_RATE_YEAR: f64 = 0.10;
 
 /// Annual failure rate of one immersed (seal-less, oil-lubricated) pump.
-pub const IMMERSED_PUMP_RATE_YEAR: f64 = 0.05;
+pub(crate) const IMMERSED_PUMP_RATE_YEAR: f64 = 0.05;
 
 /// Annual rate of fan failures per fan.
-pub const FAN_RATE_YEAR: f64 = 0.05;
+pub(crate) const FAN_RATE_YEAR: f64 = 0.05;
 
 /// Builds the failure-class list of an architecture.
 #[must_use]
@@ -184,15 +184,6 @@ pub fn expected_annual_downtime_hours(classes: &[FailureClass]) -> f64 {
         .sum()
 }
 
-/// Expected hardware-loss events per module-year.
-#[must_use]
-pub fn expected_annual_hardware_losses(classes: &[FailureClass]) -> f64 {
-    classes
-        .iter()
-        .map(|c| c.rate_per_year * c.consequence.hardware_loss_probability)
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,8 +242,14 @@ mod tests {
             expected_annual_downtime_hours(&im),
             expected_annual_downtime_hours(&cp)
         );
-        assert_eq!(expected_annual_hardware_losses(&im), 0.0);
-        assert!(expected_annual_hardware_losses(&cp) > 0.2);
+        // Expected hardware-loss events per module-year.
+        let losses = |cs: &[FailureClass]| -> f64 {
+            cs.iter()
+                .map(|c| c.rate_per_year * c.consequence.hardware_loss_probability)
+                .sum()
+        };
+        assert_eq!(losses(&im), 0.0);
+        assert!(losses(&cp) > 0.2);
     }
 
     #[test]

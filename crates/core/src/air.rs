@@ -57,22 +57,15 @@ impl AirCooledModel {
 
     /// Overrides the operating point (utilization sweeps).
     #[must_use]
-    pub fn with_operating_point(mut self, op: OperatingPoint) -> Self {
+    pub(crate) fn with_operating_point(mut self, op: OperatingPoint) -> Self {
         self.op = op;
-        self
-    }
-
-    /// Overrides the airflow configuration.
-    #[must_use]
-    pub fn with_config(mut self, config: AirCooling) -> Self {
-        self.config = config;
         self
     }
 
     /// Junction-to-air stack resistance of one chip at the configured
     /// airflow.
     #[must_use]
-    pub fn stack_resistance(&self) -> ThermalResistance {
+    pub(crate) fn stack_resistance(&self) -> ThermalResistance {
         stack_resistance(&self.module, &self.config)
     }
 
@@ -137,7 +130,7 @@ impl AirCooledModel {
     /// junction at or below `limit`, found by bisection. Returns 0 when
     /// even an idle field exceeds the limit.
     #[must_use]
-    pub fn max_utilization_below(&self, limit: Celsius) -> f64 {
+    pub(crate) fn max_utilization_below(&self, limit: Celsius) -> f64 {
         let ok = |util: f64| {
             let model = self
                 .clone()
@@ -183,7 +176,7 @@ fn stack_resistance(module: &ComputeModule, config: &AirCooling) -> ThermalResis
 /// coefficient over the paper's two measured anchors
 /// (Rigel-2 at 58.1 °C, Taygeta at 72.9 °C, both over 25 °C ambient).
 #[must_use]
-pub fn calibrated_preheat_coefficient() -> f64 {
+pub(crate) fn calibrated_preheat_coefficient() -> f64 {
     let config = AirCooling::machine_room_default();
     let op = OperatingPoint::operating_mode();
     let anchors = [(presets::rigel2(), 58.1), (presets::taygeta(), 72.9)];
@@ -303,10 +296,9 @@ mod tests {
         let base = AirCooledModel::for_module(presets::taygeta())
             .solve()
             .unwrap();
-        let brisk = AirCooledModel::for_module(presets::taygeta())
-            .with_config(fast)
-            .solve()
-            .unwrap();
+        let mut brisk = AirCooledModel::for_module(presets::taygeta());
+        brisk.config = fast;
+        let brisk = brisk.solve().unwrap();
         assert!(brisk.junction < base.junction);
     }
 

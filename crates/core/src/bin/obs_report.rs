@@ -26,6 +26,12 @@
 //! diff` is its machine gate: spans match by stable id, their golden
 //! work figures compare within the per-path tolerance bands, and any
 //! drift, missing span, or elision change exits 1.
+//!
+//! Exit codes: 0 when both diffs compared at least one channel and found
+//! no drift; 1 on any drift, and also when nothing was compared (two
+//! empty files, or `--profile-only` runs without `profile.*` counters),
+//! because a gate that compared nothing has checked nothing; 2 on a
+//! usage error or an unreadable or malformed file.
 
 use std::process::ExitCode;
 

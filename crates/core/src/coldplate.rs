@@ -48,20 +48,6 @@ impl ColdPlateModel {
         }
     }
 
-    /// Uses an explicit loop configuration.
-    #[must_use]
-    pub fn with_loop(mut self, loop_: ColdPlateLoop) -> Self {
-        self.loop_ = loop_;
-        self
-    }
-
-    /// Overrides the operating point.
-    #[must_use]
-    pub fn with_operating_point(mut self, op: OperatingPoint) -> Self {
-        self.op = op;
-        self
-    }
-
     /// Solves the coupled steady state (fixed point over leakage).
     ///
     /// # Errors
@@ -145,10 +131,9 @@ mod tests {
     #[test]
     fn per_board_plates_run_hotter_than_per_chip() {
         let per_chip = ColdPlateModel::for_module(presets::skat()).solve().unwrap();
-        let per_board = ColdPlateModel::for_module(presets::skat())
-            .with_loop(rcs_cooling::ColdPlateLoop::per_board_plates(12))
-            .solve()
-            .unwrap();
+        let mut per_board = ColdPlateModel::for_module(presets::skat());
+        per_board.loop_ = rcs_cooling::ColdPlateLoop::per_board_plates(12);
+        let per_board = per_board.solve().unwrap();
         assert!(per_board.junction > per_chip.junction);
     }
 

@@ -41,20 +41,20 @@ use crate::immersion::{pump_heat, ImmersionModel, SteadySeed};
 pub const DRILL_SNAPSHOT_KIND: &str = "core.drill";
 
 /// Sensor scan interval.
-pub const SCAN_DT: Seconds = Seconds::new(2.0);
+pub(crate) const SCAN_DT: Seconds = Seconds::new(2.0);
 
 /// Steps between checks for plant relinearization (the steady solver is
 /// re-run only when the degraded physics actually changed).
 const RELINEARIZE_EVERY: usize = 5;
 
 /// Redundant component-temperature probes per module.
-pub const COMPONENT_PROBES: usize = 3;
+pub(crate) const COMPONENT_PROBES: usize = 3;
 
 /// Protective margin below the hardware reliability ceiling at which the
 /// hardened supervisor trips its emergency stop. Sized for the
 /// worst-case heating rate in the drill set (a fully stagnant bath heats
 /// the chip field at ~0.6 K/s, ~1.2 K per scan).
-pub const SHUTDOWN_MARGIN_K: f64 = 3.5;
+pub(crate) const SHUTDOWN_MARGIN_K: f64 = 3.5;
 
 /// Stagnation penalty on the chip-to-bath resistance when circulation is
 /// lost entirely (natural convection instead of forced turbulator flow).
@@ -78,7 +78,7 @@ const THROTTLE_STEP: f64 = 0.05;
 
 /// The raw (possibly lying) sensor samples delivered in one scan.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RawScan {
+pub(crate) struct RawScan {
     /// Level transmitter (fraction of nominal fill), `None` on dropout.
     pub level: Option<f64>,
     /// Flow transmitter (L/min), `None` on dropout.
@@ -110,15 +110,6 @@ impl ChannelHealth {
             agent: ChannelStatus::Valid,
             component: [ChannelStatus::Valid; COMPONENT_PROBES],
         }
-    }
-
-    /// `true` when every channel stayed `Valid` for the whole drill.
-    #[must_use]
-    pub fn is_all_valid(&self) -> bool {
-        self.level == ChannelStatus::Valid
-            && self.flow == ChannelStatus::Valid
-            && self.agent == ChannelStatus::Valid
-            && self.component.iter().all(|s| *s == ChannelStatus::Valid)
     }
 
     /// Channels that ended the drill declared `Failed`.
@@ -159,7 +150,7 @@ fn worse(a: ChannelStatus, b: ChannelStatus) -> ChannelStatus {
 /// redundant component probes are median-voted, and the emergency stop
 /// fires [`SHUTDOWN_MARGIN_K`] below the hardware ceiling.
 #[derive(Debug, Clone)]
-pub struct HardenedSupervisor {
+pub(crate) struct HardenedSupervisor {
     /// Thresholds with the protective shutdown margin applied.
     control: ControlSubsystem,
     level: PlausibilityFilter,
@@ -180,7 +171,7 @@ impl HardenedSupervisor {
     /// the *hardware* ceiling; the hardened copy trips
     /// [`SHUTDOWN_MARGIN_K`] earlier.
     #[must_use]
-    pub fn new(base: ControlSubsystem) -> Self {
+    pub(crate) fn new(base: ControlSubsystem) -> Self {
         let mut control = base;
         control.component_limit = Celsius::new(base.component_limit.degrees() - SHUTDOWN_MARGIN_K);
         Self {
@@ -199,20 +190,20 @@ impl HardenedSupervisor {
 
     /// The worst status each channel reached so far.
     #[must_use]
-    pub fn channel_health(&self) -> ChannelHealth {
+    pub(crate) fn channel_health(&self) -> ChannelHealth {
         self.worst_seen
     }
 
     /// Total implausible-but-delivered samples rejected across every
     /// channel so far (range or rate check).
     #[must_use]
-    pub fn plausibility_rejections(&self) -> u64 {
+    pub(crate) fn plausibility_rejections(&self) -> u64 {
         self.filters().map(PlausibilityFilter::rejected).sum()
     }
 
     /// Total dropouts (missing samples) across every channel so far.
     #[must_use]
-    pub fn plausibility_dropouts(&self) -> u64 {
+    pub(crate) fn plausibility_dropouts(&self) -> u64 {
         self.filters().map(PlausibilityFilter::dropouts).sum()
     }
 
@@ -220,14 +211,14 @@ impl HardenedSupervisor {
     /// than [`COMPONENT_PROBES`] live probes (an override of at least
     /// one probe, but a live quorum remained).
     #[must_use]
-    pub fn votes_degraded(&self) -> u64 {
+    pub(crate) fn votes_degraded(&self) -> u64 {
         self.votes_degraded
     }
 
     /// Scans where no probe was live at all and the vote fell back to
     /// held last-good values.
     #[must_use]
-    pub fn vote_fallbacks(&self) -> u64 {
+    pub(crate) fn vote_fallbacks(&self) -> u64 {
         self.vote_fallbacks
     }
 
@@ -241,7 +232,7 @@ impl HardenedSupervisor {
     /// plausible values. Returns the filtered readings the logic acted
     /// on, the raised alarms, and the single recommended action (the
     /// worst across alarms).
-    pub fn scan(&mut self, t: Seconds, raw: &RawScan) -> (Readings, Vec<Alarm>, Action) {
+    pub(crate) fn scan(&mut self, t: Seconds, raw: &RawScan) -> (Readings, Vec<Alarm>, Action) {
         let level = self.level.accept(t, raw.level);
         let flow = self.flow.accept(t, raw.flow_lpm);
         let agent = self.agent.accept(t, raw.agent_c);
@@ -646,7 +637,7 @@ impl DrillSession {
     /// the drill horizon is reached or a mid-run solver failure ended
     /// the drill early (the call is then a no-op). Relinearizations
     /// record counters and trace samples but no spans.
-    pub fn step(&mut self, drill: &FaultDrill, sinks: Sinks<'_>) -> bool {
+    pub(crate) fn step(&mut self, drill: &FaultDrill, sinks: Sinks<'_>) -> bool {
         use rcs_obs::trace::ChannelKind;
         let Sinks { obs, trace, .. } = sinks;
         let Some(tick) = self.clock.tick() else {
@@ -812,13 +803,6 @@ impl DrillSession {
             taken += 1;
         }
         taken
-    }
-
-    /// `true` once the drill horizon is reached (or a solver failure
-    /// ended the drill early).
-    #[must_use]
-    pub fn is_finished(&self) -> bool {
-        self.clock.is_finished()
     }
 
     /// Records the end-of-run counters into `sinks.obs` and yields the
@@ -1405,7 +1389,7 @@ mod tests {
         assert!(outcome.time_to_alarm.is_none(), "{outcome:?}");
         assert!(!outcome.shut_down);
         assert!(outcome.clean());
-        assert!(outcome.channel_health.is_all_valid());
+        assert_eq!(outcome.channel_health, ChannelHealth::all_valid());
         assert!((outcome.min_utilization - 0.90).abs() < 1e-12);
     }
 
@@ -1561,7 +1545,7 @@ mod tests {
         assert!(outcome.time_to_alarm.is_none(), "{outcome:?}");
         assert!(!outcome.shut_down);
         // but the broken channels are reported for maintenance
-        assert!(!outcome.channel_health.is_all_valid());
+        assert_ne!(outcome.channel_health, ChannelHealth::all_valid());
         assert!(!outcome.channel_health.failed_channels().is_empty());
     }
 
@@ -1757,7 +1741,7 @@ mod tests {
             };
             let mut resumed = DrillSession::resume(drill, &bytes, sinks_b).expect("snapshot opens");
             while resumed.step(drill, sinks_b) {}
-            assert!(resumed.is_finished());
+            assert!(resumed.clock.is_finished());
             let (outcome, final_rng) = resumed.finish(Sinks::counters(&obs_b));
 
             let name = &drill.name;

@@ -62,7 +62,7 @@ pub fn rows() -> Vec<RackRow> {
 /// Shared-loop coupling rows: the rack solved as one system (manifold +
 /// facility chiller), per module type.
 #[must_use]
-pub fn coupled_rows() -> Vec<(String, f64, f64, bool, f64)> {
+pub(crate) fn coupled_rows() -> Vec<(String, f64, f64, bool, f64)> {
     [
         ("SKAT".to_owned(), RackImmersionModel::skat_rack(12)),
         ("SKAT+".to_owned(), RackImmersionModel::skat_plus_rack(12)),

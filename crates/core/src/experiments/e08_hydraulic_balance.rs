@@ -15,7 +15,7 @@ use rcs_units::Celsius;
 use super::Table;
 
 /// Number of circulation loops in Fig. 5.
-pub const LOOPS: usize = 6;
+pub(crate) const LOOPS: usize = 6;
 
 /// Per-layout flow distribution.
 #[derive(Debug, Clone, PartialEq)]

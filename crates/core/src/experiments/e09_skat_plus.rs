@@ -17,7 +17,7 @@ use crate::ImmersionModel;
 /// Logic cells consumed by the CCB controller's functions (access,
 /// programming, monitoring) — roughly constant across generations, which
 /// is exactly the paper's argument for absorbing them into the field.
-pub const CONTROLLER_FUNCTION_CELLS: u64 = 45_000;
+pub(crate) const CONTROLLER_FUNCTION_CELLS: u64 = 45_000;
 
 /// Controller-resource fraction for every cataloged part.
 #[must_use]

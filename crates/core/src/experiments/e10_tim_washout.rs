@@ -55,7 +55,7 @@ pub fn rows() -> Vec<WashoutRow> {
 
 /// One service-life year: the whole materials bill aging together.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ServiceLifeRow {
+pub(crate) struct ServiceLifeRow {
     /// Years of immersed service.
     pub years: f64,
     /// Junction with commodity materials (standard paste + MD-4.5 oil), °C.
@@ -71,7 +71,7 @@ pub struct ServiceLifeRow {
 /// together, commodity materials versus the SRC-designed ones — the §2/§3
 /// materials-engineering argument in one table.
 #[must_use]
-pub fn service_life_rows() -> Vec<ServiceLifeRow> {
+pub(crate) fn service_life_rows() -> Vec<ServiceLifeRow> {
     [0.0, 1.0, 2.0, 3.0, 5.0]
         .into_iter()
         .map(|years| {

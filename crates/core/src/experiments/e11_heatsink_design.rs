@@ -77,7 +77,7 @@ pub fn rows() -> Vec<SinkRow> {
 /// Pin-fin resistance versus approach velocity (the design sweep behind
 /// §4's "experimentally improve the heat-sink optimal design").
 #[must_use]
-pub fn velocity_sweep() -> Vec<(f64, f64)> {
+pub(crate) fn velocity_sweep() -> Vec<(f64, f64)> {
     let oil = Coolant::src_dielectric().state(Celsius::new(30.0));
     let sink = PinFinSink::skat_default();
     [0.05, 0.10, 0.15, 0.25, 0.40, 0.60, 1.00]

@@ -14,9 +14,9 @@ use rcs_obs::Sinks;
 use super::Table;
 
 /// Service horizon, years.
-pub const HORIZON_YEARS: f64 = 5.0;
+pub(crate) const HORIZON_YEARS: f64 = 5.0;
 /// Monte-Carlo trials.
-pub const TRIALS: usize = 4000;
+pub(crate) const TRIALS: usize = 4000;
 /// RNG seed (fixed: the experiment is reproducible).
 pub const SEED: u64 = 20180401;
 

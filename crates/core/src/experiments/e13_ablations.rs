@@ -18,7 +18,7 @@ use crate::ImmersionModel;
 
 /// One coolant's outcome in the full coupled SKAT model.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CoolantAblationRow {
+pub(crate) struct CoolantAblationRow {
     /// Coolant name.
     pub coolant: String,
     /// Immersion-grade (dielectric) — water rows are counterfactuals.
@@ -39,7 +39,7 @@ pub struct CoolantAblationRow {
 /// the worker pool; the deterministic fixed-order collection keeps the
 /// row order (and every number) identical to the serial sweep.
 #[must_use]
-pub fn coolant_rows() -> Vec<CoolantAblationRow> {
+pub(crate) fn coolant_rows() -> Vec<CoolantAblationRow> {
     let candidates = vec![
         Coolant::src_dielectric(),
         Coolant::mineral_oil_md45(),
@@ -68,7 +68,7 @@ pub fn coolant_rows() -> Vec<CoolantAblationRow> {
 /// Chiller-setpoint sweep: junction and chiller electrical power versus
 /// supply-water temperature (the warm-water-cooling trade).
 #[must_use]
-pub fn setpoint_rows() -> Vec<(f64, f64, f64, f64)> {
+pub(crate) fn setpoint_rows() -> Vec<(f64, f64, f64, f64)> {
     rcs_parallel::par_map_indexed(
         vec![10.0, 14.0, 18.0, 20.0, 24.0, 28.0, 32.0],
         rcs_parallel::thread_count(),
@@ -93,7 +93,7 @@ pub fn setpoint_rows() -> Vec<(f64, f64, f64, f64)> {
 /// Pump-sizing sweep: junction temperature and pump power versus pump
 /// shutoff head (flow follows the curve intersection).
 #[must_use]
-pub fn pump_rows() -> Vec<(f64, f64, f64, f64)> {
+pub(crate) fn pump_rows() -> Vec<(f64, f64, f64, f64)> {
     rcs_parallel::par_map_indexed(
         vec![30.0, 50.0, 80.0, 120.0, 160.0],
         rcs_parallel::thread_count(),

@@ -14,7 +14,7 @@ use crate::{AirCooledModel, ColdPlateModel, ImmersionModel};
 
 /// Annual energy breakdown for one architecture.
 #[derive(Debug, Clone, PartialEq)]
-pub struct EnergyRow {
+pub(crate) struct EnergyRow {
     /// Architecture label.
     pub architecture: String,
     /// IT (module heat) power, W.
@@ -46,7 +46,7 @@ fn row(architecture: &str, it: Power, circulation: Power, chiller: Power) -> Ene
 /// thermally runs away, so its row is the counterfactual at the highest
 /// utilization air can actually sustain.
 #[must_use]
-pub fn rows() -> Vec<EnergyRow> {
+pub(crate) fn rows() -> Vec<EnergyRow> {
     let mut out = Vec::new();
 
     // Air: at the derated utilization that survives 85 °C.

@@ -12,11 +12,11 @@ use rcs_cooling::maintenance::{summarize, PlumbingTopology, ServiceSummary};
 use super::Table;
 
 /// Rack size used for the comparison.
-pub const MODULES: usize = 12;
+pub(crate) const MODULES: usize = 12;
 
 /// Computes the per-topology summaries.
 #[must_use]
-pub fn rows() -> Vec<ServiceSummary> {
+pub(crate) fn rows() -> Vec<ServiceSummary> {
     vec![
         summarize(PlumbingTopology::SelfContainedModules, MODULES),
         summarize(PlumbingTopology::ColdPlateLoop, MODULES),

@@ -11,15 +11,15 @@ use super::Table;
 use crate::{FleetOutcome, FleetSimulation};
 
 /// Modules in the simulated rack.
-pub const MODULES: usize = 12;
+pub(crate) const MODULES: usize = 12;
 /// Service horizon, years.
-pub const YEARS: f64 = 5.0;
+pub(crate) const YEARS: f64 = 5.0;
 /// RNG seed (fixed: the experiment is reproducible).
 pub const SEED: u64 = 20180401;
 
 /// Runs the three configurations.
 #[must_use]
-pub fn rows() -> Vec<FleetOutcome> {
+pub(crate) fn rows() -> Vec<FleetOutcome> {
     FleetSimulation::new(MODULES, YEARS, SEED)
         .run_all()
         .expect("fleet configurations converge")

@@ -22,7 +22,7 @@ use super::Table;
 use crate::{DrillOutcome, FaultDrill};
 
 /// Drill duration.
-pub const DURATION_MIN: f64 = 20.0;
+pub(crate) const DURATION_MIN: f64 = 20.0;
 
 /// RNG seed (fixed: the experiment is reproducible).
 pub const SEED: u64 = 20180402;
@@ -137,11 +137,11 @@ fn cells() -> Vec<FaultDrill> {
 
 /// Runs the full matrix with the ambient `RCS_THREADS` worker count.
 #[must_use]
-pub fn rows(sinks: Sinks<'_>) -> Vec<DrillOutcome> {
+pub(crate) fn rows(sinks: Sinks<'_>) -> Vec<DrillOutcome> {
     rows_with_threads(rcs_parallel::thread_count(), sinks)
 }
 
-/// [`rows`] with an explicit worker count. Each cell owns a jumped RNG
+/// `rows` with an explicit worker count. Each cell owns a jumped RNG
 /// stream, so the outcome vector is bit-identical at every count — and
 /// so is the telemetry: every matrix cell runs on a per-cell shard of
 /// `sinks` inside a `<design>/<drill>` span, records its `drill.*` /
@@ -186,7 +186,7 @@ fn fmt_time(t: Option<Seconds>) -> String {
     t.map_or_else(|| "—".to_owned(), |s| format!("{:.0} s", s.seconds()))
 }
 
-/// Renders the experiment table (telemetry as for [`rows`]).
+/// Renders the experiment table (telemetry as for `rows`).
 #[must_use]
 pub fn run(sinks: Sinks<'_>) -> Vec<Table> {
     render(&rows(sinks))

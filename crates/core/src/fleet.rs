@@ -278,11 +278,11 @@ impl FleetSimulation {
     /// # Errors
     ///
     /// Propagates coupled-solver failures.
-    pub fn run_all(&self) -> Result<Vec<FleetOutcome>, CoreError> {
+    pub(crate) fn run_all(&self) -> Result<Vec<FleetOutcome>, CoreError> {
         self.run_all_with_threads(rcs_parallel::thread_count())
     }
 
-    /// [`FleetSimulation::run_all`] with an explicit worker count.
+    /// `FleetSimulation::run_all` with an explicit worker count.
     ///
     /// # Errors
     ///

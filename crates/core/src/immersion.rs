@@ -217,7 +217,7 @@ impl ImmersionModel {
 
     /// The per-chip thermal stack at the current TIM configuration.
     #[must_use]
-    pub fn chip_stack(&self) -> ChipStack {
+    pub(crate) fn chip_stack(&self) -> ChipStack {
         let part = self.module.ccb().part();
         ChipStack::new(
             part.r_junction_case(),
@@ -818,7 +818,7 @@ pub struct WarmupSession {
 }
 
 /// Snapshot kind tag of [`WarmupSession::checkpoint`] bytes.
-pub const WARMUP_SNAPSHOT_KIND: &str = "core.warmup";
+pub(crate) const WARMUP_SNAPSHOT_KIND: &str = "core.warmup";
 
 impl WarmupSession {
     /// Solves the steady state, builds the warm-up network and prepares
@@ -855,7 +855,7 @@ impl WarmupSession {
 
     /// Advances one integration step. Returns `false` once the horizon
     /// is reached (the call is then a no-op).
-    pub fn step(&mut self) -> bool {
+    pub(crate) fn step(&mut self) -> bool {
         self.inner.step(&self.net)
     }
 

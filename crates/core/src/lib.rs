@@ -49,12 +49,9 @@ pub mod rules;
 
 pub use air::AirCooledModel;
 pub use coldplate::ColdPlateModel;
-pub use drill::{
-    ChannelHealth, DrillOutcome, DrillSession, FaultDrill, HardenedSupervisor, RawScan,
-    COMPONENT_PROBES, DRILL_SNAPSHOT_KIND, SCAN_DT, SHUTDOWN_MARGIN_K,
-};
+pub use drill::{ChannelHealth, DrillOutcome, DrillSession, FaultDrill, DRILL_SNAPSHOT_KIND};
 pub use error::CoreError;
 pub use fleet::{FleetConfig, FleetOutcome, FleetSimulation};
-pub use immersion::{ImmersionModel, SteadySeed, WarmupSession, WarmupTrace, WARMUP_SNAPSHOT_KIND};
+pub use immersion::{ImmersionModel, SteadySeed, WarmupSession, WarmupTrace};
 pub use rack_model::{RackImmersionModel, RackReport};
 pub use report::SteadyReport;

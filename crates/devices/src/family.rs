@@ -7,7 +7,7 @@
 /// 10–15 °C of overheat under air cooling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[non_exhaustive]
-pub enum FpgaFamily {
+pub(crate) enum FpgaFamily {
     /// Virtex-6 (40 nm) — the Rigel-2 computational module.
     Virtex6,
     /// Virtex-7 (28 nm) — the Taygeta computational module.
@@ -18,20 +18,6 @@ pub enum FpgaFamily {
     UltraScalePlus,
     /// A projected next-generation family the paper calls "UltraScale 2".
     UltraScale2,
-}
-
-impl FpgaFamily {
-    /// All families, oldest first.
-    #[must_use]
-    pub fn all() -> [FpgaFamily; 5] {
-        [
-            Self::Virtex6,
-            Self::Virtex7,
-            Self::UltraScale,
-            Self::UltraScalePlus,
-            Self::UltraScale2,
-        ]
-    }
 }
 
 impl core::fmt::Display for FpgaFamily {
@@ -52,7 +38,13 @@ mod tests {
 
     #[test]
     fn families_are_chronologically_ordered() {
-        let all = FpgaFamily::all();
+        let all = [
+            FpgaFamily::Virtex6,
+            FpgaFamily::Virtex7,
+            FpgaFamily::UltraScale,
+            FpgaFamily::UltraScalePlus,
+            FpgaFamily::UltraScale2,
+        ];
         for w in all.windows(2) {
             assert!(w[0] < w[1]);
         }

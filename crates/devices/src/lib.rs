@@ -6,7 +6,7 @@
 //! (SKAT), UltraScale+ (SKAT+) and a projected "UltraScale 2". This crate
 //! provides:
 //!
-//! - [`FpgaPart`] / [`FpgaFamily`] — a catalog of the specific parts named
+//! - [`FpgaPart`] / `FpgaFamily` — a catalog of the specific parts named
 //!   in the paper (XC6VLX240T, XC7VX485T, XCKU095, a VU9P-class
 //!   UltraScale+) with logic capacity, clock, package geometry and
 //!   junction limits.
@@ -42,7 +42,6 @@ pub mod performance;
 mod power;
 pub mod reliability;
 
-pub use family::FpgaFamily;
 pub use part::FpgaPart;
 pub use performance::ComputeRate;
 pub use power::{OperatingPoint, PowerModel};

@@ -8,7 +8,7 @@ use crate::family::FpgaFamily;
 /// thermal path and power coefficients.
 ///
 /// The four named constructors cover the specific parts the paper's
-/// modules are built from; [`FpgaPart::ultrascale2_projected`] extrapolates
+/// modules are built from; `FpgaPart::ultrascale2_projected` extrapolates
 /// the next family the conclusions speculate about. Capacity and power
 /// figures are calibrated against the paper's anchors (see `DESIGN.md`):
 /// a 32-chip Taygeta module drawing 1661 W, a 96-chip SKAT module drawing
@@ -39,7 +39,7 @@ impl FpgaPart {
     /// Builds a custom part.
     #[allow(clippy::too_many_arguments)]
     #[must_use]
-    pub fn custom(
+    pub(crate) fn custom(
         name: impl Into<String>,
         family: FpgaFamily,
         logic_cells: u64,
@@ -126,7 +126,7 @@ impl FpgaPart {
     /// The paper's speculative "UltraScale 2" next generation, extrapolated
     /// with the same capacity/clock growth rate as the previous step.
     #[must_use]
-    pub fn ultrascale2_projected() -> Self {
+    pub(crate) fn ultrascale2_projected() -> Self {
         Self::custom(
             "UltraScale-2 (projected)",
             FpgaFamily::UltraScale2,
@@ -157,12 +157,6 @@ impl FpgaPart {
         &self.name
     }
 
-    /// Family the part belongs to.
-    #[must_use]
-    pub fn family(&self) -> FpgaFamily {
-        self.family
-    }
-
     /// System logic cells.
     #[must_use]
     pub fn logic_cells(&self) -> u64 {
@@ -171,7 +165,7 @@ impl FpgaPart {
 
     /// Design (achievable pipeline) clock for RCS task structures.
     #[must_use]
-    pub fn design_clock(&self) -> Frequency {
+    pub(crate) fn design_clock(&self) -> Frequency {
         self.design_clock
     }
 
@@ -189,13 +183,13 @@ impl FpgaPart {
 
     /// Static (leakage) power at 25 °C junction.
     #[must_use]
-    pub fn static_power_25(&self) -> Power {
+    pub(crate) fn static_power_25(&self) -> Power {
         self.static_power_25
     }
 
     /// Dynamic power at full utilization and design clock.
     #[must_use]
-    pub fn dynamic_power_full(&self) -> Power {
+    pub(crate) fn dynamic_power_full(&self) -> Power {
         self.dynamic_power_full
     }
 }

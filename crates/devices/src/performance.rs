@@ -17,7 +17,7 @@ pub struct ComputeRate(f64);
 impl ComputeRate {
     /// Wraps a raw rate in operations per second.
     #[must_use]
-    pub const fn from_ops_per_second(ops: f64) -> Self {
+    pub(crate) const fn from_ops_per_second(ops: f64) -> Self {
         Self(ops)
     }
 
@@ -75,7 +75,7 @@ impl core::fmt::Display for ComputeRate {
 /// Logic cells consumed by one hardwired operation pipeline.
 ///
 /// Calibrated against §5: 12 modules × 96 UltraScale-class FPGAs ≥ 1 PFlops.
-pub const CELLS_PER_OPERATION: f64 = 550.0;
+pub(crate) const CELLS_PER_OPERATION: f64 = 550.0;
 
 /// Peak rate of one part: every `CELLS_PER_OPERATION` cells retire one
 /// operation per design-clock cycle.

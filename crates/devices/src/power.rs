@@ -28,15 +28,6 @@ impl OperatingPoint {
         }
     }
 
-    /// A configured but idle field (clock gated down).
-    #[must_use]
-    pub fn idle() -> Self {
-        Self {
-            utilization: 0.0,
-            clock_fraction: 0.1,
-        }
-    }
-
     /// An explicit utilization at full clock.
     ///
     /// # Panics
@@ -64,7 +55,7 @@ impl Default for OperatingPoint {
 /// Power model of one FPGA part.
 ///
 /// Total power is `P_static(T_j) + P_dyn · utilization · clock_fraction`,
-/// where leakage doubles every [`PowerModel::LEAKAGE_DOUBLING_K`] kelvins
+/// where leakage doubles every `PowerModel::LEAKAGE_DOUBLING_K` kelvins
 /// of junction temperature — the coupling that makes badly cooled chips
 /// draw even more power, and which the coupled solver in `rcs-core`
 /// iterates to a fixed point.
@@ -88,7 +79,7 @@ pub struct PowerModel {
 
 impl PowerModel {
     /// Junction-temperature interval over which leakage power doubles.
-    pub const LEAKAGE_DOUBLING_K: f64 = 35.0;
+    pub(crate) const LEAKAGE_DOUBLING_K: f64 = 35.0;
 
     /// Builds the model for a catalog part.
     #[must_use]
@@ -109,7 +100,7 @@ impl PowerModel {
     /// Dynamic power at the given operating point (temperature
     /// independent).
     #[must_use]
-    pub fn dynamic_power(&self, op: OperatingPoint) -> Power {
+    pub(crate) fn dynamic_power(&self, op: OperatingPoint) -> Power {
         Power::from_watts(
             self.dynamic_full.watts()
                 * op.utilization.clamp(0.0, 1.0)
@@ -173,7 +164,12 @@ mod tests {
     #[test]
     fn idle_power_is_mostly_static() {
         let m = PowerModel::for_part(&FpgaPart::xcku095());
-        let idle = m.power(OperatingPoint::idle(), Celsius::new(40.0));
+        // A configured but idle field: clock gated down.
+        let idle = OperatingPoint {
+            utilization: 0.0,
+            clock_fraction: 0.1,
+        };
+        let idle = m.power(idle, Celsius::new(40.0));
         let static_only = m.static_power(Celsius::new(40.0));
         assert!(idle.watts() < 1.1 * static_only.watts());
     }

@@ -10,17 +10,17 @@
 use rcs_units::Celsius;
 
 /// Activation energy of the dominant wear-out mechanism, eV.
-pub const ACTIVATION_ENERGY_EV: f64 = 0.7;
+pub(crate) const ACTIVATION_ENERGY_EV: f64 = 0.7;
 
 /// Boltzmann constant in eV/K.
-pub const BOLTZMANN_EV_PER_K: f64 = 8.617e-5;
+pub(crate) const BOLTZMANN_EV_PER_K: f64 = 8.617e-5;
 
 /// Reference junction temperature at which [`BASE_FIT`] is specified.
-pub const REFERENCE_JUNCTION: Celsius = Celsius::new(55.0);
+pub(crate) const REFERENCE_JUNCTION: Celsius = Celsius::new(55.0);
 
 /// Base failure rate at the reference junction temperature, failures per
 /// 10⁹ device-hours (a large compute FPGA with its regulators).
-pub const BASE_FIT: f64 = 150.0;
+pub(crate) const BASE_FIT: f64 = 150.0;
 
 /// Arrhenius acceleration factor of a junction temperature relative to
 /// the reference junction.

@@ -164,12 +164,6 @@ impl Coolant {
         &self.name
     }
 
-    /// The underlying property table.
-    #[must_use]
-    pub fn table(&self) -> &PropertyTable {
-        &self.table
-    }
-
     /// Electrical/fire/handling traits.
     #[must_use]
     pub fn safety(&self) -> &SafetyTraits {

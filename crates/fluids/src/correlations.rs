@@ -1,8 +1,8 @@
 //! Engineering convection correlations.
 //!
 //! These are the standard correlations a thermal engineer sizes a cooling
-//! system with: internal duct flow (laminar constant-Nu, Dittus-Boelter,
-//! Gnielinski), external flat plates and Zukauskas staggered pin/tube
+//! system with: internal duct flow (laminar constant-Nu, Gnielinski),
+//! external flat plates and Zukauskas staggered pin/tube
 //! banks (the paper's "solder pin" turbulator heat sink). All functions
 //! are pure and deterministic.
 //!
@@ -45,17 +45,8 @@ pub fn friction_factor_smooth(re: Reynolds) -> f64 {
 /// Nusselt number for thermally developed laminar duct flow with uniform
 /// heat flux: `Nu = 4.36`.
 #[must_use]
-pub fn nu_laminar_duct() -> Nusselt {
+pub(crate) fn nu_laminar_duct() -> Nusselt {
     Nusselt::new(4.36)
-}
-
-/// Dittus-Boelter correlation for fully turbulent duct flow,
-/// `Nu = 0.023 Re^0.8 Pr^0.4` (fluid being heated).
-///
-/// Valid for `Re > 10^4`, `0.6 < Pr < 160`.
-#[must_use]
-pub fn nu_dittus_boelter(re: Reynolds, pr: Prandtl) -> Nusselt {
-    Nusselt::new(0.023 * re.value().powf(0.8) * pr.value().powf(0.4))
 }
 
 /// Gnielinski correlation for transitional/turbulent duct flow,
@@ -81,7 +72,11 @@ pub fn nu_gnielinski(re: Reynolds, pr: Prandtl) -> Nusselt {
 /// This is what makes short, fin-channel heat sinks respond to airflow in
 /// the laminar regime — fully developed laminar flow would not.
 #[must_use]
-pub fn nu_laminar_developing(re: Reynolds, pr: Prandtl, diameter_over_length: f64) -> Nusselt {
+pub(crate) fn nu_laminar_developing(
+    re: Reynolds,
+    pr: Prandtl,
+    diameter_over_length: f64,
+) -> Nusselt {
     let gz = (diameter_over_length.max(0.0) * re.value() * pr.value()).max(0.0);
     Nusselt::new(3.66 + 0.0668 * gz / (1.0 + 0.04 * gz.powf(2.0 / 3.0)))
 }
@@ -89,7 +84,7 @@ pub fn nu_laminar_developing(re: Reynolds, pr: Prandtl, diameter_over_length: f6
 /// Duct-flow Nusselt number with entrance effects: developing-laminar
 /// below `Re = 2300`, Gnielinski above `Re = 4000`, blended between.
 #[must_use]
-pub fn nu_duct_developing(re: Reynolds, pr: Prandtl, diameter_over_length: f64) -> Nusselt {
+pub(crate) fn nu_duct_developing(re: Reynolds, pr: Prandtl, diameter_over_length: f64) -> Nusselt {
     if re.value() < 2300.0 {
         nu_laminar_developing(re, pr, diameter_over_length)
     } else if re.value() > 4000.0 {
@@ -145,7 +140,7 @@ pub fn nu_duct(re: Reynolds, pr: Prandtl) -> Nusselt {
 /// laminar `0.664 Re^0.5 Pr^1/3` below the transition Reynolds number
 /// `5×10^5`, mixed `(0.037 Re^0.8 − 871) Pr^1/3` above it.
 #[must_use]
-pub fn nu_flat_plate(re: Reynolds, pr: Prandtl) -> Nusselt {
+pub(crate) fn nu_flat_plate(re: Reynolds, pr: Prandtl) -> Nusselt {
     let re_v = re.value();
     let pr3 = pr.value().powf(1.0 / 3.0);
     if re_v < 5.0e5 {
@@ -250,6 +245,15 @@ mod tests {
     use super::*;
     use crate::Coolant;
     use rcs_units::Celsius;
+
+    /// Dittus-Boelter correlation for fully turbulent duct flow,
+    /// `Nu = 0.023 Re^0.8 Pr^0.4` (fluid being heated), the textbook
+    /// reference the Gnielinski correlation is checked against.
+    ///
+    /// Valid for `Re > 10^4`, `0.6 < Pr < 160`.
+    fn nu_dittus_boelter(re: Reynolds, pr: Prandtl) -> Nusselt {
+        Nusselt::new(0.023 * re.value().powf(0.8) * pr.value().powf(0.4))
+    }
 
     #[test]
     fn friction_factor_regimes() {

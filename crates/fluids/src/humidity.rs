@@ -53,7 +53,7 @@ impl RoomAir {
 
     /// The room's dew point.
     #[must_use]
-    pub fn dew_point(&self) -> Celsius {
+    pub(crate) fn dew_point(&self) -> Celsius {
         dew_point(self.temperature, self.relative_humidity)
     }
 

@@ -107,19 +107,19 @@ impl PropertyTable {
 
     /// Lowest tabulated temperature.
     #[must_use]
-    pub fn min_temperature(&self) -> Celsius {
+    pub(crate) fn min_temperature(&self) -> Celsius {
         self.rows[0].temperature
     }
 
     /// Highest tabulated temperature.
     #[must_use]
-    pub fn max_temperature(&self) -> Celsius {
+    pub(crate) fn max_temperature(&self) -> Celsius {
         self.rows[self.rows.len() - 1].temperature
     }
 
     /// Tabulated rows, in increasing temperature order.
     #[must_use]
-    pub fn rows(&self) -> &[PropertyRow] {
+    pub(crate) fn rows(&self) -> &[PropertyRow] {
         &self.rows
     }
 

@@ -28,20 +28,14 @@ impl Pipe {
 
     /// Cross-sectional flow area.
     #[must_use]
-    pub fn area_m2(&self) -> f64 {
+    pub(crate) fn area_m2(&self) -> f64 {
         core::f64::consts::PI * self.diameter.meters().powi(2) / 4.0
     }
 
-    /// Darcy friction factor at the given Reynolds number, using the
-    /// Swamee-Jain explicit approximation of the Colebrook equation above
-    /// the transition band and `64/Re` below it.
-    #[must_use]
-    pub fn friction_factor(&self, re: f64) -> f64 {
-        self.friction(re).0
-    }
-
-    /// The friction factor at `re` and its logarithmic slope
-    /// `Re · df/dRe`, both in closed form. Below Re = 1 the curve is
+    /// The Darcy friction factor at `re` and its logarithmic slope
+    /// `Re · df/dRe`, both in closed form: the Swamee-Jain explicit
+    /// approximation of the Colebrook equation above the transition band
+    /// and `64/Re` below it. Below Re = 1 the curve is
     /// clamped, so its slope there is that of `64/Re` at Re = 1.
     fn friction(&self, re: f64) -> (f64, f64) {
         let re = re.max(1.0);
@@ -67,12 +61,6 @@ impl Pipe {
                 (f_4000 - 64.0 / 2300.0) * re / 1700.0,
             )
         }
-    }
-
-    /// Pressure loss at flow `q` (signed: loss opposes the flow direction).
-    #[must_use]
-    pub fn pressure_loss(&self, q: VolumeFlow, fluid: &FluidState) -> Pressure {
-        self.loss_and_slope(q, fluid).0
     }
 
     /// Pressure loss at flow `q` together with its derivative with
@@ -146,15 +134,9 @@ impl Valve {
 
     /// Effective loss coefficient at the current opening.
     #[must_use]
-    pub fn k_effective(&self) -> f64 {
+    pub(crate) fn k_effective(&self) -> f64 {
         let opening = self.opening.clamp(1e-3, 1.0);
         self.k_open / (opening * opening)
-    }
-
-    /// Pressure loss at flow `q`.
-    #[must_use]
-    pub fn pressure_loss(&self, q: VolumeFlow, fluid: &FluidState) -> Pressure {
-        self.loss_and_slope(q, fluid).0
     }
 
     /// Pressure loss at flow `q` together with its derivative with
@@ -200,7 +182,7 @@ impl PumpCurve {
 
     /// Pressure *gain* delivered at flow `q` (negative for `q > max_flow`).
     #[must_use]
-    pub fn pressure_gain(&self, q: VolumeFlow) -> Pressure {
+    pub(crate) fn pressure_gain(&self, q: VolumeFlow) -> Pressure {
         -self.loss_and_slope(q).0
     }
 
@@ -228,7 +210,7 @@ impl PumpCurve {
 
     /// Hydraulic power delivered to the fluid at flow `q`.
     #[must_use]
-    pub fn hydraulic_power(&self, q: VolumeFlow) -> rcs_units::Power {
+    pub(crate) fn hydraulic_power(&self, q: VolumeFlow) -> rcs_units::Power {
         self.pressure_gain(q) * q
     }
 
@@ -277,7 +259,7 @@ impl Element {
     /// Signed pressure drop across the element at flow `q` (pumps return
     /// negative drops, i.e. gains).
     #[must_use]
-    pub fn pressure_drop(&self, q: VolumeFlow, fluid: &FluidState) -> Pressure {
+    pub(crate) fn pressure_drop(&self, q: VolumeFlow, fluid: &FluidState) -> Pressure {
         self.drop_and_slope(q, fluid).0
     }
 
@@ -312,9 +294,9 @@ mod tests {
     #[test]
     fn friction_factor_laminar_and_turbulent() {
         let p = pipe();
-        assert!((p.friction_factor(1000.0) - 0.064).abs() < 1e-12);
+        assert!((p.friction(1000.0).0 - 0.064).abs() < 1e-12);
         // smooth pipe at Re = 1e5: f ~ 0.018
-        let f = p.friction_factor(1e5);
+        let f = p.friction(1e5).0;
         assert!((f - 0.018).abs() < 0.002, "f = {f}");
     }
 
@@ -324,7 +306,7 @@ mod tests {
         // dp = f L/D rho v^2/2 ~ 0.021 * 400 * 998 * 2 = ~16.7 kPa
         let p = pipe();
         let q = VolumeFlow::from_cubic_meters_per_second(2.0 * p.area_m2());
-        let dp = p.pressure_loss(q, &water()).as_kilopascals();
+        let dp = p.loss_and_slope(q, &water()).0.as_kilopascals();
         assert!(dp > 12.0 && dp < 22.0, "dp = {dp} kPa");
     }
 
@@ -332,8 +314,8 @@ mod tests {
     fn pressure_loss_is_odd_in_flow() {
         let p = pipe();
         let q = VolumeFlow::liters_per_minute(40.0);
-        let fwd = p.pressure_loss(q, &water()).pascals();
-        let rev = p.pressure_loss(-q, &water()).pascals();
+        let fwd = p.loss_and_slope(q, &water()).0.pascals();
+        let rev = p.loss_and_slope(-q, &water()).0.pascals();
         assert!((fwd + rev).abs() < 1e-9);
         assert!(fwd > 0.0);
     }
@@ -408,8 +390,7 @@ mod tests {
             Element::Pipe(p) => {
                 let v = q / p.area_m2();
                 let re = rho * v.abs() * p.diameter.meters() / fluid.viscosity.pascal_seconds();
-                p.friction_factor(re) * p.length.meters() / p.diameter.meters() * rho * v * v.abs()
-                    / 2.0
+                p.friction(re).0 * p.length.meters() / p.diameter.meters() * rho * v * v.abs() / 2.0
             }
             Element::MinorLoss { k, diameter } => quadratic(*k, *diameter),
             Element::Valve(v) => quadratic(v.k_effective(), v.diameter),
@@ -491,9 +472,11 @@ mod tests {
             let q = flow_at_re(&p, 0.01, fluid);
             let h = q * 1e-6;
             let numeric = (p
-                .pressure_loss(VolumeFlow::from_cubic_meters_per_second(q + h), fluid)
+                .loss_and_slope(VolumeFlow::from_cubic_meters_per_second(q + h), fluid)
+                .0
                 .pascals()
-                - p.pressure_loss(VolumeFlow::from_cubic_meters_per_second(q - h), fluid)
+                - p.loss_and_slope(VolumeFlow::from_cubic_meters_per_second(q - h), fluid)
+                    .0
                     .pascals())
                 / (2.0 * h);
             assert!(
@@ -515,9 +498,9 @@ mod tests {
     fn valve_closing_raises_loss() {
         let mut v = Valve::balancing(Length::millimeters(25.0));
         let q = VolumeFlow::liters_per_minute(40.0);
-        let open = v.pressure_loss(q, &water()).pascals();
+        let open = v.loss_and_slope(q, &water()).0.pascals();
         v.opening = 0.5;
-        let half = v.pressure_loss(q, &water()).pascals();
+        let half = v.loss_and_slope(q, &water()).0.pascals();
         assert!((half / open - 4.0).abs() < 1e-9); // 1/0.5² = 4
     }
 

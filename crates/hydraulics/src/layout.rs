@@ -133,7 +133,7 @@ impl ManifoldPlan {
 
     /// Number of module loops.
     #[must_use]
-    pub fn loop_count(&self) -> usize {
+    pub(crate) fn loop_count(&self) -> usize {
         self.loop_branches.len()
     }
 }

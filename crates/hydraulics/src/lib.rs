@@ -9,7 +9,7 @@
 //!   each branch is a series of [`Element`]s: Darcy-Weisbach pipes, minor
 //!   losses, trim/balancing [`Valve`]s and [`PumpCurve`]s.
 //! - A global-gradient (Todini-style Newton) solver returning per-branch
-//!   flows and nodal pressures with mass-conservation residuals. Every
+//!   flows with mass-conservation residuals. Every
 //!   solve runs a retry ladder ([`SolveOptions::ladder`]): full Newton
 //!   steps first, then damped re-solves for stiff networks.
 //!   [`HydraulicNetwork::solve`] runs it on a fresh context; repeated

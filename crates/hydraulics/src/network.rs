@@ -155,7 +155,7 @@ impl HydraulicNetwork {
     /// # Errors
     ///
     /// Returns [`HydraulicError::UnknownBranch`] for a foreign id.
-    pub fn branch_is_open(&self, branch: BranchId) -> Result<bool, HydraulicError> {
+    pub(crate) fn branch_is_open(&self, branch: BranchId) -> Result<bool, HydraulicError> {
         self.branches
             .get(branch.0)
             .map(|b| b.open)
@@ -188,26 +188,9 @@ impl HydraulicNetwork {
         Ok(())
     }
 
-    /// Number of junctions.
-    #[must_use]
-    pub fn junction_count(&self) -> usize {
-        self.junctions.len()
-    }
-
     /// Iterates over all junction ids.
     pub fn junction_ids(&self) -> impl Iterator<Item = JunctionId> + '_ {
         (0..self.junctions.len()).map(JunctionId)
-    }
-
-    /// Endpoints of a branch.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a foreign id.
-    #[must_use]
-    pub fn branch_endpoints(&self, b: BranchId) -> (JunctionId, JunctionId) {
-        let data = &self.branches[b.0];
-        (data.from, data.to)
     }
 
     /// Copy-on-write access to one branch: the list is copied only while
@@ -253,7 +236,8 @@ mod tests {
             Length::millimeters(25.0),
         ));
         let id = net.add_branch("ok", a, b, vec![pipe]).unwrap();
-        assert_eq!(net.branch_endpoints(id), (a, b));
+        let data = &net.branches[id.0];
+        assert_eq!((data.from, data.to), (a, b));
         assert!(net.branch_is_open(id).unwrap());
     }
 
@@ -279,6 +263,6 @@ mod tests {
             rcs_units::VolumeFlow::liters_per_minute(100.0),
         ));
         assert!(net.add_branch("pump", a, b, vec![pump]).is_ok());
-        assert_eq!(net.junction_count(), 2);
+        assert_eq!(net.junctions.len(), 2);
     }
 }

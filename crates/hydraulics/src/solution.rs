@@ -1,16 +1,15 @@
 //! Solved flow distribution of a hydraulic network.
 
-use rcs_units::{Power, Pressure, VolumeFlow};
+use rcs_units::{Power, VolumeFlow};
 
 use crate::elements::Element;
 use crate::network::{BranchId, HydraulicNetwork, JunctionId};
 
-/// The result of [`HydraulicNetwork::solve`]: junction pressures (relative
-/// to the reference junction) and signed branch flows.
+/// The result of [`HydraulicNetwork::solve`]: signed branch flows on the
+/// solved network.
 #[derive(Debug, Clone)]
 pub struct HydraulicSolution {
-    network: HydraulicNetwork,
-    pressures: Vec<f64>,
+    pub(crate) network: HydraulicNetwork,
     flows: Vec<f64>,
     iterations: usize,
     residual: f64,
@@ -19,14 +18,12 @@ pub struct HydraulicSolution {
 impl HydraulicSolution {
     pub(crate) fn new(
         network: HydraulicNetwork,
-        pressures: Vec<f64>,
         flows: Vec<f64>,
         iterations: usize,
         residual: f64,
     ) -> Self {
         Self {
             network,
-            pressures,
             flows,
             iterations,
             residual,
@@ -52,16 +49,6 @@ impl HydraulicSolution {
             .collect()
     }
 
-    /// Gauge pressure at a junction relative to the reference junction.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a foreign id.
-    #[must_use]
-    pub fn pressure(&self, junction: JunctionId) -> Pressure {
-        Pressure::from_pascals(self.pressures[junction.0])
-    }
-
     /// Newton iterations used.
     #[must_use]
     pub fn iterations(&self) -> usize {
@@ -70,7 +57,7 @@ impl HydraulicSolution {
 
     /// Worst junction continuity residual at convergence.
     #[must_use]
-    pub fn worst_residual_m3s(&self) -> f64 {
+    pub(crate) fn worst_residual_m3s(&self) -> f64 {
         self.residual
     }
 
@@ -110,12 +97,6 @@ impl HydraulicSolution {
         }
         total
     }
-
-    /// The solved network (including open/closed branch states).
-    #[must_use]
-    pub fn network(&self) -> &HydraulicNetwork {
-        &self.network
-    }
 }
 
 #[cfg(test)]
@@ -123,7 +104,7 @@ mod tests {
     use super::*;
     use crate::elements::{Pipe, PumpCurve};
     use rcs_fluids::Coolant;
-    use rcs_units::{Celsius, Length};
+    use rcs_units::{Celsius, Length, Pressure};
 
     #[test]
     fn pump_power_matches_dp_times_q() {

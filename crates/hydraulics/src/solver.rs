@@ -320,13 +320,6 @@ impl SolverContext {
             .filter(|w| w.len() == net.branches.len() && w.iter().all(|q| q.is_finite()))
     }
 
-    /// `true` if the next solve through this context will start from a
-    /// previous solution's flows.
-    #[must_use]
-    pub fn is_warm(&self) -> bool {
-        self.warm_flows.is_some()
-    }
-
     /// Drops the warm-start seed: the next solve starts cold.
     pub fn clear_seed(&mut self) {
         self.warm_flows = None;
@@ -688,13 +681,7 @@ impl HydraulicNetwork {
             {
                 ctx.warm_flows = Some(flows.clone());
                 return Ok(SolveOutcome {
-                    solution: HydraulicSolution::new(
-                        self.clone(),
-                        pressures,
-                        flows,
-                        iter + 1,
-                        worst,
-                    ),
+                    solution: HydraulicSolution::new(self.clone(), flows, iter + 1, worst),
                     warm_started,
                 });
             }
@@ -829,7 +816,7 @@ mod tests {
             _ => unreachable!(),
         };
         let loss = match pipe(20.0) {
-            Element::Pipe(p) => p.pressure_loss(q, &water()).pascals(),
+            Element::Pipe(p) => p.loss_and_slope(q, &water()).0.pascals(),
             _ => unreachable!(),
         };
         assert!(
@@ -913,8 +900,8 @@ mod tests {
     #[test]
     fn isolated_junction_is_pinned_to_reference_pressure() {
         // A working pump loop plus a junction no branch touches at all:
-        // the solver must still converge, and the stranded node sits at
-        // the reference pressure with zero continuity residual.
+        // the solver must still converge, and the stranded node has zero
+        // continuity residual.
         let mut net = HydraulicNetwork::new();
         let a = net.add_junction("a");
         let b = net.add_junction("b");
@@ -922,7 +909,6 @@ mod tests {
         net.add_branch("loop", a, b, vec![pipe(20.0)]).unwrap();
         net.add_branch("pump", b, a, vec![pump()]).unwrap();
         let sol = net.solve(&water()).unwrap();
-        assert_eq!(sol.pressure(stranded).pascals(), 0.0);
         assert_eq!(
             sol.continuity_residual(stranded).cubic_meters_per_second(),
             0.0
@@ -946,7 +932,6 @@ mod tests {
             .unwrap();
         net.set_branch_open(spur, false).unwrap();
         let sol = net.solve(&water()).unwrap();
-        assert_eq!(sol.pressure(spur_end).pascals(), 0.0);
         assert_eq!(sol.flow(spur).cubic_meters_per_second(), 0.0);
     }
 
@@ -1111,7 +1096,7 @@ mod tests {
         net.add_branch("bc2", b, c, vec![pipe(18.0)]).unwrap();
         net.add_branch("pump", c, a, vec![pump()]).unwrap();
         let sol = net.solve(&water()).unwrap();
-        for j in 0..net.junction_count() {
+        for j in 0..net.junctions.len() {
             let res = sol.continuity_residual(crate::JunctionId(j));
             assert!(
                 res.cubic_meters_per_second().abs() < 1e-8,
@@ -1227,9 +1212,10 @@ mod tests {
     }
 
     /// Asserts that `sol`, a default-rung solve started from `start`,
-    /// is bitwise the dense-reference Newton walk of as many steps, and
-    /// that the nodal solve at its converged flows matches the dense
-    /// reference too. Returns the walk's junction pressures.
+    /// has bitwise the flows of the dense-reference Newton walk of as
+    /// many steps, and that the nodal solve at its converged flows
+    /// matches the dense reference too. Returns the walk's junction
+    /// pressures.
     fn assert_matches_dense_newton(
         net: &HydraulicNetwork,
         fluid: &FluidState,
@@ -1239,12 +1225,6 @@ mod tests {
         let (flows, pressures) = dense_newton(net, fluid, start, sol.iterations());
         for (q, s) in flows.iter().zip(sol.flows()) {
             assert_eq!(q.to_bits(), s.cubic_meters_per_second().to_bits());
-        }
-        for j in net.junction_ids() {
-            assert_eq!(
-                pressures[j.0].to_bits(),
-                sol.pressure(j).pascals().to_bits()
-            );
         }
         dense_newton(net, fluid, flows, 1);
         pressures
@@ -1262,7 +1242,7 @@ mod tests {
         let (net, ids) = branched_net();
         let mut ctx = net.solver_context();
         let cold = attempt(&net, &mut ctx).unwrap();
-        assert!(ctx.is_warm());
+        assert!(ctx.warm_flows.is_some());
         let warm = attempt(&net, &mut ctx).unwrap();
         assert!(
             warm.iterations() < cold.iterations(),
@@ -1308,13 +1288,16 @@ mod tests {
         let (net, _) = branched_net();
         let mut ctx = net.solver_context();
         attempt(&net, &mut ctx).unwrap();
-        assert!(ctx.is_warm());
+        assert!(ctx.warm_flows.is_some());
         // a starved warm attempt fails and must not leave a stale seed
         let starved = SolveOptions::damped(0.7, 1);
         let _ = net
             .solve_with_ladder(&water(), &[starved], &mut ctx, Sinks::disabled())
             .unwrap_err();
-        assert!(!ctx.is_warm(), "failed attempts must clear the seed");
+        assert!(
+            ctx.warm_flows.is_none(),
+            "failed attempts must clear the seed"
+        );
         // the next solve is cold and matches the stateless path bitwise
         let recovered = attempt(&net, &mut ctx).unwrap();
         let stateless = net.solve(&water()).unwrap();
@@ -1452,12 +1435,6 @@ mod tests {
                 qb.cubic_meters_per_second().to_bits()
             );
         }
-        for j in a.network().junction_ids() {
-            assert_eq!(
-                a.pressure(j).pascals().to_bits(),
-                b.pressure(j).pascals().to_bits()
-            );
-        }
     }
 
     #[test]
@@ -1478,7 +1455,7 @@ mod tests {
             Sinks::disabled(),
         )
         .unwrap();
-        assert!(used.is_warm());
+        assert!(used.warm_flows.is_some());
         let reused = net
             .solve_with_ladder(&water(), &rungs, &mut used, Sinks::disabled())
             .unwrap();
@@ -1513,7 +1490,7 @@ mod tests {
 
         // A different branch count resizes every workspace and drops
         // the seed: the next solve is cold and equals a fresh context's.
-        let (a, c) = net.branch_endpoints(ids[1]);
+        let (a, c) = (net.branches[ids[1].0].from, net.branches[ids[1].0].to);
         net.add_branch("bypass", a, c, vec![pipe(30.0)]).unwrap();
         let grown = attempt(&net, &mut ctx).unwrap();
         let fresh_grown = net.solve(&water()).unwrap();
@@ -1567,14 +1544,14 @@ mod tests {
         net.set_valve_opening(ids[1], 0.2).unwrap();
         net.set_branch_open(ids[2], false).unwrap();
         assert!(!net.branch_is_open(ids[2]).unwrap());
-        assert!(sol.network().branch_is_open(ids[2]).unwrap());
+        assert!(sol.network.branch_is_open(ids[2]).unwrap());
         assert_eq!(
             sol.total_pump_power().watts().to_bits(),
             pump_power.to_bits()
         );
         // re-solving the recorded network reproduces the solution, so
         // the valve opening it holds is the pre-trim one as well
-        let again = sol.network().solve(&water()).unwrap();
+        let again = sol.network.solve(&water()).unwrap();
         assert_bitwise_eq(&sol, &again);
         let after = net.solve(&water()).unwrap();
         assert!(after.total_pump_power().watts() != pump_power);
@@ -1625,7 +1602,6 @@ mod tests {
         let s = attempt(&net, &mut net.solver_context()).unwrap();
         let dense = assert_matches_dense_newton(&net, &water(), cold_guess(&net), &s);
         for j in [stranded, spur_end] {
-            assert_eq!(s.pressure(j).pascals(), 0.0);
             assert_eq!(dense[j.0], 0.0);
         }
         assert_eq!(s.flow(spur).cubic_meters_per_second(), 0.0);
@@ -1712,7 +1688,6 @@ mod tests {
                 // a spur junction cut off from the network is pinned to
                 // the reference pressure with zero flow
                 for &i in &closed_spurs {
-                    assert_eq!(s.pressure(spurs[i]).pascals(), 0.0);
                     assert_eq!(dense[spurs[i].0], 0.0);
                     assert_eq!(s.flow(spur_ids[i]).cubic_meters_per_second(), 0.0);
                 }

@@ -7,7 +7,7 @@ use rcs_units::{Length, Pressure, VolumeFlow};
 /// loss path against `pumps` parallel immersed pumps, the first derated
 /// to `head` of its shutoff head (and √`head` of its flow, the affinity
 /// laws' speed scaling; `head = 1.0` leaves it healthy).
-pub fn bath_circulation(pumps: usize, head: f64) -> HydraulicNetwork {
+pub(crate) fn bath_circulation(pumps: usize, head: f64) -> HydraulicNetwork {
     let mut net = HydraulicNetwork::new();
     let inlet = net.add_junction("bath inlet");
     let outlet = net.add_junction("bath outlet");

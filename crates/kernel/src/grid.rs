@@ -6,13 +6,13 @@
 //! preserves the exact floating-point recurrence of the loop it
 //! replaced.
 //!
-//! * [`TimeGrid::Uniform`] — the RK4 transient grid: `dt` fixed,
+//! * `TimeGrid::Uniform` — the RK4 transient grid: `dt` fixed,
 //!   current time *accumulated* (`t += dt`), matching
 //!   `TransientSession`'s accumulation.
-//! * [`TimeGrid::FixedClamped`] — the fault-drill scan grid: time
+//! * `TimeGrid::FixedClamped` — the fault-drill scan grid: time
 //!   *multiplied* (`t = i * dt`), final step clamped to the horizon,
 //!   matching `FaultDrill::simulate`.
-//! * [`TimeGrid::Counted`] — unitless iteration (Monte-Carlo chunks,
+//! * `TimeGrid::Counted` — unitless iteration (Monte-Carlo chunks,
 //!   chaos-matrix cells).
 //!
 //! A [`Clock`] is a cursor over a grid: it hands out [`Tick`]s, can be
@@ -25,7 +25,7 @@ use crate::snap::{SnapReader, SnapWriter, SnapshotError};
 /// The shape of a stepping schedule. See the module docs for which
 /// legacy loop each variant mirrors.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TimeGrid {
+pub(crate) enum TimeGrid {
     /// `steps` equal steps of width `dt` starting at `t0`; time is
     /// accumulated (`t += dt`) so rounding matches `TransientSession`.
     Uniform {
@@ -60,13 +60,13 @@ pub enum TimeGrid {
 pub struct Tick {
     /// Zero-based step index.
     pub index: u64,
-    /// Time at the *start* of the step (0.0 on [`TimeGrid::Counted`]).
+    /// Time at the *start* of the step (0.0 on `TimeGrid::Counted`).
     pub t: f64,
-    /// Width of this step (0.0 on [`TimeGrid::Counted`]).
+    /// Width of this step (0.0 on `TimeGrid::Counted`).
     pub dt: f64,
 }
 
-/// A resumable cursor over a [`TimeGrid`].
+/// A resumable cursor over a `TimeGrid`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Clock {
     grid: TimeGrid,
@@ -131,12 +131,6 @@ impl Clock {
         }
     }
 
-    /// The grid this clock walks.
-    #[must_use]
-    pub fn grid(&self) -> &TimeGrid {
-        &self.grid
-    }
-
     /// `true` once every tick has been produced.
     #[must_use]
     pub fn is_finished(&self) -> bool {
@@ -159,7 +153,7 @@ impl Clock {
     }
 
     /// Accumulated time after the last tick taken — on
-    /// [`TimeGrid::Uniform`] this is the `t += dt` running sum the RK4
+    /// `TimeGrid::Uniform` this is the `t += dt` running sum the RK4
     /// transient observes at, preserved bitwise across checkpoints.
     #[must_use]
     pub fn now(&self) -> f64 {
@@ -218,18 +212,6 @@ impl Clock {
                 Some(tick)
             }
         }
-    }
-
-    /// Drives `f` for at most `max_steps` ticks, returning how many
-    /// were actually taken (fewer when the grid ran out).
-    pub fn drive(&mut self, max_steps: u64, mut f: impl FnMut(Tick)) -> u64 {
-        let mut taken = 0;
-        while taken < max_steps {
-            let Some(tick) = self.tick() else { break };
-            f(tick);
-            taken += 1;
-        }
-        taken
     }
 
     /// Serializes the cursor (grid + position + accumulated time) into
@@ -338,7 +320,7 @@ mod tests {
         let horizon = 3.0 * 0.1;
         let clock = Clock::fixed_clamped(0.1, horizon);
         assert!(matches!(
-            clock.grid(),
+            clock.grid,
             TimeGrid::FixedClamped { steps: 4, .. }
         ));
         let ticks = all_ticks(clock);
@@ -378,17 +360,6 @@ mod tests {
     }
 
     #[test]
-    fn drive_respects_the_budget_and_reports_short_grids() {
-        let mut c = Clock::counted(5);
-        let mut seen = Vec::new();
-        assert_eq!(c.drive(3, |t| seen.push(t.index)), 3);
-        assert_eq!(c.drive(99, |t| seen.push(t.index)), 2);
-        assert_eq!(c.drive(99, |_| unreachable!()), 0);
-        assert_eq!(seen, vec![0, 1, 2, 3, 4]);
-        assert!(c.is_finished());
-    }
-
-    #[test]
     fn a_resumed_clock_finishes_identically_to_a_straight_run() {
         for (mk, split) in [
             (Clock::uniform(0.5, 0.1, 17), 6u64),
@@ -399,8 +370,7 @@ mod tests {
             let straight = all_ticks(mk.clone());
 
             let mut front = mk.clone();
-            let mut ticks = Vec::new();
-            front.drive(split, |t| ticks.push(t));
+            let mut ticks: Vec<Tick> = (0..split).map_while(|_| front.tick()).collect();
             let mut w = SnapWriter::new();
             front.write_into(&mut w);
             let bytes = w.into_bytes();

@@ -6,7 +6,7 @@
 //! a deterministic schedule while recording golden telemetry. This
 //! crate is the one implementation of that shape:
 //!
-//! * [`grid::Clock`] — a resumable cursor over a [`grid::TimeGrid`],
+//! * [`grid::Clock`] — a resumable cursor over a `grid::TimeGrid`,
 //!   preserving the exact floating-point time arithmetic of each
 //!   legacy loop (accumulated `t += dt` for RK4, multiplied
 //!   `t = i * dt` with a clamped final step for scans, bare indices
@@ -38,6 +38,6 @@ pub mod grid;
 pub mod sinks;
 pub mod snap;
 
-pub use grid::{Clock, Tick, TimeGrid};
+pub use grid::{Clock, Tick};
 pub use sinks::SinkState;
 pub use snap::{open, seal, SnapReader, SnapWriter, SnapshotError, FORMAT_VERSION, MAGIC};

@@ -105,7 +105,7 @@ impl std::error::Error for SnapshotError {}
 /// Vendored table-free bitwise form: the snapshots are kilobytes, not
 /// gigabytes, so simplicity beats a lookup table.
 #[must_use]
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = !0u32;
     for &b in bytes {
         crc ^= u32::from(b);
@@ -139,11 +139,6 @@ impl SnapWriter {
     /// Appends one byte.
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
-    }
-
-    /// Appends a `u32`.
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a `u64`.
@@ -218,7 +213,7 @@ impl<'a> SnapReader<'a> {
 
     /// Bytes not yet consumed.
     #[must_use]
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
@@ -247,7 +242,7 @@ impl<'a> SnapReader<'a> {
     }
 
     /// Reads a `u32`.
-    pub fn u32(&mut self) -> Result<u32, SnapshotError> {
+    pub(crate) fn u32(&mut self) -> Result<u32, SnapshotError> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
@@ -412,7 +407,10 @@ mod tests {
     fn primitives_round_trip_bitwise() {
         let mut w = SnapWriter::new();
         w.u8(7);
-        w.u32(0xDEAD_BEEF);
+        // a `u32` as `seal` writes the format version: little-endian
+        for b in 0xDEAD_BEEF_u32.to_le_bytes() {
+            w.u8(b);
+        }
         w.u64(u64::MAX);
         w.bool(true);
         w.f64(-0.0);

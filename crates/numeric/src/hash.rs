@@ -15,7 +15,7 @@
 //! encodings: integers are written little-endian at fixed width,
 //! strings are length-prefixed (so `("ab","c")` and `("a","bc")`
 //! differ), and floats are written as canonicalized IEEE bits
-//! ([`canonical_f64_bits`]: `-0.0` folds onto `0.0` and every NaN onto
+//! (`canonical_f64_bits`: `-0.0` folds onto `0.0` and every NaN onto
 //! one quiet NaN) so semantically equal keys hash equally.
 //!
 //! # Examples
@@ -59,7 +59,7 @@ impl Fnv1a {
     }
 
     /// Absorbs raw bytes.
-    pub fn write(&mut self, bytes: &[u8]) {
+    pub(crate) fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.state ^= u64::from(b);
             self.state = self.state.wrapping_mul(FNV_PRIME);
@@ -89,7 +89,7 @@ impl Fnv1a {
     }
 
     /// Absorbs a float by its canonical IEEE-754 bits
-    /// (see [`canonical_f64_bits`]).
+    /// (see `canonical_f64_bits`).
     pub fn write_f64(&mut self, v: f64) {
         self.write_u64(canonical_f64_bits(v));
     }
@@ -107,13 +107,6 @@ impl Fnv1a {
         x ^= x >> 33;
         x
     }
-
-    /// The raw FNV-1a state without the avalanche finalizer — the
-    /// textbook digest, pinned against published test vectors.
-    #[must_use]
-    pub fn finish_plain(&self) -> u64 {
-        self.state
-    }
 }
 
 /// Canonical IEEE-754 bits of a float: `-0.0` folds onto `0.0` and
@@ -121,7 +114,7 @@ impl Fnv1a {
 /// semantically equal query fields share one encoding. Infinities keep
 /// their ordinary bit patterns.
 #[must_use]
-pub fn canonical_f64_bits(v: f64) -> u64 {
+pub(crate) fn canonical_f64_bits(v: f64) -> u64 {
     if v.is_nan() {
         f64::NAN.to_bits()
     } else if v == 0.0 {
@@ -146,7 +139,9 @@ mod tests {
         for (input, expected) in vectors {
             let mut h = Fnv1a::new();
             h.write(input);
-            assert_eq!(h.finish_plain(), expected, "input {input:?}");
+            // the raw state, before the avalanche finalizer, is the
+            // textbook digest
+            assert_eq!(h.state, expected, "input {input:?}");
         }
     }
 

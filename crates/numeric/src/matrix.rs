@@ -75,12 +75,6 @@ impl Matrix {
         m
     }
 
-    /// Number of rows.
-    #[must_use]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
     /// Matrix-vector product `A x`.
     ///
     /// # Errors

@@ -235,14 +235,6 @@ impl SparseSymbolic {
         self.diag[r]
     }
 
-    /// Flop-proportional size of one numeric factorization: the number
-    /// of multiply-subtract update pairs in the schedule. Dense
-    /// elimination of the same system would pay roughly `n³/3`.
-    #[must_use]
-    pub fn factor_ops(&self) -> usize {
-        self.below_dst_idx.len()
-    }
-
     /// Factors the assembled values in place and solves for `rhs`,
     /// which is overwritten with the solution.
     ///
@@ -484,11 +476,13 @@ mod tests {
             edges.push((2 * i, 2 * i + 1)); // rack loop at each segment
         }
         let sym = SparseSymbolic::analyze(n, &edges);
+        // One numeric factorization costs one multiply-subtract per
+        // scheduled update pair.
+        let factor_ops = sym.below_dst_idx.len();
         let dense_pairs = n * n * n / 3;
         assert!(
-            sym.factor_ops() * 20 < dense_pairs,
-            "schedule {} update pairs should be far below dense ~{dense_pairs}",
-            sym.factor_ops()
+            factor_ops * 20 < dense_pairs,
+            "schedule {factor_ops} update pairs should be far below dense ~{dense_pairs}"
         );
     }
 }

@@ -32,7 +32,7 @@ use std::fmt::Write as _;
 use crate::{Mode, Registry, Snapshot};
 
 /// Counter-name prefix that marks a golden counter as profile work.
-pub const PREFIX: &str = "profile.";
+pub(crate) const PREFIX: &str = "profile.";
 
 thread_local! {
     /// The `profile.<path>` name of the counter being recorded, rebuilt
@@ -93,16 +93,6 @@ impl ProfileNode {
         self.children.iter().find(|c| c.name == name)
     }
 
-    /// Walks a dot-separated path below this node.
-    #[must_use]
-    pub fn descend(&self, path: &str) -> Option<&ProfileNode> {
-        let mut node = self;
-        for seg in path.split('.') {
-            node = node.child(seg)?;
-        }
-        Some(node)
-    }
-
     fn insert(&mut self, path: &str, units: u64) {
         match path.split_once('.') {
             None => {
@@ -141,7 +131,7 @@ impl ProfileNode {
 }
 
 /// Builds the rolled-up profile tree from the `profile.*` counters of a
-/// golden snapshot. Counters outside the [`PREFIX`] namespace are
+/// golden snapshot. Counters outside the `PREFIX` namespace are
 /// ignored; an un-instrumented snapshot yields an empty root.
 #[must_use]
 pub fn tree(snapshot: &Snapshot) -> ProfileNode {
@@ -156,7 +146,7 @@ pub fn tree(snapshot: &Snapshot) -> ProfileNode {
 /// [`tree`] over any `(name, value)` counter iterator — the form the
 /// report tooling uses after parsing a manifest.
 #[must_use]
-pub fn from_counters<'a>(counters: impl IntoIterator<Item = (&'a str, u64)>) -> ProfileNode {
+pub(crate) fn from_counters<'a>(counters: impl IntoIterator<Item = (&'a str, u64)>) -> ProfileNode {
     let mut root = ProfileNode::leaf("profile");
     for (name, value) in counters {
         if let Some(path) = name.strip_prefix(PREFIX) {
@@ -173,7 +163,7 @@ pub fn from_counters<'a>(counters: impl IntoIterator<Item = (&'a str, u64)>) -> 
 /// (`name  total` plus `own=` when a node carries both its own work and
 /// descendants). Deterministic: children are sorted by name.
 #[must_use]
-pub fn render(root: &ProfileNode) -> String {
+pub(crate) fn render(root: &ProfileNode) -> String {
     let mut out = String::new();
     render_node(root, 0, &mut out);
     out
@@ -221,7 +211,14 @@ mod tests {
         let solve = root.child("solve").unwrap();
         assert_eq!(solve.own, 5);
         assert_eq!(solve.total, 25);
-        assert_eq!(root.descend("solve.iterations").unwrap().total, 10);
+        assert_eq!(
+            root.child("solve")
+                .unwrap()
+                .child("iterations")
+                .unwrap()
+                .total,
+            10
+        );
         assert!(root.child("not").is_none());
     }
 

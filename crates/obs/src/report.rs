@@ -527,7 +527,7 @@ pub fn parse_ndjson(text: &str) -> Result<Vec<RunDoc>, String> {
 // Diffing.
 // ---------------------------------------------------------------------
 
-/// Options for [`diff`] / [`diff_docs`].
+/// Options for `diff` / [`diff_docs`].
 #[derive(Debug, Clone, Default)]
 pub struct DiffOptions {
     /// Compare only the `profile.*` counter namespace (the committed
@@ -541,7 +541,7 @@ pub struct DiffOptions {
 impl DiffOptions {
     /// The relative tolerance for channel `name`.
     #[must_use]
-    pub fn tolerance(&self, name: &str) -> f64 {
+    pub(crate) fn tolerance(&self, name: &str) -> f64 {
         self.tolerances
             .iter()
             .filter(|(prefix, _)| name.starts_with(prefix.as_str()))
@@ -579,11 +579,13 @@ impl DiffReport {
         !self.findings.is_empty()
     }
 
-    /// The process exit code the `obs_report` binary returns: 0 clean,
-    /// 1 on any regression.
+    /// The process exit code the `obs_report` binary returns: 0 when at
+    /// least one channel was compared and none drifted, 1 on any
+    /// regression or when nothing was compared at all (a gate that
+    /// compared nothing has checked nothing).
     #[must_use]
     pub fn exit_code(&self) -> u8 {
-        u8::from(self.has_regressions())
+        u8::from(self.has_regressions() || self.compared == 0)
     }
 
     /// Renders the report as text: a `PASS`/`FAIL` verdict line plus
@@ -591,7 +593,9 @@ impl DiffReport {
     #[must_use]
     pub fn render(&self) -> String {
         let mut out = String::new();
-        if self.findings.is_empty() {
+        if self.compared == 0 && self.findings.is_empty() {
+            let _ = writeln!(out, "FAIL: 0 channels compared, nothing to diff");
+        } else if self.findings.is_empty() {
             let _ = writeln!(out, "PASS: {} channels compared, no drift", self.compared);
         } else {
             let _ = writeln!(
@@ -674,7 +678,7 @@ fn diff_map<V, F>(
 /// Diffs two runs' golden channels under `opts`. `a` is the baseline
 /// (golden) run, `b` the candidate.
 #[must_use]
-pub fn diff(a: &RunDoc, b: &RunDoc, opts: &DiffOptions) -> DiffReport {
+pub(crate) fn diff(a: &RunDoc, b: &RunDoc, opts: &DiffOptions) -> DiffReport {
     let mut report = DiffReport::default();
     let profile_only = opts.profile_only;
     diff_map(
@@ -903,7 +907,7 @@ pub fn summary_top(docs: &[RunDoc], top: usize) -> String {
 /// a span at depth `d` extends the path of the most recent span at
 /// depth `d - 1`.
 #[must_use]
-pub fn span_paths(doc: &RunDoc) -> Vec<String> {
+pub(crate) fn span_paths(doc: &RunDoc) -> Vec<String> {
     let mut stack: Vec<String> = Vec::new();
     let mut out = Vec::with_capacity(doc.spans.len());
     for span in &doc.spans {
@@ -918,7 +922,7 @@ pub fn span_paths(doc: &RunDoc) -> Vec<String> {
 /// spans plus any elided root work. This is the denominator of every
 /// attribution percentage.
 #[must_use]
-pub fn span_grand_total(doc: &RunDoc) -> u64 {
+pub(crate) fn span_grand_total(doc: &RunDoc) -> u64 {
     doc.spans
         .iter()
         .filter(|s| s.parent.is_none())
@@ -942,7 +946,7 @@ fn percent(part: u64, grand: u64) -> f64 {
 /// the heaviest root), and the per-path work-share table aggregating
 /// self work over every span instance with the same label path. All
 /// figures are golden work units; percentages are shares of
-/// [`span_grand_total`].
+/// `span_grand_total`.
 #[must_use]
 pub fn attribution(docs: &[RunDoc], top: usize) -> String {
     let mut out = String::new();
@@ -1064,7 +1068,7 @@ pub fn attribution(docs: &[RunDoc], top: usize) -> String {
 /// Elisions match by `(parent id, label)` with `count` exact and `work`
 /// banded.
 #[must_use]
-pub fn diff_spans(a: &RunDoc, b: &RunDoc, opts: &DiffOptions) -> DiffReport {
+pub(crate) fn diff_spans(a: &RunDoc, b: &RunDoc, opts: &DiffOptions) -> DiffReport {
     let mut report = DiffReport::default();
     let paths_a = span_paths(a);
     let paths_b = span_paths(b);
@@ -1171,7 +1175,7 @@ pub fn diff_spans(a: &RunDoc, b: &RunDoc, opts: &DiffOptions) -> DiffReport {
     report
 }
 
-/// [`diff_spans`] across two parsed files, matching run documents by
+/// `diff_spans` across two parsed files, matching run documents by
 /// experiment name exactly like [`diff_docs`].
 #[must_use]
 pub fn diff_spans_docs(a: &[RunDoc], b: &[RunDoc], opts: &DiffOptions) -> DiffReport {

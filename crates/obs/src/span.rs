@@ -19,9 +19,9 @@
 //! `run(k); checkpoint; restore; run(n-k)` reproduces the straight
 //! run's tree bitwise.
 //!
-//! Parallel stages give each item a shard sink ([`SpanSink::shard`])
+//! Parallel stages give each item a shard sink (`SpanSink::shard`)
 //! whose closed tree is spliced under the live parent in **input
-//! order** by [`SpanSink::absorb_at`], with shard-local timestamps
+//! order** by `SpanSink::absorb_at`, with shard-local timestamps
 //! offset by the absorbing registry's work clock at the splice point —
 //! exactly the timestamps serial inline execution would have produced.
 //!
@@ -71,11 +71,11 @@ use crate::Registry;
 /// Environment variable naming the span export file. A `.json` suffix
 /// selects Chrome trace-event JSON (loadable in `chrome://tracing` /
 /// Perfetto); anything else gets NDJSON `span` lines.
-pub const SPANS_ENV: &str = "RCS_OBS_SPANS";
+pub(crate) const SPANS_ENV: &str = "RCS_OBS_SPANS";
 
 /// Default per-(parent, label) fan-out cap before same-label siblings
 /// are elided into a summary entry.
-pub const DEFAULT_FANOUT: usize = 16;
+pub(crate) const DEFAULT_FANOUT: usize = 16;
 
 /// One elided-sibling summary: same-label spans beyond the fan-out cap
 /// fold into `(label, count, work)` on their parent.
@@ -207,7 +207,7 @@ impl SpanSink {
         &DISABLED
     }
 
-    /// Enabled iff [`SPANS_ENV`] names a non-empty export path.
+    /// Enabled iff `SPANS_ENV` names a non-empty export path.
     #[must_use]
     pub fn from_env() -> Self {
         match std::env::var(SPANS_ENV) {
@@ -225,7 +225,7 @@ impl SpanSink {
     /// An empty sink sharing this sink's enablement and fan-out cap —
     /// the per-item recorder parallel stages hand each task.
     #[must_use]
-    pub fn shard(&self) -> SpanSink {
+    pub(crate) fn shard(&self) -> SpanSink {
         Self::empty(self.enabled, self.fanout)
     }
 
@@ -345,7 +345,7 @@ impl SpanSink {
     ///
     /// Shard roots still open in `state` are closed at their own start
     /// (zero-width); the parallel maps always close them first.
-    pub fn absorb_at(&self, base: u64, state: &SpanState) {
+    pub(crate) fn absorb_at(&self, base: u64, state: &SpanState) {
         if !self.enabled || state.is_empty() {
             return;
         }
@@ -444,7 +444,7 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// the label bytes and the ordinal (count of earlier same-label
 /// siblings). Roots use the FNV offset basis as the parent id.
 #[must_use]
-pub fn span_id(parent_id: u64, label: &str, ordinal: u64) -> u64 {
+pub(crate) fn span_id(parent_id: u64, label: &str, ordinal: u64) -> u64 {
     let mut h = fnv1a64(parent_id ^ FNV_OFFSET, label.as_bytes());
     h = fnv1a64(h, &ordinal.to_le_bytes());
     h
@@ -453,7 +453,7 @@ pub fn span_id(parent_id: u64, label: &str, ordinal: u64) -> u64 {
 /// One flattened, id-assigned span row (pre-order DFS output of
 /// [`flatten`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlatSpan {
+pub(crate) struct FlatSpan {
     /// Stable id (see [`span_id`]).
     pub id: u64,
     /// Parent's stable id; `None` for roots.
@@ -525,7 +525,7 @@ fn flatten_into(
 /// start so the flattening is total; export paths only run on balanced
 /// trees.
 #[must_use]
-pub fn flatten(state: &SpanState) -> Vec<FlatSpan> {
+pub(crate) fn flatten(state: &SpanState) -> Vec<FlatSpan> {
     let mut out = Vec::with_capacity(state.nodes.len());
     let mut seen: Vec<(&str, u64)> = Vec::new();
     for &root in &state.roots {
@@ -613,7 +613,7 @@ pub fn render_chrome(state: &SpanState) -> String {
     )
 }
 
-/// Exports `state` to the file named by [`SPANS_ENV`] (appending; a
+/// Exports `state` to the file named by `SPANS_ENV` (appending; a
 /// `.json` path gets one complete Chrome trace-event document per
 /// emit, anything else NDJSON `span` lines). Without the variable this
 /// is a no-op — span export never lands on stdout, which the

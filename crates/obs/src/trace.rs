@@ -8,7 +8,7 @@
 //! deterministic float produced by seeded physics, so two runs of the
 //! same workload must produce `==` [`TraceSnapshot`]s at any
 //! `RCS_THREADS` setting. Parallel stages record into per-task shard
-//! recorders and [`TraceRecorder::absorb_prefixed`] them in **input
+//! recorders and `TraceRecorder::absorb_prefixed` them in **input
 //! order**, exactly like registry snapshots.
 //!
 //! # Bounded memory, deterministic decimation
@@ -46,10 +46,10 @@ use std::sync::{Mutex, PoisonError};
 /// Environment variable naming the trace export file. Unset (or empty)
 /// means "do not export" — the recorder still records, the file is
 /// simply never written.
-pub const TRACE_ENV: &str = "RCS_OBS_TRACE";
+pub(crate) const TRACE_ENV: &str = "RCS_OBS_TRACE";
 
 /// Default per-channel sample capacity.
-pub const DEFAULT_CAPACITY: usize = 512;
+pub(crate) const DEFAULT_CAPACITY: usize = 512;
 
 /// What a trace channel measures. The kind is part of the channel's
 /// identity: recording a channel under two kinds is a bug and panics.
@@ -140,7 +140,7 @@ struct TraceInner {
 ///
 /// `TraceRecorder` is `Sync` the same way [`crate::Registry`] is; the
 /// deterministic usage pattern is per-task shard recorders merged in
-/// input order via [`TraceRecorder::absorb_prefixed`].
+/// input order via `TraceRecorder::absorb_prefixed`.
 #[derive(Debug)]
 pub struct TraceRecorder {
     enabled: bool,
@@ -158,7 +158,7 @@ impl Default for TraceRecorder {
 static DISABLED: TraceRecorder = TraceRecorder::empty(false, DEFAULT_CAPACITY);
 
 impl TraceRecorder {
-    /// Creates an enabled recorder with [`DEFAULT_CAPACITY`] samples per
+    /// Creates an enabled recorder with `DEFAULT_CAPACITY` samples per
     /// channel.
     #[must_use]
     pub fn new() -> Self {
@@ -212,7 +212,7 @@ impl TraceRecorder {
     /// the shard constructor the parallel layer uses, so a disabled
     /// parent produces no-op shards.
     #[must_use]
-    pub fn shard(&self) -> TraceRecorder {
+    pub(crate) fn shard(&self) -> TraceRecorder {
         Self::empty(self.enabled, self.capacity)
     }
 
@@ -310,11 +310,6 @@ impl TraceRecorder {
         TraceSnapshot { channels }
     }
 
-    /// [`TraceRecorder::absorb_prefixed`] with no prefix.
-    pub fn absorb(&self, snapshot: &TraceSnapshot) {
-        self.absorb_prefixed("", snapshot);
-    }
-
     /// Replays a shard snapshot into this recorder, channel by channel
     /// in the snapshot's (sorted) order, renaming each channel to
     /// `{prefix}/{name}` when `prefix` is non-empty. Every retained
@@ -327,7 +322,7 @@ impl TraceRecorder {
     ///
     /// Panics if a merged channel name already exists with a different
     /// kind.
-    pub fn absorb_prefixed(&self, prefix: &str, snapshot: &TraceSnapshot) {
+    pub(crate) fn absorb_prefixed(&self, prefix: &str, snapshot: &TraceSnapshot) {
         if !self.enabled {
             return;
         }
@@ -347,7 +342,7 @@ impl TraceRecorder {
     /// Installs a snapshot **verbatim** — stride, push count and
     /// retained samples copied exactly, with no re-push and therefore no
     /// re-decimation. This is the checkpoint/restore hook of the
-    /// simulation kernel: where [`TraceRecorder::absorb`] *replays* a
+    /// simulation kernel: where `TraceRecorder::absorb_prefixed` *replays* a
     /// shard (advancing push counts and possibly re-decimating), a
     /// restore must reproduce the recorder's exact mid-run state so the
     /// resumed run's future pushes decimate identically to an
@@ -484,7 +479,7 @@ fn json_f64(v: f64) -> String {
     }
 }
 
-/// Appends `snapshot` as NDJSON to the file named by [`TRACE_ENV`].
+/// Appends `snapshot` as NDJSON to the file named by `TRACE_ENV`.
 /// Does nothing when the variable is unset or empty — and never
 /// touches stdout, so experiment stdout stays byte-exact.
 pub fn emit(snapshot: &TraceSnapshot) {
@@ -633,7 +628,7 @@ mod tests {
         // An absorb of the same snapshot is a replay, not a restore:
         // push counts differ (only retained samples are re-pushed).
         let absorbed = TraceRecorder::with_capacity(8);
-        absorbed.absorb(&snap);
+        absorbed.absorb_prefixed("", &snap);
         assert_ne!(absorbed.snapshot().channel("x").unwrap().pushed, 37);
     }
 
@@ -643,7 +638,7 @@ mod tests {
         let ch = trace.channel("t", ChannelKind::Temperature);
         trace.record(ch, 0.0, 1.0);
         trace.record_named("u", ChannelKind::Flow, 0.0, 2.0);
-        trace.absorb(&TraceSnapshot::default());
+        trace.absorb_prefixed("", &TraceSnapshot::default());
         assert!(!trace.is_enabled());
         assert!(trace.snapshot().is_empty());
         // shards of a disabled recorder are disabled too

@@ -81,7 +81,7 @@ use std::sync::{Mutex, PoisonError};
 use rcs_obs::{Shard, Sinks};
 
 /// Environment variable overriding the worker count (`thread_count`).
-pub const THREADS_ENV: &str = "RCS_THREADS";
+pub(crate) const THREADS_ENV: &str = "RCS_THREADS";
 
 /// Resolves the worker count for parallel sweeps.
 ///

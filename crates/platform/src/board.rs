@@ -45,7 +45,7 @@ pub struct Ccb {
 impl Ccb {
     /// Fraction of one compute FPGA consumed by controller functions when
     /// the controller moves into the field (§4: "only some percent").
-    pub const CONTROLLER_RESOURCE_FRACTION: f64 = 0.04;
+    pub(crate) const CONTROLLER_RESOURCE_FRACTION: f64 = 0.04;
 
     /// Creates a board of `fpga_count` compute FPGAs. When
     /// `separate_controller` is `true`, one extra FPGA of the same part
@@ -67,7 +67,7 @@ impl Ccb {
 
     /// Overrides the non-FPGA board overhead (memory, regulators, clocks).
     #[must_use]
-    pub fn with_board_overhead(mut self, overhead: Power) -> Self {
+    pub(crate) fn with_board_overhead(mut self, overhead: Power) -> Self {
         self.board_overhead = overhead;
         self
     }
@@ -90,12 +90,6 @@ impl Ccb {
         self.fpga_count + usize::from(self.separate_controller)
     }
 
-    /// `true` if a separate controller FPGA is fitted.
-    #[must_use]
-    pub fn has_separate_controller(&self) -> bool {
-        self.separate_controller
-    }
-
     /// Board width required by the package row: every package plus its
     /// routing clearance.
     #[must_use]
@@ -115,7 +109,7 @@ impl Ccb {
     /// Without a separate controller, controller functions consume
     /// [`Ccb::CONTROLLER_RESOURCE_FRACTION`] of one compute FPGA.
     #[must_use]
-    pub fn peak_performance(&self) -> ComputeRate {
+    pub(crate) fn peak_performance(&self) -> ComputeRate {
         let chips = self.fpga_count as f64;
         let effective = if self.separate_controller {
             chips
@@ -128,7 +122,7 @@ impl Ccb {
     /// Power of one compute FPGA at the given operating point and junction
     /// temperature.
     #[must_use]
-    pub fn fpga_power(&self, op: OperatingPoint, junction: Celsius) -> Power {
+    pub(crate) fn fpga_power(&self, op: OperatingPoint, junction: Celsius) -> Power {
         PowerModel::for_part(&self.part).power(op, junction)
     }
 

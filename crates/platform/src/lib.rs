@@ -48,4 +48,4 @@ pub const USABLE_BOARD_WIDTH_MM: f64 = 450.0;
 
 /// Lateral clearance required around each BGA package for routing and
 /// heat-sink overhang.
-pub const PACKAGE_CLEARANCE_MM: f64 = 7.0;
+pub(crate) const PACKAGE_CLEARANCE_MM: f64 = 7.0;

@@ -34,7 +34,7 @@ pub struct ComputeModule {
 
 impl ComputeModule {
     /// Standard 19″ rack-mount width.
-    pub const WIDTH: Length = Length::from_meters(0.483);
+    pub(crate) const WIDTH: Length = Length::from_meters(0.483);
 
     /// Creates a module of `ccb_count` copies of `ccb` powered by
     /// `psu_count` copies of `psu`.
@@ -69,7 +69,7 @@ impl ComputeModule {
     /// Attaches the module power the paper reports (anchor for
     /// experiments).
     #[must_use]
-    pub fn with_reported_power(mut self, power: Power) -> Self {
+    pub(crate) fn with_reported_power(mut self, power: Power) -> Self {
         self.reported_power = Some(power);
         self
     }
@@ -90,12 +90,6 @@ impl ComputeModule {
     #[must_use]
     pub fn ccb_count(&self) -> usize {
         self.ccb_count
-    }
-
-    /// The PSU design.
-    #[must_use]
-    pub fn psu(&self) -> &PowerSupply {
-        &self.psu
     }
 
     /// Number of PSUs.
@@ -218,6 +212,6 @@ mod tests {
         let op = OperatingPoint::operating_mode();
         let boards = m.ccb().board_power(op, Celsius::new(55.0)).watts() * 12.0;
         let per_psu = boards / 3.0;
-        assert!(m.psu().within_rating(Power::from_watts(per_psu)));
+        assert!(Power::from_watts(per_psu) <= m.psu.rated);
     }
 }

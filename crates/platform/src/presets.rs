@@ -150,7 +150,10 @@ mod tests {
 
     #[test]
     fn skat_plus_boards_fit_only_without_controller() {
-        assert!(skat_plus().ccb().fits_standard_rack());
-        assert!(!skat_plus().ccb().has_separate_controller());
+        let module = skat_plus();
+        let ccb = module.ccb();
+        assert!(ccb.fits_standard_rack());
+        // no package beyond the compute FPGAs: no separate controller
+        assert_eq!(ccb.package_count(), ccb.compute_fpga_count());
     }
 }

@@ -22,7 +22,7 @@ use rcs_units::Power;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerSupply {
-    rated: Power,
+    pub(crate) rated: Power,
     peak_efficiency: f64,
 }
 
@@ -55,12 +55,6 @@ impl PowerSupply {
         }
     }
 
-    /// Rated output power.
-    #[must_use]
-    pub fn rated(&self) -> Power {
-        self.rated
-    }
-
     /// Conversion efficiency at the given output load: peak at 50 % load,
     /// with a quadratic droop of 4 points at no load and ~1.5 points at
     /// full load.
@@ -85,12 +79,6 @@ impl PowerSupply {
     #[must_use]
     pub fn loss(&self, output: Power) -> Power {
         self.input_power(output) - output
-    }
-
-    /// `true` if the output is within rating.
-    #[must_use]
-    pub fn within_rating(&self, output: Power) -> bool {
-        output <= self.rated
     }
 }
 
@@ -120,8 +108,8 @@ mod tests {
     #[test]
     fn rating_check() {
         let psu = PowerSupply::skat_dcdc();
-        assert!(psu.within_rating(Power::kilowatts(3.2)));
-        assert!(!psu.within_rating(Power::kilowatts(4.5)));
+        assert!(Power::kilowatts(3.2) <= psu.rated);
+        assert!(Power::kilowatts(4.5) > psu.rated);
     }
 
     #[test]

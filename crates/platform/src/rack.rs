@@ -54,12 +54,6 @@ impl Rack {
         Some(rack)
     }
 
-    /// Rack height in rack units.
-    #[must_use]
-    pub fn height_units(&self) -> f64 {
-        self.height_units
-    }
-
     /// Rack units still available for modules.
     #[must_use]
     pub fn free_units(&self) -> f64 {

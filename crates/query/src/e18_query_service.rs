@@ -25,7 +25,7 @@ pub const CAPACITY: usize = 8;
 pub const ROUNDS: usize = 3;
 
 /// Availability trial budget per query.
-pub const TRIALS: u32 = 160;
+pub(crate) const TRIALS: u32 = 160;
 
 /// The E18 request batch: four module generations at three utilization
 /// levels in the SRC dielectric (SKAT+ module in the SKAT+ bath), plus

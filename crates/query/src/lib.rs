@@ -183,7 +183,7 @@ impl QueryError {
     /// determinism suite's replacement for `==`, which would treat NaN
     /// residuals as unequal to themselves.
     #[must_use]
-    pub fn bitwise_eq(&self, other: &Self) -> bool {
+    pub(crate) fn bitwise_eq(&self, other: &Self) -> bool {
         match (self, other) {
             (Self::Parse(a), Self::Parse(b)) => a == b,
             (Self::NoConvergence { diagnostics: a }, Self::NoConvergence { diagnostics: b }) => {
@@ -272,7 +272,7 @@ pub enum DeviceFamily {
 impl DeviceFamily {
     /// Stable canonical key (part of the hash preimage — never rename).
     #[must_use]
-    pub fn key(self) -> &'static str {
+    pub(crate) fn key(self) -> &'static str {
         match self {
             Self::Rigel2 => "rigel2",
             Self::Taygeta => "taygeta",
@@ -317,7 +317,7 @@ pub enum CoolantChoice {
 impl CoolantChoice {
     /// Stable canonical key (part of the hash preimage — never rename).
     #[must_use]
-    pub fn key(self) -> &'static str {
+    pub(crate) fn key(self) -> &'static str {
         match self {
             Self::SrcDielectric => "src_dielectric",
             Self::MineralOilMd45 => "mineral_oil_md45",
@@ -326,7 +326,7 @@ impl CoolantChoice {
 
     /// The fluid property model of this choice.
     #[must_use]
-    pub fn coolant(self) -> Coolant {
+    pub(crate) fn coolant(self) -> Coolant {
         match self {
             Self::SrcDielectric => Coolant::src_dielectric(),
             Self::MineralOilMd45 => Coolant::mineral_oil_md45(),
@@ -356,7 +356,7 @@ pub enum BathVariant {
 impl BathVariant {
     /// Stable canonical key (part of the hash preimage — never rename).
     #[must_use]
-    pub fn key(self) -> &'static str {
+    pub(crate) fn key(self) -> &'static str {
         match self {
             Self::Skat => "skat",
             Self::SkatPlus => "skat_plus",
@@ -760,7 +760,7 @@ pub trait FaultInjector: Sync {
 
 /// The production injector: never injects anything.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct NoFaults;
+pub(crate) struct NoFaults;
 
 impl FaultInjector for NoFaults {
     fn fault_for(&self, _query: &DesignQuery, _attempt: u32) -> Option<InjectedFault> {
@@ -924,7 +924,7 @@ pub struct DegradedProvenance {
 impl DegradedProvenance {
     /// Bit-exact equality (floats by IEEE bits).
     #[must_use]
-    pub fn bitwise_eq(&self, other: &Self) -> bool {
+    pub(crate) fn bitwise_eq(&self, other: &Self) -> bool {
         self.requested_hash == other.requested_hash
             && self.source_hash == other.source_hash
             && self.delta_utilization.to_bits() == other.delta_utilization.to_bits()
@@ -1241,7 +1241,7 @@ impl QueryEngine {
     /// Answers a batch of queries in input order, one [`QueryOutcome`]
     /// per request — this call never fails wholesale and never loses a
     /// request. Equivalent to [`run_batch_with`](Self::run_batch_with)
-    /// under the fault-free [`NoFaults`] injector.
+    /// under the fault-free `NoFaults` injector.
     pub fn run_batch(
         &mut self,
         queries: &[DesignQuery],

@@ -3,7 +3,7 @@
 //!
 //! This is a deliberately small replacement for an external
 //! property-testing crate: every property runs a **fixed number of
-//! cases** (default [`DEFAULT_CASES`]) over inputs drawn from the
+//! cases** (default `DEFAULT_CASES`) over inputs drawn from the
 //! workspace's own deterministic generator
 //! ([`rcs_numeric::rng::Rng`]). Case inputs are a pure function of the
 //! property name and the case index, so a failure reproduces
@@ -37,7 +37,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 pub use rcs_numeric::rng::{Rng, SampleRange};
 
 /// Cases run by [`check`].
-pub const DEFAULT_CASES: usize = 256;
+pub(crate) const DEFAULT_CASES: usize = 256;
 
 /// A deterministic source of random test inputs for one case.
 #[derive(Debug)]
@@ -49,7 +49,7 @@ impl Gen {
     /// Creates a generator for an explicit seed (used by the runner and
     /// by [`replay`]).
     #[must_use]
-    pub fn from_seed(seed: u64) -> Self {
+    pub(crate) fn from_seed(seed: u64) -> Self {
         Self {
             rng: Rng::seed_from_u64(seed),
         }
@@ -129,7 +129,7 @@ fn case_seed(name: &str, case: usize) -> u64 {
     name_seed(name) ^ (case as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// Runs `property` for [`DEFAULT_CASES`] deterministic cases.
+/// Runs `property` for `DEFAULT_CASES` deterministic cases.
 ///
 /// `name` should match the enclosing test function; it selects the
 /// input stream and appears in failure reports.

@@ -55,12 +55,6 @@ impl Chiller {
         self.setpoint
     }
 
-    /// Rated cooling capacity.
-    #[must_use]
-    pub fn capacity(&self) -> Power {
-        self.capacity
-    }
-
     /// Coefficient of performance (heat moved per electrical watt).
     #[must_use]
     pub fn cop(&self) -> f64 {
@@ -172,14 +166,14 @@ mod tests {
     fn derated_chiller_overloads_sooner() {
         let c = chiller();
         let half = c.derated(0.5);
-        assert_eq!(half.capacity(), Power::kilowatts(50.0));
+        assert_eq!(half.capacity, Power::kilowatts(50.0));
         assert_eq!(half.setpoint(), c.setpoint());
         // the same 80 kW load is within capacity when healthy, an
         // overload (warmer supply) when derated
         assert_eq!(c.supply_temperature(Power::kilowatts(80.0)), c.setpoint());
         assert!(half.supply_temperature(Power::kilowatts(80.0)) > c.setpoint());
         // the floor keeps a "fully failed" chiller well-defined
-        assert!(c.derated(0.0).capacity().watts() > 0.0);
+        assert!(c.derated(0.0).capacity.watts() > 0.0);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! one designed for cooling mineral oil in hydraulic systems of industrial
 //! equipment" (§2).
 
-use rcs_units::{Celsius, Power, TempDelta, ThermalCapacityRate};
+use rcs_units::ThermalCapacityRate;
 
 /// Flow arrangement of the exchanger.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -18,19 +18,6 @@ pub enum FlowArrangement {
     ParallelFlow,
 }
 
-/// Outcome of a heat-exchanger solve.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HxOutcome {
-    /// Hot-side outlet temperature.
-    pub hot_out: Celsius,
-    /// Cold-side outlet temperature.
-    pub cold_out: Celsius,
-    /// Heat duty transferred from hot to cold.
-    pub duty: Power,
-    /// Achieved effectiveness in `[0, 1]`.
-    pub effectiveness: f64,
-}
-
 /// A plate heat exchanger characterized by its overall conductance UA.
 ///
 /// # Examples
@@ -39,16 +26,16 @@ pub struct HxOutcome {
 ///
 /// ```
 /// use rcs_thermal::{FlowArrangement, PlateHeatExchanger};
-/// use rcs_units::{Celsius, ThermalCapacityRate};
+/// use rcs_units::ThermalCapacityRate;
 ///
 /// let hx = PlateHeatExchanger::new(
 ///     ThermalCapacityRate::new(2500.0), FlowArrangement::Counterflow);
-/// let out = hx.outlet_temperatures(
-///     Celsius::new(35.0), ThermalCapacityRate::new(3000.0),
-///     Celsius::new(20.0), ThermalCapacityRate::new(4000.0));
-/// assert!(out.duty.watts() > 0.0);
-/// assert!(out.hot_out < Celsius::new(35.0));
-/// assert!(out.cold_out > Celsius::new(20.0));
+/// // 3000 W/K of oil against 4000 W/K of water
+/// let eps = hx.effectiveness(ThermalCapacityRate::new(3000.0), ThermalCapacityRate::new(4000.0));
+/// assert!(eps > 0.0 && eps < 1.0);
+/// // duty = ε · C_min · (hot in − cold in)
+/// let duty = eps * 3000.0 * (35.0 - 20.0);
+/// assert!(duty > 0.0 && duty < 3000.0 * 15.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlateHeatExchanger {
@@ -113,66 +100,83 @@ impl PlateHeatExchanger {
             FlowArrangement::ParallelFlow => (1.0 - (-ntu * (1.0 + cr)).exp()) / (1.0 + cr),
         }
     }
-
-    /// Solves outlet temperatures and duty for the given inlets.
-    #[must_use]
-    pub fn outlet_temperatures(
-        &self,
-        hot_in: Celsius,
-        hot_rate: ThermalCapacityRate,
-        cold_in: Celsius,
-        cold_rate: ThermalCapacityRate,
-    ) -> HxOutcome {
-        let eps = self.effectiveness(hot_rate, cold_rate);
-        let c_min = ThermalCapacityRate::new(
-            hot_rate
-                .watts_per_kelvin()
-                .min(cold_rate.watts_per_kelvin()),
-        );
-        let q_max = c_min * (hot_in - cold_in);
-        let duty = Power::from_watts(q_max.watts() * eps);
-        HxOutcome {
-            hot_out: hot_in - duty / hot_rate,
-            cold_out: cold_in + duty / cold_rate,
-            duty,
-            effectiveness: eps,
-        }
-    }
-}
-
-/// Log-mean temperature difference for the given terminal temperatures.
-///
-/// Used as a cross-check on the ε-NTU solution: `duty ≈ UA · LMTD`.
-/// Returns zero if either temperature difference is non-positive (the
-/// exchanger is pinched).
-#[must_use]
-pub fn lmtd(
-    hot_in: Celsius,
-    hot_out: Celsius,
-    cold_in: Celsius,
-    cold_out: Celsius,
-    arrangement: FlowArrangement,
-) -> TempDelta {
-    let (dt1, dt2) = match arrangement {
-        FlowArrangement::Counterflow => {
-            ((hot_in - cold_out).kelvins(), (hot_out - cold_in).kelvins())
-        }
-        FlowArrangement::ParallelFlow => {
-            ((hot_in - cold_in).kelvins(), (hot_out - cold_out).kelvins())
-        }
-    };
-    if dt1 <= 0.0 || dt2 <= 0.0 {
-        return TempDelta::from_kelvins(0.0);
-    }
-    if (dt1 - dt2).abs() < 1e-12 {
-        return TempDelta::from_kelvins(dt1);
-    }
-    TempDelta::from_kelvins((dt1 - dt2) / (dt1 / dt2).ln())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rcs_units::{Celsius, Power, TempDelta};
+
+    // The ε-NTU outlet states and the LMTD are test references: the
+    // production callers need only `effectiveness`.
+
+    /// Outcome of a heat-exchanger solve.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct HxOutcome {
+        /// Hot-side outlet temperature.
+        hot_out: Celsius,
+        /// Cold-side outlet temperature.
+        cold_out: Celsius,
+        /// Heat duty transferred from hot to cold.
+        duty: Power,
+        /// Achieved effectiveness in `[0, 1]`.
+        effectiveness: f64,
+    }
+
+    impl PlateHeatExchanger {
+        /// Solves outlet temperatures and duty for the given inlets.
+        fn outlet_temperatures(
+            &self,
+            hot_in: Celsius,
+            hot_rate: ThermalCapacityRate,
+            cold_in: Celsius,
+            cold_rate: ThermalCapacityRate,
+        ) -> HxOutcome {
+            let eps = self.effectiveness(hot_rate, cold_rate);
+            let c_min = ThermalCapacityRate::new(
+                hot_rate
+                    .watts_per_kelvin()
+                    .min(cold_rate.watts_per_kelvin()),
+            );
+            let q_max = c_min * (hot_in - cold_in);
+            let duty = Power::from_watts(q_max.watts() * eps);
+            HxOutcome {
+                hot_out: hot_in - duty / hot_rate,
+                cold_out: cold_in + duty / cold_rate,
+                duty,
+                effectiveness: eps,
+            }
+        }
+    }
+
+    /// Log-mean temperature difference for the given terminal temperatures.
+    ///
+    /// Used as a cross-check on the ε-NTU solution: `duty ≈ UA · LMTD`.
+    /// Returns zero if either temperature difference is non-positive (the
+    /// exchanger is pinched).
+    fn lmtd(
+        hot_in: Celsius,
+        hot_out: Celsius,
+        cold_in: Celsius,
+        cold_out: Celsius,
+        arrangement: FlowArrangement,
+    ) -> TempDelta {
+        let (dt1, dt2) = match arrangement {
+            FlowArrangement::Counterflow => {
+                ((hot_in - cold_out).kelvins(), (hot_out - cold_in).kelvins())
+            }
+            FlowArrangement::ParallelFlow => {
+                ((hot_in - cold_in).kelvins(), (hot_out - cold_out).kelvins())
+            }
+        };
+        if dt1 <= 0.0 || dt2 <= 0.0 {
+            return TempDelta::from_kelvins(0.0);
+        }
+        if (dt1 - dt2).abs() < 1e-12 {
+            return TempDelta::from_kelvins(dt1);
+        }
+        TempDelta::from_kelvins((dt1 - dt2) / (dt1 / dt2).ln())
+    }
 
     fn hx(ua: f64) -> PlateHeatExchanger {
         PlateHeatExchanger::new(ThermalCapacityRate::new(ua), FlowArrangement::Counterflow)

@@ -39,9 +39,8 @@
 //!     HeatSink::PinFin(PinFinSink::skat_default()),
 //! );
 //! let oil = Coolant::src_dielectric().state(Celsius::new(30.0));
-//! let tj = stack.junction_temperature(
-//!     rcs_units::Power::from_watts(91.0), &oil,
-//!     Velocity::from_meters_per_second(0.4), Celsius::new(30.0));
+//! let r = stack.total_resistance(&oil, Velocity::from_meters_per_second(0.4));
+//! let tj = Celsius::new(30.0) + Power::from_watts(91.0) * r;
 //! assert!(tj < Celsius::new(60.0));
 //! ```
 
@@ -58,9 +57,9 @@ mod transient;
 
 pub use chiller::Chiller;
 pub use error::ThermalError;
-pub use exchanger::{lmtd, FlowArrangement, HxOutcome, PlateHeatExchanger};
+pub use exchanger::{FlowArrangement, PlateHeatExchanger};
 pub use network::{NodeId, ResistorId, SteadySolution, ThermalNetwork};
 pub use sink::{BarePlate, HeatSink, PinFinSink, PlateFinSink, SinkMaterial};
 pub use stack::ChipStack;
 pub use tim::{ThermalInterface, TimAging, TimMaterial};
-pub use transient::{TransientSession, TransientTrace, TRANSIENT_SNAPSHOT_KIND};
+pub use transient::{TransientSession, TransientTrace};

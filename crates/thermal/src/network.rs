@@ -154,15 +154,9 @@ impl ThermalNetwork {
         Ok(())
     }
 
-    /// Number of nodes (internal + boundary).
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Total heat injected into the network.
     #[must_use]
-    pub fn total_heat(&self) -> Power {
+    pub(crate) fn total_heat(&self) -> Power {
         self.nodes.iter().map(|n| n.heat).sum()
     }
 
@@ -293,24 +287,13 @@ impl SteadySolution {
         self.temperatures[node.0]
     }
 
-    /// Heat flow through a resistor, positive from its first to its second
-    /// node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id does not belong to the solved network.
-    #[must_use]
-    pub fn flow(&self, resistor: ResistorId) -> Power {
-        self.flows[resistor.0]
-    }
-
     /// Net heat absorbed by a boundary node (positive into the boundary).
     ///
     /// # Panics
     ///
     /// Panics if the id does not belong to the solved network.
     #[must_use]
-    pub fn boundary_heat(&self, node: NodeId) -> Power {
+    pub(crate) fn boundary_heat(&self, node: NodeId) -> Power {
         let mut total = Power::ZERO;
         for (r, &flow) in self.network.resistors.iter().zip(&self.flows) {
             if r.a == node {
@@ -337,15 +320,6 @@ impl SteadySolution {
             .sum();
         self.network.total_heat() - absorbed
     }
-
-    /// Iterates over `(NodeId, name, temperature)` for all nodes.
-    pub fn iter(&self) -> impl Iterator<Item = (NodeId, &str, Celsius)> + '_ {
-        self.network
-            .nodes
-            .iter()
-            .enumerate()
-            .map(move |(i, n)| (NodeId(i), n.name.as_str(), self.temperatures[i]))
-    }
 }
 
 #[cfg(test)]
@@ -363,7 +337,7 @@ mod tests {
         net.add_heat(j, Power::from_watts(100.0)).unwrap();
         let s = net.solve_steady().unwrap();
         assert!((s.temperature(j).degrees() - 75.0).abs() < 1e-9);
-        assert!((s.flow(r).watts() - 100.0).abs() < 1e-9);
+        assert!((s.flows[r.0].watts() - 100.0).abs() < 1e-9);
         assert!((s.boundary_heat(amb).watts() - 100.0).abs() < 1e-9);
         assert!(s.energy_residual().watts().abs() < 1e-9);
     }
@@ -402,8 +376,8 @@ mod tests {
         let s = net.solve_steady().unwrap();
         // parallel R = 0.75, T = 30; flows 30 and 10
         assert!((s.temperature(j).degrees() - 30.0).abs() < 1e-9);
-        assert!((s.flow(r1).watts() - 30.0).abs() < 1e-9);
-        assert!((s.flow(r2).watts() - 10.0).abs() < 1e-9);
+        assert!((s.flows[r1.0].watts() - 30.0).abs() < 1e-9);
+        assert!((s.flows[r2.0].watts() - 10.0).abs() < 1e-9);
     }
 
     #[test]
@@ -468,15 +442,5 @@ mod tests {
         assert!(net
             .connect(a, b, ThermalResistance::from_kelvin_per_watt(-1.0))
             .is_err());
-    }
-
-    #[test]
-    fn iter_reports_names() {
-        let mut net = ThermalNetwork::new();
-        let _ = net.add_node("chip0");
-        let _ = net.add_boundary("oil", Celsius::new(30.0));
-        let s = net.solve_steady().unwrap();
-        let names: Vec<&str> = s.iter().map(|(_, n, _)| n).collect();
-        assert_eq!(names, vec!["chip0", "oil"]);
     }
 }

@@ -24,7 +24,7 @@ pub enum SinkMaterial {
 impl SinkMaterial {
     /// Thermal conductivity of the material in W/(m·K).
     #[must_use]
-    pub fn conductivity_w_per_m_k(self) -> f64 {
+    pub(crate) fn conductivity_w_per_m_k(self) -> f64 {
         match self {
             Self::Aluminum => 205.0,
             Self::Copper => 400.0,
@@ -46,7 +46,7 @@ pub struct BarePlate {
 impl BarePlate {
     /// Convective resistance of the bare plate in the given flow.
     #[must_use]
-    pub fn resistance(&self, state: &FluidState, velocity: Velocity) -> ThermalResistance {
+    pub(crate) fn resistance(&self, state: &FluidState, velocity: Velocity) -> ThermalResistance {
         let h = correlations::htc_flat_plate(state, velocity, self.length);
         (h * self.area).to_resistance()
     }
@@ -86,7 +86,7 @@ impl PlateFinSink {
 
     /// Gap between adjacent fins.
     #[must_use]
-    pub fn channel_width(&self) -> Length {
+    pub(crate) fn channel_width(&self) -> Length {
         let fins = self.fin_count.max(1) as f64;
         let total_fin = self.fin_thickness * fins;
         Length::from_meters(((self.width - total_fin) / fins).meters().max(1e-5))
@@ -94,13 +94,13 @@ impl PlateFinSink {
 
     /// Total wetted fin area (both faces of every fin).
     #[must_use]
-    pub fn fin_area(&self) -> Area {
+    pub(crate) fn fin_area(&self) -> Area {
         self.fin_height * self.length * (2.0 * self.fin_count as f64)
     }
 
     /// Exposed base area between fins.
     #[must_use]
-    pub fn base_area(&self) -> Area {
+    pub(crate) fn base_area(&self) -> Area {
         let covered = self.fin_thickness * self.length * (self.fin_count as f64);
         let total = self.width * self.length;
         Area::from_square_meters((total - covered).square_meters().max(0.0))
@@ -109,7 +109,7 @@ impl PlateFinSink {
     /// Straight-fin efficiency `tanh(mL)/(mL)` with
     /// `m = sqrt(2h / (k t))`.
     #[must_use]
-    pub fn fin_efficiency(&self, h_w_per_m2_k: f64) -> f64 {
+    pub(crate) fn fin_efficiency(&self, h_w_per_m2_k: f64) -> f64 {
         let k = self.material.conductivity_w_per_m_k();
         let t = self.fin_thickness.meters();
         let m = (2.0 * h_w_per_m2_k / (k * t)).sqrt();
@@ -127,7 +127,7 @@ impl PlateFinSink {
     /// correlation at the inter-fin hydraulic diameter; the velocity is the
     /// approach velocity accelerated by the blockage ratio.
     #[must_use]
-    pub fn resistance(&self, state: &FluidState, approach: Velocity) -> ThermalResistance {
+    pub(crate) fn resistance(&self, state: &FluidState, approach: Velocity) -> ThermalResistance {
         let gap = self.channel_width();
         let blockage = (self.width.meters()
             / (self.width.meters() - self.fin_thickness.meters() * self.fin_count as f64))
@@ -182,13 +182,13 @@ impl PinFinSink {
 
     /// Number of pin columns across the flow.
     #[must_use]
-    pub fn columns(&self) -> usize {
+    pub(crate) fn columns(&self) -> usize {
         (self.width.meters() / self.pitch.meters()).floor().max(1.0) as usize
     }
 
     /// Number of pin rows along the flow.
     #[must_use]
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         (self.length.meters() / self.pitch.meters())
             .floor()
             .max(1.0) as usize
@@ -196,13 +196,13 @@ impl PinFinSink {
 
     /// Total pin count.
     #[must_use]
-    pub fn pin_count(&self) -> usize {
+    pub(crate) fn pin_count(&self) -> usize {
         self.columns() * self.rows()
     }
 
     /// Total wetted pin surface (cylindrical side walls plus tips).
     #[must_use]
-    pub fn pin_area(&self) -> Area {
+    pub(crate) fn pin_area(&self) -> Area {
         let side = core::f64::consts::PI * self.pin_diameter.meters() * self.pin_height.meters();
         let tip = core::f64::consts::PI * self.pin_diameter.meters().powi(2) / 4.0;
         Area::from_square_meters((side + tip) * self.pin_count() as f64)
@@ -210,7 +210,7 @@ impl PinFinSink {
 
     /// Exposed base area between pins.
     #[must_use]
-    pub fn base_area(&self) -> Area {
+    pub(crate) fn base_area(&self) -> Area {
         let covered = core::f64::consts::PI * self.pin_diameter.meters().powi(2) / 4.0
             * self.pin_count() as f64;
         let total = (self.width * self.length).square_meters();
@@ -220,7 +220,7 @@ impl PinFinSink {
     /// Maximum inter-pin velocity given the free-stream approach velocity:
     /// flow accelerates through the transverse gap `pitch − d`.
     #[must_use]
-    pub fn max_velocity(&self, approach: Velocity) -> Velocity {
+    pub(crate) fn max_velocity(&self, approach: Velocity) -> Velocity {
         let ratio = self.pitch.meters() / (self.pitch.meters() - self.pin_diameter.meters());
         Velocity::from_meters_per_second(approach.meters_per_second() * ratio.clamp(1.0, 20.0))
     }
@@ -228,7 +228,7 @@ impl PinFinSink {
     /// Pin (spine) fin efficiency `tanh(mL)/(mL)` with
     /// `m = sqrt(4h / (k d))`.
     #[must_use]
-    pub fn fin_efficiency(&self, h_w_per_m2_k: f64) -> f64 {
+    pub(crate) fn fin_efficiency(&self, h_w_per_m2_k: f64) -> f64 {
         let k = self.material.conductivity_w_per_m_k();
         let d = self.pin_diameter.meters();
         let m = (4.0 * h_w_per_m2_k / (k * d)).sqrt();
@@ -312,7 +312,7 @@ impl HeatSink {
 
     /// Short human-readable description.
     #[must_use]
-    pub fn description(&self) -> &'static str {
+    pub(crate) fn description(&self) -> &'static str {
         match self {
             Self::Bare(_) => "bare lid",
             Self::PlateFin(_) => "plate-fin sink",

@@ -1,7 +1,7 @@
 //! The per-chip heat path: junction → case → TIM → sink → coolant.
 
 use rcs_fluids::FluidState;
-use rcs_units::{Celsius, Power, ThermalResistance, Velocity};
+use rcs_units::{ThermalResistance, Velocity};
 
 use crate::sink::HeatSink;
 use crate::tim::{ThermalInterface, TimAging};
@@ -25,9 +25,8 @@ use crate::tim::{ThermalInterface, TimAging};
 ///     HeatSink::PinFin(PinFinSink::skat_default()),
 /// );
 /// let oil = Coolant::src_dielectric().state(Celsius::new(30.0));
-/// let tj = stack.junction_temperature(
-///     Power::from_watts(91.0), &oil,
-///     Velocity::from_meters_per_second(0.4), Celsius::new(30.0));
+/// let r = stack.total_resistance(&oil, Velocity::from_meters_per_second(0.4));
+/// let tj = Celsius::new(30.0) + Power::from_watts(91.0) * r;
 /// assert!(tj.degrees() < 60.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,43 +65,12 @@ impl ChipStack {
         self
     }
 
-    /// The junction-to-case resistance.
-    #[must_use]
-    pub fn r_junction_case(&self) -> ThermalResistance {
-        self.r_junction_case
-    }
-
-    /// The thermal interface.
-    #[must_use]
-    pub fn tim(&self) -> &ThermalInterface {
-        &self.tim
-    }
-
-    /// The heat sink.
-    #[must_use]
-    pub fn sink(&self) -> &HeatSink {
-        &self.sink
-    }
-
     /// Total junction-to-coolant resistance in the given flow.
     #[must_use]
     pub fn total_resistance(&self, state: &FluidState, approach: Velocity) -> ThermalResistance {
         self.r_junction_case
             .in_series(self.tim.resistance(self.aging))
             .in_series(self.sink.resistance(state, approach))
-    }
-
-    /// Steady junction temperature at the given dissipation, coolant state,
-    /// approach velocity and bulk coolant temperature.
-    #[must_use]
-    pub fn junction_temperature(
-        &self,
-        power: Power,
-        state: &FluidState,
-        approach: Velocity,
-        coolant: Celsius,
-    ) -> Celsius {
-        coolant + power * self.total_resistance(state, approach)
     }
 }
 
@@ -112,7 +80,7 @@ mod tests {
     use crate::sink::{PinFinSink, PlateFinSink};
     use crate::tim::TimMaterial;
     use rcs_fluids::Coolant;
-    use rcs_units::Length;
+    use rcs_units::{Celsius, Length, Power};
 
     fn skat_stack() -> ChipStack {
         ChipStack::new(
@@ -130,12 +98,8 @@ mod tests {
     fn skat_design_point_meets_55c() {
         // §3: 91 W per FPGA, heat-transfer agent <= 30 °C, FPGA max 55 °C.
         let oil = Coolant::src_dielectric().state(Celsius::new(30.0));
-        let tj = skat_stack().junction_temperature(
-            Power::from_watts(91.0),
-            &oil,
-            Velocity::from_meters_per_second(0.4),
-            Celsius::new(30.0),
-        );
+        let r = skat_stack().total_resistance(&oil, Velocity::from_meters_per_second(0.4));
+        let tj = Celsius::new(30.0) + Power::from_watts(91.0) * r;
         assert!(tj.degrees() <= 55.0, "Tj = {tj}");
         assert!(tj.degrees() > 35.0, "implausibly cold: {tj}");
     }
@@ -153,11 +117,12 @@ mod tests {
             ),
             HeatSink::PinFin(PinFinSink::skat_default()),
         );
-        let fresh =
-            paste.junction_temperature(Power::from_watts(91.0), &oil, v, Celsius::new(30.0));
+        let fresh = paste.total_resistance(&oil, v);
         let aged = paste
             .with_aging(TimAging::immersed_months(24.0))
-            .junction_temperature(Power::from_watts(91.0), &oil, v, Celsius::new(30.0));
+            .total_resistance(&oil, v);
+        let fresh = Celsius::new(30.0) + Power::from_watts(91.0) * fresh;
+        let aged = Celsius::new(30.0) + Power::from_watts(91.0) * aged;
         assert!(aged > fresh);
         assert!(
             (aged - fresh).kelvins() > 1.0,
@@ -172,9 +137,9 @@ mod tests {
         let v = Velocity::from_meters_per_second(0.4);
         let s = skat_stack();
         let total = s.total_resistance(&oil, v).kelvin_per_watt();
-        let parts = s.r_junction_case().kelvin_per_watt()
-            + s.tim().resistance(TimAging::fresh()).kelvin_per_watt()
-            + s.sink().resistance(&oil, v).kelvin_per_watt();
+        let parts = s.r_junction_case.kelvin_per_watt()
+            + s.tim.resistance(TimAging::fresh()).kelvin_per_watt()
+            + s.sink.resistance(&oil, v).kelvin_per_watt();
         assert!((total - parts).abs() < 1e-12);
     }
 
@@ -193,18 +158,10 @@ mod tests {
             ),
             HeatSink::PlateFin(PlateFinSink::air_tower_default()),
         );
-        let t_air = tower.junction_temperature(
-            Power::from_watts(91.0),
-            &air,
-            Velocity::from_meters_per_second(3.0),
-            Celsius::new(25.0),
-        );
-        let t_oil = skat_stack().junction_temperature(
-            Power::from_watts(91.0),
-            &oil,
-            Velocity::from_meters_per_second(0.4),
-            Celsius::new(30.0),
-        );
+        let r_air = tower.total_resistance(&air, Velocity::from_meters_per_second(3.0));
+        let r_oil = skat_stack().total_resistance(&oil, Velocity::from_meters_per_second(0.4));
+        let t_air = Celsius::new(25.0) + Power::from_watts(91.0) * r_air;
+        let t_oil = Celsius::new(30.0) + Power::from_watts(91.0) * r_oil;
         assert!(t_air > t_oil, "air {t_air} should exceed oil {t_oil}");
     }
 }

@@ -68,7 +68,7 @@ impl TimMaterial {
 
     /// `true` if the material's filler washes out in circulating oil.
     #[must_use]
-    pub fn is_washout_susceptible(self) -> bool {
+    pub(crate) fn is_washout_susceptible(self) -> bool {
         matches!(self, Self::StandardPaste)
     }
 

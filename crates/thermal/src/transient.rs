@@ -17,7 +17,7 @@ use crate::error::ThermalError;
 use crate::network::{NodeId, NodeKind, ThermalNetwork};
 
 /// Snapshot kind tag for [`TransientSession`] checkpoints.
-pub const TRANSIENT_SNAPSHOT_KIND: &str = "thermal.transient";
+pub(crate) const TRANSIENT_SNAPSHOT_KIND: &str = "thermal.transient";
 
 /// Time series produced by [`ThermalNetwork::solve_transient`]: node
 /// temperatures sampled after every integration step.
@@ -51,7 +51,7 @@ impl TransientTrace {
     /// sample index or the node id is out of range — the checked
     /// counterpart of [`TransientTrace::temperature`].
     #[must_use]
-    pub fn get(&self, sample: usize, node: NodeId) -> Option<Celsius> {
+    pub(crate) fn get(&self, sample: usize, node: NodeId) -> Option<Celsius> {
         self.temperatures.get(sample)?.get(node.0).copied()
     }
 
@@ -60,7 +60,7 @@ impl TransientTrace {
     /// # Panics
     ///
     /// Panics if the sample index or node id is out of range; use
-    /// [`TransientTrace::get`] to handle that case.
+    /// `TransientTrace::get` to handle that case.
     #[must_use]
     pub fn temperature(&self, i: usize, node: NodeId) -> Celsius {
         self.get(i, node)
@@ -404,14 +404,14 @@ impl TransientSession {
 
     /// Consumes the session, yielding the trace accumulated so far.
     #[must_use]
-    pub fn into_trace(self) -> TransientTrace {
+    pub(crate) fn into_trace(self) -> TransientTrace {
         TransientTrace {
             times: self.times,
             temperatures: self.temperatures,
         }
     }
 
-    /// [`TransientSession::into_trace`] plus the end-of-run golden
+    /// `TransientSession::into_trace` plus the end-of-run golden
     /// accounting the uninterrupted solver records on success:
     /// `thermal.transient.steps`, the `thermal.transient.nodes`
     /// histogram and the `thermal.ode_steps` / `thermal.ode_node_steps`
@@ -596,7 +596,7 @@ mod tests {
         let first = net
             .solve_transient(Celsius::new(20.0), Seconds::new(30.0), Seconds::new(0.05))
             .unwrap();
-        let handoff: Vec<Celsius> = (0..net.node_count())
+        let handoff: Vec<Celsius> = (0..net.nodes.len())
             .map(|i| first.temperature(first.len() - 1, crate::NodeId(i)))
             .collect();
         let second = net
@@ -683,7 +683,7 @@ mod tests {
             .unwrap();
         net.add_heat(a, Power::from_watts(30.0)).unwrap();
 
-        let initial: Vec<Celsius> = vec![Celsius::new(25.0); net.node_count()];
+        let initial: Vec<Celsius> = vec![Celsius::new(25.0); net.nodes.len()];
         let straight = net
             .solve_transient_from(
                 &initial,
@@ -729,7 +729,7 @@ mod tests {
                     straight.times[i].seconds().to_bits(),
                     "time {i}, split {k}"
                 );
-                for node in 0..net.node_count() {
+                for node in 0..net.nodes.len() {
                     assert_eq!(
                         resumed.temperatures[i][node].degrees().to_bits(),
                         straight.temperatures[i][node].degrees().to_bits(),
@@ -748,7 +748,7 @@ mod tests {
         net.connect(j, amb, ThermalResistance::from_kelvin_per_watt(0.5))
             .unwrap();
         net.add_heat(j, Power::from_watts(100.0)).unwrap();
-        let initial = vec![Celsius::new(0.0); net.node_count()];
+        let initial = vec![Celsius::new(0.0); net.nodes.len()];
         let session =
             TransientSession::new(&net, &initial, Seconds::new(5.0), Seconds::new(0.1)).unwrap();
         let obs = Registry::new();

@@ -55,7 +55,7 @@ scalar_quantity!(
     ///
     /// ```
     /// use rcs_units::{Area, VolumeFlow};
-    /// let v = VolumeFlow::liters_per_minute(60.0) / Area::square_centimeters(10.0);
+    /// let v = VolumeFlow::liters_per_minute(60.0) / Area::from_square_meters(10e-4);
     /// assert!((v.meters_per_second() - 1.0).abs() < 1e-9);
     /// ```
     Velocity, "m/s", from_meters_per_second, meters_per_second
@@ -124,7 +124,7 @@ mod tests {
 
     #[test]
     fn velocity_area_round_trip() {
-        let a = Area::square_centimeters(2.5);
+        let a = Area::from_square_meters(2.5e-4);
         let v = Velocity::from_meters_per_second(1.4);
         let q = v * a;
         assert!(((q / a).meters_per_second() - 1.4).abs() < 1e-12);

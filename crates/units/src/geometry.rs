@@ -48,14 +48,6 @@ scalar_quantity!(
     Area, "m²", from_square_meters, square_meters
 );
 
-impl Area {
-    /// Creates an area from square centimeters.
-    #[must_use]
-    pub fn square_centimeters(cm2: f64) -> Self {
-        Self::from_square_meters(cm2 * 1e-4)
-    }
-}
-
 scalar_quantity!(
     /// A volume in cubic meters.
     ///

@@ -66,7 +66,7 @@ scalar_quantity!(
     /// ```
     /// use rcs_units::{Area, HeatTransferCoeff};
     /// let h = HeatTransferCoeff::new(1200.0); // forced liquid convection
-    /// let r = (h * Area::square_centimeters(25.0)).to_resistance();
+    /// let r = (h * Area::from_square_meters(25e-4)).to_resistance();
     /// assert!((r.kelvin_per_watt() - 1.0 / 3.0).abs() < 1e-12);
     /// ```
     HeatTransferCoeff, "W/(m²·K)", new, watts_per_square_meter_kelvin

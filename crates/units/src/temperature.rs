@@ -37,7 +37,7 @@ pub struct Celsius(f64);
 
 impl Celsius {
     /// Offset between the Celsius and Kelvin scales.
-    pub const KELVIN_OFFSET: f64 = 273.15;
+    pub(crate) const KELVIN_OFFSET: f64 = 273.15;
 
     /// Creates an absolute temperature from degrees Celsius.
     #[must_use]
@@ -62,12 +62,6 @@ impl Celsius {
     #[must_use]
     pub fn to_kelvin(self) -> Kelvin {
         Kelvin::new(self.0 + Self::KELVIN_OFFSET)
-    }
-
-    /// Returns `true` if the underlying value is finite.
-    #[must_use]
-    pub fn is_finite(self) -> bool {
-        self.0.is_finite()
     }
 
     /// Returns the smaller of two temperatures.

@@ -1,8 +1,9 @@
 //! End-to-end regression gate for `obs_report`: a real workload's
 //! manifest + trace NDJSON round-trips through the parser, an identical
-//! pair diffs clean (exit code 0), and injected regressions — a counter
-//! drift, a profile drift, a trace drift — each flip the exit code to
-//! nonzero with a finding naming the channel.
+//! pair diffs clean (exit code 0), a diff that compares nothing fails,
+//! and injected regressions — a counter drift, a profile drift, a trace
+//! drift — each flip the exit code to nonzero with a finding naming the
+//! channel.
 
 use rcs_sim::cooling::faults::{FaultKind, FaultTimeline};
 use rcs_sim::core::FaultDrill;
@@ -58,6 +59,33 @@ fn identical_runs_diff_clean_with_exit_code_zero() {
     assert!(!diff.has_regressions(), "{}", diff.render());
     assert_eq!(diff.exit_code(), 0);
     assert!(diff.compared > 0);
+}
+
+#[test]
+fn a_diff_that_compares_nothing_fails() {
+    // Two empty files parse to no run documents at all.
+    let none = report::parse_ndjson("").unwrap();
+    for diff in [
+        report::diff_docs(&none, &none, &DiffOptions::default()),
+        report::diff_spans_docs(&none, &none, &DiffOptions::default()),
+    ] {
+        assert_eq!(diff.compared, 0);
+        assert!(!diff.has_regressions());
+        assert_ne!(diff.exit_code(), 0);
+        assert!(diff.render().starts_with("FAIL: 0 channels compared"));
+    }
+    // Runs with a header and no counters give a profile-only diff
+    // nothing to compare.
+    let meta = manifest::RunMeta::new("obs_report_test", Some(7), 1);
+    let header_only = report::parse_ndjson(&manifest::render(&meta, &Registry::new())).unwrap();
+    assert_eq!(header_only.len(), 1);
+    let opts = DiffOptions {
+        profile_only: true,
+        ..DiffOptions::default()
+    };
+    let diff = report::diff_docs(&header_only, &header_only, &opts);
+    assert_eq!(diff.compared, 0);
+    assert_ne!(diff.exit_code(), 0, "{}", diff.render());
 }
 
 #[test]
