@@ -15,7 +15,7 @@
 //! therefore changes wall-clock time only — never a single bit of the
 //! report.
 
-use rcs_kernel::{Clock, SinkState, SnapReader, SnapWriter, SnapshotError};
+use rcs_kernel::{Clock, Codec, SnapshotError};
 use rcs_numeric::rng::Rng;
 use rcs_numeric::stats::percentile;
 use rcs_obs::span::SpanSink;
@@ -129,9 +129,9 @@ fn run_chunk(
 ///
 /// # Panics
 ///
-/// Panics if `horizon_years` is not positive, `trials` is zero, or a
-/// class has a non-finite rate, downtime or hardware-loss probability
-/// (see [`McSession::advance`]).
+/// Panics if `horizon_years` is not finite and positive, `trials` is
+/// zero, or a class has a non-finite rate, downtime or hardware-loss
+/// probability (see [`McSession::advance`]).
 #[must_use]
 pub fn monte_carlo(
     classes: &[FailureClass],
@@ -166,8 +166,8 @@ pub fn monte_carlo(
 ///
 /// # Panics
 ///
-/// Panics if `horizon_years` is not positive, `trials` is zero, or a
-/// class parameter is not finite.
+/// Panics if `horizon_years` is not finite and positive, `trials` is
+/// zero, or a class parameter is not finite.
 #[must_use]
 pub fn monte_carlo_with_threads(
     classes: &[FailureClass],
@@ -187,8 +187,8 @@ pub fn monte_carlo_with_threads(
 ///
 /// # Panics
 ///
-/// Panics if `horizon_years` is not positive, `trials` is zero, or a
-/// class parameter is not finite.
+/// Panics if `horizon_years` is not finite and positive, `trials` is
+/// zero, or a class parameter is not finite.
 #[must_use]
 pub fn monte_carlo_observed(
     classes: &[FailureClass],
@@ -224,7 +224,7 @@ pub(crate) const MC_SNAPSHOT_KIND: &str = "cooling.mc";
 /// A resumed session finishes **bitwise** identically — report, golden
 /// counters, trace — to one that was never interrupted, at any thread
 /// count on either side of the split.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct McSession {
     horizon_years: f64,
     trials: usize,
@@ -246,7 +246,8 @@ impl McSession {
     ///
     /// # Panics
     ///
-    /// Panics if `horizon_years` is not positive or `trials` is zero.
+    /// Panics if `horizon_years` is not finite and positive or `trials`
+    /// is zero.
     #[must_use]
     pub fn new(
         horizon_years: f64,
@@ -256,7 +257,10 @@ impl McSession {
         sinks: Sinks<'_>,
     ) -> Self {
         let obs = sinks.obs;
-        assert!(horizon_years > 0.0, "horizon must be positive");
+        assert!(
+            horizon_years.is_finite() && horizon_years > 0.0,
+            "horizon must be finite and positive"
+        );
         assert!(trials > 0, "at least one trial required");
         let chunk_count = rcs_parallel::fixed_chunks(trials, TRIALS_PER_CHUNK).len();
         obs.inc("mc.runs");
@@ -410,17 +414,8 @@ impl McSession {
     /// sink's open stack included) into versioned snapshot bytes.
     #[must_use]
     pub fn checkpoint(&self, sinks: Sinks<'_>) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        w.f64(self.horizon_years);
-        w.u64(self.trials as u64);
-        w.u64(self.seed);
-        w.u64(self.threads as u64);
-        self.clock.write_into(&mut w);
-        w.f64_slice(&self.availabilities);
-        w.u64(self.total_events);
-        w.u64(self.total_losses);
-        SinkState::capture(sinks).write_into(&mut w);
-        rcs_kernel::seal(MC_SNAPSHOT_KIND, &w.into_bytes())
+        let mut session = self.clone();
+        rcs_kernel::seal_session(MC_SNAPSHOT_KIND, sinks, |c| session.layout(c))
     }
 
     /// Reconstructs a session from [`McSession::checkpoint`] bytes,
@@ -430,44 +425,43 @@ impl McSession {
     ///
     /// # Errors
     ///
-    /// [`SnapshotError`] on corrupted or truncated bytes or a snapshot
-    /// of a different kind.
+    /// [`SnapshotError`] on corrupted or truncated bytes, a snapshot
+    /// of a different kind, or study parameters [`McSession::new`]
+    /// refuses.
     pub fn resume(bytes: &[u8], threads: usize, sinks: Sinks<'_>) -> Result<Self, SnapshotError> {
-        let payload = rcs_kernel::open(MC_SNAPSHOT_KIND, bytes)?;
-        let mut r = SnapReader::new(payload);
-        let horizon_years = r.f64()?;
-        let trials_raw = r.u64()?;
-        let trials = usize::try_from(trials_raw).map_err(|_| {
-            SnapshotError::Malformed(format!("trial count {trials_raw} overflows usize"))
-        })?;
-        let seed = r.u64()?;
-        let _stored_threads = r.u64()?;
-        let clock = Clock::read_from(&mut r)?;
-        let availabilities = r.f64_vec()?;
-        let total_events = r.u64()?;
-        let total_losses = r.u64()?;
-        let captured = SinkState::read_from(&mut r)?;
-        if !r.is_exhausted() {
-            return Err(SnapshotError::Malformed(
-                "trailing bytes after mc session state".to_owned(),
-            ));
-        }
-        if trials == 0 || horizon_years <= 0.0 {
-            return Err(SnapshotError::Malformed(format!(
-                "invalid study parameters: {trials} trials over {horizon_years} years"
-            )));
-        }
-        captured.restore(sinks)?;
-        Ok(Self {
-            horizon_years,
-            trials,
-            seed,
+        let mut session = Self {
+            horizon_years: 0.0,
+            trials: 0,
+            seed: 0,
             threads,
-            clock,
-            availabilities,
-            total_events,
-            total_losses,
-        })
+            clock: Clock::counted(0),
+            availabilities: Vec::new(),
+            total_events: 0,
+            total_losses: 0,
+        };
+        rcs_kernel::open_session(MC_SNAPSHOT_KIND, bytes, sinks, |c| session.layout(c))?;
+        Ok(session)
+    }
+
+    /// The one wire layout of a study — parameters, chunk clock,
+    /// accumulated trials and tallies — run by both checkpoint and
+    /// resume. Decoding rejects the parameters [`McSession::new`]
+    /// refuses: an infinite or NaN horizon would never end a trial.
+    fn layout(&mut self, c: &mut Codec<'_>) -> Result<(), SnapshotError> {
+        c.f64(&mut self.horizon_years)?;
+        c.usize(&mut self.trials)?;
+        let (trials, horizon_years) = (self.trials, self.horizon_years);
+        let horizon_ok = horizon_years.is_finite() && horizon_years > 0.0;
+        c.ensure(trials > 0 && horizon_ok, || {
+            format!("invalid study parameters: {trials} trials over {horizon_years} years")
+        })?;
+        c.u64(&mut self.seed)?;
+        // Stored, but resume keeps the caller's worker count.
+        c.u64(&mut (self.threads as u64))?;
+        self.clock.layout(c)?;
+        c.vec(&mut self.availabilities, Codec::f64)?;
+        c.u64(&mut self.total_events)?;
+        c.u64(&mut self.total_losses)
     }
 }
 
@@ -775,5 +769,28 @@ mod tests {
         let mut chunk = run_chunk(&classes, 5.0, 5.0 * HOURS_PER_YEAR, 40, &mut rng);
         chunk.availabilities.sort_by(f64::total_cmp);
         assert_eq!(r.p05_availability, chunk.availabilities[1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "horizon must be finite and positive")]
+    fn an_infinite_horizon_is_refused_up_front() {
+        // No trial over an infinite horizon ever draws past its end.
+        let _ = McSession::new(f64::INFINITY, 100, 7, 1, Sinks::disabled());
+    }
+
+    #[test]
+    fn a_snapshot_whose_horizon_no_trial_can_reach_is_malformed() {
+        for horizon in [f64::INFINITY, f64::NAN, 0.0, -2.0] {
+            let mut session = McSession::new(2.0, 100, 7, 1, Sinks::disabled());
+            session.horizon_years = horizon;
+            let bytes = session.checkpoint(Sinks::disabled());
+            assert!(
+                matches!(
+                    McSession::resume(&bytes, 1, Sinks::disabled()),
+                    Err(SnapshotError::Malformed(_))
+                ),
+                "horizon {horizon} resumed"
+            );
+        }
     }
 }

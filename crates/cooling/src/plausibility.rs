@@ -80,9 +80,10 @@ impl ChannelLimits {
 }
 
 /// Health of one filtered channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ChannelStatus {
     /// The latest sample passed every check.
+    #[default]
     Valid,
     /// The latest sample was implausible; the last good value is being
     /// substituted while the hold timeout runs.

@@ -21,12 +21,10 @@
 
 use rcs_cooling::control::{self, Action, Alarm, ControlSubsystem, Readings};
 use rcs_cooling::faults::{DegradedState, FaultTimeline, SensorChannel};
-use rcs_cooling::plausibility::{
-    median_vote, ChannelLimits, ChannelStatus, FilterState, PlausibilityFilter,
-};
+use rcs_cooling::plausibility::{median_vote, ChannelLimits, ChannelStatus, PlausibilityFilter};
 use rcs_cooling::ImmersionBath;
 use rcs_devices::OperatingPoint;
-use rcs_kernel::{Clock, SinkState, SnapReader, SnapWriter, SnapshotError};
+use rcs_kernel::{Clock, Codec, SnapshotError};
 use rcs_numeric::rng::Rng;
 use rcs_obs::span::SpanSink;
 use rcs_obs::trace::TraceRecorder;
@@ -35,7 +33,9 @@ use rcs_platform::ComputeModule;
 use rcs_units::{Celsius, Seconds, VolumeFlow};
 
 use crate::error::CoreError;
-use crate::immersion::{pump_heat, ImmersionModel, SteadySeed};
+use crate::immersion::{
+    pump_heat, ImmersionModel, SteadySeed, BATH_VOLUME_M3, CHIP_FIELD_CAPACITANCE_PER_CHIP,
+};
 
 /// Snapshot kind tag for [`DrillSession`] checkpoints.
 pub const DRILL_SNAPSHOT_KIND: &str = "core.drill";
@@ -64,12 +64,6 @@ const STAGNANT_SINK_FACTOR: f64 = 5.0;
 /// convection through the heat-exchange section plus wall conduction.
 const STAGNANT_HX_RESISTANCE_K_PER_W: f64 = 0.02;
 
-/// Per-chip thermal capacitance (die + sink + local board mass), J/K.
-const CHIP_FIELD_CAPACITANCE_PER_CHIP: f64 = 150.0;
-
-/// Nominal bath oil volume, m³.
-const BATH_VOLUME_M3: f64 = 0.060;
-
 /// Utilization floor the throttle policy will not go below.
 const UTILIZATION_FLOOR: f64 = 0.20;
 
@@ -89,8 +83,9 @@ pub(crate) struct RawScan {
     pub component_c: [Option<f64>; COMPONENT_PROBES],
 }
 
-/// Worst health seen per channel across a drill.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Worst health seen per channel across a drill; every channel valid by
+/// default.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ChannelHealth {
     /// Level channel.
     pub level: ChannelStatus,
@@ -103,15 +98,6 @@ pub struct ChannelHealth {
 }
 
 impl ChannelHealth {
-    fn all_valid() -> Self {
-        Self {
-            level: ChannelStatus::Valid,
-            flow: ChannelStatus::Valid,
-            agent: ChannelStatus::Valid,
-            component: [ChannelStatus::Valid; COMPONENT_PROBES],
-        }
-    }
-
     /// Channels that ended the drill declared `Failed`.
     #[must_use]
     pub fn failed_channels(&self) -> Vec<&'static str> {
@@ -182,7 +168,7 @@ impl HardenedSupervisor {
             component: core::array::from_fn(|_| {
                 PlausibilityFilter::new(ChannelLimits::component_temperature_c())
             }),
-            worst_seen: ChannelHealth::all_valid(),
+            worst_seen: ChannelHealth::default(),
             votes_degraded: 0,
             vote_fallbacks: 0,
         }
@@ -477,7 +463,7 @@ impl FaultDrill {
 /// [`DrillSession::resume`] reconstructs a session that finishes
 /// **bitwise** identically — verdicts, traces, golden counters and
 /// every remaining RNG draw — to one that was never interrupted.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct DrillSession {
     clock: Clock,
     rng: Rng,
@@ -498,57 +484,6 @@ pub struct DrillSession {
     seeds: SeedPath,
     supervisor: HardenedSupervisor,
     outcome: DrillOutcome,
-}
-
-fn status_to_u8(s: ChannelStatus) -> u8 {
-    match s {
-        ChannelStatus::Valid => 0,
-        ChannelStatus::Held => 1,
-        ChannelStatus::Failed => 2,
-    }
-}
-
-fn status_from_u8(v: u8) -> Result<ChannelStatus, SnapshotError> {
-    Ok(match v {
-        0 => ChannelStatus::Valid,
-        1 => ChannelStatus::Held,
-        2 => ChannelStatus::Failed,
-        other => {
-            return Err(SnapshotError::Malformed(format!(
-                "unknown channel status {other}"
-            )))
-        }
-    })
-}
-
-fn write_filter(w: &mut SnapWriter, state: &FilterState) {
-    match state.last_good {
-        Some((t, v)) => {
-            w.bool(true);
-            w.f64(t);
-            w.f64(v);
-        }
-        None => w.bool(false),
-    }
-    w.opt_f64(state.last_scan);
-    w.opt_f64(state.held_since);
-    w.u64(state.rejected);
-    w.u64(state.dropouts);
-}
-
-fn read_filter(r: &mut SnapReader<'_>) -> Result<FilterState, SnapshotError> {
-    let last_good = if r.bool()? {
-        Some((r.f64()?, r.f64()?))
-    } else {
-        None
-    };
-    Ok(FilterState {
-        last_good,
-        last_scan: r.opt_f64()?,
-        held_since: r.opt_f64()?,
-        rejected: r.u64()?,
-        dropouts: r.u64()?,
-    })
 }
 
 impl DrillSession {
@@ -590,7 +525,7 @@ impl DrillSession {
             peak_agent: Celsius::new(f64::NEG_INFINITY),
             violation_steps: 0,
             min_utilization: drill.demand_utilization,
-            channel_health: ChannelHealth::all_valid(),
+            channel_health: ChannelHealth::default(),
             solver_failure: None,
             steps: 0,
         };
@@ -841,76 +776,8 @@ impl DrillSession {
     /// snapshot bytes.
     #[must_use]
     pub fn checkpoint(&self, sinks: Sinks<'_>) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        self.clock.write_into(&mut w);
-        w.u64_slice(&self.rng.state());
-        w.bool(self.supervised);
-        w.bool(self.powered);
-        w.bool(self.alarming);
-        w.f64(self.t_chip);
-        w.f64(self.t_bath);
-        w.f64(self.utilization);
-        w.f64(self.chips);
-        w.f64(self.c_chip);
-        w.f64(self.r_chip_baseline);
-        match &self.lin {
-            Some(l) => {
-                w.bool(true);
-                w.f64(l.flow_lpm);
-                w.f64(l.r_field);
-                w.f64(l.r_hx);
-                w.f64(l.supply_c);
-                w.f64(l.pump_heat_w);
-            }
-            None => w.bool(false),
-        }
-        match &self.lin_key {
-            Some(k) => {
-                w.bool(true);
-                k.regime.write_into(&mut w);
-                w.f64(k.head_factor);
-                w.f64(k.air_factor);
-                w.f64(k.fouling);
-                w.f64(k.offset_k);
-                w.f64(k.capacity);
-            }
-            None => w.bool(false),
-        }
-        self.seeds.write_into(&mut w);
-        // Supervisor: worst-seen statuses, vote tallies, filter states.
-        let health = self.supervisor.worst_seen;
-        w.u8(status_to_u8(health.level));
-        w.u8(status_to_u8(health.flow));
-        w.u8(status_to_u8(health.agent));
-        for s in health.component {
-            w.u8(status_to_u8(s));
-        }
-        w.u64(self.supervisor.votes_degraded);
-        w.u64(self.supervisor.vote_fallbacks);
-        write_filter(&mut w, &self.supervisor.level.state());
-        write_filter(&mut w, &self.supervisor.flow.state());
-        write_filter(&mut w, &self.supervisor.agent.state());
-        for f in &self.supervisor.component {
-            write_filter(&mut w, &f.state());
-        }
-        // Partial outcome.
-        w.opt_f64(self.outcome.time_to_alarm.map(|s| s.seconds()));
-        w.opt_f64(self.outcome.time_to_shutdown.map(|s| s.seconds()));
-        w.bool(self.outcome.shut_down);
-        w.f64(self.outcome.peak_junction.degrees());
-        w.f64(self.outcome.peak_agent.degrees());
-        w.u64(self.outcome.violation_steps as u64);
-        w.f64(self.outcome.min_utilization);
-        match &self.outcome.solver_failure {
-            Some(msg) => {
-                w.bool(true);
-                w.str(msg);
-            }
-            None => w.bool(false),
-        }
-        w.u64(self.outcome.steps as u64);
-        SinkState::capture(sinks).write_into(&mut w);
-        rcs_kernel::seal(DRILL_SNAPSHOT_KIND, &w.into_bytes())
+        let mut session = self.clone();
+        rcs_kernel::seal_session(DRILL_SNAPSHOT_KIND, sinks, |c| session.layout(c))
     }
 
     /// Reconstructs a session from [`DrillSession::checkpoint`] bytes,
@@ -920,136 +787,151 @@ impl DrillSession {
     ///
     /// # Errors
     ///
-    /// [`SnapshotError`] on corrupted or truncated bytes or a snapshot
-    /// of a different kind. The `drill` must be the same script the
-    /// checkpoint was taken from; the snapshot stores only the mutable
-    /// state, not the script.
+    /// [`SnapshotError`] on corrupted or truncated bytes, a snapshot
+    /// of a different kind, or a state the scan loop cannot continue
+    /// from. The `drill` must be the same script the checkpoint was
+    /// taken from; the snapshot stores only the mutable state, not the
+    /// script.
     pub fn resume(
         drill: &FaultDrill,
         bytes: &[u8],
         sinks: Sinks<'_>,
     ) -> Result<Self, SnapshotError> {
-        let payload = rcs_kernel::open(DRILL_SNAPSHOT_KIND, bytes)?;
-        let mut r = SnapReader::new(payload);
-        let clock = Clock::read_from(&mut r)?;
-        let rng_state = r.u64_vec()?;
-        let rng_state: [u64; 4] = rng_state.as_slice().try_into().map_err(|_| {
-            SnapshotError::Malformed(format!("rng state has {} words, need 4", rng_state.len()))
-        })?;
-        if rng_state.iter().all(|&wd| wd == 0) {
-            return Err(SnapshotError::Malformed("rng state is all zero".to_owned()));
-        }
-        let supervised = r.bool()?;
-        let powered = r.bool()?;
-        let alarming = r.bool()?;
-        let t_chip = r.f64()?;
-        let t_bath = r.f64()?;
-        let utilization = r.f64()?;
-        let chips = r.f64()?;
-        let c_chip = r.f64()?;
-        let r_chip_baseline = r.f64()?;
-        let lin = if r.bool()? {
-            Some(Linearization {
-                flow_lpm: r.f64()?,
-                r_field: r.f64()?,
-                r_hx: r.f64()?,
-                supply_c: r.f64()?,
-                pump_heat_w: r.f64()?,
-            })
-        } else {
-            None
+        let mut session = Self {
+            clock: Clock::counted(0),
+            rng: Rng::seed_from_u64(0),
+            supervised: false,
+            powered: false,
+            alarming: false,
+            t_chip: 0.0,
+            t_bath: 0.0,
+            utilization: 0.0,
+            chips: 0.0,
+            c_chip: 0.0,
+            r_chip_baseline: 0.0,
+            lin: None,
+            lin_key: None,
+            seeds: SeedPath::new(SteadySeed::default()),
+            supervisor: HardenedSupervisor::new(drill.control),
+            outcome: DrillOutcome {
+                name: drill.name.clone(),
+                design: drill.module.name().to_owned(),
+                ..DrillOutcome::default()
+            },
         };
-        let lin_key = if r.bool()? {
-            Some(LinKey {
-                regime: Regime::read_from(&mut r)?,
-                head_factor: r.f64()?,
-                air_factor: r.f64()?,
-                fouling: r.f64()?,
-                offset_k: r.f64()?,
-                capacity: r.f64()?,
-            })
-        } else {
-            None
-        };
-        let seeds = SeedPath::read_from(&mut r)?;
-        let mut supervisor = HardenedSupervisor::new(drill.control);
-        supervisor.worst_seen = ChannelHealth {
-            level: status_from_u8(r.u8()?)?,
-            flow: status_from_u8(r.u8()?)?,
-            agent: status_from_u8(r.u8()?)?,
-            component: [
-                status_from_u8(r.u8()?)?,
-                status_from_u8(r.u8()?)?,
-                status_from_u8(r.u8()?)?,
-            ],
-        };
-        supervisor.votes_degraded = r.u64()?;
-        supervisor.vote_fallbacks = r.u64()?;
-        supervisor.level.restore_state(&read_filter(&mut r)?);
-        supervisor.flow.restore_state(&read_filter(&mut r)?);
-        supervisor.agent.restore_state(&read_filter(&mut r)?);
-        for f in &mut supervisor.component {
-            f.restore_state(&read_filter(&mut r)?);
-        }
-        let time_to_alarm = r.opt_f64()?.map(Seconds::new);
-        let time_to_shutdown = r.opt_f64()?.map(Seconds::new);
-        let shut_down = r.bool()?;
-        let peak_junction = Celsius::new(r.f64()?);
-        let peak_agent = Celsius::new(r.f64()?);
-        let violation_steps = r.u64()?;
-        let min_utilization = r.f64()?;
-        let solver_failure = if r.bool()? { Some(r.str()?) } else { None };
-        let steps = r.u64()?;
-        let captured = SinkState::read_from(&mut r)?;
-        if !r.is_exhausted() {
-            return Err(SnapshotError::Malformed(
-                "trailing bytes after drill session state".to_owned(),
-            ));
-        }
-        captured.restore(sinks)?;
-        let to_usize = |v: u64, what: &str| {
-            usize::try_from(v)
-                .map_err(|_| SnapshotError::Malformed(format!("{what} {v} overflows usize")))
-        };
-        let outcome = DrillOutcome {
-            name: drill.name.clone(),
-            design: drill.module.name().to_owned(),
-            supervised,
-            time_to_alarm,
-            time_to_shutdown,
-            shut_down,
-            peak_junction,
-            peak_agent,
-            violation_steps: to_usize(violation_steps, "violation steps")?,
-            min_utilization,
-            channel_health: ChannelHealth::all_valid(),
-            solver_failure,
-            steps: to_usize(steps, "steps")?,
-        };
-        Ok(Self {
-            clock,
-            rng: Rng::from_state(rng_state),
-            supervised,
-            powered,
-            alarming,
-            t_chip,
-            t_bath,
-            utilization,
-            chips,
-            c_chip,
-            r_chip_baseline,
-            lin,
-            lin_key,
-            seeds,
-            supervisor,
-            outcome,
-        })
+        rcs_kernel::open_session(DRILL_SNAPSHOT_KIND, bytes, sinks, |c| session.layout(c))?;
+        session.outcome.supervised = session.supervised;
+        Ok(session)
     }
+
+    /// The one wire layout of a drill — clock, RNG stream, plant state,
+    /// cached linearization and its key, relinearization seeds, the
+    /// supervisor's worst-seen statuses, vote tallies and filter states,
+    /// then the partial outcome — run by both checkpoint and resume.
+    ///
+    /// Decoding rejects what the scan loop cannot continue from: an RNG
+    /// state that is not four words or is all zero, a utilization that
+    /// is not in `[0, 1]` (the operating point refuses it), and a
+    /// linearization without its cache key or a key without its
+    /// linearization (an unchanged key would skip the relinearization
+    /// the missing plant needs).
+    fn layout(&mut self, c: &mut Codec<'_>) -> Result<(), SnapshotError> {
+        self.clock.layout(c)?;
+        let mut words = self.rng.state().to_vec();
+        c.vec(&mut words, Codec::u64)?;
+        c.ensure(words.len() == 4 && words.iter().any(|&w| w != 0), || {
+            format!("rng state must be four words, not all zero: {words:?}")
+        })?;
+        self.rng = Rng::from_state(core::array::from_fn(|i| words[i]));
+        c.bool(&mut self.supervised)?;
+        c.bool(&mut self.powered)?;
+        c.bool(&mut self.alarming)?;
+        c.f64(&mut self.t_chip)?;
+        c.f64(&mut self.t_bath)?;
+        c.f64(&mut self.utilization)?;
+        let utilization = self.utilization;
+        c.ensure((0.0..=1.0).contains(&utilization), || {
+            format!("utilization {utilization} is not in [0, 1]")
+        })?;
+        c.f64(&mut self.chips)?;
+        c.f64(&mut self.c_chip)?;
+        c.f64(&mut self.r_chip_baseline)?;
+        c.option(&mut self.lin, |c, l| {
+            c.f64(&mut l.flow_lpm)?;
+            c.f64(&mut l.r_field)?;
+            c.f64(&mut l.r_hx)?;
+            c.f64(&mut l.supply_c)?;
+            c.f64(&mut l.pump_heat_w)
+        })?;
+        c.option(&mut self.lin_key, |c, k| {
+            k.regime.layout(c)?;
+            c.f64(&mut k.head_factor)?;
+            c.f64(&mut k.air_factor)?;
+            c.f64(&mut k.fouling)?;
+            c.f64(&mut k.offset_k)?;
+            c.f64(&mut k.capacity)
+        })?;
+        c.ensure(self.lin.is_some() == self.lin_key.is_some(), || {
+            "linearization and its cache key are not both present or both absent".to_owned()
+        })?;
+        self.seeds.layout(c)?;
+        let sup = &mut self.supervisor;
+        let h = &mut sup.worst_seen;
+        let statuses = [&mut h.level, &mut h.flow, &mut h.agent];
+        for status in statuses.into_iter().chain(&mut h.component) {
+            let mut tag = STATUSES
+                .iter()
+                .position(|s| s == status)
+                .map_or(0, |i| i as u8);
+            c.tag(&mut tag, 3, "channel status")?;
+            *status = STATUSES[usize::from(tag)];
+        }
+        c.u64(&mut sup.votes_degraded)?;
+        c.u64(&mut sup.vote_fallbacks)?;
+        let filters = [&mut sup.level, &mut sup.flow, &mut sup.agent];
+        for filter in filters.into_iter().chain(&mut sup.component) {
+            filter_layout(c, filter)?;
+        }
+        let o = &mut self.outcome;
+        for t in [&mut o.time_to_alarm, &mut o.time_to_shutdown] {
+            c.option(t, |c, t| c.f64_as(t, Seconds::seconds, Seconds::new))?;
+        }
+        c.bool(&mut o.shut_down)?;
+        c.f64_as(&mut o.peak_junction, Celsius::degrees, Celsius::new)?;
+        c.f64_as(&mut o.peak_agent, Celsius::degrees, Celsius::new)?;
+        c.usize(&mut o.violation_steps)?;
+        c.f64(&mut o.min_utilization)?;
+        c.option(&mut o.solver_failure, Codec::str)?;
+        c.usize(&mut o.steps)
+    }
+}
+
+/// Channel statuses in the order of their snapshot tags.
+const STATUSES: [ChannelStatus; 3] = [
+    ChannelStatus::Valid,
+    ChannelStatus::Held,
+    ChannelStatus::Failed,
+];
+
+/// A plausibility filter's history: last good sample, last scan, hold
+/// start, then the rejection and dropout tallies.
+fn filter_layout(c: &mut Codec<'_>, filter: &mut PlausibilityFilter) -> Result<(), SnapshotError> {
+    let mut state = filter.state();
+    c.option(&mut state.last_good, |c, (t, v)| {
+        c.f64(t)?;
+        c.f64(v)
+    })?;
+    c.option(&mut state.last_scan, Codec::f64)?;
+    c.option(&mut state.held_since, Codec::f64)?;
+    c.u64(&mut state.rejected)?;
+    c.u64(&mut state.dropouts)?;
+    filter.restore_state(&state);
+    Ok(())
 }
 
 /// Two-node transient coefficients extracted from a degraded steady
 /// solve (all raw f64, K/W and °C, for the inner Euler loop).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Linearization {
     flow_lpm: f64,
     r_field: f64,
@@ -1060,7 +942,7 @@ struct Linearization {
 
 /// Cache key deciding whether the plant must be relinearized: the
 /// physics-affecting slice of the degraded state plus the allowed load.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 struct LinKey {
     regime: Regime,
     head_factor: f64,
@@ -1091,7 +973,7 @@ impl LinKey {
 /// The discrete part of a [`LinKey`]: what steps rather than drifts. The
 /// gradual faults move the rest of the key linearly in time, so steady
 /// states solved in one regime lie on a smooth path.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 struct Regime {
     seized: Vec<usize>,
     valve: f64,
@@ -1100,31 +982,13 @@ struct Regime {
 }
 
 impl Regime {
-    fn write_into(&self, w: &mut SnapWriter) {
-        #[allow(clippy::cast_possible_truncation)]
-        let seized: Vec<u64> = self.seized.iter().map(|&p| p as u64).collect();
-        w.u64_slice(&seized);
-        w.f64(self.valve);
-        w.f64(self.utilization);
-        w.bool(self.powered);
-    }
-
-    fn read_from(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let seized = r
-            .u64_vec()?
-            .into_iter()
-            .map(|v| {
-                usize::try_from(v).map_err(|_| {
-                    SnapshotError::Malformed(format!("seized pump index {v} overflows usize"))
-                })
-            })
-            .collect::<Result<_, _>>()?;
-        Ok(Self {
-            seized,
-            valve: r.f64()?,
-            utilization: r.f64()?,
-            powered: r.bool()?,
-        })
+    /// The wire layout of a regime: seized pumps, valve opening,
+    /// utilization, `powered`.
+    fn layout(&mut self, c: &mut Codec<'_>) -> Result<(), SnapshotError> {
+        c.vec(&mut self.seized, Codec::usize)?;
+        c.f64(&mut self.valve)?;
+        c.f64(&mut self.utilization)?;
+        c.bool(&mut self.powered)
     }
 }
 
@@ -1212,62 +1076,21 @@ impl SeedPath {
         self.seed = solved;
     }
 
-    fn write_into(&self, w: &mut SnapWriter) {
-        write_seed(w, &self.seed);
-        w.count(self.earlier.len());
-        for seed in &self.earlier {
-            write_seed(w, seed);
-        }
-        w.f64_slice(&self.times);
-        match &self.regime {
-            Some(regime) => {
-                w.bool(true);
-                regime.write_into(w);
-            }
-            None => w.bool(false),
-        }
-    }
-
-    /// Decodes a path written by [`SeedPath::write_into`]. Its seeds and
-    /// times need no check beyond their counts: coincident times give a
-    /// non-finite prediction, which falls back to a lower order, a
+    /// The wire layout of a path: seed, earlier seeds, scan times, then
+    /// the regime. Decoding checks only the counts: coincident times give
+    /// a non-finite prediction, which falls back to a lower order, a
     /// non-finite seed is ignored by the solver, and any finite start
     /// (from unordered times too) only moves where rung 0 begins.
-    fn read_from(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let seed = read_seed(r)?;
-        let count = r.count()?;
-        if count >= Self::POINTS {
-            return Err(SnapshotError::Malformed(format!(
-                "seed history holds {count} earlier states, at most {} fit",
-                Self::POINTS - 1
-            )));
-        }
-        let earlier = (0..count)
-            .map(|_| read_seed(r))
-            .collect::<Result<Vec<_>, _>>()?;
-        let times = r.f64_vec()?;
-        let consistent = if times.is_empty() {
-            count == 0
-        } else {
-            times.len() == count + 1
-        };
-        if !consistent {
-            return Err(SnapshotError::Malformed(format!(
-                "seed history has {} scan times for {count} earlier states",
-                times.len()
-            )));
-        }
-        let regime = if r.bool()? {
-            Some(Regime::read_from(r)?)
-        } else {
-            None
-        };
-        Ok(Self {
-            seed,
-            earlier,
-            times,
-            regime,
-        })
+    fn layout(&mut self, c: &mut Codec<'_>) -> Result<(), SnapshotError> {
+        seed_layout(c, &mut self.seed)?;
+        c.vec(&mut self.earlier, seed_layout)?;
+        c.vec(&mut self.times, Codec::f64)?;
+        let (earlier, times) = (self.earlier.len(), self.times.len());
+        c.ensure(
+            earlier < Self::POINTS && (times == earlier + 1 || times + earlier == 0),
+            || format!("seed history has {times} scan times for {earlier} earlier states"),
+        )?;
+        c.option(&mut self.regime, |c, regime| regime.layout(c))
     }
 }
 
@@ -1313,24 +1136,20 @@ fn lagrange_weights(times: &[f64], t: f64) -> Vec<f64> {
         .collect()
 }
 
-fn write_seed(w: &mut SnapWriter, seed: &SteadySeed) {
-    w.f64(seed.junction.degrees());
-    w.f64(seed.coolant_hot.degrees());
-    w.f64(seed.coolant_cold.degrees());
-    w.f64(seed.flow.cubic_meters_per_second());
-}
-
-fn read_seed(r: &mut SnapReader<'_>) -> Result<SteadySeed, SnapshotError> {
-    Ok(SteadySeed {
-        junction: Celsius::new(r.f64()?),
-        coolant_hot: Celsius::new(r.f64()?),
-        coolant_cold: Celsius::new(r.f64()?),
-        flow: VolumeFlow::from_cubic_meters_per_second(r.f64()?),
-    })
+/// A steady seed as four `f64`: junction, hot oil, cold oil, bath flow.
+fn seed_layout(c: &mut Codec<'_>, seed: &mut SteadySeed) -> Result<(), SnapshotError> {
+    c.f64_as(&mut seed.junction, Celsius::degrees, Celsius::new)?;
+    c.f64_as(&mut seed.coolant_hot, Celsius::degrees, Celsius::new)?;
+    c.f64_as(&mut seed.coolant_cold, Celsius::degrees, Celsius::new)?;
+    c.f64_as(
+        &mut seed.flow,
+        VolumeFlow::cubic_meters_per_second,
+        VolumeFlow::from_cubic_meters_per_second,
+    )
 }
 
 /// What a drill produced.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct DrillOutcome {
     /// Drill name.
     pub name: String,
@@ -1389,7 +1208,7 @@ mod tests {
         assert!(outcome.time_to_alarm.is_none(), "{outcome:?}");
         assert!(!outcome.shut_down);
         assert!(outcome.clean());
-        assert_eq!(outcome.channel_health, ChannelHealth::all_valid());
+        assert_eq!(outcome.channel_health, ChannelHealth::default());
         assert!((outcome.min_utilization - 0.90).abs() < 1e-12);
     }
 
@@ -1545,7 +1364,7 @@ mod tests {
         assert!(outcome.time_to_alarm.is_none(), "{outcome:?}");
         assert!(!outcome.shut_down);
         // but the broken channels are reported for maintenance
-        assert_ne!(outcome.channel_health, ChannelHealth::all_valid());
+        assert_ne!(outcome.channel_health, ChannelHealth::default());
         assert!(!outcome.channel_health.failed_channels().is_empty());
     }
 
@@ -1931,14 +1750,36 @@ mod tests {
         assert_eq!(path.predict(40.0), seed_at(x(1.75)));
     }
 
+    /// A nominal drill's session twelve scans in, edited by `edit`
+    /// through its private fields, checkpointed and resumed.
+    fn resumed_after(
+        supervised: bool,
+        edit: impl FnOnce(&mut DrillSession),
+    ) -> Result<DrillSession, SnapshotError> {
+        let drill = nominal_drill();
+        let mut session = DrillSession::new(&drill, rng(), supervised, Sinks::disabled())
+            .expect("baseline solves");
+        session.run(&drill, Sinks::disabled(), 12);
+        edit(&mut session);
+        let bytes = session.checkpoint(Sinks::disabled());
+        DrillSession::resume(&drill, &bytes, Sinks::disabled())
+    }
+
+    fn assert_malformed(result: Result<DrillSession, SnapshotError>, what: &str) {
+        match result {
+            Err(SnapshotError::Malformed(msg)) => assert!(!msg.is_empty()),
+            Err(other) => panic!("{what}: {other}"),
+            Ok(_) => panic!("{what} decoded"),
+        }
+    }
+
     #[test]
     fn a_seed_history_round_trips_and_inconsistent_counts_are_malformed() {
         let x = |flow: f64| [55.0, 31.0, 26.0, flow];
         let path = path_through(x(1.0), &[(10.0, x(1.0)), (20.0, x(1.5)), (30.0, x(1.75))]);
-        let mut w = SnapWriter::new();
-        path.write_into(&mut w);
-        let bytes = w.into_bytes();
-        let back = SeedPath::read_from(&mut SnapReader::new(&bytes)).unwrap();
+        let back = resumed_after(true, |s| s.seeds = path.clone())
+            .expect("snapshot opens")
+            .seeds;
         assert_eq!(
             (back.seed, &back.earlier, &back.times, &back.regime),
             (path.seed, &path.earlier, &path.times, &path.regime)
@@ -1946,23 +1787,46 @@ mod tests {
 
         // (earlier seeds, scan times) pairs no path can hold.
         for (earlier, times) in [(3, 4), (1, 0), (1, 1), (0, 2), (2, 2)] {
-            let mut w = SnapWriter::new();
-            write_seed(&mut w, &path.seed);
-            w.count(earlier);
-            for _ in 0..earlier {
-                write_seed(&mut w, &path.seed);
-            }
-            w.f64_slice(&vec![10.0; times]);
-            w.bool(false);
-            let bytes = w.into_bytes();
-            assert!(
-                matches!(
-                    SeedPath::read_from(&mut SnapReader::new(&bytes)),
-                    Err(SnapshotError::Malformed(_))
-                ),
-                "{earlier} earlier seeds with {times} scan times"
+            let result = resumed_after(true, |s| {
+                s.seeds.earlier = vec![path.seed; earlier];
+                s.seeds.times = vec![10.0; times];
+            });
+            assert_malformed(
+                result,
+                &format!("{earlier} earlier seeds with {times} scan times"),
             );
         }
+    }
+
+    #[test]
+    fn a_linearization_and_its_key_come_back_together_or_not_at_all() {
+        // Twelve scans in, both are cached; a resumed drill with the key
+        // but no plant skipped the relinearization and then panicked at
+        // its next scan.
+        let both = resumed_after(true, |_| {}).expect("snapshot opens");
+        assert!(both.lin.is_some() && both.lin_key.is_some());
+        assert_malformed(
+            resumed_after(true, |s| s.lin = None),
+            "a key without a plant",
+        );
+        assert_malformed(
+            resumed_after(true, |s| s.lin_key = None),
+            "a plant without a key",
+        );
+    }
+
+    #[test]
+    fn a_utilization_outside_the_unit_interval_is_malformed() {
+        // An unsupervised drill integrates at the stored utilization
+        // straight away, and the operating point refuses it.
+        for utilization in [1.5, -0.1, f64::NAN, f64::INFINITY] {
+            assert_malformed(
+                resumed_after(false, |s| s.utilization = utilization),
+                &format!("utilization {utilization}"),
+            );
+        }
+        let edge = resumed_after(false, |s| s.utilization = 1.0).expect("1.0 is a load");
+        assert_eq!(edge.utilization, 1.0);
     }
 
     #[test]

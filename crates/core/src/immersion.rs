@@ -27,6 +27,13 @@ use crate::report::SteadyReport;
 /// delivered per electrical watt).
 pub(crate) const PUMP_DRIVE_EFFICIENCY: f64 = 0.45;
 
+/// Per-chip thermal capacitance of the two-node lumped plant's chip
+/// field (die + sink + local board mass), J/K.
+pub(crate) const CHIP_FIELD_CAPACITANCE_PER_CHIP: f64 = 150.0;
+
+/// Nominal bath oil volume of the two-node lumped plant, m³.
+pub(crate) const BATH_VOLUME_M3: f64 = 0.060;
+
 /// Heat the circulation pumps put into the bath: all of their
 /// electrical power when the drives are immersed, only the hydraulic
 /// share otherwise.
@@ -37,13 +44,6 @@ pub(crate) fn pump_heat(bath: &ImmersionBath, electrical: Power) -> Power {
         Power::from_watts(electrical.watts() * PUMP_DRIVE_EFFICIENCY)
     }
 }
-
-/// Outer fixed-point iteration histogram bounds (inclusive upper
-/// bounds, overflow bucket past the heaviest ladder budget).
-const ITER_BOUNDS: [u64; 7] = [5, 10, 20, 50, 120, 400, 1200];
-/// Coupled-ladder rung histogram bounds: rungs 0, 1, 2 of the standard
-/// ladder (rung 0 is the default damping); later rungs overflow.
-const RUNG_BOUNDS: [u64; 3] = [0, 1, 2];
 
 /// The coupled model of one immersion-cooled computational module:
 /// hydraulic operating point → sink convection → ε-NTU heat exchange →
@@ -85,7 +85,7 @@ pub struct ImmersionModel {
 /// flow that seeds the first circulation solve. Built from the
 /// [`SteadyReport`] of a neighboring configuration (the previous state
 /// of a slowly degrading plant); see [`ImmersionModel::with_seed`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SteadySeed {
     pub(crate) junction: Celsius,
     pub(crate) coolant_hot: Celsius,
@@ -424,12 +424,8 @@ impl ImmersionModel {
                 Ok(report) => {
                     obs.inc("immersion.ladder.converged");
                     obs.add("immersion.ladder.escalations", rung as u64);
-                    obs.record_histogram("immersion.ladder.rung", &RUNG_BOUNDS, rung as u64);
-                    obs.record_histogram(
-                        "immersion.ladder.iterations",
-                        &ITER_BOUNDS,
-                        iterations as u64,
-                    );
+                    obs.record_golden("immersion.ladder.rung", rung as u64);
+                    obs.record_golden("immersion.ladder.iterations", iterations as u64);
                     spans.exit(obs);
                     return Ok(report);
                 }
@@ -645,11 +641,10 @@ impl ImmersionModel {
         let chips = self.module.compute_fpga_count() as f64;
         let r_field = ThermalResistance::from_kelvin_per_watt(r_sink.kelvin_per_watt() / chips);
 
-        // capacitances: chip + sink mass per FPGA ~ 150 J/K; the bath is
-        // ~60 L of oil
         let mut net = ThermalNetwork::new();
-        let chip_node = net.add_node_with_capacitance("chip field", 150.0 * chips);
-        let oil_mass_kg = 0.060 * oil_state.density.kg_per_cubic_meter();
+        let chip_node =
+            net.add_node_with_capacitance("chip field", CHIP_FIELD_CAPACITANCE_PER_CHIP * chips);
+        let oil_mass_kg = BATH_VOLUME_M3 * oil_state.density.kg_per_cubic_meter();
         let bath_node = net.add_node_with_capacitance(
             "oil bath",
             oil_mass_kg * oil_state.specific_heat.joules_per_kg_kelvin(),

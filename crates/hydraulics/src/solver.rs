@@ -336,15 +336,6 @@ impl SolverContext {
     }
 }
 
-/// Iteration-count histogram bounds shared by all solver telemetry
-/// (inclusive upper bounds; the overflow bucket catches anything past
-/// the heaviest ladder budget).
-const ITER_BOUNDS: [u64; 7] = [5, 10, 20, 50, 200, 500, 1500];
-/// Ladder-rung histogram bounds: rung index 0 (default options), 1, 2.
-const RUNG_BOUNDS: [u64; 3] = [0, 1, 2];
-/// Residual-decade histogram bounds (see [`rcs_obs::residual_decade`]).
-const DECADE_BOUNDS: [u64; 4] = [3, 6, 9, 12];
-
 /// Where a failed attempt left off — enough to build the diagnostics.
 struct SolveFailure {
     iterations: usize,
@@ -478,15 +469,10 @@ impl HydraulicNetwork {
                     let solution = outcome.solution;
                     obs.inc("hydraulics.ladder.converged");
                     obs.add("hydraulics.ladder.escalations", rung as u64);
-                    obs.record_histogram("hydraulics.ladder.rung", &RUNG_BOUNDS, rung as u64);
-                    obs.record_histogram(
-                        "hydraulics.ladder.iterations",
-                        &ITER_BOUNDS,
-                        solution.iterations() as u64,
-                    );
-                    obs.record_histogram(
+                    obs.record_golden("hydraulics.ladder.rung", rung as u64);
+                    obs.record_golden("hydraulics.ladder.iterations", solution.iterations() as u64);
+                    obs.record_golden(
                         "hydraulics.ladder.residual_decade",
-                        &DECADE_BOUNDS,
                         residual_decade(solution.worst_residual_m3s()),
                     );
                     self.record_solver_work(obs, solution.iterations() as u64);

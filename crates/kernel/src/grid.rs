@@ -20,7 +20,7 @@
 //! resumed clock produces exactly the ticks the uninterrupted clock
 //! would have.
 
-use crate::snap::{SnapReader, SnapWriter, SnapshotError};
+use crate::snap::{Codec, SnapshotError};
 
 /// The shape of a stepping schedule. See the module docs for which
 /// legacy loop each variant mirrors.
@@ -214,60 +214,36 @@ impl Clock {
         }
     }
 
-    /// Serializes the cursor (grid + position + accumulated time) into
-    /// `w`.
-    pub fn write_into(&self, w: &mut SnapWriter) {
-        match self.grid {
-            TimeGrid::Uniform { t0, dt, steps } => {
-                w.u8(0);
-                w.f64(t0);
-                w.f64(dt);
-                w.u64(steps);
-            }
-            TimeGrid::FixedClamped { dt, horizon, steps } => {
-                w.u8(1);
-                w.f64(dt);
-                w.f64(horizon);
-                w.u64(steps);
-            }
-            TimeGrid::Counted { count } => {
-                w.u8(2);
-                w.u64(count);
-            }
-        }
-        w.u64(self.next_index);
-        w.f64(self.t);
-    }
-
-    /// Reconstructs a cursor serialized by [`Clock::write_into`].
+    /// The one wire layout of a cursor — grid tag and shape, position,
+    /// accumulated time — run by both checkpoint and resume.
     ///
     /// # Errors
     ///
     /// [`SnapshotError`] on truncated bytes or an unknown grid tag.
-    pub fn read_from(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let grid = match r.u8()? {
-            0 => TimeGrid::Uniform {
-                t0: r.f64()?,
-                dt: r.f64()?,
-                steps: r.u64()?,
-            },
-            1 => TimeGrid::FixedClamped {
-                dt: r.f64()?,
-                horizon: r.f64()?,
-                steps: r.u64()?,
-            },
-            2 => TimeGrid::Counted { count: r.u64()? },
-            other => {
-                return Err(SnapshotError::Malformed(format!(
-                    "unknown time-grid tag {other}"
-                )))
-            }
+    pub fn layout(&mut self, c: &mut Codec<'_>) -> Result<(), SnapshotError> {
+        // Tag, then the variant's fields in declaration order.
+        let (mut tag, mut t0, mut dt, mut horizon, mut steps) = match self.grid {
+            TimeGrid::Uniform { t0, dt, steps } => (0, t0, dt, 0.0, steps),
+            TimeGrid::FixedClamped { dt, horizon, steps } => (1, 0.0, dt, horizon, steps),
+            TimeGrid::Counted { count } => (2, 0.0, 0.0, 0.0, count),
         };
-        Ok(Self {
-            grid,
-            next_index: r.u64()?,
-            t: r.f64()?,
-        })
+        c.tag(&mut tag, 3, "time-grid")?;
+        let floats = match tag {
+            0 => vec![&mut t0, &mut dt],
+            1 => vec![&mut dt, &mut horizon],
+            _ => vec![],
+        };
+        for x in floats {
+            c.f64(x)?;
+        }
+        c.u64(&mut steps)?;
+        self.grid = match tag {
+            0 => TimeGrid::Uniform { t0, dt, steps },
+            1 => TimeGrid::FixedClamped { dt, horizon, steps },
+            _ => TimeGrid::Counted { count: steps },
+        };
+        c.u64(&mut self.next_index)?;
+        c.f64(&mut self.t)
     }
 }
 
@@ -371,12 +347,13 @@ mod tests {
 
             let mut front = mk.clone();
             let mut ticks: Vec<Tick> = (0..split).map_while(|_| front.tick()).collect();
-            let mut w = SnapWriter::new();
-            front.write_into(&mut w);
+            let mut w = Codec::writer();
+            front.clone().layout(&mut w).unwrap();
             let bytes = w.into_bytes();
-            let mut r = SnapReader::new(&bytes);
-            let mut back = Clock::read_from(&mut r).unwrap();
-            assert!(r.is_exhausted());
+            let mut r = Codec::reader(&bytes);
+            let mut back = Clock::counted(0);
+            back.layout(&mut r).unwrap();
+            r.finish("the clock").unwrap();
             assert_eq!(back, front);
             while let Some(t) = back.tick() {
                 ticks.push(t);
@@ -393,12 +370,8 @@ mod tests {
 
     #[test]
     fn unknown_grid_tag_is_a_structured_error() {
-        let mut w = SnapWriter::new();
-        w.u8(9);
-        let bytes = w.into_bytes();
-        let mut r = SnapReader::new(&bytes);
         assert!(matches!(
-            Clock::read_from(&mut r),
+            Clock::counted(0).layout(&mut Codec::reader(&[9])),
             Err(SnapshotError::Malformed(_))
         ));
     }

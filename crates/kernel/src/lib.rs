@@ -12,14 +12,17 @@
 //!   `t = i * dt` with a clamped final step for scans, bare indices
 //!   for trials).
 //! * [`snap`] — the versioned, CRC-checked, byte-stable snapshot wire
-//!   format. Floats travel as bit patterns; decoding is total
+//!   format and its symmetric [`Codec`]: each snapshot type states its
+//!   layout in one function that writes on checkpoint and reads on
+//!   resume. Floats travel as bit patterns; decoding is total
 //!   (structured [`snap::SnapshotError`], never a panic).
-//! * [`sinks::SinkState`] — checkpoint/restore for the observability
-//!   sinks: golden counters, histograms, trace channels with their
-//!   decimation cursors, and the hierarchical span tree including its
-//!   open-span stack (spans are recorded in golden work units, so a
-//!   resumed run reproduces the straight run's tree bitwise). Notes
-//!   are non-golden and deliberately not captured.
+//! * [`sinks`] — [`seal_session`] / [`open_session`], which seal a
+//!   session's layout together with its observability sinks: golden
+//!   counters, histograms, trace channels with their decimation
+//!   cursors, and the hierarchical span tree including its open-span
+//!   stack (spans are recorded in golden work units, so a resumed run
+//!   reproduces the straight run's tree bitwise). Notes are non-golden
+//!   and deliberately not captured.
 //!
 //! # The resume-equivalence contract
 //!
@@ -39,5 +42,5 @@ pub mod sinks;
 pub mod snap;
 
 pub use grid::{Clock, Tick};
-pub use sinks::SinkState;
-pub use snap::{open, seal, SnapReader, SnapWriter, SnapshotError, FORMAT_VERSION, MAGIC};
+pub use sinks::{open_session, seal_session};
+pub use snap::{open, seal, Codec, SnapshotError, FORMAT_VERSION, MAGIC};

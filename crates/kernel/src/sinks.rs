@@ -19,39 +19,82 @@
 //! disabled sink is a silent no-op, because a straight run against a
 //! disabled sink records nothing either.
 
-use rcs_obs::span::{Frame, SpanNode, SpanState};
-use rcs_obs::trace::{ChannelKind, ChannelSnapshot, Sample, TraceSnapshot};
-use rcs_obs::{HistogramSnapshot, Sinks, Snapshot};
+use rcs_obs::span::{Elision, Frame, SpanState};
+use rcs_obs::trace::{ChannelKind, TraceSnapshot};
+use rcs_obs::{Sinks, Snapshot};
 
-use crate::snap::{SnapReader, SnapWriter, SnapshotError};
+use crate::snap::{open, seal, Codec, SnapshotError};
+
+/// Seals a session checkpoint of `kind`: the session's fields as its
+/// `layout` writes them, then the state of `sinks`.
+///
+/// # Panics
+///
+/// If `layout` fails while writing, which a layout built from [`Codec`]
+/// calls never does: a writing codec fails no call and checks nothing.
+#[must_use]
+pub fn seal_session(
+    kind: &str,
+    sinks: Sinks<'_>,
+    layout: impl FnOnce(&mut Codec<'_>) -> Result<(), SnapshotError>,
+) -> Vec<u8> {
+    let mut c = Codec::writer();
+    let written = layout(&mut c).and_then(|()| SinkState::capture(sinks).layout(&mut c));
+    assert!(written.is_ok(), "writing a snapshot failed: {written:?}");
+    seal(kind, &c.into_bytes())
+}
+
+/// Opens a session checkpoint of `kind` sealed by [`seal_session`]:
+/// runs `layout` as a reader over the session's fields, decodes the
+/// sink state after them and rejects trailing bytes — and only then
+/// restores the captured telemetry into the (fresh) `sinks`, so a
+/// rejected snapshot leaves them untouched.
+///
+/// # Errors
+///
+/// Any [`SnapshotError`] from the envelope, the layout or the sink
+/// state; [`SnapshotError::Malformed`] when `sinks` records traces at
+/// another capacity than the captured recorder did.
+pub fn open_session(
+    kind: &str,
+    bytes: &[u8],
+    sinks: Sinks<'_>,
+    layout: impl FnOnce(&mut Codec<'_>) -> Result<(), SnapshotError>,
+) -> Result<(), SnapshotError> {
+    let mut c = Codec::reader(open(kind, bytes)?);
+    layout(&mut c)?;
+    let mut captured = SinkState::default();
+    captured.layout(&mut c)?;
+    c.finish(&format!("the {kind} session state"))?;
+    captured.restore(sinks)
+}
 
 /// Captured state of one run's [`Sinks`]: the golden
 /// counter snapshot plus the full trace recorder state
 /// (channels, samples, decimation cursors, capacity, enablement) plus
 /// the full span sink state (closed tree, elision summaries, open
 /// stack).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SinkState {
+#[derive(Debug, Clone, PartialEq, Default)]
+pub(crate) struct SinkState {
     /// Golden counters / histograms at capture time.
-    pub obs: Snapshot,
+    obs: Snapshot,
     /// Trace channels at capture time, including decimation cursors.
-    pub trace: TraceSnapshot,
+    trace: TraceSnapshot,
     /// Capacity of the captured recorder — restore targets must match,
     /// or decimation would diverge from the straight-through run.
-    pub trace_capacity: usize,
+    trace_capacity: usize,
     /// Whether the captured recorder was enabled at all.
-    pub trace_enabled: bool,
+    trace_enabled: bool,
     /// Span tree at capture time, open stack included. Empty when the
     /// captured sink was disabled (or the state predates spans).
-    pub spans: SpanState,
+    spans: SpanState,
 }
 
 impl SinkState {
     /// Captures the current state of all three sinks — including the
     /// span sink's open stack, so a span that brackets the checkpoint
     /// closes correctly on the restored sink.
-    #[must_use]
-    pub fn capture(sinks: Sinks<'_>) -> Self {
+    fn capture(sinks: Sinks<'_>) -> Self {
         Self {
             obs: sinks.obs.snapshot(),
             trace: sinks.trace.snapshot(),
@@ -76,7 +119,7 @@ impl SinkState {
     /// with a different capacity than the captured one: future
     /// decimation would then diverge from the uninterrupted run, which
     /// breaks the resume-equivalence contract.
-    pub fn restore(&self, sinks: Sinks<'_>) -> Result<(), SnapshotError> {
+    fn restore(&self, sinks: Sinks<'_>) -> Result<(), SnapshotError> {
         let Sinks { obs, trace, spans } = sinks;
         obs.absorb(&self.obs);
         if trace.is_enabled() {
@@ -93,246 +136,120 @@ impl SinkState {
         Ok(())
     }
 
-    /// Serializes the sink state into `w`.
-    pub fn write_into(&self, w: &mut SnapWriter) {
-        w.count(self.obs.counters.len());
-        for (name, value) in &self.obs.counters {
-            w.str(name);
-            w.u64(*value);
-        }
-        w.count(self.obs.histograms.len());
-        for (name, h) in &self.obs.histograms {
-            w.str(name);
-            w.u64_slice(&h.bounds);
-            w.u64_slice(&h.counts);
-        }
-        w.bool(self.trace_enabled);
-        // A capacity, not a byte length — skip the length sanity bound.
-        w.u64(self.trace_capacity as u64);
-        w.count(self.trace.channels.len());
-        for ch in &self.trace.channels {
-            w.str(&ch.name);
-            w.str(ch.kind.as_str());
-            w.u64(ch.stride);
-            w.u64(ch.pushed);
-            w.count(ch.samples.len());
-            for s in &ch.samples {
-                w.u64(s.index);
-                w.f64(s.t);
-                w.f64(s.value);
-            }
-        }
-        Self::write_spans(w, &self.spans);
-    }
-
-    fn write_spans(w: &mut SnapWriter, spans: &SpanState) {
-        w.count(spans.nodes.len());
-        for node in &spans.nodes {
-            w.str(&node.label);
-            w.u64(node.start);
-            w.bool(node.end.is_some());
-            w.u64(node.end.unwrap_or(0));
-            w.count(node.children.len());
-            for &c in &node.children {
-                w.u64(c as u64);
-            }
-            Self::write_elided(w, &node.elided);
-        }
-        w.count(spans.roots.len());
-        for &r in &spans.roots {
-            w.u64(r as u64);
-        }
-        Self::write_elided(w, &spans.root_elided);
-        w.count(spans.stack.len());
-        for frame in &spans.stack {
-            match frame {
-                Frame::Node(idx) => {
-                    w.u8(0);
-                    w.u64(*idx as u64);
-                }
-                Frame::Elided { label, start } => {
-                    w.u8(1);
-                    w.str(label);
-                    w.u64(*start);
-                }
-                Frame::Suppressed => w.u8(2),
-            }
-        }
-    }
-
-    fn write_elided(w: &mut SnapWriter, elided: &[(String, u64, u64)]) {
-        w.count(elided.len());
-        for (label, count, work) in elided {
-            w.str(label);
-            w.u64(*count);
-            w.u64(*work);
-        }
-    }
-
-    /// Reconstructs a sink state serialized by [`SinkState::write_into`].
+    /// The one wire layout of a sink state: counters, histograms, trace
+    /// channels, then the span tree.
     ///
-    /// # Errors
-    ///
-    /// [`SnapshotError`] on truncated bytes, a histogram whose bounds
-    /// are empty or not strictly ascending or whose counts are not one
-    /// more than its bounds, histogram names out of sorted order or
-    /// repeated, an unknown channel-kind token, or span-tree indices out
-    /// of range.
-    pub fn read_from(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let n = r.count()?;
-        let mut counters = Vec::with_capacity(n);
-        for _ in 0..n {
-            counters.push((r.str()?, r.u64()?));
-        }
-        let n = r.count()?;
-        let mut histograms = Vec::with_capacity(n);
-        for _ in 0..n {
-            let name = r.str()?;
-            let bounds = r.u64_vec()?;
-            let counts = r.u64_vec()?;
-            // `Registry::record_histogram` indexes `counts` by bucket, so
-            // a restored histogram must have the shape it would build.
-            if bounds.is_empty()
-                || !bounds.windows(2).all(|w| w[0] < w[1])
-                || counts.len() != bounds.len() + 1
-            {
-                return Err(SnapshotError::Malformed(format!(
-                    "histogram {name:?}: {} bounds (need at least one, strictly \
-                     ascending) with {} counts (need one more than bounds)",
-                    bounds.len(),
-                    counts.len()
-                )));
-            }
-            // A registry snapshot lists each name once, in sorted order; a
-            // repeated name with other bounds would panic `restore`.
-            if histograms
-                .last()
-                .is_some_and(|(prev, _): &(String, _)| *prev >= name)
-            {
-                return Err(SnapshotError::Malformed(format!(
-                    "histogram {name:?} repeated or out of name order"
-                )));
-            }
-            histograms.push((name, HistogramSnapshot { bounds, counts }));
-        }
-        let trace_enabled = r.bool()?;
-        let raw_capacity = r.u64()?;
-        let trace_capacity = usize::try_from(raw_capacity).map_err(|_| {
-            SnapshotError::Malformed(format!("trace capacity {raw_capacity} overflows usize"))
+    /// Decoding rejects a histogram `Registry::record_histogram` could
+    /// not have built (bounds empty or not strictly ascending, counts
+    /// not one more than bounds), a golden histogram at other bounds
+    /// than [`rcs_obs::golden_bounds`] lists, histogram names out of
+    /// sorted order or repeated, an unknown channel-kind token, and
+    /// span-tree indices out of range.
+    fn layout(&mut self, c: &mut Codec<'_>) -> Result<(), SnapshotError> {
+        c.vec(&mut self.obs.counters, |c, (name, value)| {
+            c.str(name)?;
+            c.u64(value)
         })?;
-        let n = r.count()?;
-        let mut channels = Vec::with_capacity(n);
-        for _ in 0..n {
-            let name = r.str()?;
-            let kind_token = r.str()?;
-            let kind = ChannelKind::parse(&kind_token).ok_or_else(|| {
-                SnapshotError::Malformed(format!("unknown channel kind {kind_token:?}"))
+        c.vec(&mut self.obs.histograms, |c, (name, h)| {
+            c.str(name)?;
+            c.vec(&mut h.bounds, Codec::u64)?;
+            c.vec(&mut h.counts, Codec::u64)?;
+            // `Registry::record_histogram` indexes `counts` by bucket, and
+            // a golden histogram's producer records at fixed bounds.
+            let (bounds, counts) = (h.bounds.as_slice(), h.counts.len());
+            let shaped = !bounds.is_empty()
+                && bounds.windows(2).all(|w| w[0] < w[1])
+                && counts == bounds.len() + 1;
+            let golden = rcs_obs::golden_bounds(name).is_none_or(|b| b == bounds);
+            c.ensure(shaped && golden, || {
+                format!(
+                    "histogram {name:?}: {counts} counts over bounds {bounds:?}, \
+                     a shape its producer does not record"
+                )
+            })
+        })?;
+        // A registry snapshot lists each name once, in sorted order; a
+        // repeated name with other bounds would panic `restore`.
+        let misordered = self.obs.histograms.windows(2).find(|w| w[0].0 >= w[1].0);
+        c.ensure(misordered.is_none(), || {
+            let name = misordered.map_or("", |w| w[1].0.as_str());
+            format!("histogram {name:?} repeated or out of name order")
+        })?;
+        c.bool(&mut self.trace_enabled)?;
+        // A capacity, not a byte length — no bound by the bytes remaining.
+        c.usize(&mut self.trace_capacity)?;
+        c.vec(&mut self.trace.channels, |c, ch| {
+            c.str(&mut ch.name)?;
+            let mut kind = ch.kind.as_str().to_owned();
+            c.str(&mut kind)?;
+            ch.kind = ChannelKind::parse(&kind).ok_or_else(|| {
+                SnapshotError::Malformed(format!("unknown channel kind {kind:?}"))
             })?;
-            let stride = r.u64()?;
-            let pushed = r.u64()?;
-            let m = r.count()?;
-            let mut samples = Vec::with_capacity(m);
-            for _ in 0..m {
-                samples.push(Sample {
-                    index: r.u64()?,
-                    t: r.f64()?,
-                    value: r.f64()?,
-                });
-            }
-            channels.push(ChannelSnapshot {
-                name,
-                kind,
-                stride,
-                pushed,
-                samples,
-            });
-        }
-        let spans = Self::read_spans(r)?;
-        Ok(Self {
-            obs: Snapshot {
-                counters,
-                histograms,
-            },
-            trace: TraceSnapshot { channels },
-            trace_capacity,
-            trace_enabled,
-            spans,
-        })
+            c.u64(&mut ch.stride)?;
+            c.u64(&mut ch.pushed)?;
+            c.vec(&mut ch.samples, |c, s| {
+                c.u64(&mut s.index)?;
+                c.f64(&mut s.t)?;
+                c.f64(&mut s.value)
+            })
+        })?;
+        span_layout(c, &mut self.spans)
     }
+}
 
-    fn read_spans(r: &mut SnapReader<'_>) -> Result<SpanState, SnapshotError> {
-        let node_count = r.count()?;
-        let index = |raw: u64| -> Result<usize, SnapshotError> {
-            let idx = usize::try_from(raw)
-                .map_err(|_| SnapshotError::Malformed(format!("span index {raw} overflows")))?;
-            if idx >= node_count {
-                return Err(SnapshotError::Malformed(format!(
-                    "span index {idx} out of range ({node_count} nodes)"
-                )));
-            }
-            Ok(idx)
+/// The span tree's layout: nodes (each with its children and elisions),
+/// roots, root elisions, then the open stack.
+fn span_layout(c: &mut Codec<'_>, spans: &mut SpanState) -> Result<(), SnapshotError> {
+    let mut nodes = spans.nodes.len();
+    c.count(&mut nodes)?;
+    let index = move |c: &mut Codec<'_>, i: &mut usize| {
+        c.usize(i)?;
+        c.ensure(*i < nodes, || {
+            format!("span index {i} out of range ({nodes} nodes)")
+        })
+    };
+    c.items(&mut spans.nodes, nodes, |c, node| {
+        c.str(&mut node.label)?;
+        c.u64(&mut node.start)?;
+        // `end` travels as a presence flag and a value, 0 while open.
+        let (mut closed, mut end) = (node.end.is_some(), node.end.unwrap_or(0));
+        c.bool(&mut closed)?;
+        c.u64(&mut end)?;
+        node.end = closed.then_some(end);
+        c.vec(&mut node.children, index)?;
+        elided_layout(c, &mut node.elided)
+    })?;
+    c.vec(&mut spans.roots, index)?;
+    elided_layout(c, &mut spans.root_elided)?;
+    c.vec(&mut spans.stack, |c, frame| {
+        let (mut tag, mut i, mut label, mut start) = match frame {
+            Frame::Node(i) => (0, *i, String::new(), 0),
+            Frame::Elided { label, start } => (1, 0, label.clone(), *start),
+            Frame::Suppressed => (2, 0, String::new(), 0),
         };
-        let mut nodes = Vec::with_capacity(node_count);
-        for _ in 0..node_count {
-            let label = r.str()?;
-            let start = r.u64()?;
-            let has_end = r.bool()?;
-            let end_raw = r.u64()?;
-            let end = has_end.then_some(end_raw);
-            let m = r.count()?;
-            let mut children = Vec::with_capacity(m);
-            for _ in 0..m {
-                children.push(index(r.u64()?)?);
+        c.tag(&mut tag, 3, "span frame")?;
+        *frame = match tag {
+            0 => {
+                index(c, &mut i)?;
+                Frame::Node(i)
             }
-            let elided = Self::read_elided(r)?;
-            nodes.push(SpanNode {
-                label,
-                start,
-                end,
-                children,
-                elided,
-            });
-        }
-        let m = r.count()?;
-        let mut roots = Vec::with_capacity(m);
-        for _ in 0..m {
-            roots.push(index(r.u64()?)?);
-        }
-        let root_elided = Self::read_elided(r)?;
-        let m = r.count()?;
-        let mut stack = Vec::with_capacity(m);
-        for _ in 0..m {
-            let tag = r.u8()?;
-            stack.push(match tag {
-                0 => Frame::Node(index(r.u64()?)?),
-                1 => Frame::Elided {
-                    label: r.str()?,
-                    start: r.u64()?,
-                },
-                2 => Frame::Suppressed,
-                other => {
-                    return Err(SnapshotError::Malformed(format!(
-                        "unknown span frame tag {other}"
-                    )))
-                }
-            });
-        }
-        Ok(SpanState {
-            nodes,
-            roots,
-            root_elided,
-            stack,
-        })
-    }
+            1 => {
+                c.str(&mut label)?;
+                c.u64(&mut start)?;
+                Frame::Elided { label, start }
+            }
+            _ => Frame::Suppressed,
+        };
+        Ok(())
+    })
+}
 
-    fn read_elided(r: &mut SnapReader<'_>) -> Result<Vec<(String, u64, u64)>, SnapshotError> {
-        let m = r.count()?;
-        let mut elided = Vec::with_capacity(m);
-        for _ in 0..m {
-            elided.push((r.str()?, r.u64()?, r.u64()?));
-        }
-        Ok(elided)
-    }
+fn elided_layout(c: &mut Codec<'_>, elided: &mut Vec<Elision>) -> Result<(), SnapshotError> {
+    c.vec(elided, |c, (label, count, work)| {
+        c.str(label)?;
+        c.u64(count)?;
+        c.u64(work)
+    })
 }
 
 #[cfg(test)]
@@ -340,7 +257,21 @@ mod tests {
     use super::*;
     use rcs_obs::span::SpanSink;
     use rcs_obs::trace::TraceRecorder;
-    use rcs_obs::Registry;
+    use rcs_obs::{HistogramSnapshot, Registry};
+
+    fn encode(state: &SinkState) -> Vec<u8> {
+        let mut c = Codec::writer();
+        state.clone().layout(&mut c).unwrap();
+        c.into_bytes()
+    }
+
+    fn decode(bytes: &[u8]) -> Result<SinkState, SnapshotError> {
+        let mut c = Codec::reader(bytes);
+        let mut state = SinkState::default();
+        state.layout(&mut c)?;
+        c.finish("the sink state")?;
+        Ok(state)
+    }
 
     fn busy_sinks() -> (Registry, TraceRecorder) {
         let obs = Registry::new();
@@ -380,12 +311,7 @@ mod tests {
         });
         assert_eq!(state.spans.stack.len(), 1, "mid-span checkpoint");
 
-        let mut w = SnapWriter::new();
-        state.write_into(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = SnapReader::new(&bytes);
-        let decoded = SinkState::read_from(&mut r).unwrap();
-        assert!(r.is_exhausted());
+        let decoded = decode(&encode(&state)).unwrap();
         assert_eq!(decoded, state);
 
         let obs2 = Registry::new();
@@ -499,12 +425,9 @@ mod tests {
             trace: &trace,
             spans: &spans,
         });
-        let mut w = SnapWriter::new();
-        state.write_into(&mut w);
-        let bytes = w.into_bytes();
+        let bytes = encode(&state);
         for n in (0..bytes.len()).step_by(7) {
-            let mut r = SnapReader::new(&bytes[..n]);
-            assert!(SinkState::read_from(&mut r).is_err(), "truncated at {n}");
+            assert!(decode(&bytes[..n]).is_err(), "truncated at {n}");
         }
     }
 
@@ -520,12 +443,8 @@ mod tests {
             spans: &spans,
         });
         state.spans.roots = vec![7]; // node 7 does not exist
-        let mut w = SnapWriter::new();
-        state.write_into(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = SnapReader::new(&bytes);
         assert!(matches!(
-            SinkState::read_from(&mut r),
+            decode(&encode(&state)),
             Err(SnapshotError::Malformed(_))
         ));
     }
@@ -548,9 +467,7 @@ mod tests {
                 trace_enabled: false,
                 spans: SpanState::default(),
             };
-            let mut w = SnapWriter::new();
-            state.write_into(&mut w);
-            SinkState::read_from(&mut SnapReader::new(&w.into_bytes()))
+            decode(&encode(&state))
         };
         // Each state would restore and then panic (or misbucket) on the
         // next `record_histogram` into the same name — or, for the

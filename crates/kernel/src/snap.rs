@@ -117,204 +117,273 @@ pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// Little-endian append-only encoder for snapshot payloads.
-#[derive(Debug, Default)]
-pub struct SnapWriter {
-    buf: Vec<u8>,
-}
-
-impl SnapWriter {
-    /// An empty writer.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Consumes the writer, returning the raw payload bytes.
-    #[must_use]
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// Appends one byte.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Appends a `u64`.
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `usize` as `u64` (the format is platform-independent).
-    pub fn count(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    /// Appends a bool as one byte.
-    pub fn bool(&mut self, v: bool) {
-        self.u8(u8::from(v));
-    }
-
-    /// Appends an `f64` as its IEEE bit pattern.
-    pub fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    /// Appends an optional `f64`: a presence byte, then the bits.
-    pub fn opt_f64(&mut self, v: Option<f64>) {
-        match v {
-            Some(x) => {
-                self.bool(true);
-                self.f64(x);
-            }
-            None => self.bool(false),
-        }
-    }
-
-    /// Appends a length-prefixed UTF-8 string.
-    pub fn str(&mut self, s: &str) {
-        self.count(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    /// Appends a length-prefixed `f64` slice, element-wise bit patterns.
-    pub fn f64_slice(&mut self, vs: &[f64]) {
-        self.count(vs.len());
-        for &v in vs {
-            self.f64(v);
-        }
-    }
-
-    /// Appends a length-prefixed `u64` slice.
-    pub fn u64_slice(&mut self, vs: &[u64]) {
-        self.count(vs.len());
-        for &v in vs {
-            self.u64(v);
-        }
-    }
-}
-
-/// Bounds-checked little-endian decoder over a payload slice. Every
-/// method returns [`SnapshotError::Truncated`] instead of reading past
-/// the end.
+/// The symmetric snapshot codec. A snapshot type states its wire
+/// layout once, in one function that hands every field to the codec by
+/// `&mut`: a writing codec appends the field, a reading codec overwrites
+/// it with the decoded value. `checkpoint` and `resume` run that same
+/// function, so the reader cannot drift from the writer.
+///
+/// All integers are little-endian, `f64`s travel as their bit patterns,
+/// and every length is a `u64` prefix. Reading is total: a short stream
+/// is [`SnapshotError::Truncated`] and an impossible value
+/// [`SnapshotError::Malformed`], never a panic. Writing never fails.
 #[derive(Debug)]
-pub struct SnapReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+pub struct Codec<'a> {
+    /// The payload written so far; `None` on a reader.
+    out: Option<Vec<u8>>,
+    /// The bytes a reader has not consumed yet; empty on a writer.
+    rest: &'a [u8],
 }
 
-impl<'a> SnapReader<'a> {
-    /// A reader over `buf`, positioned at the start.
-    #[must_use]
-    pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
+/// Result of one codec call.
+type Coded = Result<(), SnapshotError>;
+
+impl<'a> Codec<'a> {
+    /// A codec appending to an empty payload.
+    pub(crate) fn writer() -> Self {
+        Self {
+            out: Some(Vec::new()),
+            rest: &[],
+        }
     }
 
-    /// Bytes not yet consumed.
-    #[must_use]
-    pub(crate) fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+    /// A codec decoding `payload` from its start.
+    pub(crate) fn reader(payload: &'a [u8]) -> Self {
+        Self {
+            out: None,
+            rest: payload,
+        }
     }
 
-    /// `true` when every byte has been consumed — decoders check this
-    /// to reject trailing garbage.
-    #[must_use]
-    pub fn is_exhausted(&self) -> bool {
-        self.remaining() == 0
+    /// The payload written so far (empty on a reader).
+    pub(crate) fn into_bytes(self) -> Vec<u8> {
+        self.out.unwrap_or_default()
     }
 
+    /// `true` when this codec decodes.
+    fn is_reading(&self) -> bool {
+        self.out.is_none()
+    }
+
+    /// Rejects bytes a reader has not consumed, naming what they follow.
+    pub(crate) fn finish(&self, after: &str) -> Coded {
+        let n = self.rest.len();
+        self.ensure(n == 0, || format!("{n} trailing byte(s) after {after}"))
+    }
+
+    /// Splits the next `n` bytes off a reader's stream.
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        if self.remaining() < n {
-            return Err(SnapshotError::Truncated {
+        let available = self.rest.len();
+        let (head, rest) = self
+            .rest
+            .split_at_checked(n)
+            .ok_or(SnapshotError::Truncated {
                 needed: n,
-                available: self.remaining(),
-            });
+                available,
+            })?;
+        self.rest = rest;
+        Ok(head)
+    }
+
+    /// A fixed-width value as its little-endian bytes `to` makes and
+    /// `from` reads back.
+    fn le<T: Copy, const N: usize>(
+        &mut self,
+        v: &mut T,
+        to: fn(T) -> [u8; N],
+        from: fn([u8; N]) -> T,
+    ) -> Coded {
+        let mut bytes = to(*v);
+        match &mut self.out {
+            Some(out) => out.extend_from_slice(&bytes),
+            None => bytes.copy_from_slice(self.take(N)?),
         }
-        let slice = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
+        *v = from(bytes);
+        Ok(())
     }
 
-    /// Reads one byte.
-    pub fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
+    /// Rejects a decoded value as [`SnapshotError::Malformed`]`(why())`
+    /// unless `ok`. A writer checks nothing: a live state holds its
+    /// invariants by construction, and a test may seal a broken one on
+    /// purpose to prove the reader refuses it.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Malformed`] on a reader when `ok` is false.
+    pub fn ensure(&self, ok: bool, why: impl FnOnce() -> String) -> Coded {
+        if ok || !self.is_reading() {
+            return Ok(());
+        }
+        Err(SnapshotError::Malformed(why()))
     }
 
-    /// Reads a `u32`.
-    pub(crate) fn u32(&mut self) -> Result<u32, SnapshotError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+    /// One byte.
+    fn u8(&mut self, v: &mut u8) -> Coded {
+        self.le(v, u8::to_le_bytes, u8::from_le_bytes)
     }
 
-    /// Reads a `u64`.
-    pub fn u64(&mut self) -> Result<u64, SnapshotError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+    /// A `u64`.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Truncated`] when the stream has ended.
+    pub fn u64(&mut self, v: &mut u64) -> Coded {
+        self.le(v, u64::to_le_bytes, u64::from_le_bytes)
     }
 
-    /// Reads a length written by [`SnapWriter::count`], sanity-bounded by
-    /// the bytes actually remaining (a length cannot exceed the stream,
-    /// so a corrupt length fails fast instead of attempting a huge
-    /// allocation).
-    pub fn count(&mut self) -> Result<usize, SnapshotError> {
-        let v = self.u64()?;
-        let v = usize::try_from(v)
-            .map_err(|_| SnapshotError::Malformed(format!("length {v} overflows usize")))?;
-        if v > self.remaining() {
+    /// A `usize` as a `u64` (the format is platform-independent).
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Truncated`], or [`SnapshotError::Malformed`] for
+    /// a value this platform's `usize` cannot hold.
+    pub fn usize(&mut self, v: &mut usize) -> Coded {
+        let mut raw = *v as u64;
+        self.u64(&mut raw)?;
+        *v = usize::try_from(raw)
+            .map_err(|_| SnapshotError::Malformed(format!("{raw} overflows usize")))?;
+        Ok(())
+    }
+
+    /// A length prefix. A reader bounds it by the bytes remaining (a
+    /// length cannot exceed the stream), so a corrupt length fails fast
+    /// instead of attempting a huge allocation.
+    ///
+    /// # Errors
+    ///
+    /// As [`Codec::usize`], or [`SnapshotError::Truncated`] when the
+    /// length exceeds the bytes remaining.
+    pub fn count(&mut self, n: &mut usize) -> Coded {
+        self.usize(n)?;
+        let available = self.rest.len();
+        if self.is_reading() && *n > available {
             return Err(SnapshotError::Truncated {
-                needed: v,
-                available: self.remaining(),
+                needed: *n,
+                available,
             });
         }
-        Ok(v)
+        Ok(())
     }
 
-    /// Reads a bool byte, rejecting anything but 0 or 1.
-    pub fn bool(&mut self) -> Result<bool, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(SnapshotError::Malformed(format!(
-                "bool byte must be 0 or 1, got {other}"
-            ))),
+    /// A bool as one byte, 0 or 1.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Truncated`], or [`SnapshotError::Malformed`] for
+    /// any other byte.
+    pub fn bool(&mut self, v: &mut bool) -> Coded {
+        let mut b = u8::from(*v);
+        self.u8(&mut b)?;
+        self.ensure(b <= 1, || format!("bool byte must be 0 or 1, got {b}"))?;
+        *v = b == 1;
+        Ok(())
+    }
+
+    /// An `f64` as its IEEE bit pattern, so a decoded float is bitwise
+    /// the encoded one, NaN payloads and `-0.0` included.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Truncated`] when the stream has ended.
+    pub fn f64(&mut self, v: &mut f64) -> Coded {
+        self.le(v, f64::to_le_bytes, f64::from_le_bytes)
+    }
+
+    /// A value stored as one `f64` behind a type such as a unit: `get`
+    /// yields the float, `set` rebuilds the value from it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Codec::f64`].
+    pub fn f64_as<T: Copy>(
+        &mut self,
+        v: &mut T,
+        get: impl FnOnce(T) -> f64,
+        set: impl FnOnce(f64) -> T,
+    ) -> Coded {
+        let mut x = get(*v);
+        self.f64(&mut x)?;
+        *v = set(x);
+        Ok(())
+    }
+
+    /// A length-prefixed UTF-8 string.
+    ///
+    /// # Errors
+    ///
+    /// As [`Codec::count`], or [`SnapshotError::Malformed`] for bytes
+    /// that are not UTF-8.
+    pub fn str(&mut self, s: &mut String) -> Coded {
+        let mut bytes = s.as_bytes().to_vec();
+        self.vec(&mut bytes, Self::u8)?;
+        *s = String::from_utf8(bytes)
+            .map_err(|_| SnapshotError::Malformed("string is not valid UTF-8".to_owned()))?;
+        Ok(())
+    }
+
+    /// An enum's variant tag: one byte below `variants`. The layout then
+    /// codes the tagged variant's fields and rebuilds the enum from them.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Truncated`], or [`SnapshotError::Malformed`]
+    /// naming `what` for a tag no variant has.
+    pub fn tag(&mut self, tag: &mut u8, variants: u8, what: &str) -> Coded {
+        self.u8(tag)?;
+        self.ensure(*tag < variants, || format!("unknown {what} tag {tag}"))
+    }
+
+    /// An optional value: a presence bool, then the value by `each`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Codec::bool`], or whatever `each` returns.
+    pub fn option<T: Default>(
+        &mut self,
+        v: &mut Option<T>,
+        each: impl FnOnce(&mut Self, &mut T) -> Coded,
+    ) -> Coded {
+        let mut present = v.is_some();
+        self.bool(&mut present)?;
+        if self.is_reading() {
+            *v = present.then(T::default);
         }
+        v.as_mut().map_or(Ok(()), |x| each(self, x))
     }
 
-    /// Reads an `f64` bit pattern.
-    pub fn f64(&mut self) -> Result<f64, SnapshotError> {
-        Ok(f64::from_bits(self.u64()?))
+    /// A length-prefixed vector, each element by `each`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Codec::count`], or whatever `each` returns.
+    pub fn vec<T: Default>(
+        &mut self,
+        v: &mut Vec<T>,
+        each: impl FnMut(&mut Self, &mut T) -> Coded,
+    ) -> Coded {
+        let mut n = v.len();
+        self.count(&mut n)?;
+        self.items(v, n, each)
     }
 
-    /// Reads an optional `f64` written by [`SnapWriter::opt_f64`].
-    pub fn opt_f64(&mut self) -> Result<Option<f64>, SnapshotError> {
-        if self.bool()? {
-            Ok(Some(self.f64()?))
-        } else {
-            Ok(None)
+    /// `n` elements with no length prefix, for a length an earlier field
+    /// already fixed. A writer codes every element of `v`; a reader
+    /// replaces `v` with `n` decoded ones.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `each` returns.
+    pub fn items<T: Default>(
+        &mut self,
+        v: &mut Vec<T>,
+        n: usize,
+        mut each: impl FnMut(&mut Self, &mut T) -> Coded,
+    ) -> Coded {
+        if self.is_reading() {
+            v.clear();
+            v.resize_with(n, T::default);
         }
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<String, SnapshotError> {
-        let n = self.count()?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| SnapshotError::Malformed("string is not valid UTF-8".to_owned()))
-    }
-
-    /// Reads a length-prefixed `f64` slice.
-    pub fn f64_vec(&mut self) -> Result<Vec<f64>, SnapshotError> {
-        let n = self.count()?;
-        (0..n).map(|_| self.f64()).collect()
-    }
-
-    /// Reads a length-prefixed `u64` slice.
-    pub fn u64_vec(&mut self) -> Result<Vec<u64>, SnapshotError> {
-        let n = self.count()?;
-        (0..n).map(|_| self.u64()).collect()
+        v.iter_mut().try_for_each(|x| each(self, x))
     }
 }
 
@@ -352,29 +421,28 @@ pub fn open<'a>(kind: &str, bytes: &'a [u8]) -> Result<&'a [u8], SnapshotError> 
         });
     }
     let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-    let mut r = SnapReader::new(body);
-    let magic = r.take(4).map_err(|_| SnapshotError::Truncated {
-        needed: 4,
-        available: body.len(),
-    })?;
+    let mut r = Codec::reader(body);
+    let (mut magic, mut version) = ([0; 4], 0);
+    r.le(&mut magic, |b| b, |b| b)?;
     if magic != MAGIC {
         return Err(SnapshotError::BadMagic);
     }
-    let version = r.u32()?;
+    r.le(&mut version, u32::to_le_bytes, u32::from_le_bytes)?;
     if version != FORMAT_VERSION {
         return Err(SnapshotError::BadVersion {
             found: version,
             supported: FORMAT_VERSION,
         });
     }
-    let found_kind = r.str()?;
-    let payload_len = r.count()?;
-    let payload_start = body.len() - r.remaining();
-    let payload = r.take(payload_len)?;
-    if !r.is_exhausted() {
+    let mut found_kind = String::new();
+    r.str(&mut found_kind)?;
+    let mut payload_len = 0;
+    r.count(&mut payload_len)?;
+    let payload = &r.rest[..payload_len];
+    if r.rest.len() > payload_len {
         return Err(SnapshotError::Malformed(format!(
             "{} trailing byte(s) after the payload",
-            r.remaining()
+            r.rest.len() - payload_len
         )));
     }
     let stored = u32::from_le_bytes([crc_bytes[0], crc_bytes[1], crc_bytes[2], crc_bytes[3]]);
@@ -388,7 +456,6 @@ pub fn open<'a>(kind: &str, bytes: &'a [u8]) -> Result<&'a [u8], SnapshotError> 
             expected: kind.to_owned(),
         });
     }
-    let _ = payload_start;
     Ok(payload)
 }
 
@@ -403,40 +470,97 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
-    #[test]
-    fn primitives_round_trip_bitwise() {
-        let mut w = SnapWriter::new();
-        w.u8(7);
-        // a `u32` as `seal` writes the format version: little-endian
-        for b in 0xDEAD_BEEF_u32.to_le_bytes() {
-            w.u8(b);
-        }
-        w.u64(u64::MAX);
-        w.bool(true);
-        w.f64(-0.0);
-        w.f64(f64::NAN);
-        w.opt_f64(None);
-        w.opt_f64(Some(3.5));
-        w.str("chip field");
-        w.f64_slice(&[1.5, f64::INFINITY]);
-        w.u64_slice(&[0, 9]);
-        let bytes = w.into_bytes();
+    /// One field of every kind the codec knows.
+    type Fields = (
+        u8,
+        u64,
+        usize,
+        bool,
+        f64,
+        f64,
+        Option<f64>,
+        Option<f64>,
+        String,
+        Vec<f64>,
+        u8,
+    );
 
-        let mut r = SnapReader::new(&bytes);
-        assert_eq!(r.u8().unwrap(), 7);
-        assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
-        assert_eq!(r.u64().unwrap(), u64::MAX);
-        assert!(r.bool().unwrap());
-        assert_eq!(r.f64().unwrap().to_bits(), (-0.0f64).to_bits());
-        assert!(r.f64().unwrap().is_nan());
-        assert_eq!(r.opt_f64().unwrap(), None);
-        assert_eq!(r.opt_f64().unwrap(), Some(3.5));
-        assert_eq!(r.str().unwrap(), "chip field");
-        let fs = r.f64_vec().unwrap();
-        assert_eq!(fs[0], 1.5);
-        assert!(fs[1].is_infinite());
-        assert_eq!(r.u64_vec().unwrap(), vec![0, 9]);
-        assert!(r.is_exhausted());
+    fn layout(c: &mut Codec<'_>, fields: &mut Fields) -> Coded {
+        let (byte, word, index, flag, zero, nan, none, some, name, floats, tag) = fields;
+        c.u8(byte)?;
+        c.u64(word)?;
+        c.usize(index)?;
+        c.bool(flag)?;
+        c.f64(zero)?;
+        c.f64(nan)?;
+        c.option(none, Codec::f64)?;
+        c.option(some, Codec::f64)?;
+        c.str(name)?;
+        c.vec(floats, Codec::f64)?;
+        c.tag(tag, 3, "test")
+    }
+
+    fn write(mut fields: Fields) -> Vec<u8> {
+        let mut w = Codec::writer();
+        layout(&mut w, &mut fields).unwrap();
+        w.into_bytes()
+    }
+
+    fn read(bytes: &[u8]) -> Result<Fields, SnapshotError> {
+        let (mut r, mut fields) = (Codec::reader(bytes), Fields::default());
+        layout(&mut r, &mut fields)?;
+        r.finish("the test fields")?;
+        Ok(fields)
+    }
+
+    #[test]
+    fn one_layout_writes_and_reads_every_field_bitwise() {
+        let name = "chip field".to_owned();
+        let fields = (
+            7,
+            u64::MAX,
+            12,
+            true,
+            -0.0,
+            f64::NAN,
+            None,
+            Some(3.5),
+            name,
+            vec![1.5],
+            2,
+        );
+        let bytes = write(fields.clone());
+        // little-endian, fixed width
+        assert_eq!(
+            bytes[..17],
+            [[7].as_slice(), &[0xFF; 8], &12u64.to_le_bytes()].concat()
+        );
+        let back = read(&bytes).unwrap();
+        assert_eq!(format!("{back:?}"), format!("{fields:?}"));
+        assert_eq!(write(back), bytes, "a decoded value re-encodes bitwise");
+    }
+
+    #[test]
+    fn a_reader_rejects_what_no_writer_writes() {
+        let bytes = write(Fields::default());
+        let (bool_at, tag_at) = (1 + 8 + 8, bytes.len() - 1);
+        for (at, byte, what) in [(bool_at, 2, "bool byte"), (tag_at, 3, "unknown test tag 3")] {
+            let mut bad = bytes.clone();
+            bad[at] = byte;
+            match read(&bad) {
+                Err(SnapshotError::Malformed(msg)) => assert!(msg.contains(what), "{msg}"),
+                other => panic!("{what}: {other:?}"),
+            }
+        }
+        for n in 0..bytes.len() {
+            let truncated = read(&bytes[..n]);
+            assert!(
+                matches!(truncated, Err(SnapshotError::Truncated { .. })),
+                "at {n}"
+            );
+        }
+        let trailing = [bytes.as_slice(), &[0]].concat();
+        assert!(matches!(read(&trailing), Err(SnapshotError::Malformed(_))));
     }
 
     #[test]
@@ -498,14 +622,16 @@ mod tests {
 
     #[test]
     fn corrupt_lengths_fail_fast_without_allocating() {
-        let mut w = SnapWriter::new();
-        w.u64(u64::MAX); // absurd length prefix
-        let bytes = w.into_bytes();
-        let mut r = SnapReader::new(&bytes);
-        assert!(matches!(
-            r.count(),
-            Err(SnapshotError::Malformed(_) | SnapshotError::Truncated { .. })
-        ));
+        // an absurd length prefix
+        let (bytes, mut floats) = (u64::MAX.to_le_bytes(), Vec::new());
+        let err = Codec::reader(&bytes)
+            .vec(&mut floats, Codec::f64)
+            .unwrap_err();
+        let fast = matches!(
+            err,
+            SnapshotError::Truncated { .. } | SnapshotError::Malformed(_)
+        );
+        assert!(fast, "{err:?}");
     }
 
     #[test]

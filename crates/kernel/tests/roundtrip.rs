@@ -35,8 +35,10 @@ use rcs_cooling::{ColdPlateLoop, CoolingArchitecture, ImmersionBath};
 use rcs_core::{DrillSession, FaultDrill, ImmersionModel, WarmupSession, DRILL_SNAPSHOT_KIND};
 use rcs_devices::OperatingPoint;
 use rcs_kernel::SnapshotError;
+use rcs_numeric::hash::Fnv1a;
 use rcs_numeric::rng::Rng;
-use rcs_obs::trace::TraceRecorder;
+use rcs_obs::span::SpanSink;
+use rcs_obs::trace::{ChannelKind, TraceRecorder};
 use rcs_obs::{Registry, Sinks};
 use rcs_testkit::{check_cases, Gen};
 use rcs_thermal::{NodeId, ThermalNetwork, TransientSession};
@@ -506,14 +508,217 @@ fn corrupted_payloads_resealed_past_the_checksum_never_plant_a_panic() {
                 }
                 // Whatever decoded must take the next observation: one
                 // into each restored histogram's overflow bucket, at the
-                // bounds it was restored with.
-                Ok(_) => {
+                // bounds it was restored with — and the next few scans.
+                Ok(mut resumed) => {
                     for (name, h) in fresh.snapshot().histograms {
                         let past_last = h.bounds.last().map_or(0, |b| b.saturating_add(1));
                         fresh.record_histogram(&name, &h.bounds, past_last);
                     }
+                    resumed.run(&drill, Sinks::counters(&fresh), 6);
                 }
             }
         }
+    });
+}
+
+/// Live counters, trace recorder and span sink.
+struct Live {
+    obs: Registry,
+    trace: TraceRecorder,
+    spans: SpanSink,
+}
+
+impl Live {
+    fn with(trace: TraceRecorder, spans: SpanSink) -> Self {
+        let obs = Registry::new();
+        Self { obs, trace, spans }
+    }
+
+    fn new() -> Self {
+        Self::with(TraceRecorder::new(), SpanSink::new())
+    }
+
+    /// Fresh sinks shaped like [`Live::busy`]'s: the trace capacity and
+    /// span fan-out a resumed snapshot of them needs.
+    fn busy_shaped() -> Self {
+        Self::with(TraceRecorder::with_capacity(8), SpanSink::with_fanout(2))
+    }
+
+    /// Sinks that exercise every part of a sealed sink state: counters,
+    /// a histogram, a decimated trace channel, and a span tree with a
+    /// closed elision summary whose open stack holds all three frame
+    /// kinds (a span, one elided past the fan-out cap, and one
+    /// suppressed beneath it).
+    fn busy() -> Self {
+        let live = Self::busy_shaped();
+        let (obs, spans) = (&live.obs, &live.spans);
+        obs.add("kernel.pinned.items", 41);
+        obs.record_histogram("kernel.pinned.sizes", &[2, 4, 8], 5);
+        let ch = live
+            .trace
+            .channel("kernel.pinned.temp", ChannelKind::Temperature);
+        for i in 0..37 {
+            live.trace
+                .record(ch, f64::from(i) * 0.5, 20.0 + f64::from(i));
+        }
+        spans.enter("session", obs);
+        for _ in 0..3 {
+            spans.enter("step", obs);
+            obs.work("kernel.pinned.work", 2);
+            spans.exit(obs);
+        }
+        spans.enter("step", obs);
+        spans.enter("inner", obs);
+        live
+    }
+
+    fn sinks(&self) -> Sinks<'_> {
+        Sinks {
+            obs: &self.obs,
+            trace: &self.trace,
+            spans: &self.spans,
+        }
+    }
+}
+
+/// FNV-1a digest of sealed snapshot bytes.
+fn digest(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a::new();
+    bytes.iter().for_each(|&b| h.write_u8(b));
+    h.finish()
+}
+
+#[test]
+fn sealed_bytes_of_each_kind_match_their_pinned_digests() {
+    // One fixed scenario per kind, digests captured before the layouts
+    // moved onto the symmetric codec. A layout change must bump
+    // FORMAT_VERSION and re-pin all four.
+    assert_eq!(rcs_kernel::FORMAT_VERSION, 5);
+
+    // a two-node chain under busy sinks, 37 steps in
+    let mut net = ThermalNetwork::new();
+    let amb = net.add_boundary("amb", Celsius::new(20.0));
+    let a = net.add_node_with_capacitance("a", 40.0);
+    let b = net.add_node_with_capacitance("b", 90.0);
+    let r = ThermalResistance::from_kelvin_per_watt;
+    for (x, y, k_per_w) in [(a, amb, 0.8), (a, b, 0.3), (b, amb, 1.1)] {
+        net.connect(x, y, r(k_per_w)).expect("distinct nodes");
+    }
+    net.add_heat(a, Power::from_watts(60.0))
+        .expect("internal node");
+    net.add_heat(b, Power::from_watts(15.0))
+        .expect("internal node");
+    let initial = net.uniform_initial(Celsius::new(25.0));
+    let (duration, step) = (Seconds::new(60.0), Seconds::new(0.5));
+    let mut transient = TransientSession::new(&net, &initial, duration, step).expect("valid");
+    transient.run(&net, 37);
+    let transient = transient.checkpoint(Live::busy().sinks());
+
+    // SKAT warming up for 300 s at 5 s steps, 20 steps in
+    let live = Live::new();
+    let (duration, step) = (Seconds::new(300.0), Seconds::new(5.0));
+    let mut warmup = WarmupSession::new(&ImmersionModel::skat(), duration, step, live.sinks())
+        .expect("model warms up");
+    warmup.run(20);
+    let warmup = warmup.checkpoint(live.sinks());
+
+    // inside an open span, scan 157 of a fouling drill: after the third
+    // seeded relinearization of one regime, so the linearization, its
+    // key and a full seed history are all present
+    let fouling = FaultKind::ExchangerFouling {
+        rate_k_per_w_per_hour: 0.002,
+    };
+    let timeline = FaultTimeline::new().with_event(Seconds::minutes(1.0), fouling);
+    let drill = FaultDrill::skat("fouling", timeline, Seconds::minutes(20.0));
+    let live = Live::new();
+    live.spans.enter("drill", &live.obs);
+    let rng = Rng::seed_from_u64(7);
+    let mut session = DrillSession::new(&drill, rng, true, live.sinks()).expect("baseline");
+    session.run(&drill, live.sinks(), 157);
+    let drill = session.checkpoint(live.sinks());
+
+    // 300 SKAT immersion trials over three years on 3 workers, two of
+    // five chunks in
+    let live = Live::new();
+    let classes = risk::failure_classes(&CoolingArchitecture::Immersion(
+        ImmersionBath::skat_default(),
+    ));
+    let mut mc = McSession::new(3.0, 300, 42, 3, live.sinks());
+    mc.advance(&classes, live.sinks(), 2);
+    let mc = mc.checkpoint(live.sinks());
+
+    for (kind, bytes, pinned) in [
+        ("thermal.transient", transient, 0xc0ae_41ed_3e26_b0d5_u64),
+        ("core.warmup", warmup, 0x2e23_da8b_2f5a_1c7e),
+        ("core.drill", drill, 0x812e_3133_8b54_45a3),
+        ("cooling.mc", mc, 0x3b33_9315_c2b8_755f),
+    ] {
+        assert!(rcs_kernel::open(kind, &bytes).is_ok(), "{kind} opens");
+        let got = digest(&bytes);
+        assert_eq!(
+            got,
+            pinned,
+            "{kind}: {} bytes, digest {got:#018x}",
+            bytes.len()
+        );
+    }
+}
+
+#[test]
+fn a_resumed_session_checkpoints_to_the_same_bytes() {
+    // checkpoint → resume into fresh sinks → checkpoint must reproduce
+    // the bytes: a field a layout writes but does not read back changes
+    // the second checkpoint.
+    check_cases("recheckpoint", 8, |g| {
+        let (net, _nodes) = random_network(g);
+        let initial = net.uniform_initial(Celsius::new(g.draw(10.0..40.0)));
+        let (duration, step) = (
+            Seconds::new(g.draw(1.0..60.0)),
+            Seconds::new(g.draw(0.1..2.0)),
+        );
+        let mut transient = TransientSession::new(&net, &initial, duration, step).expect("valid");
+        transient.run(&net, g.draw(0u64..=40));
+        let bytes = transient.checkpoint(Live::busy().sinks());
+        let live = Live::busy_shaped();
+        let resumed = TransientSession::resume(&net, &bytes, live.sinks()).expect("opens");
+        assert!(resumed.checkpoint(live.sinks()) == bytes, "transient");
+
+        let model = ImmersionModel::skat_plus()
+            .with_operating_point(OperatingPoint::at_utilization(g.draw(0.3..1.0)));
+        let (live, step) = (Live::new(), Seconds::new(4.0));
+        let mut warmup = WarmupSession::new(&model, Seconds::new(120.0), step, live.sinks())
+            .expect("model warms up");
+        warmup.run(g.draw(0u64..=35));
+        let bytes = warmup.checkpoint(live.sinks());
+        let live = Live::new();
+        let resumed = WarmupSession::resume(&model, &bytes, live.sinks()).expect("opens");
+        assert!(resumed.checkpoint(live.sinks()) == bytes, "warm-up");
+
+        let duration = Seconds::minutes(g.draw(3.0..6.0));
+        let drill = FaultDrill::skat_plus("recheckpoint", random_timeline(g, duration), duration);
+        let (live, rng) = (Live::new(), Rng::seed_from_u64(g.draw(0u64..=u64::MAX - 1)));
+        if let Ok(mut session) = DrillSession::new(&drill, rng, g.bool(0.7), live.sinks()) {
+            session.run(&drill, live.sinks(), g.draw(0u64..=200));
+            let bytes = session.checkpoint(live.sinks());
+            let live = Live::new();
+            let resumed = DrillSession::resume(&drill, &bytes, live.sinks()).expect("opens");
+            assert!(resumed.checkpoint(live.sinks()) == bytes, "drill");
+        }
+
+        let classes = risk::failure_classes(&CoolingArchitecture::ColdPlate(
+            ColdPlateLoop::per_chip_plates(g.draw(16usize..=128)),
+        ));
+        let (trials, threads) = (g.draw(65usize..=300), g.draw(1usize..=4));
+        let (live, seed) = (Live::new(), g.draw(0u64..=u64::MAX - 1));
+        let mut mc = McSession::new(g.draw(1.0..4.0), trials, seed, threads, live.sinks());
+        mc.advance(
+            &classes,
+            live.sinks(),
+            g.draw(0u64..=trials as u64 / 64 + 2),
+        );
+        let bytes = mc.checkpoint(live.sinks());
+        let live = Live::new();
+        let resumed = McSession::resume(&bytes, threads, live.sinks()).expect("opens");
+        assert!(resumed.checkpoint(live.sinks()) == bytes, "mc");
     });
 }

@@ -251,6 +251,23 @@ impl Registry {
         });
     }
 
+    /// Records one observation into the golden histogram `name`, at the
+    /// bounds [`golden_bounds`] lists for it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is not a golden histogram, or as
+    /// [`Registry::record_histogram`].
+    pub fn record_golden(&self, name: &str, value: u64) {
+        if !self.is_live() {
+            return;
+        }
+        let Some(bounds) = golden_bounds(name) else {
+            panic!("{name} is not a golden histogram");
+        };
+        self.record_histogram(name, bounds, value);
+    }
+
     /// Adds `n` to the **non-golden** gauge `name` — for values that
     /// legitimately depend on scheduling or the machine (worker counts,
     /// per-worker task tallies). Notes appear in the manifest but never
@@ -341,6 +358,38 @@ impl Registry {
             });
         }
     }
+}
+
+/// Bucket bounds of every golden histogram the workspace records, by
+/// name: the one definition [`Registry::record_golden`] records with and
+/// a snapshot decoder checks a restored histogram against. Restored with
+/// other bounds, the histogram would fail its producer's next recording.
+/// Iteration counts overflow past the heaviest ladder budget; rung
+/// indices 0 (the default options), 1 and 2 have buckets, later rungs
+/// overflow; residual decades are [`residual_decade`]s.
+const GOLDEN_HISTOGRAMS: [(&str, &[u64]); 6] = [
+    (
+        "hydraulics.ladder.iterations",
+        &[5, 10, 20, 50, 200, 500, 1500],
+    ),
+    ("hydraulics.ladder.rung", &[0, 1, 2]),
+    ("hydraulics.ladder.residual_decade", &[3, 6, 9, 12]),
+    (
+        "immersion.ladder.iterations",
+        &[5, 10, 20, 50, 120, 400, 1200],
+    ),
+    ("immersion.ladder.rung", &[0, 1, 2]),
+    ("thermal.transient.nodes", &[2, 4, 8, 16, 64]),
+];
+
+/// The bounds the golden histogram `name` is recorded with, or `None`
+/// when no producer records `name` through [`Registry::record_golden`].
+#[must_use]
+pub fn golden_bounds(name: &str) -> Option<&'static [u64]> {
+    GOLDEN_HISTOGRAMS
+        .iter()
+        .find(|(golden, _)| *golden == name)
+        .map(|&(_, bounds)| bounds)
 }
 
 /// Applies `f` to the value under `key`, first inserting `new()` when
@@ -492,7 +541,7 @@ impl Shard {
 
 /// One histogram's state: inclusive upper bucket bounds plus counts
 /// (one extra overflow bucket past the last bound).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct HistogramSnapshot {
     /// Inclusive upper bucket bounds, ascending.
     pub bounds: Vec<u64>,

@@ -82,7 +82,7 @@ pub(crate) const DEFAULT_FANOUT: usize = 16;
 pub type Elision = (String, u64, u64);
 
 /// One recorded span node (plain data, cheap to clone).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SpanNode {
     /// Caller-supplied label (the id derives from it; keep it stable).
     pub label: String,
@@ -106,7 +106,7 @@ impl SpanNode {
 }
 
 /// One frame of the open-span stack.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum Frame {
     /// An ordinary open span: index into [`SpanState::nodes`].
     Node(usize),
@@ -120,6 +120,7 @@ pub enum Frame {
     },
     /// A span nested under an elided (or suppressed) ancestor: fully
     /// invisible, tracked only so enter/exit stays balanced.
+    #[default]
     Suppressed,
 }
 

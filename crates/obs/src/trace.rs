@@ -53,7 +53,7 @@ pub(crate) const DEFAULT_CAPACITY: usize = 512;
 
 /// What a trace channel measures. The kind is part of the channel's
 /// identity: recording a channel under two kinds is a bug and panics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ChannelKind {
     /// A temperature, °C.
     Temperature,
@@ -68,6 +68,7 @@ pub enum ChannelKind {
     /// [`severity rank`]: ChannelKind::Action
     Action,
     /// Any other dimensionless scalar (utilization, iteration counts…).
+    #[default]
     Scalar,
 }
 
@@ -108,7 +109,7 @@ pub struct ChannelId(usize);
 
 /// One retained sample: the push index it survived under, the caller's
 /// time coordinate, and the value.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Sample {
     /// 0-based index of this sample in the channel's push sequence.
     pub index: u64,
@@ -406,7 +407,7 @@ fn push(c: &mut ChannelState, capacity: usize, t: f64, value: f64) {
 }
 
 /// One channel's captured state.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ChannelSnapshot {
     /// Channel name (possibly `{prefix}/{name}` after an absorb).
     pub name: String,

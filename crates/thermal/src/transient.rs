@@ -8,7 +8,7 @@
 //! run-to-completion wrapper over a session, so the public API (and
 //! every golden number it produces) is unchanged.
 
-use rcs_kernel::{Clock, SinkState, SnapReader, SnapWriter, SnapshotError};
+use rcs_kernel::{Clock, Codec, SnapshotError};
 use rcs_numeric::ode::{rk4_step, Rk4Scratch};
 use rcs_obs::Sinks;
 use rcs_units::{Celsius, Seconds};
@@ -193,8 +193,10 @@ impl ThermalNetwork {
 /// Derived integrator structure, rebuilt from the network on resume —
 /// pure functions of the [`ThermalNetwork`], so they are not part of
 /// the checkpointed state.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct TransientEnv {
+    /// Node count of the network, boundary nodes included.
+    nodes: usize,
     /// Node indices of the internal (capacitive) nodes, in node order.
     internal: Vec<usize>,
     /// Heat capacitance per internal row, J/K.
@@ -235,6 +237,7 @@ impl TransientEnv {
             .collect();
         let scratch = Rk4Scratch::new(internal.len());
         Ok(Self {
+            nodes: net.nodes.len(),
             internal,
             capacitance,
             index_of,
@@ -253,7 +256,7 @@ impl TransientEnv {
 /// the mutable state (plus the observability sinks) into versioned
 /// bytes; [`TransientSession::resume`] reconstructs a session that
 /// finishes **bitwise** identically to one that was never interrupted.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct TransientSession {
     clock: Clock,
     /// Internal-node temperatures, °C, in internal-row order.
@@ -355,6 +358,7 @@ impl TransientSession {
             capacitance,
             index_of,
             scratch,
+            ..
         } = &mut self.env;
         let boundary_temp = &self.boundary_temp;
         let mut derivative = |_t: f64, y: &[f64], dy: &mut [f64]| {
@@ -421,11 +425,7 @@ impl TransientSession {
         let obs = sinks.obs;
         let trace = self.into_trace();
         obs.add("thermal.transient.steps", trace.len() as u64);
-        obs.record_histogram(
-            "thermal.transient.nodes",
-            &[2, 4, 8, 16, 64],
-            net.nodes.len() as u64,
-        );
+        obs.record_golden("thermal.transient.nodes", net.nodes.len() as u64);
         // work profile: RK4 samples, and samples × nodes (the figure
         // the right-hand-side evaluation scales with)
         obs.work("thermal.ode_steps", trace.len() as u64);
@@ -443,21 +443,8 @@ impl TransientSession {
     /// straight run closes it) into versioned snapshot bytes.
     #[must_use]
     pub fn checkpoint(&self, sinks: Sinks<'_>) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        self.clock.write_into(&mut w);
-        w.f64_slice(&self.state);
-        w.f64_slice(&self.boundary_temp);
-        w.count(self.times.len());
-        for t in &self.times {
-            w.f64(t.seconds());
-        }
-        for sample in &self.temperatures {
-            for c in sample {
-                w.f64(c.degrees());
-            }
-        }
-        SinkState::capture(sinks).write_into(&mut w);
-        rcs_kernel::seal(TRANSIENT_SNAPSHOT_KIND, &w.into_bytes())
+        let mut session = self.clone();
+        rcs_kernel::seal_session(TRANSIENT_SNAPSHOT_KIND, sinks, |c| session.layout(c))
     }
 
     /// Reconstructs a session from [`TransientSession::checkpoint`]
@@ -475,50 +462,43 @@ impl TransientSession {
         bytes: &[u8],
         sinks: Sinks<'_>,
     ) -> Result<Self, SnapshotError> {
-        let payload = rcs_kernel::open(TRANSIENT_SNAPSHOT_KIND, bytes)?;
-        let mut r = SnapReader::new(payload);
-        let clock = Clock::read_from(&mut r)?;
-        let state = r.f64_vec()?;
-        let boundary_temp = r.f64_vec()?;
-        let n_samples = r.count()?;
-        let mut times = Vec::with_capacity(n_samples);
-        for _ in 0..n_samples {
-            times.push(Seconds::new(r.f64()?));
-        }
-        let mut temperatures = Vec::with_capacity(n_samples);
-        for _ in 0..n_samples {
-            let mut sample = Vec::with_capacity(boundary_temp.len());
-            for _ in 0..boundary_temp.len() {
-                sample.push(Celsius::new(r.f64()?));
-            }
-            temperatures.push(sample);
-        }
-        let captured = SinkState::read_from(&mut r)?;
-        if !r.is_exhausted() {
-            return Err(SnapshotError::Malformed(
-                "trailing bytes after transient session state".to_owned(),
-            ));
-        }
         let env = TransientEnv::build(net)
             .map_err(|e| SnapshotError::Malformed(format!("network rejected on resume: {e}")))?;
-        if state.len() != env.internal.len() || boundary_temp.len() != net.nodes.len() {
-            return Err(SnapshotError::Malformed(format!(
-                "snapshot is for a different network: {} internal / {} total nodes in snapshot, \
-                 {} / {} in the network",
-                state.len(),
-                boundary_temp.len(),
-                env.internal.len(),
-                net.nodes.len()
-            )));
-        }
-        captured.restore(sinks)?;
-        Ok(Self {
-            clock,
-            state,
-            boundary_temp,
-            times,
-            temperatures,
+        let mut session = Self {
+            clock: Clock::counted(0),
+            state: Vec::new(),
+            boundary_temp: Vec::new(),
+            times: Vec::new(),
+            temperatures: Vec::new(),
             env,
+        };
+        rcs_kernel::open_session(TRANSIENT_SNAPSHOT_KIND, bytes, sinks, |c| session.layout(c))?;
+        Ok(session)
+    }
+
+    /// The one wire layout of a session — clock, state vector, boundary
+    /// baseline, then the samples (a count, the times, and one
+    /// temperature per node for each) — run by both checkpoint and
+    /// resume. Decoding rejects a state sized for another network.
+    fn layout(&mut self, c: &mut Codec<'_>) -> Result<(), SnapshotError> {
+        self.clock.layout(c)?;
+        c.vec(&mut self.state, Codec::f64)?;
+        c.vec(&mut self.boundary_temp, Codec::f64)?;
+        // (internal, total) node counts
+        let nodes = (self.state.len(), self.boundary_temp.len());
+        let net = (self.env.internal.len(), self.env.nodes);
+        c.ensure(nodes == net, || {
+            format!("snapshot is for another network: {nodes:?} nodes, the network has {net:?}")
+        })?;
+        let mut samples = self.times.len();
+        c.count(&mut samples)?;
+        c.items(&mut self.times, samples, |c, t| {
+            c.f64_as(t, Seconds::seconds, Seconds::new)
+        })?;
+        c.items(&mut self.temperatures, samples, |c, sample| {
+            c.items(sample, net.1, |c, temp| {
+                c.f64_as(temp, Celsius::degrees, Celsius::new)
+            })
         })
     }
 }
